@@ -1,8 +1,8 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke
+.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke ledger-smoke
 
-verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke
+verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke ledger-smoke
 
 build:
 	cargo build --release
@@ -43,7 +43,9 @@ recovery-smoke:
 
 # Kernel-layer gate: cross-tier equivalence tests, the index/embedding test
 # suites re-run with the SIMD dispatch forced to the scalar fallback (proves
-# results do not depend on the tier), and a quick kernel microbench.
+# results do not depend on the tier — and is the run in which the search
+# core's pinned `core_identity` constants bind), and a quick kernel
+# microbench.
 kernel-smoke:
 	cargo test --release -p tv-common --test kernel_equivalence -q
 	TV_KERNELS=scalar cargo test --release -p tv-common -p tv-hnsw -p tv-embedding -p tv-baselines -q
@@ -98,9 +100,9 @@ migrate-smoke:
 	cargo run --release -p tv-bench --bin migration_bench
 	TV_QPS_TOLERANCE=$(TV_QPS_TOLERANCE) cargo run --release -p tv-bench --bin check_regression -- --only migration_bench
 
-# Graph-layout gate: the packed-vs-pointer oracle identity suite, then the
+# Graph-layout gate: the compiled-vs-pointer oracle identity suite, then the
 # paired layout sweep — the binary itself exits 1 if recall drifts beyond
-# ±0.0001 between layouts, if the work counters (distance computations,
+# ±0.0001 between the two layouts, if the work counters (distance computations,
 # hops) differ, or if packed+prefetch misses TV_LAYOUT_MIN_SPEEDUP × the
 # pointer-layout QPS — and the regression checker against the committed
 # baseline. The speedup floor defaults to the paper target 1.3x; the smoke
@@ -114,3 +116,13 @@ layout-smoke:
 	cargo test --release -p tv-hnsw --test layout_oracle -q
 	TV_LAYOUT_MIN_SPEEDUP=$(TV_LAYOUT_MIN_SPEEDUP) cargo run --release -p tv-bench --bin layout_bench
 	TV_QPS_TOLERANCE=$(TV_QPS_TOLERANCE) cargo run --release -p tv-bench --bin check_regression -- --only layout_bench
+
+# Benchmark gate: `benchmark/` (BENCHMARK.json's perf_ledger) is a package of
+# its own that the root workspace does not build, so an API removal in a
+# product crate could break it without tier-1 noticing. Builds it against the
+# current crates, runs its unit tests, then all four workloads at a tenth of
+# their size (2 s windows, same metric names; exits non-zero when an answer
+# fails its brute-force check).
+ledger-smoke:
+	cargo test --offline --manifest-path benchmark/Cargo.toml -q
+	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke

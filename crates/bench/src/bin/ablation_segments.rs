@@ -6,8 +6,7 @@
 //! build time, (b) per-query search CPU, (c) recall — showing the trade-off
 //! the paper banks on: segmented builds are cheaper and embarrassingly
 //! parallel, while search pays a small per-segment overhead that the MPP
-//! fan-out absorbs. Also includes the IVF-Flat index behind the same trait
-//! (§4.4's "other vector indexes can be easily integrated").
+//! fan-out absorbs.
 //!
 //! Usage: `cargo run --release -p tv-bench --bin ablation_segments -- [--n 20000]`
 
@@ -16,9 +15,9 @@ use tv_baselines::recall_at_k;
 use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
-use tv_common::{merge_topk, Neighbor};
+use tv_common::merge_topk;
 use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
-use tv_hnsw::{HnswConfig, HnswIndex, IvfConfig, IvfFlatIndex, VectorIndex};
+use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -72,45 +71,8 @@ fn main() {
         }));
     }
 
-    // IVF-Flat, single partitioned structure, for contrast.
-    {
-        let layout = SegmentLayout::with_capacity(n.max(1));
-        let gt = ground_truth(&ds.base, &ds.queries, k, ds.shape.metric(), layout);
-        let started = Instant::now();
-        let mut ivf = IvfFlatIndex::new(IvfConfig {
-            nlist: 128,
-            nprobe: 16,
-            ..IvfConfig::new(ds.dim, ds.shape.metric())
-        });
-        for (i, v) in ds.base.iter().enumerate() {
-            ivf.insert(layout.vertex_id(i), v).unwrap();
-        }
-        ivf.train();
-        let build = started.elapsed();
-        let started = Instant::now();
-        let mut recall_sum = 0.0;
-        for (qv, truth) in ds.queries.iter().zip(&gt) {
-            let (r, _) = ivf.top_k(qv, k, 0, Filter::All);
-            recall_sum += recall_at_k(&r, truth, k);
-        }
-        let search = started.elapsed() / ds.queries.len() as u32;
-        let recall = recall_sum / ds.queries.len() as f64;
-        rows.push(vec![
-            "IVF-Flat (128/16)".to_string(),
-            fmt_duration(build),
-            fmt_duration(search),
-            format!("{recall:.4}"),
-        ]);
-        json.push(serde_json::json!({
-            "index": "ivf", "segments": 1,
-            "build_s": build.as_secs_f64(), "search_s": search.as_secs_f64(),
-            "recall": recall,
-        }));
-        let _: Vec<Neighbor> = Vec::new();
-    }
-
     print_table(
-        "Ablation — segmented vs monolithic index (§4.2) + IVF (§4.4)",
+        "Ablation — segmented vs monolithic index (§4.2)",
         &["configuration", "build", "search/query", "recall@k"],
         &rows,
     );

@@ -1,7 +1,9 @@
 //! **Figure 7**: throughput (QPS) vs recall on SIFT-shape and Deep-shape
 //! datasets for TigerVector, Milvus-like, Neo4j-like, and Neptune-like.
 //!
-//! TigerVector/Milvus sweep `ef`; Neo4j/Neptune appear as single points
+//! TigerVector/Milvus sweep `ef` upward from `k` (a beam narrower than `k`
+//! is clamped up to `k`, so points below it would all be the same operating
+//! point); Neo4j/Neptune appear as single points
 //! (the paper: "Neo4j and Amazon Neptune do not allow parameter tuning").
 //! Recall and per-query CPU are measured; QPS on the paper's 32-core box is
 //! modeled per `tv-baselines::cost` (see the table there for the constants
@@ -21,7 +23,7 @@ fn main() {
     let q = args.get_usize("q", 100);
     let k = args.get_usize("k", 100);
     let seed = args.get_u64("seed", 1);
-    let ef_sweep = [8usize, 16, 32, 64, 128, 256];
+    let ef_sweep = [1usize, 2, 3, 4, 6, 8].map(|m| m * k);
     let layout = SegmentLayout::with_capacity((n / 8).max(1024));
 
     let mut all = serde_json::Map::new();

@@ -1,11 +1,11 @@
 //! **Graph-layout bench**: single-thread search throughput of the mutable
-//! pointer forest vs. the compiled CSR layout, with and without software
-//! prefetch, on a fig7-style dim-768 workload.
+//! pointer forest vs. the compiled layout (CSR + BFS reordering + software
+//! prefetch), on a fig7-style dim-768 workload.
 //!
-//! One HNSW index is built once in the pointer form; each layout under test
-//! is a compiled clone of that same graph, so the sweep isolates the memory
+//! One HNSW index is built once in the pointer form; the compiled run is a
+//! compiled clone of that same graph, so the sweep isolates the memory
 //! layout — same links, same entry point, same visit order modulo the BFS
-//! slot renumbering. Measurement is *paired*: every query runs on all three
+//! slot renumbering. Measurement is *paired*: every query runs on both
 //! layouts back-to-back, rounds repeat the whole set, and the headline
 //! speedup is the median of the per-round ratios — host drift (turbo,
 //! co-tenants) hits each layout's half of a pair equally, so it cancels
@@ -171,11 +171,7 @@ fn main() {
     );
     set_storage_info(base.storage_tier(), base.memory_bytes());
 
-    let sweep = [
-        GraphLayout::Pointer,
-        GraphLayout::Packed,
-        GraphLayout::PackedPrefetch,
-    ];
+    let sweep = [GraphLayout::Pointer, GraphLayout::PackedPrefetch];
     let mut runs: Vec<LayoutRun> = sweep
         .iter()
         .map(|&l| LayoutRun::prepare(&base, l, &ds.queries, &gt, k, ef))
@@ -236,8 +232,8 @@ fn main() {
     set_layout_info(best.layout, best.link_bytes);
     save_json("layout_bench", &serde_json::Value::Array(json));
 
-    // Gate 1: result identity. The packed layouts search the same graph in
-    // a different memory order — any recall or work-counter motion is a
+    // Gate 1: result identity. The compiled layout searches the same graph
+    // in a different memory order — any recall or work-counter motion is a
     // permutation bug, not a tuning artifact.
     let (pointer_recall, pointer_dists, pointer_hops, pointer_qps) =
         (runs[0].recall, runs[0].dists, runs[0].hops, runs[0].qps());

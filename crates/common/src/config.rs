@@ -28,9 +28,6 @@ pub struct TuningDefaults {
     /// level assignment but lets link sets vary with interleaving (recall
     /// parity is the contract, not byte identity).
     pub build_threads: usize,
-    /// Search-time adjacency layout compiled at `index_merge`/snapshot-load
-    /// (see [`GraphLayout`]); overridable per process via `TV_LAYOUT`.
-    pub layout: GraphLayout,
 }
 
 impl Default for TuningDefaults {
@@ -39,7 +36,6 @@ impl Default for TuningDefaults {
             planner: PlannerConfig::default(),
             default_ef: 64,
             build_threads: 1,
-            layout: GraphLayout::default(),
         }
     }
 }
@@ -337,71 +333,38 @@ impl QuantSpec {
 }
 
 /// How the HNSW adjacency is laid out for search (the `layout` execution
-/// knob). `Pointer` is the mutable `Vec<Vec<Vec<u32>>>` forest the index is
-/// built in; the packed layouts compile a frozen CSR form (contiguous
-/// neighbor slabs + BFS locality reordering) at `index_merge`/snapshot-load
-/// time, keeping the pointer form for build/update paths. `PackedPrefetch`
-/// additionally issues software prefetches for upcoming candidates' vector
-/// and neighbor rows inside the search loops (no-op on the scalar kernel
-/// tier). Results are bit-identical across layouts modulo the slot
+/// knob of an embedding attribute). `Pointer` is the mutable
+/// `Vec<Vec<Vec<u32>>>` forest the index is built in and every update runs
+/// on; `PackedPrefetch` compiles the frozen search form at
+/// `index_merge`/snapshot-load time — contiguous CSR neighbor slabs, BFS
+/// locality reordering, and software prefetch of upcoming candidates'
+/// vector and neighbor rows inside the traversal (a no-op on the scalar
+/// kernel tier). Results are bit-identical across layouts modulo the slot
 /// permutation — the layout is purely an execution choice.
-///
-/// Resolution order when a segment compiles an index: the `TV_LAYOUT`
-/// environment variable (`pointer|packed|packed+prefetch`), then the
-/// configured [`TuningDefaults::layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum GraphLayout {
     /// Mutable per-node `Vec` forest; no compilation step.
     Pointer,
-    /// Frozen CSR adjacency + BFS locality reordering, no prefetch.
-    Packed,
-    /// CSR + reordering + software prefetch in the search loops (default).
+    /// CSR + reordering + software prefetch in the traversal (default).
     #[default]
     PackedPrefetch,
 }
 
 impl GraphLayout {
-    /// Stable display name (`pointer`, `packed`, `packed+prefetch`); also
-    /// accepted by [`GraphLayout::parse`]. Used for bench provenance
-    /// stamping.
+    /// Stable display name (`pointer`, `packed+prefetch`). Used for bench
+    /// provenance stamping.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             GraphLayout::Pointer => "pointer",
-            GraphLayout::Packed => "packed",
             GraphLayout::PackedPrefetch => "packed+prefetch",
         }
-    }
-
-    /// Parse a layout name: `pointer`, `packed`, or `packed+prefetch`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "pointer" => Some(GraphLayout::Pointer),
-            "packed" => Some(GraphLayout::Packed),
-            "packed+prefetch" | "packed_prefetch" | "prefetch" => Some(GraphLayout::PackedPrefetch),
-            _ => None,
-        }
-    }
-
-    /// The layout named by `TV_LAYOUT`, if set and well-formed.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        std::env::var("TV_LAYOUT")
-            .ok()
-            .and_then(|v| Self::parse(&v))
     }
 
     /// Whether a compiled (CSR) form should be built at all.
     #[must_use]
     pub fn is_packed(self) -> bool {
         self != GraphLayout::Pointer
-    }
-
-    /// Whether the compiled form should prefetch during search.
-    #[must_use]
-    pub fn prefetch_enabled(self) -> bool {
-        self == GraphLayout::PackedPrefetch
     }
 }
 
@@ -503,28 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn graph_layout_names_roundtrip() {
-        for l in [
-            GraphLayout::Pointer,
-            GraphLayout::Packed,
-            GraphLayout::PackedPrefetch,
-        ] {
-            assert_eq!(GraphLayout::parse(l.name()), Some(l));
-        }
-        assert_eq!(
-            GraphLayout::parse("PACKED+PREFETCH"),
-            Some(GraphLayout::PackedPrefetch)
-        );
-        assert_eq!(GraphLayout::parse("csr"), None);
+    fn graph_layout_default_is_the_compiled_form() {
         assert_eq!(GraphLayout::default(), GraphLayout::PackedPrefetch);
-        assert!(GraphLayout::Packed.is_packed());
+        assert_eq!(GraphLayout::default().to_string(), "packed+prefetch");
+        assert!(GraphLayout::PackedPrefetch.is_packed());
         assert!(!GraphLayout::Pointer.is_packed());
-        assert!(GraphLayout::PackedPrefetch.prefetch_enabled());
-        assert!(!GraphLayout::Packed.prefetch_enabled());
-        assert_eq!(
-            TuningDefaults::default().layout,
-            GraphLayout::PackedPrefetch
-        );
     }
 
     #[test]

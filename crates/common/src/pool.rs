@@ -165,7 +165,14 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.injector.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock just before it waits, so a store made without it can land
+        // between the check and the wait, the notification finds nobody,
+        // and `join` below never returns.
+        {
+            let _queue = lock(&self.injector.queue);
+            self.injector.shutdown.store(true, Ordering::Release);
+        }
         self.injector.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();

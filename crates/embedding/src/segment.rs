@@ -49,6 +49,12 @@ pub struct DeltaFile {
 
 /// Decoupled vector storage + index for one (vertex segment, embedding
 /// attribute) pair.
+///
+/// Lock order: `mem_deltas`, then `delta_files`, then `snapshots` — the order
+/// `delta_merge` moves records in. A record lives in exactly one of the two
+/// delta stores, so a reader that wants every delta holds `mem_deltas`
+/// across both scans ([`Self::for_each_delta`]); nothing takes an earlier
+/// lock while holding a later one.
 pub struct EmbeddingSegment {
     /// The vertex segment this embedding segment is aligned with.
     pub segment_id: SegmentId,
@@ -134,13 +140,12 @@ impl EmbeddingSegment {
         Ok(())
     }
 
-    /// Compile the freshly built snapshot into its declared search layout
-    /// (`TV_LAYOUT` overrides the attribute's setting). Runs after
-    /// `apply_quant` so the BFS permutation carries the code slabs along
-    /// with the vectors. Purely representational: the snapshot serves
-    /// bit-identical results either way.
+    /// Compile the freshly built snapshot into its declared search layout.
+    /// Runs after `apply_quant` so the BFS permutation carries the code
+    /// slabs along with the vectors. Purely representational: the snapshot
+    /// serves bit-identical results either way.
     fn apply_layout(&self, index: &mut HnswIndex) {
-        index.compile_layout(GraphLayout::from_env().unwrap_or(self.layout));
+        index.compile_layout(self.layout);
     }
 
     /// The search-graph layout this segment compiles snapshots into.
@@ -194,29 +199,37 @@ impl EmbeddingSegment {
             .expect("at least one snapshot")
     }
 
+    /// Visit every delta record with a TID in `(after, up_to]`, oldest first
+    /// (delta files, then the mem-delta store; both are tid-ordered).
+    /// `delta_merge` moves records from the mem store to a file, so the mem
+    /// lock is taken first and held across both scans: taken after the
+    /// files scan, a merge in between would hide its records from both.
+    fn for_each_delta(&self, after: Tid, up_to: Tid, mut f: impl FnMut(&DeltaRecord)) {
+        let mem = self.mem_deltas.read();
+        for file in self.delta_files.read().iter() {
+            if file.hi > after && file.lo <= up_to {
+                file.records
+                    .iter()
+                    .filter(|r| r.tid > after && r.tid <= up_to)
+                    .for_each(&mut f);
+            }
+        }
+        mem.iter()
+            .filter(|r| r.tid > after && r.tid <= up_to)
+            .for_each(&mut f);
+    }
+
     /// Collect the overlay of deltas in `(after, read_tid]`: for each vertex
     /// the latest action — `Some(vector)` for a live upsert, `None` for a
     /// delete.
     fn overlay(&self, after: Tid, read_tid: Tid) -> HashMap<VertexId, Option<Vec<f32>>> {
         let mut map = HashMap::new();
-        let mut absorb = |r: &DeltaRecord| {
-            if r.tid > after && r.tid <= read_tid {
-                match r.action {
-                    DeltaAction::Upsert => map.insert(r.id, Some(r.vector.clone())),
-                    DeltaAction::Delete => map.insert(r.id, None),
-                };
-            }
-        };
-        for file in self.delta_files.read().iter() {
-            if file.hi > after && file.lo < read_tid {
-                for r in &file.records {
-                    absorb(r);
-                }
-            }
-        }
-        for r in self.mem_deltas.read().iter() {
-            absorb(r);
-        }
+        self.for_each_delta(after, read_tid, |r| {
+            match r.action {
+                DeltaAction::Upsert => map.insert(r.id, Some(r.vector.clone())),
+                DeltaAction::Delete => map.insert(r.id, None),
+            };
+        });
         map
     }
 
@@ -491,42 +504,18 @@ impl EmbeddingSegment {
     #[must_use]
     pub fn checkpoint_state(&self, ckpt_tid: Tid) -> (Arc<IndexSnapshot>, Vec<DeltaRecord>) {
         let snap = self.snapshot_for(ckpt_tid);
-        let mut tail = Vec::new();
-        for file in self.delta_files.read().iter() {
-            for r in &file.records {
-                if r.tid > snap.up_to && r.tid <= ckpt_tid {
-                    tail.push(r.clone());
-                }
-            }
-        }
-        for r in self.mem_deltas.read().iter() {
-            if r.tid > snap.up_to && r.tid <= ckpt_tid {
-                tail.push(r.clone());
-            }
-        }
+        let tail = self.delta_tail(snap.up_to, ckpt_tid);
         (snap, tail)
     }
 
-    /// The delta records in `(after, up_to]`, oldest first (delta files then
-    /// the mem-delta list, both of which are tid-ordered). This is the
+    /// The delta records in `(after, up_to]`, oldest first. This is the
     /// migration catch-up feed: the destination installs a snapshot valid up
     /// to some tid, then repeatedly pulls `delta_tail(cursor, Tid::MAX)`
     /// from the still-serving source until the tail is short enough to drain
     /// inside the flip critical section.
     pub fn delta_tail(&self, after: Tid, up_to: Tid) -> Vec<DeltaRecord> {
         let mut tail = Vec::new();
-        for file in self.delta_files.read().iter() {
-            for r in &file.records {
-                if r.tid > after && r.tid <= up_to {
-                    tail.push(r.clone());
-                }
-            }
-        }
-        for r in self.mem_deltas.read().iter() {
-            if r.tid > after && r.tid <= up_to {
-                tail.push(r.clone());
-            }
-        }
+        self.for_each_delta(after, up_to, |r| tail.push(r.clone()));
         tail
     }
 
@@ -540,12 +529,12 @@ impl EmbeddingSegment {
         deltas: &[DeltaRecord],
     ) -> TvResult<()> {
         {
+            let no_deltas = self.mem_deltas.read().is_empty() && self.delta_files.read().is_empty();
             let snaps = self.snapshots.read();
-            let pristine = snaps.len() == 1
+            let pristine = no_deltas
+                && snaps.len() == 1
                 && snaps[0].up_to == Tid::ZERO
-                && snaps[0].index.len() == 0
-                && self.mem_deltas.read().is_empty()
-                && self.delta_files.read().is_empty();
+                && snaps[0].index.len() == 0;
             if !pristine {
                 return Err(TvError::Storage(format!(
                     "restore into non-empty embedding segment {}",

@@ -85,9 +85,9 @@ pub struct EmbeddingTypeDef {
     /// exact-rerank policy. Defaults to full-precision f32.
     pub quant: QuantSpec,
     /// Search-time graph representation compiled at segment merge/rebuild:
-    /// the mutable pointer forest, or the frozen CSR layout (optionally with
-    /// software prefetch). Purely an execution knob — it never affects
-    /// compatibility or results.
+    /// the mutable pointer forest, or the frozen CSR layout with software
+    /// prefetch. Purely an execution knob — it never affects compatibility
+    /// or results.
     #[serde(default)]
     pub layout: GraphLayout,
 }

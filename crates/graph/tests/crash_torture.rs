@@ -46,7 +46,12 @@ fn config() -> ServiceConfig {
 }
 
 fn test_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tv-torture-{}-{label}", std::process::id()));
+    // Tests of this binary run on parallel threads and several of them
+    // build the same `oracle`: each call gets a directory of its own.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("tv-torture-{pid}-{call}-{label}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -1,4 +1,8 @@
-//! Core HNSW index.
+//! Core HNSW index: the [`HnswIndex`] struct, its accessors, and the
+//! [`VectorIndex`] interface it implements. The index's jobs live beside
+//! it: traversal and query routing in [`crate::search`], graph construction
+//! and repair in [`crate::build`], the compiled layout in [`crate::layout`],
+//! the quantized tier in [`crate::quant_state`].
 //!
 //! Layout: node `slot` (a dense `u32`) owns a vector (`dim` floats in a
 //! slot-major arena), an external key ([`VertexId`]), a top level, a deleted
@@ -15,21 +19,18 @@
 //! rebuild path compacts them away.
 
 use crate::config::HnswConfig;
-use crate::packed::{self, PackedGraph};
-use crate::planner::{self, PlanChoice, PlanInputs};
-use crate::select::{select_neighbors, Scored};
+use crate::packed::PackedGraph;
+use crate::quant_state::QuantState;
+use crate::search::ScratchPool;
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use tv_common::bitmap::Filter;
-use tv_common::kernels::{self, cosine_from_parts};
+use tv_common::kernels;
 use tv_common::{
-    Bitmap, DistanceMetric, GraphLayout, Kernels, Neighbor, PlannerConfig, PreparedQuery,
-    QuantSpec, SplitMix64, StorageTier, Tid, TvError, TvResult, VertexId,
+    Bitmap, DistanceMetric, Neighbor, PlannerConfig, QuantSpec, StorageTier, Tid, TvError,
+    TvResult, VertexId,
 };
-use tv_quant::{permute_code_rows, Codec, QuantQuery, QuantizedCodec};
 
 /// Upsert/delete action flag of a vector delta (§4.3: the delta schema is
 /// `Action Flag, ID, TID, Vector Value`).
@@ -132,329 +133,46 @@ pub trait VectorIndex: Send + Sync {
     }
 }
 
-/// Quantized vector storage attached to an index: the frozen codec, a
-/// slot-major code arena (tombstones included — deleted slots must stay
-/// navigable/scorable), and per-slot reconstruction norms when the metric
-/// is cosine. In codes-only PQ mode, `rerank` holds a finer-grained SQ8
-/// side store used by the exact-rerank stage in `top_k`.
-#[derive(Clone)]
-pub(crate) struct QuantState {
-    pub(crate) spec: QuantSpec,
-    pub(crate) codec: Codec,
-    /// `codec.code_len()` bytes per slot, slot-major.
-    pub(crate) codes: Vec<u8>,
-    /// Euclidean norm of each slot's reconstruction (cosine only; empty for
-    /// other metrics).
-    pub(crate) recon_norms: Vec<f32>,
-    /// SQ8 rerank store for PQ codes-only mode.
-    pub(crate) rerank: Option<RerankStore>,
-}
-
-/// A secondary, finer-grained code store used only for reranking.
-#[derive(Clone)]
-pub(crate) struct RerankStore {
-    pub(crate) codec: Codec,
-    pub(crate) codes: Vec<u8>,
-    pub(crate) recon_norms: Vec<f32>,
-}
-
-impl QuantState {
-    /// Train the codec(s) named by `spec` on a slot-major `arena` and encode
-    /// every slot. The same `(arena, seed)` always produce bit-identical
-    /// codebooks and codes (deterministic k-means), which is what the
-    /// durability layer's recovery guarantees build on.
-    pub(crate) fn build(
-        spec: QuantSpec,
-        dim: usize,
-        metric: DistanceMetric,
-        arena: &[f32],
-        seed: u64,
-    ) -> TvResult<Self> {
-        let codec = Codec::train(spec.tier, dim, arena, seed)?;
-        let (codes, recon_norms) = encode_arena(&codec, arena, dim, metric);
-        // PQ codes are too coarse to rank exactly; when the f32 arena is
-        // dropped, keep an SQ8 store (1 byte/dim) for the rerank stage.
-        let rerank = if !spec.keep_f32 && matches!(spec.tier, StorageTier::Pq { .. }) {
-            let rc = Codec::train(StorageTier::Sq8, dim, arena, seed)?;
-            let (rcodes, rnorms) = encode_arena(&rc, arena, dim, metric);
-            Some(RerankStore {
-                codec: rc,
-                codes: rcodes,
-                recon_norms: rnorms,
-            })
-        } else {
-            None
-        };
-        Ok(QuantState {
-            spec,
-            codec,
-            codes,
-            recon_norms,
-            rerank,
-        })
-    }
-
-    /// Encode `vector` with the frozen codec(s) and append it as the next
-    /// slot (the incremental-insert path).
-    pub(crate) fn push(&mut self, metric: DistanceMetric, vector: &[f32]) {
-        let slot = self.codes.len() / self.codec.code_len();
-        self.codes
-            .resize(self.codes.len() + self.codec.code_len(), 0);
-        self.reencode(metric, slot, vector);
-    }
-
-    /// Re-encode `slot` in place from a new vector value (upsert path).
-    pub(crate) fn reencode(&mut self, metric: DistanceMetric, slot: usize, vector: &[f32]) {
-        let k = kernels::active();
-        let dim = self.codec.dim();
-        let cl = self.codec.code_len();
-        self.codec
-            .encode_into(vector, &mut self.codes[slot * cl..(slot + 1) * cl]);
-        if metric == DistanceMetric::Cosine {
-            let mut recon = vec![0.0f32; dim];
-            self.codec
-                .reconstruct_into(&self.codes[slot * cl..(slot + 1) * cl], &mut recon);
-            let norm = k.norm_sq(&recon).sqrt();
-            if slot == self.recon_norms.len() {
-                self.recon_norms.push(norm);
-            } else {
-                self.recon_norms[slot] = norm;
-            }
-        }
-        if let Some(r) = &mut self.rerank {
-            let rcl = r.codec.code_len();
-            if r.codes.len() < (slot + 1) * rcl {
-                r.codes.resize((slot + 1) * rcl, 0);
-            }
-            r.codec
-                .encode_into(vector, &mut r.codes[slot * rcl..(slot + 1) * rcl]);
-            if metric == DistanceMetric::Cosine {
-                let mut recon = vec![0.0f32; dim];
-                r.codec
-                    .reconstruct_into(&r.codes[slot * rcl..(slot + 1) * rcl], &mut recon);
-                let norm = k.norm_sq(&recon).sqrt();
-                if slot == r.recon_norms.len() {
-                    r.recon_norms.push(norm);
-                } else {
-                    r.recon_norms[slot] = norm;
-                }
-            }
-        }
-    }
-
-    /// Reconstruct `slot`'s vector into `out`.
-    pub(crate) fn materialize_into(&self, slot: usize, out: &mut [f32]) {
-        let cl = self.codec.code_len();
-        self.codec
-            .reconstruct_into(&self.codes[slot * cl..(slot + 1) * cl], out);
-    }
-
-    /// Reorder every slot-indexed arena by `perm[old] = new` (layout
-    /// compilation; see [`crate::packed`]): codes, reconstruction norms,
-    /// and the rerank side store move together with the vectors.
-    pub(crate) fn apply_permutation(&mut self, perm: &[u32]) {
-        let cl = self.codec.code_len();
-        self.codes = permute_code_rows(&self.codes, cl, perm);
-        if !self.recon_norms.is_empty() {
-            self.recon_norms = permuted(&self.recon_norms, perm);
-        }
-        if let Some(r) = &mut self.rerank {
-            let rcl = r.codec.code_len();
-            r.codes = permute_code_rows(&r.codes, rcl, perm);
-            if !r.recon_norms.is_empty() {
-                r.recon_norms = permuted(&r.recon_norms, perm);
-            }
-        }
-    }
-
-    /// Resident bytes of codes, norm caches, and codec parameters.
-    pub(crate) fn bytes(&self) -> usize {
-        let mut b = self.codes.len()
-            + self.recon_norms.len() * std::mem::size_of::<f32>()
-            + self.codec.memory_bytes();
-        if let Some(r) = &self.rerank {
-            b += r.codes.len()
-                + r.recon_norms.len() * std::mem::size_of::<f32>()
-                + r.codec.memory_bytes();
-        }
-        b
-    }
-}
-
-/// Reorder a per-slot array by `perm[old] = new` (layout compilation).
-fn permuted<T: Clone>(src: &[T], perm: &[u32]) -> Vec<T> {
-    debug_assert_eq!(src.len(), perm.len());
-    let mut out = src.to_vec();
-    for (old, item) in src.iter().enumerate() {
-        out[perm[old] as usize] = item.clone();
-    }
-    out
-}
-
-/// Encode a whole slot-major arena; returns `(codes, recon_norms)` with
-/// `recon_norms` populated only for cosine.
-fn encode_arena(
-    codec: &Codec,
-    arena: &[f32],
-    dim: usize,
-    metric: DistanceMetric,
-) -> (Vec<u8>, Vec<f32>) {
-    let n = arena.len() / dim;
-    let cl = codec.code_len();
-    let k = kernels::active();
-    let mut codes = vec![0u8; n * cl];
-    let mut recon_norms = Vec::new();
-    let mut recon = vec![0.0f32; dim];
-    for i in 0..n {
-        codec.encode_into(
-            &arena[i * dim..(i + 1) * dim],
-            &mut codes[i * cl..(i + 1) * cl],
-        );
-        if metric == DistanceMetric::Cosine {
-            codec.reconstruct_into(&codes[i * cl..(i + 1) * cl], &mut recon);
-            recon_norms.push(k.norm_sq(&recon).sqrt());
-        }
-    }
-    (codes, recon_norms)
-}
-
-/// Either scoring backend, so one traversal implementation serves both
-/// storage tiers. The `F32` arm borrows the query slice; the `Quant` arm
-/// owns its prepared plan, so an index can hold a scorer across graph
-/// mutations.
-pub(crate) enum Scorer<'q> {
-    F32(PreparedQuery<'q>),
-    Quant(QuantQuery),
-}
-
-/// Reusable per-search scratch: epoch-stamped visited marks plus the
-/// batched-scoring buffers. A slot is "visited" iff `marks[slot] == epoch`,
-/// so clearing between searches is one epoch bump instead of an O(n)
-/// memset — the `vec![false; n]` the beam searches used to allocate (and
-/// zero) on every call.
-#[derive(Default)]
-pub(crate) struct SearchScratch {
-    epoch: u32,
-    marks: Vec<u32>,
-    batch: Vec<u32>,
-    dists: Vec<f32>,
-    /// Repair-path staging (`update_in_place`/`shrink_links`): the moved
-    /// node's old neighborhood, the 2-hop candidate pool / list copy, and
-    /// the scored pairs — pooled here so the graph-repair loops reuse one
-    /// warmed allocation instead of cloning per neighbor per level.
-    nbrs: Vec<u32>,
-    pool: Vec<u32>,
-    scored: Vec<Scored>,
-}
-
-impl SearchScratch {
-    /// Start a fresh visited set covering `n` slots. Epochs wrap at
-    /// `u32::MAX` by resetting the marks once — amortized O(1).
-    fn begin(&mut self, n: usize) {
-        if self.marks.len() < n {
-            self.marks.resize(n, 0);
-        }
-        if self.epoch == u32::MAX {
-            for m in &mut self.marks {
-                *m = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// Mark `slot` visited; true iff this is its first visit this epoch.
-    #[inline]
-    fn visit(&mut self, slot: u32) -> bool {
-        let m = &mut self.marks[slot as usize];
-        if *m == self.epoch {
-            false
-        } else {
-            *m = self.epoch;
-            true
-        }
-    }
-}
-
-/// Per-index pool of [`SearchScratch`] buffers, one per in-flight search.
-/// Concurrent searches each take their own buffer; returning it keeps the
-/// warmed allocation (and its epoch) for the next search.
-#[derive(Default)]
-pub(crate) struct ScratchPool(std::sync::Mutex<Vec<SearchScratch>>);
-
-/// Bound on pooled buffers: enough for any realistic fan-out width while
-/// capping worst-case retained memory at `64 × 4n` bytes per index.
-const MAX_POOLED_SCRATCH: usize = 64;
-
-impl ScratchPool {
-    fn take(&self) -> SearchScratch {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put(&self, scratch: SearchScratch) {
-        let mut pool = self
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if pool.len() < MAX_POOLED_SCRATCH {
-            pool.push(scratch);
-        }
-    }
-}
-
-impl Clone for ScratchPool {
-    /// Cloned indexes start an empty pool: scratch holds no index state
-    /// (results are bit-identical with or without pooled buffers), so
-    /// sharing would only contend the lock.
-    fn clone(&self) -> Self {
-        ScratchPool::default()
-    }
-}
-
 /// Hierarchical Navigable Small World index over one embedding segment.
 #[derive(Clone)]
 pub struct HnswIndex {
-    cfg: HnswConfig,
+    pub(crate) cfg: HnswConfig,
     /// Slot-major vector arena: slot `s` occupies `s*dim .. (s+1)*dim`.
-    vectors: Vec<f32>,
+    pub(crate) vectors: Vec<f32>,
     /// Per-slot Euclidean norm cache, maintained on insert/upsert (stored
     /// norms never change between writes, so cosine scoring pays one dot
     /// pass per candidate instead of three full passes).
-    norms: Vec<f32>,
+    pub(crate) norms: Vec<f32>,
     /// External key per slot.
-    keys: Vec<VertexId>,
+    pub(crate) keys: Vec<VertexId>,
     /// Key → live slot.
-    slot_of: HashMap<VertexId, u32>,
+    pub(crate) slot_of: HashMap<VertexId, u32>,
     /// Per-slot, per-level adjacency.
-    links: Vec<Vec<Vec<u32>>>,
+    pub(crate) links: Vec<Vec<Vec<u32>>>,
     /// Top level per slot.
-    levels: Vec<u8>,
+    pub(crate) levels: Vec<u8>,
     /// Tombstones.
-    deleted: Vec<bool>,
-    deleted_count: usize,
+    pub(crate) deleted: Vec<bool>,
+    pub(crate) deleted_count: usize,
     /// Live occupancy by *local id* (the key space the caller's filter
     /// bitmaps address): bit set ⇔ a live slot carries that local id. The
     /// planner intersects this with the filter bitmap to get the true
     /// valid-live cardinality — raw `bitmap.count_ones()` also counts bits
     /// on deleted and never-inserted ids and overestimates selectivity.
-    live_mask: Bitmap,
+    pub(crate) live_mask: Bitmap,
     /// Entry slot and the highest level in the graph.
-    entry: Option<(u32, u8)>,
+    pub(crate) entry: Option<(u32, u8)>,
     /// Quantized storage tier, if attached via [`HnswIndex::quantize`].
     /// When `spec.keep_f32` is false, `vectors` and `norms` are empty and
     /// all scoring runs against codes.
-    quant: Option<QuantState>,
+    pub(crate) quant: Option<QuantState>,
     /// Compiled cache-conscious adjacency (see [`crate::packed`]). When
     /// present, `links` is empty and searches read the CSR slabs; mutation
     /// paths thaw back to the forest first. Slots are renumbered in BFS
     /// order at compile time, so the two forms are never mixed.
-    packed: Option<PackedGraph>,
+    pub(crate) packed: Option<PackedGraph>,
     /// Pooled search scratch (visited epochs + batch-scoring buffers).
-    scratch: ScratchPool,
+    pub(crate) scratch: ScratchPool,
 }
 
 impl HnswIndex {
@@ -576,122 +294,6 @@ impl HnswIndex {
         }
     }
 
-    /// The adjacency representation currently resident: `Pointer` until
-    /// [`Self::compile_layout`] freezes the graph, then `Packed` or
-    /// `PackedPrefetch` until the next mutation thaws it.
-    #[must_use]
-    pub fn layout(&self) -> GraphLayout {
-        match &self.packed {
-            None => GraphLayout::Pointer,
-            Some(p) if p.prefetch => GraphLayout::PackedPrefetch,
-            Some(_) => GraphLayout::Packed,
-        }
-    }
-
-    /// Compile the frozen, cache-conscious search layout: renumber slots in
-    /// BFS order from the entry point (applied to every slot-indexed
-    /// structure — vectors, norms, keys, levels, tombstones, links, entry,
-    /// quantized code slabs; the live mask is keyed by local id and is
-    /// unaffected), then freeze the adjacency into CSR slabs
-    /// ([`crate::packed`]). `Pointer` thaws instead. Returns true iff the
-    /// index is compiled afterwards; empty indexes stay uncompiled.
-    ///
-    /// Search results are bit-identical across layouts (modulo the slot
-    /// renumbering, which is invisible through the key-based API).
-    /// Mutations transparently thaw back to the pointer form; the
-    /// vacuum/index-merge policy recompiles, so correctness never depends
-    /// on layout freshness.
-    pub fn compile_layout(&mut self, layout: GraphLayout) -> bool {
-        if !layout.is_packed() {
-            self.ensure_mutable();
-            return false;
-        }
-        if let Some(p) = &mut self.packed {
-            // Already frozen — mutations thaw, so the graph cannot have
-            // changed since compilation; only the prefetch policy can.
-            p.prefetch = layout.prefetch_enabled();
-            return true;
-        }
-        let Some((entry, _)) = self.entry else {
-            return false;
-        };
-        let perm = packed::bfs_order(&self.links, entry);
-        if !packed::is_identity(&perm) {
-            self.apply_permutation(&perm);
-        }
-        let pg = PackedGraph::build(&self.links, layout.prefetch_enabled());
-        self.links = Vec::new();
-        self.packed = Some(pg);
-        true
-    }
-
-    /// Thaw the compiled layout back into the mutable forest. Called at
-    /// the top of every mutation path. The BFS slot renumbering is kept
-    /// (it is just as valid for a mutable graph); only the storage form
-    /// reverts, so results do not change.
-    fn ensure_mutable(&mut self) {
-        if let Some(p) = self.packed.take() {
-            self.links = p.to_links();
-        }
-    }
-
-    /// Freeze the CSR directly from already-BFS-ordered links (snapshot
-    /// load). The stored slot order *is* the compiled order, so no
-    /// re-permutation runs — which keeps `to_bytes(from_bytes(b)) == b`
-    /// for compiled snapshots.
-    pub(crate) fn compile_from_stored(&mut self, prefetch: bool) {
-        if self.keys.is_empty() {
-            return;
-        }
-        let pg = PackedGraph::build(&self.links, prefetch);
-        self.links = Vec::new();
-        self.packed = Some(pg);
-    }
-
-    /// Compiled-form accessor (snapshot writer).
-    pub(crate) fn packed(&self) -> Option<&PackedGraph> {
-        self.packed.as_ref()
-    }
-
-    /// Reorder every slot-indexed structure by `perm[old_slot] = new_slot`.
-    /// Neighbor ids are remapped but list *order* is preserved, so
-    /// traversal visit order — and therefore results — are unchanged.
-    fn apply_permutation(&mut self, perm: &[u32]) {
-        let n = self.keys.len();
-        debug_assert_eq!(perm.len(), n);
-        let d = self.cfg.dim;
-        if !self.vectors.is_empty() {
-            let mut nv = vec![0.0f32; self.vectors.len()];
-            for (old, &p) in perm.iter().enumerate() {
-                let new = p as usize;
-                nv[new * d..(new + 1) * d].copy_from_slice(&self.vectors[old * d..(old + 1) * d]);
-            }
-            self.vectors = nv;
-            self.norms = permuted(&self.norms, perm);
-        }
-        self.keys = permuted(&self.keys, perm);
-        self.levels = permuted(&self.levels, perm);
-        self.deleted = permuted(&self.deleted, perm);
-        let mut new_links: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
-        for (old, per_node) in std::mem::take(&mut self.links).into_iter().enumerate() {
-            new_links[perm[old] as usize] = per_node
-                .into_iter()
-                .map(|l| l.into_iter().map(|nb| perm[nb as usize]).collect())
-                .collect();
-        }
-        self.links = new_links;
-        for slot in self.slot_of.values_mut() {
-            *slot = perm[*slot as usize];
-        }
-        if let Some((e, top)) = self.entry {
-            self.entry = Some((perm[e as usize], top));
-        }
-        if let Some(q) = &mut self.quant {
-            q.apply_permutation(perm);
-        }
-        // `live_mask` is keyed by local id, not slot — unaffected.
-    }
-
     /// Bytes of the vector *payload* only (f32 arena + norm cache, plus
     /// quantized codes, recon-norm caches, and codec parameters), excluding
     /// graph structure — the numerator of the memory-reduction ratios the
@@ -720,55 +322,7 @@ impl HnswIndex {
             .map_or(StorageTier::F32, |q| q.spec.tier)
     }
 
-    /// Attach a quantized storage tier: train the codec(s) on the current
-    /// arena, encode every slot, and (unless `spec.keep_f32`) drop the f32
-    /// arena and norm cache. Later inserts encode with the frozen codec;
-    /// retraining only happens through a rebuild.
-    ///
-    /// With `spec.keep_f32`, traversal scores against codes and `top_k`
-    /// reranks the top `rerank_factor × k` candidates against the retained
-    /// f32 vectors. In codes-only PQ mode an SQ8 side store plays that
-    /// rerank role; codes-only SQ8 needs no rerank (its asymmetric scores
-    /// are already exact w.r.t. the reconstruction).
-    pub fn quantize(&mut self, spec: QuantSpec) -> TvResult<()> {
-        if !spec.is_quantized() {
-            return match &self.quant {
-                None => Ok(()),
-                Some(q) if q.spec.keep_f32 => {
-                    self.quant = None;
-                    Ok(())
-                }
-                Some(_) => Err(TvError::InvalidArgument(
-                    "cannot drop quantization: the f32 arena was not retained".into(),
-                )),
-            };
-        }
-        if self.quant.is_some() {
-            return Err(TvError::InvalidArgument(
-                "index is already quantized; rebuild to change tiers".into(),
-            ));
-        }
-        if self.keys.is_empty() {
-            return Err(TvError::InvalidArgument(
-                "cannot train a codec on an empty index".into(),
-            ));
-        }
-        let state = QuantState::build(
-            spec,
-            self.cfg.dim,
-            self.cfg.metric,
-            &self.vectors,
-            self.cfg.seed,
-        )?;
-        self.quant = Some(state);
-        if !spec.keep_f32 {
-            self.vectors = Vec::new();
-            self.norms = Vec::new();
-        }
-        Ok(())
-    }
-
-    fn vec_of(&self, slot: u32) -> &[f32] {
+    pub(crate) fn vec_of(&self, slot: u32) -> &[f32] {
         let d = self.cfg.dim;
         let s = slot as usize;
         &self.vectors[s * d..(s + 1) * d]
@@ -776,7 +330,7 @@ impl HnswIndex {
 
     /// The f32 vector for a slot: the retained arena row when present,
     /// otherwise the codec reconstruction.
-    fn materialize(&self, slot: u32) -> Vec<f32> {
+    pub(crate) fn materialize(&self, slot: u32) -> Vec<f32> {
         if !self.vectors.is_empty() {
             return self.vec_of(slot).to_vec();
         }
@@ -784,1158 +338,6 @@ impl HnswIndex {
         let mut out = vec![0.0f32; self.cfg.dim];
         q.materialize_into(slot as usize, &mut out);
         out
-    }
-
-    /// Scorer for an external query vector: prepared f32 query, or a
-    /// prepared quantized plan when a quantized tier is attached (traversal
-    /// always scores against codes in that case, even when the f32 arena is
-    /// retained for reranking).
-    fn scorer<'q>(&self, query: &'q [f32]) -> Scorer<'q> {
-        match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, query)),
-            None => Scorer::F32(PreparedQuery::new(self.cfg.metric, query)),
-        }
-    }
-
-    /// A stored slot prepared to act as the query (insert-time repair, link
-    /// shrinking) — f32 indexes reuse the cached norm; quantized indexes
-    /// reconstruct the slot so construction geometry matches search
-    /// geometry.
-    fn slot_scorer(&self, slot: u32) -> Scorer<'_> {
-        match &self.quant {
-            Some(q) => {
-                let v = self.materialize(slot);
-                Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, &v))
-            }
-            None => Scorer::F32(PreparedQuery::with_norm(
-                self.cfg.metric,
-                self.vec_of(slot),
-                self.norms[slot as usize],
-            )),
-        }
-    }
-
-    /// Distance from a scorer to one stored slot.
-    fn score_slot(&self, sc: &Scorer<'_>, slot: u32) -> f32 {
-        match sc {
-            Scorer::F32(pq) => pq.distance_cached(self.vec_of(slot), self.norms[slot as usize]),
-            Scorer::Quant(qq) => {
-                let q = self.quant.as_ref().expect("quant scorer without codes");
-                let cl = qq.code_len();
-                let s = slot as usize;
-                let rn = q.recon_norms.get(s).copied().unwrap_or(0.0);
-                qq.score(&q.codes[s * cl..(s + 1) * cl], rn)
-            }
-        }
-    }
-
-    /// Batch-score `slots` against a scorer; distances land in `out` (one
-    /// entry per slot, same order).
-    fn score_slots(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
-        self.score_slots_pf(sc, slots, out, false);
-    }
-
-    /// [`Self::score_slots`] with an opt-in interleaved prefetch schedule:
-    /// while one slot's row is scored, the head of the next slot's row is
-    /// requested. Only the search loops of a `packed+prefetch` index pass
-    /// `true`; the admission logic sees identical distances either way.
-    fn score_slots_pf(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>, prefetch: bool) {
-        match sc {
-            Scorer::F32(pq) if prefetch => {
-                pq.distance_slots_prefetch(&self.vectors, self.cfg.dim, &self.norms, slots, out);
-            }
-            Scorer::F32(pq) => {
-                pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, slots, out);
-            }
-            Scorer::Quant(qq) => {
-                let q = self.quant.as_ref().expect("quant scorer without codes");
-                qq.score_slots(&q.codes, &q.recon_norms, slots, out);
-            }
-        }
-    }
-
-    /// The neighbor list of `slot` on `lvl`, from whichever adjacency form
-    /// is resident: one offset lookup into the CSR slabs when compiled,
-    /// the pointer forest otherwise.
-    #[inline]
-    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
-        match &self.packed {
-            Some(p) => p.neighbors(slot, lvl),
-            None => &self.links[slot as usize][lvl as usize],
-        }
-    }
-
-    /// Issue an advisory prefetch for `slot`'s scoring row — the quantized
-    /// code row when a quantized tier is attached (traversal scores codes),
-    /// the f32 arena row otherwise. Called while the batch is still being
-    /// collected, so the loads overlap the preceding scoring work. `deep`
-    /// warms up to 32 lines instead of 2: the scorer's own interleaved
-    /// schedule starts two rows in, so only the batch's first rows need
-    /// their full depth requested ahead of time.
-    #[inline]
-    fn prefetch_slot(&self, k: &Kernels, slot: u32, deep: bool) {
-        let s = slot as usize;
-        if let Some(q) = &self.quant {
-            let cl = q.codec.code_len();
-            k.prefetch(q.codes.as_ptr().wrapping_add(s * cl));
-        } else {
-            let p = self
-                .vectors
-                .as_ptr()
-                .wrapping_add(s * self.cfg.dim)
-                .cast::<u8>();
-            let row_lines = (self.cfg.dim * std::mem::size_of::<f32>()).div_ceil(64);
-            let lines = row_lines.min(if deep { 32 } else { 2 });
-            for l in 0..lines {
-                k.prefetch(p.wrapping_add(l * 64));
-            }
-        }
-    }
-
-    /// Distance between two stored slots: cached norms on the f32 path
-    /// (cosine is a single dot pass); reconstruction of both sides in
-    /// quantized codes-only mode (per-pair allocation — the diversity
-    /// heuristic runs off the search hot path).
-    fn pair_distance(&self, a: u32, b: u32) -> f32 {
-        let k = kernels::active();
-        if self.vectors.is_empty() {
-            if let Some(q) = &self.quant {
-                let (va, vb) = (self.materialize(a), self.materialize(b));
-                return match self.cfg.metric {
-                    DistanceMetric::L2 => k.l2_sq(&va, &vb),
-                    DistanceMetric::InnerProduct => -k.dot(&va, &vb),
-                    DistanceMetric::Cosine => cosine_from_parts(
-                        k.dot(&va, &vb),
-                        q.recon_norms[a as usize] * q.recon_norms[b as usize],
-                    ),
-                };
-            }
-        }
-        let (va, vb) = (self.vec_of(a), self.vec_of(b));
-        match self.cfg.metric {
-            DistanceMetric::L2 => k.l2_sq(va, vb),
-            DistanceMetric::InnerProduct => -k.dot(va, vb),
-            DistanceMetric::Cosine => cosine_from_parts(
-                k.dot(va, vb),
-                self.norms[a as usize] * self.norms[b as usize],
-            ),
-        }
-    }
-
-    /// Deterministic per-key level sample: the key (mixed with the config
-    /// seed) seeds a [`SplitMix64`] stream whose first exponential draw
-    /// picks the level. Replaces the old shared-mutable build RNG — levels
-    /// no longer depend on insertion order, so parallel build interleaving
-    /// cannot perturb them, a key re-inserted after deletion lands on the
-    /// same level, and `fig11_update` runs are reproducible. Persisted
-    /// snapshots are unaffected (levels are stored).
-    fn level_for_key(&self, key: VertexId) -> u8 {
-        let raw = (u64::from(key.segment().0) << 32) | u64::from(key.local().0);
-        let mut rng = SplitMix64::new(self.cfg.seed ^ raw);
-        let lvl = (rng.next_exp() * self.cfg.level_norm()).floor();
-        // Cap pathological samples; 32 levels covers > 10^14 points at M=16.
-        lvl.min(32.0) as u8
-    }
-
-    /// Insert or replace the vector for `key`. Returns an error on dimension
-    /// mismatch.
-    pub fn insert(&mut self, key: VertexId, vector: &[f32]) -> TvResult<()> {
-        if vector.len() != self.cfg.dim {
-            return Err(TvError::DimensionMismatch {
-                expected: self.cfg.dim,
-                got: vector.len(),
-            });
-        }
-        // Writes run against the mutable forest; a compiled index thaws
-        // here (the BFS renumbering is kept — only the storage form
-        // reverts, so search results are unchanged).
-        self.ensure_mutable();
-        // Upsert of a live key: in-place update with neighborhood repair
-        // (hnswlib's updatePoint) — the expensive path whose cost Fig. 11
-        // compares against a full rebuild.
-        if let Some(&old) = self.slot_of.get(&key) {
-            if !self.deleted[old as usize] {
-                self.update_in_place(old, vector);
-                return Ok(());
-            }
-        }
-
-        let slot = self.keys.len() as u32;
-        let level = self.level_for_key(key);
-        let metric = self.cfg.metric;
-        // Quantized tiers encode with the frozen codec; the f32 arena is
-        // maintained only when the spec retains it.
-        if let Some(q) = &mut self.quant {
-            q.push(metric, vector);
-        }
-        if self.quant.as_ref().is_none_or(|q| q.spec.keep_f32) {
-            self.vectors.extend_from_slice(vector);
-            self.norms.push(kernels::active().norm_sq(vector).sqrt());
-        }
-        self.keys.push(key);
-        self.levels.push(level);
-        self.deleted.push(false);
-        self.links
-            .push((0..=level).map(|_| Vec::new()).collect::<Vec<_>>());
-        self.slot_of.insert(key, slot);
-        let local = key.local().0 as usize;
-        self.live_mask.grow(local + 1);
-        self.live_mask.set(local, true);
-
-        let Some((mut cur, top)) = self.entry else {
-            self.entry = Some((slot, level));
-            return Ok(());
-        };
-
-        // The new node's vector plays the query role; the f32 path reuses
-        // its freshly cached norm (one norm pass for the whole insert).
-        let sc = match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, metric, vector)),
-            None => Scorer::F32(PreparedQuery::with_norm(
-                metric,
-                vector,
-                self.norms[slot as usize],
-            )),
-        };
-        // Greedy descent through layers above the new node's level.
-        let mut stats = SearchStats::default();
-        let mut scratch = self.scratch.take();
-        for lvl in ((level + 1)..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-
-        // Connect on each layer from min(level, top) down to 0.
-        let mut entry_points = vec![cur];
-        for lvl in (0..=level.min(top)).rev() {
-            let found = self.search_layer(
-                &sc,
-                &entry_points,
-                self.cfg.ef_construction,
-                lvl,
-                &mut stats,
-                &mut scratch,
-            );
-            let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
-            let chosen =
-                select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            for &nb in &chosen {
-                self.links[slot as usize][lvl as usize].push(nb);
-                self.links[nb as usize][lvl as usize].push(slot);
-                self.shrink_links(nb, lvl, max_deg, &mut scratch);
-            }
-            entry_points = found.iter().map(|&(_, s)| s).collect();
-            if entry_points.is_empty() {
-                entry_points = vec![cur];
-            }
-        }
-        self.scratch.put(scratch);
-
-        if level > top {
-            self.entry = Some((slot, level));
-        }
-        Ok(())
-    }
-
-    /// Replace a live node's vector and repair the surrounding graph:
-    /// re-select the neighbor lists of the node's old neighbors from their
-    /// two-hop candidate pool (the moved node invalidated their diversity
-    /// choices), then re-link the node itself at every level. This costs
-    /// several times a fresh insert — which is exactly why incremental
-    /// updating loses to rebuilding beyond a ~20% update ratio (Fig. 11).
-    fn update_in_place(&mut self, slot: u32, vector: &[f32]) {
-        let d = self.cfg.dim;
-        let metric = self.cfg.metric;
-        if let Some(q) = &mut self.quant {
-            q.reencode(metric, slot as usize, vector);
-        }
-        if !self.vectors.is_empty() {
-            self.vectors[slot as usize * d..(slot as usize + 1) * d].copy_from_slice(vector);
-            self.norms[slot as usize] = kernels::active().norm_sq(vector).sqrt();
-        }
-        let Some((entry, top)) = self.entry else {
-            return;
-        };
-        let level = self.levels[slot as usize];
-
-        // Phase 1: repair old neighbors' lists from their 2-hop pools. The
-        // neighborhood copies and scored pairs stage through the pooled
-        // scratch buffers — the per-neighbor-per-level `clone()`s this loop
-        // used to allocate dominated the repair path's allocator traffic.
-        let mut scratch = self.scratch.take();
-        let mut dists: Vec<f32> = std::mem::take(&mut scratch.dists);
-        let mut old_neighbors: Vec<u32> = std::mem::take(&mut scratch.nbrs);
-        let mut pool: Vec<u32> = std::mem::take(&mut scratch.pool);
-        let mut scored: Vec<Scored> = std::mem::take(&mut scratch.scored);
-        for lvl in 0..=level.min(top) {
-            old_neighbors.clear();
-            old_neighbors.extend_from_slice(&self.links[slot as usize][lvl as usize]);
-            if old_neighbors.is_empty() {
-                continue;
-            }
-            let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
-            for &nb in &old_neighbors {
-                // Candidate pool for this neighbor: its own links plus the
-                // moved node's old neighborhood (hnswlib's repair set).
-                pool.clear();
-                pool.extend_from_slice(&self.links[nb as usize][lvl as usize]);
-                pool.extend_from_slice(&old_neighbors);
-                pool.sort_unstable();
-                pool.dedup();
-                pool.retain(|&c| c != nb);
-                // Batch-score the whole pool against nb in one kernel call.
-                let sc_nb = self.slot_scorer(nb);
-                self.score_slots(&sc_nb, &pool, &mut dists);
-                scored.clear();
-                scored.extend(pool.iter().zip(&dists).map(|(&c, &dc)| (dc, c)));
-                scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                let kept =
-                    select_neighbors(&scored, max_deg, true, |a, b| self.pair_distance(a, b));
-                self.links[nb as usize][lvl as usize] = kept;
-            }
-        }
-        scratch.dists = dists;
-        scratch.nbrs = old_neighbors;
-        scratch.pool = pool;
-        scratch.scored = scored;
-
-        // Phase 2: re-link the moved node like a fresh insert.
-        let sc = match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, metric, vector)),
-            None => Scorer::F32(PreparedQuery::with_norm(
-                metric,
-                vector,
-                self.norms[slot as usize],
-            )),
-        };
-        let mut stats = SearchStats::default();
-        let mut cur = entry;
-        for lvl in ((level + 1)..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-        let mut entry_points = vec![cur];
-        for lvl in (0..=level.min(top)).rev() {
-            let mut found = self.search_layer(
-                &sc,
-                &entry_points,
-                self.cfg.ef_construction,
-                lvl,
-                &mut stats,
-                &mut scratch,
-            );
-            found.retain(|&(_, s)| s != slot);
-            let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
-            let chosen =
-                select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            self.links[slot as usize][lvl as usize] = chosen.clone();
-            for &nb in &chosen {
-                if !self.links[nb as usize][lvl as usize].contains(&slot) {
-                    self.links[nb as usize][lvl as usize].push(slot);
-                    self.shrink_links(nb, lvl, max_deg, &mut scratch);
-                }
-            }
-            entry_points = found.iter().map(|&(_, s)| s).collect();
-            if entry_points.is_empty() {
-                entry_points = vec![cur];
-            }
-        }
-        self.scratch.put(scratch);
-    }
-
-    /// Mark the vector for `key` deleted. Returns true if a live entry was
-    /// removed.
-    pub fn remove(&mut self, key: VertexId) -> bool {
-        if let Some(&slot) = self.slot_of.get(&key) {
-            if !self.deleted[slot as usize] {
-                self.deleted[slot as usize] = true;
-                self.deleted_count += 1;
-                self.slot_of.remove(&key);
-                let local = key.local().0 as usize;
-                if local < self.live_mask.len() {
-                    self.live_mask.set(local, false);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Prune a node's neighbor list back to `max_deg` using the diversity
-    /// heuristic. Distance and scored buffers stage through the pooled
-    /// scratch (no per-call allocations).
-    fn shrink_links(&mut self, node: u32, lvl: u8, max_deg: usize, scratch: &mut SearchScratch) {
-        if self.links[node as usize][lvl as usize].len() <= max_deg {
-            return;
-        }
-        // Batch-score the full neighbor list against the node in one call.
-        let mut dists = std::mem::take(&mut scratch.dists);
-        let mut list = std::mem::take(&mut scratch.pool);
-        let mut scored = std::mem::take(&mut scratch.scored);
-        list.clear();
-        list.extend_from_slice(&self.links[node as usize][lvl as usize]);
-        let sc = self.slot_scorer(node);
-        self.score_slots(&sc, &list, &mut dists);
-        scored.clear();
-        scored.extend(list.iter().zip(&dists).map(|(&nb, &dn)| (dn, nb)));
-        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let kept = select_neighbors(&scored, max_deg, true, |a, b| self.pair_distance(a, b));
-        self.links[node as usize][lvl as usize] = kept;
-        scratch.dists = dists;
-        scratch.pool = list;
-        scratch.scored = scored;
-    }
-
-    /// Bulk insert with optional parallel graph construction.
-    ///
-    /// `threads <= 1` (or a batch of one) runs the plain sequential insert
-    /// loop and is **bit-identical** to calling [`HnswIndex::insert`] per
-    /// item. With more threads, items whose key repeats within the batch or
-    /// is already live are applied sequentially first (in batch order, so
-    /// upsert semantics are preserved), and the remaining fresh appends are
-    /// linked concurrently under per-node locks. Levels come from the
-    /// deterministic per-key sampler, so the node set and level assignment
-    /// are identical across thread counts; only link sets may differ
-    /// (hnswlib-style construction races), preserving recall parity rather
-    /// than byte identity.
-    pub fn insert_batch(&mut self, items: &[(VertexId, Vec<f32>)], threads: usize) -> TvResult<()> {
-        self.ensure_mutable();
-        if threads <= 1 || items.len() <= 1 {
-            for (key, vector) in items {
-                self.insert(*key, vector)?;
-            }
-            return Ok(());
-        }
-        for (_, vector) in items {
-            if vector.len() != self.cfg.dim {
-                return Err(TvError::DimensionMismatch {
-                    expected: self.cfg.dim,
-                    got: vector.len(),
-                });
-            }
-        }
-        let mut count: HashMap<VertexId, usize> = HashMap::with_capacity(items.len());
-        for (key, _) in items {
-            *count.entry(*key).or_insert(0) += 1;
-        }
-        let mut fresh: Vec<(VertexId, &[f32])> = Vec::with_capacity(items.len());
-        for (key, vector) in items {
-            if count[key] == 1 && !self.slot_of.contains_key(key) {
-                fresh.push((*key, vector.as_slice()));
-            } else {
-                self.insert(*key, vector)?;
-            }
-        }
-        self.parallel_insert_fresh(&fresh, threads);
-        Ok(())
-    }
-
-    /// Append `items` (all fresh keys, dimension-checked by the caller) and
-    /// link them concurrently. Phase A appends every slot sequentially —
-    /// arena, norms, codes, keys, levels, tombstones, key map, live mask —
-    /// so the shared state is immutable during linking. Phase B moves the
-    /// adjacency lists into per-node mutexes and the entry point into an
-    /// `RwLock`, then fans the link work out over the shared pool; scoring
-    /// reads only the (now frozen) arena/codes, and neighbor lists are
-    /// touched one lock at a time, so no lock ordering issues arise.
-    fn parallel_insert_fresh(&mut self, items: &[(VertexId, &[f32])], threads: usize) {
-        use std::sync::{Mutex, PoisonError, RwLock};
-        let first = self.keys.len() as u32;
-        let metric = self.cfg.metric;
-        for (key, vector) in items {
-            let slot = self.keys.len() as u32;
-            let level = self.level_for_key(*key);
-            if let Some(q) = &mut self.quant {
-                q.push(metric, vector);
-            }
-            if self.quant.as_ref().is_none_or(|q| q.spec.keep_f32) {
-                self.vectors.extend_from_slice(vector);
-                self.norms.push(kernels::active().norm_sq(vector).sqrt());
-            }
-            self.keys.push(*key);
-            self.levels.push(level);
-            self.deleted.push(false);
-            self.links
-                .push((0..=level).map(|_| Vec::new()).collect::<Vec<_>>());
-            self.slot_of.insert(*key, slot);
-            let local = key.local().0 as usize;
-            self.live_mask.grow(local + 1);
-            self.live_mask.set(local, true);
-        }
-        let mut work: Vec<u32> = (first..self.keys.len() as u32).collect();
-        if self.entry.is_none() {
-            if work.is_empty() {
-                return;
-            }
-            // Bootstrap like the sequential path: the first node becomes the
-            // entry with no out-links; later nodes back-link into it.
-            let boot = work.remove(0);
-            self.entry = Some((boot, self.levels[boot as usize]));
-        }
-        if work.is_empty() {
-            return;
-        }
-        let locked: Vec<Mutex<Vec<Vec<u32>>>> = std::mem::take(&mut self.links)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let entry_lock = RwLock::new(self.entry.expect("entry bootstrapped above"));
-        let this = &*self;
-        let pool = tv_common::pool::global();
-        pool.run(work.clone(), threads, |slot| {
-            this.link_one_locked(slot, &locked, &entry_lock);
-        });
-        // Refinement pass: two nodes linked concurrently are blind to each
-        // other (neither had links when the other's beam ran), which costs
-        // a fraction of a percent of recall versus sequential build. One
-        // level-0 re-search per fresh node over the now-complete graph
-        // recovers those missed mutual links and restores recall parity.
-        pool.run(work, threads, |slot| {
-            this.refine_one_locked(slot, &locked, &entry_lock);
-        });
-        self.links = locked
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        self.entry = Some(*entry_lock.read().unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Link one pre-appended node into the locked graph: greedy descent
-    /// above its level, beam search + diversity selection per layer, own
-    /// list written under its own lock, back-links pushed (and shrunk) under
-    /// each neighbor's lock.
-    fn link_one_locked(
-        &self,
-        slot: u32,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        entry: &std::sync::RwLock<(u32, u8)>,
-    ) {
-        use std::sync::PoisonError;
-        let level = self.levels[slot as usize];
-        let sc = self.slot_scorer(slot);
-        let mut scratch = self.scratch.take();
-        let mut stats = SearchStats::default();
-        let (mut cur, top) = *entry.read().unwrap_or_else(PoisonError::into_inner);
-        for lvl in ((level + 1)..=top).rev() {
-            cur = self.greedy_closest_locked(&sc, cur, lvl, links, &mut scratch);
-        }
-        let mut entry_points = vec![cur];
-        for lvl in (0..=level.min(top)).rev() {
-            let mut found = self.search_layer_locked(
-                &sc,
-                &entry_points,
-                self.cfg.ef_construction,
-                lvl,
-                links,
-                &mut stats,
-                &mut scratch,
-            );
-            // The node is reachable once a concurrent peer back-links it;
-            // never link a node to itself.
-            found.retain(|&(_, s)| s != slot);
-            let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
-            let chosen =
-                select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            {
-                let mut own = links[slot as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                own[lvl as usize] = chosen.clone();
-            }
-            for &nb in &chosen {
-                let mut guard = links[nb as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let list = &mut guard[lvl as usize];
-                if !list.contains(&slot) {
-                    list.push(slot);
-                    if list.len() > max_deg {
-                        let mut dists: Vec<f32> = Vec::new();
-                        let sc_nb = self.slot_scorer(nb);
-                        self.score_slots(&sc_nb, list, &mut dists);
-                        let mut scored: Vec<Scored> =
-                            list.iter().zip(&dists).map(|(&c, &dc)| (dc, c)).collect();
-                        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                        *list = select_neighbors(&scored, max_deg, true, |a, b| {
-                            self.pair_distance(a, b)
-                        });
-                    }
-                }
-            }
-            entry_points = found.iter().map(|&(_, s)| s).collect();
-            if entry_points.is_empty() {
-                entry_points = vec![cur];
-            }
-        }
-        self.scratch.put(scratch);
-        if level > top {
-            let mut e = entry.write().unwrap_or_else(PoisonError::into_inner);
-            if level > e.1 {
-                *e = (slot, level);
-            }
-        }
-    }
-
-    /// Second-pass link refinement for one node (parallel build only):
-    /// re-run the level-0 beam on the completed locked graph, merge the
-    /// candidates with the node's current list through the diversity
-    /// heuristic, and back-link any newly chosen neighbors.
-    fn refine_one_locked(
-        &self,
-        slot: u32,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        entry: &std::sync::RwLock<(u32, u8)>,
-    ) {
-        use std::sync::PoisonError;
-        let sc = self.slot_scorer(slot);
-        let mut scratch = self.scratch.take();
-        let mut stats = SearchStats::default();
-        let (mut cur, top) = *entry.read().unwrap_or_else(PoisonError::into_inner);
-        for lvl in (1..=top).rev() {
-            cur = self.greedy_closest_locked(&sc, cur, lvl, links, &mut scratch);
-        }
-        let mut found = self.search_layer_locked(
-            &sc,
-            &[cur],
-            self.cfg.ef_construction,
-            0,
-            links,
-            &mut stats,
-            &mut scratch,
-        );
-        self.scratch.put(scratch);
-        found.retain(|&(_, s)| s != slot);
-        if found.is_empty() {
-            return;
-        }
-        let own: Vec<u32> = links[slot as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)[0]
-            .clone();
-        let mut dists: Vec<f32> = Vec::new();
-        self.score_slots(&sc, &own, &mut dists);
-        for (&nb, &nd) in own.iter().zip(&dists) {
-            if !found.iter().any(|&(_, s)| s == nb) {
-                found.push((nd, nb));
-            }
-        }
-        found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let chosen = select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-        let added: Vec<u32> = chosen
-            .iter()
-            .copied()
-            .filter(|nb| !own.contains(nb))
-            .collect();
-        {
-            let mut guard = links[slot as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            guard[0] = chosen;
-        }
-        let max_deg = self.cfg.m0;
-        for nb in added {
-            let mut guard = links[nb as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let list = &mut guard[0];
-            if !list.contains(&slot) {
-                list.push(slot);
-                if list.len() > max_deg {
-                    let mut dists: Vec<f32> = Vec::new();
-                    let sc_nb = self.slot_scorer(nb);
-                    self.score_slots(&sc_nb, list, &mut dists);
-                    let mut scored: Vec<Scored> =
-                        list.iter().zip(&dists).map(|(&c, &dc)| (dc, c)).collect();
-                    scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                    *list =
-                        select_neighbors(&scored, max_deg, true, |a, b| self.pair_distance(a, b));
-                }
-            }
-        }
-    }
-
-    /// [`HnswIndex::greedy_closest`] against per-node-locked adjacency:
-    /// each hop copies the current node's list out under its lock (one lock
-    /// held at a time), then scores the copy lock-free.
-    fn greedy_closest_locked(
-        &self,
-        sc: &Scorer<'_>,
-        start: u32,
-        lvl: u8,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        scratch: &mut SearchScratch,
-    ) -> u32 {
-        use std::sync::PoisonError;
-        let mut nbs: Vec<u32> = Vec::new();
-        let mut cur = start;
-        let mut cur_dist = self.score_slot(sc, cur);
-        loop {
-            {
-                let guard = links[cur as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                nbs.clear();
-                if let Some(l) = guard.get(lvl as usize) {
-                    nbs.extend_from_slice(l);
-                }
-            }
-            self.score_slots(sc, &nbs, &mut scratch.dists);
-            let mut improved = false;
-            for (&nb, &nd) in nbs.iter().zip(&scratch.dists) {
-                if nd < cur_dist {
-                    cur = nb;
-                    cur_dist = nd;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
-            }
-        }
-    }
-
-    /// [`HnswIndex::search_layer`] against per-node-locked adjacency; same
-    /// beam/admission logic, neighbor lists copied out under their lock.
-    #[allow(clippy::too_many_arguments)]
-    fn search_layer_locked(
-        &self,
-        sc: &Scorer<'_>,
-        entries: &[u32],
-        ef: usize,
-        lvl: u8,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Scored> {
-        use std::sync::PoisonError;
-        scratch.begin(self.keys.len());
-        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-        let mut nbs: Vec<u32> = Vec::new();
-
-        scratch.batch.clear();
-        for &e in entries {
-            if scratch.visit(e) {
-                scratch.batch.push(e);
-            }
-        }
-        self.score_slots(sc, &scratch.batch, &mut scratch.dists);
-        stats.distance_computations += scratch.batch.len() as u64;
-        for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
-            frontier.push(Reverse((OrdF32(de), e)));
-            best.push((OrdF32(de), e));
-            if best.len() > ef {
-                best.pop();
-            }
-        }
-
-        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
-            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-            if d > bound && best.len() >= ef {
-                break;
-            }
-            {
-                let guard = links[node as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                nbs.clear();
-                if let Some(l) = guard.get(lvl as usize) {
-                    nbs.extend_from_slice(l);
-                }
-            }
-            scratch.batch.clear();
-            for &nb in &nbs {
-                if scratch.visit(nb) {
-                    scratch.batch.push(nb);
-                }
-            }
-            self.score_slots(sc, &scratch.batch, &mut scratch.dists);
-            stats.hops += scratch.batch.len() as u64;
-            stats.distance_computations += scratch.batch.len() as u64;
-            for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
-                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-                if nd < bound || best.len() < ef {
-                    frontier.push(Reverse((OrdF32(nd), nb)));
-                    best.push((OrdF32(nd), nb));
-                    if best.len() > ef {
-                        best.pop();
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
-
-    /// [`VectorIndex::update_items`] with optional parallel linking of the
-    /// fresh appends. Duplicate-key records, deletes, and upserts of live
-    /// keys apply sequentially first (in record order); single-occurrence
-    /// upserts of fresh keys then link concurrently. `threads <= 1` is the
-    /// plain sequential path, bit-identical to [`VectorIndex::update_items`].
-    pub fn update_items_with(
-        &mut self,
-        records: &[DeltaRecord],
-        threads: usize,
-    ) -> TvResult<usize> {
-        self.ensure_mutable();
-        if threads <= 1 || records.len() <= 1 {
-            return self.update_items(records);
-        }
-        for rec in records {
-            if rec.action == DeltaAction::Upsert && rec.vector.len() != self.cfg.dim {
-                return Err(TvError::DimensionMismatch {
-                    expected: self.cfg.dim,
-                    got: rec.vector.len(),
-                });
-            }
-        }
-        let mut count: HashMap<VertexId, usize> = HashMap::with_capacity(records.len());
-        for rec in records {
-            *count.entry(rec.id).or_insert(0) += 1;
-        }
-        let mut fresh: Vec<(VertexId, &[f32])> = Vec::new();
-        let mut applied = 0;
-        for rec in records {
-            let is_fresh = rec.action == DeltaAction::Upsert
-                && count[&rec.id] == 1
-                && !self.slot_of.contains_key(&rec.id);
-            if is_fresh {
-                fresh.push((rec.id, rec.vector.as_slice()));
-                continue;
-            }
-            match rec.action {
-                DeltaAction::Upsert => {
-                    self.insert(rec.id, &rec.vector)?;
-                    applied += 1;
-                }
-                DeltaAction::Delete => {
-                    self.remove(rec.id);
-                    applied += 1;
-                }
-            }
-        }
-        applied += fresh.len();
-        self.parallel_insert_fresh(&fresh, threads);
-        Ok(applied)
-    }
-
-    /// Greedy walk to the locally-closest node on one layer (the ef=1 upper-
-    /// layer descent of the HNSW search). Each hop scores the node's whole
-    /// neighbor list in one batched kernel call.
-    fn greedy_closest(
-        &self,
-        sc: &Scorer<'_>,
-        start: u32,
-        lvl: u8,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-    ) -> u32 {
-        let prefetch = self.packed.as_ref().is_some_and(|p| p.prefetch);
-        let k = kernels::active();
-        let mut cur = start;
-        let mut cur_dist = self.score_slot(sc, cur);
-        stats.distance_computations += 1;
-        loop {
-            let nbs = self.neighbors(cur, lvl);
-            if prefetch {
-                // Warm the hop's leading rows in full; the scorer's own
-                // schedule requests the rest two rows ahead of use.
-                for (i, &nb) in nbs.iter().enumerate() {
-                    self.prefetch_slot(k, nb, i < 2);
-                }
-            }
-            self.score_slots_pf(sc, nbs, &mut scratch.dists, prefetch);
-            stats.distance_computations += nbs.len() as u64;
-            stats.hops += nbs.len() as u64;
-            let mut improved = false;
-            for (&nb, &nd) in nbs.iter().zip(&scratch.dists) {
-                if nd < cur_dist {
-                    cur = nb;
-                    cur_dist = nd;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
-            }
-        }
-    }
-
-    /// Beam search on one layer. Returns up to `ef` candidates sorted by
-    /// ascending distance. Deleted nodes participate in navigation and in
-    /// the returned candidate list (construction links through them), so
-    /// callers that produce user-visible results must filter afterwards.
-    fn search_layer(
-        &self,
-        sc: &Scorer<'_>,
-        entries: &[u32],
-        ef: usize,
-        lvl: u8,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Scored> {
-        // Pooled visited set: one epoch bump instead of an O(n) alloc +
-        // memset per call. Visit order and admission logic are unchanged,
-        // so results are bit-identical to the fresh-alloc path.
-        scratch.begin(self.keys.len());
-        let pf_graph = self.packed.as_ref().filter(|p| p.prefetch);
-        let kern = kernels::active();
-        // Min-heap of frontier candidates; max-heap (via NeighborHeap-like
-        // bound) of the best `ef` found.
-        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-
-        // Batched scoring: the unvisited neighbors of one node, scored in a
-        // single kernel call. Distances don't depend on heap state, so
-        // admission order — and therefore results — match the
-        // one-at-a-time loop exactly.
-        scratch.batch.clear();
-        for &e in entries {
-            if scratch.visit(e) {
-                scratch.batch.push(e);
-            }
-        }
-        self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
-        stats.distance_computations += scratch.batch.len() as u64;
-        for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
-            frontier.push(Reverse((OrdF32(de), e)));
-            best.push((OrdF32(de), e));
-            if best.len() > ef {
-                best.pop();
-            }
-        }
-
-        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
-            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-            if d > bound && best.len() >= ef {
-                break;
-            }
-            scratch.batch.clear();
-            for &nb in self.neighbors(node, lvl) {
-                if scratch.visit(nb) {
-                    // Warm the batch's first rows in full — the scorer hits
-                    // them before its own two-ahead schedule ramps up — and
-                    // later rows' heads, plus (on the base layer) the
-                    // candidate's adjacency row.
-                    if let Some(p) = pf_graph {
-                        self.prefetch_slot(kern, nb, scratch.batch.len() < 2);
-                        if lvl == 0 {
-                            p.prefetch_l0_row(kern, nb);
-                        }
-                    }
-                    scratch.batch.push(nb);
-                }
-            }
-            self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
-            stats.hops += scratch.batch.len() as u64;
-            stats.distance_computations += scratch.batch.len() as u64;
-            for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
-                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-                if nd < bound || best.len() < ef {
-                    frontier.push(Reverse((OrdF32(nd), nb)));
-                    best.push((OrdF32(nd), nb));
-                    if best.len() > ef {
-                        best.pop();
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
-
-    /// Layer-0 beam search that only admits *valid* (live + filter-passing)
-    /// points into the result set, while still navigating through invalid
-    /// ones — the filter-function semantics the paper passes to the index so
-    /// "a single call to the vector index returns the valid top-k" (§5.1).
-    fn search_layer0_filtered(
-        &self,
-        sc: &Scorer<'_>,
-        entries: &[u32],
-        ef: usize,
-        filter: Filter<'_>,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Scored> {
-        scratch.begin(self.keys.len());
-        let pf_graph = self.packed.as_ref().filter(|p| p.prefetch);
-        let kern = kernels::active();
-        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-
-        // Deleted slots and filter rejections are counted separately: the
-        // planner's selectivity feedback needs filter pressure, not
-        // tombstone density (which `live_fraction` already tracks).
-        let accepts = |slot: u32, stats: &mut SearchStats| -> bool {
-            if self.deleted[slot as usize] {
-                stats.deleted_skipped += 1;
-                return false;
-            }
-            if !filter.accepts(self.keys[slot as usize].local().0 as usize) {
-                stats.filtered_out += 1;
-                return false;
-            }
-            true
-        };
-
-        scratch.batch.clear();
-        for &e in entries {
-            if scratch.visit(e) {
-                scratch.batch.push(e);
-            }
-        }
-        self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
-        stats.distance_computations += scratch.batch.len() as u64;
-        for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
-            frontier.push(Reverse((OrdF32(de), e)));
-            if accepts(e, stats) {
-                best.push((OrdF32(de), e));
-                if best.len() > ef {
-                    best.pop();
-                }
-            }
-        }
-
-        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
-            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-            if d > bound && best.len() >= ef {
-                break;
-            }
-            scratch.batch.clear();
-            for &nb in self.neighbors(node, 0) {
-                if scratch.visit(nb) {
-                    if let Some(p) = pf_graph {
-                        self.prefetch_slot(kern, nb, scratch.batch.len() < 2);
-                        p.prefetch_l0_row(kern, nb);
-                    }
-                    scratch.batch.push(nb);
-                }
-            }
-            self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
-            stats.hops += scratch.batch.len() as u64;
-            stats.distance_computations += scratch.batch.len() as u64;
-            for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
-                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-                if nd < bound || best.len() < ef {
-                    frontier.push(Reverse((OrdF32(nd), nb)));
-                    if accepts(nb, stats) {
-                        best.push((OrdF32(nd), nb));
-                        if best.len() > ef {
-                            best.pop();
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
-
-    /// How many candidates the approximate stage must surface for a final
-    /// top-`k`: `rerank_factor × k` when an exact-rerank pass will follow
-    /// (retained f32 arena, or the SQ8 side store backing a PQ tier),
-    /// otherwise just `k`.
-    fn fetch_count(&self, k: usize) -> usize {
-        match &self.quant {
-            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => {
-                k.saturating_mul(q.spec.rerank_factor.max(1))
-            }
-            _ => k,
-        }
-    }
-
-    /// Exact-rerank stage: rescore the approximate candidates against the
-    /// most precise representation available (retained f32, else the SQ8
-    /// side store), then keep the best `k`. Pass-through when the index is
-    /// unquantized or codes are already the best representation.
-    fn rerank_and_take(
-        &self,
-        query: &[f32],
-        found: Vec<Scored>,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let quant = match &self.quant {
-            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => q,
-            _ => {
-                return found
-                    .into_iter()
-                    .take(k)
-                    .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
-                    .collect();
-            }
-        };
-        let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
-        let mut dists: Vec<f32> = Vec::new();
-        if quant.spec.keep_f32 {
-            let pq = PreparedQuery::new(self.cfg.metric, query);
-            pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, &slots, &mut dists);
-        } else {
-            let r = quant.rerank.as_ref().expect("checked above");
-            let qq = QuantQuery::new(&r.codec, self.cfg.metric, query);
-            qq.score_slots(&r.codes, &r.recon_norms, &slots, &mut dists);
-        }
-        stats.distance_computations += slots.len() as u64;
-        stats.reranked += slots.len() as u64;
-        let mut rescored: Vec<Scored> = slots.iter().zip(&dists).map(|(&s, &d)| (d, s)).collect();
-        rescored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        rescored
-            .into_iter()
-            .take(k)
-            .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
-            .collect()
-    }
-
-    /// Exact linear scan over live, filter-passing entries — the planner's
-    /// fallback when too few points are valid for graph search to pay off.
-    /// On quantized tiers the scan scores codes and the exact-rerank stage
-    /// re-scores the shortlist, same as graph search.
-    pub fn brute_force_top_k(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: Filter<'_>,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats {
-            brute_force: true,
-            ..SearchStats::default()
-        };
-        // Gather accepted slots first, then score the whole set in batched
-        // kernel calls — the filter pass touches no vector data.
-        let mut accepted: Vec<u32> = Vec::new();
-        for (slot, &key) in self.keys.iter().enumerate() {
-            if self.deleted[slot] {
-                stats.deleted_skipped += 1;
-                continue;
-            }
-            if !filter.accepts(key.local().0 as usize) {
-                stats.filtered_out += 1;
-                continue;
-            }
-            accepted.push(slot as u32);
-        }
-        let sc = self.scorer(query);
-        let mut dists: Vec<f32> = Vec::new();
-        self.score_slots(&sc, &accepted, &mut dists);
-        stats.distance_computations += accepted.len() as u64;
-        // Keep only the `fetch` best before the (possibly exact-rerank)
-        // final stage; a bounded max-heap caps memory at O(fetch).
-        let fetch = self.fetch_count(k);
-        let mut heap: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-        for (&slot, &d) in accepted.iter().zip(&dists) {
-            heap.push((OrdF32(d), slot));
-            if heap.len() > fetch {
-                heap.pop();
-            }
-        }
-        let mut found: Vec<Scored> = heap.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let out = self.rerank_and_take(query, found, k, &mut stats);
-        (out, stats)
     }
 
     /// Fraction of live points among all slots; used with the valid-point
@@ -1958,186 +360,6 @@ impl HnswIndex {
         match filter {
             Filter::All => self.len(),
             Filter::Valid(b) => self.live_mask.intersection_count(b),
-        }
-    }
-
-    /// Post-filter strategy: run an *unfiltered* layer-0 beam widened to
-    /// `fetch_ef`, then drop results the filter rejects. Cheaper than
-    /// in-traversal filtering when most points are valid — the beam skips
-    /// the per-candidate bitmap probe and the enlargement stays small.
-    pub fn post_filter_top_k(
-        &self,
-        query: &[f32],
-        k: usize,
-        fetch_ef: usize,
-        filter: Filter<'_>,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        if k == 0 || query.len() != self.cfg.dim {
-            return (Vec::new(), stats);
-        }
-        let Some((entry, top)) = self.entry else {
-            return (Vec::new(), stats);
-        };
-        let fetch = self.fetch_count(k);
-        let beam = fetch_ef.max(fetch);
-        if self.packed.is_some() {
-            stats.packed_searches += 1;
-        }
-        let sc = self.scorer(query);
-        let mut scratch = self.scratch.take();
-        let mut cur = entry;
-        for lvl in (1..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-        let found =
-            self.search_layer0_filtered(&sc, &[cur], beam, Filter::All, &mut stats, &mut scratch);
-        self.scratch.put(scratch);
-        let mut valid: Vec<Scored> = Vec::with_capacity(found.len());
-        for (d, slot) in found {
-            if filter.accepts(self.keys[slot as usize].local().0 as usize) {
-                valid.push((d, slot));
-            } else {
-                stats.filtered_out += 1;
-            }
-        }
-        valid.truncate(fetch);
-        let out = self.rerank_and_take(query, valid, k, &mut stats);
-        (out, stats)
-    }
-
-    /// Planner-routed filtered top-k (the per-query cost-based routing of
-    /// the NaviX-style planner; see [`crate::planner`]):
-    ///
-    /// 1. estimate the true valid-live cardinality under `filter`;
-    /// 2. choose brute force / in-traversal filtering / post-filter with
-    ///    enlarged `ef`;
-    /// 3. if a graph strategy returns fewer than `min(k, valid_live)`
-    ///    results (a starved beam, *not* set exhaustion), escalate: double
-    ///    `ef` up to `cfg.max_ef`, then fall back to an exact scan.
-    ///
-    /// The starvation fallback makes the result count exact: the search
-    /// returns `min(k, valid_live)` results whenever any exist, so a short
-    /// result honestly signals an exhausted valid set.
-    pub fn search_planned(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        filter: Filter<'_>,
-        cfg: &PlannerConfig,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        if k == 0 || query.len() != self.cfg.dim {
-            return (Vec::new(), stats);
-        }
-        let valid_live = self.valid_live_count(filter);
-        let plan = planner::choose(
-            cfg,
-            PlanInputs {
-                valid_live,
-                live_total: self.len(),
-                k,
-                ef,
-            },
-        );
-        let (mut results, mut used_ef) = match plan {
-            PlanChoice::Empty => return (Vec::new(), stats),
-            PlanChoice::BruteForce => {
-                stats.plans_brute += 1;
-                let (r, s) = self.brute_force_top_k(query, k, filter);
-                stats.merge(&s);
-                return (r, stats);
-            }
-            PlanChoice::InTraversal { ef } => {
-                stats.plans_in_traversal += 1;
-                let (r, s) = self.top_k(query, k, ef, filter);
-                stats.merge(&s);
-                (r, ef)
-            }
-            PlanChoice::PostFilter { fetch_ef } => {
-                stats.plans_post_filter += 1;
-                let (r, s) = self.post_filter_top_k(query, k, fetch_ef, filter);
-                stats.merge(&s);
-                (r, fetch_ef)
-            }
-        };
-        let target = k.min(valid_live);
-        if results.len() >= target || !cfg.enabled {
-            return (results, stats);
-        }
-        // Starved beam: valid points exist that the graph search did not
-        // surface. Escalate with a widening in-traversal beam, then give up
-        // on the graph entirely (disconnected or unreachable valid points).
-        while used_ef < cfg.max_ef {
-            used_ef = used_ef.saturating_mul(2).min(cfg.max_ef);
-            stats.ef_escalations += 1;
-            let (r, s) = self.top_k(query, k, used_ef, filter);
-            stats.merge(&s);
-            results = r;
-            if results.len() >= target {
-                return (results, stats);
-            }
-        }
-        stats.brute_fallbacks += 1;
-        let (r, s) = self.brute_force_top_k(query, k, filter);
-        stats.merge(&s);
-        (r, stats)
-    }
-
-    /// Planner-routed range search. Fixes the starvation bug in the naive
-    /// doubling loop: a filtered beam returning fewer than `k` results is a
-    /// *starved beam*, not proof the valid set is exhausted — treating it as
-    /// exhaustion silently drops in-range points under selective filters.
-    /// Exhaustion is instead detected against the true valid-live count, and
-    /// once the doubling `k` covers the whole valid set the scan finishes
-    /// exactly.
-    pub fn range_search_planned(
-        &self,
-        query: &[f32],
-        threshold: f32,
-        ef: usize,
-        filter: Filter<'_>,
-        cfg: &PlannerConfig,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        if query.len() != self.cfg.dim {
-            return (Vec::new(), stats);
-        }
-        let valid_live = self.valid_live_count(filter);
-        if valid_live == 0 {
-            return (Vec::new(), stats);
-        }
-        let mut k = 16usize;
-        loop {
-            if k >= valid_live {
-                // The doubling k now covers every valid point: finish with
-                // an exact scan instead of trusting a possibly-starved beam.
-                let (results, s) = self.brute_force_top_k(query, valid_live, filter);
-                stats.merge(&s);
-                let out = results
-                    .into_iter()
-                    .filter(|n| n.dist <= threshold)
-                    .collect();
-                return (out, stats);
-            }
-            let (results, s) = self.search_planned(query, k, ef.max(k), filter, cfg);
-            stats.merge(&s);
-            let median = if results.is_empty() {
-                f32::NEG_INFINITY
-            } else {
-                results[results.len() / 2].dist
-            };
-            // At least half the beam already lies outside the range: the
-            // in-range set is fully covered (DiskANN's stopping rule).
-            if !results.is_empty() && threshold < median {
-                let out = results
-                    .into_iter()
-                    .filter(|n| n.dist <= threshold)
-                    .collect();
-                return (out, stats);
-            }
-            k = k.saturating_mul(2);
         }
     }
 }
@@ -2175,27 +397,12 @@ impl VectorIndex for HnswIndex {
         if k == 0 || query.len() != self.cfg.dim {
             return (Vec::new(), stats);
         }
-        let Some((entry, top)) = self.entry else {
-            return (Vec::new(), stats);
-        };
         // The beam must surface enough candidates for the exact-rerank
-        // stage (rerank_factor × k on quantized tiers).
+        // stage (rerank_factor × k on quantized tiers). One norm pass (f32)
+        // or one LUT build (quantized) serves the whole search; every
+        // candidate after this scores against cached state.
         let fetch = self.fetch_count(k);
-        let ef = ef.max(fetch);
-        if self.packed.is_some() {
-            stats.packed_searches += 1;
-        }
-        // One norm pass (f32) or one LUT build (quantized) for the whole
-        // search; every candidate after this scores against cached state.
-        let sc = self.scorer(query);
-        let mut scratch = self.scratch.take();
-        let mut cur = entry;
-        for lvl in (1..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-        let mut found =
-            self.search_layer0_filtered(&sc, &[cur], ef, filter, &mut stats, &mut scratch);
-        self.scratch.put(scratch);
+        let mut found = self.query_beam(&self.scorer(query), ef.max(fetch), filter, &mut stats);
         found.truncate(fetch);
         let out = self.rerank_and_take(query, found, k, &mut stats);
         (out, stats)
@@ -2255,52 +462,11 @@ impl VectorIndex for HnswIndex {
     }
 }
 
-/// Total-ordered f32 wrapper for heap use (NaN sorts greatest).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF32(pub f32);
-
-impl Eq for OrdF32 {}
-impl PartialOrd for OrdF32 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF32 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-// Internal accessors for snapshot serialization.
+// Snapshot deserialization.
 impl HnswIndex {
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &HnswConfig,
-        &[f32],
-        &[VertexId],
-        &[Vec<Vec<u32>>],
-        &[u8],
-        &[bool],
-        Option<(u32, u8)>,
-    ) {
-        (
-            &self.cfg,
-            &self.vectors,
-            &self.keys,
-            &self.links,
-            &self.levels,
-            &self.deleted,
-            self.entry,
-        )
-    }
-
-    /// Quantized-tier state, if any (snapshot writer access).
-    pub(crate) fn quant(&self) -> Option<&QuantState> {
-        self.quant.as_ref()
-    }
-
+    /// Assemble an index from decoded snapshot parts, checking that every
+    /// per-slot structure agrees on the slot count and rebuilding what the
+    /// format does not carry (key map, live mask, norm cache).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         cfg: HnswConfig,
@@ -2323,19 +489,11 @@ impl HnswIndex {
             return Err(TvError::Storage("inconsistent snapshot parts".into()));
         }
         if let Some(q) = &quant {
-            let cl = q.codec.code_len();
-            if q.codes.len() != n * cl {
+            if !q.main.holds(n) {
                 return Err(TvError::Storage("inconsistent quant codes".into()));
             }
-            if !q.recon_norms.is_empty() && q.recon_norms.len() != n {
-                return Err(TvError::Storage("inconsistent quant norms".into()));
-            }
-            if let Some(r) = &q.rerank {
-                if r.codes.len() != n * r.codec.code_len()
-                    || (!r.recon_norms.is_empty() && r.recon_norms.len() != n)
-                {
-                    return Err(TvError::Storage("inconsistent rerank store".into()));
-                }
+            if q.rerank.as_ref().is_some_and(|r| !r.holds(n)) {
+                return Err(TvError::Storage("inconsistent rerank store".into()));
             }
         }
         let mut slot_of = HashMap::with_capacity(n);
@@ -2385,7 +543,7 @@ impl HnswIndex {
 mod tests {
     use super::*;
     use tv_common::ids::{LocalId, SegmentId};
-    use tv_common::Bitmap;
+    use tv_common::SplitMix64;
 
     fn key(i: u32) -> VertexId {
         VertexId::new(SegmentId(0), LocalId(i))
@@ -2954,23 +1112,6 @@ mod tests {
             let (rng_oracle, _) = fresh.range_search(q, 30.0, 64, Filter::All);
             assert_bit_identical(&rng_res, &rng_oracle, &format!("range q{qi}"));
         }
-    }
-
-    #[test]
-    fn scratch_epoch_wrap_resets_visit_marks() {
-        let mut s = SearchScratch::default();
-        s.begin(8);
-        assert!(s.visit(3));
-        assert!(!s.visit(3));
-        // Force the wrap: the next begin() must zero the marks once and
-        // restart epochs, so slot 3 reads unvisited again.
-        s.epoch = u32::MAX;
-        s.begin(8);
-        assert_eq!(s.epoch, 1);
-        assert!(s.visit(3), "post-wrap visit must start clean");
-        assert!(!s.visit(3));
-        // A stale mark from the pre-wrap era can never alias the new epoch.
-        assert!(s.marks.iter().all(|&m| m <= 1));
     }
 
     #[test]

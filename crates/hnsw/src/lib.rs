@@ -2,8 +2,9 @@
 //!
 //! A from-scratch HNSW (Hierarchical Navigable Small World, Malkov &
 //! Yashunin 2020) approximate-nearest-neighbor index, plus a brute-force
-//! exact index, implementing the four generic functions TigerVector requires
-//! of a vector index (§4.4 of the paper):
+//! exact index — the second implementation that shows §4.4's "other indexes
+//! behind the same trait" — implementing the four generic functions
+//! TigerVector requires of a vector index (§4.4 of the paper):
 //!
 //! * **GetEmbedding** — fetch the stored vector for an id,
 //! * **TopKSearch** — ef-controlled top-k search with an optional validity
@@ -18,13 +19,23 @@
 //! results (§4.2). Searches take `&self` and may run concurrently from many
 //! threads; mutation takes `&mut self` (segment indexes are single-writer —
 //! the embedding service's vacuum assigns each segment to one merge thread).
+//!
+//! The index is one struct ([`index`]) with its jobs in sibling modules:
+//! [`search`] holds the single beam search and greedy descent, generic over
+//! a `GraphView` (mutable forest, per-node-locked forest, compiled CSR) and
+//! every query path built on them; [`build`] links and repairs the graph;
+//! [`layout`] moves between the mutable forest and the one compiled form
+//! ([`packed`]); [`quant_state`] is the quantized storage tier.
 
 pub mod brute;
+pub(crate) mod build;
 pub mod config;
 pub mod index;
-pub mod ivf;
+pub(crate) mod layout;
 pub(crate) mod packed;
 pub mod planner;
+pub(crate) mod quant_state;
+pub(crate) mod search;
 pub mod select;
 pub mod snapshot;
 pub mod stats;
@@ -32,7 +43,6 @@ pub mod stats;
 pub use brute::BruteForceIndex;
 pub use config::HnswConfig;
 pub use index::{DeltaRecord, HnswIndex, VectorIndex};
-pub use ivf::{IvfConfig, IvfFlatIndex};
 pub use planner::{PlanChoice, PlanInputs};
 pub use stats::SearchStats;
 

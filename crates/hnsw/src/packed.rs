@@ -2,7 +2,7 @@
 //!
 //! The mutable index stores adjacency as a `Vec<Vec<Vec<u32>>>` forest —
 //! three pointer hops and a separate heap allocation per node per level, so
-//! every `search_layer` step is a cache-miss chain even though the distance
+//! every beam-search step is a cache-miss chain even though the distance
 //! kernels are SIMD-speed and allocation-free. [`PackedGraph`] is the
 //! compiled search form: level 0 (where almost all traversal work happens)
 //! becomes one contiguous CSR — a single `u32` neighbor slab plus `n + 1`
@@ -22,15 +22,14 @@
 //! forest (`PackedGraph::to_links`), and the vacuum/index-merge policy
 //! recompiles. Correctness therefore never depends on layout freshness.
 
+use crate::search::GraphView;
 use std::collections::VecDeque;
+use tv_common::Kernels;
 
 /// CSR-packed adjacency: the frozen search representation compiled from the
 /// per-node `Vec` forest at index-merge/snapshot-load time.
 #[derive(Clone, Debug)]
 pub(crate) struct PackedGraph {
-    /// Whether search loops should issue software prefetch hints for
-    /// upcoming candidates' vector/code and adjacency rows.
-    pub(crate) prefetch: bool,
     /// `n + 1` prefix offsets into [`Self::l0_nbr`]; node `s`'s level-0
     /// neighbors are `l0_nbr[l0_off[s] .. l0_off[s + 1]]`.
     l0_off: Vec<u32>,
@@ -49,7 +48,7 @@ impl PackedGraph {
     /// Compile the forest into CSR slabs. Neighbor order within every list
     /// is preserved exactly, so traversal visit order — and therefore
     /// results — match the pointer form bit for bit.
-    pub(crate) fn build(links: &[Vec<Vec<u32>>], prefetch: bool) -> Self {
+    pub(crate) fn build(links: &[Vec<Vec<u32>>]) -> Self {
         let n = links.len();
         let mut l0_off = Vec::with_capacity(n + 1);
         let mut l0_nbr = Vec::new();
@@ -75,7 +74,6 @@ impl PackedGraph {
             }
         }
         PackedGraph {
-            prefetch,
             l0_off,
             l0_nbr,
             upper_base,
@@ -93,7 +91,7 @@ impl PackedGraph {
     /// chase. Levels above the node's top return an empty slice, matching
     /// the forest's `per_node.get(lvl)` shape for out-of-range reads.
     #[inline]
-    pub(crate) fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
+    pub(crate) fn row(&self, slot: u32, lvl: u8) -> &[u32] {
         let s = slot as usize;
         if lvl == 0 {
             &self.l0_nbr[self.l0_off[s] as usize..self.l0_off[s + 1] as usize]
@@ -109,15 +107,6 @@ impl PackedGraph {
         }
     }
 
-    /// Prefetch the head of `slot`'s level-0 adjacency row (issued when a
-    /// candidate is admitted to the frontier, ahead of the pop that reads
-    /// its list).
-    #[inline]
-    pub(crate) fn prefetch_l0_row(&self, k: &tv_common::Kernels, slot: u32) {
-        let off = self.l0_off[slot as usize] as usize;
-        k.prefetch(self.l0_nbr.as_ptr().wrapping_add(off).cast::<u8>());
-    }
-
     /// Thaw back into the mutable forest (mutation paths and snapshot
     /// serialization). Node `s` gets `1 + upper_rows(s)` level lists, which
     /// is exactly the `levels[s] + 1` lists the forest held at compile time.
@@ -127,9 +116,9 @@ impl PackedGraph {
             .map(|s| {
                 let rows = (self.upper_base[s + 1] - self.upper_base[s]) as usize;
                 let mut per_node = Vec::with_capacity(rows + 1);
-                per_node.push(self.neighbors(s as u32, 0).to_vec());
+                per_node.push(self.row(s as u32, 0).to_vec());
                 for lvl in 1..=rows {
-                    per_node.push(self.neighbors(s as u32, lvl as u8).to_vec());
+                    per_node.push(self.row(s as u32, lvl as u8).to_vec());
                 }
                 per_node
             })
@@ -155,6 +144,27 @@ impl PackedGraph {
     /// Total upper-level rows (Σ levels\[s\]).
     pub(crate) fn upper_row_count(&self) -> usize {
         self.upper_row_off.len() - 1
+    }
+}
+
+/// The compiled form is the one view that prefetches: its rows are
+/// contiguous and BFS-ordered, so the addresses a hop will touch are known
+/// while the previous hop is still being scored.
+impl GraphView for PackedGraph {
+    const PREFETCH: bool = true;
+
+    #[inline]
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, _buf: &'a mut Vec<u32>) -> &'a [u32] {
+        self.row(slot, lvl)
+    }
+
+    /// Prefetch the head of `slot`'s level-0 adjacency row (issued when a
+    /// candidate is admitted to the frontier, ahead of the pop that reads
+    /// its list).
+    #[inline]
+    fn prefetch_l0_row(&self, k: &Kernels, slot: u32) {
+        let off = self.l0_off[slot as usize] as usize;
+        k.prefetch(self.l0_nbr.as_ptr().wrapping_add(off).cast::<u8>());
     }
 }
 
@@ -218,19 +228,19 @@ mod tests {
     #[test]
     fn csr_matches_forest_on_every_level() {
         let links = forest();
-        let pg = PackedGraph::build(&links, false);
+        let pg = PackedGraph::build(&links);
         assert_eq!(pg.len(), links.len());
         for (s, per_node) in links.iter().enumerate() {
             for (lvl, list) in per_node.iter().enumerate() {
                 assert_eq!(
-                    pg.neighbors(s as u32, lvl as u8),
+                    pg.row(s as u32, lvl as u8),
                     list.as_slice(),
                     "node {s} level {lvl}"
                 );
             }
             // Levels above the node's top read as empty.
-            assert!(pg.neighbors(s as u32, per_node.len() as u8).is_empty());
-            assert!(pg.neighbors(s as u32, 63).is_empty());
+            assert!(pg.row(s as u32, per_node.len() as u8).is_empty());
+            assert!(pg.row(s as u32, 63).is_empty());
         }
         assert_eq!(pg.neighbor_count(), 7);
         assert_eq!(pg.upper_row_count(), 3);
@@ -239,7 +249,7 @@ mod tests {
     #[test]
     fn thaw_roundtrips_exactly() {
         let links = forest();
-        let pg = PackedGraph::build(&links, true);
+        let pg = PackedGraph::build(&links);
         assert_eq!(pg.to_links(), links);
     }
 
@@ -278,9 +288,9 @@ mod tests {
     #[test]
     fn empty_level0_lists_pack_and_thaw() {
         let links: Vec<Vec<Vec<u32>>> = vec![vec![vec![]], vec![vec![], vec![]]];
-        let pg = PackedGraph::build(&links, false);
-        assert!(pg.neighbors(0, 0).is_empty());
-        assert!(pg.neighbors(1, 1).is_empty());
+        let pg = PackedGraph::build(&links);
+        assert!(pg.row(0, 0).is_empty());
+        assert!(pg.row(1, 1).is_empty());
         assert_eq!(pg.to_links(), links);
         assert_eq!(pg.neighbor_count(), 0);
     }

@@ -1,0 +1,891 @@
+//! The search core: one beam search and one greedy descent, statically
+//! dispatched over a [`GraphView`], plus every query path built on them
+//! (top-k, post-filter, brute force, the planner's routing, range search).
+//!
+//! The same traversal serves the build (over the mutable forest, or the
+//! per-node-locked forest during a parallel build, admitting every node)
+//! and queries (over whichever form is resident, admitting only live,
+//! filter-passing nodes). The representation is a type parameter, so no hop
+//! branches on it.
+
+use crate::index::{HnswIndex, VectorIndex};
+use crate::planner::{self, PlanChoice, PlanInputs};
+use crate::select::Scored;
+use crate::stats::SearchStats;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use tv_common::bitmap::Filter;
+use tv_common::kernels;
+use tv_common::{Kernels, Neighbor, PlannerConfig, PreparedQuery};
+use tv_quant::{QuantQuery, QuantizedCodec};
+
+/// Read access to one adjacency representation. Implemented by the mutable
+/// forest (`[Vec<Vec<u32>>]`), the per-node-locked forest of a parallel
+/// build (`&[Mutex<Vec<Vec<u32>>>]`) and the compiled
+/// [`crate::packed::PackedGraph`].
+pub(crate) trait GraphView {
+    /// Whether traversals over this view issue software prefetches for the
+    /// rows they are about to score. Only the compiled form does: its rows
+    /// are laid out so that the next candidates' addresses are known early.
+    const PREFETCH: bool = false;
+
+    /// The neighbor list of `slot` on `lvl`. Views that can lend the list
+    /// ignore `buf`; the locked view copies the list into it under the
+    /// node's lock, so no lock is held while the caller scores.
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, buf: &'a mut Vec<u32>) -> &'a [u32];
+
+    /// Request the head of `slot`'s level-0 adjacency row ahead of the pop
+    /// that reads it. Called only when [`Self::PREFETCH`] is set.
+    fn prefetch_l0_row(&self, _k: &Kernels, _slot: u32) {}
+}
+
+/// A view the build can also write: the forest directly, the locked forest
+/// one node lock at a time.
+pub(crate) trait LinkStore: GraphView {
+    /// Run `f` on `slot`'s neighbor list on `lvl`.
+    fn edit(&mut self, slot: u32, lvl: u8, f: impl FnOnce(&mut Vec<u32>));
+}
+
+impl GraphView for [Vec<Vec<u32>>] {
+    #[inline]
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, _buf: &'a mut Vec<u32>) -> &'a [u32] {
+        &self[slot as usize][lvl as usize]
+    }
+}
+
+impl LinkStore for [Vec<Vec<u32>>] {
+    fn edit(&mut self, slot: u32, lvl: u8, f: impl FnOnce(&mut Vec<u32>)) {
+        f(&mut self[slot as usize][lvl as usize]);
+    }
+}
+
+/// Lock one node of the locked forest. A poisoned lock means a link worker
+/// panicked; the pool re-raises that panic on the caller, so the list is
+/// never used afterwards.
+pub(crate) fn lock_node(m: &Mutex<Vec<Vec<u32>>>) -> MutexGuard<'_, Vec<Vec<u32>>> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl GraphView for &[Mutex<Vec<Vec<u32>>>] {
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, buf: &'a mut Vec<u32>) -> &'a [u32] {
+        buf.clear();
+        if let Some(l) = lock_node(&self[slot as usize]).get(lvl as usize) {
+            buf.extend_from_slice(l);
+        }
+        buf
+    }
+}
+
+impl LinkStore for &[Mutex<Vec<Vec<u32>>>] {
+    fn edit(&mut self, slot: u32, lvl: u8, f: impl FnOnce(&mut Vec<u32>)) {
+        f(&mut lock_node(&self[slot as usize])[lvl as usize]);
+    }
+}
+
+/// Either scoring backend, so one traversal implementation serves both
+/// storage tiers. The `F32` arm borrows the query slice; the `Quant` arm
+/// owns its prepared plan, so an index can hold a scorer across graph
+/// mutations.
+pub(crate) enum Scorer<'q> {
+    F32(PreparedQuery<'q>),
+    Quant(QuantQuery),
+}
+
+/// Epoch-stamped visited marks: a slot is "visited" iff
+/// `marks[slot] == epoch`, so clearing between searches is one epoch bump
+/// instead of an O(n) memset — the `vec![false; n]` the beam searches used
+/// to allocate (and zero) on every call.
+#[derive(Default)]
+pub(crate) struct Visited {
+    epoch: u32,
+    marks: Vec<u32>,
+}
+
+impl Visited {
+    /// Start a fresh visited set covering `n` slots. Epochs wrap at
+    /// `u32::MAX` by resetting the marks once — amortized O(1).
+    fn begin(&mut self, n: usize) {
+        if self.marks.len() < n {
+            self.marks.resize(n, 0);
+        }
+        if self.epoch == u32::MAX {
+            for m in &mut self.marks {
+                *m = 0;
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Mark `slot` visited; true iff this is its first visit this epoch.
+    #[inline]
+    fn visit(&mut self, slot: u32) -> bool {
+        let m = &mut self.marks[slot as usize];
+        if *m == self.epoch {
+            false
+        } else {
+            *m = self.epoch;
+            true
+        }
+    }
+}
+
+/// Reusable per-search scratch: the visited set plus the batched-scoring
+/// buffers.
+#[derive(Default)]
+pub(crate) struct SearchScratch {
+    visited: Visited,
+    batch: Vec<u32>,
+    pub(crate) dists: Vec<f32>,
+    /// The hop's neighbor list when the view has to copy it out (locked
+    /// forest); between searches, the moved node's old neighborhood in
+    /// `update_in_place`.
+    pub(crate) nbrs: Vec<u32>,
+    /// Repair-path staging (`update_in_place`, link pruning): the 2-hop
+    /// candidate pool and the scored pairs — pooled here so the graph-repair
+    /// loops reuse one warmed allocation instead of cloning per neighbor
+    /// per level.
+    pub(crate) pool: Vec<u32>,
+    pub(crate) scored: Vec<Scored>,
+}
+
+/// Per-index pool of [`SearchScratch`] buffers, one per in-flight search.
+/// Concurrent searches each take their own buffer; returning it keeps the
+/// warmed allocation (and its epoch) for the next search.
+#[derive(Default)]
+pub(crate) struct ScratchPool(Mutex<Vec<SearchScratch>>);
+
+/// Bound on pooled buffers: enough for any realistic fan-out width while
+/// capping worst-case retained memory at `64 × 4n` bytes per index.
+const MAX_POOLED_SCRATCH: usize = 64;
+
+impl ScratchPool {
+    pub(crate) fn take(&self) -> SearchScratch {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .unwrap_or_default()
+    }
+
+    pub(crate) fn put(&self, scratch: SearchScratch) {
+        let mut pool = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if pool.len() < MAX_POOLED_SCRATCH {
+            pool.push(scratch);
+        }
+    }
+}
+
+impl Clone for ScratchPool {
+    /// Cloned indexes start an empty pool: scratch holds no index state
+    /// (results are bit-identical with or without pooled buffers), so
+    /// sharing would only contend the lock.
+    fn clone(&self) -> Self {
+        ScratchPool::default()
+    }
+}
+
+/// Total-ordered f32 wrapper for heap use (NaN sorts greatest).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OrdF32(pub f32);
+
+impl Eq for OrdF32 {}
+impl PartialOrd for OrdF32 {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for OrdF32 {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// Drain a bounded best-candidates heap into ascending `(distance, slot)`
+/// order.
+fn nearest_first(best: BinaryHeap<(OrdF32, u32)>) -> Vec<Scored> {
+    let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
+    out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    out
+}
+
+impl HnswIndex {
+    /// Scorer for an external query vector: prepared f32 query, or a
+    /// prepared quantized plan when a quantized tier is attached (traversal
+    /// always scores against codes in that case, even when the f32 arena is
+    /// retained for reranking).
+    pub(crate) fn scorer<'q>(&self, query: &'q [f32]) -> Scorer<'q> {
+        match &self.quant {
+            Some(q) => Scorer::Quant(QuantQuery::new(&q.main.codec, self.cfg.metric, query)),
+            None => Scorer::F32(PreparedQuery::new(self.cfg.metric, query)),
+        }
+    }
+
+    /// A stored slot prepared to act as the query (parallel linking, link
+    /// pruning) — f32 indexes reuse the cached norm; quantized indexes
+    /// reconstruct the slot so construction geometry matches search
+    /// geometry.
+    pub(crate) fn slot_scorer(&self, slot: u32) -> Scorer<'_> {
+        match &self.quant {
+            Some(q) => {
+                let v = self.materialize(slot);
+                Scorer::Quant(QuantQuery::new(&q.main.codec, self.cfg.metric, &v))
+            }
+            None => Scorer::F32(PreparedQuery::with_norm(
+                self.cfg.metric,
+                self.vec_of(slot),
+                self.norms[slot as usize],
+            )),
+        }
+    }
+
+    /// Distance from a scorer to one stored slot.
+    fn score_slot(&self, sc: &Scorer<'_>, slot: u32) -> f32 {
+        match sc {
+            Scorer::F32(pq) => pq.distance_cached(self.vec_of(slot), self.norms[slot as usize]),
+            Scorer::Quant(qq) => {
+                let q = self.quant.as_ref().expect("quant scorer without codes");
+                let cl = qq.code_len();
+                let s = slot as usize;
+                let rn = q.main.recon_norms.get(s).copied().unwrap_or(0.0);
+                qq.score(&q.main.codes[s * cl..(s + 1) * cl], rn)
+            }
+        }
+    }
+
+    /// Batch-score `slots` against a scorer; distances land in `out` (one
+    /// entry per slot, same order).
+    pub(crate) fn score_slots(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
+        match sc {
+            Scorer::F32(pq) => {
+                pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, slots, out);
+            }
+            Scorer::Quant(qq) => {
+                let q = self.quant.as_ref().expect("quant scorer without codes");
+                qq.score_slots(&q.main.codes, &q.main.recon_norms, slots, out);
+            }
+        }
+    }
+
+    /// [`Self::score_slots`] for one hop of a traversal over `G`. A
+    /// prefetching view scores f32 rows on the interleaved schedule: while
+    /// one slot's row is scored, the head of the next slot's row is
+    /// requested. The admission logic sees identical distances either way.
+    #[inline]
+    fn score_hop<G: GraphView + ?Sized>(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
+        match sc {
+            Scorer::F32(pq) if G::PREFETCH => {
+                pq.distance_slots_prefetch(&self.vectors, self.cfg.dim, &self.norms, slots, out);
+            }
+            _ => self.score_slots(sc, slots, out),
+        }
+    }
+
+    /// Issue an advisory prefetch for `slot`'s scoring row — the quantized
+    /// code row when a quantized tier is attached (traversal scores codes),
+    /// the f32 arena row otherwise. Called while the batch is still being
+    /// collected, so the loads overlap the preceding scoring work. `deep`
+    /// warms up to 32 lines instead of 2: the scorer's own interleaved
+    /// schedule starts two rows in, so only the batch's first rows need
+    /// their full depth requested ahead of time.
+    #[inline]
+    fn prefetch_slot(&self, k: &Kernels, slot: u32, deep: bool) {
+        let s = slot as usize;
+        if let Some(q) = &self.quant {
+            let cl = q.main.codec.code_len();
+            k.prefetch(q.main.codes.as_ptr().wrapping_add(s * cl));
+        } else {
+            let p = self
+                .vectors
+                .as_ptr()
+                .wrapping_add(s * self.cfg.dim)
+                .cast::<u8>();
+            let row_lines = (self.cfg.dim * std::mem::size_of::<f32>()).div_ceil(64);
+            let lines = row_lines.min(if deep { 32 } else { 2 });
+            for l in 0..lines {
+                k.prefetch(p.wrapping_add(l * 64));
+            }
+        }
+    }
+
+    /// Greedy walk from `start` down through layers `top..=floor`, moving
+    /// to the locally-closest node on each (the ef=1 upper-layer descent of
+    /// the HNSW search). Each hop scores the node's whole neighbor list in
+    /// one batched kernel call.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn greedy_descent<G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        sc: &Scorer<'_>,
+        start: u32,
+        top: u8,
+        floor: u8,
+        stats: &mut SearchStats,
+        scratch: &mut SearchScratch,
+    ) -> u32 {
+        let k = kernels::active();
+        let mut cur = start;
+        for lvl in (floor..=top).rev() {
+            let mut cur_dist = self.score_slot(sc, cur);
+            stats.distance_computations += 1;
+            loop {
+                let nbs = graph.neighbors(cur, lvl, &mut scratch.nbrs);
+                if G::PREFETCH {
+                    // Warm the hop's leading rows in full; the scorer's own
+                    // schedule requests the rest two rows ahead of use.
+                    for (i, &nb) in nbs.iter().enumerate() {
+                        self.prefetch_slot(k, nb, i < 2);
+                    }
+                }
+                self.score_hop::<G>(sc, nbs, &mut scratch.dists);
+                stats.distance_computations += nbs.len() as u64;
+                stats.hops += nbs.len() as u64;
+                let mut improved = false;
+                for (&nb, &nd) in nbs.iter().zip(&scratch.dists) {
+                    if nd < cur_dist {
+                        cur = nb;
+                        cur_dist = nd;
+                        improved = true;
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+        }
+        cur
+    }
+
+    /// Beam search on one layer of `graph` — the one traversal every build
+    /// and query path runs. Returns up to `ef` admitted candidates sorted by
+    /// ascending distance.
+    ///
+    /// Every reached node is navigated through; `admit` decides which ones
+    /// may enter the result set. The build admits everything (construction
+    /// links through tombstones, so they navigate *and* return); queries
+    /// admit only live, filter-passing points — the filter-function
+    /// semantics the paper passes to the index so "a single call to the
+    /// vector index returns the valid top-k" (§5.1).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn beam_search<G, A>(
+        &self,
+        graph: &G,
+        sc: &Scorer<'_>,
+        entries: &[u32],
+        ef: usize,
+        lvl: u8,
+        admit: A,
+        stats: &mut SearchStats,
+        scratch: &mut SearchScratch,
+    ) -> Vec<Scored>
+    where
+        G: GraphView + ?Sized,
+        A: Fn(u32, &mut SearchStats) -> bool,
+    {
+        // Pooled visited set: one epoch bump instead of an O(n) alloc +
+        // memset per call.
+        scratch.visited.begin(self.keys.len());
+        let kern = kernels::active();
+        // Min-heap of frontier candidates; max-heap of the best `ef`
+        // admitted so far.
+        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
+        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+
+        // Batched scoring: the unvisited neighbors of one node, scored in a
+        // single kernel call. Distances don't depend on heap state, so
+        // admission order — and therefore results — match a one-at-a-time
+        // loop exactly.
+        scratch.batch.clear();
+        for &e in entries {
+            if scratch.visited.visit(e) {
+                scratch.batch.push(e);
+            }
+        }
+        self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
+        stats.distance_computations += scratch.batch.len() as u64;
+        for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
+            frontier.push(Reverse((OrdF32(de), e)));
+            if admit(e, stats) {
+                best.push((OrdF32(de), e));
+                if best.len() > ef {
+                    best.pop();
+                }
+            }
+        }
+
+        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
+            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
+            if d > bound && best.len() >= ef {
+                break;
+            }
+            scratch.batch.clear();
+            for &nb in graph.neighbors(node, lvl, &mut scratch.nbrs) {
+                if scratch.visited.visit(nb) {
+                    // Warm the batch's first rows in full — the scorer hits
+                    // them before its own two-ahead schedule ramps up — and
+                    // later rows' heads, plus (on the base layer) the
+                    // candidate's adjacency row.
+                    if G::PREFETCH {
+                        self.prefetch_slot(kern, nb, scratch.batch.len() < 2);
+                        if lvl == 0 {
+                            graph.prefetch_l0_row(kern, nb);
+                        }
+                    }
+                    scratch.batch.push(nb);
+                }
+            }
+            self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
+            stats.hops += scratch.batch.len() as u64;
+            stats.distance_computations += scratch.batch.len() as u64;
+            for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
+                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
+                if nd < bound || best.len() < ef {
+                    frontier.push(Reverse((OrdF32(nd), nb)));
+                    if admit(nb, stats) {
+                        best.push((OrdF32(nd), nb));
+                        if best.len() > ef {
+                            best.pop();
+                        }
+                    }
+                }
+            }
+        }
+
+        nearest_first(best)
+    }
+
+    /// The graph stage of a query: descend from the entry point to layer 0
+    /// and run the beam there over whichever adjacency form is resident —
+    /// the only place a query asks which one that is. Returns up to `ef`
+    /// live, `filter`-passing candidates, nearest first.
+    pub(crate) fn query_beam(
+        &self,
+        sc: &Scorer<'_>,
+        ef: usize,
+        filter: Filter<'_>,
+        stats: &mut SearchStats,
+    ) -> Vec<Scored> {
+        let Some((entry, top)) = self.entry else {
+            return Vec::new();
+        };
+        // Deleted slots and filter rejections are counted separately: the
+        // planner's selectivity feedback needs filter pressure, not
+        // tombstone density (which `live_fraction` already tracks).
+        let admit = |slot: u32, stats: &mut SearchStats| -> bool {
+            if self.deleted[slot as usize] {
+                stats.deleted_skipped += 1;
+                return false;
+            }
+            if !filter.accepts(self.keys[slot as usize].local().0 as usize) {
+                stats.filtered_out += 1;
+                return false;
+            }
+            true
+        };
+        let mut scratch = self.scratch.take();
+        let found = match &self.packed {
+            Some(p) => {
+                stats.packed_searches += 1;
+                let cur = self.greedy_descent(p, sc, entry, top, 1, stats, &mut scratch);
+                self.beam_search(p, sc, &[cur], ef, 0, admit, stats, &mut scratch)
+            }
+            None => {
+                let g = self.links.as_slice();
+                let cur = self.greedy_descent(g, sc, entry, top, 1, stats, &mut scratch);
+                self.beam_search(g, sc, &[cur], ef, 0, admit, stats, &mut scratch)
+            }
+        };
+        self.scratch.put(scratch);
+        found
+    }
+
+    /// How many candidates the approximate stage must surface for a final
+    /// top-`k`: `rerank_factor × k` when an exact-rerank pass will follow
+    /// (retained f32 arena, or the SQ8 side store backing a PQ tier),
+    /// otherwise just `k`.
+    pub(crate) fn fetch_count(&self, k: usize) -> usize {
+        match &self.quant {
+            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => {
+                k.saturating_mul(q.spec.rerank_factor.max(1))
+            }
+            _ => k,
+        }
+    }
+
+    /// Exact-rerank stage: rescore the approximate candidates against the
+    /// most precise representation available (retained f32, else the SQ8
+    /// side store), then keep the best `k`. Pass-through when the index is
+    /// unquantized or codes are already the best representation.
+    pub(crate) fn rerank_and_take(
+        &self,
+        query: &[f32],
+        found: Vec<Scored>,
+        k: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        let quant = match &self.quant {
+            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => q,
+            _ => {
+                return found
+                    .into_iter()
+                    .take(k)
+                    .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
+                    .collect();
+            }
+        };
+        let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
+        let mut dists: Vec<f32> = Vec::new();
+        if quant.spec.keep_f32 {
+            let pq = PreparedQuery::new(self.cfg.metric, query);
+            pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, &slots, &mut dists);
+        } else {
+            let r = quant.rerank.as_ref().expect("checked above");
+            let qq = QuantQuery::new(&r.codec, self.cfg.metric, query);
+            qq.score_slots(&r.codes, &r.recon_norms, &slots, &mut dists);
+        }
+        stats.distance_computations += slots.len() as u64;
+        stats.reranked += slots.len() as u64;
+        let mut rescored: Vec<Scored> = slots.iter().zip(&dists).map(|(&s, &d)| (d, s)).collect();
+        rescored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        rescored
+            .into_iter()
+            .take(k)
+            .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
+            .collect()
+    }
+
+    /// Exact linear scan over live, filter-passing entries — the planner's
+    /// fallback when too few points are valid for graph search to pay off.
+    /// On quantized tiers the scan scores codes and the exact-rerank stage
+    /// re-scores the shortlist, same as graph search.
+    pub fn brute_force_top_k(
+        &self,
+        query: &[f32],
+        k: usize,
+        filter: Filter<'_>,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats {
+            brute_force: true,
+            ..SearchStats::default()
+        };
+        // Gather accepted slots first, then score the whole set in batched
+        // kernel calls — the filter pass touches no vector data.
+        let mut accepted: Vec<u32> = Vec::new();
+        for (slot, &key) in self.keys.iter().enumerate() {
+            if self.deleted[slot] {
+                stats.deleted_skipped += 1;
+                continue;
+            }
+            if !filter.accepts(key.local().0 as usize) {
+                stats.filtered_out += 1;
+                continue;
+            }
+            accepted.push(slot as u32);
+        }
+        let sc = self.scorer(query);
+        let mut dists: Vec<f32> = Vec::new();
+        self.score_slots(&sc, &accepted, &mut dists);
+        stats.distance_computations += accepted.len() as u64;
+        // Keep only the `fetch` best before the (possibly exact-rerank)
+        // final stage; a bounded max-heap caps memory at O(fetch).
+        let fetch = self.fetch_count(k);
+        let mut heap: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+        for (&slot, &d) in accepted.iter().zip(&dists) {
+            heap.push((OrdF32(d), slot));
+            if heap.len() > fetch {
+                heap.pop();
+            }
+        }
+        let out = self.rerank_and_take(query, nearest_first(heap), k, &mut stats);
+        (out, stats)
+    }
+
+    /// Post-filter strategy: run an *unfiltered* layer-0 beam widened to
+    /// `fetch_ef`, then drop results the filter rejects. Cheaper than
+    /// in-traversal filtering when most points are valid — the beam skips
+    /// the per-candidate bitmap probe and the enlargement stays small.
+    pub fn post_filter_top_k(
+        &self,
+        query: &[f32],
+        k: usize,
+        fetch_ef: usize,
+        filter: Filter<'_>,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats::default();
+        if k == 0 || query.len() != self.cfg.dim {
+            return (Vec::new(), stats);
+        }
+        let fetch = self.fetch_count(k);
+        let beam = fetch_ef.max(fetch);
+        let found = self.query_beam(&self.scorer(query), beam, Filter::All, &mut stats);
+        let mut valid: Vec<Scored> = Vec::with_capacity(found.len());
+        for (d, slot) in found {
+            if filter.accepts(self.keys[slot as usize].local().0 as usize) {
+                valid.push((d, slot));
+            } else {
+                stats.filtered_out += 1;
+            }
+        }
+        valid.truncate(fetch);
+        let out = self.rerank_and_take(query, valid, k, &mut stats);
+        (out, stats)
+    }
+
+    /// Planner-routed filtered top-k (the per-query cost-based routing of
+    /// the NaviX-style planner; see [`crate::planner`]):
+    ///
+    /// 1. estimate the true valid-live cardinality under `filter`;
+    /// 2. choose brute force / in-traversal filtering / post-filter with
+    ///    enlarged `ef`;
+    /// 3. if a graph strategy returns fewer than `min(k, valid_live)`
+    ///    results (a starved beam, *not* set exhaustion), escalate: double
+    ///    `ef` up to `cfg.max_ef`, then fall back to an exact scan.
+    ///
+    /// The starvation fallback makes the result count exact: the search
+    /// returns `min(k, valid_live)` results whenever any exist, so a short
+    /// result honestly signals an exhausted valid set.
+    pub fn search_planned(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        filter: Filter<'_>,
+        cfg: &PlannerConfig,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats::default();
+        if k == 0 || query.len() != self.cfg.dim {
+            return (Vec::new(), stats);
+        }
+        let valid_live = self.valid_live_count(filter);
+        let plan = planner::choose(
+            cfg,
+            PlanInputs {
+                valid_live,
+                live_total: self.len(),
+                k,
+                ef,
+            },
+        );
+        let (mut results, mut used_ef) = match plan {
+            PlanChoice::Empty => return (Vec::new(), stats),
+            PlanChoice::BruteForce => {
+                stats.plans_brute += 1;
+                let (r, s) = self.brute_force_top_k(query, k, filter);
+                stats.merge(&s);
+                return (r, stats);
+            }
+            PlanChoice::InTraversal { ef } => {
+                stats.plans_in_traversal += 1;
+                let (r, s) = self.top_k(query, k, ef, filter);
+                stats.merge(&s);
+                (r, ef)
+            }
+            PlanChoice::PostFilter { fetch_ef } => {
+                stats.plans_post_filter += 1;
+                let (r, s) = self.post_filter_top_k(query, k, fetch_ef, filter);
+                stats.merge(&s);
+                (r, fetch_ef)
+            }
+        };
+        let target = k.min(valid_live);
+        if results.len() >= target || !cfg.enabled {
+            return (results, stats);
+        }
+        // Starved beam: valid points exist that the graph search did not
+        // surface. Escalate with a widening in-traversal beam, then give up
+        // on the graph entirely (disconnected or unreachable valid points).
+        while used_ef < cfg.max_ef {
+            used_ef = used_ef.saturating_mul(2).min(cfg.max_ef);
+            stats.ef_escalations += 1;
+            let (r, s) = self.top_k(query, k, used_ef, filter);
+            stats.merge(&s);
+            results = r;
+            if results.len() >= target {
+                return (results, stats);
+            }
+        }
+        stats.brute_fallbacks += 1;
+        let (r, s) = self.brute_force_top_k(query, k, filter);
+        stats.merge(&s);
+        (r, stats)
+    }
+
+    /// Planner-routed range search. Fixes the starvation bug in the naive
+    /// doubling loop: a filtered beam returning fewer than `k` results is a
+    /// *starved beam*, not proof the valid set is exhausted — treating it as
+    /// exhaustion silently drops in-range points under selective filters.
+    /// Exhaustion is instead detected against the true valid-live count, and
+    /// once the doubling `k` covers the whole valid set the scan finishes
+    /// exactly.
+    pub fn range_search_planned(
+        &self,
+        query: &[f32],
+        threshold: f32,
+        ef: usize,
+        filter: Filter<'_>,
+        cfg: &PlannerConfig,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats::default();
+        if query.len() != self.cfg.dim {
+            return (Vec::new(), stats);
+        }
+        let valid_live = self.valid_live_count(filter);
+        if valid_live == 0 {
+            return (Vec::new(), stats);
+        }
+        let mut k = 16usize;
+        loop {
+            // Once the doubling k covers every valid point, finish with an
+            // exact scan instead of trusting a possibly-starved beam.
+            let exhaustive = k >= valid_live;
+            let (results, s) = if exhaustive {
+                self.brute_force_top_k(query, valid_live, filter)
+            } else {
+                self.search_planned(query, k, ef.max(k), filter, cfg)
+            };
+            stats.merge(&s);
+            // At least half the beam already lies outside the range: the
+            // in-range set is fully covered (DiskANN's stopping rule).
+            let median = results.get(results.len() / 2);
+            if exhaustive || median.is_some_and(|m| threshold < m.dist) {
+                let out = results
+                    .into_iter()
+                    .filter(|n| n.dist <= threshold)
+                    .collect();
+                return (out, stats);
+            }
+            k = k.saturating_mul(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::HnswConfig;
+    use crate::packed::PackedGraph;
+    use tv_common::ids::{LocalId, SegmentId};
+    use tv_common::{DistanceMetric, SplitMix64, VertexId};
+
+    #[test]
+    fn visited_epoch_wrap_resets_marks() {
+        let mut v = Visited::default();
+        v.begin(8);
+        assert!(v.visit(3));
+        assert!(!v.visit(3));
+        // Force the wrap: the next begin() must zero the marks once and
+        // restart epochs, so slot 3 reads unvisited again.
+        v.epoch = u32::MAX;
+        v.begin(8);
+        assert_eq!(v.epoch, 1);
+        assert!(v.visit(3), "post-wrap visit must start clean");
+        assert!(!v.visit(3));
+        // A stale mark from the pre-wrap era can never alias the new epoch.
+        assert!(v.marks.iter().all(|&m| m <= 1));
+    }
+
+    /// One beam over `graph` from `entry`; `live_only` swaps the build's
+    /// admit-everything rule for a tombstone check.
+    fn beam<G: GraphView + ?Sized>(
+        idx: &HnswIndex,
+        graph: &G,
+        sc: &Scorer<'_>,
+        (lvl, ef, live_only): (u8, usize, bool),
+    ) -> (Vec<(u32, u32)>, SearchStats) {
+        let (entry, _) = idx.entry.unwrap();
+        let admit = |slot: u32, stats: &mut SearchStats| {
+            let dead = live_only && idx.deleted[slot as usize];
+            stats.deleted_skipped += u64::from(dead);
+            !dead
+        };
+        let mut stats = SearchStats::default();
+        let mut scratch = idx.scratch.take();
+        let found = idx.beam_search(
+            graph,
+            sc,
+            &[entry],
+            ef,
+            lvl,
+            admit,
+            &mut stats,
+            &mut scratch,
+        );
+        idx.scratch.put(scratch);
+        (
+            found.iter().map(|&(d, s)| (d.to_bits(), s)).collect(),
+            stats,
+        )
+    }
+
+    fn descend<G: GraphView + ?Sized>(
+        idx: &HnswIndex,
+        graph: &G,
+        sc: &Scorer<'_>,
+    ) -> (u32, SearchStats) {
+        let (entry, top) = idx.entry.unwrap();
+        let mut stats = SearchStats::default();
+        let mut scratch = idx.scratch.take();
+        let at = idx.greedy_descent(graph, sc, entry, top, 1, &mut stats, &mut scratch);
+        idx.scratch.put(scratch);
+        (at, stats)
+    }
+
+    /// One loop, three views: the beam and the greedy descent over the
+    /// forest, the locked forest and the compiled CSR of the same graph
+    /// return the same candidates, bit for bit, for the same work.
+    #[test]
+    fn beam_and_descent_agree_across_all_three_views() {
+        let key = |i: u32| VertexId::new(SegmentId(0), LocalId(i));
+        let mut rng = SplitMix64::new(0x3E3);
+        let mut idx = HnswIndex::new(HnswConfig::new(8, DistanceMetric::L2).with_m(6));
+        for i in 0..700 {
+            let v: Vec<f32> = (0..8).map(|_| rng.next_f32() * 10.0).collect();
+            idx.insert(key(i), &v).unwrap();
+        }
+        (0..700)
+            .step_by(4)
+            .for_each(|i| assert!(idx.remove(key(i))));
+        assert!(idx.entry.unwrap().1 >= 1, "the recipe needs an upper layer");
+        let forest = idx.links.as_slice();
+        let locked: Vec<Mutex<Vec<Vec<u32>>>> = forest.iter().cloned().map(Mutex::new).collect();
+        let locked = locked.as_slice();
+        // Built without the BFS renumbering, so slot ids line up.
+        let packed = PackedGraph::build(forest);
+        for q in 0..6 {
+            let query: Vec<f32> = (0..8).map(|_| rng.next_f32() * 10.0).collect();
+            let sc = idx.scorer(&query);
+            for lvl in [0u8, 1] {
+                for ef in [1usize, 8, 64] {
+                    for live_only in [false, true] {
+                        let shape = (lvl, ef, live_only);
+                        let want = beam(&idx, forest, &sc, shape);
+                        assert!(!want.0.is_empty() && want.1.hops > 0);
+                        assert_eq!(
+                            beam(&idx, &locked, &sc, shape),
+                            want,
+                            "locked {q} {shape:?}"
+                        );
+                        assert_eq!(
+                            beam(&idx, &packed, &sc, shape),
+                            want,
+                            "packed {q} {shape:?}"
+                        );
+                    }
+                }
+            }
+            let want = descend(&idx, forest, &sc);
+            assert!(want.1.distance_computations > 0);
+            assert_eq!(
+                descend(&idx, &locked, &sc),
+                want,
+                "locked forest, query {q}"
+            );
+            assert_eq!(
+                descend(&idx, &packed, &sc),
+                want,
+                "compiled form, query {q}"
+            );
+        }
+    }
+}

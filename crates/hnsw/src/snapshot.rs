@@ -8,7 +8,9 @@
 //! deserializing garbage.
 
 use crate::config::HnswConfig;
-use crate::index::{HnswIndex, QuantState, RerankStore};
+use crate::index::HnswIndex;
+use crate::packed::PackedGraph;
+use crate::quant_state::{CodeStore, QuantState};
 use tv_common::{DistanceMetric, QuantSpec, StorageTier, TvError, TvResult, VertexId};
 use tv_quant::{Codec, QuantizedCodec};
 
@@ -24,7 +26,9 @@ const MAGIC2: &[u8; 8] = b"TVHNSW02";
 /// the image byte-for-byte. Uncompiled indexes keep writing v1/v2.
 const MAGIC3: &[u8; 8] = b"TVHNSW03";
 
-const LAYOUT_PACKED: u8 = 1;
+/// Tag 1 marked the retired plain-`packed` mode (the same CSR image, served
+/// without prefetch); it still loads, as the one compiled form.
+const LAYOUT_PACKED_LEGACY: u8 = 1;
 const LAYOUT_PACKED_PREFETCH: u8 = 2;
 
 const TIER_SQ8: u8 = 1;
@@ -33,41 +37,29 @@ const TIER_PQ: u8 = 2;
 /// Serialize an index into a byte buffer.
 #[must_use]
 pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
-    let (cfg, vectors, keys, links, levels, deleted, entry) = index.parts();
-    let quant = index.quant();
+    let quant = index.quant.as_ref();
     // A compiled index keeps no pointer forest; materialize one for the
     // stable on-disk shape (slot order is already the BFS order).
-    let thawed;
-    let (links, layout_tag) = match index.packed() {
-        Some(p) => {
-            thawed = p.to_links();
-            let tag = if p.prefetch {
-                LAYOUT_PACKED_PREFETCH
-            } else {
-                LAYOUT_PACKED
-            };
-            (thawed.as_slice(), Some(tag))
-        }
-        None => (links, None),
-    };
-    let mut buf = Vec::with_capacity(64 + vectors.len() * 4 + keys.len() * 16);
-    match layout_tag {
-        Some(tag) => {
+    let thawed = index.packed.as_ref().map(PackedGraph::to_links);
+    let links = thawed.as_deref().unwrap_or(&index.links);
+    let mut buf = Vec::with_capacity(64 + index.vectors.len() * 4 + index.keys.len() * 16);
+    match (&thawed, quant) {
+        (Some(_), _) => {
             buf.extend_from_slice(MAGIC3);
-            buf.push(tag);
+            buf.push(LAYOUT_PACKED_PREFETCH);
             buf.push(u8::from(quant.is_some()));
         }
-        None if quant.is_some() => buf.extend_from_slice(MAGIC2),
-        None => buf.extend_from_slice(MAGIC),
+        (None, Some(_)) => buf.extend_from_slice(MAGIC2),
+        (None, None) => buf.extend_from_slice(MAGIC),
     }
-    write_header(&mut buf, cfg, keys.len());
-    if let Some(q) = quant {
+    write_header(&mut buf, &index.cfg, index.keys.len());
+    if quant.is_some() {
         // Whether the f32 arena follows (codes-only tiers drop it).
-        buf.push(u8::from(!vectors.is_empty()));
-        write_body(&mut buf, vectors, keys, links, levels, deleted, entry);
+        buf.push(u8::from(!index.vectors.is_empty()));
+    }
+    write_body(&mut buf, index, links);
+    if let Some(q) = quant {
         write_quant(&mut buf, q);
-    } else {
-        write_body(&mut buf, vectors, keys, links, levels, deleted, entry);
     }
     buf
 }
@@ -85,24 +77,18 @@ fn write_header(buf: &mut Vec<u8>, cfg: &HnswConfig, n: usize) {
     put_u64(buf, n as u64);
 }
 
-fn write_body(
-    buf: &mut Vec<u8>,
-    vectors: &[f32],
-    keys: &[VertexId],
-    links: &[Vec<Vec<u32>>],
-    levels: &[u8],
-    deleted: &[bool],
-    entry: Option<(u32, u8)>,
-) {
+/// Everything after the header; `links` is the index's adjacency in forest
+/// form (thawed by the caller when the index is compiled).
+fn write_body(buf: &mut Vec<u8>, index: &HnswIndex, links: &[Vec<Vec<u32>>]) {
     // Keys.
-    for k in keys {
+    for k in &index.keys {
         put_u64(buf, k.0);
     }
     // Levels + deleted flags.
-    buf.extend(levels.iter().copied());
-    buf.extend(deleted.iter().map(|&d| u8::from(d)));
+    buf.extend(index.levels.iter().copied());
+    buf.extend(index.deleted.iter().map(|&d| u8::from(d)));
     // Vectors (absent in codes-only v2 snapshots).
-    for v in vectors {
+    for v in &index.vectors {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     // Links: per node, level count then per-level neighbor lists.
@@ -116,7 +102,7 @@ fn write_body(
         }
     }
     // Entry point.
-    match entry {
+    match index.entry {
         Some((slot, lvl)) => {
             buf.push(1);
             put_u32(buf, slot);
@@ -140,24 +126,24 @@ fn write_quant(buf: &mut Vec<u8>, q: &QuantState) {
     }
     buf.push(u8::from(q.spec.keep_f32));
     put_u32(buf, q.spec.rerank_factor as u32);
-    write_codec_block(buf, &q.codec, &q.codes, &q.recon_norms);
+    write_codec_block(buf, &q.main);
     match &q.rerank {
         Some(r) => {
             buf.push(1);
-            write_codec_block(buf, &r.codec, &r.codes, &r.recon_norms);
+            write_codec_block(buf, r);
         }
         None => buf.push(0),
     }
 }
 
-fn write_codec_block(buf: &mut Vec<u8>, codec: &Codec, codes: &[u8], recon_norms: &[f32]) {
-    let image = codec.to_bytes();
+fn write_codec_block(buf: &mut Vec<u8>, store: &CodeStore) {
+    let image = store.codec.to_bytes();
     put_u32(buf, image.len() as u32);
     buf.extend_from_slice(&image);
-    put_u32(buf, codec.code_len() as u32);
-    buf.extend_from_slice(codes);
-    put_u32(buf, recon_norms.len() as u32);
-    for &v in recon_norms {
+    put_u32(buf, store.codec.code_len() as u32);
+    buf.extend_from_slice(&store.codes);
+    put_u32(buf, store.recon_norms.len() as u32);
+    for &v in &store.recon_norms {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 }
@@ -173,15 +159,9 @@ pub fn from_bytes(data: &[u8]) -> TvResult<HnswIndex> {
     }
     // v3 prefixes a compiled-layout tag and a quant-presence flag before
     // the common payload.
-    let layout_prefetch = if v3 {
-        match r.u8()? {
-            LAYOUT_PACKED => Some(false),
-            LAYOUT_PACKED_PREFETCH => Some(true),
-            _ => return Err(TvError::Storage("corrupt snapshot: layout tag".into())),
-        }
-    } else {
-        None
-    };
+    if v3 && !matches!(r.u8()?, LAYOUT_PACKED_LEGACY | LAYOUT_PACKED_PREFETCH) {
+        return Err(TvError::Storage("corrupt snapshot: layout tag".into()));
+    }
     let has_quant = if v3 {
         match r.u8()? {
             0 => false,
@@ -309,8 +289,8 @@ pub fn from_bytes(data: &[u8]) -> TvResult<HnswIndex> {
     }
     let mut index =
         HnswIndex::from_parts(cfg, vectors, keys, links, levels, deleted, entry, quant)?;
-    if let Some(prefetch) = layout_prefetch {
-        index.compile_from_stored(prefetch);
+    if v3 {
+        index.compile_from_stored();
     }
     Ok(index)
 }
@@ -334,22 +314,15 @@ fn read_quant(r: &mut Reader<'_>, n: usize, arena_present: bool) -> TvResult<Qua
         ));
     }
     let rerank_factor = r.u32()? as usize;
-    let (codec, codes, recon_norms) = read_codec_block(r, n)?;
-    if codec.tier() != tier {
+    let main = read_codec_block(r, n)?;
+    if main.codec.tier() != tier {
         return Err(TvError::Storage(
             "corrupt snapshot: codec disagrees with tier tag".into(),
         ));
     }
     let rerank = match r.u8()? {
         0 => None,
-        1 => {
-            let (rc, rcodes, rnorms) = read_codec_block(r, n)?;
-            Some(RerankStore {
-                codec: rc,
-                codes: rcodes,
-                recon_norms: rnorms,
-            })
-        }
+        1 => Some(read_codec_block(r, n)?),
         _ => return Err(TvError::Storage("corrupt snapshot: rerank flag".into())),
     };
     let spec = QuantSpec {
@@ -357,16 +330,10 @@ fn read_quant(r: &mut Reader<'_>, n: usize, arena_present: bool) -> TvResult<Qua
         keep_f32,
         rerank_factor,
     };
-    Ok(QuantState {
-        spec,
-        codec,
-        codes,
-        recon_norms,
-        rerank,
-    })
+    Ok(QuantState { spec, main, rerank })
 }
 
-fn read_codec_block(r: &mut Reader<'_>, n: usize) -> TvResult<(Codec, Vec<u8>, Vec<f32>)> {
+fn read_codec_block(r: &mut Reader<'_>, n: usize) -> TvResult<CodeStore> {
     let image_len = r.u32()? as usize;
     let codec = Codec::from_bytes(r.take(image_len)?)?;
     let code_len = r.u32()? as usize;
@@ -385,11 +352,15 @@ fn read_codec_block(r: &mut Reader<'_>, n: usize) -> TvResult<(Codec, Vec<u8>, V
             "corrupt snapshot: reconstruction norm count".into(),
         ));
     }
-    let mut norms = Vec::with_capacity(norm_count);
+    let mut recon_norms = Vec::with_capacity(norm_count);
     for _ in 0..norm_count {
-        norms.push(r.f32()?);
+        recon_norms.push(r.f32()?);
     }
-    Ok((codec, codes, norms))
+    Ok(CodeStore {
+        codec,
+        codes,
+        recon_norms,
+    })
 }
 
 fn metric_tag(m: DistanceMetric) -> u8 {
@@ -682,26 +653,46 @@ mod tests {
 
     #[test]
     fn v3_roundtrip_is_bit_identical_and_stays_compiled() {
-        for layout in [GraphLayout::Packed, GraphLayout::PackedPrefetch] {
-            let mut idx = sample_index(150);
-            idx.remove(key(7));
-            assert!(idx.compile_layout(layout));
-            let bytes = to_bytes(&idx);
-            assert_eq!(&bytes[..8], MAGIC3);
-            let restored = from_bytes(&bytes).unwrap();
-            assert_eq!(restored.layout(), layout, "layout survives the trip");
-            // Re-serialization reproduces the exact image: the stored slot
-            // order is the BFS order, so the load-time CSR rebuild runs no
-            // re-permutation.
-            assert_eq!(bytes, to_bytes(&restored), "layout {layout}");
+        let mut idx = sample_index(150);
+        idx.remove(key(7));
+        assert!(idx.compile_layout(GraphLayout::PackedPrefetch));
+        let bytes = to_bytes(&idx);
+        assert_eq!(&bytes[..8], MAGIC3);
+        let restored = from_bytes(&bytes).unwrap();
+        assert_eq!(restored.layout(), GraphLayout::PackedPrefetch);
+        // Re-serialization reproduces the exact image: the stored slot
+        // order is the BFS order, so the load-time CSR rebuild runs no
+        // re-permutation.
+        assert_eq!(bytes, to_bytes(&restored));
 
-            let q: Vec<f32> = vec![0.5; 8];
-            let (before, s1) = idx.top_k(&q, 10, 64, Filter::All);
-            let (after, s2) = restored.top_k(&q, 10, 64, Filter::All);
-            assert_eq!(before, after);
-            assert_eq!(s1.packed_searches, 1);
-            assert_eq!(s2.packed_searches, 1);
-        }
+        let q: Vec<f32> = vec![0.5; 8];
+        let (before, s1) = idx.top_k(&q, 10, 64, Filter::All);
+        let (after, s2) = restored.top_k(&q, 10, 64, Filter::All);
+        assert_eq!(before, after);
+        assert_eq!(s1.packed_searches, 1);
+        assert_eq!(s2.packed_searches, 1);
+    }
+
+    /// Images written by the retired plain-`packed` mode carry layout tag 1
+    /// over the same CSR-ordered payload, so they load as the one compiled
+    /// form, serve the same results, and re-serialize under the current tag.
+    #[test]
+    fn v3_legacy_packed_tag_loads_as_the_compiled_form() {
+        let mut idx = sample_index(150);
+        idx.remove(key(7));
+        idx.compile_layout(GraphLayout::PackedPrefetch);
+        let current = to_bytes(&idx);
+        assert_eq!(current[8], LAYOUT_PACKED_PREFETCH);
+        let mut legacy = current.clone();
+        legacy[8] = LAYOUT_PACKED_LEGACY;
+        let restored = from_bytes(&legacy).unwrap();
+        assert_eq!(restored.layout(), GraphLayout::PackedPrefetch);
+        assert_eq!(to_bytes(&restored), current);
+        let q: Vec<f32> = vec![0.5; 8];
+        let (want, _) = idx.top_k(&q, 10, 64, Filter::All);
+        let (got, stats) = restored.top_k(&q, 10, 64, Filter::All);
+        assert_eq!(got, want);
+        assert_eq!(stats.packed_searches, 1);
     }
 
     #[test]
@@ -724,7 +715,7 @@ mod tests {
     #[test]
     fn v3_layout_and_quant_tags_validated() {
         let mut idx = sample_index(20);
-        idx.compile_layout(GraphLayout::Packed);
+        idx.compile_layout(GraphLayout::PackedPrefetch);
         let bytes = to_bytes(&idx);
         // Byte 8 is the layout tag, byte 9 the quant flag.
         let mut bad_layout = bytes.clone();
@@ -753,7 +744,7 @@ mod tests {
     #[test]
     fn v3_byte_flip_fuzz_never_panics_or_overallocates() {
         let mut idx = sample_index(40);
-        idx.compile_layout(GraphLayout::Packed);
+        idx.compile_layout(GraphLayout::PackedPrefetch);
         let bytes = to_bytes(&idx);
         let mut rng = SplitMix64::new(0xC511);
         for trial in 0..500 {
@@ -776,7 +767,7 @@ mod tests {
         // size clamp before any allocation.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC3);
-        bytes.push(LAYOUT_PACKED); // layout tag
+        bytes.push(LAYOUT_PACKED_PREFETCH); // layout tag
         bytes.push(0); // no quant
         put_u64(&mut bytes, 8); // dim
         bytes.push(0); // metric

@@ -41,49 +41,48 @@ fn fingerprint(results: &[Neighbor]) -> Vec<(VertexId, u32)> {
     results.iter().map(|n| (n.id, n.dist.to_bits())).collect()
 }
 
-/// Assert that compiling `idx` into each packed layout changes no search
-/// result across a battery of query shapes.
+/// Assert that compiling `idx` changes no search result across a battery of
+/// query shapes.
 fn assert_layouts_identical(idx: &HnswIndex, dim: usize, queries: usize) {
     let qs = make_vectors(queries, dim, 0xBEEF);
     let filter_bits = Bitmap::from_indices(idx.slot_count() + 8, (0..idx.slot_count()).step_by(3));
-    for layout in [GraphLayout::Packed, GraphLayout::PackedPrefetch] {
-        let mut packed = idx.clone();
-        packed.compile_layout(layout);
-        assert_eq!(packed.layout(), layout);
-        assert_eq!(packed.len(), idx.len());
-        for q in &qs {
-            // Unfiltered top-k.
-            let (a, _) = idx.top_k(q, 10, 64, Filter::All);
-            let (b, sb) = packed.top_k(q, 10, 64, Filter::All);
-            assert_eq!(fingerprint(&a), fingerprint(&b), "top_k {layout}");
-            assert_eq!(sb.packed_searches, 1, "served from the packed form");
-            // Filtered top-k (in-traversal bitmap).
-            let (a, _) = idx.top_k(q, 5, 64, Filter::Valid(&filter_bits));
-            let (b, _) = packed.top_k(q, 5, 64, Filter::Valid(&filter_bits));
-            assert_eq!(fingerprint(&a), fingerprint(&b), "filtered {layout}");
-            // Post-filter strategy.
-            let (a, _) = idx.post_filter_top_k(q, 5, 96, Filter::Valid(&filter_bits));
-            let (b, _) = packed.post_filter_top_k(q, 5, 96, Filter::Valid(&filter_bits));
-            assert_eq!(fingerprint(&a), fingerprint(&b), "post_filter {layout}");
-            // Range search.
-            let (a, _) = idx.range_search(q, 30.0, 64, Filter::All);
-            let (b, _) = packed.range_search(q, 30.0, 64, Filter::All);
-            assert_eq!(fingerprint(&a), fingerprint(&b), "range {layout}");
-        }
-        // Every stored embedding is reachable by key and identical.
-        for s in 0..idx.slot_count() as u32 {
-            let k = key(s);
-            let va = idx.get_embedding(k);
-            let vb = packed.get_embedding(k);
-            match (va, vb) {
-                (None, None) => {}
-                (Some(va), Some(vb)) => {
-                    let fa: Vec<u32> = va.iter().map(|x| x.to_bits()).collect();
-                    let fb: Vec<u32> = vb.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(fa, fb, "embedding {s} {layout}");
-                }
-                other => panic!("embedding presence diverged for {s}: {other:?}"),
+    let layout = GraphLayout::PackedPrefetch;
+    let mut packed = idx.clone();
+    packed.compile_layout(layout);
+    assert_eq!(packed.layout(), layout);
+    assert_eq!(packed.len(), idx.len());
+    for q in &qs {
+        // Unfiltered top-k.
+        let (a, _) = idx.top_k(q, 10, 64, Filter::All);
+        let (b, sb) = packed.top_k(q, 10, 64, Filter::All);
+        assert_eq!(fingerprint(&a), fingerprint(&b), "top_k {layout}");
+        assert_eq!(sb.packed_searches, 1, "served from the packed form");
+        // Filtered top-k (in-traversal bitmap).
+        let (a, _) = idx.top_k(q, 5, 64, Filter::Valid(&filter_bits));
+        let (b, _) = packed.top_k(q, 5, 64, Filter::Valid(&filter_bits));
+        assert_eq!(fingerprint(&a), fingerprint(&b), "filtered {layout}");
+        // Post-filter strategy.
+        let (a, _) = idx.post_filter_top_k(q, 5, 96, Filter::Valid(&filter_bits));
+        let (b, _) = packed.post_filter_top_k(q, 5, 96, Filter::Valid(&filter_bits));
+        assert_eq!(fingerprint(&a), fingerprint(&b), "post_filter {layout}");
+        // Range search.
+        let (a, _) = idx.range_search(q, 30.0, 64, Filter::All);
+        let (b, _) = packed.range_search(q, 30.0, 64, Filter::All);
+        assert_eq!(fingerprint(&a), fingerprint(&b), "range {layout}");
+    }
+    // Every stored embedding is reachable by key and identical.
+    for s in 0..idx.slot_count() as u32 {
+        let k = key(s);
+        let va = idx.get_embedding(k);
+        let vb = packed.get_embedding(k);
+        match (va, vb) {
+            (None, None) => {}
+            (Some(va), Some(vb)) => {
+                let fa: Vec<u32> = va.iter().map(|x| x.to_bits()).collect();
+                let fb: Vec<u32> = vb.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(fa, fb, "embedding {s} {layout}");
             }
+            other => panic!("embedding presence diverged for {s}: {other:?}"),
         }
     }
 }
@@ -183,9 +182,9 @@ fn compile_thaw_recompile_is_stable() {
         );
     }
 
-    // Compiling an already-compiled index only flips the prefetch policy.
+    // Compiling an already-compiled index changes nothing.
     let mut twice = idx.clone();
-    twice.compile_layout(GraphLayout::Packed);
+    twice.compile_layout(GraphLayout::PackedPrefetch);
     twice.compile_layout(GraphLayout::PackedPrefetch);
     assert_eq!(twice.layout(), GraphLayout::PackedPrefetch);
     for (q, want) in qs.iter().zip(&baseline) {
@@ -207,7 +206,7 @@ fn memory_accounting_reports_both_forms() {
     assert!(packed_est < pointer_before);
 
     let mut compiled = idx.clone();
-    compiled.compile_layout(GraphLayout::Packed);
+    compiled.compile_layout(GraphLayout::PackedPrefetch);
     let (pointer_est, packed_exact) = compiled.link_memory_bytes();
     // Estimates are len-based where the exact numbers are capacity-based,
     // so cross-form comparisons are approximate — but the packed slabs are
