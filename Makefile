@@ -1,8 +1,8 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke ledger-smoke
+.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke
 
-verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke ledger-smoke
+verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke
 
 build:
 	cargo build --release
@@ -116,6 +116,20 @@ layout-smoke:
 	cargo test --release -p tv-hnsw --test layout_oracle -q
 	TV_LAYOUT_MIN_SPEEDUP=$(TV_LAYOUT_MIN_SPEEDUP) cargo run --release -p tv-bench --bin layout_bench
 	TV_QPS_TOLERANCE=$(TV_QPS_TOLERANCE) cargo run --release -p tv-bench --bin check_regression -- --only layout_bench
+
+# Candidate-set gate: the storage model check (model map vs. the chained
+# read path and the row scan at every TID, across vacuums and restores, plus
+# the delta-read counts) and the GSQL candidate-set identity suite (compiled
+# bitmap path vs. a store-independent reference), the latter with the worker
+# pool one and two wide — the segment scan runs on it; the storage suite
+# never touches the pool — then the filtered workload of the benchmark at
+# smoke size, which exits non-zero when an answer fails its brute-force
+# check.
+filter-smoke:
+	cargo test --release -p tg-storage model_check -q
+	TV_THREADS=1 cargo test --release -p tv-gsql candidate_identity -q
+	TV_THREADS=2 cargo test --release -p tv-gsql candidate_identity -q
+	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload hybrid_filtered --smoke
 
 # Benchmark gate: `benchmark/` (BENCHMARK.json's perf_ledger) is a package of
 # its own that the root workspace does not build, so an API removal in a

@@ -133,25 +133,29 @@ impl Bitmap {
         }
     }
 
-    /// In-place intersection with another bitmap of equal length.
+    /// In-place intersection. As in [`Bitmap::intersection_count`] the
+    /// lengths need not match: positions past the shorter bitmap count as
+    /// unset (vertex sets grow their bitmaps on demand, so two sets over the
+    /// same segment rarely agree on a length).
     pub fn intersect(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        let common = self.words.len().min(other.words.len());
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= *b;
         }
+        self.words[common..].fill(0);
     }
 
-    /// In-place union with another bitmap of equal length.
+    /// In-place union; `self` grows to `other`'s length if that is longer.
     pub fn union(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        self.grow(other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= *b;
         }
     }
 
-    /// In-place difference (`self AND NOT other`).
+    /// In-place difference (`self AND NOT other`); positions past the end
+    /// of `other` count as unset there.
     pub fn difference(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !*b;
         }
@@ -259,6 +263,29 @@ mod tests {
         assert_eq!(d.iter_ones().collect::<Vec<_>>(), vec![1, 65]);
         a.intersect(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
+    }
+
+    #[test]
+    fn set_ops_tolerate_length_mismatch() {
+        let long = Bitmap::from_indices(200, [1, 64, 65, 130, 199]);
+        let short = Bitmap::from_indices(66, [1, 2, 64]);
+        let ones = |b: &Bitmap| b.iter_ones().collect::<Vec<_>>();
+        for (a, b) in [(&long, &short), (&short, &long)] {
+            let mut i = a.clone();
+            i.intersect(b);
+            assert_eq!(ones(&i), vec![1, 64]);
+            assert_eq!(i.len(), a.len());
+            let mut u = a.clone();
+            u.union(b);
+            assert_eq!(ones(&u), vec![1, 2, 64, 65, 130, 199]);
+            assert_eq!(u.len(), 200);
+        }
+        let mut d = long.clone();
+        d.difference(&short);
+        assert_eq!(ones(&d), vec![65, 130, 199]);
+        let mut d = short.clone();
+        d.difference(&long);
+        assert_eq!(ones(&d), vec![2]);
     }
 
     #[test]

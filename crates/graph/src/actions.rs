@@ -9,95 +9,71 @@
 use crate::graph::Graph;
 use crate::vertex_set::VertexSet;
 use std::collections::HashMap;
-use std::sync::Arc;
 use tg_storage::segment::SegmentStore;
 use tg_storage::AttrValue;
 use tv_common::ids::{LocalId, SegmentLayout};
 use tv_common::{Bitmap, SegmentId, Tid, TvResult, VertexId};
 
 impl Graph {
-    /// **VertexAction**: run `f` over every segment of `type_id` in
-    /// parallel, collecting per-segment results in segment order. `f`
-    /// receives the segment store and its id.
+    /// **VertexAction**: run `f` over every segment of `type_id` on the
+    /// shared worker pool (`query_threads` wide), collecting per-segment
+    /// results in segment order. `f` receives the segment store and its id.
     pub fn vertex_action<R: Send>(
         &self,
         type_id: u32,
         f: impl Fn(&SegmentStore, SegmentId) -> R + Sync,
     ) -> TvResult<Vec<R>> {
-        let store = self.store().vertex_type(type_id)?;
-        let segments = store.all_segments();
+        let segments = self.store().vertex_type(type_id)?.all_segments();
         let threads = self.embeddings().config().query_threads;
-        if threads <= 1 || segments.len() <= 1 {
-            return Ok(segments
-                .iter()
-                .map(|s| {
-                    let guard = s.read();
-                    f(&guard, guard.segment_id)
-                })
-                .collect());
-        }
-        let n = segments.len();
-        let workers = threads.min(n);
-        let chunk = n.div_ceil(workers);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest = &mut slots[..];
-            let mut seg_iter = segments.into_iter();
-            for _ in 0..workers {
-                let batch: Vec<Arc<parking_lot::RwLock<SegmentStore>>> =
-                    seg_iter.by_ref().take(chunk).collect();
-                if batch.is_empty() {
-                    break;
+        Ok(tv_common::pool::global().run(segments, threads, |seg| {
+            let guard = seg.read();
+            f(&guard, guard.segment_id)
+        }))
+    }
+
+    /// One scan per segment: the vertices live at `tid` (only the members of
+    /// `within`, when given) whose attribute row passes `pred`, as
+    /// per-segment bitmaps. Segments with no qualifying vertex are omitted.
+    fn scan_bitmaps(
+        &self,
+        type_id: u32,
+        tid: Tid,
+        within: Option<&VertexSet>,
+        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
+    ) -> TvResult<HashMap<SegmentId, Bitmap>> {
+        let capacity = self.store().vertex_type(type_id)?.layout().capacity;
+        let within = within.map(|set| set.to_segment_bitmaps(type_id, capacity));
+        let per_segment = self.vertex_action(type_id, |seg, seg_id| {
+            let within = match &within {
+                None => None,
+                Some(bitmaps) => Some(bitmaps.get(&seg_id)?),
+            };
+            let mut bm = Bitmap::new(capacity);
+            let mut any = false;
+            seg.for_each_live_row(tid, within, |local, row| {
+                if pred(VertexId::new(seg_id, LocalId(local as u32)), row) {
+                    bm.set(local, true);
+                    any = true;
                 }
-                let (head, tail) = rest.split_at_mut(batch.len());
-                rest = tail;
-                scope.spawn(move || {
-                    for (slot, seg) in head.iter_mut().zip(batch) {
-                        let guard = seg.read();
-                        *slot = Some(f(&guard, guard.segment_id));
-                    }
-                });
-            }
-        });
-        Ok(slots.into_iter().map(|s| s.expect("slot filled")).collect())
+            });
+            any.then_some((seg_id, bm))
+        })?;
+        Ok(per_segment.into_iter().flatten().collect())
     }
 
     /// Evaluate `pred` over every live vertex of `type_id` at `tid` and
     /// produce per-segment validity bitmaps — the pre-filter stage of
-    /// filtered vector search (§5.2). Segments with no qualifying vertex are
-    /// omitted.
+    /// filtered vector search (§5.2). `pred` sees the vertex's attribute row
+    /// in schema order (resolve column indices once, through the type's
+    /// `AttrSchema`, before the scan). Segments with no qualifying vertex
+    /// are omitted.
     pub fn filter_bitmaps(
         &self,
         type_id: u32,
         tid: Tid,
-        pred: impl Fn(VertexId, &dyn Fn(&str) -> Option<AttrValue>) -> bool + Sync,
+        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
     ) -> TvResult<HashMap<SegmentId, Bitmap>> {
-        let store = self.store().vertex_type(type_id)?;
-        let schema = Arc::clone(store.schema());
-        let capacity = store.layout().capacity;
-        let per_segment = self.vertex_action(type_id, |seg, seg_id| {
-            let mut bm = Bitmap::new(capacity);
-            let live = seg.live_bitmap(tid);
-            let mut any = false;
-            for local in live.iter_ones() {
-                let id = VertexId::new(seg_id, LocalId(local as u32));
-                let row = seg.row(local, tid);
-                let get = |name: &str| -> Option<AttrValue> {
-                    let col = schema.index_of(name)?;
-                    row.as_ref().and_then(|r| r.get(col).cloned())
-                };
-                if pred(id, &get) {
-                    bm.set(local, true);
-                    any = true;
-                }
-            }
-            (seg_id, any.then_some(bm))
-        })?;
-        Ok(per_segment
-            .into_iter()
-            .filter_map(|(seg_id, bm)| bm.map(|b| (seg_id, b)))
-            .collect())
+        self.scan_bitmaps(type_id, tid, None, pred)
     }
 
     /// Materialize the vertices of `type_id` satisfying `pred` as a
@@ -106,16 +82,24 @@ impl Graph {
         &self,
         type_id: u32,
         tid: Tid,
-        pred: impl Fn(VertexId, &dyn Fn(&str) -> Option<AttrValue>) -> bool + Sync,
+        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
     ) -> TvResult<VertexSet> {
         let bitmaps = self.filter_bitmaps(type_id, tid, pred)?;
-        let mut set = VertexSet::new();
-        for (seg, bm) in bitmaps {
-            for local in bm.iter_ones() {
-                set.insert(type_id, VertexId::new(seg, LocalId(local as u32)));
-            }
-        }
-        Ok(set)
+        Ok(VertexSet::from_segment_bitmaps(type_id, bitmaps))
+    }
+
+    /// The members of `within` (of type `type_id`) that are live at `tid`
+    /// and satisfy `pred` — the right-hand side of a pattern hop, where the
+    /// candidates are edge targets rather than the whole type.
+    pub fn restrict_vertices(
+        &self,
+        type_id: u32,
+        tid: Tid,
+        within: &VertexSet,
+        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
+    ) -> TvResult<VertexSet> {
+        let bitmaps = self.scan_bitmaps(type_id, tid, Some(within), pred)?;
+        Ok(VertexSet::from_segment_bitmaps(type_id, bitmaps))
     }
 
     /// All live vertices of a type at `tid`.
@@ -158,10 +142,15 @@ impl Graph {
         tid: Tid,
     ) -> TvResult<VertexSet> {
         let store = self.store().vertex_type(from_type)?;
+        // An edge may dangle; a target past the segment capacity cannot name
+        // a vertex of `to_type` at all, and would only size a bitmap.
+        let capacity = self.store().vertex_type(to_type)?.layout().capacity;
         let mut out = VertexSet::new();
         for id in frontier.of_type(from_type) {
             for target in store.edges(id, etype, tid) {
-                out.insert(to_type, target);
+                if (target.local().0 as usize) < capacity {
+                    out.insert(to_type, target);
+                }
             }
         }
         Ok(out)
@@ -226,8 +215,8 @@ mod tests {
         load_people(&g, person, 10);
         let tid = g.read_tid();
         let bitmaps = g
-            .filter_bitmaps(person, tid, |_, get| {
-                get("age").and_then(|v| v.as_int()).is_some_and(|a| a >= 8)
+            .filter_bitmaps(person, tid, |_, row| {
+                row[1].as_int().is_some_and(|a| a >= 8)
             })
             .unwrap();
         // Only ages 8, 9 qualify — both in segment 2.
@@ -241,10 +230,8 @@ mod tests {
         let ids = load_people(&g, person, 6);
         let tid = g.read_tid();
         let evens = g
-            .select_vertices(person, tid, |_, get| {
-                get("age")
-                    .and_then(|v| v.as_int())
-                    .is_some_and(|a| a % 2 == 0)
+            .select_vertices(person, tid, |_, row| {
+                row[1].as_int().is_some_and(|a| a % 2 == 0)
             })
             .unwrap();
         assert_eq!(evens.len(), 3);
@@ -275,6 +262,28 @@ mod tests {
         assert_eq!(hop1.len(), 2);
         let hop2 = g.expand(&hop1, person, knows, person, tid).unwrap();
         assert_eq!(hop2.of_type(person), vec![ids[3]]);
+    }
+
+    #[test]
+    fn expand_drops_targets_no_vertex_can_have() {
+        let (g, person, knows) = graph();
+        let ids = load_people(&g, person, 3);
+        // Edge targets are whatever the writer passed: one past every
+        // segment's capacity, one merely never upserted.
+        let impossible = VertexId::new(SegmentId(0), LocalId(u32::MAX));
+        let dangling = VertexId::new(SegmentId(1), LocalId(3));
+        g.txn()
+            .add_edge(knows, person, ids[0], impossible)
+            .add_edge(knows, person, ids[0], dangling)
+            .add_edge(knows, person, ids[0], ids[2])
+            .commit()
+            .unwrap();
+        let tid = g.read_tid();
+        let frontier = VertexSet::from_iter_typed(person, [ids[0]]);
+        let hop = g.expand(&frontier, person, knows, person, tid).unwrap();
+        assert_eq!(hop.of_type(person), vec![ids[2], dangling]);
+        let live = g.restrict_vertices(person, tid, &hop, |_, _| true).unwrap();
+        assert_eq!(live.of_type(person), vec![ids[2]]);
     }
 
     #[test]

@@ -42,8 +42,3 @@ pub use graph::{Graph, TxnBuilder};
 pub use rbac::{AccessControl, Role};
 pub use schema::{Catalog, EdgeTypeDef, VertexTypeDef};
 pub use vertex_set::VertexSet;
-
-// Property tests need the external `proptest` crate, unavailable in the
-// offline build container; enable with `--features proptests` once vendored.
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

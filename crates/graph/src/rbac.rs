@@ -158,12 +158,19 @@ impl AccessControl {
         if grants.iter().any(|g| g.rule.is_none()) {
             return Ok(None); // unrestricted
         }
-        // Union of all row-restricted grants.
-        let rules: Vec<RowRule> = grants.iter().filter_map(|g| g.rule.clone()).collect();
-        let set = graph.select_vertices(vertex_type, tid, |_, get| {
+        // Union of all row-restricted grants, columns resolved once. A rule
+        // on an attribute the type does not have matches no row.
+        let store = graph.store().vertex_type(vertex_type)?;
+        let schema = store.schema();
+        let rules: Vec<(usize, &AttrValue)> = grants
+            .iter()
+            .filter_map(|g| g.rule.as_ref())
+            .filter_map(|rule| Some((schema.index_of(&rule.attr)?, &rule.value)))
+            .collect();
+        let set = graph.select_vertices(vertex_type, tid, |_, row| {
             rules
                 .iter()
-                .any(|rule| get(&rule.attr).as_ref() == Some(&rule.value))
+                .any(|&(col, value)| row.get(col) == Some(value))
         })?;
         Ok(Some(set))
     }

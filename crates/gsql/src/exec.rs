@@ -7,8 +7,9 @@
 //! (§5.1). Similarity joins enumerate matched paths and keep the global
 //! top-k pairs in a heap accumulator with brute-force distances (§5.4).
 
-use crate::ast::{CmpOp, Expr, Value};
+use crate::ast::{Expr, Value};
 use crate::parser::parse;
+use crate::pred::{constant, Pred};
 use crate::sema::{pushdown_predicates, resolve, QueryKind, Resolved};
 use std::collections::{HashMap, HashSet};
 use tg_graph::accum::PairHeapAccum;
@@ -208,13 +209,10 @@ fn apply_restriction(
 
 fn limit_of(r: &Resolved, params: &Params) -> TvResult<usize> {
     match &r.query.limit {
-        Some(expr) => {
-            let v = eval_const(expr, params)?;
-            match v {
-                Value::Int(n) if n >= 0 => Ok(n as usize),
-                other => Err(TvError::Execution(format!("bad LIMIT {other:?}"))),
-            }
-        }
+        Some(expr) => match constant(expr, params)? {
+            Value::Int(n) if *n >= 0 => Ok(*n as usize),
+            other => Err(TvError::Execution(format!("bad LIMIT {other:?}"))),
+        },
         None => Ok(usize::MAX),
     }
 }
@@ -263,12 +261,16 @@ fn find_range_param(r: &Resolved) -> Option<String> {
 /// expansion. Returns `None` for a node when it is unconstrained (single-
 /// node pattern with no predicate — the pure-search fast path that reuses
 /// the engine's liveness status instead of materializing a bitmap, §5.1).
+///
+/// Each node's predicates are compiled once, before any scan, so a bad
+/// parameter is an error rather than an empty result; the sets stay in
+/// bitmap form from the scan to the index hand-off.
 fn node_candidates(
     graph: &Graph,
     r: &Resolved,
     params: &Params,
     tid: Tid,
-) -> TvResult<Vec<Option<HashSet<VertexId>>>> {
+) -> TvResult<Vec<Option<VertexSet>>> {
     let n = r.query.pattern.nodes.len();
     let (per_node, residual) = pushdown_predicates(r.graph_filter.as_ref(), &r.alias_of, n);
     if !residual.is_empty() && r.kind != QueryKind::SimilarityJoin {
@@ -282,99 +284,51 @@ fn node_candidates(
         return Ok(vec![None]);
     }
 
-    let mut sets: Vec<Option<HashSet<VertexId>>> = vec![None; n];
-    // Node 0: all vertices of the type passing its predicates.
-    sets[0] = Some(materialize(graph, r, params, 0, &per_node[0], None, tid)?);
+    let mut preds: Vec<Vec<Pred>> = Vec::with_capacity(n);
+    for (exprs, &type_id) in per_node.iter().zip(&r.node_types) {
+        let store = graph.store().vertex_type(type_id)?;
+        preds.push(
+            exprs
+                .iter()
+                .map(|e| Pred::compile(e, store.schema(), params))
+                .collect::<TvResult<_>>()?,
+        );
+    }
+    let passes = |node: usize| {
+        let preds = &preds[node];
+        move |_: VertexId, row: &[AttrValue]| preds.iter().all(|p| p.matches(row))
+    };
+
+    let mut sets: Vec<Option<VertexSet>> = vec![None; n];
+    // Node 0: all vertices of the type passing its predicates (VertexAction).
+    sets[0] = Some(graph.select_vertices(r.node_types[0], tid, passes(0))?);
 
     for (i, edge) in r.edges.iter().enumerate() {
         let left = sets[i].as_ref().expect("left set materialized");
-        let right_type = r.node_types[i + 1];
-        let mut right: HashSet<VertexId> = HashSet::new();
-        if edge.forward {
-            // Left is the stored source: expand its out-edges.
-            let store = graph.store().vertex_type(r.node_types[i])?;
-            for &v in left {
-                for t in store.edges(v, edge.etype, tid) {
-                    right.insert(t);
-                }
-            }
-            // Apply the right node's predicates + liveness.
-            right = restrict(graph, r, params, i + 1, &per_node[i + 1], right, tid)?;
+        let (left_type, right_type) = (r.node_types[i], r.node_types[i + 1]);
+        let right = if edge.forward {
+            // Left is the stored source: expand its out-edges, then keep the
+            // targets that are live and pass the right node's predicates.
+            let targets = graph.expand(left, left_type, edge.etype, right_type, tid)?;
+            graph.restrict_vertices(right_type, tid, &targets, passes(i + 1))?
         } else {
             // Right is the stored source: scan right candidates whose
             // out-edges hit the left set.
-            let candidates = materialize(graph, r, params, i + 1, &per_node[i + 1], None, tid)?;
+            let candidates = graph.select_vertices(right_type, tid, passes(i + 1))?;
             let store = graph.store().vertex_type(right_type)?;
-            for v in candidates {
-                if store
-                    .edges(v, edge.etype, tid)
-                    .iter()
-                    .any(|t| left.contains(t))
-                {
-                    right.insert(v);
-                }
-            }
-        }
+            VertexSet::from_iter_typed(
+                right_type,
+                candidates.of_type(right_type).into_iter().filter(|&v| {
+                    store
+                        .edges(v, edge.etype, tid)
+                        .iter()
+                        .any(|&t| left.contains(left_type, t))
+                }),
+            )
+        };
         sets[i + 1] = Some(right);
     }
     Ok(sets)
-}
-
-/// All vertices of node `idx`'s type passing its predicates (VertexAction).
-fn materialize(
-    graph: &Graph,
-    r: &Resolved,
-    params: &Params,
-    idx: usize,
-    preds: &[Expr],
-    within: Option<&HashSet<VertexId>>,
-    tid: Tid,
-) -> TvResult<HashSet<VertexId>> {
-    let type_id = r.node_types[idx];
-    let set = graph.select_vertices(type_id, tid, |id, get| {
-        if let Some(w) = within {
-            if !w.contains(&id) {
-                return false;
-            }
-        }
-        preds
-            .iter()
-            .all(|p| eval_pred(p, get, params).unwrap_or(false))
-    })?;
-    Ok(set.of_type(type_id).into_iter().collect())
-}
-
-/// Keep only members of `ids` that are live and pass `preds`.
-fn restrict(
-    graph: &Graph,
-    r: &Resolved,
-    params: &Params,
-    idx: usize,
-    preds: &[Expr],
-    ids: HashSet<VertexId>,
-    tid: Tid,
-) -> TvResult<HashSet<VertexId>> {
-    let type_id = r.node_types[idx];
-    let store = graph.store().vertex_type(type_id)?;
-    let schema = store.schema().clone();
-    let mut out = HashSet::with_capacity(ids.len());
-    for id in ids {
-        if !store.is_live(id, tid) {
-            continue;
-        }
-        let row = store.row(id, tid);
-        let get = |name: &str| -> Option<AttrValue> {
-            let col = schema.index_of(name)?;
-            row.as_ref().and_then(|r| r.get(col).cloned())
-        };
-        if preds
-            .iter()
-            .all(|p| eval_pred(p, &get, params).unwrap_or(false))
-        {
-            out.insert(id);
-        }
-    }
-    Ok(out)
 }
 
 fn run_topk(
@@ -389,11 +343,8 @@ fn run_topk(
     let (target_node, attr_id) = r.target.expect("topk target");
     let k = limit_of(r, params)?;
     let qv = query_vector(r, params)?;
-    let sets = node_candidates(graph, r, params, tid)?;
-    let candidates = sets[target_node]
-        .as_ref()
-        .map(|ids| VertexSet::from_iter_typed(r.node_types[target_node], ids.iter().copied()));
-    let filter_set = apply_restriction(candidates, restriction);
+    let mut sets = node_candidates(graph, r, params, tid)?;
+    let filter_set = apply_restriction(sets[target_node].take(), restriction);
     // Early out: a filtered search whose candidate set is empty.
     if let Some(fs) = &filter_set {
         if fs.is_empty() {
@@ -431,15 +382,12 @@ fn run_range(
     stats: &mut SearchStats,
 ) -> TvResult<QueryOutput> {
     let (target_node, attr_id) = r.target.expect("range target");
-    let threshold = eval_const(r.range_threshold.as_ref().expect("threshold"), params)?
+    let threshold = constant(r.range_threshold.as_ref().expect("threshold"), params)?
         .as_f64()
         .ok_or_else(|| TvError::Execution("range threshold must be numeric".into()))?;
     let qv = query_vector(r, params)?;
-    let sets = node_candidates(graph, r, params, tid)?;
-    let candidates = sets[target_node]
-        .as_ref()
-        .map(|ids| VertexSet::from_iter_typed(r.node_types[target_node], ids.iter().copied()));
-    let filter_set = apply_restriction(candidates, restriction);
+    let mut sets = node_candidates(graph, r, params, tid)?;
+    let filter_set = apply_restriction(sets[target_node].take(), restriction);
     if let Some(fs) = &filter_set {
         if fs.is_empty() {
             return Ok(QueryOutput::Vertices(Vec::new()));
@@ -472,11 +420,7 @@ fn run_graph_only(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvR
     let node = r.alias_of[sel];
     let type_id = r.node_types[node];
     let ids: Vec<VertexId> = match &sets[node] {
-        Some(ids) => {
-            let mut v: Vec<VertexId> = ids.iter().copied().collect();
-            v.sort_unstable();
-            v
-        }
+        Some(set) => set.of_type(type_id),
         None => graph.all_vertices(type_id, tid)?.of_type(type_id),
     };
     let k = limit_of(r, params)?;
@@ -501,15 +445,11 @@ fn run_join(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<
     // distinct (s, t) pairs. Matched paths are typically sparse (§5.4), so
     // brute force over pairs is the paper's choice too.
     let n = r.query.pattern.nodes.len();
-    let materialized: Vec<Vec<VertexId>> = (0..n)
-        .map(|i| match &sets[i] {
-            Some(ids) => {
-                let mut v: Vec<VertexId> = ids.iter().copied().collect();
-                v.sort_unstable();
-                v
-            }
-            None => Vec::new(),
-        })
+    let sets: Vec<VertexSet> = sets.into_iter().map(Option::unwrap_or_default).collect();
+    let materialized: Vec<Vec<VertexId>> = sets
+        .iter()
+        .zip(&r.node_types)
+        .map(|(set, &t)| set.of_type(t))
         .collect();
 
     let mut pairs: HashSet<(VertexId, VertexId)> = HashSet::new();
@@ -519,6 +459,7 @@ fn run_join(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<
         dfs_pairs(
             graph,
             r,
+            &sets,
             &materialized,
             &mut path,
             0,
@@ -589,7 +530,8 @@ fn run_join(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<
 fn dfs_pairs(
     graph: &Graph,
     r: &Resolved,
-    sets: &[Vec<VertexId>],
+    sets: &[VertexSet],
+    materialized: &[Vec<VertexId>],
     path: &mut Vec<VertexId>,
     edge_idx: usize,
     s_node: usize,
@@ -609,18 +551,18 @@ fn dfs_pairs(
     }
     let edge = r.edges[edge_idx];
     let cur = path[edge_idx];
-    let next_allowed: HashSet<VertexId> = sets[edge_idx + 1].iter().copied().collect();
+    let next_type = r.node_types[edge_idx + 1];
     let nexts: Vec<VertexId> = if edge.forward {
         let store = graph.store().vertex_type(r.node_types[edge_idx])?;
         store
             .edges(cur, edge.etype, tid)
             .into_iter()
-            .filter(|t| next_allowed.contains(t))
+            .filter(|&t| sets[edge_idx + 1].contains(next_type, t))
             .collect()
     } else {
         // Reverse traversal: scan allowed right candidates pointing at cur.
-        let store = graph.store().vertex_type(r.node_types[edge_idx + 1])?;
-        sets[edge_idx + 1]
+        let store = graph.store().vertex_type(next_type)?;
+        materialized[edge_idx + 1]
             .iter()
             .copied()
             .filter(|&v| store.edges(v, edge.etype, tid).contains(&cur))
@@ -632,6 +574,7 @@ fn dfs_pairs(
             graph,
             r,
             sets,
+            materialized,
             path,
             edge_idx + 1,
             s_node,
@@ -644,81 +587,8 @@ fn dfs_pairs(
     Ok(())
 }
 
-/// Evaluate a constant expression (literals and parameters only).
-fn eval_const(expr: &Expr, params: &Params) -> TvResult<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param(p) => params
-            .get(p)
-            .cloned()
-            .ok_or_else(|| TvError::Execution(format!("unbound parameter '${p}'"))),
-        other => Err(TvError::Execution(format!("not a constant: {other:?}"))),
-    }
-}
-
-/// Evaluate a boolean predicate against one vertex's attributes.
-fn eval_pred(
-    expr: &Expr,
-    get: &dyn Fn(&str) -> Option<AttrValue>,
-    params: &Params,
-) -> TvResult<bool> {
-    match expr {
-        Expr::Cmp(l, op, r) => {
-            let lv = eval_scalar(l, get, params)?;
-            let rv = eval_scalar(r, get, params)?;
-            compare(&lv, *op, &rv)
-        }
-        Expr::And(l, r) => Ok(eval_pred(l, get, params)? && eval_pred(r, get, params)?),
-        Expr::Or(l, r) => Ok(eval_pred(l, get, params)? || eval_pred(r, get, params)?),
-        Expr::Not(inner) => Ok(!eval_pred(inner, get, params)?),
-        Expr::Attr(_, name) => match get(name) {
-            Some(AttrValue::Bool(b)) => Ok(b),
-            _ => Ok(false),
-        },
-        other => Err(TvError::Execution(format!("not a predicate: {other:?}"))),
-    }
-}
-
-fn eval_scalar(
-    expr: &Expr,
-    get: &dyn Fn(&str) -> Option<AttrValue>,
-    params: &Params,
-) -> TvResult<Value> {
-    match expr {
-        Expr::Attr(_, name) => match get(name) {
-            Some(AttrValue::Int(i)) => Ok(Value::Int(i)),
-            Some(AttrValue::Double(d)) => Ok(Value::Double(d)),
-            Some(AttrValue::Str(s)) => Ok(Value::Str(s)),
-            Some(AttrValue::Bool(b)) => Ok(Value::Bool(b)),
-            None => Ok(Value::Bool(false)), // missing attr never matches
-        },
-        other => eval_const(other, params),
-    }
-}
-
-fn compare(l: &Value, op: CmpOp, r: &Value) -> TvResult<bool> {
-    use std::cmp::Ordering;
-    let ord: Option<Ordering> = match (l, r) {
-        (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-        (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-        _ => match (l.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b),
-            _ => None,
-        },
-    };
-    let Some(ord) = ord else {
-        // Incomparable types never match (except !=).
-        return Ok(op == CmpOp::Neq);
-    };
-    Ok(match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Neq => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    })
-}
+#[cfg(test)]
+mod candidate_identity;
 
 #[cfg(test)]
 mod tests {
@@ -990,6 +860,45 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TvError::Execution(_)));
+    }
+
+    /// A bad parameter in a pushed-down predicate used to make every row
+    /// "not match" and the query return `Ok` with no rows.
+    #[test]
+    fn bad_parameter_in_a_predicate_is_an_error_not_an_empty_result() {
+        let f = fixture();
+        let mut p = params_with_vec(&f.post_vecs[0]);
+        p.insert("name".into(), Value::Str("Alice".into()));
+        let err_of = |src: &str| match execute(&f.graph, src, &p).unwrap_err() {
+            TvError::Execution(msg) => msg,
+            other => panic!("{src}: expected an execution error, got {other:?}"),
+        };
+        for src in [
+            "SELECT s FROM (s:Post) WHERE s.length < $missing \
+             ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 3",
+            "SELECT s FROM (s:Post) WHERE s.length < $missing",
+            // On the far side of a hop, behind OR, and when no row is scanned.
+            "SELECT t FROM (s:Person) <-[:hasCreator]- (t:Post) \
+             WHERE s.firstName = $name AND (t.length > 0 OR t.length < $missing)",
+            "SELECT t FROM (s:Person) <-[:hasCreator]- (t:Post) \
+             WHERE s.firstName = \"Nobody\" AND t.length < $missing",
+        ] {
+            let msg = err_of(src);
+            assert!(msg.contains("unbound parameter '$missing'"), "{src}: {msg}");
+        }
+        let msg = err_of(
+            "SELECT s FROM (s:Post) WHERE s.length < $qv \
+             ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 3",
+        );
+        assert!(msg.contains("vector"), "{msg}");
+        // The same parameters bound properly: rows again.
+        p.insert("missing".into(), Value::Int(1000));
+        let out = execute(
+            &f.graph,
+            "SELECT s FROM (s:Post) WHERE s.length < $missing",
+            &p,
+        );
+        assert_eq!(out.unwrap().rows().len(), 4);
     }
 
     #[test]

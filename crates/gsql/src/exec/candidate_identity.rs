@@ -1,0 +1,487 @@
+//! Candidate-set identity: the compiled, bitmap-to-bitmap candidate path of
+//! `node_candidates` against a naive reference kept here. The reference never
+//! reads the store: it replays the fixture's own log of committed deltas up
+//! to the read TID into plain maps, then walks every vertex one at a time,
+//! re-interpreting each predicate per row with attributes fetched by name.
+//! The two must agree member for member on a graph whose store is all delta
+//! tail, fully folded, and folded then mutated, at the latest and at every
+//! addressable historical TID.
+
+use super::{apply_restriction, node_candidates, Params};
+use crate::ast::{CmpOp, Expr, Value};
+use crate::parser::parse;
+use crate::sema::{pushdown_predicates, resolve, Resolved};
+use std::collections::{BTreeMap, BTreeSet};
+use tg_graph::{AccessControl, Graph, Role, VertexSet};
+use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta};
+use tv_common::ids::SegmentLayout;
+use tv_common::{DistanceMetric, SplitMix64, Tid, VertexId};
+use tv_embedding::{EmbeddingTypeDef, ServiceConfig};
+
+const DOC: u32 = 0;
+const AUTHOR: u32 = 1;
+const WROTE: u32 = 0;
+const DOCS: usize = 60;
+const AUTHORS: usize = 7;
+
+/// The benchmark's four texts first, then one per predicate shape.
+const TEXTS: &[&str] = &[
+    "SELECT s FROM (s:Doc) WHERE s.bucket < 50 ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 10",
+    "SELECT s FROM (s:Doc) WHERE s.bucket < 10 ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 10",
+    "SELECT s FROM (s:Doc) WHERE s.bucket < 1 ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 10",
+    "SELECT s FROM (a:Author)-[:wrote]->(s:Doc) WHERE a.name = $n \
+     ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 10",
+    "SELECT s FROM (s:Doc) WHERE s.bucket >= 20 AND s.bucket < $hi AND s.title = \"t1\"",
+    "SELECT s FROM (s:Doc) WHERE s.bucket < 5 OR s.title = \"t3\" OR s.score > 0.9",
+    "SELECT s FROM (s:Doc) WHERE NOT (s.bucket < 50 OR s.flag)",
+    "SELECT s FROM (s:Doc) WHERE s.flag",
+    "SELECT s FROM (s:Doc) WHERE NOT s.flag AND s.flag = $yes",
+    // Type mismatches: incomparable operands match only `!=`.
+    "SELECT s FROM (s:Doc) WHERE s.bucket = \"7\"",
+    "SELECT s FROM (s:Doc) WHERE s.title < 3",
+    "SELECT s FROM (s:Doc) WHERE s.title != 3 AND s.flag != 1",
+    "SELECT s FROM (s:Doc) WHERE s.bucket != 7 AND s.score <= $hi",
+    "SELECT s FROM (s:Doc) WHERE 50 > s.bucket AND s.score != s.bucket",
+    "SELECT s FROM (s:Doc) WHERE s.title >= \"t1\" AND s.title <= \"t3\"",
+    // Patterns: forward with predicates on both ends, reverse, two hops.
+    "SELECT s FROM (a:Author)-[:wrote]->(s:Doc) WHERE a.name != $n AND s.bucket < 50",
+    "SELECT a FROM (s:Doc)<-[:wrote]-(a:Author) WHERE s.bucket < 10",
+    "SELECT a FROM (s:Doc)<-[:wrote]-(a:Author) WHERE s.flag AND a.name > \"a2\"",
+    "SELECT t FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) WHERE s.bucket < 3 AND t.flag",
+];
+
+fn params() -> Params {
+    let mut p = Params::new();
+    p.insert("qv".into(), Value::Vector(vec![0.5; 4]));
+    p.insert("n".into(), Value::Str("a3".into()));
+    p.insert("hi".into(), Value::Int(70));
+    p.insert("yes".into(), Value::Bool(true));
+    p
+}
+
+fn doc_row(rng: &mut SplitMix64, i: usize) -> Vec<AttrValue> {
+    vec![
+        AttrValue::Int(rng.next_below(100) as i64),
+        AttrValue::Bool(rng.next_below(2) == 0),
+        AttrValue::Str(format!("t{}", i % 5)),
+        AttrValue::Double(rng.next_f64()),
+    ]
+}
+
+struct Fixture {
+    graph: Graph,
+    docs: Vec<VertexId>,
+    authors: Vec<VertexId>,
+    rng: SplitMix64,
+    /// Every committed graph delta with its TID and vertex type — all the
+    /// reference knows about the graph.
+    log: Vec<(Tid, u32, GraphDelta)>,
+}
+
+impl Fixture {
+    /// Commit `deltas` as one transaction (a doc upsert also gets a vector)
+    /// and log them.
+    fn commit(&mut self, deltas: Vec<(u32, GraphDelta)>) {
+        let mut txn = self.graph.txn();
+        for (t, delta) in deltas.iter().cloned() {
+            txn = match delta {
+                GraphDelta::UpsertVertex { id, attrs } if t == DOC => txn
+                    .upsert_vertex(t, id, attrs)
+                    .set_vector(0, id, vec![self.rng.next_f32(); 4]),
+                GraphDelta::UpsertVertex { id, attrs } => txn.upsert_vertex(t, id, attrs),
+                GraphDelta::DeleteVertex { id } => txn.delete_vertex(t, id),
+                GraphDelta::SetAttr { id, col, value } => txn.set_attr(t, id, col, value),
+                GraphDelta::AddEdge { etype, from, to } => txn.add_edge(etype, t, from, to),
+                GraphDelta::RemoveEdge { etype, from, to } => txn.remove_edge(etype, t, from, to),
+            };
+        }
+        let tid = txn.commit().unwrap();
+        self.log
+            .extend(deltas.into_iter().map(|(t, delta)| (tid, t, delta)));
+    }
+}
+
+fn upsert(t: u32, id: VertexId, attrs: Vec<AttrValue>) -> (u32, GraphDelta) {
+    (t, GraphDelta::UpsertVertex { id, attrs })
+}
+
+fn set_attr(t: u32, id: VertexId, col: usize, value: AttrValue) -> (u32, GraphDelta) {
+    (t, GraphDelta::SetAttr { id, col, value })
+}
+
+fn wrote(from: VertexId, to: VertexId, add: bool) -> (u32, GraphDelta) {
+    let etype = WROTE;
+    let delta = if add {
+        GraphDelta::AddEdge { etype, from, to }
+    } else {
+        GraphDelta::RemoveEdge { etype, from, to }
+    };
+    (AUTHOR, delta)
+}
+
+/// `Doc(bucket, flag, title, score)` over four segments, `Author(name)`,
+/// `wrote: Author -> Doc`; loaded in several transactions so that historical
+/// TIDs see partial graphs. The last two docs are allocated and pointed at
+/// but never upserted: a hop must drop them on liveness alone.
+fn fixture() -> Fixture {
+    let graph = Graph::with_config(
+        SegmentLayout::with_capacity(16),
+        ServiceConfig {
+            planner: tv_common::PlannerConfig::default().with_brute_threshold(2),
+            query_threads: 2,
+            default_ef: 64,
+            build_threads: 1,
+        },
+    );
+    graph
+        .create_vertex_type(
+            "Doc",
+            &[
+                ("bucket", AttrType::Int),
+                ("flag", AttrType::Bool),
+                ("title", AttrType::Str),
+                ("score", AttrType::Double),
+            ],
+        )
+        .unwrap();
+    graph
+        .create_vertex_type("Author", &[("name", AttrType::Str)])
+        .unwrap();
+    graph.create_edge_type("wrote", "Author", "Doc").unwrap();
+    graph
+        .add_embedding_attribute(
+            "Doc",
+            EmbeddingTypeDef::new("emb", 4, "M", DistanceMetric::L2),
+        )
+        .unwrap();
+    let docs = graph.allocate_many(DOC, DOCS + 2).unwrap();
+    let authors = graph.allocate_many(AUTHOR, AUTHORS).unwrap();
+    let mut f = Fixture {
+        graph,
+        docs,
+        authors,
+        rng: SplitMix64::new(0xCA9D),
+        log: Vec::new(),
+    };
+    let names = (0..AUTHORS).map(|i| AttrValue::Str(format!("a{i}")));
+    f.commit(
+        f.authors
+            .iter()
+            .zip(names)
+            .map(|(&a, name)| upsert(AUTHOR, a, vec![name]))
+            .collect(),
+    );
+    for chunk in 0..4 {
+        let mut deltas = Vec::new();
+        for i in chunk * 15..(chunk + 1) * 15 {
+            deltas.push(upsert(DOC, f.docs[i], doc_row(&mut f.rng, i)));
+            deltas.push(wrote(f.authors[i % AUTHORS], f.docs[i], true));
+        }
+        f.commit(deltas);
+    }
+    f.commit(vec![
+        wrote(f.authors[3], f.docs[DOCS], true),
+        wrote(f.authors[0], f.docs[DOCS + 1], true),
+    ]);
+    f
+}
+
+impl Fixture {
+    /// SetAttr on every column kind, deletes, a re-upsert of a deleted doc,
+    /// a first upsert of a dangling target, and edge churn — each its own
+    /// transaction, so each is a historical TID.
+    fn mutate(&mut self) {
+        let (docs, authors) = (self.docs.clone(), self.authors.clone());
+        for i in [1, 17, 33, 49] {
+            let bucket = AttrValue::Int(self.rng.next_below(100) as i64);
+            self.commit(vec![set_attr(DOC, docs[i], 0, bucket)]);
+            self.commit(vec![
+                set_attr(DOC, docs[i + 1], 1, AttrValue::Bool(i % 2 == 0)),
+                set_attr(DOC, docs[i + 1], 2, AttrValue::Str("t1".into())),
+            ]);
+        }
+        for i in [0, 16, 34, 59] {
+            self.commit(vec![(DOC, GraphDelta::DeleteVertex { id: docs[i] })]);
+        }
+        self.commit(vec![(AUTHOR, GraphDelta::DeleteVertex { id: authors[5] })]);
+        let row = doc_row(&mut self.rng, 16);
+        self.commit(vec![
+            upsert(DOC, docs[16], row),
+            wrote(authors[2], docs[16], true),
+        ]);
+        let row = doc_row(&mut self.rng, DOCS);
+        self.commit(vec![upsert(DOC, docs[DOCS], row)]);
+        self.commit(vec![
+            wrote(authors[3], docs[3], false),
+            wrote(authors[3], docs[4], true),
+        ]);
+        self.commit(vec![set_attr(
+            AUTHOR,
+            authors[3],
+            0,
+            AttrValue::Str("a9".into()),
+        )]);
+    }
+
+    /// The graph at `tid` according to the log alone.
+    fn model_at(&self, tid: Tid) -> Model {
+        let mut m = Model::default();
+        for (_, t, delta) in self.log.iter().filter(|(at, ..)| *at <= tid) {
+            let key = (*t, delta.home_vertex());
+            match delta {
+                GraphDelta::UpsertVertex { attrs, .. } => {
+                    m.rows.insert(key, attrs.clone());
+                }
+                GraphDelta::DeleteVertex { .. } => {
+                    m.rows.remove(&key);
+                    m.edges.retain(|&(from, _), _| from != key);
+                }
+                GraphDelta::SetAttr { col, value, .. } => {
+                    if let Some(slot) = m.rows.get_mut(&key).and_then(|r| r.get_mut(*col)) {
+                        *slot = value.clone();
+                    }
+                }
+                GraphDelta::AddEdge { etype, to, .. } => {
+                    let list = m.edges.entry((key, *etype)).or_default();
+                    if !list.contains(to) {
+                        list.push(*to);
+                    }
+                }
+                GraphDelta::RemoveEdge { etype, to, .. } => {
+                    if let Some(list) = m.edges.get_mut(&(key, *etype)) {
+                        list.retain(|t| t != to);
+                    }
+                }
+            }
+        }
+        m
+    }
+}
+
+/// Live rows and out-edges, keyed by (vertex type, id).
+#[derive(Default)]
+struct Model {
+    rows: BTreeMap<(u32, VertexId), Vec<AttrValue>>,
+    edges: BTreeMap<((u32, VertexId), u32), Vec<VertexId>>,
+}
+
+// ---- the reference: interpreted, by name, one point read at a time --------
+
+fn ref_scalar(e: &Expr, get: &dyn Fn(&str) -> Option<AttrValue>, params: &Params) -> Value {
+    match e {
+        Expr::Attr(_, name) => match get(name) {
+            Some(AttrValue::Int(i)) => Value::Int(i),
+            Some(AttrValue::Double(d)) => Value::Double(d),
+            Some(AttrValue::Str(s)) => Value::Str(s),
+            Some(AttrValue::Bool(b)) => Value::Bool(b),
+            None => Value::Bool(false),
+        },
+        Expr::Literal(v) => v.clone(),
+        Expr::Param(p) => params[p].clone(),
+        other => panic!("not a scalar: {other:?}"),
+    }
+}
+
+fn ref_pred(e: &Expr, get: &dyn Fn(&str) -> Option<AttrValue>, params: &Params) -> bool {
+    use std::cmp::Ordering;
+    match e {
+        Expr::Cmp(l, op, r) => {
+            let (l, r) = (ref_scalar(l, get, params), ref_scalar(r, get, params));
+            let ord = match (&l, &r) {
+                (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+                (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+                _ => match (l.as_f64(), r.as_f64()) {
+                    (Some(a), Some(b)) => a.partial_cmp(&b),
+                    _ => None,
+                },
+            };
+            match (ord, op) {
+                (None, op) => *op == CmpOp::Neq,
+                (Some(o), CmpOp::Eq) => o == Ordering::Equal,
+                (Some(o), CmpOp::Neq) => o != Ordering::Equal,
+                (Some(o), CmpOp::Lt) => o == Ordering::Less,
+                (Some(o), CmpOp::Le) => o != Ordering::Greater,
+                (Some(o), CmpOp::Gt) => o == Ordering::Greater,
+                (Some(o), CmpOp::Ge) => o != Ordering::Less,
+            }
+        }
+        Expr::And(l, r) => ref_pred(l, get, params) && ref_pred(r, get, params),
+        Expr::Or(l, r) => ref_pred(l, get, params) || ref_pred(r, get, params),
+        Expr::Not(inner) => !ref_pred(inner, get, params),
+        Expr::Attr(_, name) => matches!(get(name), Some(AttrValue::Bool(true))),
+        other => panic!("not a predicate: {other:?}"),
+    }
+}
+
+/// Every vertex of `type_id` in the model that passes `preds`.
+fn ref_select(
+    m: &Model,
+    schema: &AttrSchema,
+    type_id: u32,
+    preds: &[Expr],
+    params: &Params,
+) -> BTreeSet<VertexId> {
+    m.rows
+        .iter()
+        .filter(|((t, _), _)| *t == type_id)
+        .filter(|(_, row)| {
+            let get = |name: &str| row.get(schema.index_of(name)?).cloned();
+            preds.iter().all(|p| ref_pred(p, &get, params))
+        })
+        .map(|(&(_, id), _)| id)
+        .collect()
+}
+
+fn reference(
+    g: &Graph,
+    m: &Model,
+    r: &Resolved,
+    params: &Params,
+) -> Vec<Option<BTreeSet<VertexId>>> {
+    let n = r.node_types.len();
+    let (per_node, residual) = pushdown_predicates(r.graph_filter.as_ref(), &r.alias_of, n);
+    assert!(residual.is_empty());
+    if n == 1 && per_node[0].is_empty() {
+        return vec![None];
+    }
+    let select = |node: usize| {
+        let t = r.node_types[node];
+        let schema = g.catalog().vertex_type_by_id(t).unwrap().schema.clone();
+        ref_select(m, &schema, t, &per_node[node], params)
+    };
+    let mut sets = vec![select(0)];
+    for (i, edge) in r.edges.iter().enumerate() {
+        let passing = select(i + 1);
+        let source_type = r.node_types[if edge.forward { i } else { i + 1 }];
+        let out = |v: VertexId| {
+            let list = m.edges.get(&((source_type, v), edge.etype));
+            list.cloned().unwrap_or_default()
+        };
+        let right = if edge.forward {
+            let targets: BTreeSet<VertexId> = sets[i].iter().flat_map(|&v| out(v)).collect();
+            targets.intersection(&passing).copied().collect()
+        } else {
+            passing
+                .into_iter()
+                .filter(|&v| out(v).iter().any(|t| sets[i].contains(t)))
+                .collect()
+        };
+        sets.push(right);
+    }
+    sets.into_iter().map(Some).collect()
+}
+
+fn members(set: &VertexSet, type_id: u32) -> BTreeSet<VertexId> {
+    assert_eq!(
+        set.types(),
+        if set.is_empty() {
+            vec![]
+        } else {
+            vec![type_id]
+        }
+    );
+    set.of_type(type_id).into_iter().collect()
+}
+
+fn assert_identical(f: &Fixture, r: &Resolved, params: &Params, tid: Tid, what: &str) {
+    let got = node_candidates(&f.graph, r, params, tid).unwrap();
+    let want = reference(&f.graph, &f.model_at(tid), r, params);
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (node, (got, want)) in got.iter().zip(&want).enumerate() {
+        let got = got.as_ref().map(|s| members(s, r.node_types[node]));
+        assert_eq!(&got, want, "{what}: node {node} at {tid}");
+    }
+}
+
+/// Every text, plus the shapes the parser cannot produce, at each TID.
+fn check_all(f: &Fixture, tids: std::ops::RangeInclusive<u64>, state: &str) {
+    let g = &f.graph;
+    let params = params();
+    for text in TEXTS {
+        let r = resolve(g, parse(text).unwrap()).unwrap();
+        for t in tids.clone() {
+            assert_identical(f, &r, &params, Tid(t), &format!("{state}: {text}"));
+        }
+    }
+    // An attribute the type does not have (sema rejects it in a query text,
+    // a stale plan need not): it reads as `Bool(false)`, so it never matches
+    // a comparison except `!=` against another type — and `= FALSE`.
+    let mut r = resolve(g, parse(TEXTS[0]).unwrap()).unwrap();
+    let missing = || Box::new(Expr::Attr("s".into(), "no_such".into()));
+    let lit = |v: Value| Box::new(Expr::Literal(v));
+    for filter in [
+        Expr::Cmp(missing(), CmpOp::Lt, lit(Value::Int(50))),
+        Expr::Cmp(missing(), CmpOp::Neq, lit(Value::Int(50))),
+        Expr::Cmp(missing(), CmpOp::Eq, lit(Value::Bool(false))),
+        Expr::Or(missing(), Box::new(Expr::Not(missing()))),
+    ] {
+        r.graph_filter = Some(filter.clone());
+        for t in tids.clone() {
+            assert_identical(f, &r, &params, Tid(t), &format!("{state}: {filter:?}"));
+        }
+    }
+    // Unconstrained single node: no candidate set at all.
+    let pure = "SELECT s FROM (s:Doc) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 10";
+    let r = resolve(g, parse(pure).unwrap()).unwrap();
+    assert_eq!(
+        node_candidates(g, &r, &params, g.read_tid()).unwrap(),
+        vec![None]
+    );
+
+    // Row security: the authorized set, and its intersection with a query's
+    // candidates, against the same one-row-at-a-time reference.
+    let acl = AccessControl::new();
+    acl.define_role(
+        "t1-or-flagged",
+        Role::default()
+            .allow_rows(DOC, "title", AttrValue::Str("t1".into()))
+            .allow_rows(DOC, "flag", AttrValue::Bool(true))
+            .allow_rows(DOC, "no_such", AttrValue::Int(1)),
+    );
+    acl.assign("u", "t1-or-flagged").unwrap();
+    let rule = parse("SELECT s FROM (s:Doc) WHERE s.title = \"t1\" OR s.flag").unwrap();
+    let rule = [rule.where_clause.unwrap()];
+    let r = resolve(g, parse(TEXTS[0]).unwrap()).unwrap();
+    let schema = g.catalog().vertex_type_by_id(DOC).unwrap().schema.clone();
+    for t in tids {
+        let tid = Tid(t);
+        let model = f.model_at(tid);
+        let authorized = acl.authorized_vertices(g, "u", DOC, tid).unwrap();
+        let want_auth = ref_select(&model, &schema, DOC, &rule, &params);
+        let got_auth = members(authorized.as_ref().unwrap(), DOC);
+        assert_eq!(got_auth, want_auth, "{state}: authorized at {tid}");
+        let candidates = node_candidates(g, &r, &params, tid).unwrap().remove(0);
+        let got = apply_restriction(candidates, authorized.as_ref()).unwrap();
+        let want = reference(g, &model, &r, &params).remove(0).unwrap();
+        assert_eq!(
+            members(&got, DOC),
+            want.intersection(&want_auth).copied().collect(),
+            "{state}: restricted at {tid}"
+        );
+    }
+}
+
+#[test]
+fn candidates_match_reference_on_tail_folded_and_mutated_stores() {
+    let mut f = fixture();
+    let loaded = f.graph.read_tid().0;
+    let pending = |g: &Graph| -> usize {
+        [DOC, AUTHOR]
+            .iter()
+            .flat_map(|&t| g.store().vertex_type(t).unwrap().all_segments())
+            .map(|s| s.read().pending_deltas())
+            .sum()
+    };
+    // (a) As loaded: nothing folds the graph store, every row is in the tail.
+    assert!(pending(&f.graph) >= DOCS + AUTHORS);
+    check_all(&f, 0..=loaded, "all tail");
+    // (b) Fully folded: only the fold point is addressable.
+    f.graph.store().vacuum();
+    assert_eq!(pending(&f.graph), 0);
+    check_all(&f, loaded..=loaded, "folded");
+    // (c) Folded, then mutated: snapshot rows under a fresh tail.
+    f.mutate();
+    let latest = f.graph.read_tid().0;
+    assert!(latest > loaded + 10 && pending(&f.graph) > 0);
+    check_all(&f, loaded..=latest, "folded then mutated");
+}

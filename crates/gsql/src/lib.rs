@@ -43,6 +43,7 @@ pub mod exec;
 pub mod func;
 pub mod parser;
 pub mod plan;
+mod pred;
 pub mod sema;
 pub mod token;
 

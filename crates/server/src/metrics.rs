@@ -244,6 +244,7 @@ pub struct DurabilityMetrics {
     last_checkpoint_files: AtomicU64,
     wal_records_kept: AtomicU64,
     checkpoint_latency: LatencyHistogram,
+    graph_store_tail: AtomicU64,
 }
 
 impl DurabilityMetrics {
@@ -257,6 +258,14 @@ impl DurabilityMetrics {
         self.wal_records_kept
             .store(wal_kept as u64, Ordering::Relaxed);
         self.checkpoint_latency.record(elapsed);
+    }
+
+    /// Gauge: pending graph-store deltas (summed `SegmentStore`
+    /// `pending_deltas`) as of the latest metrics snapshot. Nothing in the
+    /// serving path folds the graph store, so this grows with every write.
+    pub fn set_graph_store_tail(&self, pending: usize) {
+        self.graph_store_tail
+            .store(pending as u64, Ordering::Relaxed);
     }
 
     /// A checkpoint attempt failed.
@@ -307,6 +316,10 @@ impl DurabilityMetrics {
         m.insert(
             "checkpoint_mean_ms".into(),
             ms(self.checkpoint_latency.mean()).into(),
+        );
+        m.insert(
+            "graph_store_tail".into(),
+            self.graph_store_tail.load(Ordering::Relaxed).into(),
         );
         serde_json::Value::Object(m)
     }

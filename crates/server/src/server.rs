@@ -122,9 +122,13 @@ impl Server {
         self.sessions.active()
     }
 
-    /// JSON snapshot of all per-tenant metrics.
+    /// JSON snapshot of all per-tenant metrics, with the graph store's
+    /// delta-tail gauge (`__durability__.graph_store_tail`) read now.
     #[must_use]
     pub fn metrics_json(&self) -> serde_json::Value {
+        self.metrics
+            .durability()
+            .set_graph_store_tail(self.graph.store().pending_deltas());
         self.metrics.snapshot()
     }
 

@@ -449,6 +449,10 @@ fn server_checkpoint_and_recovery_serving_continuity() {
         let dur = snap.get("__durability__").unwrap();
         assert_eq!(dur.get("checkpoints").unwrap().as_u64(), Some(1));
         assert_eq!(dur.get("last_checkpoint_tid").unwrap().as_u64(), Some(1));
+        // Neither serving nor the checkpoint folds the graph store: every
+        // upsert is still a pending delta, and the gauge says so.
+        let tail = dur.get("graph_store_tail").unwrap().as_u64();
+        assert_eq!(tail, Some(DOCS as u64));
     }
     // A fresh process recovers from the checkpoint and serves the same
     // results.

@@ -34,7 +34,5 @@ pub use txn::{Transaction, TxnManager};
 pub use value::{AttrSchema, AttrType, AttrValue};
 pub use wal::{Wal, WalRecord};
 
-// Property tests need the external `proptest` crate, unavailable in the
-// offline build container; enable with `--features proptests` once vendored.
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;
+#[cfg(test)]
+mod model_check;

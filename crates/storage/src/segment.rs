@@ -2,9 +2,10 @@
 //!
 //! A [`SegmentStore`] owns one segment's state as an immutable
 //! [`SegmentSnapshot`] (valid up to some TID) plus an ordered list of newer
-//! committed deltas. Readers at TID `t` see the snapshot corrected by the
-//! deltas with `tid <= t`; the vacuum folds deltas into a fresh snapshot and
-//! atomically swaps it in (§4.3). Snapshots are kept behind `Arc` so queries
+//! committed deltas, indexed per vertex. Readers at TID `t` see the snapshot
+//! corrected by the deltas with `tid <= t`, found by following the vertex's
+//! own chain through the list; the vacuum folds deltas into a fresh snapshot
+//! and atomically swaps it in (§4.3). Snapshots are kept behind `Arc` so queries
 //! running against an old snapshot stay valid during a swap — the multi-
 //! version behaviour the paper describes for vertex segments (§4.2).
 
@@ -67,6 +68,14 @@ impl SegmentSnapshot {
     #[must_use]
     pub fn edges(&self) -> &HashMap<u32, Vec<Vec<VertexId>>> {
         &self.edges
+    }
+
+    /// The attribute row of `local` if it is live in this image.
+    fn row(&self, local: usize) -> Option<&[AttrValue]> {
+        match self.live.get(local) {
+            Some(true) => Some(&self.attrs[local]),
+            _ => None,
+        }
     }
 
     /// Rebuild a snapshot from its serialized parts, validating structural
@@ -142,7 +151,18 @@ impl SegmentSnapshot {
     }
 }
 
+/// "No delta" in the per-local chain links.
+const NO_DELTA: u32 = u32::MAX;
+
 /// One segment's mutable store: current snapshot + newer committed deltas.
+///
+/// The pending deltas are one TID-ordered log (what WAL replay, `image_at`,
+/// checkpoints and `vacuum` read) with a per-local chain threaded through
+/// it: `last[local]` is the newest pending delta homed at `local`, and
+/// `prev[i]` the one before delta `i` on the same local. Every read resolves
+/// a local through its own chain, so a point read costs that local's pending
+/// history and a whole-segment scan touches each pending delta at most once
+/// — neither rescans the log.
 pub struct SegmentStore {
     /// This segment's id.
     pub segment_id: SegmentId,
@@ -150,6 +170,10 @@ pub struct SegmentStore {
     snapshot: Arc<SegmentSnapshot>,
     /// Committed deltas newer than the snapshot, in commit (TID) order.
     deltas: Vec<(Tid, GraphDelta)>,
+    /// Parallel to `deltas`: the previous pending delta of the same local.
+    prev: Vec<u32>,
+    /// Per local id: its newest pending delta.
+    last: Vec<u32>,
 }
 
 impl SegmentStore {
@@ -161,6 +185,8 @@ impl SegmentStore {
             schema,
             snapshot: Arc::new(SegmentSnapshot::empty(capacity)),
             deltas: Vec::new(),
+            prev: Vec::new(),
+            last: vec![NO_DELTA; capacity],
         }
     }
 
@@ -212,124 +238,170 @@ impl SegmentStore {
                 self.capacity()
             )));
         }
+        let at = u32::try_from(self.deltas.len())
+            .ok()
+            .filter(|&at| at != NO_DELTA)
+            .ok_or_else(|| {
+                TvError::Storage(format!("segment {} delta tail is full", self.segment_id))
+            })?;
+        self.prev.push(std::mem::replace(&mut self.last[local], at));
         self.deltas.push((tid, delta));
         Ok(())
+    }
+
+    /// Rebuild the per-local chains after the log was cut.
+    fn reindex(&mut self) {
+        self.last.fill(NO_DELTA);
+        self.prev.clear();
+        for (at, (_, delta)) in self.deltas.iter().enumerate() {
+            let local = delta.home_vertex().local().0 as usize;
+            self.prev
+                .push(std::mem::replace(&mut self.last[local], at as u32));
+        }
+    }
+
+    /// The pending deltas homed at `local` that are visible at `read_tid`,
+    /// newest first. Every read of the log below goes through here.
+    fn chain(&self, local: usize, read_tid: Tid) -> impl Iterator<Item = &GraphDelta> + '_ {
+        let mut at = self.last.get(local).copied().unwrap_or(NO_DELTA);
+        std::iter::from_fn(move || {
+            while at != NO_DELTA {
+                #[cfg(test)]
+                probe::record(at);
+                let (tid, delta) = &self.deltas[at as usize];
+                at = self.prev[at as usize];
+                if *tid <= read_tid {
+                    return Some(delta);
+                }
+            }
+            None
+        })
+    }
+
+    /// The attribute row of `local` as of `read_tid`, `None` when it is not
+    /// live. The row is borrowed from the snapshot or from the upsert that
+    /// wrote it; only a row with `SetAttr`s on top is assembled, in `buf`.
+    /// `sets` is scratch the caller keeps across calls.
+    fn resolve<'s: 'b, 'b>(
+        &'s self,
+        local: usize,
+        read_tid: Tid,
+        sets: &mut Vec<(usize, &'s AttrValue)>,
+        buf: &'b mut Vec<AttrValue>,
+    ) -> Option<&'b [AttrValue]> {
+        sets.clear();
+        let reset = self.chain(local, read_tid).find_map(|d| match d {
+            GraphDelta::UpsertVertex { attrs, .. } => Some(Some(attrs.as_slice())),
+            GraphDelta::DeleteVertex { .. } => Some(None),
+            GraphDelta::SetAttr { col, value, .. } => {
+                sets.push((*col, value));
+                None
+            }
+            GraphDelta::AddEdge { .. } | GraphDelta::RemoveEdge { .. } => None,
+        });
+        let base = match reset {
+            Some(row) => row,
+            None => self.snapshot.row(local),
+        }?;
+        if sets.is_empty() {
+            return Some(base);
+        }
+        buf.clear();
+        buf.extend_from_slice(base);
+        for (col, value) in sets.drain(..).rev() {
+            if let Some(slot) = buf.get_mut(col) {
+                slot.clone_from(value);
+            }
+        }
+        Some(buf)
+    }
+
+    /// Visit every vertex live at `read_tid` in ascending local order with
+    /// its attribute row (empty for a type without attributes) — the scan
+    /// under `VertexAction` predicates. With `within`, only the locals whose
+    /// bit is set are looked at. Rows are borrowed from the snapshot or the
+    /// upsert that wrote them; nothing is allocated per row.
+    pub fn for_each_live_row(
+        &self,
+        read_tid: Tid,
+        within: Option<&Bitmap>,
+        mut f: impl FnMut(usize, &[AttrValue]),
+    ) {
+        let capacity = self.capacity();
+        let (mut sets, mut buf) = (Vec::new(), Vec::new());
+        let mut visit = |local: usize| {
+            if let Some(row) = self.resolve(local, read_tid, &mut sets, &mut buf) {
+                f(local, row);
+            }
+        };
+        match within {
+            None => (0..capacity).for_each(&mut visit),
+            Some(bm) => bm
+                .iter_ones()
+                .take_while(|&local| local < capacity)
+                .for_each(&mut visit),
+        }
     }
 
     /// Whether `local` is live as of `read_tid`.
     #[must_use]
     pub fn is_live(&self, local: usize, read_tid: Tid) -> bool {
-        let mut live = self.snapshot.live.get(local).copied().unwrap_or(false);
-        for (tid, d) in &self.deltas {
-            if *tid > read_tid {
-                break;
-            }
-            match d {
-                GraphDelta::UpsertVertex { id, .. } if id.local().0 as usize == local => {
-                    live = true;
-                }
-                GraphDelta::DeleteVertex { id } if id.local().0 as usize == local => {
-                    live = false;
-                }
-                _ => {}
-            }
-        }
-        live
+        self.chain(local, read_tid)
+            .find_map(|d| match d {
+                GraphDelta::UpsertVertex { .. } => Some(true),
+                GraphDelta::DeleteVertex { .. } => Some(false),
+                _ => None,
+            })
+            .unwrap_or_else(|| self.snapshot.live.get(local).copied().unwrap_or(false))
     }
 
     /// Attribute `col` of `local` as of `read_tid`.
     #[must_use]
     pub fn attr(&self, local: usize, col: usize, read_tid: Tid) -> Option<AttrValue> {
-        if !self.is_live(local, read_tid) {
-            return None;
-        }
-        let mut value = self.snapshot.attrs.get(local)?.get(col).cloned();
-        for (tid, d) in &self.deltas {
-            if *tid > read_tid {
-                break;
-            }
-            match d {
-                GraphDelta::UpsertVertex { id, attrs } if id.local().0 as usize == local => {
-                    value = attrs.get(col).cloned();
-                }
-                GraphDelta::SetAttr {
-                    id,
-                    col: c,
-                    value: v,
-                } if id.local().0 as usize == local && *c == col => {
-                    value = Some(v.clone());
-                }
-                GraphDelta::DeleteVertex { id } if id.local().0 as usize == local => {
-                    value = None;
-                }
-                _ => {}
-            }
-        }
-        value
+        self.resolve(local, read_tid, &mut Vec::new(), &mut Vec::new())
+            .and_then(|row| row.get(col).cloned())
     }
 
     /// Full attribute row of `local` as of `read_tid`.
     #[must_use]
     pub fn row(&self, local: usize, read_tid: Tid) -> Option<Vec<AttrValue>> {
-        if !self.is_live(local, read_tid) {
-            return None;
-        }
-        let mut row = self.snapshot.attrs.get(local)?.clone();
-        for (tid, d) in &self.deltas {
-            if *tid > read_tid {
-                break;
-            }
-            match d {
-                GraphDelta::UpsertVertex { id, attrs } if id.local().0 as usize == local => {
-                    row = attrs.clone();
-                }
-                GraphDelta::SetAttr { id, col, value }
-                    if id.local().0 as usize == local && *col < row.len() =>
-                {
-                    row[*col] = value.clone();
-                }
-                GraphDelta::DeleteVertex { id } if id.local().0 as usize == local => {
-                    row.clear();
-                }
-                _ => {}
-            }
-        }
-        if row.is_empty() {
-            None
-        } else {
-            Some(row)
-        }
+        self.resolve(local, read_tid, &mut Vec::new(), &mut Vec::new())
+            .filter(|row| !row.is_empty())
+            .map(<[AttrValue]>::to_vec)
     }
 
     /// Outgoing edges of `local` under `etype` as of `read_tid`.
     #[must_use]
     pub fn edges(&self, local: usize, etype: u32, read_tid: Tid) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .snapshot
-            .edges
-            .get(&etype)
-            .and_then(|per_local| per_local.get(local))
-            .cloned()
-            .unwrap_or_default();
-        for (tid, d) in &self.deltas {
-            if *tid > read_tid {
-                break;
+        // Newest first, down to the delete that cleared the list (if any).
+        let mut ops: Vec<(bool, VertexId)> = Vec::new();
+        let cleared = self.chain(local, read_tid).any(|d| match d {
+            GraphDelta::AddEdge { etype: e, to, .. } if *e == etype => {
+                ops.push((true, *to));
+                false
             }
-            match d {
-                GraphDelta::AddEdge { etype: e, from, to }
-                    if *e == etype && from.local().0 as usize == local && !out.contains(to) =>
-                {
-                    out.push(*to);
-                }
-                GraphDelta::RemoveEdge { etype: e, from, to }
-                    if *e == etype && from.local().0 as usize == local =>
-                {
-                    out.retain(|t| t != to);
-                }
-                GraphDelta::DeleteVertex { id } if id.local().0 as usize == local => {
-                    out.clear();
-                }
-                _ => {}
+            GraphDelta::RemoveEdge { etype: e, to, .. } if *e == etype => {
+                ops.push((false, *to));
+                false
+            }
+            GraphDelta::DeleteVertex { .. } => true,
+            _ => false,
+        });
+        let mut out: Vec<VertexId> = if cleared {
+            Vec::new()
+        } else {
+            self.snapshot
+                .edges
+                .get(&etype)
+                .and_then(|per_local| per_local.get(local))
+                .cloned()
+                .unwrap_or_default()
+        };
+        for (add, to) in ops.into_iter().rev() {
+            if !add {
+                out.retain(|t| *t != to);
+            } else if !out.contains(&to) {
+                out.push(to);
             }
         }
         out
@@ -382,7 +454,7 @@ impl SegmentStore {
 
     /// Install a checkpoint image as this segment's snapshot. Only legal on
     /// a freshly-created segment (recovery restores images before replaying
-    /// the WAL tail, so no deltas can exist yet).
+    /// the WAL tail, so no deltas can exist yet — and hence no chains).
     pub fn restore(&mut self, snapshot: SegmentSnapshot) -> TvResult<()> {
         if !self.deltas.is_empty() {
             return Err(TvError::Storage(format!(
@@ -422,7 +494,30 @@ impl SegmentStore {
             snap.up_to = up_to;
         }
         self.snapshot = Arc::new(snap);
+        self.reindex();
         split
+    }
+}
+
+/// Test-only record of which pending deltas the read path looked at, so the
+/// cost model (a scan reads each delta at most once, a point read only its
+/// own local's) is asserted as counts rather than timings. Thread-local:
+/// `cargo test` runs tests on parallel threads.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static READS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(crate) fn record(at: u32) {
+        READS.with(|r| r.borrow_mut().push(at));
+    }
+
+    /// The log positions read since the last call.
+    pub(crate) fn take() -> Vec<u32> {
+        READS.with(|r| std::mem::take(&mut *r.borrow_mut()))
     }
 }
 

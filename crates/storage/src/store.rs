@@ -358,6 +358,18 @@ impl GraphStore {
         self.types.read().iter().map(|t| t.vacuum(horizon)).sum()
     }
 
+    /// Pending (un-folded) deltas summed over every segment of every type:
+    /// the length of the tail each read has to look through.
+    #[must_use]
+    pub fn pending_deltas(&self) -> usize {
+        self.types
+            .read()
+            .iter()
+            .flat_map(|t| t.all_segments())
+            .map(|s| s.read().pending_deltas())
+            .sum()
+    }
+
     /// Truncate the WAL, keeping only records with `tid > keep_after`
     /// (called by the checkpoint once its manifest is durable). Returns how
     /// many records survive, or `Ok(0)` for in-memory stores.
@@ -524,8 +536,10 @@ mod tests {
                 Vec::new(),
             )
             .unwrap();
+        assert_eq!(store.pending_deltas(), 2);
         // Horizon pinned at 1: only the first delta may fold.
         assert_eq!(store.vacuum(), 1);
+        assert_eq!(store.pending_deltas(), 1);
         let seg = people.segment(SegmentId(0)).unwrap();
         assert_eq!(seg.read().pending_deltas(), 1);
         drop(ticket);
