@@ -1,8 +1,8 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke
+.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
-verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke
+verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
 build:
 	cargo build --release
@@ -140,3 +140,12 @@ filter-smoke:
 ledger-smoke:
 	cargo test --offline --manifest-path benchmark/Cargo.toml -q
 	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke
+
+# Serving gate: the closed-loop gateway benchmark at 2 / 8 / 32 clients on 2
+# executors (vacuumed graph; QPS, latency, rejection rate and mean batch
+# size per level), then the regression checker against the committed
+# baseline (bench_results/baseline/serve_load.json), rows matched by client
+# count.
+serve-smoke:
+	cargo run --release -p tv-bench --bin serve_load
+	TV_QPS_TOLERANCE=$(TV_QPS_TOLERANCE) cargo run --release -p tv-bench --bin check_regression -- --only serve_load

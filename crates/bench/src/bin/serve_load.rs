@@ -5,10 +5,15 @@
 //! per-level) with a deliberately small executor pool and queue, and drives
 //! it with N closed-loop threads spread across four tenants issuing vector
 //! top-k queries. Reported per level: achieved QPS, client-observed p50/p99
-//! latency, and the rejection rate — the load-shedding curve the admission
-//! controller exists to produce.
+//! latency, the rejection rate — the load-shedding curve the admission
+//! controller exists to produce — and the mean batch size (completed
+//! top-ks per segment fan-out): what coalescing absorbed before shedding.
 //!
-//! Writes `bench_results/serve_load.json`.
+//! The graph is vacuumed to an empty delta tail before the first level, so
+//! every query searches the index, not a brute-forced overlay.
+//!
+//! Writes `bench_results/serve_load.json`; `make serve-smoke` gates its QPS
+//! against `bench_results/baseline/serve_load.json`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,6 +61,16 @@ fn build_graph(n: usize, seed: u64) -> (Arc<Graph>, Arc<AccessControl>, Vec<Vec<
             .set_vector(0, id, v);
     }
     txn.commit().unwrap();
+    let emb = graph.embeddings();
+    let tid = graph.read_tid();
+    emb.delta_merge(0, tid).unwrap();
+    emb.index_merge(0, tid, 2).unwrap();
+    emb.prune(graph.store().txn().vacuum_horizon());
+    assert_eq!(
+        (emb.total_mem_deltas(), emb.total_delta_files()),
+        (0, 0),
+        "the levels must not time a delta tail"
+    );
 
     let acl = AccessControl::new();
     acl.define_role("reader", Role::default().allow_type(0));
@@ -73,6 +88,7 @@ struct LevelResult {
     p50_ms: f64,
     p99_ms: f64,
     rejection_rate: f64,
+    mean_batch: f64,
 }
 
 fn run_level(
@@ -92,9 +108,8 @@ fn run_level(
                 queue_capacity: 8,
                 rate_limit: None,
             },
-            batch_window: Duration::from_micros(200),
             max_batch: 16,
-            default_deadline: None,
+            ..ServerConfig::default()
         },
     ));
     let start = Instant::now();
@@ -136,6 +151,11 @@ fn run_level(
         rejected += rej;
     }
     let elapsed = start.elapsed();
+    let metrics = server.metrics_json();
+    let fanouts: u64 = TENANTS
+        .iter()
+        .filter_map(|t| metrics.get(t)?.get("fanouts")?.as_u64())
+        .sum();
     all_latencies.sort_unstable();
     let completed = all_latencies.len() as u64;
     let pct = |q: f64| -> f64 {
@@ -153,6 +173,7 @@ fn run_level(
         p50_ms: pct(0.50),
         p99_ms: pct(0.99),
         rejection_rate: rejected as f64 / (completed + rejected).max(1) as f64,
+        mean_batch: completed as f64 / fanouts.max(1) as f64,
     }
 }
 
@@ -181,11 +202,13 @@ fn main() {
             format!("{:.3}", r.p50_ms),
             format!("{:.3}", r.p99_ms),
             format!("{:.4}", r.rejection_rate),
+            format!("{:.2}", r.mean_batch),
             format!("{}", r.completed),
             format!("{}", r.rejected),
         ]);
         json_levels.push(serde_json::json!({
-            "completed": r.completed, "p50_ms": r.p50_ms, "p99_ms": r.p99_ms,
+            "completed": r.completed, "mean_batch": r.mean_batch,
+            "p50_ms": r.p50_ms, "p99_ms": r.p99_ms,
             "qps": r.qps, "rejected": r.rejected,
             "rejection_rate": r.rejection_rate, "threads": r.threads,
         }));
@@ -199,6 +222,7 @@ fn main() {
             "p50 ms",
             "p99 ms",
             "reject rate",
+            "mean batch",
             "completed",
             "rejected",
         ],

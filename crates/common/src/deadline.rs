@@ -70,6 +70,16 @@ impl Deadline {
         }
     }
 
+    /// The more permissive of two deadlines: unbounded if either is, else
+    /// the later instant. A coalesced batch runs under the `latest` of its
+    /// members' deadlines, so no member is cut short by another's budget.
+    #[must_use]
+    pub fn latest(self, other: Deadline) -> Deadline {
+        Deadline {
+            at: self.at.zip(other.at).map(|(a, b)| a.max(b)),
+        }
+    }
+
     /// Error out when expired — the check placed at segment-search
     /// boundaries.
     pub fn check(&self, what: &str) -> TvResult<()> {
@@ -119,6 +129,19 @@ mod tests {
         assert!(tight.bounded_wait(cap) <= Duration::from_millis(5));
         let loose = Deadline::after(Duration::from_secs(60));
         assert_eq!(loose.bounded_wait(cap), cap);
+    }
+
+    #[test]
+    fn latest_is_the_more_permissive() {
+        let now = Instant::now();
+        let (near, far) = (
+            Deadline::at(now + Duration::from_millis(1)),
+            Deadline::at(now + Duration::from_secs(1)),
+        );
+        assert_eq!(near.latest(far), far);
+        assert_eq!(far.latest(near), far);
+        assert_eq!(near.latest(Deadline::none()), Deadline::none());
+        assert_eq!(Deadline::none().latest(far), Deadline::none());
     }
 
     #[test]

@@ -351,6 +351,41 @@ impl EmbeddingService {
         deadline: Deadline,
         stats_out: &mut SearchStats,
     ) -> TvResult<Vec<Vec<TypedNeighbor>>> {
+        let mut per_query = vec![SearchStats::default(); queries.len()];
+        let result = self.top_k_many_each(
+            attr_ids,
+            queries,
+            read_tid,
+            filters,
+            deadline,
+            &mut per_query,
+        );
+        for stats in &per_query {
+            stats_out.merge(stats);
+        }
+        result
+    }
+
+    /// [`top_k_many`](Self::top_k_many) with the work counters kept apart:
+    /// query `i`'s accumulate into `stats_out[i]` (one slot per query, else
+    /// [`TvError::InvalidArgument`]), so the serving layer can bill each
+    /// member of a coalesced batch for its own searches.
+    pub fn top_k_many_each(
+        &self,
+        attr_ids: &[u32],
+        queries: &[BatchQuery],
+        read_tid: Tid,
+        filters: Option<&SegmentFilters>,
+        deadline: Deadline,
+        stats_out: &mut [SearchStats],
+    ) -> TvResult<Vec<Vec<TypedNeighbor>>> {
+        if stats_out.len() != queries.len() {
+            return Err(TvError::InvalidArgument(format!(
+                "{} statistics slots for {} queries",
+                stats_out.len(),
+                queries.len()
+            )));
+        }
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -400,9 +435,9 @@ impl EmbeddingService {
             per_query[qi].push((typed, stats));
         }
         if expired.load(Ordering::Relaxed) {
-            for results_q in per_query {
+            for (results_q, out) in per_query.iter().zip(stats_out) {
                 for (_, s) in results_q {
-                    stats_out.merge(&s);
+                    out.merge(s);
                 }
             }
             return Err(TvError::Timeout(
@@ -412,7 +447,7 @@ impl EmbeddingService {
         let mut out = Vec::with_capacity(queries.len());
         for (qi, results_q) in per_query.into_iter().enumerate() {
             let (merged, stats) = merge_typed(results_q, queries[qi].k);
-            stats_out.merge(&stats);
+            stats_out[qi].merge(&stats);
             out.push(merged);
         }
         Ok(out)
@@ -883,12 +918,25 @@ mod tests {
             .top_k_many(&[a], &queries, Tid(64), None, Deadline::none(), &mut stats)
             .unwrap();
         assert!(stats.distance_computations > 0);
-        for (bq, batch_result) in queries.iter().zip(&batched) {
-            let (solo, _) = svc
+        // The per-query sibling: same answers, and each query's counters are
+        // its solo run's, summing to what `top_k_many` reports.
+        let mut each = vec![SearchStats::default(); queries.len()];
+        let again = svc
+            .top_k_many_each(&[a], &queries, Tid(64), None, Deadline::none(), &mut each)
+            .unwrap();
+        assert_eq!(again, batched);
+        let mut sum = SearchStats::default();
+        for ((bq, batch_result), own) in queries.iter().zip(&batched).zip(&each) {
+            let (solo, solo_stats) = svc
                 .top_k(&[a], &bq.query, bq.k, bq.ef, Tid(64), None)
                 .unwrap();
             assert_eq!(batch_result, &solo);
+            assert_eq!(own, &solo_stats);
+            sum.merge(own);
         }
+        assert_eq!(sum, stats);
+        let short = svc.top_k_many_each(&[a], &queries, Tid(64), None, Deadline::none(), &mut []);
+        assert!(matches!(short, Err(TvError::InvalidArgument(_))));
     }
 
     #[test]

@@ -175,6 +175,32 @@ impl AccessControl {
         Ok(Some(set))
     }
 
+    /// Whether a vector search over `attr_ids` needs a row-security
+    /// pre-filter for `user`: `false` when every touched type carries an
+    /// unrestricted grant. Rejects outright (with
+    /// [`TvError::PermissionDenied`]) when any type lacks a grant. Looks at
+    /// roles only, never at rows, so a gateway can ask before it commits an
+    /// executor to the request.
+    pub fn is_row_restricted(&self, graph: &Graph, user: &str, attr_ids: &[u32]) -> TvResult<bool> {
+        let roles = self.roles_of(user);
+        let mut restricted = false;
+        for &attr_id in attr_ids {
+            let vt = graph.embeddings().attr(attr_id)?.vertex_type;
+            let mut grants = roles
+                .iter()
+                .flat_map(|r| r.grants.iter())
+                .filter(|g| g.vertex_type == vt)
+                .peekable();
+            if grants.peek().is_none() {
+                return Err(TvError::PermissionDenied(format!(
+                    "user '{user}' is not authorized for vertex type {vt}"
+                )));
+            }
+            restricted |= grants.all(|g| g.rule.is_some());
+        }
+        Ok(restricted)
+    }
+
     /// The candidate-set restriction a vector search over `attr_ids` must
     /// respect for `user`: `None` when every touched type is unrestricted,
     /// otherwise the union of authorized vertices across the searched types.
@@ -187,45 +213,18 @@ impl AccessControl {
         attr_ids: &[u32],
         tid: Tid,
     ) -> TvResult<Option<VertexSet>> {
-        // Reject types without any grant.
-        for &attr_id in attr_ids {
-            let vt = graph.embeddings().attr(attr_id)?.vertex_type;
-            if !self.can_read_type(user, vt) {
-                return Err(TvError::PermissionDenied(format!(
-                    "user '{user}' is not authorized for vertex type {vt}"
-                )));
-            }
-        }
-        // Combine row-security sets across the searched types.
-        let mut restriction: Option<VertexSet> = None;
-        let mut unrestricted_everywhere = true;
-        for &attr_id in attr_ids {
-            let vt = graph.embeddings().attr(attr_id)?.vertex_type;
-            match self.authorized_vertices(graph, user, vt, tid)? {
-                None => {
-                    // Unrestricted on this type: its full live set is added
-                    // below only if some other type is restricted.
-                }
-                Some(set) => {
-                    unrestricted_everywhere = false;
-                    restriction = Some(match restriction {
-                        Some(acc) => acc.union(&set),
-                        None => set,
-                    });
-                }
-            }
-        }
-        if unrestricted_everywhere {
+        if !self.is_row_restricted(graph, user, attr_ids)? {
             return Ok(None);
         }
-        // Mixed case: add the full live sets of unrestricted types so they
-        // are not accidentally filtered out.
-        let mut acc = restriction.unwrap_or_default();
+        // Row-security sets of the restricted types, and the full live sets
+        // of the unrestricted ones so they are not filtered out.
+        let mut acc = VertexSet::default();
         for &attr_id in attr_ids {
             let vt = graph.embeddings().attr(attr_id)?.vertex_type;
-            if self.authorized_vertices(graph, user, vt, tid)?.is_none() {
-                acc = acc.union(&graph.all_vertices(vt, tid)?);
-            }
+            acc = acc.union(&match self.authorized_vertices(graph, user, vt, tid)? {
+                Some(set) => set,
+                None => graph.all_vertices(vt, tid)?,
+            });
         }
         Ok(Some(acc))
     }
@@ -355,6 +354,27 @@ mod tests {
             .unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].neighbor.id, ids[0]);
+    }
+
+    #[test]
+    fn row_restriction_is_answered_from_roles_alone() {
+        let (g, acl, _) = secured_graph();
+        assert_eq!(acl.is_row_restricted(&g, "alice", &[0]), Ok(false));
+        assert_eq!(acl.is_row_restricted(&g, "bob", &[0]), Ok(true));
+        assert!(matches!(
+            acl.is_row_restricted(&g, "mallory", &[0]),
+            Err(TvError::PermissionDenied(_))
+        ));
+        // An unrestricted grant beside a row rule lifts the restriction,
+        // exactly as `restriction_for_attrs` then builds no set.
+        acl.assign("bob", "admin").unwrap();
+        assert_eq!(acl.is_row_restricted(&g, "bob", &[0]), Ok(false));
+        let tid = g.read_tid();
+        assert!(acl
+            .restriction_for_attrs(&g, "bob", &[0], tid)
+            .unwrap()
+            .is_none());
+        assert!(acl.is_row_restricted(&g, "alice", &[7]).is_err());
     }
 
     #[test]

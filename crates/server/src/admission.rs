@@ -14,6 +14,15 @@
 //! * a queued request whose [`Deadline`] expires leaves the queue with
 //!   [`TvError::Timeout`] instead of occupying an executor it can no longer
 //!   use.
+//!
+//! Three steps make it up, usable apart: [`AdmissionController::charge`]
+//! (the token bucket; never waits), [`AdmissionController::try_admit`] (a
+//! permit only if one is free *and* nobody is queued; never waits) and
+//! [`AdmissionController::acquire`] (the FIFO wait).
+//! [`AdmissionController::admit`] is `charge` then `acquire`. The gateway
+//! calls the steps itself: it needs to tell a rate-limit rejection from a
+//! full queue, and a direct top-k that `try_admit` turns away coalesces with
+//! other waiting top-ks before it queues (see `batch`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -59,7 +68,6 @@ struct Inner {
     active: usize,
     queue: VecDeque<u64>,
     next_ticket: u64,
-    buckets: HashMap<String, TokenBucket>,
 }
 
 /// The admission controller.
@@ -67,6 +75,22 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     inner: Mutex<Inner>,
     cv: Condvar,
+    buckets: Mutex<HashMap<String, TokenBucket>>,
+}
+
+/// The tenant's token bucket was empty: the typed outcome of
+/// [`AdmissionController::charge`]. Converts into the
+/// [`TvError::Overloaded`] callers see.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RateLimited {
+    /// The throttled tenant.
+    pub tenant: String,
+}
+
+impl From<RateLimited> for TvError {
+    fn from(r: RateLimited) -> Self {
+        TvError::Overloaded(format!("tenant '{}' is over its rate limit", r.tenant))
+    }
 }
 
 /// What admission observed for one granted request.
@@ -107,9 +131,9 @@ impl AdmissionController {
                 active: 0,
                 queue: VecDeque::new(),
                 next_ticket: 0,
-                buckets: HashMap::new(),
             }),
             cv: Condvar::new(),
+            buckets: Mutex::new(HashMap::new()),
         }
     }
 
@@ -135,38 +159,67 @@ impl AdmissionController {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).active
     }
 
-    /// Admit one request for `tenant`, blocking (FIFO) while the pool is
-    /// saturated. Errors are immediate ([`TvError::Overloaded`]) except the
-    /// deadline path ([`TvError::Timeout`]), which fires while queued.
+    /// Take one token from `tenant`'s bucket. Every request pays this
+    /// before it asks for a permit, whichever way it then gets one.
     ///
     /// Note a rate-limited tenant's rejected request still consumed its
     /// token: probing while throttled keeps you throttled.
+    pub fn charge(&self, tenant: &str) -> Result<(), RateLimited> {
+        let Some(rl) = self.config.rate_limit else {
+            return Ok(());
+        };
+        let mut buckets = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
+        let now = Instant::now();
+        let bucket = buckets
+            .entry(tenant.to_string())
+            .or_insert_with(|| TokenBucket {
+                tokens: rl.burst,
+                last_refill: now,
+            });
+        let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
+        bucket.tokens = (bucket.tokens + elapsed * rl.per_sec).min(rl.burst);
+        bucket.last_refill = now;
+        if bucket.tokens < 1.0 {
+            return Err(RateLimited {
+                tenant: tenant.to_string(),
+            });
+        }
+        bucket.tokens -= 1.0;
+        Ok(())
+    }
+
+    /// A permit if an executor is free and nobody is queued ahead (so taking
+    /// it overtakes no one), else `None`. Never waits.
+    #[must_use]
+    pub fn try_admit(&self) -> Option<Permit<'_>> {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        self.take_idle(&mut inner).then(|| Permit { ctl: self })
+    }
+
+    /// Claim an executor if one is free and nobody is queued ahead.
+    fn take_idle(&self, inner: &mut Inner) -> bool {
+        let idle = inner.active < self.config.executor_permits && inner.queue.is_empty();
+        if idle {
+            inner.active += 1;
+        }
+        idle
+    }
+
+    /// Admit one request for `tenant`: [`charge`](Self::charge), then
+    /// [`acquire`](Self::acquire). Errors are immediate
+    /// ([`TvError::Overloaded`]) except the deadline path
+    /// ([`TvError::Timeout`]), which fires while queued.
     pub fn admit(&self, tenant: &str, deadline: Deadline) -> TvResult<(Permit<'_>, AdmitInfo)> {
+        self.charge(tenant)?;
+        self.acquire(tenant, deadline)
+    }
+
+    /// Take a permit, blocking (FIFO) while the pool is saturated; the
+    /// request has been charged already. `tenant` only labels the timeout.
+    pub fn acquire(&self, tenant: &str, deadline: Deadline) -> TvResult<(Permit<'_>, AdmitInfo)> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
 
-        if let Some(rl) = self.config.rate_limit {
-            let bucket = inner
-                .buckets
-                .entry(tenant.to_string())
-                .or_insert_with(|| TokenBucket {
-                    tokens: rl.burst,
-                    last_refill: Instant::now(),
-                });
-            let now = Instant::now();
-            let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
-            bucket.tokens = (bucket.tokens + elapsed * rl.per_sec).min(rl.burst);
-            bucket.last_refill = now;
-            if bucket.tokens < 1.0 {
-                return Err(TvError::Overloaded(format!(
-                    "tenant '{tenant}' is over its rate limit"
-                )));
-            }
-            bucket.tokens -= 1.0;
-        }
-
-        // Fast path: free executor and nobody ahead of us.
-        if inner.active < self.config.executor_permits && inner.queue.is_empty() {
-            inner.active += 1;
+        if self.take_idle(&mut inner) {
             return Ok((Permit { ctl: self }, AdmitInfo { queued_at_depth: 0 }));
         }
 
@@ -245,6 +298,50 @@ mod tests {
         drop(p1);
         drop(p2);
         assert_eq!(ctl.active(), 0);
+    }
+
+    #[test]
+    fn try_admit_overtakes_nobody_and_never_waits() {
+        let ctl = Arc::new(AdmissionController::new(config(1, 4)));
+        let gate = ctl.try_admit().expect("an idle pool grants at once");
+        assert_eq!(ctl.active(), 1);
+        assert!(ctl.try_admit().is_none(), "no free executor");
+        let queued = {
+            let ctl = Arc::clone(&ctl);
+            std::thread::spawn(move || drop(ctl.acquire("w", Deadline::none()).unwrap()))
+        };
+        while ctl.queue_depth() < 1 {
+            std::thread::yield_now();
+        }
+        drop(gate);
+        // Whether or not the waiter has claimed the freed permit yet, it may
+        // not be overtaken: the pool is busy or the queue is not empty.
+        if let Some(permit) = ctl.try_admit() {
+            assert_eq!(ctl.queue_depth(), 0);
+            drop(permit);
+        }
+        queued.join().unwrap();
+        assert_eq!((ctl.active(), ctl.queue_depth()), (0, 0));
+    }
+
+    #[test]
+    fn charge_is_typed_and_acquire_alone_charges_nothing() {
+        let ctl = AdmissionController::new(AdmissionConfig {
+            executor_permits: 8,
+            queue_capacity: 8,
+            rate_limit: Some(RateLimitConfig {
+                burst: 1.0,
+                per_sec: 0.001,
+            }),
+        });
+        assert_eq!(ctl.charge("t"), Ok(()));
+        let limited = ctl.charge("t").unwrap_err();
+        assert_eq!(limited.tenant, "t");
+        assert!(matches!(TvError::from(limited), TvError::Overloaded(_)));
+        // The bucket is empty, yet a charged request still gets its permit.
+        assert!(ctl.acquire("t", Deadline::none()).is_ok());
+        assert!(ctl.try_admit().is_some());
+        assert!(ctl.admit("t", Deadline::none()).is_err());
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! index.
 //!
 //! ```text
-//!   client ──▶ Session ──▶ Admission ──▶ Batcher ──▶ Executor ──▶ Merge
-//!              (tenant,    (permits,     (coalesce    (GSQL /      (global
-//!               rbac        bounded       same-shape   segment      top-k)
-//!               user)       FIFO queue,   top-k)       fan-out)
-//!                           token
-//!                           buckets)
+//!   client ──▶ Session ──▶ Admission ─────────────────▶ Executor ──▶ Merge
+//!              (tenant,    (token bucket, then a        (GSQL /      (global
+//!               rbac        permit: at once if one is    segment      top-k)
+//!               user)       free, else a bounded FIFO    fan-out)
+//!                           queue)
+//!                             │ direct top-ks that must queue
+//!                             ▼
+//!                           Batcher (same-shape top-ks waiting together
+//!                           become one batch: one queue slot, one permit,
+//!                           one fan-out)
 //! ```
 //!
 //! Responsibilities:
@@ -24,15 +28,18 @@
 //! * [`admission`] — a semaphore-bounded executor pool behind a bounded
 //!   FIFO queue with explicit rejection ([`tv_common::TvError::Overloaded`])
 //!   and per-tenant token-bucket rate limits;
-//! * [`batch`] — leader/follower coalescing of vector top-k queries that
-//!   share an embedding attribute into one multi-query segment fan-out
-//!   (`EmbeddingService::top_k_many`), bit-identical to one-by-one
-//!   execution;
+//! * [`batch`] — work-conserving coalescing: a direct top-k that finds a
+//!   free executor runs at once and alone; those that must wait for one
+//!   join the batch of a queued request with the same attribute, `k`, `ef`
+//!   and snapshot, and the batch runs as one multi-query segment fan-out
+//!   (`EmbeddingService::top_k_many_each`) under one permit, bit-identical
+//!   to one-by-one execution. Nothing ever waits *for* a batch;
 //! * deadlines — every request carries a [`tv_common::Deadline`] checked at
 //!   segment-search boundaries (in `tv-embedding` and the `tv-cluster`
 //!   worker loop) so a slow scatter-gather is abandoned mid-flight;
-//! * [`metrics`] — per-tenant counters and latency histograms
-//!   (p50/p95/p99, queue depth, rejection/timeout counts) exported as JSON.
+//! * [`metrics`] — per-tenant counters and latency and wait histograms
+//!   (p50/p95/p99, queue depth, batch sizes, rejection/timeout counts)
+//!   exported as JSON.
 
 pub mod admission;
 pub mod batch;
@@ -40,8 +47,10 @@ pub mod metrics;
 pub mod server;
 pub mod session;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmitInfo, Permit, RateLimitConfig};
-pub use batch::{BatchKey, BatchOutcome, Batcher};
+pub use admission::{
+    AdmissionConfig, AdmissionController, AdmitInfo, Permit, RateLimitConfig, RateLimited,
+};
+pub use batch::{BatchKey, BatchOutcome, Batcher, Reply};
 pub use metrics::{ClusterMetrics, MetricsRegistry, TenantMetrics};
 pub use server::{Server, ServerConfig};
 pub use session::{Session, SessionManager};

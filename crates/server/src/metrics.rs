@@ -24,6 +24,8 @@ pub struct TenantMetrics {
     timeouts: AtomicU64,
     denied: AtomicU64,
     batched: AtomicU64,
+    fanouts: AtomicU64,
+    max_batch_size: AtomicU64,
     max_queue_depth: AtomicU64,
     cluster_retries: AtomicU64,
     cluster_hedges: AtomicU64,
@@ -34,15 +36,19 @@ pub struct TenantMetrics {
     ef_escalations: AtomicU64,
     brute_fallbacks: AtomicU64,
     latency: LatencyHistogram,
+    wait: LatencyHistogram,
 }
 
 impl TenantMetrics {
     /// A request passed admission; `queued_at_depth` is the queue depth it
-    /// observed (0 = fast path).
-    pub fn record_admitted(&self, queued_at_depth: usize) {
+    /// observed (0 = fast path, or a batch follower: it has no slot of its
+    /// own) and `waited` the time from its arrival to the start of its
+    /// execution — queue wait and batch wait alike.
+    pub fn record_admitted(&self, queued_at_depth: usize, waited: Duration) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.max_queue_depth
             .fetch_max(queued_at_depth as u64, Ordering::Relaxed);
+        self.wait.record(waited);
     }
 
     /// A request finished successfully after `elapsed`.
@@ -76,6 +82,14 @@ impl TenantMetrics {
         if size > 1 {
             self.batched.fetch_add(1, Ordering::Relaxed);
         }
+        self.max_batch_size
+            .fetch_max(size as u64, Ordering::Relaxed);
+    }
+
+    /// The request ran a direct top-k fan-out, for itself alone or as the
+    /// leader of a batch (completed top-ks ÷ fan-outs = mean batch size).
+    pub fn record_fanout(&self) {
+        self.fanouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A cluster scatter-gather finished: `retries` replica re-routes and
@@ -213,12 +227,20 @@ impl TenantMetrics {
         );
         m.insert("degraded".into(), self.degraded().into());
         m.insert("denied".into(), self.denied().into());
+        m.insert(
+            "fanouts".into(),
+            self.fanouts.load(Ordering::Relaxed).into(),
+        );
         m.insert("latency_count".into(), self.latency.count().into());
         m.insert("latency_max_ms".into(), ms(self.latency.max()).into());
         m.insert("latency_mean_ms".into(), ms(self.latency.mean()).into());
         m.insert("latency_p50_ms".into(), ms(p50).into());
         m.insert("latency_p95_ms".into(), ms(p95).into());
         m.insert("latency_p99_ms".into(), ms(p99).into());
+        m.insert(
+            "max_batch_size".into(),
+            self.max_batch_size.load(Ordering::Relaxed).into(),
+        );
         m.insert("max_queue_depth".into(), self.max_queue_depth().into());
         m.insert("plans_brute".into(), self.plans_brute().into());
         m.insert(
@@ -231,6 +253,10 @@ impl TenantMetrics {
         m.insert("rate_limited".into(), self.rate_limited().into());
         m.insert("rejected".into(), self.rejected().into());
         m.insert("timeouts".into(), self.timeouts().into());
+        let (wait_p50, wait_p95, wait_p99) = self.wait.percentiles();
+        m.insert("wait_p50_ms".into(), ms(wait_p50).into());
+        m.insert("wait_p95_ms".into(), ms(wait_p95).into());
+        m.insert("wait_p99_ms".into(), ms(wait_p99).into());
         serde_json::Value::Object(m)
     }
 }
@@ -490,8 +516,8 @@ mod tests {
     fn counters_and_snapshot() {
         let reg = MetricsRegistry::new();
         let t = reg.tenant("acme");
-        t.record_admitted(3);
-        t.record_admitted(1);
+        t.record_admitted(3, Duration::from_millis(2));
+        t.record_admitted(1, Duration::ZERO);
         t.record_completed(Duration::from_millis(4));
         t.record_completed(Duration::from_millis(8));
         t.record_rejected();
@@ -500,6 +526,7 @@ mod tests {
         t.record_denied();
         t.record_batched(4);
         t.record_batched(1); // not counted: batch of one
+        t.record_fanout();
         t.record_cluster(3, 1, true);
         t.record_cluster(2, 0, false);
 
@@ -514,6 +541,10 @@ mod tests {
         assert_eq!(acme.get("timeouts").unwrap().as_u64(), Some(1));
         assert_eq!(acme.get("denied").unwrap().as_u64(), Some(1));
         assert_eq!(acme.get("batched").unwrap().as_u64(), Some(1));
+        assert_eq!(acme.get("max_batch_size").unwrap().as_u64(), Some(4));
+        assert_eq!(acme.get("fanouts").unwrap().as_u64(), Some(1));
+        assert!(acme.get("wait_p99_ms").unwrap().as_f64().unwrap() >= 1.0);
+        assert!(acme.get("wait_p50_ms").unwrap().as_f64().unwrap() < 1.0);
         assert_eq!(acme.get("max_queue_depth").unwrap().as_u64(), Some(3));
         assert_eq!(acme.get("cluster_retries").unwrap().as_u64(), Some(5));
         assert_eq!(acme.get("cluster_hedges").unwrap().as_u64(), Some(1));

@@ -1,8 +1,9 @@
-//! The serving gateway: sessions → admission → (batcher | GSQL executor) →
-//! merge, with per-tenant metrics around every step.
+//! The serving gateway: sessions → admission (direct top-ks that must wait
+//! coalesce there) → GSQL executor | segment fan-out → merge, with
+//! per-tenant metrics around every step.
 
-use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::batch::{BatchKey, Batcher};
+use crate::admission::{AdmissionConfig, AdmissionController, Permit};
+use crate::batch::{BatchKey, Batcher, Reply};
 use crate::metrics::{MetricsRegistry, TenantMetrics};
 use crate::session::{Session, SessionManager};
 use std::path::Path;
@@ -20,7 +21,10 @@ use tv_hnsw::SearchStats;
 pub struct ServerConfig {
     /// Admission-control settings (executor pool, queue bound, rate limits).
     pub admission: AdmissionConfig,
-    /// How long a batch leader waits for followers before executing.
+    /// Read by no product code: batches form among requests waiting for an
+    /// executor, and nothing waits for a batch. The field outlives the
+    /// window only because `benchmark/src/run.rs` prints it in its
+    /// provenance line; it goes with that line in the next `benchmark` PR.
     pub batch_window: Duration,
     /// Maximum queries coalesced into one fan-out.
     pub max_batch: usize,
@@ -43,10 +47,10 @@ impl Default for ServerConfig {
 /// The in-process query gateway.
 ///
 /// Holds the graph, the rbac [`AccessControl`] every request is checked
-/// against, and the serving stages. Batching note: an execution permit is
-/// held while a request sits in the batcher, so coalescing only happens
-/// among requests admitted concurrently — admission bounds work, batching
-/// amortizes it.
+/// against, and the serving stages. Batching note: a request that gets an
+/// executor runs at once; direct top-ks coalesce only while they wait for
+/// one, and a batch runs under a single permit — admission bounds work,
+/// batching amortizes the backlog.
 pub struct Server {
     graph: Arc<Graph>,
     acl: Arc<AccessControl>,
@@ -66,7 +70,7 @@ impl Server {
             graph,
             acl,
             admission: AdmissionController::new(config.admission),
-            batcher: Batcher::new(config.batch_window, config.max_batch),
+            batcher: Batcher::new(config.max_batch),
             metrics: MetricsRegistry::new(),
             sessions: SessionManager::new(),
             cluster: None,
@@ -104,6 +108,12 @@ impl Server {
     #[must_use]
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
+    }
+
+    /// The batcher (for observing how many top-ks wait in open batches).
+    #[must_use]
+    pub fn batcher(&self) -> &Batcher {
+        &self.batcher
     }
 
     /// Open a session for `tenant` acting as rbac principal `user`.
@@ -162,38 +172,44 @@ impl Server {
         }
     }
 
-    fn admit(
-        &self,
-        session: &Session,
-        tenant: &Arc<TenantMetrics>,
-        deadline: Deadline,
-    ) -> TvResult<crate::admission::Permit<'_>> {
-        match self.admission.admit(&session.tenant, deadline) {
-            Ok((permit, info)) => {
-                tenant.record_admitted(info.queued_at_depth);
-                Ok(permit)
-            }
-            Err(e) => {
-                match &e {
-                    TvError::Overloaded(m) if m.contains("rate limit") => {
-                        tenant.record_rate_limited();
-                    }
-                    TvError::Overloaded(_) => tenant.record_rejected(),
-                    TvError::Timeout(_) => tenant.record_timeout(),
-                    _ => {}
-                }
-                Err(e)
-            }
-        }
+    /// Pay the tenant's token bucket; a refusal is counted as
+    /// `rate_limited`, never as `rejected`.
+    fn charge(&self, session: &Session, tenant: &TenantMetrics) -> TvResult<()> {
+        self.admission.charge(&session.tenant).map_err(|limited| {
+            tenant.record_rate_limited();
+            limited.into()
+        })
     }
 
-    fn record_outcome<T>(&self, tenant: &Arc<TenantMetrics>, start: Instant, result: &TvResult<T>) {
-        match result {
+    /// The FIFO wait for an executor, for a request already charged.
+    fn acquire(
+        &self,
+        session: &Session,
+        tenant: &TenantMetrics,
+        deadline: Deadline,
+        start: Instant,
+    ) -> TvResult<Permit<'_>> {
+        let (permit, info) = self.admission.acquire(&session.tenant, deadline)?;
+        tenant.record_admitted(info.queued_at_depth, start.elapsed());
+        Ok(permit)
+    }
+
+    /// Count how a charged request ended. Only the admission queue says
+    /// `Overloaded` once the bucket has been paid.
+    fn record_outcome<T>(
+        &self,
+        tenant: &TenantMetrics,
+        start: Instant,
+        result: TvResult<T>,
+    ) -> TvResult<T> {
+        match &result {
             Ok(_) => tenant.record_completed(start.elapsed()),
             Err(TvError::PermissionDenied(_)) => tenant.record_denied(),
             Err(TvError::Timeout(_)) => tenant.record_timeout(),
+            Err(TvError::Overloaded(_)) => tenant.record_rejected(),
             Err(_) => {}
         }
+        result
     }
 
     /// Execute a GSQL query as the session's user: admission, type grants,
@@ -202,28 +218,33 @@ impl Server {
         let tenant = self.metrics.tenant(&session.tenant);
         let deadline = self.deadline_for(session);
         let start = Instant::now();
-        let permit = self.admit(session, &tenant, deadline)?;
-        let mut stats = SearchStats::default();
-        let result = tv_gsql::execute_at_as_stats(
-            &self.graph,
-            &self.acl,
-            &session.user,
-            src,
-            params,
-            self.graph.read_tid(),
-            deadline,
-            &mut stats,
-        );
-        tenant.record_plans(&stats);
-        drop(permit);
-        self.record_outcome(&tenant, start, &result);
-        result
+        self.charge(session, &tenant)?;
+        let result = self
+            .acquire(session, &tenant, deadline, start)
+            .and_then(|_permit| {
+                let mut stats = SearchStats::default();
+                let result = tv_gsql::execute_at_as_stats(
+                    &self.graph,
+                    &self.acl,
+                    &session.user,
+                    src,
+                    params,
+                    self.graph.read_tid(),
+                    deadline,
+                    &mut stats,
+                );
+                tenant.record_plans(&stats);
+                result
+            });
+        self.record_outcome(&tenant, start, result)
     }
 
-    /// Direct vector top-k over `attr_ids`, batched with concurrent
-    /// same-shape queries when the session's user has unrestricted read
-    /// access. Row-restricted users run solo (their pre-filter is private),
-    /// which keeps batched results bit-identical to one-by-one execution.
+    /// Direct vector top-k over `attr_ids`. With a free executor it runs at
+    /// once, alone, on the calling thread; when it must wait for one it
+    /// coalesces with the same-shape queries waiting beside it, provided the
+    /// session's user has unrestricted read access. Row-restricted users
+    /// always run solo (their pre-filter is private), which keeps batched
+    /// results bit-identical to one-by-one execution.
     pub fn vector_top_k(
         &self,
         session: &Session,
@@ -234,72 +255,112 @@ impl Server {
         let tenant = self.metrics.tenant(&session.tenant);
         let deadline = self.deadline_for(session);
         let start = Instant::now();
-        let permit = self.admit(session, &tenant, deadline)?;
-        let tid = self.graph.read_tid();
+        // Grants first: a role lookup, no rows read, nothing held.
+        let restricted = match self
+            .acl
+            .is_row_restricted(&self.graph, &session.user, attr_ids)
+        {
+            Ok(restricted) => restricted,
+            Err(e) => return self.record_outcome(&tenant, start, Err(e)),
+        };
+        self.charge(session, &tenant)?;
         let ef = self.graph.embeddings().config().default_ef.max(k);
-
-        let restriction =
-            match self
-                .acl
-                .restriction_for_attrs(&self.graph, &session.user, attr_ids, tid)
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    drop(permit);
-                    let failed: TvResult<()> = Err(e);
-                    self.record_outcome(&tenant, start, &failed);
-                    return failed.map(|()| Vec::new());
-                }
-            };
-
-        let result = match restriction {
-            Some(set) => {
-                let mut stats = SearchStats::default();
-                let r = self.graph.vector_search_deadline(
-                    attr_ids,
-                    &query,
-                    k,
-                    ef,
-                    Some(&set),
-                    tid,
-                    deadline,
-                    &mut stats,
-                );
-                tenant.record_plans(&stats);
-                r
-            }
-            None => {
-                let key = BatchKey {
-                    attr_ids: attr_ids.to_vec(),
-                    k,
-                    ef,
-                    tid,
-                };
-                let graph = Arc::clone(&self.graph);
-                let batch_tenant = Arc::clone(&tenant);
-                let out = self.batcher.submit(&key, query, move |queries| {
-                    let batch: Vec<BatchQuery> = queries
-                        .iter()
-                        .map(|q| BatchQuery {
-                            query: q.clone(),
-                            k,
-                            ef,
-                        })
-                        .collect();
+        let result = if restricted {
+            self.acquire(session, &tenant, deadline, start)
+                .and_then(|_permit| {
+                    let tid = self.graph.read_tid();
+                    let set = self.acl.restriction_for_attrs(
+                        &self.graph,
+                        &session.user,
+                        attr_ids,
+                        tid,
+                    )?;
                     let mut stats = SearchStats::default();
-                    let r = graph
-                        .embeddings()
-                        .top_k_many(attr_ids, &batch, tid, None, deadline, &mut stats);
-                    batch_tenant.record_plans(&stats);
+                    let r = self.graph.vector_search_deadline(
+                        attr_ids,
+                        &query,
+                        k,
+                        ef,
+                        set.as_ref(),
+                        tid,
+                        deadline,
+                        &mut stats,
+                    );
+                    tenant.record_plans(&stats);
                     r
-                });
-                tenant.record_batched(out.batch_size);
-                out.result
+                })
+        } else {
+            self.unrestricted_top_k(session, &tenant, deadline, start, attr_ids, query, k, ef)
+        };
+        self.record_outcome(&tenant, start, result)
+    }
+
+    /// The top-k of a user who may read every row: alone and at once on a
+    /// free executor, else through the batcher.
+    #[allow(clippy::too_many_arguments)]
+    fn unrestricted_top_k(
+        &self,
+        session: &Session,
+        tenant: &TenantMetrics,
+        deadline: Deadline,
+        start: Instant,
+        attr_ids: &[u32],
+        query: Vec<f32>,
+        k: usize,
+        ef: usize,
+    ) -> TvResult<Vec<TypedNeighbor>> {
+        let tid = self.graph.read_tid();
+        let run = |queries: Vec<Vec<f32>>, deadline: Deadline| -> Vec<Reply> {
+            let batch: Vec<BatchQuery> = queries
+                .into_iter()
+                .map(|query| BatchQuery { query, k, ef })
+                .collect();
+            let mut stats = vec![SearchStats::default(); batch.len()];
+            let found = self
+                .graph
+                .embeddings()
+                .top_k_many_each(attr_ids, &batch, tid, None, deadline, &mut stats);
+            match found {
+                Ok(all) => all.into_iter().map(Ok).zip(stats).collect(),
+                Err(e) => stats.into_iter().map(|s| (Err(e.clone()), s)).collect(),
             }
         };
-        drop(permit);
-        self.record_outcome(&tenant, start, &result);
-        result
+
+        // An executor is free and nobody waits for it: run now, alone.
+        if let Some(_permit) = self.admission.try_admit() {
+            tenant.record_admitted(0, start.elapsed());
+            tenant.record_fanout();
+            let (result, stats) = run(vec![query], deadline)
+                .pop()
+                .expect("one reply per query");
+            tenant.record_plans(&stats);
+            return result;
+        }
+
+        let key = BatchKey {
+            attr_ids: attr_ids.to_vec(),
+            k,
+            ef,
+            tid,
+        };
+        let out = self.batcher.submit(
+            &key,
+            query,
+            deadline,
+            || self.acquire(session, tenant, deadline, start),
+            run,
+        );
+        if let Some(started) = out.started {
+            if out.was_leader {
+                tenant.record_fanout();
+            } else {
+                // Rode its leader's queue slot and permit.
+                tenant.record_admitted(0, started.saturating_duration_since(start));
+            }
+            tenant.record_batched(out.batch_size);
+        }
+        tenant.record_plans(&out.stats);
+        out.result
     }
 
     /// Scatter a top-k across the attached cluster runtime with the session
@@ -321,9 +382,10 @@ impl Server {
         let tenant = self.metrics.tenant(&session.tenant);
         let deadline = self.deadline_for(session);
         let start = Instant::now();
-        let permit = self.admit(session, &tenant, deadline)?;
-        let result = runtime.top_k_deadline(query, k, ef, tid, None, deadline);
-        drop(permit);
+        self.charge(session, &tenant)?;
+        let result = self
+            .acquire(session, &tenant, deadline, start)
+            .and_then(|_permit| runtime.top_k_deadline(query, k, ef, tid, None, deadline));
         if let Ok(response) = &result {
             tenant.record_cluster(
                 response.retries,
@@ -331,8 +393,7 @@ impl Server {
                 !response.coverage.is_complete(),
             );
         }
-        self.record_outcome(&tenant, start, &result);
-        result
+        self.record_outcome(&tenant, start, result)
     }
 
     /// Execute a live segment migration on the attached cluster runtime

@@ -1,6 +1,7 @@
 //! End-to-end serving-layer tests: concurrent tenants driving GSQL vector
-//! queries through the full session → admission → batcher → executor →
-//! merge pipeline, with rbac enforcement and per-tenant metrics.
+//! queries and direct top-ks through the full session → admission (where
+//! waiting top-ks coalesce) → executor → merge pipeline, with rbac
+//! enforcement and per-tenant metrics.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,10 +12,10 @@ use tv_common::ids::{LocalId, SegmentLayout};
 use tv_common::{
     Deadline, DistanceMetric, RetryPolicy, SegmentId, SplitMix64, Tid, TvError, VertexId,
 };
-use tv_embedding::{EmbeddingSegment, EmbeddingTypeDef, ServiceConfig};
+use tv_embedding::{EmbeddingSegment, EmbeddingTypeDef, ServiceConfig, TypedNeighbor};
 use tv_gsql::{Params, Value};
 use tv_hnsw::DeltaRecord;
-use tv_server::{AdmissionConfig, Server, ServerConfig};
+use tv_server::{AdmissionConfig, Server, ServerConfig, Session};
 
 const DIM: usize = 4;
 const DOCS: usize = 24;
@@ -88,9 +89,8 @@ fn four_tenants_admission_rbac_and_metrics_end_to_end() {
                 queue_capacity: 4,
                 rate_limit: None,
             },
-            batch_window: Duration::from_micros(100),
             max_batch: 8,
-            default_deadline: None,
+            ..ServerConfig::default()
         },
     ));
     let tenants = [
@@ -323,65 +323,263 @@ fn cluster_topk_degraded_answer_counts_against_the_tenant() {
     assert_eq!(acme.get("completed").unwrap().as_u64(), Some(1));
 }
 
-#[test]
-fn batched_vector_topk_is_bit_identical_to_solo() {
-    let (graph, acl, _ids, vecs) = serving_fixture();
-    let server = Arc::new(Server::new(
-        Arc::clone(&graph),
-        Arc::clone(&acl),
+/// A server with one executor, so that holding it (a "gate" admission)
+/// makes every direct top-k wait, and waiting top-ks coalesce.
+fn one_permit_server(graph: &Arc<Graph>, acl: &Arc<AccessControl>) -> Arc<Server> {
+    Arc::new(Server::new(
+        Arc::clone(graph),
+        Arc::clone(acl),
         ServerConfig {
             admission: AdmissionConfig {
-                executor_permits: 8,
+                executor_permits: 1,
                 queue_capacity: 16,
                 rate_limit: None,
             },
-            // Generous window so concurrent queries reliably coalesce.
-            batch_window: Duration::from_millis(50),
             max_batch: 8,
-            default_deadline: None,
+            ..ServerConfig::default()
         },
-    ));
+    ))
+}
 
+type TopK = Result<Vec<TypedNeighbor>, TvError>;
+
+fn spawn_top_k(
+    server: &Arc<Server>,
+    session: Session,
+    qv: Vec<f32>,
+) -> std::thread::JoinHandle<TopK> {
+    let server = Arc::clone(server);
+    std::thread::spawn(move || server.vector_top_k(&session, &[0], qv, 4))
+}
+
+/// Send one top-k (k = 4) per `(session, query)` from a thread each while the
+/// only executor is held: the first queues as a leader, the others join its
+/// batch. Returns once all of them wait, in order; the caller lets go of the
+/// executor.
+fn coalesced(
+    server: &Arc<Server>,
+    requests: Vec<(Session, Vec<f32>)>,
+) -> Vec<std::thread::JoinHandle<TopK>> {
+    let mut handles = Vec::new();
+    for (i, (session, qv)) in requests.into_iter().enumerate() {
+        handles.push(spawn_top_k(server, session, qv));
+        while server.batcher().waiting() < i + 1 || server.admission().queue_depth() < 1 {
+            std::thread::yield_now();
+        }
+    }
+    assert_eq!(server.admission().queue_depth(), 1, "one leader queues");
+    handles
+}
+
+fn solo_top_k(graph: &Graph, qv: &[f32]) -> (Vec<TypedNeighbor>, tv_hnsw::SearchStats) {
+    let ef = graph.embeddings().config().default_ef.max(4);
+    graph
+        .vector_search(&[0], qv, 4, ef, None, graph.read_tid())
+        .unwrap()
+}
+
+#[test]
+fn batched_vector_topk_is_bit_identical_to_solo() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = one_permit_server(&graph, &acl);
     let n = 6;
-    let k = 4;
-    let tid = graph.read_tid();
-    let ef = graph.embeddings().config().default_ef.max(k);
-    let solo: Vec<_> = (0..n)
-        .map(|i| {
-            let (hits, _) = graph
-                .vector_search(&[0], &vecs[i], k, ef, None, tid)
-                .unwrap();
-            hits
-        })
-        .collect();
 
-    let handles: Vec<_> = (0..n)
-        .map(|i| {
-            let server = Arc::clone(&server);
-            let qv = vecs[i].clone();
-            std::thread::spawn(move || {
-                let session = server.open_session("acme", "u-acme");
-                server.vector_top_k(&session, &[0], qv, k).unwrap()
-            })
-        })
+    let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
+    let requests = (0..n)
+        .map(|i| (server.open_session("acme", "u-acme"), vecs[i].clone()))
         .collect();
+    let handles = coalesced(&server, requests);
+    drop(gate);
     for (i, h) in handles.into_iter().enumerate() {
-        let batched = h.join().unwrap();
-        assert_eq!(batched, solo[i], "batched result differs for query {i}");
+        let batched = h.join().unwrap().unwrap();
+        let (solo, _) = solo_top_k(&graph, &vecs[i]);
+        assert_eq!(batched, solo, "batched result differs for query {i}");
     }
 
-    // The point of the exercise: they actually shared a fan-out.
+    // The point of the exercise: all six shared one fan-out.
     let snap = server.metrics_json();
-    assert!(
-        snap.get("acme")
-            .unwrap()
-            .get("batched")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            > 0,
-        "no queries coalesced — batching never engaged"
+    let acme = snap.get("acme").unwrap();
+    let counter = |name: &str| acme.get(name).unwrap().as_u64().unwrap();
+    assert_eq!(counter("fanouts"), 1);
+    assert_eq!(counter("batched"), n as u64);
+    assert_eq!(counter("max_batch_size"), n as u64);
+    assert_eq!(counter("completed"), n as u64);
+    assert_eq!(counter("max_queue_depth"), 1, "followers take no slot");
+    assert!(acme.get("wait_p99_ms").unwrap().as_f64().unwrap() > 0.0);
+    assert_eq!(server.batcher().waiting(), 0);
+
+    // With the executor free the same call runs alone, at once.
+    let session = server.open_session("solo", "u-acme");
+    let alone = server
+        .vector_top_k(&session, &[0], vecs[0].clone(), 4)
+        .unwrap();
+    assert_eq!(alone, solo_top_k(&graph, &vecs[0]).0);
+    let snap = server.metrics_json();
+    let solo = snap.get("solo").unwrap();
+    assert_eq!(solo.get("fanouts").unwrap().as_u64(), Some(1));
+    assert_eq!(solo.get("batched").unwrap().as_u64(), Some(0));
+    assert_eq!(solo.get("max_batch_size").unwrap().as_u64(), Some(0));
+}
+
+/// A batch used to run under its leader's deadline: a follower without one
+/// was failed when a hurried leader expired, and a hurried follower was not
+/// timed out at all.
+#[test]
+fn coalesced_members_keep_their_own_deadlines() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = one_permit_server(&graph, &acl);
+    let timeouts = |tenant: &str| {
+        let snap = server.metrics_json();
+        let t = snap.get(tenant).unwrap();
+        t.get("timeouts").unwrap().as_u64().unwrap()
+    };
+    let patient = || server.open_session("patient", "u-acme");
+    let hurried = |ms| {
+        server
+            .open_session("hurried", "u-globex")
+            .with_deadline(Duration::from_millis(ms))
+    };
+
+    // A hurried follower leaves on its own deadline while its batch is
+    // still queued, and the patient leader's answer is untouched by it.
+    let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
+    let requests = vec![(patient(), vecs[0].clone()), (hurried(1), vecs[1].clone())];
+    let mut handles = coalesced(&server, requests);
+    let late = handles.pop().unwrap().join().unwrap();
+    assert!(matches!(late, Err(TvError::Timeout(_))), "{late:?}");
+    assert_eq!(timeouts("hurried"), 1);
+    drop(gate);
+    let led = handles.pop().unwrap().join().unwrap().unwrap();
+    assert_eq!(led, solo_top_k(&graph, &vecs[0]).0);
+
+    // A hurried leader times out in the queue; the patient follower it
+    // abandons starts over, queues by itself and is answered. (Should the
+    // leader expire before the follower has joined — its 40 ms say it will
+    // not — the follower leads from the start: same outcome.)
+    let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
+    let leader = spawn_top_k(&server, hurried(40), vecs[2].clone());
+    while server.batcher().waiting() < 1 && !leader.is_finished() {
+        std::thread::yield_now();
+    }
+    let follower = spawn_top_k(&server, patient(), vecs[3].clone());
+    let late = leader.join().unwrap();
+    assert!(matches!(late, Err(TvError::Timeout(_))), "{late:?}");
+    assert_eq!(timeouts("hurried"), 2);
+    while server.admission().queue_depth() < 1 {
+        std::thread::yield_now();
+    }
+    drop(gate);
+    assert_eq!(
+        follower.join().unwrap().unwrap(),
+        solo_top_k(&graph, &vecs[3]).0
     );
+    assert_eq!(timeouts("patient"), 0);
+    assert_eq!(server.batcher().waiting(), 0);
+}
+
+/// The gateway used to tell a token-bucket refusal from a full queue by
+/// matching "rate limit" in the error text.
+#[test]
+fn rate_limit_refusals_are_counted_apart_from_queue_rejections() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = Server::new(
+        graph,
+        acl,
+        ServerConfig {
+            admission: AdmissionConfig {
+                executor_permits: 1,
+                queue_capacity: 0,
+                rate_limit: Some(tv_server::RateLimitConfig {
+                    burst: 2.0,
+                    per_sec: 0.001,
+                }),
+            },
+            ..ServerConfig::default()
+        },
+    );
+    let counters = |tenant: &str| {
+        let snap = server.metrics_json();
+        let t = snap.get(tenant).unwrap();
+        ["rate_limited", "rejected", "completed"].map(|c| t.get(c).unwrap().as_u64().unwrap())
+    };
+    let noisy = server.open_session("noisy", "u-acme");
+    server
+        .vector_top_k(&noisy, &[0], vecs[0].clone(), 3)
+        .unwrap();
+    server
+        .query(&noisy, TOPK_SRC, &topk_params(&vecs[0]))
+        .unwrap();
+    for _ in 0..2 {
+        let err = server
+            .vector_top_k(&noisy, &[0], vecs[0].clone(), 3)
+            .unwrap_err();
+        assert!(matches!(err, TvError::Overloaded(_)));
+        let err = server
+            .query(&noisy, TOPK_SRC, &topk_params(&vecs[0]))
+            .unwrap_err();
+        assert!(matches!(err, TvError::Overloaded(_)));
+    }
+    assert_eq!(counters("noisy"), [4, 0, 2]);
+
+    // A full queue (no slots at all, the executor held) is `rejected`, for
+    // the queued GSQL path and for a top-k leader alike.
+    let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
+    let quiet = server.open_session("quiet", "u-globex");
+    let err = server
+        .vector_top_k(&quiet, &[0], vecs[1].clone(), 3)
+        .unwrap_err();
+    assert!(matches!(err, TvError::Overloaded(_)));
+    let err = server
+        .query(&quiet, TOPK_SRC, &topk_params(&vecs[1]))
+        .unwrap_err();
+    assert!(matches!(err, TvError::Overloaded(_)));
+    drop(gate);
+    assert_eq!(counters("quiet"), [0, 2, 0]);
+    assert_eq!(server.batcher().waiting(), 0);
+}
+
+/// A batch's planner counters used to be billed to its leader's tenant.
+#[test]
+fn coalesced_tenants_are_each_billed_their_own_plans() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    // The planner routes index searches only: fold the tail into indexes.
+    let tid = graph.read_tid();
+    graph.embeddings().delta_merge(0, tid).unwrap();
+    graph.embeddings().index_merge(0, tid, 1).unwrap();
+    let server = one_permit_server(&graph, &acl);
+    let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
+    let requests = vec![
+        (server.open_session("acme", "u-acme"), vecs[0].clone()),
+        (server.open_session("globex", "u-globex"), vecs[1].clone()),
+    ];
+    let handles = coalesced(&server, requests);
+    drop(gate);
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+    let snap = server.metrics_json();
+    for (tenant, qv) in [("acme", &vecs[0]), ("globex", &vecs[1])] {
+        let (_, solo) = solo_top_k(&graph, qv);
+        assert!(solo.plans_total() > 0);
+        let t = snap.get(tenant).unwrap();
+        let counter = |name: &str| t.get(name).unwrap().as_u64().unwrap();
+        assert_eq!(counter("batched"), 1, "{tenant} ran in the batch");
+        let billed = [
+            counter("plans_brute"),
+            counter("plans_in_traversal"),
+            counter("plans_post_filter"),
+            counter("plan_ef_escalations"),
+            counter("plan_brute_fallbacks"),
+        ];
+        let own = [
+            solo.plans_brute,
+            solo.plans_in_traversal,
+            solo.plans_post_filter,
+            solo.ef_escalations,
+            solo.brute_fallbacks,
+        ];
+        assert_eq!(billed, own, "{tenant} is billed for its own searches");
+    }
 }
 
 /// The serving layer can checkpoint a durable graph online; queries before

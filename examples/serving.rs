@@ -70,9 +70,9 @@ fn main() {
                     per_sec: 5.0,
                 }),
             },
-            batch_window: Duration::from_micros(300),
             max_batch: 16,
             default_deadline: Some(Duration::from_secs(2)),
+            ..ServerConfig::default()
         },
     );
 
