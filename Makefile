@@ -1,8 +1,8 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: verify build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+.PHONY: verify deps-check build test test-all clippy fmt fmt-check bench serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
-verify: fmt-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+verify: fmt-check deps-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
 build:
 	cargo build --release
@@ -21,6 +21,20 @@ fmt:
 
 fmt-check:
 	cargo fmt --check
+
+# Manifest gate: every package a manifest's [dependencies] names must be
+# mentioned somewhere under that package's src/, tests/ or benches/. A
+# declared-but-unused dependency costs nothing at run time, but it is a false
+# edge in the crate graph (it serialises the build) and it hides which layers
+# really know each other.
+deps-check:
+	@fail=0; for m in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do \
+	  d=$$(dirname $$m); \
+	  for dep in $$(sed -n '/^\[dependencies\]/,/^\[/p' $$m | sed -n 's/^\([A-Za-z0-9_-]*\)[. =].*/\1/p'); do \
+	    grep -rqw "$$(echo $$dep | tr - _)" $$d/src $$d/tests $$d/benches 2>/dev/null \
+	      || { echo "$$m: dependency '$$dep' is declared but never named"; fail=1; }; \
+	  done; \
+	done; exit $$fail
 
 bench:
 	cargo bench --workspace

@@ -10,7 +10,7 @@
 //! crate provides two layers (both exercised by the benchmarks):
 //!
 //! * [`runtime`] — a *real* message-passing runtime: one thread per server,
-//!   crossbeam channels as the network, actual scatter-gather execution.
+//!   std channels as the network, actual scatter-gather execution.
 //!   This validates the architecture (results identical to a centralized
 //!   search, replica failover works) and measures real per-server compute.
 //! * [`model`] — an analytic cost model that turns measured per-query CPU

@@ -3,13 +3,16 @@
 //! A [`Migrator`] moves one segment copy between servers while the cluster
 //! keeps serving queries and accepting delta appends, in five phases:
 //!
-//! 1. **Ship** — snapshot the source's newest index into the `durafile`
-//!    checkpoint container (CRC32-verified, temp+rename atomic) in the
-//!    staging directory. The source stays fully authoritative.
+//! 1. **Ship** — write the source's segment image ([`tv_embedding::image`],
+//!    the unit a checkpoint persists: newest index snapshot, empty delta
+//!    tail) into a `durafile` container (CRC32-verified, temp+rename
+//!    atomic) in the staging directory. The source stays fully
+//!    authoritative.
 //! 2. **Install** — read the container back (a truncated or corrupt
-//!    transfer fails the CRC here, not at query time), decode the index,
-//!    and register an independent destination copy. Not yet routed to:
-//!    the placement table still lists only the old holders.
+//!    transfer fails the CRC here, not at query time), decode the image,
+//!    and register an independent destination copy declared as its source
+//!    was. Not yet routed to: the placement table still lists only the old
+//!    holders.
 //! 3. **Catch up** — replay the source's delta tail (`(snapshot_tid, ∞)`)
 //!    onto the destination in bounded batches until the remaining tail is
 //!    short enough to drain inside the flip, or the round budget runs out.
@@ -37,16 +40,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tv_common::crash::{crash_hook, CrashPlan, CrashPoint};
-use tv_common::{
-    durafile, DistanceMetric, MigrationConfig, QuantSpec, SegmentId, StorageTier, Tid, TvError,
-    TvResult,
-};
-use tv_embedding::{EmbeddingSegment, EmbeddingTypeDef};
-use tv_hnsw::snapshot;
+use tv_common::{durafile, MigrationConfig, SegmentId, Tid, TvError, TvResult};
+use tv_embedding::{EmbeddingSegment, SegmentImage};
 
 /// `durafile` kind tag of a shipped migration segment ("MIGS").
 pub const KIND_MIGRATE_SEG: u32 = 0x4D49_4753;
-const FORMAT_VERSION: u32 = 1;
+/// Version 2: the payload is the embedding segment image.
+const FORMAT_VERSION: u32 = 2;
 
 /// The migration state-machine phase an error was raised in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,7 +266,8 @@ impl Migrator {
         crash_hook(crash, CrashPoint::MigrateMidShip).map_err(|e| (P::Ship, e))?;
         let snap = src.newest_snapshot();
         let snap_tid = snap.up_to;
-        let payload = encode_shipped_segment(&src, snap_tid, &snap.index);
+        let mut payload = Vec::new();
+        src.encode_image(&snap, &[], &mut payload);
         let shipped_bytes = payload.len() as u64;
         std::fs::create_dir_all(&self.staging)
             .map_err(|e| (P::Ship, TvError::Storage(format!("staging dir: {e}"))))?;
@@ -280,9 +281,10 @@ impl Migrator {
         }
 
         // --- Phase 2: Install ----------------------------------------------
-        let (_, read_back) =
-            durafile::read(&path, KIND_MIGRATE_SEG).map_err(|e| (P::Install, e))?;
-        let dest = decode_shipped_segment(&read_back).map_err(|e| (P::Install, e))?;
+        let dest = durafile::read(&path, KIND_MIGRATE_SEG, FORMAT_VERSION)
+            .and_then(|read_back| SegmentImage::decode(&read_back))
+            .and_then(EmbeddingSegment::from_image)
+            .map_err(|e| (P::Install, e))?;
         crash_hook(crash, CrashPoint::MigrateMidInstall).map_err(|e| (P::Install, e))?;
         let dest = Arc::new(dest);
         self.runtime
@@ -385,165 +387,72 @@ fn truncate_file(path: &Path) -> TvResult<()> {
     Ok(())
 }
 
-/// Shipped-segment payload: everything the destination needs to rebuild an
-/// independent, byte-identical serving copy.
-///
-/// ```text
-/// seg u32 | up_to u64 | capacity u64 | dim u64 | metric u8 |
-/// tier u8 | pq_m u64 | keep_f32 u8 | rerank u64 |
-/// index_len u64 | index bytes (tv-hnsw snapshot container)
-/// ```
-fn encode_shipped_segment(
-    src: &EmbeddingSegment,
-    up_to: Tid,
-    index: &tv_hnsw::HnswIndex,
-) -> Vec<u8> {
-    let index_bytes = snapshot::to_bytes(index);
-    let quant = src.quant_spec();
-    let cfg = index.config();
-    let mut out = Vec::with_capacity(index_bytes.len() + 64);
-    out.extend_from_slice(&src.segment_id.0.to_le_bytes());
-    out.extend_from_slice(&up_to.0.to_le_bytes());
-    out.extend_from_slice(&(src.capacity() as u64).to_le_bytes());
-    out.extend_from_slice(&(cfg.dim as u64).to_le_bytes());
-    out.push(match cfg.metric {
-        DistanceMetric::L2 => 0,
-        DistanceMetric::Cosine => 1,
-        DistanceMetric::InnerProduct => 2,
-    });
-    let (tier, pq_m) = match quant.tier {
-        StorageTier::F32 => (0u8, 0u64),
-        StorageTier::Sq8 => (1, 0),
-        StorageTier::Pq { m } => (2, m as u64),
-    };
-    out.push(tier);
-    out.extend_from_slice(&pq_m.to_le_bytes());
-    out.push(u8::from(quant.keep_f32));
-    out.extend_from_slice(&(quant.rerank_factor as u64).to_le_bytes());
-    out.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(&index_bytes);
-    out
-}
-
-/// Decode a shipped segment into a fresh destination copy (a pristine
-/// segment with the shipped index installed as its newest snapshot).
-fn decode_shipped_segment(payload: &[u8]) -> TvResult<EmbeddingSegment> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> TvResult<&[u8]> {
-        let end = pos.checked_add(n).filter(|&e| e <= payload.len());
-        let Some(end) = end else {
-            return Err(TvError::Storage("shipped segment truncated".into()));
-        };
-        let s = &payload[*pos..end];
-        *pos = end;
-        Ok(s)
-    };
-    let take_u32 = |pos: &mut usize| -> TvResult<u32> {
-        Ok(u32::from_le_bytes(
-            take(pos, 4)?.try_into().expect("4 bytes"),
-        ))
-    };
-    let take_u64 = |pos: &mut usize| -> TvResult<u64> {
-        Ok(u64::from_le_bytes(
-            take(pos, 8)?.try_into().expect("8 bytes"),
-        ))
-    };
-    let take_u8 = |pos: &mut usize| -> TvResult<u8> { Ok(take(pos, 1)?[0]) };
-
-    let seg_id = SegmentId(take_u32(&mut pos)?);
-    let up_to = Tid(take_u64(&mut pos)?);
-    let capacity = usize::try_from(take_u64(&mut pos)?)
-        .map_err(|_| TvError::Storage("shipped capacity overflow".into()))?;
-    let dim = usize::try_from(take_u64(&mut pos)?)
-        .map_err(|_| TvError::Storage("shipped dim overflow".into()))?;
-    let metric = match take_u8(&mut pos)? {
-        0 => DistanceMetric::L2,
-        1 => DistanceMetric::Cosine,
-        2 => DistanceMetric::InnerProduct,
-        m => return Err(TvError::Storage(format!("unknown shipped metric {m}"))),
-    };
-    let tier = take_u8(&mut pos)?;
-    let pq_m = take_u64(&mut pos)? as usize;
-    let keep_f32 = take_u8(&mut pos)? != 0;
-    let rerank_factor = take_u64(&mut pos)? as usize;
-    let quant = QuantSpec {
-        tier: match tier {
-            0 => StorageTier::F32,
-            1 => StorageTier::Sq8,
-            2 => StorageTier::Pq { m: pq_m },
-            t => return Err(TvError::Storage(format!("unknown shipped tier {t}"))),
-        },
-        keep_f32,
-        rerank_factor,
-    };
-    let index_len = usize::try_from(take_u64(&mut pos)?)
-        .map_err(|_| TvError::Storage("shipped index length overflow".into()))?;
-    let index = snapshot::from_bytes(take(&mut pos, index_len)?)?;
-
-    let def = EmbeddingTypeDef::new("migrated", dim, "migrated", metric).with_quant(quant);
-    let dest = EmbeddingSegment::new(seg_id, &def, capacity);
-    dest.restore_checkpoint(up_to, index, &[])?;
-    Ok(dest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::RuntimeConfig;
     use tv_common::ids::{LocalId, VertexId};
-    use tv_common::SplitMix64;
-    use tv_hnsw::DeltaRecord;
+    use tv_common::{DistanceMetric, GraphLayout, QuantSpec, SplitMix64};
+    use tv_embedding::EmbeddingTypeDef;
+    use tv_hnsw::{snapshot, DeltaRecord};
 
-    fn shipped_roundtrip(quant: QuantSpec) {
-        let def = EmbeddingTypeDef::new("e", 8, "M", DistanceMetric::Cosine).with_quant(quant);
-        let src = EmbeddingSegment::new(SegmentId(7), &def, 256);
+    /// What migration installs on the destination is the source's own image:
+    /// same snapshot bytes, and the same declaration — capacity, storage
+    /// spec and the *declared* layout, so a `pointer` segment does not turn
+    /// into a compiling one by moving.
+    #[test]
+    fn migrated_copy_is_declared_as_its_source_was() {
+        let runtime = Arc::new(ClusterRuntime::start(RuntimeConfig {
+            servers: 2,
+            replication: 1,
+            ..RuntimeConfig::default()
+        }));
+        let def = EmbeddingTypeDef::new("e", 8, "M", DistanceMetric::Cosine)
+            .with_quant(QuantSpec::sq8())
+            .with_layout(GraphLayout::Pointer);
+        let seg = SegmentId(0);
+        let src = Arc::new(EmbeddingSegment::new(seg, &def, 256));
         let mut rng = SplitMix64::new(5);
         let recs: Vec<DeltaRecord> = (0..40)
             .map(|i| {
                 let v: Vec<f32> = (0..8).map(|_| rng.next_f32()).collect();
-                DeltaRecord::upsert(
-                    VertexId::new(SegmentId(7), LocalId(i)),
-                    Tid(u64::from(i) + 1),
-                    v,
-                )
+                DeltaRecord::upsert(VertexId::new(seg, LocalId(i)), Tid(u64::from(i) + 1), v)
             })
             .collect();
         src.append_deltas(&recs).unwrap();
-        src.delta_merge(Tid(40)).unwrap();
-        src.index_merge(Tid(40)).unwrap();
+        src.delta_merge(Tid(30)).unwrap();
+        src.index_merge(Tid(30)).unwrap();
+        runtime.add_segment(Arc::clone(&src));
 
-        let snap = src.newest_snapshot();
-        let payload = encode_shipped_segment(&src, snap.up_to, &snap.index);
-        let dest = decode_shipped_segment(&payload).unwrap();
-        assert_eq!(dest.segment_id, SegmentId(7));
-        assert_eq!(dest.capacity(), 256);
-        assert_eq!(dest.quant_spec(), quant);
-        // The installed snapshot serializes byte-identically to the source's.
-        let dsnap = dest.newest_snapshot();
-        assert_eq!(dsnap.up_to, snap.up_to);
+        let from = runtime.placement().holders(seg)[0];
+        let staging = std::env::temp_dir().join(format!("tv-migrate-unit-{}", std::process::id()));
+        let plan = MigrationPlan {
+            segment: seg,
+            from,
+            to: 1 - from,
+        };
+        let report = Migrator::new(Arc::clone(&runtime), staging.clone())
+            .run(plan)
+            .unwrap();
+        assert_eq!(report.catchup_records, 10, "the unmerged tail is caught up");
+
+        let dest = runtime.store(plan.to).read().get(&seg).cloned().unwrap();
+        assert!(!Arc::ptr_eq(&dest, &src), "an independent copy");
         assert_eq!(
-            snapshot::to_bytes(&dsnap.index),
-            snapshot::to_bytes(&snap.index)
+            (dest.capacity(), dest.quant_spec(), dest.layout()),
+            (256, QuantSpec::sq8(), GraphLayout::Pointer)
         );
-    }
-
-    #[test]
-    fn shipped_segment_roundtrips_byte_identically() {
-        shipped_roundtrip(QuantSpec::f32());
-        shipped_roundtrip(QuantSpec::sq8());
-    }
-
-    #[test]
-    fn truncated_payload_is_rejected_loudly() {
-        let def = EmbeddingTypeDef::new("e", 8, "M", DistanceMetric::L2);
-        let src = EmbeddingSegment::new(SegmentId(0), &def, 64);
-        let snap = src.newest_snapshot();
-        let payload = encode_shipped_segment(&src, snap.up_to, &snap.index);
-        for cut in [0, 5, payload.len() / 2, payload.len() - 1] {
-            assert!(
-                decode_shipped_segment(&payload[..cut]).is_err(),
-                "cut at {cut} must not decode"
-            );
-        }
+        let (want, got) = (src.newest_snapshot(), dest.newest_snapshot());
+        assert_eq!(got.up_to, want.up_to);
+        assert_eq!(
+            snapshot::to_bytes(&got.index),
+            snapshot::to_bytes(&want.index)
+        );
+        assert_eq!(
+            dest.delta_tail(Tid(30), Tid::MAX),
+            src.delta_tail(Tid(30), Tid::MAX)
+        );
+        let _ = std::fs::remove_dir_all(&staging);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The coordinator/worker message-passing runtime (Fig. 5).
 //!
 //! Server work runs on a shared [`WorkerPool`] sized to the server count;
-//! crossbeam channels play the network. The coordinator scatters per-server
+//! a `std::sync::mpsc` channel per query plays the network. The coordinator scatters per-server
 //! top-k requests as pool jobs, workers search their local embedding
 //! segments and push per-segment `(id, distance)` lists into the response
 //! pool, and the coordinator performs the global merge. A coordinator can
@@ -33,9 +33,9 @@ use crate::fault::FaultPlan;
 use crate::filter::{FilterSet, SegmentFilter};
 use crate::migrate::MigrationErrors;
 use crate::placement::{Placement, PlacementTable};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tv_common::{
@@ -585,7 +585,7 @@ impl ClusterRuntime {
         }
 
         let query = Arc::new(query.to_vec());
-        let (reply_tx, reply_rx) = unbounded::<WorkerReply>();
+        let (reply_tx, reply_rx) = channel::<WorkerReply>();
         // Per-segment result lists, keyed for a deterministic merge order
         // regardless of which holder answered.
         let mut gathered: Vec<(SegmentId, Vec<Neighbor>)> = Vec::new();

@@ -97,9 +97,11 @@ pub fn write_atomic(path: &Path, kind: u32, version: u32, payload: &[u8]) -> TvR
     Ok(())
 }
 
-/// Read a durable file, verifying magic, kind, length, and CRC. Returns
-/// `(version, payload)`.
-pub fn read(path: &Path, expect_kind: u32) -> TvResult<(u32, Vec<u8>)> {
+/// Read a durable file, verifying magic, kind, payload format version,
+/// length, and CRC. Returns the payload. A version other than
+/// `expect_version` is a typed error: the payload layout is the caller's,
+/// and a reader must never guess at one it was not written for.
+pub fn read(path: &Path, expect_kind: u32, expect_version: u32) -> TvResult<Vec<u8>> {
     let mut data = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut data))
@@ -122,6 +124,12 @@ pub fn read(path: &Path, expect_kind: u32) -> TvResult<(u32, Vec<u8>)> {
         )));
     }
     let version = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes"));
+    if version != expect_version {
+        return Err(TvError::Storage(format!(
+            "{}: payload format version {version}, this build reads version {expect_version}",
+            path.display()
+        )));
+    }
     let len = u64::from_le_bytes(data[16..24].try_into().expect("8 bytes")) as usize;
     let crc = u32::from_le_bytes(data[24..28].try_into().expect("4 bytes"));
     let payload = &data[HEADER_LEN..];
@@ -138,7 +146,7 @@ pub fn read(path: &Path, expect_kind: u32) -> TvResult<(u32, Vec<u8>)> {
             path.display()
         )));
     }
-    Ok((version, payload.to_vec()))
+    Ok(payload.to_vec())
 }
 
 fn tmp_path(path: &Path) -> std::path::PathBuf {
@@ -181,21 +189,24 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_payload_and_version() {
+    fn roundtrip_preserves_payload() {
         let path = temp_file("roundtrip.df");
         let payload: Vec<u8> = (0..=255).collect();
         write_atomic(&path, 7, 3, &payload).unwrap();
-        let (version, got) = read(&path, 7).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(got, payload);
+        assert_eq!(read(&path, 7, 3).unwrap(), payload);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn wrong_kind_rejected() {
+    fn wrong_kind_or_version_rejected() {
         let path = temp_file("kind.df");
         write_atomic(&path, 1, 1, b"abc").unwrap();
-        assert!(read(&path, 2).is_err());
+        assert!(read(&path, 2, 1).is_err());
+        let err = read(&path, 1, 2).unwrap_err().to_string();
+        assert!(
+            err.contains("version 1") && err.contains("version 2"),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -207,7 +218,7 @@ mod tests {
         let last = data.len() - 1;
         data[last] ^= 0x01;
         std::fs::write(&path, &data).unwrap();
-        let err = read(&path, 1).unwrap_err();
+        let err = read(&path, 1, 1).unwrap_err();
         assert!(err.to_string().contains("CRC"));
         std::fs::remove_file(&path).unwrap();
     }
@@ -219,7 +230,7 @@ mod tests {
         let data = std::fs::read(&path).unwrap();
         for cut in [0, 5, 27, data.len() - 1] {
             std::fs::write(&path, &data[..cut]).unwrap();
-            assert!(read(&path, 1).is_err(), "cut {cut}");
+            assert!(read(&path, 1, 1).is_err(), "cut {cut}");
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -229,8 +240,7 @@ mod tests {
         let path = temp_file("replace.df");
         write_atomic(&path, 1, 1, b"old").unwrap();
         write_atomic(&path, 1, 2, b"new").unwrap();
-        let (version, got) = read(&path, 1).unwrap();
-        assert_eq!((version, got.as_slice()), (2, b"new".as_slice()));
+        assert_eq!(read(&path, 1, 2).unwrap(), b"new");
         // No stray temp file left behind.
         assert!(!tmp_path(&path).exists());
         std::fs::remove_file(&path).unwrap();

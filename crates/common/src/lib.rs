@@ -1,8 +1,9 @@
 //! # tv-common
 //!
 //! Shared foundation types for the TigerVector reproduction: identifiers,
-//! distance metrics, validity bitmaps, bounded top-k heaps, errors, and a
-//! deterministic RNG.
+//! distance metrics, validity bitmaps, bounded top-k heaps, errors, a
+//! deterministic RNG, and the byte cursor every durable format is read with
+//! ([`wire`]).
 //!
 //! Everything in this crate is dependency-light and usable from every layer
 //! of the system — the storage engine, the HNSW index, the embedding service,
@@ -21,6 +22,7 @@ pub mod metric;
 pub mod pool;
 pub mod rng;
 pub mod topk;
+pub mod wire;
 
 pub use bitmap::Bitmap;
 pub use config::{

@@ -6,7 +6,8 @@
 //! in-memory delta stores — the piece that makes graph+vector updates
 //! atomic and durable together.
 
-use tv_common::{Tid, TvError, TvResult, VertexId};
+use tv_common::wire::{put_f32s, put_u32, put_u64, Reader};
+use tv_common::{Tid, TvResult, VertexId};
 use tv_hnsw::index::DeltaAction;
 use tv_hnsw::DeltaRecord;
 
@@ -14,83 +15,56 @@ use tv_hnsw::DeltaRecord;
 #[must_use]
 pub fn encode_vector_deltas(deltas: &[(u32, DeltaRecord)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + deltas.len() * 32);
-    buf.extend_from_slice(&(deltas.len() as u32).to_le_bytes());
+    put_u32(&mut buf, deltas.len() as u32);
     for (attr_id, rec) in deltas {
-        buf.extend_from_slice(&attr_id.to_le_bytes());
-        buf.push(match rec.action {
-            DeltaAction::Upsert => 0,
-            DeltaAction::Delete => 1,
-        });
-        buf.extend_from_slice(&rec.id.0.to_le_bytes());
-        buf.extend_from_slice(&rec.tid.0.to_le_bytes());
-        buf.extend_from_slice(&(rec.vector.len() as u32).to_le_bytes());
-        for v in &rec.vector {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        put_u32(&mut buf, *attr_id);
+        put_delta_record(&mut buf, rec);
     }
     buf
 }
 
 /// Decode a WAL `extra` payload back into `(attr_id, record)` pairs.
-pub fn decode_vector_deltas(mut buf: &[u8]) -> TvResult<Vec<(u32, DeltaRecord)>> {
-    let n = take_u32(&mut buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+pub fn decode_vector_deltas(buf: &[u8]) -> TvResult<Vec<(u32, DeltaRecord)>> {
+    let mut r = Reader::new(buf, "vector delta");
+    let n = r.count(4 + MIN_RECORD_BYTES)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let attr_id = take_u32(&mut buf)?;
-        let action = match take_u8(&mut buf)? {
-            0 => DeltaAction::Upsert,
-            1 => DeltaAction::Delete,
-            t => return Err(TvError::Storage(format!("bad vector delta action {t}"))),
-        };
-        let id = VertexId(take_u64(&mut buf)?);
-        let tid = Tid(take_u64(&mut buf)?);
-        let len = take_u32(&mut buf)? as usize;
-        if buf.len() < len * 4 {
-            return Err(TvError::Storage("vector delta truncated".into()));
-        }
-        let mut vector = Vec::with_capacity(len);
-        for i in 0..len {
-            vector.push(f32::from_le_bytes(
-                buf[i * 4..i * 4 + 4].try_into().unwrap(),
-            ));
-        }
-        buf = &buf[len * 4..];
-        out.push((
-            attr_id,
-            DeltaRecord {
-                action,
-                id,
-                tid,
-                vector,
-            },
-        ));
+        out.push((r.u32()?, read_delta_record(&mut r)?));
     }
     Ok(out)
 }
 
-fn take_u8(buf: &mut &[u8]) -> TvResult<u8> {
-    if buf.is_empty() {
-        return Err(TvError::Storage("vector delta truncated".into()));
-    }
-    let v = buf[0];
-    *buf = &buf[1..];
-    Ok(v)
+/// An empty-vector record: action, vertex id, TID, vector length.
+pub(crate) const MIN_RECORD_BYTES: usize = 1 + 8 + 8 + 4;
+
+/// One record, as the WAL payload above and the segment image's delta tail
+/// ([`crate::image`]) both carry it.
+pub(crate) fn put_delta_record(buf: &mut Vec<u8>, rec: &DeltaRecord) {
+    buf.push(match rec.action {
+        DeltaAction::Upsert => 0,
+        DeltaAction::Delete => 1,
+    });
+    put_u64(buf, rec.id.0);
+    put_u64(buf, rec.tid.0);
+    put_u32(buf, rec.vector.len() as u32);
+    put_f32s(buf, &rec.vector);
 }
-fn take_u32(buf: &mut &[u8]) -> TvResult<u32> {
-    if buf.len() < 4 {
-        return Err(TvError::Storage("vector delta truncated".into()));
-    }
-    let v = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    *buf = &buf[4..];
-    Ok(v)
-}
-fn take_u64(buf: &mut &[u8]) -> TvResult<u64> {
-    if buf.len() < 8 {
-        return Err(TvError::Storage("vector delta truncated".into()));
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    *buf = &buf[8..];
-    Ok(v)
+
+pub(crate) fn read_delta_record(r: &mut Reader<'_>) -> TvResult<DeltaRecord> {
+    let action = match r.u8()? {
+        0 => DeltaAction::Upsert,
+        1 => DeltaAction::Delete,
+        t => return Err(r.corrupt(format_args!("bad action {t}"))),
+    };
+    let id = VertexId(r.u64()?);
+    let tid = Tid(r.u64()?);
+    let len = r.u32()? as usize;
+    Ok(DeltaRecord {
+        action,
+        id,
+        tid,
+        vector: r.f32s(len)?,
+    })
 }
 
 #[cfg(test)]

@@ -15,14 +15,19 @@
 //! * [`vacuum`] — the two decoupled vacuum processes (delta merge and index
 //!   merge) and dynamic merge-thread tuning (§4.3);
 //! * [`encode`] — binary encoding of vector deltas for the shared WAL
-//!   `extra` payload, which is what makes graph+vector commits atomic.
+//!   `extra` payload, which is what makes graph+vector commits atomic;
+//! * [`image`] — the one durable image of an embedding segment (index
+//!   snapshot + delta tail + declaration) that checkpoints persist, recovery
+//!   restores and migration ships.
 
 pub mod encode;
+pub mod image;
 pub mod segment;
 pub mod service;
 pub mod types;
 pub mod vacuum;
 
+pub use image::SegmentImage;
 pub use segment::EmbeddingSegment;
 pub use service::{BatchQuery, EmbeddingService, SegmentFilters, ServiceConfig, TypedNeighbor};
 pub use types::{EmbeddingSpace, EmbeddingTypeDef, IndexKind, VectorDataType};

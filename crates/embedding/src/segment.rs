@@ -73,15 +73,27 @@ impl EmbeddingSegment {
     pub fn new(segment_id: SegmentId, def: &EmbeddingTypeDef, capacity: usize) -> Self {
         let cfg = HnswConfig::new(def.dimension, def.metric)
             .with_seed(0xE5EE_D000 ^ u64::from(segment_id.0));
+        let empty = IndexSnapshot {
+            up_to: Tid::ZERO,
+            index: HnswIndex::new(cfg),
+        };
+        Self::declared(segment_id, capacity, def.quant, def.layout, empty)
+    }
+
+    /// A segment with the given declaration whose only state is `first`.
+    pub(crate) fn declared(
+        segment_id: SegmentId,
+        capacity: usize,
+        quant: QuantSpec,
+        layout: GraphLayout,
+        first: IndexSnapshot,
+    ) -> Self {
         EmbeddingSegment {
             segment_id,
             capacity,
-            quant: def.quant,
-            layout: def.layout,
-            snapshots: RwLock::new(vec![Arc::new(IndexSnapshot {
-                up_to: Tid::ZERO,
-                index: HnswIndex::new(cfg),
-            })]),
+            quant,
+            layout,
+            snapshots: RwLock::new(vec![Arc::new(first)]),
             mem_deltas: RwLock::new(Vec::new()),
             delta_files: RwLock::new(Vec::new()),
         }

@@ -3,6 +3,7 @@
 //! (§5.1, Fig. 5 at single-machine scope; `tv-cluster` adds the
 //! coordinator/worker layer on top).
 
+use crate::image::SegmentImage;
 use crate::segment::EmbeddingSegment;
 use crate::types::EmbeddingTypeDef;
 use parking_lot::RwLock;
@@ -11,10 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tv_common::ids::SegmentLayout;
 use tv_common::{
-    crash_hook, Bitmap, CrashPlan, CrashPoint, Deadline, Neighbor, NeighborHeap, PlannerConfig,
-    SegmentId, Tid, TvError, TvResult, WorkerPool,
+    crash_hook, Bitmap, CrashPlan, CrashPoint, Deadline, Neighbor, PlannerConfig, SegmentId, Tid,
+    TvError, TvResult, WorkerPool,
 };
-use tv_hnsw::{DeltaRecord, HnswIndex, SearchStats};
+use tv_hnsw::{DeltaRecord, SearchStats};
 
 /// Service-wide tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -273,22 +274,15 @@ impl EmbeddingService {
         Ok(())
     }
 
-    /// Install checkpointed state into one embedding segment during
-    /// recovery: an index image valid up to `up_to` plus the delta tail
-    /// beyond it. The target segment is materialized on demand and must be
-    /// pristine (recovery runs before any traffic).
-    pub fn restore_segment(
-        &self,
-        attr_id: u32,
-        seg: SegmentId,
-        up_to: Tid,
-        index: HnswIndex,
-        deltas: &[DeltaRecord],
-    ) -> TvResult<()> {
+    /// Install a checkpointed segment image during recovery. The target
+    /// segment is materialized on demand from the attribute's DDL, must be
+    /// pristine (recovery runs before any traffic), and refuses an image
+    /// declared differently ([`EmbeddingSegment::restore_image`]).
+    pub fn restore_segment(&self, attr_id: u32, image: SegmentImage) -> TvResult<()> {
         let attr = self.attr(attr_id)?;
-        attr.ensure_segment(seg);
-        let segment = attr.segment(seg).expect("ensured above");
-        segment.restore_checkpoint(up_to, index, deltas)
+        attr.ensure_segment(image.segment_id);
+        let segment = attr.segment(image.segment_id).expect("ensured above");
+        segment.restore_image(image)
     }
 
     /// **EmbeddingAction[Top k]**: parallel per-segment top-k over one or
@@ -646,45 +640,24 @@ impl EmbeddingService {
 
 type SearchTask = (Arc<EmbeddingAttr>, Arc<EmbeddingSegment>, Option<Bitmap>);
 
-/// Global merge of per-segment typed results into the final top-k.
+/// Global merge of per-segment typed results into the final top-k: the `k`
+/// best under one total order — [`Neighbor`]'s (distance, then id), then the
+/// attribute. Local ids are only unique per vertex type, so two attributes
+/// hitting the same id at the same distance is ordinary in a multi-attribute
+/// search, and the attribute is what keeps the answer the same every run.
 fn merge_typed(
     results: Vec<(Vec<TypedNeighbor>, SearchStats)>,
     k: usize,
 ) -> (Vec<TypedNeighbor>, SearchStats) {
     let mut stats = SearchStats::default();
-    let mut heap = NeighborHeap::new(k);
-    let mut lookup: HashMap<(u64, u32), TypedNeighbor> = HashMap::new();
+    let mut hits = Vec::new();
     for (neighbors, s) in results {
         stats.merge(&s);
-        for tn in neighbors {
-            // Key by (vertex id, attr) — distinct attrs may hit the same
-            // local id legitimately (different vertex types).
-            lookup.insert((tn.neighbor.id.0, tn.attr_id), tn);
-            heap.push(tn.neighbor);
-        }
+        hits.extend(neighbors);
     }
-    // NeighborHeap dedupes nothing across attrs with identical ids+distances;
-    // rebuild typed results from the heap order.
-    let mut out = Vec::new();
-    let mut used: HashMap<u64, Vec<u32>> = HashMap::new();
-    for n in heap.into_sorted() {
-        // Find a matching typed entry not yet emitted.
-        let attrs_used = used.entry(n.id.0).or_default();
-        let found = lookup
-            .iter()
-            .find(|((vid, attr), tn)| {
-                *vid == n.id.0
-                    && !attrs_used.contains(attr)
-                    && (tn.neighbor.dist - n.dist).abs() <= f32::EPSILON * 4.0
-            })
-            .map(|((_, attr), tn)| (*attr, *tn));
-        if let Some((attr, tn)) = found {
-            attrs_used.push(attr);
-            out.push(tn);
-        }
-    }
-    out.truncate(k);
-    (out, stats)
+    hits.sort_unstable_by(|a, b| a.neighbor.cmp(&b.neighbor).then(a.attr_id.cmp(&b.attr_id)));
+    hits.truncate(k);
+    (hits, stats)
 }
 
 #[cfg(test)]
@@ -807,6 +780,54 @@ mod tests {
         assert_eq!(r[0].vertex_type, 0);
         assert_eq!(r[1].attr_id, b);
         assert_eq!(r[1].vertex_type, 1);
+    }
+
+    /// Two attributes on different vertex types holding the same vectors
+    /// under the same local ids: every hit ties with its twin. The merged
+    /// answer must be the per-attribute answers interleaved by (distance,
+    /// id, attribute) — bit for bit, and the same on every run.
+    #[test]
+    fn multi_attr_ties_merge_in_one_stable_order() {
+        let svc = service();
+        let layout = SegmentLayout::with_capacity(16);
+        let a = svc.register(0, def("post_emb"), layout).unwrap();
+        let b = svc.register(1, def("comment_emb"), layout).unwrap();
+        load(&svc, a, 40, 11);
+        load(&svc, b, 40, 11);
+        // One vertex at distance zero in both attributes.
+        let q = svc.attr(a).unwrap().segment(SegmentId(1)).unwrap();
+        let q = q.get_embedding(layout.vertex_id(20), Tid(40)).unwrap();
+
+        let solo = |attr: u32| svc.top_k(&[attr], &q, 12, 64, Tid(40), None).unwrap().0;
+        let mut want = solo(a);
+        want.extend(solo(b));
+        want.sort_by(|x, y| {
+            (x.neighbor.dist.to_bits(), x.neighbor.id, x.attr_id).cmp(&(
+                y.neighbor.dist.to_bits(),
+                y.neighbor.id,
+                y.attr_id,
+            ))
+        });
+        want.truncate(12);
+        assert_eq!(want[0].neighbor.dist, 0.0);
+        assert_eq!((want[0].attr_id, want[1].attr_id), (a, b));
+
+        let bits = |r: &[TypedNeighbor]| -> Vec<(u32, u32, u64, u32)> {
+            r.iter()
+                .map(|t| {
+                    (
+                        t.attr_id,
+                        t.vertex_type,
+                        t.neighbor.id.0,
+                        t.neighbor.dist.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        for run in 0..50 {
+            let (got, _) = svc.top_k(&[a, b], &q, 12, 64, Tid(40), None).unwrap();
+            assert_eq!(bits(&got), bits(&want), "run {run}");
+        }
     }
 
     #[test]
@@ -1025,18 +1046,30 @@ mod tests {
             .register(0, def("e"), SegmentLayout::with_capacity(16))
             .unwrap();
         let attr = src.attr(a).unwrap();
-        for seg in attr.all_segments() {
+        let image_of = |seg: &EmbeddingSegment| {
             let (snap, tail) = seg.checkpoint_state(Tid(48));
-            let bytes = tv_hnsw::snapshot::to_bytes(&snap.index);
-            let index = tv_hnsw::snapshot::from_bytes(&bytes).unwrap();
-            dst.restore_segment(b, seg.segment_id, snap.up_to, index, &tail)
-                .unwrap();
+            let mut bytes = Vec::new();
+            seg.encode_image(&snap, &tail, &mut bytes);
+            SegmentImage::decode(&bytes).unwrap()
+        };
+        for seg in attr.all_segments() {
+            dst.restore_segment(b, image_of(&seg)).unwrap();
         }
         for probe in [0usize, 20, 47] {
             let (want, _) = src.top_k(&[a], &vecs[probe], 3, 64, Tid(48), None).unwrap();
             let (got, _) = dst.top_k(&[b], &vecs[probe], 3, 64, Tid(48), None).unwrap();
             assert_eq!(got, want, "restored search parity for probe {probe}");
         }
+        // The same image under an attribute the DDL declared differently.
+        let wide = EmbeddingTypeDef::new("wide", 5, "GPT4", DistanceMetric::L2);
+        let c = dst
+            .register(0, wide, SegmentLayout::with_capacity(16))
+            .unwrap();
+        let seg = attr.segment(SegmentId(0)).unwrap();
+        assert!(matches!(
+            dst.restore_segment(c, image_of(&seg)),
+            Err(TvError::Storage(_))
+        ));
     }
 
     #[test]

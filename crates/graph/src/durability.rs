@@ -5,8 +5,9 @@
 //!
 //! * per-segment **graph images** — the MVCC fold of each vertex segment at
 //!   `t` ([`tg_storage::checkpoint::encode_segment_image`]);
-//! * per-segment **embedding state** — the newest HNSW snapshot visible at
-//!   `t` plus the encoded vector-delta tail beyond it;
+//! * per-segment **embedding state** — the segment's image
+//!   ([`tv_embedding::image`]): the newest HNSW snapshot visible at `t` plus
+//!   the vector-delta tail beyond it;
 //! * a **MANIFEST**, written *last*, recording the checkpoint TID, per-type
 //!   allocation watermarks, and the name/CRC/length of every data file.
 //!
@@ -34,9 +35,9 @@ use std::sync::Arc;
 use tg_storage::checkpoint::{decode_segment_image, encode_segment_image};
 use tg_storage::{SegmentSnapshot, Wal};
 use tv_common::durafile;
+use tv_common::wire::{put_bytes, put_u32, put_u64, Reader};
 use tv_common::{crash_hook, CrashPlan, CrashPoint, SegmentId, Tid, TvError, TvResult};
-use tv_embedding::encode::{decode_vector_deltas, encode_vector_deltas};
-use tv_hnsw::{DeltaRecord, HnswIndex};
+use tv_embedding::SegmentImage;
 
 /// Durafile kind tag: a graph segment image.
 const KIND_GRAPH_SEG: u32 = 0x4753_4547; // "GSEG"
@@ -44,8 +45,10 @@ const KIND_GRAPH_SEG: u32 = 0x4753_4547; // "GSEG"
 const KIND_EMB_SEG: u32 = 0x4553_4547; // "ESEG"
 /// Durafile kind tag: the checkpoint manifest.
 const KIND_MANIFEST: u32 = 0x4D41_4E46; // "MANF"
-/// Container format version for all three kinds.
-const FORMAT_VERSION: u32 = 1;
+/// Payload format version of all three kinds; a checkpoint is written and
+/// read as a unit, so they move together. Version 2: an embedding segment
+/// file became an attribute id followed by the segment's image.
+const FORMAT_VERSION: u32 = 2;
 /// The WAL file name inside a data directory.
 pub const WAL_FILE: &str = "wal.log";
 /// The checkpoint subdirectory inside a data directory.
@@ -134,8 +137,8 @@ impl CheckpointManager {
                 let handle = vt.segment(seg).expect("segment in range");
                 let image = handle.read().image_at(ckpt_tid);
                 let mut payload = Vec::new();
-                payload.extend_from_slice(&type_id.to_le_bytes());
-                payload.extend_from_slice(&s.to_le_bytes());
+                put_u32(&mut payload, type_id);
+                put_u32(&mut payload, s);
                 payload.extend_from_slice(&encode_segment_image(&image));
                 write_file(
                     format!("graph-t{type_id}-s{s}.seg"),
@@ -145,29 +148,16 @@ impl CheckpointManager {
             }
         }
 
-        // Embedding layer: newest index snapshot visible at the checkpoint
-        // TID plus the delta tail beyond it, per (attribute, segment).
+        // Embedding layer: one segment image per (attribute, segment).
         let embeddings = graph.embeddings();
         for attr_id in embeddings.attr_ids() {
             let attr = embeddings.attr(attr_id)?;
             for seg in attr.all_segments() {
                 let (snap, tail) = seg.checkpoint_state(ckpt_tid);
-                let hnsw = tv_hnsw::snapshot::to_bytes(&snap.index);
-                let tagged: Vec<(u32, DeltaRecord)> =
-                    tail.into_iter().map(|r| (attr_id, r)).collect();
-                let deltas = if tagged.is_empty() {
-                    Vec::new()
-                } else {
-                    encode_vector_deltas(&tagged)
-                };
-                let s = seg.segment_id.0;
                 let mut payload = Vec::new();
-                payload.extend_from_slice(&attr_id.to_le_bytes());
-                payload.extend_from_slice(&s.to_le_bytes());
-                payload.extend_from_slice(&snap.up_to.0.to_le_bytes());
-                payload.extend_from_slice(&(hnsw.len() as u64).to_le_bytes());
-                payload.extend_from_slice(&hnsw);
-                payload.extend_from_slice(&deltas);
+                put_u32(&mut payload, attr_id);
+                seg.encode_image(&snap, &tail, &mut payload);
+                let s = seg.segment_id.0;
                 write_file(format!("emb-a{attr_id}-s{s}.vec"), KIND_EMB_SEG, payload)?;
             }
         }
@@ -211,8 +201,8 @@ impl CheckpointManager {
     fn prune(&self, just_written: Tid) -> Tid {
         let mut valid = Vec::new();
         for (tid, path) in list_checkpoints(&self.dir.join(CKPT_DIR)) {
-            let manifest_ok = durafile::read(&path.join("MANIFEST"), KIND_MANIFEST)
-                .and_then(|(_, m)| decode_manifest(&m))
+            let manifest_ok = durafile::read(&path.join("MANIFEST"), KIND_MANIFEST, FORMAT_VERSION)
+                .and_then(|m| decode_manifest(&m))
                 .is_ok();
             if manifest_ok {
                 valid.push((tid, path));
@@ -234,7 +224,7 @@ struct LoadedCheckpoint {
     tid: Tid,
     watermarks: Vec<u64>,
     graph_segments: Vec<(u32, SegmentId, SegmentSnapshot)>,
-    emb_segments: Vec<(u32, SegmentId, Tid, HnswIndex, Vec<DeltaRecord>)>,
+    emb_segments: Vec<(u32, SegmentImage)>,
 }
 
 /// Restores the newest verifiable checkpoint and replays the WAL tail.
@@ -253,7 +243,9 @@ impl RecoveryManager {
 
     /// Recover `graph` (fresh, schema already recreated in the original DDL
     /// order): install the newest valid checkpoint, then replay WAL records
-    /// beyond its TID. With no usable checkpoint the full WAL is replayed.
+    /// beyond its TID. With no usable checkpoint the full WAL is replayed —
+    /// which only succeeds while the log still starts at the first
+    /// transaction.
     pub fn recover(&self, graph: &Graph) -> TvResult<RecoveryReport> {
         let mut candidates = list_checkpoints(&self.dir.join(CKPT_DIR));
         candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
@@ -276,6 +268,18 @@ impl RecoveryManager {
         if wal_path.exists() {
             let mut records = Wal::replay(&wal_path)?;
             records.retain(|r| r.tid > floor);
+            // TIDs are dense and the log is rotated past the oldest retained
+            // checkpoint, so replay must resume exactly one past what was
+            // restored. Anything later means the checkpoints that covered
+            // the gap all failed verification: stop, do not serve a graph
+            // with a hole in its history.
+            if let Some(first) = records.first().filter(|r| r.tid.0 != floor.0 + 1) {
+                return Err(TvError::Storage(format!(
+                    "recovery restored state up to TID {} ({skipped} checkpoints failed \
+                     verification) but the WAL resumes at TID {}: transactions in between are lost",
+                    floor.0, first.tid.0
+                )));
+            }
             replayed = records.len();
             let extras = graph.store().replay(records)?;
             graph.apply_vector_extras(extras)?;
@@ -292,7 +296,7 @@ impl RecoveryManager {
 /// mismatch, or decode failure is an `Err` — the caller falls back to an
 /// older checkpoint.
 fn load_checkpoint(dir: &Path, expect_tid: Tid) -> TvResult<LoadedCheckpoint> {
-    let (_, manifest) = durafile::read(&dir.join("MANIFEST"), KIND_MANIFEST)?;
+    let manifest = durafile::read(&dir.join("MANIFEST"), KIND_MANIFEST, FORMAT_VERSION)?;
     let (tid, watermarks, files) = decode_manifest(&manifest)?;
     if tid != expect_tid {
         return Err(TvError::Storage(format!(
@@ -308,39 +312,22 @@ fn load_checkpoint(dir: &Path, expect_tid: Tid) -> TvResult<LoadedCheckpoint> {
         } else {
             KIND_EMB_SEG
         };
-        let (_, payload) = durafile::read(&dir.join(&name), kind)?;
+        let payload = durafile::read(&dir.join(&name), kind, FORMAT_VERSION)?;
         if payload.len() as u64 != want_len || durafile::crc32(&payload) != want_crc {
             return Err(TvError::Storage(format!(
                 "checkpoint file {name} does not match its manifest entry"
             )));
         }
-        let mut buf = payload.as_slice();
+        let mut r = Reader::new(&payload, "checkpoint file");
         if kind == KIND_GRAPH_SEG {
-            let type_id = take_u32(&mut buf)?;
-            let seg = SegmentId(take_u32(&mut buf)?);
-            let image = decode_segment_image(buf)?;
+            let type_id = r.u32()?;
+            let seg = SegmentId(r.u32()?);
+            let image = decode_segment_image(r.take(r.remaining())?)?;
             graph_segments.push((type_id, seg, image));
         } else {
-            let attr_id = take_u32(&mut buf)?;
-            let seg = SegmentId(take_u32(&mut buf)?);
-            let up_to = Tid(take_u64(&mut buf)?);
-            let hnsw_len = take_u64(&mut buf)? as usize;
-            if hnsw_len > buf.len() {
-                return Err(TvError::Storage(format!(
-                    "checkpoint file {name}: index length exceeds payload"
-                )));
-            }
-            let index = tv_hnsw::snapshot::from_bytes(&buf[..hnsw_len])?;
-            let rest = &buf[hnsw_len..];
-            let deltas = if rest.is_empty() {
-                Vec::new()
-            } else {
-                decode_vector_deltas(rest)?
-                    .into_iter()
-                    .map(|(_, r)| r)
-                    .collect()
-            };
-            emb_segments.push((attr_id, seg, up_to, index, deltas));
+            let attr_id = r.u32()?;
+            let image = SegmentImage::decode(r.take(r.remaining())?)?;
+            emb_segments.push((attr_id, image));
         }
     }
     Ok(LoadedCheckpoint {
@@ -351,7 +338,9 @@ fn load_checkpoint(dir: &Path, expect_tid: Tid) -> TvResult<LoadedCheckpoint> {
     })
 }
 
-/// Install a fully-verified checkpoint into a fresh graph.
+/// Install a fully-verified checkpoint into a fresh graph. An embedding
+/// image declared differently from the attribute the DDL recreated
+/// (capacity, storage spec, dimension, metric) is refused.
 fn install_checkpoint(graph: &Graph, ck: LoadedCheckpoint) -> TvResult<()> {
     let store = graph.store();
     for (type_id, seg, image) in ck.graph_segments {
@@ -363,80 +352,11 @@ fn install_checkpoint(graph: &Graph, ck: LoadedCheckpoint) -> TvResult<()> {
             .restore_allocated(*rows as usize);
     }
     let embeddings = graph.embeddings();
-    for (attr_id, seg, up_to, index, deltas) in ck.emb_segments {
-        embeddings.restore_segment(attr_id, seg, up_to, index, &deltas)?;
+    for (attr_id, image) in ck.emb_segments {
+        embeddings.restore_segment(attr_id, image)?;
     }
     store.txn().recover_to(ck.tid);
     Ok(())
-}
-
-/// Export one embedding segment's durable state at `up_to` — the newest
-/// index snapshot visible at that TID plus the vector-delta tail beyond
-/// it — in the same payload layout as a checkpoint `emb-*.vec` file.
-///
-/// This is the unit a live segment migration ships: the destination
-/// installs it with [`install_embedding_segment`], then catches up from the
-/// source's delta tail while the source keeps serving.
-pub fn export_embedding_segment(
-    graph: &Graph,
-    attr_id: u32,
-    seg: SegmentId,
-    up_to: Tid,
-) -> TvResult<Vec<u8>> {
-    let attr = graph.embeddings().attr(attr_id)?;
-    let segment = attr
-        .segment(seg)
-        .ok_or_else(|| TvError::NotFound(format!("embedding segment {}", seg.0)))?;
-    let (snap, tail) = segment.checkpoint_state(up_to);
-    let hnsw = tv_hnsw::snapshot::to_bytes(&snap.index);
-    let tagged: Vec<(u32, DeltaRecord)> = tail.into_iter().map(|r| (attr_id, r)).collect();
-    let deltas = if tagged.is_empty() {
-        Vec::new()
-    } else {
-        encode_vector_deltas(&tagged)
-    };
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&attr_id.to_le_bytes());
-    payload.extend_from_slice(&seg.0.to_le_bytes());
-    payload.extend_from_slice(&snap.up_to.0.to_le_bytes());
-    payload.extend_from_slice(&(hnsw.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&hnsw);
-    payload.extend_from_slice(&deltas);
-    Ok(payload)
-}
-
-/// Install a segment exported by [`export_embedding_segment`] into `graph`,
-/// verifying it targets `attr_id`. Decodes exactly like checkpoint
-/// recovery, so corruption is a loud error and nothing is half-installed.
-pub fn install_embedding_segment(graph: &Graph, attr_id: u32, payload: &[u8]) -> TvResult<()> {
-    let mut buf = payload;
-    let got_attr = take_u32(&mut buf)?;
-    if got_attr != attr_id {
-        return Err(TvError::InvalidArgument(format!(
-            "shipped segment targets attribute {got_attr}, expected {attr_id}"
-        )));
-    }
-    let seg = SegmentId(take_u32(&mut buf)?);
-    let up_to = Tid(take_u64(&mut buf)?);
-    let hnsw_len = take_u64(&mut buf)? as usize;
-    if hnsw_len > buf.len() {
-        return Err(TvError::Storage(
-            "shipped segment: index length exceeds payload".into(),
-        ));
-    }
-    let index = tv_hnsw::snapshot::from_bytes(&buf[..hnsw_len])?;
-    let rest = &buf[hnsw_len..];
-    let deltas: Vec<DeltaRecord> = if rest.is_empty() {
-        Vec::new()
-    } else {
-        decode_vector_deltas(rest)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
-    };
-    graph
-        .embeddings()
-        .restore_segment(attr_id, seg, up_to, index, &deltas)
 }
 
 /// Enumerate `ckpt-<tid>` subdirectories (unparseable names are ignored).
@@ -461,83 +381,42 @@ fn list_checkpoints(root: &Path) -> Vec<(Tid, PathBuf)> {
 
 fn encode_manifest(tid: Tid, watermarks: &[u64], files: &[(String, u32, u64)]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&tid.0.to_le_bytes());
-    out.extend_from_slice(&(watermarks.len() as u32).to_le_bytes());
+    put_u64(&mut out, tid.0);
+    put_u32(&mut out, watermarks.len() as u32);
     for w in watermarks {
-        out.extend_from_slice(&w.to_le_bytes());
+        put_u64(&mut out, *w);
     }
-    out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+    put_u32(&mut out, files.len() as u32);
     for (name, crc, len) in files {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&len.to_le_bytes());
+        put_bytes(&mut out, name.as_bytes());
+        put_u32(&mut out, *crc);
+        put_u64(&mut out, *len);
     }
     out
 }
 
 type ManifestEntry = (String, u32, u64);
 
-fn decode_manifest(mut buf: &[u8]) -> TvResult<(Tid, Vec<u64>, Vec<ManifestEntry>)> {
-    let buf = &mut buf;
-    let tid = Tid(take_u64(buf)?);
-    let n_types = take_u32(buf)? as usize;
-    if n_types.saturating_mul(8) > buf.len() {
-        return Err(TvError::Storage(
-            "manifest watermark count exceeds payload".into(),
-        ));
-    }
+fn decode_manifest(buf: &[u8]) -> TvResult<(Tid, Vec<u64>, Vec<ManifestEntry>)> {
+    let mut r = Reader::new(buf, "manifest");
+    let tid = Tid(r.u64()?);
+    let n_types = r.count(8)?;
     let mut watermarks = Vec::with_capacity(n_types);
     for _ in 0..n_types {
-        watermarks.push(take_u64(buf)?);
+        watermarks.push(r.u64()?);
     }
-    let n_files = take_u32(buf)? as usize;
-    // Each entry is at least 16 bytes (empty name); clamp before allocating.
-    if n_files.saturating_mul(16) > buf.len() {
-        return Err(TvError::Storage(
-            "manifest file count exceeds payload".into(),
-        ));
-    }
+    // An entry is at least an empty name, a CRC and a length.
+    let n_files = r.count(4 + 4 + 8)?;
     let mut files = Vec::with_capacity(n_files);
     for _ in 0..n_files {
-        let name_len = take_u32(buf)? as usize;
-        if name_len > buf.len() {
-            return Err(TvError::Storage("manifest name exceeds payload".into()));
-        }
-        let name = String::from_utf8(buf[..name_len].to_vec())
-            .map_err(|_| TvError::Storage("manifest name is not UTF-8".into()))?;
+        let name = r.str()?.to_string();
         if name.contains('/') || name.contains('\\') || name.contains("..") {
-            return Err(TvError::Storage(format!(
-                "manifest names a path outside its directory: {name}"
-            )));
+            return Err(r.corrupt(format_args!("names a path outside its directory: {name}")));
         }
-        *buf = &buf[name_len..];
-        let crc = take_u32(buf)?;
-        let len = take_u64(buf)?;
-        files.push((name, crc, len));
+        files.push((name, r.u32()?, r.u64()?));
     }
-    if !buf.is_empty() {
-        return Err(TvError::Storage("trailing bytes after manifest".into()));
-    }
+    r.finish()?;
     Ok((tid, watermarks, files))
-}
-
-fn take_u32(buf: &mut &[u8]) -> TvResult<u32> {
-    if buf.len() < 4 {
-        return Err(TvError::Storage("manifest truncated".into()));
-    }
-    let v = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-    *buf = &buf[4..];
-    Ok(v)
-}
-
-fn take_u64(buf: &mut &[u8]) -> TvResult<u64> {
-    if buf.len() < 8 {
-        return Err(TvError::Storage("manifest truncated".into()));
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    *buf = &buf[8..];
-    Ok(v)
 }
 
 #[cfg(test)]
@@ -555,6 +434,17 @@ mod tests {
         assert_eq!(tid, Tid(42));
         assert_eq!(marks, vec![7, 9]);
         assert_eq!(decoded, files);
+    }
+
+    /// Captured before the encoder moved to `tv_common::wire`.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let files = vec![
+            ("graph-t0-s0.seg".to_string(), 0xDEAD_BEEF, 128),
+            ("emb-a0-s0.vec".to_string(), 0x1234_5678, 4096),
+        ];
+        let crc = durafile::crc32(&encode_manifest(Tid(42), &[7, 9], &files));
+        assert_eq!(crc, 0xc6a3_fab4, "{crc:#010x}");
     }
 
     #[test]
@@ -576,102 +466,5 @@ mod tests {
         let files = vec![("../../etc/passwd".to_string(), 1, 2)];
         let bytes = encode_manifest(Tid(1), &[], &files);
         assert!(decode_manifest(&bytes).is_err());
-    }
-
-    mod segment_export {
-        use super::super::*;
-        use tg_storage::{AttrType, AttrValue};
-        use tv_common::ids::SegmentLayout;
-        use tv_common::{DistanceMetric, SplitMix64};
-        use tv_embedding::{EmbeddingTypeDef, ServiceConfig};
-
-        const DIM: usize = 4;
-        const EMB: u32 = 0;
-
-        fn fresh_graph() -> Graph {
-            let config = ServiceConfig {
-                // Exact scans: results comparable bit-for-bit regardless of
-                // how (or whether) the HNSW index was built.
-                planner: tv_common::PlannerConfig::default().with_brute_threshold(1024),
-                query_threads: 1,
-                default_ef: 64,
-                build_threads: 1,
-            };
-            let g = Graph::with_config(SegmentLayout::with_capacity(8), config);
-            g.create_vertex_type("Doc", &[("title", AttrType::Str)])
-                .unwrap();
-            g.add_embedding_attribute(
-                "Doc",
-                EmbeddingTypeDef::new("emb", DIM, "model", DistanceMetric::L2),
-            )
-            .unwrap();
-            g
-        }
-
-        fn populated_graph() -> Graph {
-            let g = fresh_graph();
-            let layout = SegmentLayout::with_capacity(8);
-            let mut rng = SplitMix64::new(0x5E61_E897);
-            for v in 0..20usize {
-                let vector: Vec<f32> = (0..DIM).map(|_| rng.next_f32()).collect();
-                g.txn()
-                    .upsert_vertex(
-                        0,
-                        layout.vertex_id(v),
-                        vec![AttrValue::Str(format!("d{v}"))],
-                    )
-                    .set_vector(EMB, layout.vertex_id(v), vector)
-                    .commit()
-                    .unwrap();
-            }
-            g
-        }
-
-        #[test]
-        fn exported_segment_installs_with_identical_results() {
-            let src = populated_graph();
-            let up_to = src.read_tid();
-            let seg = SegmentId(1);
-            let payload = export_embedding_segment(&src, EMB, seg, up_to).unwrap();
-
-            let dst = fresh_graph();
-            install_embedding_segment(&dst, EMB, &payload).unwrap();
-
-            let src_seg = src.embeddings().attr(EMB).unwrap().segment(seg).unwrap();
-            let dst_seg = dst.embeddings().attr(EMB).unwrap().segment(seg).unwrap();
-            let planner = tv_common::PlannerConfig::default().with_brute_threshold(1024);
-            let query = vec![0.3f32; DIM];
-            let (want, _) = src_seg.search(&query, 5, 64, None, up_to, &planner);
-            let (got, _) = dst_seg.search(&query, 5, 64, None, up_to, &planner);
-            assert!(!want.is_empty(), "segment 1 must hold vectors");
-            let bits = |ns: &[tv_common::Neighbor]| -> Vec<(u64, u32)> {
-                ns.iter().map(|n| (n.id.0, n.dist.to_bits())).collect()
-            };
-            assert_eq!(bits(&want), bits(&got));
-        }
-
-        #[test]
-        fn install_rejects_attribute_mismatch_and_truncation() {
-            let src = populated_graph();
-            let payload =
-                export_embedding_segment(&src, EMB, SegmentId(0), src.read_tid()).unwrap();
-
-            let dst = fresh_graph();
-            let err = install_embedding_segment(&dst, EMB + 1, &payload).unwrap_err();
-            assert!(matches!(err, TvError::InvalidArgument(_)), "{err}");
-
-            // Header and mid-index truncations must fail loudly, not
-            // half-install. (Whole-payload integrity is the durafile
-            // container's CRC; this guards the decoder itself.)
-            for cut in [4usize, 12, 20, 24, 40] {
-                assert!(
-                    install_embedding_segment(&dst, EMB, &payload[..cut]).is_err(),
-                    "cut at {cut} must be rejected"
-                );
-            }
-
-            let missing = export_embedding_segment(&src, EMB, SegmentId(99), src.read_tid());
-            assert!(matches!(missing, Err(TvError::NotFound(_))));
-        }
     }
 }

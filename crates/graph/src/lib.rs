@@ -34,10 +34,7 @@ pub mod rbac;
 pub mod schema;
 pub mod vertex_set;
 
-pub use durability::{
-    export_embedding_segment, install_embedding_segment, CheckpointInfo, CheckpointManager,
-    RecoveryManager, RecoveryReport,
-};
+pub use durability::{CheckpointInfo, CheckpointManager, RecoveryManager, RecoveryReport};
 pub use graph::{Graph, TxnBuilder};
 pub use rbac::{AccessControl, Role};
 pub use schema::{Catalog, EdgeTypeDef, VertexTypeDef};

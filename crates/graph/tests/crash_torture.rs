@@ -251,6 +251,18 @@ fn recovery_after_rotation_replays_only_the_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flip one byte in the manifest of the checkpoint taken at `tid`.
+fn corrupt_checkpoint(dir: &Path, tid: u64) {
+    let manifest = dir
+        .join("checkpoints")
+        .join(format!("ckpt-{tid:020}"))
+        .join("MANIFEST");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&manifest, &bytes).unwrap();
+}
+
 /// A corrupted newest checkpoint is skipped; recovery falls back to its
 /// predecessor and replays the longer WAL tail to the same final state.
 #[test]
@@ -260,15 +272,7 @@ fn corrupt_newest_checkpoint_falls_back_to_previous() {
         let g = open(&dir, None);
         run_from(&g, 1, N_TXNS).unwrap();
     }
-    // Flip one byte in the newest checkpoint's manifest.
-    let manifest = dir
-        .join("checkpoints")
-        .join("ckpt-00000000000000000020")
-        .join("MANIFEST");
-    let mut bytes = std::fs::read(&manifest).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&manifest, &bytes).unwrap();
+    corrupt_checkpoint(&dir, 20);
 
     let g = open(&dir, None);
     let report = g.recover().unwrap();
@@ -276,6 +280,29 @@ fn corrupt_newest_checkpoint_falls_back_to_previous() {
     assert_eq!(report.skipped_checkpoints, 1);
     assert_eq!(report.replayed, (N_TXNS - 10) as usize);
     assert_eq!(fingerprint(&g), oracle());
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With *every* retained checkpoint corrupt there is nothing to fall back
+/// to: the WAL was rotated past the older one, so it starts at TID 11.
+/// Replaying it onto an empty graph would silently drop transactions 1–10;
+/// recovery must refuse, naming where its state ends and the log resumes.
+#[test]
+fn every_checkpoint_corrupt_is_an_error_not_a_hole_in_history() {
+    let dir = test_dir("no-fallback");
+    {
+        let g = open(&dir, None);
+        run_from(&g, 1, N_TXNS).unwrap();
+    }
+    corrupt_checkpoint(&dir, 10);
+    corrupt_checkpoint(&dir, 20);
+
+    let g = open(&dir, None);
+    let err = g.recover().expect_err("ten transactions are unrecoverable");
+    assert!(matches!(err, TvError::Storage(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("TID 0") && msg.contains("TID 11"), "{msg}");
     drop(g);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -414,7 +441,7 @@ fn quantized_segment_checkpoint_recovery_is_byte_identical() {
 /// Layout and serialized image of each segment's snapshot visible at the
 /// vacuum TID. The default attribute declares the packed+prefetch layout,
 /// so the index merge at TID 15 compiles the frozen CSR form and the
-/// checkpoint persists it (snapshot v3 carries the layout tag).
+/// checkpoint persists it (the snapshot carries the layout tag).
 fn compiled_snapshot_state(g: &Graph) -> Vec<(tv_common::GraphLayout, Vec<u8>)> {
     g.embeddings()
         .attr(EMB)

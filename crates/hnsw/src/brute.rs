@@ -1,12 +1,11 @@
 //! Exact brute-force index.
 //!
-//! Serves three roles in the reproduction:
-//! 1. the engine's fallback when the validity bitmap leaves too few points
-//!    for graph search to pay off (§5.1's brute-force threshold),
-//! 2. the search path over unmerged vector deltas — queries combine index
-//!    snapshot results with "brute-force search results over vector deltas"
-//!    (§4.3),
-//! 3. ground truth for recall measurement in the benchmarks.
+//! The second implementor of [`VectorIndex`] (§4.4: other index types sit
+//! behind the same four functions) and the reference the seeded model check
+//! in `tests/brute_oracle.rs` holds [`crate::HnswIndex`] against. The
+//! engine's own exact paths are elsewhere: the planner's brute-force
+//! fallback is `HnswIndex::brute_force_top_k`, and the scan over unmerged
+//! vector deltas is `EmbeddingSegment::overlay_pass` in `tv-embedding`.
 //!
 //! Queries gather the accepted slots (a scan that touches no vector data),
 //! then score them in batched kernel calls against the per-slot norm cache;

@@ -45,8 +45,3 @@ pub use config::HnswConfig;
 pub use index::{DeltaRecord, HnswIndex, VectorIndex};
 pub use planner::{PlanChoice, PlanInputs};
 pub use stats::SearchStats;
-
-// Property tests need the external `proptest` crate, unavailable in the
-// offline build container; enable with `--features proptests` once vendored.
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

@@ -2,6 +2,7 @@
 
 use crate::pq::PqCodec;
 use crate::sq8::Sq8Codec;
+use tv_common::wire::Reader;
 use tv_common::{StorageTier, TvError, TvResult};
 
 /// What every quantized representation must provide: fixed-width encoding
@@ -63,6 +64,18 @@ impl Codec {
         }
     }
 
+    /// Whether every byte of a code arena is one this codec could have
+    /// written: a PQ code byte selects one of `ks <= 256` centroids, and a
+    /// larger one would index past the codebook (and every ADC table built
+    /// from it). Checked on codes that arrive from outside the process.
+    #[must_use]
+    pub fn accepts(&self, codes: &[u8]) -> bool {
+        match self {
+            Codec::Sq8(_) => true,
+            Codec::Pq(pq) => pq.ks() == 256 || codes.iter().all(|&c| usize::from(c) < pq.ks()),
+        }
+    }
+
     /// Serialize into the versioned wire format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -83,7 +96,7 @@ impl Codec {
     /// Deserialize; rejects unknown versions/tags, truncation, and trailing
     /// bytes.
     pub fn from_bytes(data: &[u8]) -> TvResult<Self> {
-        let mut r = Reader { data, pos: 0 };
+        let mut r = Reader::new(data, "codec");
         if r.u8()? != CODEC_VERSION {
             return Err(TvError::Storage("unknown codec version".into()));
         }
@@ -92,12 +105,7 @@ impl Codec {
             TAG_PQ => Codec::Pq(PqCodec::read(&mut r)?),
             _ => return Err(TvError::Storage("unknown codec tag".into())),
         };
-        if r.remaining() != 0 {
-            return Err(TvError::Storage(format!(
-                "corrupt codec: {} trailing bytes",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(codec)
     }
 }
@@ -155,48 +163,6 @@ pub fn permute_code_rows(codes: &[u8], row_len: usize, perm: &[u32]) -> Vec<u8> 
     out
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader (same shape as the snapshot
-/// reader in `tv-hnsw`).
-pub(crate) struct Reader<'a> {
-    pub(crate) data: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> TvResult<&'a [u8]> {
-        if n > self.remaining() {
-            return Err(TvError::Storage("truncated codec".into()));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> TvResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> TvResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32(&mut self) -> TvResult<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +191,21 @@ mod tests {
         }
     }
 
+    /// Captured before the encoders moved to `tv_common::wire`. SQ8 training
+    /// is min/max, the same on every kernel tier; PQ's k-means rounds per
+    /// tier, so its pin binds on the scalar tier (`make quant-smoke`).
+    #[test]
+    fn codec_image_bytes_are_pinned() {
+        let rows = slab(300, 12, 5);
+        let image = |tier| Codec::train(tier, 12, &rows, 99).unwrap().to_bytes();
+        let sq8 = tv_common::crc32(&image(StorageTier::Sq8));
+        let pq = tv_common::crc32(&image(StorageTier::Pq { m: 4 }));
+        assert_eq!(sq8, 0x712c_933a);
+        if tv_common::kernels::active().tier() == tv_common::KernelTier::Scalar {
+            assert_eq!(pq, 0x6f4f_f777);
+        }
+    }
+
     #[test]
     fn truncation_and_corruption_rejected() {
         let rows = slab(50, 8, 2);
@@ -247,6 +228,7 @@ mod tests {
 
     #[test]
     fn pq_huge_declared_header_fails_before_alloc() {
+        use tv_common::wire::put_u32;
         let mut buf = vec![CODEC_VERSION, TAG_PQ];
         put_u32(&mut buf, u32::MAX); // dim
         put_u32(&mut buf, 1); // m

@@ -1,7 +1,8 @@
 //! Product quantization with deterministic k-means codebooks.
 
-use crate::codec::{put_f32, put_u32, QuantizedCodec, Reader};
+use crate::codec::QuantizedCodec;
 use tv_common::kernels;
+use tv_common::wire::{put_f32s, put_u32, Reader};
 use tv_common::{SplitMix64, TvError, TvResult};
 
 /// Fixed Lloyd iteration count: enough to converge on segment-sized
@@ -111,9 +112,7 @@ impl PqCodec {
         put_u32(buf, self.m() as u32);
         put_u32(buf, self.ks as u32);
         for cb in &self.codebooks {
-            for &v in cb {
-                put_f32(buf, v);
-            }
+            put_f32s(buf, cb);
         }
     }
 
@@ -138,12 +137,7 @@ impl PqCodec {
         }
         let mut codebooks = Vec::with_capacity(m);
         for s in 0..m {
-            let sd = offsets[s + 1] - offsets[s];
-            let mut cb = Vec::with_capacity(ks * sd);
-            for _ in 0..ks * sd {
-                cb.push(r.f32()?);
-            }
-            codebooks.push(cb);
+            codebooks.push(r.f32s(ks * (offsets[s + 1] - offsets[s]))?);
         }
         Ok(PqCodec {
             dim,

@@ -1,6 +1,7 @@
 //! Per-dimension min/max scalar quantization to `u8`.
 
-use crate::codec::{put_f32, put_u32, QuantizedCodec, Reader};
+use crate::codec::QuantizedCodec;
+use tv_common::wire::{put_f32s, put_u32, Reader};
 use tv_common::{TvError, TvResult};
 
 /// SQ8 codec: dimension `j` maps `x` to
@@ -61,12 +62,8 @@ impl Sq8Codec {
 
     pub(crate) fn write(&self, buf: &mut Vec<u8>) {
         put_u32(buf, self.min.len() as u32);
-        for &v in &self.min {
-            put_f32(buf, v);
-        }
-        for &v in &self.step {
-            put_f32(buf, v);
-        }
+        put_f32s(buf, &self.min);
+        put_f32s(buf, &self.step);
     }
 
     pub(crate) fn read(r: &mut Reader<'_>) -> TvResult<Self> {
@@ -74,15 +71,10 @@ impl Sq8Codec {
         if dim == 0 || dim.saturating_mul(8) > r.remaining() {
             return Err(TvError::Storage("corrupt SQ8 codec: dim".into()));
         }
-        let mut min = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            min.push(r.f32()?);
-        }
-        let mut step = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            step.push(r.f32()?);
-        }
-        Ok(Sq8Codec { min, step })
+        Ok(Sq8Codec {
+            min: r.f32s(dim)?,
+            step: r.f32s(dim)?,
+        })
     }
 }
 

@@ -14,10 +14,10 @@
 
 use crate::segment::SegmentSnapshot;
 use crate::value::AttrValue;
-use crate::wal::{decode_value, encode_value, take_u32, take_u64, take_u8};
-use bytes::{BufMut, BytesMut};
+use crate::wal::{decode_value, encode_value};
 use std::collections::HashMap;
-use tv_common::{Tid, TvError, TvResult, VertexId};
+use tv_common::wire::{put_u32, put_u64, Reader};
+use tv_common::{Tid, TvResult, VertexId};
 
 /// Largest segment capacity we will ever deserialize; images beyond this are
 /// rejected as corrupt (real segments are far smaller, see `SegmentLayout`).
@@ -27,14 +27,12 @@ const MAX_IMAGE_CAPACITY: usize = 1 << 24;
 #[must_use]
 pub fn encode_segment_image(snap: &SegmentSnapshot) -> Vec<u8> {
     let cap = snap.capacity();
-    let mut b = BytesMut::new();
-    b.put_u64_le(snap.up_to.0);
-    b.put_u32_le(cap as u32);
-    for &alive in snap.live() {
-        b.put_u8(u8::from(alive));
-    }
+    let mut b = Vec::new();
+    put_u64(&mut b, snap.up_to.0);
+    put_u32(&mut b, cap as u32);
+    b.extend(snap.live().iter().map(|&alive| u8::from(alive)));
     for row in snap.attrs() {
-        b.put_u32_le(row.len() as u32);
+        put_u32(&mut b, row.len() as u32);
         for v in row {
             encode_value(&mut b, v);
         }
@@ -43,87 +41,57 @@ pub fn encode_segment_image(snap: &SegmentSnapshot) -> Vec<u8> {
     // bytes (the torture test compares files across runs).
     let mut etypes: Vec<u32> = snap.edges().keys().copied().collect();
     etypes.sort_unstable();
-    b.put_u32_le(etypes.len() as u32);
+    put_u32(&mut b, etypes.len() as u32);
     for etype in etypes {
-        b.put_u32_le(etype);
+        put_u32(&mut b, etype);
         for targets in &snap.edges()[&etype] {
-            b.put_u32_le(targets.len() as u32);
+            put_u32(&mut b, targets.len() as u32);
             for t in targets {
-                b.put_u64_le(t.0);
+                put_u64(&mut b, t.0);
             }
         }
     }
-    b.to_vec()
+    b
 }
 
 /// Deserialize one segment image, validating every count against the bytes
 /// actually present.
-pub fn decode_segment_image(mut buf: &[u8]) -> TvResult<SegmentSnapshot> {
-    let buf = &mut buf;
-    let up_to = Tid(take_u64(buf)?);
-    let cap = take_u32(buf)? as usize;
-    if cap > MAX_IMAGE_CAPACITY || cap > buf.len() {
-        return Err(TvError::Storage(format!(
-            "segment image: capacity {cap} exceeds remaining {} bytes",
-            buf.len()
-        )));
+pub fn decode_segment_image(buf: &[u8]) -> TvResult<SegmentSnapshot> {
+    let mut r = Reader::new(buf, "segment image");
+    let up_to = Tid(r.u64()?);
+    // Each slot costs at least its liveness byte.
+    let cap = r.count(1)?;
+    if cap > MAX_IMAGE_CAPACITY {
+        return Err(r.corrupt(format_args!("capacity {cap} exceeds the maximum")));
     }
-    let mut live = Vec::with_capacity(cap);
-    for _ in 0..cap {
-        live.push(take_u8(buf)? != 0);
-    }
+    let live = r.take(cap)?.iter().map(|&b| b != 0).collect();
     let mut attrs: Vec<Vec<AttrValue>> = Vec::with_capacity(cap);
     for _ in 0..cap {
-        let n = take_u32(buf)? as usize;
-        if n > buf.len() {
-            return Err(TvError::Storage(format!(
-                "segment image: {n} attr values exceed remaining {} bytes",
-                buf.len()
-            )));
-        }
+        let n = r.count(1)?;
         let mut row = Vec::with_capacity(n);
         for _ in 0..n {
-            row.push(decode_value(buf)?);
+            row.push(decode_value(&mut r)?);
         }
         attrs.push(row);
     }
-    let netypes = take_u32(buf)? as usize;
-    if netypes > buf.len() {
-        return Err(TvError::Storage(format!(
-            "segment image: {netypes} edge types exceed remaining {} bytes",
-            buf.len()
-        )));
-    }
+    let netypes = r.count(1)?;
     let mut edges: HashMap<u32, Vec<Vec<VertexId>>> = HashMap::with_capacity(netypes);
     for _ in 0..netypes {
-        let etype = take_u32(buf)?;
+        let etype = r.u32()?;
         let mut per_local = Vec::with_capacity(cap);
         for _ in 0..cap {
-            let n = take_u32(buf)? as usize;
-            if n.saturating_mul(8) > buf.len() {
-                return Err(TvError::Storage(format!(
-                    "segment image: {n} edge targets exceed remaining {} bytes",
-                    buf.len()
-                )));
-            }
+            let n = r.count(8)?;
             let mut targets = Vec::with_capacity(n);
             for _ in 0..n {
-                targets.push(VertexId(take_u64(buf)?));
+                targets.push(VertexId(r.u64()?));
             }
             per_local.push(targets);
         }
         if edges.insert(etype, per_local).is_some() {
-            return Err(TvError::Storage(format!(
-                "segment image: duplicate edge type {etype}"
-            )));
+            return Err(r.corrupt(format_args!("duplicate edge type {etype}")));
         }
     }
-    if !buf.is_empty() {
-        return Err(TvError::Storage(format!(
-            "segment image: {} trailing bytes",
-            buf.len()
-        )));
-    }
+    r.finish()?;
     SegmentSnapshot::from_parts(up_to, live, attrs, edges)
 }
 
@@ -189,6 +157,13 @@ mod tests {
         assert_eq!(decoded.edges(), image.edges());
         // Re-encoding is deterministic (manifest CRCs depend on this).
         assert_eq!(encode_segment_image(&decoded), bytes);
+    }
+
+    /// Captured before the encoder moved to `tv_common::wire`.
+    #[test]
+    fn segment_image_bytes_are_pinned() {
+        let crc = tv_common::crc32(&encode_segment_image(&populated_store().image_at(Tid(8))));
+        assert_eq!(crc, 0x3667_ff7b, "{crc:#010x}");
     }
 
     #[test]
