@@ -136,13 +136,16 @@ layout-smoke:
 # the delta-read counts) and the GSQL candidate-set identity suite (compiled
 # bitmap path vs. a store-independent reference), the latter with the worker
 # pool one and two wide — the segment scan runs on it; the storage suite
-# never touches the pool — then the filtered workload of the benchmark at
-# smoke size, which exits non-zero when an answer fails its brute-force
-# check.
+# never touches the pool. Whether a scan or a search leaves its thread is
+# the pool's decision and depends on its width and occupancy, so the pool's
+# own tests and the embedding service's run one, two and four wide (four is
+# oversubscribed on a 2-core host). Then the filtered workload of the
+# benchmark at smoke size, which exits non-zero when an answer fails its
+# brute-force check.
 filter-smoke:
 	cargo test --release -p tg-storage model_check -q
-	TV_THREADS=1 cargo test --release -p tv-gsql candidate_identity -q
-	TV_THREADS=2 cargo test --release -p tv-gsql candidate_identity -q
+	for w in 1 2; do TV_THREADS=$$w cargo test --release -p tv-gsql candidate_identity -q || exit 1; done
+	for w in 1 2 4; do TV_THREADS=$$w cargo test --release -p tv-common -p tv-embedding -q || exit 1; done
 	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload hybrid_filtered --smoke
 
 # Benchmark gate: `benchmark/` (BENCHMARK.json's perf_ledger) is a package of

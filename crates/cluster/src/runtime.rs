@@ -395,6 +395,9 @@ impl ClusterRuntime {
     /// either lands on the source in time for the final-tail drain or on
     /// the destination after the flip — never in the gap between.
     pub fn append_deltas(&self, seg: SegmentId, records: &[DeltaRecord]) -> TvResult<()> {
+        for r in records {
+            tv_common::check_finite(&r.vector)?;
+        }
         let gate = self.write_gate(seg);
         let _guard = gate.lock();
         let table = self.table.read().clone();
@@ -558,6 +561,7 @@ impl ClusterRuntime {
         filters: Option<&FilterSet>,
         deadline: Deadline,
     ) -> TvResult<ClusterResponse> {
+        tv_common::check_finite(query)?;
         deadline.check("cluster top-k scatter")?;
         let policy = self.config.retry;
         let degraded = self.config.degraded_mode;

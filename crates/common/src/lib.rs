@@ -36,7 +36,7 @@ pub use error::{TvError, TvResult};
 pub use histogram::LatencyHistogram;
 pub use ids::{GlobalId, LocalId, SegmentId, Tid, VertexId, SEGMENT_CAPACITY};
 pub use kernels::{KernelTier, Kernels, PreparedQuery};
-pub use metric::{distance, DistanceMetric};
-pub use pool::WorkerPool;
+pub use metric::{check_finite, distance, DistanceMetric};
+pub use pool::{PoolStats, TaskGauge, WorkerPool};
 pub use rng::SplitMix64;
 pub use topk::{merge_topk, Neighbor, NeighborHeap};

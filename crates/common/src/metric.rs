@@ -95,6 +95,19 @@ pub fn distance(metric: DistanceMetric, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Reject a vector with a NaN or infinite component — a distance to it is
+/// not a number any index or merge can order. The error names the first bad
+/// component.
+pub fn check_finite(v: &[f32]) -> crate::TvResult<()> {
+    match v.iter().position(|x| !x.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(crate::TvError::InvalidArgument(format!(
+            "vector component {i} is {}, not a finite number",
+            v[i]
+        ))),
+    }
+}
+
 /// Normalize a vector in place to unit length; leaves zero vectors untouched.
 pub fn normalize(v: &mut [f32]) {
     let n = norm(v);
@@ -111,6 +124,19 @@ mod tests {
 
     fn assert_close(a: f32, b: f32) {
         assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+    }
+
+    #[test]
+    fn check_finite_names_the_first_bad_component() {
+        assert!(check_finite(&[]).is_ok());
+        assert!(check_finite(&[0.0, -1.5, f32::MAX, f32::MIN_POSITIVE]).is_ok());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = check_finite(&[1.0, 2.0, bad, f32::NAN]).unwrap_err();
+            assert!(
+                matches!(&err, crate::TvError::InvalidArgument(m) if m.contains("component 2")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

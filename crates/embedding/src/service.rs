@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tv_common::ids::SegmentLayout;
 use tv_common::{
-    crash_hook, Bitmap, CrashPlan, CrashPoint, Deadline, Neighbor, PlannerConfig, SegmentId, Tid,
-    TvError, TvResult, WorkerPool,
+    crash_hook, Bitmap, CrashPlan, CrashPoint, Deadline, Neighbor, PlannerConfig, SegmentId,
+    TaskGauge, Tid, TvError, TvResult, WorkerPool,
 };
 use tv_hnsw::{DeltaRecord, SearchStats};
 
@@ -23,7 +23,9 @@ pub struct ServiceConfig {
     /// Per-query filtered-search planner knobs (brute-force threshold, cost
     /// model, adaptive-`ef` bounds — §5.1 upgraded to cost-based routing).
     pub planner: PlannerConfig,
-    /// Worker threads for the per-segment search fan-out.
+    /// Upper bound on the threads one query's per-segment fan-out may use.
+    /// Whether a batch leaves its thread at all is the pool's decision
+    /// (`WorkerPool::run_gauged`); `1` is strictly sequential, in order.
     pub query_threads: usize,
     /// Default `ef` when the caller does not specify one.
     pub default_ef: usize,
@@ -158,6 +160,8 @@ pub struct BatchQuery {
 pub struct EmbeddingService {
     config: ServiceConfig,
     pool: Arc<WorkerPool>,
+    /// Compute time of one segment search, shared by every query path.
+    search_gauge: TaskGauge,
     attrs: RwLock<Vec<Arc<EmbeddingAttr>>>,
     crash_plan: RwLock<Option<Arc<CrashPlan>>>,
 }
@@ -169,6 +173,7 @@ impl EmbeddingService {
         EmbeddingService {
             config,
             pool: tv_common::pool::global(),
+            search_gauge: TaskGauge::new(),
             attrs: RwLock::new(Vec::new()),
             crash_plan: RwLock::new(None),
         }
@@ -192,6 +197,20 @@ impl EmbeddingService {
     #[must_use]
     pub fn config(&self) -> ServiceConfig {
         self.config
+    }
+
+    /// The pool this service's fan-outs run on.
+    #[must_use]
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
+    }
+
+    /// Estimated compute time of one segment search, in nanoseconds — what
+    /// the query fan-outs weigh against the pool's hand-off (0 until the
+    /// first query).
+    #[must_use]
+    pub fn search_task_ns(&self) -> u64 {
+        self.search_gauge.task_ns()
     }
 
     /// Register an embedding attribute on a vertex type (`ALTER VERTEX ...
@@ -301,7 +320,8 @@ impl EmbeddingService {
         let attrs = self.check_search(attr_ids, query)?;
         let tasks = self.collect_tasks(&attrs, filters);
         let planner = self.config.planner;
-        let results = self.pool.run(
+        let results = self.pool.run_gauged(
+            &self.search_gauge,
             tasks,
             self.config.query_threads,
             move |(attr, seg, bitmap)| {
@@ -401,9 +421,11 @@ impl EmbeddingService {
         let expired = AtomicBool::new(false);
         let tasks_ref = &tasks;
         let expired_ref = &expired;
-        let results = self
-            .pool
-            .run(units, self.config.query_threads, move |(ti, qi)| {
+        let results = self.pool.run_gauged(
+            &self.search_gauge,
+            units,
+            self.config.query_threads,
+            move |(ti, qi)| {
                 if deadline.expired() {
                     expired_ref.store(true, Ordering::Relaxed);
                     return None;
@@ -421,7 +443,8 @@ impl EmbeddingService {
                     })
                     .collect::<Vec<_>>();
                 Some((qi, typed, stats))
-            });
+            },
+        );
         let mut per_query: Vec<Vec<(Vec<TypedNeighbor>, SearchStats)>> =
             (0..queries.len()).map(|_| Vec::new()).collect();
         for r in results.into_iter().flatten() {
@@ -461,7 +484,8 @@ impl EmbeddingService {
         let attrs = self.check_search(attr_ids, query)?;
         let tasks = self.collect_tasks(&attrs, filters);
         let planner = self.config.planner;
-        let results = self.pool.run(
+        let results = self.pool.run_gauged(
+            &self.search_gauge,
             tasks,
             self.config.query_threads,
             move |(attr, seg, bitmap)| {
@@ -958,6 +982,105 @@ mod tests {
         assert_eq!(sum, stats);
         let short = svc.top_k_many_each(&[a], &queries, Tid(64), None, Deadline::none(), &mut []);
         assert!(matches!(short, Err(TvError::InvalidArgument(_))));
+    }
+
+    /// Top-k, batched top-k and range answers, down to the last bit, with
+    /// the fan-out decision forced each way: an idle pool and a gauge that
+    /// reads long (fans out), the same gauge with every lane held by another
+    /// caller (inline for occupancy), an idle pool and a gauge that reads
+    /// short (inline for cost).
+    #[test]
+    fn answers_do_not_depend_on_where_the_batch_ran() {
+        use std::sync::mpsc::channel;
+        use std::time::{Duration, Instant};
+
+        let pool = Arc::new(WorkerPool::new(2));
+        let svc = service().with_pool(Arc::clone(&pool));
+        let a = svc
+            .register(0, def("e"), SegmentLayout::with_capacity(16))
+            .unwrap();
+        let vecs = load(&svc, a, 64, 41); // 4 segments
+        svc.delta_merge(a, Tid(40)).unwrap();
+        svc.index_merge(a, Tid(40), 1).unwrap(); // 40 indexed, 24 in the overlay
+        let queries: Vec<BatchQuery> = [5usize, 30, 63]
+            .iter()
+            .map(|&i| BatchQuery {
+                query: vecs[i].clone(),
+                k: 6,
+                ef: 64,
+            })
+            .collect();
+        let bits = |hits: Vec<TypedNeighbor>| -> Vec<(u32, u64, u32)> {
+            hits.iter()
+                .map(|t| (t.attr_id, t.neighbor.id.0, t.neighbor.dist.to_bits()))
+                .collect()
+        };
+        let answers = || {
+            let mut out = Vec::new();
+            for q in &queries {
+                let (hits, stats) = svc.top_k(&[a], &q.query, q.k, q.ef, Tid(64), None).unwrap();
+                out.push((bits(hits), stats));
+                let (hits, stats) = svc
+                    .range_search(&[a], &q.query, 9.0, q.ef, Tid(64), None)
+                    .unwrap();
+                out.push((bits(hits), stats));
+            }
+            let mut each = vec![SearchStats::default(); queries.len()];
+            let many = svc
+                .top_k_many_each(&[a], &queries, Tid(64), None, Deadline::none(), &mut each)
+                .unwrap();
+            out.extend(many.into_iter().map(bits).zip(each));
+            out
+        };
+        // A gauge that reads `d` whatever it read before.
+        let gauge_reads = |d: Duration| (0..256).for_each(|_| svc.search_gauge.record(d));
+        let fanned = || pool.stats().runs_fanned;
+
+        // The pool's first ping goes out with the first batch it weighs.
+        let start = Instant::now();
+        while pool.stats().handoff_ns == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10));
+            answers();
+        }
+
+        gauge_reads(Duration::from_nanos(1));
+        let before = fanned();
+        let short_gauge = answers();
+        assert_eq!(fanned(), before);
+
+        // A batch that starts before the last one's helper is back in the
+        // pool finds the lane taken, so not every one of these fans out.
+        gauge_reads(Duration::from_secs(1));
+        let long_gauge = answers();
+        assert!(fanned() > before, "{:?}", pool.stats());
+
+        let (entered_tx, entered) = channel();
+        let holders: Vec<_> = (0..2)
+            .map(|_| {
+                let (pool, entered_tx) = (Arc::clone(&pool), entered_tx.clone());
+                let (release, released) = channel::<()>();
+                let thread = std::thread::spawn(move || {
+                    pool.run(vec![released], 1, |released| {
+                        entered_tx.send(()).unwrap();
+                        released.recv().unwrap();
+                    });
+                });
+                (thread, release)
+            })
+            .collect();
+        entered.recv().unwrap();
+        entered.recv().unwrap();
+        gauge_reads(Duration::from_secs(1));
+        let before = fanned();
+        let busy_pool = answers();
+        assert_eq!(fanned(), before);
+        for (thread, release) in holders {
+            release.send(()).unwrap();
+            thread.join().unwrap();
+        }
+
+        assert_eq!(long_gauge, short_gauge);
+        assert_eq!(busy_pool, short_gauge);
     }
 
     #[test]

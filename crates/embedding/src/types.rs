@@ -167,7 +167,8 @@ impl EmbeddingTypeDef {
         Ok(())
     }
 
-    /// Validate a query vector against this attribute.
+    /// Validate a vector against this attribute — a query's, or one about
+    /// to be stored: the declared dimension, and every component finite.
     pub fn check_query_vector(&self, v: &[f32]) -> TvResult<()> {
         if v.len() != self.dimension {
             return Err(TvError::DimensionMismatch {
@@ -175,7 +176,7 @@ impl EmbeddingTypeDef {
                 got: v.len(),
             });
         }
-        Ok(())
+        tv_common::check_finite(v)
     }
 }
 

@@ -15,20 +15,25 @@ use tv_common::ids::{LocalId, SegmentLayout};
 use tv_common::{Bitmap, SegmentId, Tid, TvResult, VertexId};
 
 impl Graph {
-    /// **VertexAction**: run `f` over every segment of `type_id` on the
-    /// shared worker pool (`query_threads` wide), collecting per-segment
-    /// results in segment order. `f` receives the segment store and its id.
+    /// **VertexAction**: run `f` over every segment of `type_id`, collecting
+    /// per-segment results in segment order. Runs on the embedding service's
+    /// pool, at most `query_threads` wide, and leaves the calling thread only
+    /// when the pool finds the scans worth a hand-off. `f` receives the
+    /// segment store and its id.
     pub fn vertex_action<R: Send>(
         &self,
         type_id: u32,
         f: impl Fn(&SegmentStore, SegmentId) -> R + Sync,
     ) -> TvResult<Vec<R>> {
         let segments = self.store().vertex_type(type_id)?.all_segments();
-        let threads = self.embeddings().config().query_threads;
-        Ok(tv_common::pool::global().run(segments, threads, |seg| {
-            let guard = seg.read();
-            f(&guard, guard.segment_id)
-        }))
+        let emb = self.embeddings();
+        let threads = emb.config().query_threads;
+        Ok(emb
+            .pool()
+            .run_gauged(&self.scan_gauge, segments, threads, |seg| {
+                let guard = seg.read();
+                f(&guard, guard.segment_id)
+            }))
     }
 
     /// One scan per segment: the vertices live at `tid` (only the members of

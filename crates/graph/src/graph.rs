@@ -10,7 +10,7 @@ use std::sync::Arc;
 use tg_storage::txn::ReadTicket;
 use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta, GraphStore, Wal};
 use tv_common::ids::SegmentLayout;
-use tv_common::{CrashPlan, Tid, TvError, TvResult, VertexId};
+use tv_common::{CrashPlan, TaskGauge, Tid, TvError, TvResult, VertexId};
 use tv_embedding::encode::{decode_vector_deltas, encode_vector_deltas};
 use tv_embedding::service::{SegmentFilters, TypedNeighbor};
 use tv_embedding::{EmbeddingService, EmbeddingSpace, EmbeddingTypeDef, ServiceConfig};
@@ -27,6 +27,8 @@ pub struct Graph {
     default_layout: SegmentLayout,
     data_dir: Option<PathBuf>,
     crash_plan: Option<Arc<CrashPlan>>,
+    /// Compute time of one `vertex_action` segment scan.
+    pub(crate) scan_gauge: TaskGauge,
 }
 
 impl Graph {
@@ -47,6 +49,7 @@ impl Graph {
             default_layout: layout,
             data_dir: None,
             crash_plan: None,
+            scan_gauge: TaskGauge::new(),
         }
     }
 
@@ -59,6 +62,7 @@ impl Graph {
             default_layout: layout,
             data_dir: None,
             crash_plan: None,
+            scan_gauge: TaskGauge::new(),
         })
     }
 
@@ -91,6 +95,7 @@ impl Graph {
             default_layout: layout,
             data_dir: Some(dir.to_path_buf()),
             crash_plan: plan,
+            scan_gauge: TaskGauge::new(),
         })
     }
 

@@ -106,13 +106,13 @@ impl<'g> LoadingJob<'g> {
         attr_name: &str,
         lines: &[&str],
     ) -> TvResult<usize> {
-        let (type_id, attr_id, dim) = {
+        let (type_id, attr_id, def) = {
             let catalog = self.graph.catalog();
             let vt = catalog.vertex_type(vertex_type)?;
             let (attr_id, def) = vt.embedding(attr_name).ok_or_else(|| {
                 TvError::NotFound(format!("embedding '{attr_name}' on '{vertex_type}'"))
             })?;
-            (vt.type_id, attr_id, def.dimension)
+            (vt.type_id, attr_id, def.clone())
         };
         let mut loaded = 0;
         for chunk in lines.chunks(self.batch_size) {
@@ -126,12 +126,7 @@ impl<'g> LoadingJob<'g> {
                     .parse()
                     .map_err(|_| TvError::InvalidArgument(format!("bad key in '{line}'")))?;
                 let vector = split_vector(vec_str)?;
-                if vector.len() != dim {
-                    return Err(TvError::DimensionMismatch {
-                        expected: dim,
-                        got: vector.len(),
-                    });
-                }
+                def.check_query_vector(&vector)?;
                 let id = self.id_for(type_id, key)?;
                 txn = txn.set_vector(attr_id, id, vector);
                 loaded += 1;
@@ -304,6 +299,22 @@ mod tests {
         let mut job = LoadingJob::new(&g);
         let err = job.load_embeddings("Post", "content_emb", &["1,1:2"]);
         assert!(matches!(err, Err(TvError::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn non_finite_components_rejected() {
+        let g = graph();
+        let mut job = LoadingJob::new(&g);
+        // `f32::from_str` reads all of these as numbers.
+        for poison in ["NaN", "inf", "-infinity"] {
+            let line = format!("1,1:{poison}:3");
+            let err = job.load_embeddings("Post", "content_emb", &[line.as_str()]);
+            assert!(
+                matches!(&err, Err(TvError::InvalidArgument(m)) if m.contains("component 1")),
+                "{err:?}"
+            );
+        }
+        assert_eq!(g.embeddings().total_mem_deltas(), 0);
     }
 
     #[test]

@@ -186,28 +186,53 @@ impl Clone for ScratchPool {
     }
 }
 
-/// Total-ordered f32 wrapper for heap use (NaN sorts greatest).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF32(pub f32);
+/// `(distance, slot)` as one heap key: the distance's bits mapped so that
+/// unsigned order is `f32::total_cmp` order (NaNs included), above the slot.
+/// Keys order exactly as `(total_cmp, slot)` tuples do, in one compare.
+fn heap_key(dist: f32, slot: u32) -> u64 {
+    let bits = dist.to_bits();
+    let ordered = bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000);
+    u64::from(ordered) << 32 | u64::from(slot)
+}
 
-impl Eq for OrdF32 {}
-impl PartialOrd for OrdF32 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+fn key_dist(key: u64) -> f32 {
+    let ordered = (key >> 32) as u32;
+    let mask = if ordered & 0x8000_0000 != 0 {
+        0x8000_0000
+    } else {
+        u32::MAX
+    };
+    f32::from_bits(ordered ^ mask)
+}
+
+fn key_slot(key: u64) -> u32 {
+    key as u32
+}
+
+/// Offer `key` to a max-heap holding the `cap` smallest keys seen: what
+/// pushing and then popping the largest of `cap + 1` leaves, in one sift.
+fn keep_smallest(best: &mut BinaryHeap<u64>, cap: usize, key: u64) {
+    if best.len() < cap {
+        best.push(key);
+    } else if let Some(mut worst) = best.peek_mut() {
+        if key < *worst {
+            *worst = key;
+        }
     }
 }
-impl Ord for OrdF32 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+
+/// Distance of the worst candidate a bounded heap holds (∞ while empty).
+fn worst_dist(best: &BinaryHeap<u64>) -> f32 {
+    best.peek().map_or(f32::INFINITY, |&worst| key_dist(worst))
 }
 
 /// Drain a bounded best-candidates heap into ascending `(distance, slot)`
 /// order.
-fn nearest_first(best: BinaryHeap<(OrdF32, u32)>) -> Vec<Scored> {
-    let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-    out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out
+fn nearest_first(best: BinaryHeap<u64>) -> Vec<Scored> {
+    best.into_sorted_vec()
+        .into_iter()
+        .map(|key| (key_dist(key), key_slot(key)))
+        .collect()
 }
 
 impl HnswIndex {
@@ -388,9 +413,12 @@ impl HnswIndex {
         scratch.visited.begin(self.keys.len());
         let kern = kernels::active();
         // Min-heap of frontier candidates; max-heap of the best `ef`
-        // admitted so far.
-        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+        // admitted so far, whose worst distance is `bound` (∞ while empty).
+        let nodes = self.keys.len();
+        let mut frontier: BinaryHeap<Reverse<u64>> =
+            BinaryHeap::with_capacity(ef.saturating_mul(4).min(nodes));
+        let mut best: BinaryHeap<u64> = BinaryHeap::with_capacity(ef.min(nodes));
+        let mut bound = f32::INFINITY;
 
         // Batched scoring: the unvisited neighbors of one node, scored in a
         // single kernel call. Distances don't depend on heap state, so
@@ -405,22 +433,20 @@ impl HnswIndex {
         self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
         stats.distance_computations += scratch.batch.len() as u64;
         for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
-            frontier.push(Reverse((OrdF32(de), e)));
+            let key = heap_key(de, e);
+            frontier.push(Reverse(key));
             if admit(e, stats) {
-                best.push((OrdF32(de), e));
-                if best.len() > ef {
-                    best.pop();
-                }
+                keep_smallest(&mut best, ef, key);
+                bound = worst_dist(&best);
             }
         }
 
-        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
-            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-            if d > bound && best.len() >= ef {
+        while let Some(Reverse(key)) = frontier.pop() {
+            if key_dist(key) > bound && best.len() >= ef {
                 break;
             }
             scratch.batch.clear();
-            for &nb in graph.neighbors(node, lvl, &mut scratch.nbrs) {
+            for &nb in graph.neighbors(key_slot(key), lvl, &mut scratch.nbrs) {
                 if scratch.visited.visit(nb) {
                     // Warm the batch's first rows in full — the scorer hits
                     // them before its own two-ahead schedule ramps up — and
@@ -439,14 +465,12 @@ impl HnswIndex {
             stats.hops += scratch.batch.len() as u64;
             stats.distance_computations += scratch.batch.len() as u64;
             for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
-                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
                 if nd < bound || best.len() < ef {
-                    frontier.push(Reverse((OrdF32(nd), nb)));
+                    let key = heap_key(nd, nb);
+                    frontier.push(Reverse(key));
                     if admit(nb, stats) {
-                        best.push((OrdF32(nd), nb));
-                        if best.len() > ef {
-                            best.pop();
-                        }
+                        keep_smallest(&mut best, ef, key);
+                        bound = worst_dist(&best);
                     }
                 }
             }
@@ -590,12 +614,9 @@ impl HnswIndex {
         // Keep only the `fetch` best before the (possibly exact-rerank)
         // final stage; a bounded max-heap caps memory at O(fetch).
         let fetch = self.fetch_count(k);
-        let mut heap: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+        let mut heap: BinaryHeap<u64> = BinaryHeap::with_capacity(fetch.min(accepted.len()));
         for (&slot, &d) in accepted.iter().zip(&dists) {
-            heap.push((OrdF32(d), slot));
-            if heap.len() > fetch {
-                heap.pop();
-            }
+            keep_smallest(&mut heap, fetch, heap_key(d, slot));
         }
         let out = self.rerank_and_take(query, nearest_first(heap), k, &mut stats);
         (out, stats)
@@ -767,6 +788,56 @@ mod tests {
     use crate::packed::PackedGraph;
     use tv_common::ids::{LocalId, SegmentId};
     use tv_common::{DistanceMetric, SplitMix64, VertexId};
+
+    /// Heap keys order exactly as `(total_cmp, slot)` tuples do — NaNs of
+    /// both signs, infinities and the two zeroes included — and give back
+    /// the bits they were made from.
+    #[test]
+    fn heap_keys_order_as_total_cmp_then_slot() {
+        let dists = [
+            -f32::NAN,
+            f32::NEG_INFINITY,
+            -1.5,
+            -f32::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let mut pairs: Vec<(f32, u32)> = Vec::new();
+        for &d in &dists {
+            for slot in [0, 7, u32::MAX] {
+                pairs.push((d, slot));
+            }
+        }
+        for &(da, sa) in &pairs {
+            let key = heap_key(da, sa);
+            assert_eq!(key_dist(key).to_bits(), da.to_bits());
+            assert_eq!(key_slot(key), sa);
+            for &(db, sb) in &pairs {
+                assert_eq!(
+                    key.cmp(&heap_key(db, sb)),
+                    da.total_cmp(&db).then(sa.cmp(&sb)),
+                    "({da}, {sa}) vs ({db}, {sb})"
+                );
+            }
+        }
+        // The bounded heap keeps the `cap` smallest, whatever the order.
+        let mut best = BinaryHeap::new();
+        for &(d, slot) in pairs.iter().rev() {
+            keep_smallest(&mut best, 4, heap_key(d, slot));
+        }
+        let kept: Vec<(u32, u32)> = nearest_first(best)
+            .into_iter()
+            .map(|(d, s)| (d.to_bits(), s))
+            .collect();
+        let want: Vec<(u32, u32)> = pairs[..4].iter().map(|&(d, s)| (d.to_bits(), s)).collect();
+        assert_eq!(kept, want);
+        keep_smallest(&mut BinaryHeap::new(), 0, 1);
+    }
 
     #[test]
     fn visited_epoch_wrap_resets_marks() {

@@ -508,6 +508,23 @@ impl MetricsRegistry {
     }
 }
 
+/// Flat JSON object for the worker pool the served graph's queries fan out
+/// on (`__pool__`): its occupancy and measured hand-off, its batch counters,
+/// and `task_ns`, the embedding service's estimate of one segment search.
+#[must_use]
+pub fn pool_snapshot(pool: tv_common::PoolStats, task_ns: u64) -> serde_json::Value {
+    let us = |ns: u64| ns as f64 / 1e3;
+    serde_json::json!({
+        "width": pool.width,
+        "busy_lanes": pool.busy_lanes,
+        "handoff_us": us(pool.handoff_ns),
+        "runs_inline": pool.runs_inline,
+        "runs_fanned": pool.runs_fanned,
+        "helper_jobs_unclaimed": pool.helper_jobs_unclaimed,
+        "task_us": us(task_ns),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

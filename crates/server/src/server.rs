@@ -133,13 +133,22 @@ impl Server {
     }
 
     /// JSON snapshot of all per-tenant metrics, with the graph store's
-    /// delta-tail gauge (`__durability__.graph_store_tail`) read now.
+    /// delta-tail gauge (`__durability__.graph_store_tail`) and the query
+    /// pool's state (`__pool__`) read now.
     #[must_use]
     pub fn metrics_json(&self) -> serde_json::Value {
         self.metrics
             .durability()
             .set_graph_store_tail(self.graph.store().pending_deltas());
-        self.metrics.snapshot()
+        let mut snapshot = self.metrics.snapshot();
+        let emb = self.graph.embeddings();
+        if let serde_json::Value::Object(blocks) = &mut snapshot {
+            blocks.insert(
+                "__pool__".into(),
+                crate::metrics::pool_snapshot(emb.pool().stats(), emb.search_task_ns()),
+            );
+        }
+        snapshot
     }
 
     /// Persist a crash-consistent checkpoint of the served graph (graph

@@ -743,3 +743,71 @@ fn migrate_segment_is_admin_triggered_and_lands_in_cluster_metrics() {
     assert!(cm.get("last_error").unwrap().as_str().is_some());
     let _ = std::fs::remove_dir_all(&staging);
 }
+
+#[test]
+fn non_finite_query_vectors_are_refused_at_every_door() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let (cluster, _) = serving_cluster(false);
+    let server = Server::new(graph, acl, ServerConfig::default()).with_cluster(cluster);
+    let refused = |r: Result<(), TvError>| {
+        let err = r.unwrap_err();
+        assert!(
+            matches!(&err, TvError::InvalidArgument(m) if m.contains("component 1")),
+            "{err}"
+        );
+    };
+    for user in ["u-acme", "u-restricted"] {
+        let session = server.open_session("acme", user);
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut q = vecs[3].clone();
+            q[1] = poison;
+            refused(
+                server
+                    .vector_top_k(&session, &[0], q.clone(), 3)
+                    .map(|_| ()),
+            );
+            refused(
+                server
+                    .query(
+                        &session,
+                        "SELECT s FROM (s:Doc) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 3",
+                        &topk_params(&q),
+                    )
+                    .map(|_| ()),
+            );
+            refused(
+                server
+                    .cluster_top_k(&session, &q, 3, 32, Tid::MAX)
+                    .map(|_| ()),
+            );
+        }
+    }
+    // Refusals are failed requests, not dropped ones.
+    let snap = server.metrics_json();
+    let acme = snap.get("acme").unwrap();
+    assert_eq!(acme.get("completed").unwrap().as_u64(), Some(0));
+}
+
+#[test]
+fn metrics_json_reports_the_query_pool() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = Server::new(graph, acl, ServerConfig::default());
+    let session = server.open_session("acme", "u-acme");
+    for q in &vecs {
+        server.vector_top_k(&session, &[0], q.clone(), 3).unwrap();
+    }
+    let snap = server.metrics_json();
+    let pool = snap.get("__pool__").unwrap();
+    let count = |key: &str| pool.get(key).unwrap().as_u64().unwrap();
+    assert_eq!(
+        count("width"),
+        server.graph().embeddings().pool().width() as u64
+    );
+    // One batch a query, wherever it ran (the pool is the process's: other
+    // tests' batches are counted with this one's).
+    assert!(count("runs_inline") + count("runs_fanned") >= vecs.len() as u64);
+    assert!(pool.get("busy_lanes").unwrap().as_u64().is_some());
+    assert!(count("helper_jobs_unclaimed") <= count("runs_fanned") * count("width"));
+    assert!(pool.get("handoff_us").unwrap().as_f64().unwrap() >= 0.0);
+    assert!(pool.get("task_us").unwrap().as_f64().unwrap() > 0.0);
+}

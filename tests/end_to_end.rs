@@ -217,3 +217,66 @@ fn incompatible_multi_type_search_is_semantic_error() {
         tigervector::common::TvError::IncompatibleEmbeddings(_)
     ));
 }
+
+/// NaN and ±∞ are refused at every door with a typed error naming the bad
+/// component, and a commit carrying one bad vector applies nothing.
+#[test]
+fn non_finite_vectors_are_rejected_everywhere() {
+    use tigervector::common::TvError;
+    let (g, posts, vecs) = social_graph();
+    let refused = |r: Result<(), TvError>, component: &str| {
+        let err = r.unwrap_err();
+        assert!(
+            matches!(&err, TvError::InvalidArgument(m) if m.contains(component)),
+            "{err}"
+        );
+    };
+    let bad = |at: usize, with: f32| {
+        let mut v = vecs[3].clone();
+        v[at] = with;
+        v
+    };
+
+    // Upsert: the good vector and the vertex riding in the same transaction
+    // are not applied either, and no TID is spent.
+    let tid = g.read_tid();
+    let newcomer = g.allocate_many(1, 1).unwrap()[0];
+    let commit = g
+        .txn()
+        .upsert_vertex(
+            1,
+            newcomer,
+            vec![AttrValue::Str("English".into()), AttrValue::Int(0)],
+        )
+        .set_vector(0, posts[0], vec![1.0; 8])
+        .set_vector(0, posts[1], bad(5, f32::NAN))
+        .commit();
+    refused(commit.map(|_| ()), "component 5");
+    assert_eq!(g.read_tid(), tid);
+    assert_eq!(
+        g.embedding_of(0, posts[0], tid).unwrap(),
+        Some(vecs[0].clone())
+    );
+    assert!(!g.is_live(1, newcomer, tid).unwrap());
+    let emb = g.embeddings();
+
+    // Queries: GSQL top-k and range through `$qv`, and the direct doors.
+    let mut params = HashMap::new();
+    params.insert("qv".into(), Value::Vector(bad(2, f32::INFINITY)));
+    for text in [
+        "SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 5",
+        "SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < 10.0",
+    ] {
+        refused(execute(&g, text, &params).map(|_| ()), "component 2");
+    }
+    let tid = g.read_tid();
+    let q = bad(0, f32::NEG_INFINITY);
+    refused(
+        g.vector_search(&[0], &q, 5, 64, None, tid).map(|_| ()),
+        "component 0",
+    );
+    refused(
+        emb.range_search(&[0], &q, 10.0, 64, tid, None).map(|_| ()),
+        "component 0",
+    );
+}
