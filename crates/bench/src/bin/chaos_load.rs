@@ -43,7 +43,6 @@ fn build_cluster(
             hedge_after: Some(Duration::from_millis(5)),
         },
         degraded_mode,
-        build_threads: 1,
     });
     let def = EmbeddingTypeDef::new("e", DIM, "M", DistanceMetric::L2);
     let mut rng = SplitMix64::new(seed);

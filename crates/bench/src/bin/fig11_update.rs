@@ -30,7 +30,6 @@ fn main() {
             planner: tv_common::PlannerConfig::default(),
             query_threads: 1,
             default_ef: 64,
-            build_threads: 1,
         }));
         let attr = svc.register(0, def.clone(), layout).unwrap();
         let recs: Vec<DeltaRecord> = ds

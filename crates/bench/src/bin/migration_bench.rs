@@ -39,7 +39,6 @@ fn build_cluster(segments: usize, per_segment: usize, seed: u64) -> (Arc<Cluster
             hedge_after: Some(Duration::from_millis(5)),
         },
         degraded_mode: false,
-        build_threads: 1,
     });
     let def = EmbeddingTypeDef::new("e", DIM, "M", DistanceMetric::L2);
     let mut rng = SplitMix64::new(seed);

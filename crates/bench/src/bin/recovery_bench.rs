@@ -34,7 +34,6 @@ fn config() -> ServiceConfig {
         planner: tv_common::PlannerConfig::default(),
         query_threads: 1,
         default_ef: 64,
-        build_threads: 1,
     }
 }
 

@@ -35,7 +35,6 @@ fn build_graph(n: usize, seed: u64) -> (Arc<Graph>, Arc<AccessControl>, Vec<Vec<
             planner: tv_common::PlannerConfig::default(),
             query_threads: 2,
             default_ef: 64,
-            build_threads: 1,
         },
     );
     graph

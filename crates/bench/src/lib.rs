@@ -75,16 +75,10 @@ impl BenchArgs {
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     }
-
-    /// String argument, if present.
-    #[must_use]
-    pub fn get_str(&self, key: &str) -> Option<String> {
-        self.values.get(key).cloned()
-    }
 }
 
 /// One measured operating point of a system: recall plus timing.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OperatingPoint {
     /// `ef` used (0 when untunable).
     pub ef: usize,
@@ -162,7 +156,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Provenance block recorded in every bench JSON: which kernel tier the
-/// process dispatched to, under what policy, and the qualified kernel names
+/// process dispatched to, what `TV_KERNELS` asked for (`auto` when unset),
+/// and the qualified kernel names
 /// — distance-kernel throughput dominates these numbers, so results are not
 /// reproducible without it.
 #[must_use]
@@ -175,7 +170,7 @@ pub fn kernel_info() -> serde_json::Value {
         .collect();
     serde_json::json!({
         "tier": k.tier().name(),
-        "policy": tv_common::kernels::policy().to_string(),
+        "policy": std::env::var("TV_KERNELS").unwrap_or_else(|_| "auto".into()),
         "kernels": names,
     })
 }

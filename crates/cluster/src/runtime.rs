@@ -66,9 +66,6 @@ pub struct RuntimeConfig {
     /// [`Coverage`]) instead of failing it. `false` (default): keep the
     /// strict behavior — unroutable segments and expired deadlines error.
     pub degraded_mode: bool,
-    /// Threads per segment index build in [`ClusterRuntime::index_merge_all`]
-    /// (1 = sequential, bit-deterministic; see `TuningDefaults`).
-    pub build_threads: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -76,10 +73,9 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             servers: 4,
             replication: 1,
-            planner: tv_common::TuningDefaults::default().planner,
+            planner: PlannerConfig::default(),
             retry: RetryPolicy::default(),
             degraded_mode: false,
-            build_threads: 1,
         }
     }
 }
@@ -296,9 +292,8 @@ impl ClusterRuntime {
     }
 
     /// Rebuild the vector index of every registered segment up to `up_to`,
-    /// fanned out over the runtime's pool with `config.build_threads`
-    /// forwarded to each segment's intra-index build. Returns the per-
-    /// segment merge results keyed by segment id, sorted.
+    /// fanned out over the runtime's pool. Returns the per-segment merge
+    /// results keyed by segment id, sorted.
     pub fn index_merge_all(&self, up_to: Tid) -> TvResult<Vec<(SegmentId, Option<Tid>)>> {
         // Every *distinct* copy per segment is merged: replicas registered
         // through `add_segment` share one instance, but a mid-migration
@@ -316,11 +311,9 @@ impl ClusterRuntime {
                 }
             }
         }
-        let build_threads = self.config.build_threads;
         let width = self.pool.width();
         let out = self.pool.run(jobs, width, |(id, seg)| {
-            let merged = seg.index_merge_with(up_to, build_threads)?;
-            Ok::<_, TvError>((id, merged))
+            Ok::<_, TvError>((id, seg.index_merge(up_to)?))
         });
         let merged: Vec<(SegmentId, Option<Tid>)> = out.into_iter().collect::<TvResult<_>>()?;
         // One row per segment: copies fold the same record set to the same
@@ -395,9 +388,6 @@ impl ClusterRuntime {
     /// either lands on the source in time for the final-tail drain or on
     /// the destination after the flip — never in the gap between.
     pub fn append_deltas(&self, seg: SegmentId, records: &[DeltaRecord]) -> TvResult<()> {
-        for r in records {
-            tv_common::check_finite(&r.vector)?;
-        }
         let gate = self.write_gate(seg);
         let _guard = gate.lock();
         let table = self.table.read().clone();
@@ -422,6 +412,8 @@ impl ClusterRuntime {
                 seg.0
             )));
         }
+        // Copies of one segment share a declaration, so a batch the first
+        // refuses (wrong dimension, NaN/±∞) reaches none of them.
         for t in targets {
             t.append_deltas(records)?;
         }
@@ -450,6 +442,7 @@ impl ClusterRuntime {
                 generation: self.generation(),
             });
         };
+        segment.check_vector(query)?;
         let (r, _) = segment.search(query, k, ef, None, tid, &self.config.planner);
         Ok(r)
     }
@@ -561,7 +554,6 @@ impl ClusterRuntime {
         filters: Option<&FilterSet>,
         deadline: Deadline,
     ) -> TvResult<ClusterResponse> {
-        tv_common::check_finite(query)?;
         deadline.check("cluster top-k scatter")?;
         let policy = self.config.retry;
         let degraded = self.config.degraded_mode;
@@ -577,6 +569,12 @@ impl ClusterRuntime {
         // Resolve the filter policy at the coordinator: excluded segments
         // are covered (their answer is empty by policy), never scattered.
         let all_segments = table.segment_ids();
+        // Segments of one cluster share a declaration, so any of them can
+        // vet the query (dimension, NaN/±∞) before anything is scattered.
+        match all_segments.first().and_then(|&id| self.segment(id)) {
+            Some(seg) => seg.check_vector(query)?,
+            None => tv_common::check_finite(query)?,
+        }
         let segments_total = all_segments.len();
         let mut covered_by_policy = 0usize;
         let mut pending: HashSet<SegmentId> = HashSet::new();
@@ -932,7 +930,6 @@ mod tests {
                 planner: PlannerConfig::default().with_brute_threshold(4),
                 retry: fast_retry(),
                 degraded_mode: false,
-                build_threads: 1,
             },
             segments,
             per_segment,
@@ -1044,7 +1041,6 @@ mod tests {
                 planner: PlannerConfig::default().with_brute_threshold(4),
                 retry: fast_retry(),
                 degraded_mode: true,
-                build_threads: 1,
             },
             8,
             25,
@@ -1083,7 +1079,6 @@ mod tests {
                     hedge_after: None,
                 },
                 degraded_mode: true,
-                build_threads: 1,
             },
             8,
             25,
@@ -1113,7 +1108,6 @@ mod tests {
                     hedge_after: Some(Duration::from_millis(10)),
                 },
                 degraded_mode: false,
-                build_threads: 1,
             },
             8,
             30,
@@ -1147,7 +1141,6 @@ mod tests {
                     hedge_after: None,
                 },
                 degraded_mode: true,
-                build_threads: 1,
             },
             8,
             25,
@@ -1360,5 +1353,50 @@ mod tests {
         let rec = DeltaRecord::upsert(VertexId::new(SegmentId(9), LocalId(0)), Tid(1000), v);
         let err = runtime.append_deltas(SegmentId(9), &[rec]).unwrap_err();
         assert!(matches!(err, TvError::NotFound(_)), "got {err:?}");
+    }
+
+    fn is_dimension_mismatch(err: &TvError, got_dim: usize) -> bool {
+        matches!(err, TvError::DimensionMismatch { expected: 8, got } if *got == got_dim)
+    }
+
+    #[test]
+    fn wrong_dimension_query_is_refused_before_scatter() {
+        let (runtime, _all) = loaded_cluster(2, 1, 2, 10);
+        let err = runtime.top_k(&[0.5; 5], 3, 32, Tid::MAX, None).unwrap_err();
+        assert!(is_dimension_mismatch(&err, 5), "got {err:?}");
+    }
+
+    #[test]
+    fn wrong_dimension_query_is_refused_by_search_on() {
+        let (runtime, _all) = loaded_cluster(2, 1, 2, 10);
+        let holder = runtime.placement().holders(SegmentId(0))[0];
+        let err = runtime
+            .search_on(holder, SegmentId(0), &[0.5; 9], 3, 32, Tid::MAX)
+            .unwrap_err();
+        assert!(is_dimension_mismatch(&err, 9), "got {err:?}");
+    }
+
+    #[test]
+    fn wrong_dimension_append_changes_nothing_and_merges_keep_working() {
+        let (runtime, all) = loaded_cluster(2, 1, 2, 10);
+        let seg = runtime.segment(SegmentId(0)).unwrap();
+        let id = |l: u32| VertexId::new(SegmentId(0), LocalId(l));
+        let batch = [
+            DeltaRecord::upsert(id(50), Tid(1000), vec![1.0; 8]),
+            DeltaRecord::upsert(id(51), Tid(1001), vec![1.0; 3]),
+        ];
+        let before = seg.delta_tail(Tid::ZERO, Tid::MAX);
+        let err = runtime.append_deltas(SegmentId(0), &batch).unwrap_err();
+        assert!(is_dimension_mismatch(&err, 3), "got {err:?}");
+        // All or nothing: the good record riding along was not appended.
+        assert_eq!(seg.mem_delta_count(), 0);
+        assert_eq!(seg.delta_tail(Tid::ZERO, Tid::MAX), before);
+        // The segment's index can still advance past a later, good batch.
+        runtime.append_deltas(SegmentId(0), &batch[..1]).unwrap();
+        seg.delta_merge(Tid(1000)).unwrap();
+        let merged = runtime.index_merge_all(Tid(1000)).unwrap();
+        assert_eq!(merged[0], (SegmentId(0), Some(Tid(1000))));
+        let r = runtime.top_k(&all[0].1, 3, 32, Tid::MAX, None).unwrap();
+        assert_eq!(r.stats.overlay_dim_mismatches, 0);
     }
 }

@@ -76,7 +76,6 @@ fn topk_is_bit_identical_under_random_single_server_faults() {
                 hedge_after: None,
             },
             degraded_mode: false,
-            build_threads: 1,
         },
         31,
     );
@@ -132,7 +131,6 @@ fn degraded_coverage_accounts_exactly_for_injected_faults() {
                 hedge_after: None,
             },
             degraded_mode: true,
-            build_threads: 1,
         },
         47,
     );
@@ -216,7 +214,6 @@ fn random_fail_recover_walk_never_changes_answers() {
                 hedge_after: None,
             },
             degraded_mode: false,
-            build_threads: 1,
         },
         59,
     );

@@ -76,7 +76,6 @@ fn start_cluster_with(degraded: bool, retry: RetryPolicy) -> Arc<ClusterRuntime>
         planner: tv_common::PlannerConfig::default().with_brute_threshold(4096),
         retry,
         degraded_mode: degraded,
-        build_threads: 1,
     }))
 }
 

@@ -7,10 +7,8 @@
 //! (§5.1), where the engine wraps the global vertex-status structure instead
 //! of materializing a fresh bitmap.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length bitmap over local ids `0..len`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,

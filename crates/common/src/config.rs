@@ -1,44 +1,13 @@
-//! Shared tuning defaults.
+//! Shared configuration types.
 //!
-//! `tv-embedding::ServiceConfig` and `tv-cluster::RuntimeConfig` both carry
-//! a brute-force threshold (and the embedding service a default `ef`);
-//! before this module each crate independently hard-coded the same numbers,
-//! which is exactly how defaults drift apart. Both configs now build from
-//! [`TuningDefaults`], the single source of truth. [`RetryPolicy`] plays the
-//! same role for the coordinator's fault-recovery knobs.
+//! Types that more than one crate configures itself with live here so their
+//! defaults cannot drift apart: [`PlannerConfig`] (the embedding service and
+//! the cluster runtime route filtered searches by it), [`RetryPolicy`] and
+//! [`MigrationConfig`] (the coordinator's fault-recovery and live-migration
+//! knobs), and the per-attribute storage choices [`QuantSpec`] and
+//! [`GraphLayout`].
 
-use crate::kernels::KernelTier;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// Engine-wide tuning knobs shared by the single-machine embedding service
-/// and the cluster runtime.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TuningDefaults {
-    /// Per-query filtered-search planner knobs (replaces the old scalar
-    /// `brute_force_threshold`; see [`PlannerConfig`]).
-    pub planner: PlannerConfig,
-    /// Default `ef` (search beam width) when the caller does not specify.
-    pub default_ef: usize,
-    /// Worker threads for intra-segment index builds (`index_merge`,
-    /// `rebuild`, bulk load). `1` (the default) keeps builds sequential and
-    /// bit-deterministic — required wherever byte-identical recovery or
-    /// snapshot comparisons are asserted; `> 1` enables the hnswlib-style
-    /// locked parallel build, which preserves the deterministic per-key
-    /// level assignment but lets link sets vary with interleaving (recall
-    /// parity is the contract, not byte identity).
-    pub build_threads: usize,
-}
-
-impl Default for TuningDefaults {
-    fn default() -> Self {
-        TuningDefaults {
-            planner: PlannerConfig::default(),
-            default_ef: 64,
-            build_threads: 1,
-        }
-    }
-}
 
 /// Per-query cost-based routing knobs for filtered vector search.
 ///
@@ -52,7 +21,7 @@ impl Default for TuningDefaults {
 /// fallback that escalates (`ef` doubling, then brute force) whenever a
 /// filtered search surfaces fewer than `k` results while valid points
 /// remain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// `false` reproduces the legacy static-threshold routing (brute force
     /// iff the valid count is below [`Self::brute_force_threshold`], no
@@ -201,7 +170,7 @@ impl Default for MigrationConfig {
 /// quantized storage tier). `F32` is the uncompressed seed behavior; the
 /// compressed tiers trade per-candidate precision for memory, recovering
 /// recall through the exact-rerank stage configured in [`QuantSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StorageTier {
     /// Full-precision `f32` vectors (4 bytes/dim) — no codec, no rerank.
     #[default]
@@ -257,7 +226,7 @@ impl std::fmt::Display for StorageTier {
 /// attribute: which codec compresses the stored vectors, whether the f32
 /// originals are retained beside the codes, and how wide the exact-rerank
 /// stage re-scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantSpec {
     /// Storage representation the traversal scores against.
     pub tier: StorageTier,
@@ -341,7 +310,7 @@ impl QuantSpec {
 /// vector and neighbor rows inside the traversal (a no-op on the scalar
 /// kernel tier). Results are bit-identical across layouts modulo the slot
 /// permutation — the layout is purely an execution choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GraphLayout {
     /// Mutable per-node `Vec` forest; no compilation step.
     Pointer,
@@ -374,67 +343,15 @@ impl std::fmt::Display for GraphLayout {
     }
 }
 
-/// Which distance-kernel tier the process dispatches to (see
-/// [`crate::kernels`]). `Auto` probes the CPU at first use and picks the
-/// widest supported tier; `Force` pins one tier (useful for reproducing
-/// scalar-reference results or testing the fallback on wide hardware). A
-/// forced tier the CPU cannot run falls back to `Scalar`, never crashes.
-///
-/// Resolution order at dispatch time: the `TV_KERNELS` environment variable
-/// (`scalar|sse|avx2|neon|auto`), then [`crate::kernels::set_policy`], then
-/// `Auto`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
-    /// Pick the best tier the CPU supports (the default).
-    #[default]
-    Auto,
-    /// Pin one tier regardless of what else the CPU could run.
-    Force(KernelTier),
-}
-
-impl KernelPolicy {
-    /// Parse a policy string: `auto` or any [`KernelTier::parse`] name.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.eq_ignore_ascii_case("auto") {
-            Some(KernelPolicy::Auto)
-        } else {
-            KernelTier::parse(s).map(KernelPolicy::Force)
-        }
-    }
-
-    /// The policy named by `TV_KERNELS`, if set and well-formed.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        std::env::var("TV_KERNELS")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-    }
-}
-
-impl std::fmt::Display for KernelPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelPolicy::Auto => f.write_str("auto"),
-            KernelPolicy::Force(t) => write!(f, "force:{t}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_the_documented_values() {
-        let d = TuningDefaults::default();
-        assert!(d.planner.enabled);
-        assert_eq!(d.planner.brute_force_threshold, 64);
-        assert_eq!(d.default_ef, 64);
-    }
-
-    #[test]
     fn planner_config_builders() {
+        let d = PlannerConfig::default();
+        assert!(d.enabled);
+        assert_eq!(d.brute_force_threshold, 64);
         let legacy = PlannerConfig::static_threshold(7);
         assert!(!legacy.enabled);
         assert_eq!(legacy.brute_force_threshold, 7);
@@ -448,21 +365,6 @@ mod tests {
         assert_eq!(p.graph_cost_factor, 2.0);
         assert_eq!(p.post_filter_min_selectivity, 0.9);
         assert_eq!(p.max_ef, 256);
-    }
-
-    #[test]
-    fn kernel_policy_parses() {
-        assert_eq!(KernelPolicy::parse("auto"), Some(KernelPolicy::Auto));
-        assert_eq!(
-            KernelPolicy::parse("scalar"),
-            Some(KernelPolicy::Force(KernelTier::Scalar))
-        );
-        assert_eq!(
-            KernelPolicy::parse("avx2"),
-            Some(KernelPolicy::Force(KernelTier::Avx2Fma))
-        );
-        assert_eq!(KernelPolicy::parse("bogus"), None);
-        assert_eq!(KernelPolicy::default(), KernelPolicy::Auto);
     }
 
     #[test]

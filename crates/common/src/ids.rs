@@ -5,8 +5,6 @@
 //! same addressing for embedding segments so that a vertex and its vectors
 //! always share a partition (the paper's vertex-centric partitioning, §4.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of vertices a segment can hold.
 ///
 /// TigerGraph uses on the order of a million vertices per segment; we default
@@ -20,9 +18,7 @@ pub const SEGMENT_CAPACITY: usize = 8192;
 /// Deltas and snapshots are tagged with the `Tid` of the transaction that
 /// produced them; a reader at `Tid t` observes exactly the deltas with
 /// `tid <= t` (§4.3).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tid(pub u64);
 
 impl Tid {
@@ -46,9 +42,7 @@ impl std::fmt::Display for Tid {
 
 /// Identifier of a vertex segment (and of the embedding segments aligned with
 /// it).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SegmentId(pub u32);
 
 impl std::fmt::Display for SegmentId {
@@ -58,9 +52,7 @@ impl std::fmt::Display for SegmentId {
 }
 
 /// Offset of a vertex within its segment.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LocalId(pub u32);
 
 /// Globally unique vertex id: `(segment, offset)` packed into a `u64`.
@@ -69,9 +61,7 @@ pub struct LocalId(pub u32);
 /// scans cache-friendly and makes the owning partition recoverable from the
 /// id alone — the property the distributed coordinator relies on when routing
 /// per-segment sub-queries (§5.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(pub u64);
 
 impl VertexId {
@@ -110,7 +100,7 @@ pub type GlobalId = VertexId;
 /// Loaders use this to assign ids round-robin-free: row `r` lives in segment
 /// `r / capacity` at offset `r % capacity`, mirroring TigerGraph's sequential
 /// segment fill during bulk ingestion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentLayout {
     /// Vertices per segment.
     pub capacity: usize,

@@ -5,9 +5,9 @@
 //! kernel table — AVX2+FMA where available, SSE2 on any x86-64, NEON on
 //! aarch64, and the 4-lane scalar loops (the seed implementation, kept
 //! verbatim in [`scalar`]) as the always-correct fallback. The choice can be
-//! overridden with [`crate::config::KernelPolicy`] via [`set_policy`] or the
-//! `TV_KERNELS` environment variable (`scalar|sse|avx2|neon|auto`), which CI
-//! uses to keep the fallback path covered on AVX2 runners.
+//! overridden with the `TV_KERNELS` environment variable
+//! (`scalar|sse|avx2|neon|auto`), which CI uses to keep the fallback path
+//! covered on AVX2 runners.
 //!
 //! Beyond plain `dot`/`l2_sq`, the table exposes **fused** one-pass kernels
 //! (`dot_norm_sq` computes `<a,b>` and `|b|²` in a single sweep) and
@@ -30,7 +30,6 @@
 //! seed's three-pass cosine on the scalar tier. Cross-tier agreement is
 //! enforced by `crates/common/tests/kernel_equivalence.rs`, not assumed.
 
-use crate::config::KernelPolicy;
 use crate::metric::DistanceMetric;
 use std::sync::OnceLock;
 
@@ -1313,7 +1312,7 @@ pub fn available() -> Vec<&'static Kernels> {
     .collect()
 }
 
-/// The best tier this CPU supports (what `KernelPolicy::Auto` dispatches to).
+/// The best tier this CPU supports (what `auto` dispatches to).
 #[must_use]
 pub fn detect_best() -> KernelTier {
     for tier in [KernelTier::Avx2Fma, KernelTier::Neon, KernelTier::Sse] {
@@ -1324,40 +1323,25 @@ pub fn detect_best() -> KernelTier {
     KernelTier::Scalar
 }
 
-static POLICY: OnceLock<KernelPolicy> = OnceLock::new();
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
-/// Install a kernel policy before first use. Returns `false` (and changes
-/// nothing) if dispatch already resolved — the active table is immutable for
-/// the life of the process, because per-slot norm caches and snapshot-backed
-/// distances must all come from one tier.
-pub fn set_policy(policy: KernelPolicy) -> bool {
-    if ACTIVE.get().is_some() {
-        return false;
+/// The table a `TV_KERNELS` value selects: a tier name pins that tier (one
+/// this CPU cannot run falls back to `Scalar`, never crashes); `auto`, an
+/// unknown name or no value picks [`detect_best`].
+fn resolve(selector: Option<&str>) -> &'static Kernels {
+    match selector.and_then(KernelTier::parse) {
+        Some(tier) => for_tier(tier).unwrap_or(&SCALAR),
+        None => for_tier(detect_best()).unwrap_or(&SCALAR),
     }
-    POLICY.set(policy).is_ok()
 }
 
-/// The policy dispatch resolved (or will resolve) under: the `TV_KERNELS`
-/// environment variable wins, then [`set_policy`], then `Auto`.
-#[must_use]
-pub fn policy() -> KernelPolicy {
-    if let Ok(v) = std::env::var("TV_KERNELS") {
-        if let Some(p) = KernelPolicy::parse(&v) {
-            return p;
-        }
-    }
-    POLICY.get().copied().unwrap_or(KernelPolicy::Auto)
-}
-
-/// The process-wide active kernel table (resolved once, first use wins).
-/// A forced tier that this CPU cannot run falls back to `Scalar`.
+/// The process-wide active kernel table, resolved once from `TV_KERNELS`
+/// (first use wins). It is immutable for the life of the process, because
+/// per-slot norm caches and snapshot-backed distances must all come from
+/// one tier.
 #[must_use]
 pub fn active() -> &'static Kernels {
-    ACTIVE.get_or_init(|| match policy() {
-        KernelPolicy::Auto => for_tier(detect_best()).unwrap_or(&SCALAR),
-        KernelPolicy::Force(tier) => for_tier(tier).unwrap_or(&SCALAR),
-    })
+    ACTIVE.get_or_init(|| resolve(std::env::var("TV_KERNELS").ok().as_deref()))
 }
 
 #[cfg(test)]
@@ -1382,6 +1366,20 @@ mod tests {
         }
         assert_eq!(KernelTier::parse("avx2"), Some(KernelTier::Avx2Fma));
         assert_eq!(KernelTier::parse("bogus"), None);
+    }
+
+    #[test]
+    fn tv_kernels_values_resolve() {
+        let best = detect_best();
+        for auto in [None, Some("auto"), Some("bogus"), Some("")] {
+            assert_eq!(resolve(auto).tier(), best, "{auto:?}");
+        }
+        assert_eq!(resolve(Some("scalar")).tier(), KernelTier::Scalar);
+        assert_eq!(resolve(Some("SCALAR")).tier(), KernelTier::Scalar);
+        for t in [KernelTier::Sse, KernelTier::Avx2Fma, KernelTier::Neon] {
+            let want = for_tier(t).map_or(KernelTier::Scalar, Kernels::tier);
+            assert_eq!(resolve(Some(t.name())).tier(), want, "{t}");
+        }
     }
 
     #[test]

@@ -26,8 +26,7 @@ pub mod wire;
 
 pub use bitmap::Bitmap;
 pub use config::{
-    GraphLayout, KernelPolicy, MigrationConfig, PlannerConfig, QuantSpec, RetryPolicy, StorageTier,
-    TuningDefaults,
+    GraphLayout, MigrationConfig, PlannerConfig, QuantSpec, RetryPolicy, StorageTier,
 };
 pub use crash::{crash_hook, CrashPlan, CrashPoint};
 pub use deadline::Deadline;

@@ -13,10 +13,9 @@
 //! [`crate::kernels::PreparedQuery`]) pay only one.
 
 use crate::kernels::{self, cosine_from_parts};
-use serde::{Deserialize, Serialize};
 
 /// Similarity metric attached to an embedding attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DistanceMetric {
     /// Squared Euclidean distance. (Monotone in true L2, so top-k identical.)
     #[default]

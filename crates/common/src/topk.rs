@@ -8,12 +8,11 @@
 //! distances seen.
 
 use crate::ids::VertexId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A search result: a vertex and its distance to the query.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Neighbor {
     /// Distance to the query (smaller = more similar, for every metric).
     pub dist: f32,

@@ -112,7 +112,6 @@ impl SnbGraph {
                 planner: PlannerConfig::default(),
                 query_threads: 2,
                 default_ef: 64,
-                build_threads: 1,
             },
         );
         let person_t = graph.create_vertex_type(

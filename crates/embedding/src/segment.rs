@@ -16,7 +16,7 @@
 //! queries combine index snapshot search results with brute-force search
 //! results over vector deltas".
 
-use crate::types::EmbeddingTypeDef;
+use crate::types::{check_vector, EmbeddingTypeDef};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -166,11 +166,30 @@ impl EmbeddingSegment {
         self.layout
     }
 
+    /// Refuse a vector this segment cannot score or index: one of another
+    /// dimension than the segment was declared with, or with a NaN/±∞
+    /// component.
+    pub fn check_vector(&self, v: &[f32]) -> TvResult<()> {
+        check_vector(self.dimension(), v)
+    }
+
+    fn dimension(&self) -> usize {
+        self.newest_snapshot().index.config().dim
+    }
+
     /// Append committed deltas (TIDs must be non-decreasing and newer than
-    /// everything already stored).
+    /// everything already stored). Every record is checked before any is
+    /// appended: an upsert that [`Self::check_vector`] refuses would fail
+    /// every later index merge of this segment.
     pub fn append_deltas(&self, records: &[DeltaRecord]) -> TvResult<()> {
         if records.is_empty() {
             return Ok(());
+        }
+        let dim = self.dimension();
+        for r in records {
+            if matches!(r.action, DeltaAction::Upsert) {
+                check_vector(dim, &r.vector)?;
+            }
         }
         let mut mem = self.mem_deltas.write();
         let floor = mem
@@ -436,15 +455,6 @@ impl EmbeddingSegment {
     /// paper decouples from the delta merge. Returns the new snapshot TID,
     /// or `None` if no flushed deltas qualified.
     pub fn index_merge(&self, up_to: Tid) -> TvResult<Option<Tid>> {
-        self.index_merge_with(up_to, 1)
-    }
-
-    /// [`Self::index_merge`] with `build_threads` workers folding the
-    /// qualifying records into the index copy. `1` is the sequential,
-    /// bit-deterministic path; `> 1` parallelizes insertion of fresh keys
-    /// (deletes and in-place updates stay sequential, preserving §4.4's
-    /// per-id record order).
-    pub fn index_merge_with(&self, up_to: Tid, build_threads: usize) -> TvResult<Option<Tid>> {
         let base = self.newest_snapshot();
         let records: Vec<DeltaRecord> = {
             let files = self.delta_files.read();
@@ -460,7 +470,7 @@ impl EmbeddingSegment {
         }
         let new_tid = records.last().expect("non-empty").tid;
         let mut index = base.index.clone();
-        index.update_items_with(&records, build_threads)?;
+        index.update_items(&records)?;
         self.apply_quant(&mut index)?;
         self.apply_layout(&mut index);
         let snap = Arc::new(IndexSnapshot {
@@ -475,14 +485,6 @@ impl EmbeddingSegment {
     /// publish it — the alternative Fig. 11 compares incremental merging
     /// against, which wins once >~20% of vectors changed.
     pub fn rebuild(&self, read_tid: Tid) -> TvResult<Tid> {
-        self.rebuild_with(read_tid, 1)
-    }
-
-    /// [`Self::rebuild`] with `build_threads` insertion workers. `1` is the
-    /// sequential, bit-deterministic path; `> 1` runs the locked parallel
-    /// build (same deterministic levels, link sets may vary — recall parity
-    /// is the contract).
-    pub fn rebuild_with(&self, read_tid: Tid, build_threads: usize) -> TvResult<Tid> {
         let snap = self.snapshot_for(read_tid);
         let overlay = self.overlay(snap.up_to, read_tid);
         let mut index = HnswIndex::new(*snap.index.config());
@@ -498,7 +500,7 @@ impl EmbeddingSegment {
                 items.push((*id, v.clone()));
             }
         }
-        index.insert_batch(&items, build_threads)?;
+        index.insert_batch(&items, 1)?;
         self.apply_quant(&mut index)?;
         self.apply_layout(&mut index);
         let up_to = read_tid.max(snap.up_to);
@@ -1030,34 +1032,5 @@ mod tests {
         assert_matches_cold("after delta-merge");
         seg.index_merge(Tid(80)).unwrap();
         assert_matches_cold("after index-merge");
-    }
-
-    /// `index_merge_with`/`rebuild_with` at `threads > 1` serve the same
-    /// live set as the sequential build; search still finds every vector.
-    #[test]
-    fn parallel_index_merge_and_rebuild_preserve_live_set() {
-        let (seg, vecs) = seeded_segment(120);
-        seg.delta_merge(Tid(120)).unwrap();
-        let merged = seg.index_merge_with(Tid(120), 4).unwrap();
-        assert_eq!(merged, Some(Tid(120)));
-        assert_eq!(seg.live_count(Tid(120)), 120);
-        for probe in [0usize, 31, 64, 119] {
-            let (r, _) = seg.search(&vecs[probe], 1, 64, None, Tid(120), &plan0());
-            assert_eq!(r[0].id, vid(probe as u32), "index_merge_with probe {probe}");
-        }
-        // Tombstone a third, then rebuild in parallel: the compacted index
-        // must hold exactly the survivors.
-        let dels: Vec<DeltaRecord> = (0..40)
-            .map(|i| DeltaRecord::delete(vid(i * 3), Tid(121 + u64::from(i))))
-            .collect();
-        seg.append_deltas(&dels).unwrap();
-        seg.delta_merge(Tid(160)).unwrap();
-        let tid = seg.rebuild_with(Tid(160), 4).unwrap();
-        assert_eq!(tid, Tid(160));
-        assert_eq!(seg.live_count(Tid(160)), 80);
-        let (gone, _) = seg.search(&vecs[0], 1, 64, None, Tid(160), &plan0());
-        assert_ne!(gone[0].id, vid(0), "deleted vector must not come back");
-        let (kept, _) = seg.search(&vecs[1], 1, 64, None, Tid(160), &plan0());
-        assert_eq!(kept[0].id, vid(1));
     }
 }

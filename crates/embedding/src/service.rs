@@ -29,29 +29,14 @@ pub struct ServiceConfig {
     pub query_threads: usize,
     /// Default `ef` when the caller does not specify one.
     pub default_ef: usize,
-    /// Worker threads for intra-segment index builds (`index_merge` /
-    /// `rebuild`). `1` keeps builds sequential and bit-deterministic; `> 1`
-    /// enables the locked parallel build (recall parity, not byte identity).
-    pub build_threads: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig::from_tuning(tv_common::TuningDefaults::default())
-    }
-}
-
-impl ServiceConfig {
-    /// Build a config from the workspace-shared tuning defaults (the single
-    /// source of truth for `planner` / `default_ef`, shared with
-    /// `tv-cluster::RuntimeConfig`).
-    #[must_use]
-    pub fn from_tuning(tuning: tv_common::TuningDefaults) -> Self {
         ServiceConfig {
-            planner: tuning.planner,
+            planner: PlannerConfig::default(),
             query_threads: tv_common::pool::default_width(),
-            default_ef: tuning.default_ef,
-            build_threads: tuning.build_threads,
+            default_ef: 64,
         }
     }
 }
@@ -83,6 +68,18 @@ impl EmbeddingAttr {
                 self.layout.capacity,
             )));
         }
+    }
+
+    /// Tag one segment's hits with this attribute.
+    fn typed(&self, neighbors: Vec<Neighbor>) -> Vec<TypedNeighbor> {
+        neighbors
+            .into_iter()
+            .map(|neighbor| TypedNeighbor {
+                attr_id: self.attr_id,
+                vertex_type: self.vertex_type,
+                neighbor,
+            })
+            .collect()
     }
 
     /// Handle to one embedding segment.
@@ -145,11 +142,12 @@ pub struct TypedNeighbor {
 }
 
 /// One query of a batched multi-query top-k (see
-/// [`EmbeddingService::top_k_many`]).
+/// [`EmbeddingService::top_k_many`]). The vector may be owned (a batch that
+/// outlives its callers' requests) or borrowed (`BatchQuery<&[f32]>`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchQuery {
+pub struct BatchQuery<V = Vec<f32>> {
     /// Query vector.
-    pub query: Vec<f32>,
+    pub query: V,
     /// Result count.
     pub k: usize,
     /// Search beam width.
@@ -307,7 +305,8 @@ impl EmbeddingService {
     /// **EmbeddingAction[Top k]**: parallel per-segment top-k over one or
     /// more *compatible* attributes, with a global merge. Static analysis
     /// (the compatibility check) runs first and rejects mixed-metadata
-    /// searches with a semantic error (§4.1).
+    /// searches with a semantic error (§4.1). A batch of one with no
+    /// deadline.
     pub fn top_k(
         &self,
         attr_ids: &[u32],
@@ -317,38 +316,23 @@ impl EmbeddingService {
         read_tid: Tid,
         filters: Option<&SegmentFilters>,
     ) -> TvResult<(Vec<TypedNeighbor>, SearchStats)> {
-        let attrs = self.check_search(attr_ids, query)?;
-        let tasks = self.collect_tasks(&attrs, filters);
-        let planner = self.config.planner;
-        let results = self.pool.run_gauged(
-            &self.search_gauge,
-            tasks,
-            self.config.query_threads,
-            move |(attr, seg, bitmap)| {
-                let (neighbors, stats) =
-                    seg.search(query, k, ef, bitmap.as_ref(), read_tid, &planner);
-                (
-                    neighbors
-                        .into_iter()
-                        .map(|n| TypedNeighbor {
-                            attr_id: attr.attr_id,
-                            vertex_type: attr.vertex_type,
-                            neighbor: n,
-                        })
-                        .collect::<Vec<_>>(),
-                    stats,
-                )
-            },
-        );
-        Ok(merge_typed(results, k))
+        let mut stats = SearchStats::default();
+        let mut out = self.top_k_many(
+            attr_ids,
+            &[BatchQuery { query, k, ef }],
+            read_tid,
+            filters,
+            Deadline::none(),
+            &mut stats,
+        )?;
+        Ok((out.pop().unwrap_or_default(), stats))
     }
 
     /// **EmbeddingAction[Top k, batched]**: several queries against the same
     /// attribute set share one per-segment fan-out — the serving layer's
-    /// batcher uses this to amortize segment dispatch across tenants. Each
-    /// `(segment, query)` search is the *same call* the single-query
-    /// [`EmbeddingService::top_k`] path makes, and each query's per-segment
-    /// results are merged in the same segment order, so batched results are
+    /// batcher uses this to amortize segment dispatch across tenants. Every
+    /// top-k door runs this one fan-out, and each query's per-segment
+    /// results are merged in segment order, so batched results are
     /// bit-identical to issuing the queries one by one.
     ///
     /// The `deadline` is checked before every segment search; when it
@@ -356,10 +340,10 @@ impl EmbeddingService {
     /// for whatever work *was* performed accumulate into `stats_out` even on
     /// the timeout path (an already-expired deadline therefore reports zero
     /// distance computations).
-    pub fn top_k_many(
+    pub fn top_k_many<V: AsRef<[f32]> + Sync>(
         &self,
         attr_ids: &[u32],
-        queries: &[BatchQuery],
+        queries: &[BatchQuery<V>],
         read_tid: Tid,
         filters: Option<&SegmentFilters>,
         deadline: Deadline,
@@ -384,10 +368,10 @@ impl EmbeddingService {
     /// query `i`'s accumulate into `stats_out[i]` (one slot per query, else
     /// [`TvError::InvalidArgument`]), so the serving layer can bill each
     /// member of a coalesced batch for its own searches.
-    pub fn top_k_many_each(
+    pub fn top_k_many_each<V: AsRef<[f32]> + Sync>(
         &self,
         attr_ids: &[u32],
-        queries: &[BatchQuery],
+        queries: &[BatchQuery<V>],
         read_tid: Tid,
         filters: Option<&SegmentFilters>,
         deadline: Deadline,
@@ -403,15 +387,15 @@ impl EmbeddingService {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let attrs = self.check_search(attr_ids, &queries[0].query)?;
+        let attrs = self.check_search(attr_ids, queries[0].query.as_ref())?;
         for q in &queries[1..] {
-            attrs[0].def.check_query_vector(&q.query)?;
+            attrs[0].def.check_query_vector(q.query.as_ref())?;
         }
         deadline.check("batched top-k admission")?;
         let tasks = self.collect_tasks(&attrs, filters);
         let planner = self.config.planner;
-        // Task-major unit order: query `qi` sees its per-segment results in
-        // exactly the segment order the single-query path uses.
+        // Task-major unit order: every query sees its per-segment results
+        // in segment order, whatever else shares the batch.
         let mut units = Vec::with_capacity(tasks.len() * queries.len());
         for ti in 0..tasks.len() {
             for qi in 0..queries.len() {
@@ -432,17 +416,15 @@ impl EmbeddingService {
                 }
                 let (attr, seg, bitmap) = &tasks_ref[ti];
                 let q = &queries[qi];
-                let (neighbors, stats) =
-                    seg.search(&q.query, q.k, q.ef, bitmap.as_ref(), read_tid, &planner);
-                let typed = neighbors
-                    .into_iter()
-                    .map(|n| TypedNeighbor {
-                        attr_id: attr.attr_id,
-                        vertex_type: attr.vertex_type,
-                        neighbor: n,
-                    })
-                    .collect::<Vec<_>>();
-                Some((qi, typed, stats))
+                let (neighbors, stats) = seg.search(
+                    q.query.as_ref(),
+                    q.k,
+                    q.ef,
+                    bitmap.as_ref(),
+                    read_tid,
+                    &planner,
+                );
+                Some((qi, attr.typed(neighbors), stats))
             },
         );
         let mut per_query: Vec<Vec<(Vec<TypedNeighbor>, SearchStats)>> =
@@ -471,7 +453,8 @@ impl EmbeddingService {
     }
 
     /// **EmbeddingAction[Range]**: parallel per-segment range search with a
-    /// global merge.
+    /// global merge. A NaN `threshold` compares false with every distance
+    /// and is refused; `+∞` is legal and means "all".
     pub fn range_search(
         &self,
         attr_ids: &[u32],
@@ -481,6 +464,11 @@ impl EmbeddingService {
         read_tid: Tid,
         filters: Option<&SegmentFilters>,
     ) -> TvResult<(Vec<TypedNeighbor>, SearchStats)> {
+        if threshold.is_nan() {
+            return Err(TvError::InvalidArgument(
+                "range search threshold is NaN".into(),
+            ));
+        }
         let attrs = self.check_search(attr_ids, query)?;
         let tasks = self.collect_tasks(&attrs, filters);
         let planner = self.config.planner;
@@ -491,17 +479,7 @@ impl EmbeddingService {
             move |(attr, seg, bitmap)| {
                 let (neighbors, stats) =
                     seg.range_search(query, threshold, ef, bitmap.as_ref(), read_tid, &planner);
-                (
-                    neighbors
-                        .into_iter()
-                        .map(|n| TypedNeighbor {
-                            attr_id: attr.attr_id,
-                            vertex_type: attr.vertex_type,
-                            neighbor: n,
-                        })
-                        .collect::<Vec<_>>(),
-                    stats,
-                )
+                (attr.typed(neighbors), stats)
             },
         );
         let mut out = Vec::new();
@@ -575,14 +553,13 @@ impl EmbeddingService {
         let attr = self.attr(attr_id)?;
         let segments = attr.all_segments();
         let plan = self.crash_plan.read().clone();
-        let build_threads = self.config.build_threads;
         let merged: Vec<TvResult<Option<Tid>>> =
             self.pool.run(segments, threads.max(1), move |seg| {
                 // Crash point: a merge worker dies between per-segment merges —
                 // some segments carry the new snapshot, others don't. Recovery
                 // must work from that mixed state.
                 crash_hook(plan.as_deref(), CrashPoint::VacuumMidIndexMerge)?;
-                seg.index_merge_with(up_to, build_threads)
+                seg.index_merge(up_to)
             });
         let mut count = 0;
         for m in merged {
@@ -614,10 +591,9 @@ impl EmbeddingService {
     pub fn rebuild(&self, attr_id: u32, read_tid: Tid, threads: usize) -> TvResult<usize> {
         let attr = self.attr(attr_id)?;
         let segments = attr.all_segments();
-        let build_threads = self.config.build_threads;
-        let results: Vec<TvResult<Tid>> = self.pool.run(segments, threads.max(1), |seg| {
-            seg.rebuild_with(read_tid, build_threads)
-        });
+        let results: Vec<TvResult<Tid>> = self
+            .pool
+            .run(segments, threads.max(1), |seg| seg.rebuild(read_tid));
         let mut n = 0;
         for r in results {
             r?;
@@ -700,12 +676,18 @@ mod tests {
             planner: PlannerConfig::default().with_brute_threshold(8),
             query_threads: 2,
             default_ef: 64,
-            build_threads: 1,
         })
     }
 
     fn def(name: &str) -> EmbeddingTypeDef {
         EmbeddingTypeDef::new(name, 4, "GPT4", DistanceMetric::L2)
+    }
+
+    /// Hits down to the last bit of each distance.
+    fn bits(hits: &[TypedNeighbor]) -> Vec<(u32, u64, u32)> {
+        hits.iter()
+            .map(|t| (t.attr_id, t.neighbor.id.0, t.neighbor.dist.to_bits()))
+            .collect()
     }
 
     /// Load `n` vectors across segments of capacity 16.
@@ -975,7 +957,7 @@ mod tests {
             let (solo, solo_stats) = svc
                 .top_k(&[a], &bq.query, bq.k, bq.ef, Tid(64), None)
                 .unwrap();
-            assert_eq!(batch_result, &solo);
+            assert_eq!(bits(batch_result), bits(&solo));
             assert_eq!(own, &solo_stats);
             sum.merge(own);
         }
@@ -1010,26 +992,25 @@ mod tests {
                 ef: 64,
             })
             .collect();
-        let bits = |hits: Vec<TypedNeighbor>| -> Vec<(u32, u64, u32)> {
-            hits.iter()
-                .map(|t| (t.attr_id, t.neighbor.id.0, t.neighbor.dist.to_bits()))
-                .collect()
-        };
         let answers = || {
             let mut out = Vec::new();
             for q in &queries {
                 let (hits, stats) = svc.top_k(&[a], &q.query, q.k, q.ef, Tid(64), None).unwrap();
-                out.push((bits(hits), stats));
+                out.push((bits(&hits), stats));
                 let (hits, stats) = svc
                     .range_search(&[a], &q.query, 9.0, q.ef, Tid(64), None)
                     .unwrap();
-                out.push((bits(hits), stats));
+                out.push((bits(&hits), stats));
             }
             let mut each = vec![SearchStats::default(); queries.len()];
             let many = svc
                 .top_k_many_each(&[a], &queries, Tid(64), None, Deadline::none(), &mut each)
                 .unwrap();
-            out.extend(many.into_iter().map(bits).zip(each));
+            // Solo and batched are one path, wherever it ran.
+            for (qi, (hits, stats)) in many.iter().zip(&each).enumerate() {
+                assert_eq!((bits(hits), *stats), out[2 * qi]);
+            }
+            out.extend(many.iter().map(|hits| bits(hits)).zip(each));
             out
         };
         // A gauge that reads `d` whatever it read before.
@@ -1118,8 +1099,9 @@ mod tests {
             .unwrap();
         let _ = a;
         let mut stats = SearchStats::default();
+        let none: [BatchQuery; 0] = [];
         let out = svc
-            .top_k_many(&[a], &[], Tid(0), None, Deadline::none(), &mut stats)
+            .top_k_many(&[a], &none, Tid(0), None, Deadline::none(), &mut stats)
             .unwrap();
         assert!(out.is_empty());
     }

@@ -7,11 +7,10 @@
 //! type, are identical, the query is allowed. Otherwise, the query is
 //! rejected and a semantic error is returned."*
 
-use serde::{Deserialize, Serialize};
 use tv_common::{DistanceMetric, GraphLayout, QuantSpec, TvError, TvResult};
 
 /// Which vector index backs an embedding attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IndexKind {
     /// Hierarchical Navigable Small World (the paper's choice, §4.4).
     #[default]
@@ -41,7 +40,7 @@ impl IndexKind {
 }
 
 /// Element type of the stored vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VectorDataType {
     /// 32-bit float (the only type the reproduction materializes).
     #[default]
@@ -66,7 +65,7 @@ impl VectorDataType {
 
 /// Full metadata of one embedding attribute — what `ADD EMBEDDING ATTRIBUTE`
 /// declares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTypeDef {
     /// Attribute name (e.g. `content_emb`).
     pub name: String,
@@ -88,7 +87,6 @@ pub struct EmbeddingTypeDef {
     /// the mutable pointer forest, or the frozen CSR layout with software
     /// prefetch. Purely an execution knob — it never affects compatibility
     /// or results.
-    #[serde(default)]
     pub layout: GraphLayout,
 }
 
@@ -170,20 +168,25 @@ impl EmbeddingTypeDef {
     /// Validate a vector against this attribute — a query's, or one about
     /// to be stored: the declared dimension, and every component finite.
     pub fn check_query_vector(&self, v: &[f32]) -> TvResult<()> {
-        if v.len() != self.dimension {
-            return Err(TvError::DimensionMismatch {
-                expected: self.dimension,
-                got: v.len(),
-            });
-        }
-        tv_common::check_finite(v)
+        check_vector(self.dimension, v)
     }
+}
+
+/// `v` has `dimension` components and every one is finite.
+pub(crate) fn check_vector(dimension: usize, v: &[f32]) -> TvResult<()> {
+    if v.len() != dimension {
+        return Err(TvError::DimensionMismatch {
+            expected: dimension,
+            got: v.len(),
+        });
+    }
+    tv_common::check_finite(v)
 }
 
 /// An embedding space: a named, shared schema for embeddings generated by
 /// one model, attachable to many vertex types (`CREATE EMBEDDING SPACE`,
 /// §4.1 / Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingSpace {
     /// Space name (e.g. `GPT4_emb_space`).
     pub name: String,
@@ -200,7 +203,6 @@ pub struct EmbeddingSpace {
     /// Shared storage tier / rerank policy for minted attributes.
     pub quant: QuantSpec,
     /// Shared search-graph layout for minted attributes.
-    #[serde(default)]
     pub layout: GraphLayout,
 }
 

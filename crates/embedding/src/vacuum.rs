@@ -311,7 +311,6 @@ mod tests {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
             query_threads: 1,
             default_ef: 32,
-            build_threads: 1,
         }));
         let layout = SegmentLayout::with_capacity(64);
         let mut attrs = Vec::new();
@@ -374,7 +373,6 @@ mod tests {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
             query_threads: 1,
             default_ef: 32,
-            build_threads: 1,
         }));
         let attr = svc
             .register(

@@ -144,7 +144,6 @@ mod tests {
                 planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
                 query_threads: 1,
                 default_ef: 32,
-                build_threads: 1,
             },
         );
         let person = g

@@ -304,7 +304,8 @@ impl Graph {
     /// Top-k vector search over one or more embedding attributes, optionally
     /// restricted to a candidate [`VertexSet`] (the pre-filter hand-off).
     /// This is the engine behind both `ORDER BY VECTOR_DIST ... LIMIT k` and
-    /// the `VectorSearch()` function.
+    /// the `VectorSearch()` function: [`Self::vector_search_deadline`] with
+    /// no deadline.
     pub fn vector_search(
         &self,
         attr_ids: &[u32],
@@ -314,12 +315,11 @@ impl Graph {
         filter: Option<&VertexSet>,
         tid: Tid,
     ) -> TvResult<(Vec<TypedNeighbor>, SearchStats)> {
-        let filters = match filter {
-            Some(set) => Some(self.segment_filters(attr_ids, set)?),
-            None => None,
-        };
-        self.embeddings
-            .top_k(attr_ids, query, k, ef, tid, filters.as_ref())
+        let mut stats = SearchStats::default();
+        let deadline = tv_common::Deadline::none();
+        let hits =
+            self.vector_search_deadline(attr_ids, query, k, ef, filter, tid, deadline, &mut stats)?;
+        Ok((hits, stats))
     }
 
     /// Deadline-aware top-k vector search: the serving layer's entry point.
@@ -342,14 +342,9 @@ impl Graph {
             Some(set) => Some(self.segment_filters(attr_ids, set)?),
             None => None,
         };
-        let batch = [tv_embedding::BatchQuery {
-            query: query.to_vec(),
-            k,
-            ef,
-        }];
         let mut out = self.embeddings.top_k_many(
             attr_ids,
-            &batch,
+            &[tv_embedding::BatchQuery { query, k, ef }],
             tid,
             filters.as_ref(),
             deadline,
@@ -540,7 +535,6 @@ mod tests {
                 planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
                 query_threads: 1,
                 default_ef: 32,
-                build_threads: 1,
             },
         )
     }
@@ -735,7 +729,6 @@ mod tests {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
             query_threads: 1,
             default_ef: 32,
-            build_threads: 1,
         };
         let (post, emb, id);
         {

@@ -227,7 +227,6 @@ mod tests {
                 planner: tv_common::PlannerConfig::default().with_brute_threshold(2),
                 query_threads: 1,
                 default_ef: 32,
-                build_threads: 1,
             },
         );
         g.create_vertex_type(

@@ -1,7 +1,6 @@
 //! The schema catalog: vertex types, edge types, embedding attributes and
 //! embedding spaces.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tg_storage::AttrSchema;
 use tv_common::{TvError, TvResult};
@@ -32,7 +31,7 @@ impl VertexTypeDef {
 }
 
 /// A directed edge type between two vertex types.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeTypeDef {
     /// Type name (e.g. `knows`).
     pub name: String,

@@ -41,7 +41,6 @@ fn config() -> ServiceConfig {
         planner: tv_common::PlannerConfig::default().with_brute_threshold(1024),
         query_threads: 1,
         default_ef: 64,
-        build_threads: 1,
     }
 }
 

@@ -66,7 +66,7 @@ pub fn execute_at(graph: &Graph, src: &str, params: &Params, tid: Tid) -> TvResu
 }
 
 /// Parse, resolve, and execute `src` **as a user** at the latest committed
-/// snapshot. See [`execute_at_as`].
+/// snapshot, with no deadline. See [`execute_at_as_stats`].
 pub fn execute_as(
     graph: &Graph,
     acl: &AccessControl,
@@ -74,15 +74,9 @@ pub fn execute_as(
     src: &str,
     params: &Params,
 ) -> TvResult<QueryOutput> {
-    execute_at_as(
-        graph,
-        acl,
-        user,
-        src,
-        params,
-        graph.read_tid(),
-        Deadline::none(),
-    )
+    let mut stats = SearchStats::default();
+    let (tid, deadline) = (graph.read_tid(), Deadline::none());
+    execute_at_as_stats(graph, acl, user, src, params, tid, deadline, &mut stats)
 }
 
 /// Parse, resolve, and execute `src` as a user at a pinned TID with a
@@ -93,23 +87,9 @@ pub fn execute_as(
 /// [`TvError::PermissionDenied`] otherwise), and for vector queries a
 /// row-restricted grant becomes a candidate set intersected into the §5.2
 /// pre-filter bitmaps, so row security and deletions ride the same validity
-/// mask. The deadline is threaded down to the per-segment searches.
-pub fn execute_at_as(
-    graph: &Graph,
-    acl: &AccessControl,
-    user: &str,
-    src: &str,
-    params: &Params,
-    tid: Tid,
-    deadline: Deadline,
-) -> TvResult<QueryOutput> {
-    let mut stats = SearchStats::default();
-    execute_at_as_stats(graph, acl, user, src, params, tid, deadline, &mut stats)
-}
-
-/// [`execute_at_as`] with the vector-search statistics (planner routing
-/// counters included) merged into `stats` — the serving layer uses this to
-/// feed per-tenant plan metrics.
+/// mask. The deadline is threaded down to the per-segment searches, and the
+/// vector-search statistics (planner routing counters included) are merged
+/// into `stats`, which feeds the per-tenant plan metrics.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_at_as_stats(
     graph: &Graph,
@@ -150,30 +130,19 @@ pub fn execute_at_as_stats(
     )
 }
 
-/// Execute an already-resolved query.
+/// Execute an already-resolved query: no restriction, no deadline.
 pub fn run(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<QueryOutput> {
-    run_opts(graph, r, params, tid, None, Deadline::none())
+    let mut stats = SearchStats::default();
+    run_opts_stats(graph, r, params, tid, None, Deadline::none(), &mut stats)
 }
 
 /// Execute an already-resolved query with serving-layer options: an extra
-/// candidate restriction (row security) and a deadline.
-pub fn run_opts(
-    graph: &Graph,
-    r: &Resolved,
-    params: &Params,
-    tid: Tid,
-    restriction: Option<&VertexSet>,
-    deadline: Deadline,
-) -> TvResult<QueryOutput> {
-    let mut stats = SearchStats::default();
-    run_opts_stats(graph, r, params, tid, restriction, deadline, &mut stats)
-}
-
-/// [`run_opts`] with the vector-search statistics merged into `stats` —
-/// including the filtered-search planner's routing counters
-/// (`plans_brute` / `plans_in_traversal` / `plans_post_filter`,
-/// `ef_escalations`, `brute_fallbacks`), so callers can see *how* each
-/// query was executed. Graph-only and join queries leave `stats` untouched.
+/// candidate restriction (row security) and a deadline. The vector-search
+/// statistics are merged into `stats` — including the filtered-search
+/// planner's routing counters (`plans_brute` / `plans_in_traversal` /
+/// `plans_post_filter`, `ef_escalations`, `brute_fallbacks`), so callers
+/// can see *how* each query was executed. Graph-only and join queries leave
+/// `stats` untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn run_opts_stats(
     graph: &Graph,
@@ -614,7 +583,6 @@ mod tests {
                 planner: tv_common::PlannerConfig::default().with_brute_threshold(2),
                 query_threads: 1,
                 default_ef: 64,
-                build_threads: 1,
             },
         );
         graph
@@ -1001,7 +969,7 @@ mod tests {
         let acl = AccessControl::new();
         acl.define_role("reader", Role::default().allow_type(1));
         acl.assign("tenant-a", "reader").unwrap();
-        let err = execute_at_as(
+        let err = execute_at_as_stats(
             &f.graph,
             &acl,
             "tenant-a",
@@ -1009,6 +977,7 @@ mod tests {
             &params_with_vec(&f.post_vecs[0]),
             f.graph.read_tid(),
             Deadline::expired_now(),
+            &mut SearchStats::default(),
         )
         .unwrap_err();
         assert!(matches!(err, TvError::Timeout(_)));

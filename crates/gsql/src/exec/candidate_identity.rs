@@ -130,7 +130,6 @@ fn fixture() -> Fixture {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(2),
             query_threads: 2,
             default_ef: 64,
-            build_threads: 1,
         },
     );
     graph

@@ -49,8 +49,7 @@ pub mod token;
 
 pub use ast::{Query, Value};
 pub use exec::{
-    execute, execute_as, execute_at, execute_at_as, execute_at_as_stats, Params, QueryOutput,
-    ResultRow,
+    execute, execute_as, execute_at, execute_at_as_stats, Params, QueryOutput, ResultRow,
 };
 pub use func::{community_topk, vector_search, vector_search_with_stats, VectorSearchOptions};
 pub use parser::parse;

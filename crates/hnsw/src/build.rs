@@ -5,7 +5,7 @@
 //! forest for the parallel build — and prunes lists with the same
 //! [`HnswIndex::select_from`].
 
-use crate::index::{DeltaAction, DeltaRecord, HnswIndex, VectorIndex};
+use crate::index::HnswIndex;
 use crate::search::{lock_node, LinkStore, Scorer, SearchScratch};
 use crate::select::select_neighbors;
 use crate::stats::SearchStats;
@@ -314,22 +314,16 @@ impl HnswIndex {
         false
     }
 
-    /// What a parallel batch may link concurrently. Checks every upsert's
+    /// What a parallel batch may link concurrently. Checks every item's
     /// dimension (before anything is applied), then returns the keys that
     /// occur exactly once in the batch and are not in the index yet.
-    /// Everything else — repeated keys, upserts of live keys, deletes —
-    /// must apply sequentially, in batch order, to preserve per-id record
-    /// order.
-    fn fresh_keys<'a>(
-        &self,
-        batch: impl Iterator<Item = (VertexId, Option<&'a [f32]>)>,
-    ) -> TvResult<HashSet<VertexId>> {
+    /// Everything else — repeated keys, upserts of live keys — must apply
+    /// sequentially, in batch order, to preserve per-id record order.
+    fn fresh_keys(&self, items: &[(VertexId, Vec<f32>)]) -> TvResult<HashSet<VertexId>> {
         let mut count: HashMap<VertexId, usize> = HashMap::new();
-        for (key, vector) in batch {
-            if let Some(v) = vector {
-                self.check_dim(v)?;
-            }
-            *count.entry(key).or_insert(0) += 1;
+        for (key, vector) in items {
+            self.check_dim(vector)?;
+            *count.entry(*key).or_insert(0) += 1;
         }
         count.retain(|key, n| *n == 1 && !self.slot_of.contains_key(key));
         Ok(count.into_keys().collect())
@@ -355,7 +349,7 @@ impl HnswIndex {
             }
             return Ok(());
         }
-        let fresh_keys = self.fresh_keys(items.iter().map(|(k, v)| (*k, Some(v.as_slice()))))?;
+        let fresh_keys = self.fresh_keys(items)?;
         let mut fresh: Vec<(VertexId, &[f32])> = Vec::with_capacity(items.len());
         for (key, vector) in items {
             if fresh_keys.contains(key) {
@@ -492,37 +486,5 @@ impl HnswIndex {
             }
         }
         self.scratch.put(scratch);
-    }
-
-    /// [`VectorIndex::update_items`] with optional parallel linking of the
-    /// fresh appends. Duplicate-key records, deletes, and upserts of live
-    /// keys apply sequentially first (in record order); single-occurrence
-    /// upserts of fresh keys then link concurrently. `threads <= 1` is the
-    /// plain sequential path, bit-identical to [`VectorIndex::update_items`].
-    pub fn update_items_with(
-        &mut self,
-        records: &[DeltaRecord],
-        threads: usize,
-    ) -> TvResult<usize> {
-        self.ensure_mutable();
-        if threads <= 1 || records.len() <= 1 {
-            return self.update_items(records);
-        }
-        let fresh_keys = self.fresh_keys(records.iter().map(|r| {
-            let upsert = (r.action == DeltaAction::Upsert).then_some(r.vector.as_slice());
-            (r.id, upsert)
-        }))?;
-        let mut fresh: Vec<(VertexId, &[f32])> = Vec::new();
-        for rec in records {
-            if rec.action == DeltaAction::Upsert && fresh_keys.contains(&rec.id) {
-                fresh.push((rec.id, rec.vector.as_slice()));
-            } else if rec.action == DeltaAction::Upsert {
-                self.insert(rec.id, &rec.vector)?;
-            } else {
-                self.remove(rec.id);
-            }
-        }
-        self.parallel_insert_fresh(&fresh, threads);
-        Ok(records.len())
     }
 }

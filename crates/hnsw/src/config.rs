@@ -1,6 +1,5 @@
 //! HNSW construction and search parameters.
 
-use serde::{Deserialize, Serialize};
 use tv_common::DistanceMetric;
 
 /// Parameters of an HNSW index.
@@ -9,7 +8,7 @@ use tv_common::DistanceMetric;
 /// `ef_construction = 128` ("efb=128 as recommended in [SingleStore-V]").
 /// Neo4j's inability to tune these parameters is exactly the limitation the
 /// paper calls out, so they are all public and explicit here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HnswConfig {
     /// Vector dimensionality.
     pub dim: usize,

@@ -23,7 +23,6 @@ use crate::packed::PackedGraph;
 use crate::quant_state::QuantState;
 use crate::search::ScratchPool;
 use crate::stats::SearchStats;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
@@ -34,7 +33,7 @@ use tv_common::{
 
 /// Upsert/delete action flag of a vector delta (§4.3: the delta schema is
 /// `Action Flag, ID, TID, Vector Value`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaAction {
     /// Insert or replace the vector for an id.
     Upsert,
@@ -44,7 +43,7 @@ pub enum DeltaAction {
 
 /// One vector delta record, as accumulated in the in-memory delta store and
 /// flushed to delta files by the delta-merge vacuum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRecord {
     /// Upsert or delete.
     pub action: DeltaAction,
@@ -1195,38 +1194,6 @@ mod tests {
         got.sort_by_key(|(l, _)| *l);
         want.sort_by_key(|(l, _)| *l);
         assert_eq!(got, want, "live key→vector mapping must match sequential");
-    }
-
-    #[test]
-    fn update_items_with_parallel_matches_sequential_membership() {
-        let vecs = make_vectors(260, 8, 53);
-        let mut idx = build_index(&vecs[..200]);
-        let mut recs = Vec::new();
-        for i in 0..30 {
-            // Fresh appends (parallel-eligible).
-            recs.push(DeltaRecord::upsert(
-                key(300 + i),
-                Tid(u64::from(i) + 1),
-                vecs[200 + i as usize].clone(),
-            ));
-        }
-        // Live-key upsert, delete, and a duplicate fresh key — all must
-        // take the sequential path without disturbing the parallel set.
-        recs.push(DeltaRecord::upsert(key(7), Tid(40), vecs[230].clone()));
-        recs.push(DeltaRecord::delete(key(11), Tid(41)));
-        recs.push(DeltaRecord::upsert(key(400), Tid(42), vecs[231].clone()));
-        recs.push(DeltaRecord::upsert(key(400), Tid(43), vecs[232].clone()));
-        let mut oracle = idx.clone();
-        let want_applied = oracle.update_items(&recs).unwrap();
-        let got_applied = idx.update_items_with(&recs, 4).unwrap();
-        assert_eq!(got_applied, want_applied);
-        assert_eq!(idx.len(), oracle.len());
-        let mut got: Vec<(u32, Vec<f32>)> = idx.scan().map(|(id, v)| (id.local().0, v)).collect();
-        let mut want: Vec<(u32, Vec<f32>)> =
-            oracle.scan().map(|(id, v)| (id.local().0, v)).collect();
-        got.sort_by_key(|(l, _)| *l);
-        want.sort_by_key(|(l, _)| *l);
-        assert_eq!(got, want);
     }
 
     #[test]

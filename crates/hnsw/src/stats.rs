@@ -7,10 +7,8 @@
 //! planner uses them as its feedback signal — which is why filter rejections
 //! and tombstone skips are counted separately.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated during one search call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Number of distance computations performed.
     pub distance_computations: u64,

@@ -30,7 +30,6 @@ fn serving_fixture() -> (Arc<Graph>, Arc<AccessControl>, Vec<VertexId>, Vec<Vec<
             planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
             query_threads: 2,
             default_ef: 32,
-            build_threads: 1,
         },
     );
     graph
@@ -236,7 +235,6 @@ fn serving_cluster(degraded_mode: bool) -> (Arc<ClusterRuntime>, Vec<Vec<f32>>) 
             hedge_after: None,
         },
         degraded_mode,
-        build_threads: 1,
     });
     let def = EmbeddingTypeDef::new("e", DIM, "M", DistanceMetric::L2);
     let mut rng = SplitMix64::new(11);
@@ -594,7 +592,6 @@ fn server_checkpoint_and_recovery_serving_continuity() {
         planner: tv_common::PlannerConfig::default().with_brute_threshold(1024), // exact search → comparable results
         query_threads: 1,
         default_ef: 32,
-        build_threads: 1,
     };
     let setup = |g: &Graph| {
         g.create_vertex_type("Doc", &[("classification", AttrType::Str)])
@@ -669,7 +666,12 @@ fn server_checkpoint_and_recovery_serving_continuity() {
     let mem = Arc::new(Graph::new());
     let mem_server = Server::new(mem, Arc::new(AccessControl::new()), ServerConfig::default());
     assert!(mem_server.checkpoint().is_err());
-    assert_eq!(mem_server.metrics().durability().checkpoint_failures(), 1);
+    let metrics = mem_server.metrics_json();
+    let failures = metrics
+        .get("__durability__")
+        .unwrap()
+        .get("checkpoint_failures");
+    assert_eq!(failures.unwrap().as_u64(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -810,4 +812,108 @@ fn metrics_json_reports_the_query_pool() {
     assert!(count("helper_jobs_unclaimed") <= count("runs_fanned") * count("width"));
     assert!(pool.get("handoff_us").unwrap().as_f64().unwrap() >= 0.0);
     assert!(pool.get("task_us").unwrap().as_f64().unwrap() > 0.0);
+}
+
+/// The exact key set of every block of `Server::metrics_json()` and the JSON
+/// type of each value (`u` unsigned integer, `f` float, `n` null): the
+/// benchmark and the docs read these names, so none may be dropped, renamed
+/// or retyped by accident.
+#[test]
+fn metrics_json_blocks_have_exactly_these_keys() {
+    const U: char = 'u';
+    const F: char = 'f';
+    let table: [(&str, &[(&str, char)]); 4] = [
+        (
+            "__cluster__",
+            &[
+                ("catchup_records", U),
+                ("last_error", 'n'),
+                ("last_flip_pause_us", U),
+                ("migration_errors", U),
+                ("migrations_aborted", U),
+                ("migrations_completed", U),
+                ("placement_generation", U),
+                ("shipped_bytes", U),
+            ],
+        ),
+        (
+            "__durability__",
+            &[
+                ("checkpoint_failures", U),
+                ("checkpoint_mean_ms", F),
+                ("checkpoints", U),
+                ("graph_store_tail", U),
+                ("last_checkpoint_files", U),
+                ("last_checkpoint_tid", U),
+                ("wal_records_kept", U),
+            ],
+        ),
+        (
+            "__pool__",
+            &[
+                ("busy_lanes", U),
+                ("handoff_us", F),
+                ("helper_jobs_unclaimed", U),
+                ("runs_fanned", U),
+                ("runs_inline", U),
+                ("task_us", F),
+                ("width", U),
+            ],
+        ),
+        (
+            "acme",
+            &[
+                ("admitted", U),
+                ("batched", U),
+                ("cluster_hedges", U),
+                ("cluster_retries", U),
+                ("completed", U),
+                ("degraded", U),
+                ("denied", U),
+                ("fanouts", U),
+                ("latency_count", U),
+                ("latency_max_ms", F),
+                ("latency_mean_ms", F),
+                ("latency_p50_ms", F),
+                ("latency_p95_ms", F),
+                ("latency_p99_ms", F),
+                ("max_batch_size", U),
+                ("max_queue_depth", U),
+                ("plan_brute_fallbacks", U),
+                ("plan_ef_escalations", U),
+                ("plans_brute", U),
+                ("plans_in_traversal", U),
+                ("plans_post_filter", U),
+                ("rate_limited", U),
+                ("rejected", U),
+                ("timeouts", U),
+                ("wait_p50_ms", F),
+                ("wait_p95_ms", F),
+                ("wait_p99_ms", F),
+            ],
+        ),
+    ];
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = Server::new(graph, acl, ServerConfig::default());
+    let session = server.open_session("acme", "u-acme");
+    server
+        .vector_top_k(&session, &[0], vecs[0].clone(), 3)
+        .unwrap();
+    let snap = server.metrics_json();
+    let kind = |v: &serde_json::Value| match v {
+        serde_json::Value::Null => 'n',
+        serde_json::Value::Number(serde_json::Number::Float(_)) => F,
+        serde_json::Value::Number(_) => U,
+        _ => '?',
+    };
+    let keys_of = |v: &serde_json::Value| -> Vec<(String, char)> {
+        let block = v.as_object().unwrap();
+        block.iter().map(|(k, v)| (k.clone(), kind(v))).collect()
+    };
+    let blocks: Vec<String> = keys_of(&snap).into_iter().map(|(k, _)| k).collect();
+    assert_eq!(blocks, table.map(|(name, _)| name));
+    for (name, want) in table {
+        let want: Vec<(String, char)> = want.iter().map(|&(k, t)| (k.to_string(), t)).collect();
+        assert_eq!(keys_of(snap.get(name).unwrap()), want, "{name}");
+    }
 }

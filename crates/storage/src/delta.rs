@@ -7,13 +7,12 @@
 //! snapshots").
 
 use crate::value::AttrValue;
-use serde::{Deserialize, Serialize};
 use tv_common::VertexId;
 
 /// One committed mutation of the graph (vector mutations travel separately
 /// through the embedding service's vector-delta store — the decoupling of
 /// §4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GraphDelta {
     /// Insert or fully replace a vertex and its attribute row.
     UpsertVertex {

@@ -5,11 +5,10 @@
 //! examples use (`INT`, `STRING`, plus the numeric types LDBC needs) — with
 //! schema checking at insert time.
 
-use serde::{Deserialize, Serialize};
 use tv_common::{TvError, TvResult};
 
 /// Declared type of a vertex/edge attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrType {
     /// 64-bit signed integer.
     Int,
@@ -46,7 +45,7 @@ impl AttrType {
 }
 
 /// Runtime attribute value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// 64-bit signed integer.
     Int(i64),
@@ -131,7 +130,7 @@ impl std::fmt::Display for AttrValue {
 }
 
 /// Ordered attribute schema of a vertex or edge type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AttrSchema {
     names: Vec<String>,
     types: Vec<AttrType>,

@@ -23,7 +23,6 @@ fn main() {
         servers,
         replication: 2,
         planner: tv_common::PlannerConfig::default(),
-        build_threads: 1,
         retry: RetryPolicy {
             max_retries: 2,
             attempt_timeout: Duration::from_millis(100),

@@ -22,7 +22,6 @@ fn main() {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(16),
             query_threads: 2,
             default_ef: 64,
-            build_threads: 1,
         },
     );
     graph

@@ -24,7 +24,6 @@ fn searches_stay_correct_under_background_vacuum_and_writes() {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(8),
             query_threads: 1,
             default_ef: 64,
-            build_threads: 1,
         },
     ));
     g.create_vertex_type("Doc", &[("n", AttrType::Int)])
@@ -124,7 +123,6 @@ fn pinned_readers_survive_index_merges() {
         planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
         query_threads: 1,
         default_ef: 32,
-        build_threads: 1,
     }));
     let layout = SegmentLayout::with_capacity(128);
     let attr = svc

@@ -23,7 +23,6 @@ fn config() -> (SegmentLayout, ServiceConfig) {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
             query_threads: 1,
             default_ef: 32,
-            build_threads: 1,
         },
     )
 }

@@ -16,7 +16,6 @@ fn social_graph() -> (Graph, Vec<tigervector::common::VertexId>, Vec<Vec<f32>>) 
             planner: tv_common::PlannerConfig::default().with_brute_threshold(8),
             query_threads: 2,
             default_ef: 64,
-            build_threads: 1,
         },
     );
     g.create_vertex_type("Person", &[("firstName", AttrType::Str)])
@@ -279,4 +278,18 @@ fn non_finite_vectors_are_rejected_everywhere() {
         emb.range_search(&[0], &q, 10.0, 64, tid, None).map(|_| ()),
         "component 0",
     );
+
+    // A NaN range threshold compares false with every distance and is
+    // refused too; +∞ stays legal and means "all".
+    refused(
+        emb.range_search(&[0], &vecs[3], f32::NAN, 64, tid, None)
+            .map(|_| ()),
+        "threshold",
+    );
+    let text = "SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < $t";
+    params.insert("qv".into(), Value::Vector(vecs[3].clone()));
+    params.insert("t".into(), Value::Double(f64::NAN));
+    refused(execute(&g, text, &params).map(|_| ()), "threshold");
+    params.insert("t".into(), Value::Double(f64::INFINITY));
+    assert!(!execute(&g, text, &params).unwrap().rows().is_empty());
 }

@@ -32,7 +32,6 @@ fn snb() -> Snb {
             planner: tv_common::PlannerConfig::default().with_brute_threshold(4),
             query_threads: 1,
             default_ef: 64,
-            build_threads: 1,
         },
     );
     g.create_vertex_type(

@@ -123,7 +123,6 @@ fn embedding_service_matches_flat_system_recall() {
         planner: tv_common::PlannerConfig::default().with_brute_threshold(16),
         query_threads: 2,
         default_ef: 128,
-        build_threads: 1,
     });
     let attr = svc
         .register(
