@@ -36,15 +36,19 @@ deps-check:
 	  done; \
 	done; exit $$fail
 
-# Option gate: three counts of what a user or a caller can set, pinned to the
+# Option gate: four counts of what a user or a caller can set, pinned to the
 # numbers below, so a change that adds (or removes) an option edits its number
 # in the same diff. Fields: `pub` fields of every `pub struct` named
 # *Config, *Policy, *Spec, *Hooks or *Defaults under crates/*/src. Env: `env::var` sites
 # under crates/ and shims/ plus `?=` variables in this file. Features:
-# entries of every manifest's [features] table.
+# entries of every manifest's [features] table. Variants: the variants of the
+# option enums (a storage tier, an index kind, a graph layout, a cluster
+# filter default), because a value a field can take is as much an option as
+# the field.
 KNOB_FIELDS = 51
 KNOB_ENV = 4
 KNOB_FEATURES = 0
+KNOB_VARIANTS = FilterDefault=2 GraphLayout=2 IndexKind=2 StorageTier=2
 knobs-check:
 	@fields=$$(find crates/*/src -name '*.rs' | sort | xargs awk ' \
 	    /^pub struct [A-Za-z0-9]*(Config|Policy|Spec|Hooks|Defaults)[ <{]/ { s = 1; next } \
@@ -55,8 +59,12 @@ knobs-check:
 	features=0; for m in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do \
 	  features=$$(( features + $$(sed -n '/^\[features\]/,/^\[[a-z]/p' $$m | grep -c '^[A-Za-z0-9_-]* *=') )); \
 	done; \
-	echo "knobs: $$fields config fields (pinned $(KNOB_FIELDS)), $$env env/make variables (pinned $(KNOB_ENV)), $$features cargo features (pinned $(KNOB_FEATURES))"; \
-	[ "$$fields" = "$(KNOB_FIELDS)" ] && [ "$$env" = "$(KNOB_ENV)" ] && [ "$$features" = "$(KNOB_FEATURES)" ] \
+	variants=$$(find crates/*/src -name '*.rs' | sort | xargs awk ' \
+	    /^pub enum (StorageTier|IndexKind|GraphLayout|FilterDefault) / { e = $$3; next } \
+	    e != "" && /^}/ { print e "=" n; e = ""; n = 0 } \
+	    e != "" && /^    [A-Z][A-Za-z0-9]*[,( {]/ { n++ }' | sort | xargs); \
+	echo "knobs: $$fields config fields (pinned $(KNOB_FIELDS)), $$env env/make variables (pinned $(KNOB_ENV)), $$features cargo features (pinned $(KNOB_FEATURES)), option-enum variants $$variants (pinned $(KNOB_VARIANTS))"; \
+	[ "$$fields" = "$(KNOB_FIELDS)" ] && [ "$$env" = "$(KNOB_ENV)" ] && [ "$$features" = "$(KNOB_FEATURES)" ] && [ "$$variants" = "$(KNOB_VARIANTS)" ] \
 	  || { echo "knobs-check: a count moved; if that is intended, edit the pinned number in the Makefile"; exit 1; }
 
 serve-load:
@@ -85,12 +93,14 @@ kernel-smoke:
 	TV_KERNELS=scalar cargo test --release -p tv-common -p tv-hnsw -p tv-embedding -p tv-baselines -q
 	cargo run --release -p tv-bench --bin kernel_bench -- --quick 1
 
-# Quantized-tier gate: codec round-trip/determinism property tests, the
-# quantized index + codec suites re-run on the scalar u8 kernels (results
-# must not depend on the SIMD tier), and the SQ8/PQ acceptance bench (the
-# binary itself asserts >= 0.95x f32 recall@10 at <= 0.30x f32 vector
-# bytes). No smoke target compares wall clock with a file from another day:
-# a throughput claim is judged by the paired `compare` of `benchmark/`.
+# Quantized-tier gate: the SQ8 codec and scorer suites (round trip,
+# determinism, the pinned codec image, refusal of the retired PQ tag), the
+# same suites on the scalar u8 kernels (results must not depend on the SIMD
+# tier), and `quant_bench`, which prints the (tier, ef) cells no other cell
+# dominates and fails on two deterministic assertions only: codes-only SQ8
+# reaches >= 0.95x the f32 recall@10 at <= 0.30x the f32 vector bytes. No
+# smoke target reads a clock against a file from another day: a throughput
+# claim is judged by the paired `compare` of `benchmark/`.
 quant-smoke:
 	cargo test --release -p tv-quant -q
 	TV_KERNELS=scalar cargo test --release -p tv-quant -q

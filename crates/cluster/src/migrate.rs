@@ -411,7 +411,9 @@ mod tests {
             .with_quant(QuantSpec::sq8())
             .with_layout(GraphLayout::Pointer);
         let seg = SegmentId(0);
-        let src = Arc::new(EmbeddingSegment::new(seg, &def, 256));
+        // Capacity 48: the 30 merged vectors are enough to train the codec,
+        // so what ships is a quantized snapshot.
+        let src = Arc::new(EmbeddingSegment::new(seg, &def, 48));
         let mut rng = SplitMix64::new(5);
         let recs: Vec<DeltaRecord> = (0..40)
             .map(|i| {
@@ -422,6 +424,7 @@ mod tests {
         src.append_deltas(&recs).unwrap();
         src.delta_merge(Tid(30)).unwrap();
         src.index_merge(Tid(30)).unwrap();
+        assert_eq!(src.storage_tier(), tv_common::StorageTier::Sq8);
         runtime.add_segment(Arc::clone(&src));
 
         let from = runtime.placement().holders(seg)[0];
@@ -440,7 +443,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&dest, &src), "an independent copy");
         assert_eq!(
             (dest.capacity(), dest.quant_spec(), dest.layout()),
-            (256, QuantSpec::sq8(), GraphLayout::Pointer)
+            (48, QuantSpec::sq8(), GraphLayout::Pointer)
         );
         let (want, got) = (src.newest_snapshot(), dest.newest_snapshot());
         assert_eq!(got.up_to, want.up_to);

@@ -155,6 +155,9 @@ mod tests {
 
     const DIM: usize = 8;
     const SEG: SegmentId = SegmentId(7);
+    /// The last TID `source` merges into the index, and its tail's last.
+    const BASE: Tid = Tid(140);
+    const END: Tid = Tid(152);
 
     fn def(quant: QuantSpec, layout: GraphLayout) -> EmbeddingTypeDef {
         EmbeddingTypeDef::new("e", DIM, "M", DistanceMetric::Cosine)
@@ -162,8 +165,9 @@ mod tests {
             .with_layout(layout)
     }
 
-    /// 60 upserts merged into the index, then — `with_tail` — 12 more
-    /// records (upserts and a delete) left in the delta stores.
+    /// 140 upserts merged into the index (enough for a capacity-256 segment
+    /// declared SQ8 to train its codec), then, `with_tail`, 12 more records
+    /// (upserts and a delete) left in the delta stores.
     fn source(quant: QuantSpec, layout: GraphLayout, with_tail: bool) -> EmbeddingSegment {
         let seg = EmbeddingSegment::new(SEG, &def(quant, layout), 256);
         let mut rng = SplitMix64::new(5);
@@ -171,16 +175,17 @@ mod tests {
             let v: Vec<f32> = (0..DIM).map(|_| rng.next_f32()).collect();
             DeltaRecord::upsert(VertexId::new(SEG, LocalId(i)), Tid(tid), v)
         };
-        let base: Vec<DeltaRecord> = (0..60).map(|i| rec(i, u64::from(i) + 1)).collect();
+        let base: Vec<DeltaRecord> = (0..140).map(|i| rec(i, u64::from(i) + 1)).collect();
         seg.append_deltas(&base).unwrap();
-        seg.delta_merge(Tid(60)).unwrap();
-        seg.index_merge(Tid(60)).unwrap();
+        seg.delta_merge(BASE).unwrap();
+        seg.index_merge(BASE).unwrap();
+        assert_eq!(seg.storage_tier(), quant.tier);
         if with_tail {
             let mut tail: Vec<DeltaRecord> =
-                (0..11).map(|i| rec(55 + i, 61 + u64::from(i))).collect();
-            tail.push(DeltaRecord::delete(VertexId::new(SEG, LocalId(3)), Tid(72)));
+                (0..11).map(|i| rec(135 + i, 141 + u64::from(i))).collect();
+            tail.push(DeltaRecord::delete(VertexId::new(SEG, LocalId(3)), END));
             seg.append_deltas(&tail).unwrap();
-            seg.delta_merge(Tid(66)).unwrap();
+            seg.delta_merge(Tid(146)).unwrap();
         }
         seg
     }
@@ -206,21 +211,21 @@ mod tests {
         for quant in [
             QuantSpec::f32(),
             QuantSpec::sq8(),
-            QuantSpec::pq(4).with_keep_f32(true),
+            QuantSpec::sq8().with_keep_f32(true),
         ] {
             for layout in [GraphLayout::Pointer, GraphLayout::PackedPrefetch] {
                 for with_tail in [false, true] {
                     let ctx = format!("{quant:?} {layout} tail={with_tail}");
                     let src = source(quant, layout, with_tail);
-                    let at = Tid(if with_tail { 72 } else { 60 });
-                    let tail = src.delta_tail(Tid(60), at);
+                    let at = if with_tail { END } else { BASE };
+                    let tail = src.delta_tail(BASE, at);
                     assert_eq!(tail.len(), if with_tail { 12 } else { 0 }, "{ctx}");
                     let bytes = image_at(&src, at);
 
                     let image = SegmentImage::decode(&bytes).unwrap();
                     assert_eq!(
                         (image.segment_id, image.up_to, image.capacity),
-                        (SEG, Tid(60), 256),
+                        (SEG, BASE, 256),
                         "{ctx}"
                     );
                     // A copy keeps what its source was declared as.
@@ -231,7 +236,7 @@ mod tests {
                     let dst = EmbeddingSegment::new(SEG, &def(quant, layout), 256);
                     dst.restore_image(image).unwrap();
                     assert_eq!(reads(&dst, at), reads(&src, at), "{ctx}");
-                    assert_eq!(reads(&dst, Tid(60)), reads(&src, Tid(60)), "{ctx}");
+                    assert_eq!(reads(&dst, BASE), reads(&src, BASE), "{ctx}");
                     // Re-encoding the restored segment reproduces the image,
                     // and so does a copy built from nothing but the image.
                     assert_eq!(image_at(&dst, at), bytes, "{ctx}");
@@ -248,7 +253,7 @@ mod tests {
     fn image_of_a_differently_declared_segment_is_refused() {
         let quant = QuantSpec::sq8();
         let src = source(quant, GraphLayout::PackedPrefetch, true);
-        let bytes = image_at(&src, Tid(72));
+        let bytes = image_at(&src, END);
         let other_dim = EmbeddingTypeDef::new("e", DIM + 1, "M", DistanceMetric::Cosine);
         let other_metric = EmbeddingTypeDef::new("e", DIM, "M", DistanceMetric::L2);
         for (why, dst) in [
@@ -283,13 +288,13 @@ mod tests {
         let dst = EmbeddingSegment::new(SEG, &def(quant, GraphLayout::Pointer), 256);
         dst.restore_image(SegmentImage::decode(&bytes).unwrap())
             .unwrap();
-        assert_eq!(reads(&dst, Tid(72)), reads(&src, Tid(72)));
+        assert_eq!(reads(&dst, END), reads(&src, END));
     }
 
     #[test]
     fn damaged_images_are_typed_errors() {
         let src = source(QuantSpec::sq8(), GraphLayout::PackedPrefetch, true);
-        let bytes = image_at(&src, Tid(72));
+        let bytes = image_at(&src, END);
         // Every byte participates in the parse: no strict prefix decodes.
         for cut in 0..bytes.len() {
             assert!(SegmentImage::decode(&bytes[..cut]).is_err(), "prefix {cut}");

@@ -15,7 +15,10 @@ pub enum IndexKind {
     /// Hierarchical Navigable Small World (the paper's choice, §4.4).
     #[default]
     Hnsw,
-    /// Exact linear scan (no index) — small attributes, ground truth.
+    /// Exact linear scan (no index). A keyword the DDL understands and a
+    /// kind compatibility ignores, but no segment is served this way:
+    /// [`EmbeddingTypeDef::validate`] refuses an attribute declared with it
+    /// rather than answer it from an HNSW index it did not ask for.
     BruteForce,
 }
 
@@ -80,7 +83,7 @@ pub struct EmbeddingTypeDef {
     pub datatype: VectorDataType,
     /// Similarity metric.
     pub metric: DistanceMetric,
-    /// Storage tier for the attribute's segments (f32 / SQ8 / PQ) plus
+    /// Storage tier for the attribute's segments (f32 / SQ8) plus
     /// exact-rerank policy. Defaults to full-precision f32.
     pub quant: QuantSpec,
     /// Search-time graph representation compiled at segment merge/rebuild:
@@ -129,6 +132,13 @@ impl EmbeddingTypeDef {
             return Err(TvError::Schema(format!(
                 "embedding '{}' must have non-zero dimension",
                 self.name
+            )));
+        }
+        if self.index != IndexKind::Hnsw {
+            return Err(TvError::Schema(format!(
+                "embedding '{}' declares index {}, which no segment can serve; declare HNSW",
+                self.name,
+                self.index.keyword()
             )));
         }
         Ok(())
@@ -295,6 +305,13 @@ mod tests {
         assert!(EmbeddingTypeDef::new("x", 0, "m", DistanceMetric::L2)
             .validate()
             .is_err());
+        // A FLAT attribute used to be accepted and silently served by HNSW.
+        let mut flat = gpt4("flat");
+        flat.index = IndexKind::parse("FLAT").unwrap();
+        match flat.validate() {
+            Err(TvError::Schema(m)) => assert!(m.contains("FLAT"), "{m}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        }
     }
 
     #[test]

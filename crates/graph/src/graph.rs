@@ -8,7 +8,7 @@ use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tg_storage::txn::ReadTicket;
-use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta, GraphStore, Wal};
+use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta, GraphStore};
 use tv_common::ids::SegmentLayout;
 use tv_common::{CrashPlan, TaskGauge, Tid, TvError, TvResult, VertexId};
 use tv_embedding::encode::{decode_vector_deltas, encode_vector_deltas};
@@ -51,19 +51,6 @@ impl Graph {
             crash_plan: None,
             scan_gauge: TaskGauge::new(),
         }
-    }
-
-    /// Durable graph writing a WAL at `path`.
-    pub fn with_wal(path: &Path, layout: SegmentLayout, config: ServiceConfig) -> TvResult<Self> {
-        Ok(Graph {
-            store: GraphStore::with_wal(path)?,
-            embeddings: Arc::new(EmbeddingService::new(config)),
-            catalog: RwLock::new(Catalog::default()),
-            default_layout: layout,
-            data_dir: None,
-            crash_plan: None,
-            scan_gauge: TaskGauge::new(),
-        })
     }
 
     /// Durable graph rooted at a data directory: WAL at `<dir>/wal.log`,
@@ -111,7 +98,9 @@ impl Graph {
     }
 
     /// Recover this (fresh, schema-recreated) graph from its data directory:
-    /// restore the newest valid checkpoint, then replay the WAL tail.
+    /// restore the newest valid checkpoint, then replay the WAL tail. With no
+    /// checkpoint the whole WAL is replayed, which is refused unless the log
+    /// still starts at the first transaction.
     pub fn recover(&self) -> TvResult<RecoveryReport> {
         let dir = self.data_dir.as_ref().ok_or_else(|| {
             TvError::InvalidArgument("recover needs a graph opened with Graph::durable".into())
@@ -119,18 +108,8 @@ impl Graph {
         RecoveryManager::new(dir).recover(self)
     }
 
-    /// Replay a WAL into this graph (schema must already be recreated in the
-    /// same DDL order). Restores both graph state and vector deltas.
-    pub fn replay_wal(&self, path: &Path) -> TvResult<usize> {
-        let records = Wal::replay(path)?;
-        let n = records.len();
-        let extras = self.store.replay(records)?;
-        self.apply_vector_extras(extras)?;
-        Ok(n)
-    }
-
     /// Re-install the vector deltas carried in replayed WAL `extra`
-    /// payloads (shared by [`Graph::replay_wal`] and checkpoint recovery).
+    /// payloads (recovery's last step).
     pub(crate) fn apply_vector_extras(&self, extras: Vec<(Tid, Vec<u8>)>) -> TvResult<()> {
         for (_tid, payload) in extras {
             let vec_deltas = decode_vector_deltas(&payload)?;
@@ -720,9 +699,7 @@ mod tests {
     #[test]
     fn wal_recovery_restores_graph_and_vectors() {
         let dir = std::env::temp_dir().join(format!("tvgraph-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.wal");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
 
         let layout = SegmentLayout::with_capacity(8);
         let cfg = ServiceConfig {
@@ -732,7 +709,7 @@ mod tests {
         };
         let (post, emb, id);
         {
-            let g = Graph::with_wal(&path, layout, cfg).unwrap();
+            let g = Graph::durable(&dir, layout, cfg).unwrap();
             post = g
                 .create_vertex_type(
                     "Post",
@@ -757,7 +734,7 @@ mod tests {
                 .unwrap();
         }
         // Recreate schema, replay.
-        let g = Graph::with_wal(&path, layout, cfg).unwrap();
+        let g = Graph::durable(&dir, layout, cfg).unwrap();
         g.create_vertex_type(
             "Post",
             &[("author", AttrType::Str), ("length", AttrType::Int)],
@@ -768,15 +745,15 @@ mod tests {
             EmbeddingTypeDef::new("content_emb", 4, "GPT4", DistanceMetric::L2),
         )
         .unwrap();
-        let replayed = g.replay_wal(&path).unwrap();
-        assert_eq!(replayed, 1);
+        let report = g.recover().unwrap();
+        assert_eq!((report.checkpoint, report.replayed), (None, 1));
         let tid = g.read_tid();
         assert!(g.is_live(post, id, tid).unwrap());
         assert_eq!(
             g.embedding_of(emb, id, tid).unwrap(),
             Some(vec![9.0, 8.0, 7.0, 6.0])
         );
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,19 +1,20 @@
-//! Durability integration tests: WAL-backed graphs survive "crashes"
+//! Durability integration tests: durable graphs survive "crashes"
 //! (process restarts and torn writes) with graph *and* vector state intact —
-//! the single-WAL atomicity design of §4.3.
+//! the single-WAL atomicity design of §4.3 — and recovery refuses a log it
+//! cannot replay from the first transaction.
 
 use tigervector::common::ids::SegmentLayout;
 use tigervector::common::DistanceMetric;
 use tigervector::embedding::{EmbeddingTypeDef, ServiceConfig};
+use tigervector::graph::durability::{CKPT_DIR, WAL_FILE};
 use tigervector::graph::Graph;
 use tigervector::storage::{AttrType, AttrValue};
 
+/// A fresh data directory for one test.
 fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tv-durability-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join(name);
-    let _ = std::fs::remove_file(&p);
-    p
+    let dir = std::env::temp_dir().join(format!("tv-durability-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn config() -> (SegmentLayout, ServiceConfig) {
@@ -42,11 +43,11 @@ fn build_schema(g: &Graph) -> (u32, u32) {
 
 #[test]
 fn restart_recovers_graph_and_vectors() {
-    let path = tmp("restart.wal");
+    let dir = tmp("restart");
     let (layout, cfg) = config();
     let mut expected = Vec::new();
     {
-        let g = Graph::with_wal(&path, layout, cfg).unwrap();
+        let g = Graph::durable(&dir, layout, cfg).unwrap();
         let (post, emb) = build_schema(&g);
         for i in 0..40 {
             let id = g.allocate(post).unwrap();
@@ -64,9 +65,10 @@ fn restart_recovers_graph_and_vectors() {
         }
     } // drop = crash
 
-    let g = Graph::with_wal(&path, layout, cfg).unwrap();
+    let g = Graph::durable(&dir, layout, cfg).unwrap();
     let (post, emb) = build_schema(&g);
-    g.replay_wal(&path).unwrap();
+    let report = g.recover().unwrap();
+    assert_eq!((report.checkpoint, report.replayed), (None, 45));
     let tid = g.read_tid();
     assert_eq!(tid.0, 45); // 40 inserts + 5 deletes
     for (id, v) in &expected {
@@ -81,16 +83,16 @@ fn restart_recovers_graph_and_vectors() {
         .vector_search(&[emb], &[20.0; 4], 1, 32, None, tid)
         .unwrap();
     assert_eq!(hits[0].neighbor.id, expected[20].0);
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn torn_final_transaction_is_rolled_back() {
-    let path = tmp("torn.wal");
+    let dir = tmp("torn");
     let (layout, cfg) = config();
     let (a, b);
     {
-        let g = Graph::with_wal(&path, layout, cfg).unwrap();
+        let g = Graph::durable(&dir, layout, cfg).unwrap();
         let (post, emb) = build_schema(&g);
         a = g.allocate(post).unwrap();
         b = g.allocate(post).unwrap();
@@ -106,12 +108,13 @@ fn torn_final_transaction_is_rolled_back() {
             .unwrap();
     }
     // Tear the tail: chop bytes off the last record.
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+    let wal = dir.join(WAL_FILE);
+    let bytes = std::fs::read(&wal).unwrap();
+    std::fs::write(&wal, &bytes[..bytes.len() - 7]).unwrap();
 
-    let g = Graph::with_wal(&path, layout, cfg).unwrap();
+    let g = Graph::durable(&dir, layout, cfg).unwrap();
     let (post, emb) = build_schema(&g);
-    g.replay_wal(&path).unwrap();
+    g.recover().unwrap();
     let tid = g.read_tid();
     assert_eq!(tid.0, 1, "only the intact transaction replays");
     assert!(g.is_live(post, a, tid).unwrap());
@@ -119,15 +122,15 @@ fn torn_final_transaction_is_rolled_back() {
     // Both sides of the torn transaction are absent — atomicity held.
     assert!(g.embedding_of(emb, b, tid).unwrap().is_none());
     assert!(g.embedding_of(emb, a, tid).unwrap().is_some());
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn recovered_store_accepts_new_commits() {
-    let path = tmp("continue.wal");
+    let dir = tmp("continue");
     let (layout, cfg) = config();
     {
-        let g = Graph::with_wal(&path, layout, cfg).unwrap();
+        let g = Graph::durable(&dir, layout, cfg).unwrap();
         let (post, emb) = build_schema(&g);
         let id = g.allocate(post).unwrap();
         g.txn()
@@ -136,9 +139,9 @@ fn recovered_store_accepts_new_commits() {
             .commit()
             .unwrap();
     }
-    let g = Graph::with_wal(&path, layout, cfg).unwrap();
+    let g = Graph::durable(&dir, layout, cfg).unwrap();
     let (post, emb) = build_schema(&g);
-    g.replay_wal(&path).unwrap();
+    g.recover().unwrap();
     // New writes continue from the recovered TID and survive another cycle.
     let id2 = g.allocate(post).unwrap();
     g.txn()
@@ -148,12 +151,57 @@ fn recovered_store_accepts_new_commits() {
         .unwrap();
     drop(g);
 
-    let g = Graph::with_wal(&path, layout, cfg).unwrap();
+    let g = Graph::durable(&dir, layout, cfg).unwrap();
     let (post, emb) = build_schema(&g);
-    g.replay_wal(&path).unwrap();
+    g.recover().unwrap();
     let tid = g.read_tid();
     assert_eq!(tid.0, 2);
     assert!(g.is_live(post, id2, tid).unwrap());
     assert_eq!(g.embedding_of(emb, id2, tid).unwrap(), Some(vec![9.0; 4]));
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint rotates the log past itself. If that checkpoint is then
+/// lost, what is left starts mid-history: recovery must say so, not hand
+/// back a graph missing its first transactions.
+#[test]
+fn rotated_log_without_its_checkpoint_is_refused() {
+    let dir = tmp("rotated");
+    let (layout, cfg) = config();
+    {
+        let g = Graph::durable(&dir, layout, cfg).unwrap();
+        let (post, emb) = build_schema(&g);
+        let commit = |i: u32| {
+            let id = g.allocate(post).unwrap();
+            g.txn()
+                .upsert_vertex(post, id, vec![AttrValue::Str(format!("a{i}"))])
+                .set_vector(emb, id, vec![i as f32; 4])
+                .commit()
+                .unwrap();
+        };
+        (0..3).for_each(commit);
+        g.checkpoint().unwrap();
+        (3..5).for_each(commit);
+    }
+    // With its checkpoint the directory recovers: 3 restored, 2 replayed.
+    let g = Graph::durable(&dir, layout, cfg).unwrap();
+    build_schema(&g);
+    let report = g.recover().unwrap();
+    assert_eq!(
+        (report.checkpoint.map(|t| t.0), report.replayed),
+        (Some(3), 2)
+    );
+    assert_eq!(g.read_tid().0, 5);
+    drop(g);
+
+    std::fs::remove_dir_all(dir.join(CKPT_DIR)).unwrap();
+    let g = Graph::durable(&dir, layout, cfg).unwrap();
+    build_schema(&g);
+    let err = g.recover().unwrap_err();
+    assert!(
+        matches!(&err, tigervector::common::TvError::Storage(m) if m.contains("resumes at TID 4")),
+        "{err}"
+    );
+    assert_eq!(g.read_tid().0, 0, "nothing of the torn history is served");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
