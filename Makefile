@@ -48,7 +48,7 @@ deps-check:
 KNOB_FIELDS = 51
 KNOB_ENV = 4
 KNOB_FEATURES = 0
-KNOB_VARIANTS = FilterDefault=2 GraphLayout=2 IndexKind=2 StorageTier=2
+KNOB_VARIANTS = FilterDefault=2 GraphLayout=2 IndexKind=1 StorageTier=3
 knobs-check:
 	@fields=$$(find crates/*/src -name '*.rs' | sort | xargs awk ' \
 	    /^pub struct [A-Za-z0-9]*(Config|Policy|Spec|Hooks|Defaults)[ <{]/ { s = 1; next } \
@@ -93,12 +93,12 @@ kernel-smoke:
 	TV_KERNELS=scalar cargo test --release -p tv-common -p tv-hnsw -p tv-embedding -p tv-baselines -q
 	cargo run --release -p tv-bench --bin kernel_bench -- --quick 1
 
-# Quantized-tier gate: the SQ8 codec and scorer suites (round trip,
-# determinism, the pinned codec image, refusal of the retired PQ tag), the
-# same suites on the scalar u8 kernels (results must not depend on the SIMD
-# tier), and `quant_bench`, which prints the (tier, ef) cells no other cell
-# dominates and fails on two deterministic assertions only: codes-only SQ8
-# reaches >= 0.95x the f32 recall@10 at <= 0.30x the f32 vector bytes. No
+# Quantized-tier gate: the codec and scorer suites (round trip, determinism,
+# the pinned codec images), the same suites on the scalar u8 kernels (results
+# must not depend on the SIMD tier), and `quant_bench`, which prints the
+# (tier, ef) cells of f32 / sq8 / sq8+f32 / pq that no other cell dominates
+# and fails on two deterministic assertions only: on every seed codes-only
+# SQ8 reaches >= 0.95x the f32 recall@10 at <= 0.30x the f32 vector bytes. No
 # smoke target reads a clock against a file from another day: a throughput
 # claim is judged by the paired `compare` of `benchmark/`.
 quant-smoke:

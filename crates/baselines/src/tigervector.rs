@@ -65,8 +65,8 @@ impl TigerVectorSystem {
         self.segments.iter().map(HnswIndex::memory_bytes).sum()
     }
 
-    /// Bytes spent on vector payloads only (arena + norms + codes + codec
-    /// range) — the fair cross-tier comparison, excluding graph links.
+    /// Bytes spent on vector payloads only (arena + norms + codes +
+    /// codebooks) — the fair cross-tier comparison, excluding graph links.
     #[must_use]
     pub fn vector_storage_bytes(&self) -> usize {
         self.segments
@@ -104,6 +104,7 @@ impl VectorSystem for TigerVectorSystem {
         match self.quant.tier {
             StorageTier::F32 => "TigerVector",
             StorageTier::Sq8 => "TigerVector-SQ8",
+            StorageTier::Pq { .. } => "TigerVector-PQ",
         }
     }
 

@@ -1,10 +1,10 @@
 //! **Quantized-tier bench**: recall vs vector bytes vs measured qps for the
-//! SQ8 storage tier (codes-only, and with the f32 arena kept for an exact
-//! rerank) against the full-precision f32 baseline, on the SIFT-shaped
-//! generator.
+//! SQ8 tier (codes-only, and with the f32 arena kept for an exact rerank)
+//! and the PQ tier (`--m` sub-quantizers, reranked from its SQ8 side store)
+//! against the full-precision f32 baseline, on the SIFT-shaped generator.
 //!
 //! A *cell* is one `(tier, ef)` operating point. Each cell is measured
-//! `seeds × rounds` times, on `seeds` independently generated datasets, with
+//! `SEEDS × ROUNDS` times, on `SEEDS` independently generated datasets, with
 //! the order the tiers are timed in rotated every round; the table reports
 //! the median and quartiles of qps and the median of recall@k and of the
 //! vector-byte ratio. Cell A *dominates* cell B when A is no worse on qps,
@@ -14,11 +14,12 @@
 //! dominates.
 //!
 //! Two deterministic assertions are the only things that fail this binary:
-//! at the widest `ef`, codes-only SQ8 must reach **>= 0.95 of the f32
-//! recall@k** while spending **<= 0.30x the f32 vector bytes**. Nothing here
-//! gates on a clock. Results land in `bench_results/quant_bench.json`.
+//! at the widest `ef`, on every seed, codes-only SQ8 must reach **>= 0.95 of
+//! the f32 recall@k** while spending **<= 0.30x the f32 vector bytes**.
+//! Nothing here gates on a clock. Results land in
+//! `bench_results/quant_bench.json`.
 //!
-//! Usage: `cargo run --release -p tv-bench --bin quant_bench -- [--n 20000] [--dim 128] [--q 100] [--k 10] [--rerank 4] [--seeds 3] [--rounds 2] [--seed 1]`
+//! Usage: `cargo run --release -p tv-bench --bin quant_bench -- [--n 20000] [--q 100] [--k 10] [--m 8] [--rerank 4] [--seed 1]`
 
 use tv_baselines::{TigerVectorSystem, VectorSystem};
 use tv_bench::{measure_point, print_table, save_json, set_storage_info, BenchArgs};
@@ -27,6 +28,11 @@ use tv_common::QuantSpec;
 use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 
 const EF_SWEEP: [usize; 6] = [16, 24, 32, 48, 64, 128];
+/// Datasets per cell (`--seed` names the first) and timed passes per
+/// dataset: the least the ledger's method asks for, with the tier order
+/// rotated between passes.
+const SEEDS: u64 = 3;
+const ROUNDS: usize = 2;
 /// Positions of the two tiers the assertions compare in `main`'s spec list.
 const F32: usize = 0;
 const SQ8: usize = 1;
@@ -36,7 +42,6 @@ struct Sample {
     tier: usize,
     ef: usize,
     seed: u64,
-    round: usize,
     qps: f64,
     recall: f64,
     bytes_ratio: f64,
@@ -86,16 +91,15 @@ fn main() {
     let n = args.get_usize("n", 20_000);
     let q = args.get_usize("q", 100);
     let k = args.get_usize("k", 10);
+    let m = args.get_usize("m", 8);
     let rerank = args.get_usize("rerank", 4);
-    let seeds = args.get_u64("seeds", 3).max(1);
-    let rounds = args.get_usize("rounds", 2).max(1);
     let first_seed = args.get_u64("seed", 1);
     let shape = DatasetShape::Sift;
-    let dim = args.get_usize("dim", shape.dim());
+    let dim = shape.dim();
     let layout = SegmentLayout::with_capacity((n / 8).max(1024));
 
     // SQ8 keep-f32 is the exact-rerank operating point; SQ8 codes-only is
-    // the memory headline.
+    // the memory headline; PQ reranks from its retained SQ8 store.
     let specs: Vec<(String, QuantSpec)> = vec![
         ("f32".into(), QuantSpec::f32()),
         ("sq8".into(), QuantSpec::sq8().with_rerank_factor(rerank)),
@@ -105,19 +109,23 @@ fn main() {
                 .with_keep_f32(true)
                 .with_rerank_factor(rerank),
         ),
+        (
+            format!("pq{m}"),
+            QuantSpec::pq(m).with_rerank_factor(rerank),
+        ),
     ];
     let label = |tier: usize| specs[tier].0.as_str();
     println!(
         "\n### quantized tiers: {} dim={dim} n={n}, q={q}, k={k}, rerank_factor={rerank}, \
-         seeds {first_seed}..{}, {rounds} rounds",
+         seeds {first_seed}..{}, {ROUNDS} rounds",
         shape.scaled_name(),
-        first_seed + seeds - 1
+        first_seed + SEEDS - 1
     );
 
     let mut samples: Vec<Sample> = Vec::new();
     let mut sq8_footprint = None;
-    for seed in first_seed..first_seed + seeds {
-        let ds = VectorDataset::generate_dim(shape, dim, n, q, seed);
+    for seed in first_seed..first_seed + SEEDS {
+        let ds = VectorDataset::generate(shape, n, q, seed);
         let data = ds.with_ids(layout);
         let gt = ground_truth(&ds.base, &ds.queries, k, shape.metric(), layout);
         let mut systems: Vec<TigerVectorSystem> = specs
@@ -131,7 +139,7 @@ fn main() {
             .collect();
         let f32_bytes = systems[F32].vector_storage_bytes() as f64;
         sq8_footprint = Some((systems[SQ8].storage_tier(), systems[SQ8].memory_bytes()));
-        for round in 0..rounds {
+        for round in 0..ROUNDS {
             for &ef in &EF_SWEEP {
                 // Rotate which tier is timed first, so no tier always runs
                 // on the cache state another left behind.
@@ -144,7 +152,6 @@ fn main() {
                         tier,
                         ef,
                         seed,
-                        round,
                         qps: 1.0 / p.cpu_per_query_s,
                         recall: p.recall,
                         bytes_ratio,
@@ -198,7 +205,7 @@ fn main() {
         &format!(
             "quantized tiers: {} (medians of {} samples per cell)",
             shape.scaled_name(),
-            seeds as usize * rounds
+            SEEDS as usize * ROUNDS
         ),
         &[
             "tier",
@@ -222,22 +229,25 @@ fn main() {
         println!("  {:<8} {}", label(tier), free.join(" "));
     }
 
+    // The gate judges every seed on its own (recall and bytes are
+    // deterministic per seed) and reports the worst.
     let top_ef = *EF_SWEEP.last().expect("non-empty sweep");
-    let at_top = |tier: usize| {
-        cells
+    let at_top = |tier: usize, seed: u64| {
+        samples
             .iter()
-            .find(|c| c.tier == tier && c.ef == top_ef)
-            .expect("every tier has a cell at the widest ef")
+            .find(|s| s.tier == tier && s.ef == top_ef && s.seed == seed)
+            .expect("every tier is measured at the widest ef on every seed")
     };
-    let (f32_cell, sq8_cell) = (at_top(F32), at_top(SQ8));
-    let recall_ratio = sq8_cell.recall / f32_cell.recall;
-    let pass = recall_ratio >= 0.95 && sq8_cell.bytes_ratio <= 0.30;
-    println!("\nacceptance gate (ef={top_ef}, medians over seeds):");
+    let (mut recall_ratio, mut bytes_ratio) = (f64::INFINITY, 0.0f64);
+    for seed in first_seed..first_seed + SEEDS {
+        let (f, s) = (at_top(F32, seed), at_top(SQ8, seed));
+        recall_ratio = recall_ratio.min(s.recall / f.recall);
+        bytes_ratio = bytes_ratio.max(s.bytes_ratio);
+    }
+    let pass = recall_ratio >= 0.95 && bytes_ratio <= 0.30;
+    println!("\nacceptance gate (ef={top_ef}, worst of {SEEDS} seeds):");
     println!("  sq8 recall@{k} / f32 recall@{k} = {recall_ratio:.4} (target >= 0.95)");
-    println!(
-        "  sq8 vector bytes / f32 bytes   = {:.4} (target <= 0.30)",
-        sq8_cell.bytes_ratio
-    );
+    println!("  sq8 vector bytes / f32 bytes   = {bytes_ratio:.4} (target <= 0.30)");
     println!("  => {}", if pass { "PASS" } else { "FAIL" });
 
     // Stamp the headline tier's footprint as this process's storage block.
@@ -257,32 +267,21 @@ fn main() {
             })
         })
         .collect();
-    let json_runs: Vec<serde_json::Value> = samples
-        .iter()
-        .map(|s| {
-            serde_json::json!({
-                "tier": label(s.tier), "ef": s.ef, "seed": s.seed, "round": s.round,
-                "qps": s.qps, "recall": s.recall, "bytes_ratio_vs_f32": s.bytes_ratio,
-            })
-        })
-        .collect();
     save_json(
         "quant_bench",
         &serde_json::json!({
             "dataset": serde_json::json!({
                 "shape": shape.scaled_name(), "n": n, "q": q, "k": k, "dim": dim,
-                "first_seed": first_seed, "seeds": seeds, "rounds": rounds,
+                "first_seed": first_seed, "seeds": SEEDS, "rounds": ROUNDS,
             }),
             "rerank_factor": rerank,
+            "pq_m": m,
             "qps": "measured, one thread: queries / wall time of the query loop",
             "cells": json_cells,
-            "runs": json_runs,
             "gate": serde_json::json!({
                 "ef": top_ef,
-                "f32_recall": f32_cell.recall,
-                "sq8_recall": sq8_cell.recall,
                 "sq8_recall_ratio": recall_ratio,
-                "sq8_bytes_ratio": sq8_cell.bytes_ratio,
+                "sq8_bytes_ratio": bytes_ratio,
                 "pass": pass,
             }),
         }),
@@ -290,7 +289,6 @@ fn main() {
 
     assert!(
         pass,
-        "quantized-tier acceptance gate failed: recall ratio {recall_ratio:.4}, bytes ratio {:.4}",
-        sq8_cell.bytes_ratio
+        "quantized-tier acceptance gate failed: recall ratio {recall_ratio:.4}, bytes ratio {bytes_ratio:.4}"
     );
 }

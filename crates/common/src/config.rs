@@ -167,13 +167,12 @@ impl Default for MigrationConfig {
 }
 
 /// How an index stores the vectors it scores during traversal (the
-/// quantized storage tier). `F32` is the uncompressed seed behavior; `Sq8`
-/// trades per-candidate precision for a quarter of the bytes, recovering
-/// recall through the exact-rerank stage configured in [`QuantSpec`] when
-/// the f32 arena is kept.
+/// quantized storage tier). `F32` is the uncompressed seed behavior; the
+/// compressed tiers trade per-candidate precision for memory, recovering
+/// recall through the exact-rerank stage configured in [`QuantSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StorageTier {
-    /// Full-precision `f32` vectors (4 bytes/dim): no codec, no rerank.
+    /// Full-precision `f32` vectors (4 bytes/dim) — no codec, no rerank.
     #[default]
     F32,
     /// Per-dimension min/max scalar quantization to `u8` (1 byte/dim).
@@ -181,23 +180,45 @@ pub enum StorageTier {
     /// the reconstruction, so SQ8 traversal needs no rerank to hit its own
     /// fidelity ceiling.
     Sq8,
+    /// Product quantization: `m` sub-spaces × ≤256 k-means centroids each
+    /// (`m` bytes/vector), scored via per-query ADC lookup tables.
+    Pq {
+        /// Number of sub-quantizers (code bytes per vector).
+        m: usize,
+    },
 }
 
 impl StorageTier {
-    /// Stable display name (`f32`, `sq8`). Used for bench provenance
-    /// stamping.
+    /// Stable display name (`f32`, `sq8`, `pq8`, …); also accepted by
+    /// [`StorageTier::parse`]. Used for bench provenance stamping.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub fn name(self) -> String {
         match self {
-            StorageTier::F32 => "f32",
-            StorageTier::Sq8 => "sq8",
+            StorageTier::F32 => "f32".into(),
+            StorageTier::Sq8 => "sq8".into(),
+            StorageTier::Pq { m } => format!("pq{m}"),
+        }
+    }
+
+    /// Parse a tier name: `f32`, `sq8`, or `pq<m>` (e.g. `pq16`).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        let s = s.to_ascii_lowercase();
+        match s.as_str() {
+            "f32" => Some(StorageTier::F32),
+            "sq8" => Some(StorageTier::Sq8),
+            _ => s
+                .strip_prefix("pq")
+                .and_then(|m| m.parse::<usize>().ok())
+                .filter(|&m| m > 0)
+                .map(|m| StorageTier::Pq { m }),
         }
     }
 }
 
 impl std::fmt::Display for StorageTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        f.write_str(&self.name())
     }
 }
 
@@ -210,14 +231,14 @@ pub struct QuantSpec {
     /// Storage representation the traversal scores against.
     pub tier: StorageTier,
     /// Keep the f32 arena beside the codes. `true` costs the full f32
-    /// footprint and makes the rerank stage exact; `false` drops the arena
-    /// (the memory win) and the beam order over codes is the answer
-    /// (asymmetric SQ8 scoring is already exact w.r.t. the reconstruction).
+    /// footprint but makes rerank exact; `false` drops the arena (the
+    /// memory win) and reranks from the best remaining representation —
+    /// SQ8 codes for a PQ tier, nothing extra for SQ8 itself (asymmetric
+    /// SQ8 scoring is already exact w.r.t. the reconstruction).
     pub keep_f32: bool,
-    /// With `keep_f32`, the rerank stage re-scores the top
-    /// `rerank_factor × k` traversal candidates against the f32 arena
-    /// before returning `k`. `0` or `1` disables reranking beyond the beam
-    /// order.
+    /// The rerank stage re-scores the top `rerank_factor × k` traversal
+    /// candidates with the most precise representation available before
+    /// returning `k`. `0` or `1` disables reranking beyond the beam order.
     pub rerank_factor: usize,
 }
 
@@ -244,6 +265,16 @@ impl QuantSpec {
     pub fn sq8() -> Self {
         QuantSpec {
             tier: StorageTier::Sq8,
+            keep_f32: false,
+            rerank_factor: 4,
+        }
+    }
+
+    /// PQ with `m` sub-quantizers, codes + an SQ8 rerank store (no f32).
+    #[must_use]
+    pub fn pq(m: usize) -> Self {
+        QuantSpec {
+            tier: StorageTier::Pq { m },
             keep_f32: false,
             rerank_factor: 4,
         }
@@ -345,10 +376,20 @@ mod tests {
     }
 
     #[test]
-    fn storage_tier_names() {
+    fn storage_tier_names_roundtrip() {
+        for t in [
+            StorageTier::F32,
+            StorageTier::Sq8,
+            StorageTier::Pq { m: 8 },
+            StorageTier::Pq { m: 16 },
+        ] {
+            assert_eq!(StorageTier::parse(&t.name()), Some(t));
+        }
+        assert_eq!(StorageTier::parse("PQ32"), Some(StorageTier::Pq { m: 32 }));
+        assert_eq!(StorageTier::parse("pq0"), None);
+        assert_eq!(StorageTier::parse("pqx"), None);
+        assert_eq!(StorageTier::parse("bf16"), None);
         assert_eq!(StorageTier::default(), StorageTier::F32);
-        assert_eq!(StorageTier::F32.to_string(), "f32");
-        assert_eq!(StorageTier::Sq8.to_string(), "sq8");
     }
 
     #[test]
@@ -356,8 +397,8 @@ mod tests {
         assert!(!QuantSpec::f32().is_quantized());
         let s = QuantSpec::sq8();
         assert!(s.is_quantized() && !s.keep_f32 && s.rerank_factor == 4);
-        let p = QuantSpec::sq8().with_keep_f32(true).with_rerank_factor(8);
-        assert_eq!(p.tier, StorageTier::Sq8);
+        let p = QuantSpec::pq(16).with_keep_f32(true).with_rerank_factor(8);
+        assert_eq!(p.tier, StorageTier::Pq { m: 16 });
         assert!(p.keep_f32);
         assert_eq!(p.rerank_factor, 8);
     }

@@ -153,13 +153,15 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A [`QuantSpec`] as written by [`put_quant_spec`]. Tag 2 was the
-    /// retired PQ tier and is refused like any other unknown tag.
+    /// A [`QuantSpec`] as written by [`put_quant_spec`].
     pub fn quant_spec(&mut self) -> TvResult<QuantSpec> {
         let tier = match self.u8()? {
             0 => StorageTier::F32,
             1 => StorageTier::Sq8,
-            t => return Err(self.corrupt(format_args!("unsupported storage tier tag {t}"))),
+            2 => StorageTier::Pq {
+                m: self.u32()? as usize,
+            },
+            t => return Err(self.corrupt(format_args!("storage tier tag {t}"))),
         };
         Ok(QuantSpec {
             tier,
@@ -220,13 +222,17 @@ pub fn put_layout(buf: &mut Vec<u8>, l: GraphLayout) {
     });
 }
 
-/// Append a [`QuantSpec`]: tier tag, the `keep_f32` flag, the rerank
-/// factor.
+/// Append a [`QuantSpec`]: tier tag (`m` follows for PQ), the `keep_f32`
+/// flag, the rerank factor.
 pub fn put_quant_spec(buf: &mut Vec<u8>, q: &QuantSpec) {
-    buf.push(match q.tier {
-        StorageTier::F32 => 0,
-        StorageTier::Sq8 => 1,
-    });
+    match q.tier {
+        StorageTier::F32 => buf.push(0),
+        StorageTier::Sq8 => buf.push(1),
+        StorageTier::Pq { m } => {
+            buf.push(2);
+            put_u32(buf, m as u32);
+        }
+    }
     buf.push(u8::from(q.keep_f32));
     put_u32(buf, q.rerank_factor as u32);
 }
@@ -237,7 +243,7 @@ mod tests {
 
     #[test]
     fn everything_written_reads_back() {
-        let spec = QuantSpec::sq8().with_keep_f32(true);
+        let spec = QuantSpec::pq(4).with_keep_f32(true);
         let mut buf = vec![7u8];
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 1);
@@ -271,14 +277,7 @@ mod tests {
         assert!(err.to_string().contains("probe: 1 trailing bytes"), "{err}");
         assert!(Reader::new(&[9], "probe").metric().is_err());
         assert!(Reader::new(&[1], "probe").layout().is_err());
-        // Tier tag 2 was PQ (its `m` followed): refused by the tag alone.
-        for tag in [2u8, 3] {
-            let err = Reader::new(&[tag, 8, 0, 0, 0, 0, 4, 0, 0, 0], "probe")
-                .quant_spec()
-                .unwrap_err();
-            let want = format!("storage error: probe: unsupported storage tier tag {tag}");
-            assert_eq!(err.to_string(), want);
-        }
+        assert!(Reader::new(&[3], "probe").quant_spec().is_err());
         assert!(Reader::new(&[2], "probe").flag().is_err());
         assert!(Reader::new(&[1, 0, 0, 0, 0xFF], "probe").str().is_err());
         // A u32::MAX count in a six-byte input.

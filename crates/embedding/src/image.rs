@@ -166,8 +166,8 @@ mod tests {
     }
 
     /// 140 upserts merged into the index (enough for a capacity-256 segment
-    /// declared SQ8 to train its codec), then, `with_tail`, 12 more records
-    /// (upserts and a delete) left in the delta stores.
+    /// declared quantized to train its codec), then, `with_tail`, 12 more
+    /// records (upserts and a delete) left in the delta stores.
     fn source(quant: QuantSpec, layout: GraphLayout, with_tail: bool) -> EmbeddingSegment {
         let seg = EmbeddingSegment::new(SEG, &def(quant, layout), 256);
         let mut rng = SplitMix64::new(5);
@@ -211,7 +211,7 @@ mod tests {
         for quant in [
             QuantSpec::f32(),
             QuantSpec::sq8(),
-            QuantSpec::sq8().with_keep_f32(true),
+            QuantSpec::pq(4).with_keep_f32(true),
         ] {
             for layout in [GraphLayout::Pointer, GraphLayout::PackedPrefetch] {
                 for with_tail in [false, true] {

@@ -37,19 +37,20 @@ pub struct IndexSnapshot {
     pub index: HnswIndex,
 }
 
-/// Live vectors a snapshot must hold before its SQ8 codec is trained. The
-/// codec's per-dimension `[min, max]` is learned once and then frozen (codes
-/// must stay comparable across incremental merges), and every later vector
-/// is clamped to it. For `n` training vectors a later component falls
-/// outside the learned range with probability `2 / (n + 1)`, whatever the
-/// distribution: 12 % at the 16 vectors a live vacuum's first merge may see,
-/// 0.2 % at 1024. On the probe in this file's tests (dim 32, 2 000 gaussian
-/// vectors, recall@10 0.990 when trained on all of them) a codec trained on
-/// the first 16 / 128 / 256 / 512 / 1024 reads 0.725 / 0.952 / 0.966 / 0.976
-/// / 0.982. Waiting costs little: a snapshot this small is at most
-/// `3 * 1024 * dim` bytes larger as f32 than as codes. A segment too small
-/// to ever hold that many trains once it is half full.
-const SQ8_TRAIN_FLOOR: usize = 1024;
+/// Live vectors a snapshot must hold before its codec is trained. A codec
+/// is learned once and then frozen (codes must stay comparable across
+/// incremental merges): SQ8 clamps every later vector to the per-dimension
+/// `[min, max]` it saw, PQ assigns it to the centroids it saw. For `n`
+/// training vectors a later component falls outside the learned range with
+/// probability `2 / (n + 1)`, whatever the distribution: 12 % at the 16
+/// vectors a live vacuum's first merge may see, 0.2 % at 1024. On the probe
+/// in this file's tests (dim 32, 2 000 gaussian vectors, SQ8, recall@10
+/// 0.990 when trained on all of them) a codec trained on the first 16 / 128 /
+/// 256 / 512 / 1024 reads 0.698 / 0.952 / 0.966 / 0.976 / 0.982. Waiting
+/// costs little: a snapshot this small is at most `3 * 1024 * dim` bytes
+/// larger as f32 than as codes. A segment too small to ever hold that many
+/// trains once it is half full.
+const CODEC_TRAIN_FLOOR: usize = 1024;
 
 /// A flushed batch of vector deltas covering `(lo, hi]`.
 pub struct DeltaFile {
@@ -127,7 +128,7 @@ impl EmbeddingSegment {
 
     /// Storage tier of the newest published snapshot. A quantized attribute
     /// reports `F32` until a merge publishes a snapshot large enough to train
-    /// its codec on ([`SQ8_TRAIN_FLOOR`]).
+    /// its codec on ([`CODEC_TRAIN_FLOOR`]).
     #[must_use]
     pub fn storage_tier(&self) -> StorageTier {
         self.newest_snapshot().index.storage_tier()
@@ -157,14 +158,17 @@ impl EmbeddingSegment {
     }
 
     /// Quantize `index` per the declared spec, if it is not already and
-    /// holds enough live vectors to learn their range from
-    /// ([`SQ8_TRAIN_FLOOR`]); until then the snapshot stays f32. Called on
+    /// holds enough live vectors to train a codec on
+    /// ([`CODEC_TRAIN_FLOOR`]); until then the snapshot stays f32. Called on
     /// every freshly built snapshot: a clone of an already-quantized base
     /// keeps its frozen codec instead (so codes stay comparable across
-    /// incremental merges). Which snapshot trains depends only on the
-    /// records merged so far, never on how many merges delivered them.
+    /// incremental merges). Whether a given snapshot trains depends only on
+    /// what it holds; *which* vectors the codec is trained on is the first
+    /// snapshot to reach the floor, so it depends on the merge schedule
+    /// (`[1024, 2000]` trains on 1 024 vectors, `[2000]` on all 2 000), and
+    /// the same schedule replayed gives the same bytes.
     fn apply_quant(&self, index: &mut HnswIndex) -> TvResult<()> {
-        let floor = SQ8_TRAIN_FLOOR.min(self.capacity / 2).max(1);
+        let floor = CODEC_TRAIN_FLOOR.min(self.capacity / 2).max(1);
         if self.quant.is_quantized() && index.len() >= floor && index.quant_spec().is_none() {
             index.quantize(self.quant)?;
         }
@@ -955,7 +959,7 @@ mod tests {
         assert!(hits >= 45, "only {hits}/50 probes matched");
     }
 
-    /// The probe behind [`SQ8_TRAIN_FLOOR`]: 2 000 gaussian vectors of
+    /// The probe behind [`CODEC_TRAIN_FLOOR`]: 2 000 gaussian vectors of
     /// dimension 32 declared SQ8, index-merged at each TID of `schedule`,
     /// then recall@10 at `ef` 128 against brute force over the originals and
     /// the final snapshot's bytes.
@@ -1000,8 +1004,9 @@ mod tests {
 
     /// A live vacuum's first index merge may see a single transaction. The
     /// codec must not learn its range from that: a 16-vector first merge has
-    /// to read like one merge of everything, and the snapshot has to come
-    /// out the same bytes however many merges delivered the same records.
+    /// to read like one merge of everything. Merges below the floor leave no
+    /// trace in the bytes; the first snapshot to reach it is the training
+    /// set, so a schedule that crosses it early trains on less.
     #[test]
     fn sq8_codec_is_not_trained_on_a_trickle() {
         let (whole, whole_bytes) = sq8_probe(&[2000]);
@@ -1012,21 +1017,27 @@ mod tests {
             "recall@10 {trickle} after a 16-vector first merge vs {whole} after one merge"
         );
         assert_eq!(trickle_bytes, whole_bytes, "same records, different bytes");
-        // Merges that cross the floor in small steps train on what the
-        // snapshot holds when it first reaches it, and still land close.
-        let (steps, steps_bytes) = sq8_probe(&[16, 64, 200, 1024, 1300, 2000]);
+        // Crossing the floor at 1 024 trains on those 1 024 vectors, not on
+        // all 2 000: other bytes than the single merge, recall still close,
+        // and the same schedule gives the same bytes again.
+        let schedule = [16, 64, 200, 1024, 1300, 2000];
+        let (steps, steps_bytes) = sq8_probe(&schedule);
         assert!(
             (whole - steps).abs() <= 0.02,
             "recall@10 {steps} after stepwise merges vs {whole} after one merge"
         );
-        assert_eq!(sq8_probe(&[16, 64, 200, 1024, 1300, 2000]).1, steps_bytes);
+        assert_ne!(
+            steps_bytes, whole_bytes,
+            "a codec trained on 1 024 of 2 000"
+        );
+        assert_eq!(sq8_probe(&schedule).1, steps_bytes);
     }
 
     /// Checkpointing a quantized segment is byte-stable: restore reproduces
     /// reads, and re-serializing the restored index yields identical bytes.
     #[test]
     fn quantized_checkpoint_roundtrips_bit_identically() {
-        for spec in [QuantSpec::sq8(), QuantSpec::sq8().with_keep_f32(true)] {
+        for spec in [QuantSpec::sq8(), QuantSpec::pq(4)] {
             let qdef = def().with_quant(spec);
             // Capacity 128: the codec trains once 64 vectors are merged.
             let seg = EmbeddingSegment::new(SegmentId(0), &qdef, 128);

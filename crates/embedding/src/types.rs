@@ -15,28 +15,19 @@ pub enum IndexKind {
     /// Hierarchical Navigable Small World (the paper's choice, §4.4).
     #[default]
     Hnsw,
-    /// Exact linear scan (no index). A keyword the DDL understands and a
-    /// kind compatibility ignores, but no segment is served this way:
-    /// [`EmbeddingTypeDef::validate`] refuses an attribute declared with it
-    /// rather than answer it from an HNSW index it did not ask for.
-    BruteForce,
 }
 
 impl IndexKind {
     /// GSQL keyword.
     #[must_use]
     pub fn keyword(self) -> &'static str {
-        match self {
-            IndexKind::Hnsw => "HNSW",
-            IndexKind::BruteForce => "FLAT",
-        }
+        "HNSW"
     }
 
     /// Parse a GSQL keyword.
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_uppercase().as_str() {
             "HNSW" => Some(IndexKind::Hnsw),
-            "FLAT" | "BRUTEFORCE" | "NONE" => Some(IndexKind::BruteForce),
             _ => None,
         }
     }
@@ -83,7 +74,7 @@ pub struct EmbeddingTypeDef {
     pub datatype: VectorDataType,
     /// Similarity metric.
     pub metric: DistanceMetric,
-    /// Storage tier for the attribute's segments (f32 / SQ8) plus
+    /// Storage tier for the attribute's segments (f32 / SQ8 / PQ) plus
     /// exact-rerank policy. Defaults to full-precision f32.
     pub quant: QuantSpec,
     /// Search-time graph representation compiled at segment merge/rebuild:
@@ -132,13 +123,6 @@ impl EmbeddingTypeDef {
             return Err(TvError::Schema(format!(
                 "embedding '{}' must have non-zero dimension",
                 self.name
-            )));
-        }
-        if self.index != IndexKind::Hnsw {
-            return Err(TvError::Schema(format!(
-                "embedding '{}' declares index {}, which no segment can serve; declare HNSW",
-                self.name,
-                self.index.keyword()
             )));
         }
         Ok(())
@@ -252,14 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn index_kind_may_differ() {
-        let a = gpt4("a");
-        let mut b = gpt4("b");
-        b.index = IndexKind::BruteForce;
-        assert!(a.compatible_with(&b));
-    }
-
-    #[test]
     fn dimension_mismatch_incompatible() {
         let a = gpt4("a");
         let mut b = gpt4("b");
@@ -305,13 +281,6 @@ mod tests {
         assert!(EmbeddingTypeDef::new("x", 0, "m", DistanceMetric::L2)
             .validate()
             .is_err());
-        // A FLAT attribute used to be accepted and silently served by HNSW.
-        let mut flat = gpt4("flat");
-        flat.index = IndexKind::parse("FLAT").unwrap();
-        match flat.validate() {
-            Err(TvError::Schema(m)) => assert!(m.contains("FLAT"), "{m}"),
-            other => panic!("expected a schema error, got {other:?}"),
-        }
     }
 
     #[test]
@@ -350,8 +319,12 @@ mod tests {
     #[test]
     fn keywords_roundtrip() {
         assert_eq!(IndexKind::parse("hnsw"), Some(IndexKind::Hnsw));
-        assert_eq!(IndexKind::parse("FLAT"), Some(IndexKind::BruteForce));
-        assert_eq!(IndexKind::parse("ivf"), None);
+        // `FLAT` / `BRUTEFORCE` / `NONE` used to parse into a kind no code
+        // read: the attribute was silently served by HNSW.
+        for unserved in ["FLAT", "BRUTEFORCE", "NONE", "ivf"] {
+            assert_eq!(IndexKind::parse(unserved), None, "{unserved}");
+        }
+        assert_eq!(IndexKind::Hnsw.keyword(), "HNSW");
         assert_eq!(VectorDataType::parse("FLOAT"), Some(VectorDataType::Float));
         assert_eq!(VectorDataType::parse("INT8"), None);
     }

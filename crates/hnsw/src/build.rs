@@ -25,7 +25,7 @@ impl HnswIndex {
         let (va, vb, norms) = match &self.quant {
             Some(q) if self.vectors.is_empty() => {
                 (ra, rb) = (self.materialize(a), self.materialize(b));
-                (ra.as_slice(), rb.as_slice(), &q.recon_norms)
+                (ra.as_slice(), rb.as_slice(), &q.main.recon_norms)
             }
             _ => (self.vec_of(a), self.vec_of(b), &self.norms),
         };
@@ -74,7 +74,7 @@ impl HnswIndex {
         // Quantized tiers encode with the frozen codec; the f32 arena is
         // maintained only when the spec retains it.
         if let Some(q) = &mut self.quant {
-            q.encode_slot(metric, slot as usize, vector);
+            q.push(metric, vector);
         }
         if self.quant.as_ref().is_none_or(|q| q.spec.keep_f32) {
             self.vectors.extend_from_slice(vector);
@@ -132,7 +132,7 @@ impl HnswIndex {
         // The node's vector plays the query role; the f32 path reuses its
         // freshly cached norm (one norm pass for the whole insert).
         let sc = match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, vector)),
+            Some(q) => Scorer::Quant(QuantQuery::new(&q.main.codec, self.cfg.metric, vector)),
             None => Scorer::F32(PreparedQuery::with_norm(
                 self.cfg.metric,
                 vector,
@@ -250,7 +250,7 @@ impl HnswIndex {
         let d = self.cfg.dim;
         let metric = self.cfg.metric;
         if let Some(q) = &mut self.quant {
-            q.encode_slot(metric, slot as usize, vector);
+            q.reencode(metric, slot as usize, vector);
         }
         if !self.vectors.is_empty() {
             self.vectors[slot as usize * d..(slot as usize + 1) * d].copy_from_slice(vector);

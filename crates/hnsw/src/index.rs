@@ -488,8 +488,11 @@ impl HnswIndex {
             return Err(TvError::Storage("inconsistent snapshot parts".into()));
         }
         if let Some(q) = &quant {
-            if !q.holds(n) {
+            if !q.main.holds(n) {
                 return Err(TvError::Storage("inconsistent quant codes".into()));
+            }
+            if q.rerank.as_ref().is_some_and(|r| !r.holds(n)) {
+                return Err(TvError::Storage("inconsistent rerank store".into()));
             }
         }
         let mut slot_of = HashMap::with_capacity(n);
@@ -942,6 +945,20 @@ mod tests {
     }
 
     #[test]
+    fn pq_codes_only_reranks_from_sq8_store() {
+        let vecs = make_vectors(500, 16, 17);
+        let mut idx = build_index(&vecs);
+        idx.quantize(QuantSpec::pq(8).with_rerank_factor(8))
+            .unwrap();
+        assert_eq!(idx.storage_tier(), StorageTier::Pq { m: 8 });
+        let queries = make_vectors(10, 16, 3);
+        let (_, stats) = idx.top_k(&queries[0], 5, 64, Filter::All);
+        assert!(stats.reranked > 0, "PQ codes-only must rerank via SQ8");
+        let recall = recall_against_exact(&idx, &vecs, &queries);
+        assert!(recall >= 0.7, "pq+sq8-rerank recall {recall}");
+    }
+
+    #[test]
     fn quantized_index_accepts_inserts_updates_deletes() {
         let vecs = make_vectors(300, 8, 23);
         let mut idx = build_index(&vecs);
@@ -987,16 +1004,17 @@ mod tests {
         let mut idx = build_index(&vecs);
         // F32 spec on an unquantized index is a no-op.
         idx.quantize(QuantSpec::f32()).unwrap();
-        assert_eq!(idx.storage_tier(), StorageTier::F32);
         idx.quantize(QuantSpec::sq8()).unwrap();
-        // A quantized index keeps its tier until it is rebuilt, whatever
-        // the spec asks for and whether or not the arena was kept.
-        assert!(idx.quantize(QuantSpec::sq8().with_keep_f32(true)).is_err());
+        // Tier changes require a rebuild.
+        assert!(idx.quantize(QuantSpec::pq(2)).is_err());
+        // Codes-only cannot go back to f32 (the arena is gone).
         assert!(idx.quantize(QuantSpec::f32()).is_err());
+
+        // keep_f32 CAN go back: the arena still exists.
         let mut kept = build_index(&vecs);
         kept.quantize(QuantSpec::sq8().with_keep_f32(true)).unwrap();
-        assert!(kept.quantize(QuantSpec::f32()).is_err());
-        assert_eq!(kept.storage_tier(), StorageTier::Sq8);
+        kept.quantize(QuantSpec::f32()).unwrap();
+        assert_eq!(kept.storage_tier(), StorageTier::F32);
     }
 
     #[test]

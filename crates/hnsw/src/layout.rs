@@ -81,8 +81,14 @@ impl HnswIndex {
     fn apply_permutation(&mut self, perm: &[u32]) {
         let n = self.keys.len();
         debug_assert_eq!(perm.len(), n);
+        let d = self.cfg.dim;
         if !self.vectors.is_empty() {
-            self.vectors = permuted_rows(&self.vectors, self.cfg.dim, perm);
+            let mut nv = vec![0.0f32; self.vectors.len()];
+            for (old, &p) in perm.iter().enumerate() {
+                let new = p as usize;
+                nv[new * d..(new + 1) * d].copy_from_slice(&self.vectors[old * d..(old + 1) * d]);
+            }
+            self.vectors = nv;
             self.norms = permuted(&self.norms, perm);
         }
         self.keys = permuted(&self.keys, perm);
@@ -110,19 +116,11 @@ impl HnswIndex {
 }
 
 /// Reorder a per-slot array by `perm[old] = new` (layout compilation).
-pub(crate) fn permuted<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
-    permuted_rows(src, 1, perm)
-}
-
-/// [`permuted`] for a slot-major slab of `row_len` items per slot (the f32
-/// arena, the code arena): row `old` moves to row `perm[old]`.
-pub(crate) fn permuted_rows<T: Copy>(src: &[T], row_len: usize, perm: &[u32]) -> Vec<T> {
-    debug_assert_eq!(src.len(), perm.len() * row_len);
+pub(crate) fn permuted<T: Clone>(src: &[T], perm: &[u32]) -> Vec<T> {
+    debug_assert_eq!(src.len(), perm.len());
     let mut out = src.to_vec();
-    for (old, &new) in perm.iter().enumerate() {
-        let new = new as usize;
-        out[new * row_len..(new + 1) * row_len]
-            .copy_from_slice(&src[old * row_len..(old + 1) * row_len]);
+    for (old, item) in src.iter().enumerate() {
+        out[perm[old] as usize] = item.clone();
     }
     out
 }

@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
 use tv_common::{Kernels, Neighbor, PlannerConfig, PreparedQuery};
-use tv_quant::QuantQuery;
+use tv_quant::{QuantQuery, QuantizedCodec};
 
 /// Read access to one adjacency representation. Implemented by the mutable
 /// forest (`[Vec<Vec<u32>>]`), the per-node-locked forest of a parallel
@@ -242,7 +242,7 @@ impl HnswIndex {
     /// retained for reranking).
     pub(crate) fn scorer<'q>(&self, query: &'q [f32]) -> Scorer<'q> {
         match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, query)),
+            Some(q) => Scorer::Quant(QuantQuery::new(&q.main.codec, self.cfg.metric, query)),
             None => Scorer::F32(PreparedQuery::new(self.cfg.metric, query)),
         }
     }
@@ -255,7 +255,7 @@ impl HnswIndex {
         match &self.quant {
             Some(q) => {
                 let v = self.materialize(slot);
-                Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, &v))
+                Scorer::Quant(QuantQuery::new(&q.main.codec, self.cfg.metric, &v))
             }
             None => Scorer::F32(PreparedQuery::with_norm(
                 self.cfg.metric,
@@ -273,8 +273,8 @@ impl HnswIndex {
                 let q = self.quant.as_ref().expect("quant scorer without codes");
                 let cl = qq.code_len();
                 let s = slot as usize;
-                let rn = q.recon_norms.get(s).copied().unwrap_or(0.0);
-                qq.score(&q.codes[s * cl..(s + 1) * cl], rn)
+                let rn = q.main.recon_norms.get(s).copied().unwrap_or(0.0);
+                qq.score(&q.main.codes[s * cl..(s + 1) * cl], rn)
             }
         }
     }
@@ -288,7 +288,7 @@ impl HnswIndex {
             }
             Scorer::Quant(qq) => {
                 let q = self.quant.as_ref().expect("quant scorer without codes");
-                qq.score_slots(&q.codes, &q.recon_norms, slots, out);
+                qq.score_slots(&q.main.codes, &q.main.recon_norms, slots, out);
             }
         }
     }
@@ -318,8 +318,8 @@ impl HnswIndex {
     fn prefetch_slot(&self, k: &Kernels, slot: u32, deep: bool) {
         let s = slot as usize;
         if let Some(q) = &self.quant {
-            let cl = q.codec.code_len();
-            k.prefetch(q.codes.as_ptr().wrapping_add(s * cl));
+            let cl = q.main.codec.code_len();
+            k.prefetch(q.main.codes.as_ptr().wrapping_add(s * cl));
         } else {
             let p = self
                 .vectors
@@ -525,18 +525,22 @@ impl HnswIndex {
     }
 
     /// How many candidates the approximate stage must surface for a final
-    /// top-`k`: `rerank_factor × k` when an exact-rerank pass over the
-    /// retained f32 arena will follow, otherwise just `k`.
+    /// top-`k`: `rerank_factor × k` when an exact-rerank pass will follow
+    /// (retained f32 arena, or the SQ8 side store backing a PQ tier),
+    /// otherwise just `k`.
     pub(crate) fn fetch_count(&self, k: usize) -> usize {
         match &self.quant {
-            Some(q) if q.spec.keep_f32 => k.saturating_mul(q.spec.rerank_factor.max(1)),
+            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => {
+                k.saturating_mul(q.spec.rerank_factor.max(1))
+            }
             _ => k,
         }
     }
 
     /// Exact-rerank stage: rescore the approximate candidates against the
-    /// retained f32 arena, then keep the best `k`. Pass-through when the
-    /// index is unquantized or codes are all it holds.
+    /// most precise representation available (retained f32, else the SQ8
+    /// side store), then keep the best `k`. Pass-through when the index is
+    /// unquantized or codes are already the best representation.
     pub(crate) fn rerank_and_take(
         &self,
         query: &[f32],
@@ -544,22 +548,26 @@ impl HnswIndex {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        if !self.quant.as_ref().is_some_and(|q| q.spec.keep_f32) {
-            return found
-                .into_iter()
-                .take(k)
-                .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
-                .collect();
-        }
+        let quant = match &self.quant {
+            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => q,
+            _ => {
+                return found
+                    .into_iter()
+                    .take(k)
+                    .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
+                    .collect();
+            }
+        };
         let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
         let mut dists: Vec<f32> = Vec::new();
-        PreparedQuery::new(self.cfg.metric, query).distance_slots(
-            &self.vectors,
-            self.cfg.dim,
-            &self.norms,
-            &slots,
-            &mut dists,
-        );
+        if quant.spec.keep_f32 {
+            let pq = PreparedQuery::new(self.cfg.metric, query);
+            pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, &slots, &mut dists);
+        } else {
+            let r = quant.rerank.as_ref().expect("checked above");
+            let qq = QuantQuery::new(&r.codec, self.cfg.metric, query);
+            qq.score_slots(&r.codes, &r.recon_norms, &slots, &mut dists);
+        }
         stats.distance_computations += slots.len() as u64;
         stats.reranked += slots.len() as u64;
         let mut rescored: Vec<Scored> = slots.iter().zip(&dists).map(|(&s, &d)| (d, s)).collect();

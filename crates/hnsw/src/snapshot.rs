@@ -15,9 +15,7 @@
 //! keys[n]:u64 levels[n]:u8 deleted[n]:u8 vectors[n*dim]:f32
 //! links   per node: nlists:u32 (= level + 1), per list: len:u32 ids:u32*
 //! entry   u8 tag, then slot:u32 level:u8 when the tag is 1
-//! quant block: spec, codec image, code_len:u32, codes, norm count:u32,
-//!         norms, then one 0 byte (where the retired PQ tier kept the
-//!         presence flag of its rerank store; a 1 is refused)
+//! quant block (spec, codec image, codes, norms, optional rerank store)
 //! ```
 //!
 //! A compiled image stores its slots in the compiled order, so loading
@@ -28,12 +26,12 @@
 use crate::config::HnswConfig;
 use crate::index::HnswIndex;
 use crate::packed::PackedGraph;
-use crate::quant_state::QuantState;
+use crate::quant_state::{CodeStore, QuantState};
 use tv_common::wire::{
     put_bytes, put_f32s, put_f64, put_layout, put_metric, put_quant_spec, put_u32, put_u64, Reader,
 };
 use tv_common::{DistanceMetric, GraphLayout, TvError, TvResult, VertexId};
-use tv_quant::Sq8Codec;
+use tv_quant::{Codec, QuantizedCodec};
 
 const MAGIC: &[u8; 8] = b"TVHNSW03";
 /// `level_for_key` caps levels at 32; anything near a byte's range is damage.
@@ -105,18 +103,26 @@ fn write_body(buf: &mut Vec<u8>, index: &HnswIndex, links: &[Vec<Vec<u32>>]) {
 }
 
 /// Quantized-storage block: spec, codec image, code arena, reconstruction
-/// norms. Norms are serialized (not recomputed on load) so recovery is
-/// bit-identical by construction. The closing 0 is the byte every SQ8 image
-/// has always ended with: the retired PQ tier set it to 1 ahead of a second
-/// codec block.
+/// norms, and the optional rerank side store. Norms are serialized (not
+/// recomputed on load) so recovery is bit-identical by construction.
 fn write_quant(buf: &mut Vec<u8>, q: &QuantState) {
     put_quant_spec(buf, &q.spec);
-    put_bytes(buf, &q.codec.to_bytes());
-    put_u32(buf, q.codec.code_len() as u32);
-    buf.extend_from_slice(&q.codes);
-    put_u32(buf, q.recon_norms.len() as u32);
-    put_f32s(buf, &q.recon_norms);
-    buf.push(0);
+    write_codec_block(buf, &q.main);
+    match &q.rerank {
+        Some(r) => {
+            buf.push(1);
+            write_codec_block(buf, r);
+        }
+        None => buf.push(0),
+    }
+}
+
+fn write_codec_block(buf: &mut Vec<u8>, store: &CodeStore) {
+    put_bytes(buf, &store.codec.to_bytes());
+    put_u32(buf, store.codec.code_len() as u32);
+    buf.extend_from_slice(&store.codes);
+    put_u32(buf, store.recon_norms.len() as u32);
+    put_f32s(buf, &store.recon_norms);
 }
 
 /// Deserialize an index from a snapshot buffer. Everything a search later
@@ -250,15 +256,28 @@ fn read_quant(
     if spec.keep_f32 != arena_present {
         return Err(r.corrupt("keep_f32 disagrees with arena presence"));
     }
-    if !spec.is_quantized() {
-        return Err(r.corrupt("quant block declares the f32 tier"));
+    let main = read_codec_block(r, cfg, n)?;
+    if main.codec.tier() != spec.tier {
+        return Err(r.corrupt("codec disagrees with tier tag"));
     }
-    let codec = Sq8Codec::from_bytes(r.bytes()?)?;
+    let rerank = if r.flag()? {
+        Some(read_codec_block(r, cfg, n)?)
+    } else {
+        None
+    };
+    Ok(QuantState { spec, main, rerank })
+}
+
+fn read_codec_block(r: &mut Reader<'_>, cfg: &HnswConfig, n: usize) -> TvResult<CodeStore> {
+    let codec = Codec::from_bytes(r.bytes()?)?;
     let code_len = r.u32()? as usize;
     if code_len != codec.code_len() || codec.dim() != cfg.dim {
         return Err(r.corrupt("codec disagrees with the index it encodes"));
     }
     let codes = r.take(r.fits(n, code_len)? * code_len)?.to_vec();
+    if !codec.accepts(&codes) {
+        return Err(r.corrupt("code byte beyond the codec's codebook"));
+    }
     // One reconstruction norm per slot under cosine, none otherwise.
     let norms = if cfg.metric == DistanceMetric::Cosine {
         n
@@ -268,17 +287,10 @@ fn read_quant(
     if r.u32()? as usize != norms {
         return Err(r.corrupt("reconstruction norm count"));
     }
-    let recon_norms = r.f32s(norms)?;
-    if r.flag()? {
-        return Err(
-            r.corrupt("a rerank side store follows the codes; it went with the retired PQ tier")
-        );
-    }
-    Ok(QuantState {
-        spec,
+    Ok(CodeStore {
         codec,
         codes,
-        recon_norms,
+        recon_norms: r.f32s(norms)?,
     })
 }
 
@@ -304,9 +316,9 @@ mod tests {
         idx
     }
 
-    /// The table every test below runs over: three storage specs in both
-    /// layouts, each index carrying one tombstone. One row is cosine, the
-    /// metric under which the code store also carries reconstruction norms.
+    /// The table every test below runs over: five storage tiers in both
+    /// layouts, each index carrying one tombstone. Two rows are cosine, the
+    /// metric under which a code store also carries reconstruction norms.
     fn cases(n: usize) -> Vec<(String, HnswIndex)> {
         use DistanceMetric::{Cosine, L2};
         let mut out = Vec::new();
@@ -314,6 +326,8 @@ mod tests {
             (None, L2),
             (Some(QuantSpec::sq8()), L2),
             (Some(QuantSpec::sq8().with_keep_f32(true)), Cosine),
+            (Some(QuantSpec::pq(4)), Cosine),
+            (Some(QuantSpec::pq(4).with_keep_f32(true)), L2),
         ] {
             for layout in [GraphLayout::Pointer, GraphLayout::PackedPrefetch] {
                 let mut idx = sample_index(n, metric);
@@ -367,38 +381,6 @@ mod tests {
             assert_eq!(before, after, "{ctx}");
             let packed = u64::from(idx.layout().is_packed());
             assert_eq!((s1.packed_searches, s2.packed_searches), (packed, packed));
-        }
-    }
-
-    /// What the retired PQ tier wrote and SQ8 never does: tier tag 2 in the
-    /// spec, codec tag 2 in the codec image, a set presence byte (the last
-    /// byte of every quantized image) ahead of a second codec block. Each
-    /// arriving from outside is a typed storage error naming what it is.
-    #[test]
-    fn retired_pq_artefacts_are_refused_by_name() {
-        let (dim, n) = (8, 40);
-        let mut idx = sample_index(n, DistanceMetric::L2);
-        idx.quantize(QuantSpec::sq8()).unwrap();
-        let bytes = to_bytes(&idx);
-        // spec, length-prefixed codec image, code_len, codes, norm count, 0.
-        let codec_image = 2 + 4 + 8 * dim;
-        let block = 6 + (4 + codec_image) + 4 + n * dim + 4 + 1;
-        let spec_at = bytes.len() - block;
-        let codec_tag_at = spec_at + 6 + 4 + 1;
-        assert_eq!((bytes[spec_at], bytes[codec_tag_at]), (1, 1));
-        assert_eq!(bytes.last(), Some(&0));
-        for (at, byte, names) in [
-            (spec_at, 2u8, "unsupported storage tier tag 2"),
-            (codec_tag_at, 2, "PQ tier was retired"),
-            (bytes.len() - 1, 1, "rerank side store"),
-        ] {
-            let mut image = bytes.clone();
-            image[at] = byte;
-            match from_bytes(&image) {
-                Err(TvError::Storage(m)) => assert!(m.contains(names), "{m}"),
-                Err(other) => panic!("expected a storage error, got {other}"),
-                Ok(_) => panic!("image with byte {at} = {byte} decoded"),
-            }
         }
     }
 

@@ -120,7 +120,10 @@ fn run_battery(idx: &HnswIndex, range_threshold: f32) -> Work {
 }
 
 fn check(metric: DistanceMetric, range_threshold: f32, quant: Option<QuantSpec>, pinned: &Pinned) {
-    let ctx = format!("{metric:?} {}", quant.map_or("f32", |q| q.tier.name()));
+    let ctx = format!(
+        "{metric:?} {}",
+        quant.map_or("f32".into(), |q| q.tier.name())
+    );
     let mut pointer = build(metric);
     if let Some(spec) = quant {
         pointer.quantize(spec).unwrap();

@@ -125,7 +125,12 @@ fn oracle_identity_post_vacuum() {
 
 #[test]
 fn oracle_identity_quantized_tiers() {
-    for spec in [QuantSpec::sq8(), QuantSpec::sq8().with_keep_f32(true)] {
+    for spec in [
+        QuantSpec::sq8(),
+        QuantSpec::sq8().with_keep_f32(true),
+        QuantSpec::pq(4),
+        QuantSpec::pq(4).with_keep_f32(true),
+    ] {
         let mut idx = build(300, 16, DistanceMetric::L2, 53);
         idx.quantize(spec).unwrap();
         assert_layouts_identical(&idx, 16, 8);

@@ -1,25 +1,37 @@
 //! # tv-quant
 //!
-//! The compressed representation behind `StorageTier::Sq8` (see
-//! `tv-common::config`): one codec, one per-query scorer.
+//! Quantized vector storage: the compressed representations behind
+//! `StorageTier::Sq8` and `StorageTier::Pq` (see `tv-common::config`).
 //!
-//! * [`Sq8Codec`]: per-dimension min/max scalar quantization to one byte per
-//!   dimension, with a versioned image (`to_bytes` / `from_bytes`) that flows
-//!   through index snapshots and the durability container bit-identically.
-//!   Training is a min/max scan, so the same data always produce the same
-//!   codec; the durability layer's byte-identical recovery tests rely on it.
-//! * [`QuantQuery`]: the per-query prepared scorer (the quantized sibling of
-//!   `tv_common::PreparedQuery`). Scoring is asymmetric (f32 query against
-//!   u8 codes) on the mixed-precision kernels in `tv-common::kernels`
-//!   (`dot_u8` / `l2_sq_u8` and their batch forms), so codes are never
-//!   widened to f32 in the hot loop and the computed distance equals the
+//! Two codecs implement the common [`QuantizedCodec`] trait:
+//!
+//! * **SQ8** ([`Sq8Codec`]) — per-dimension min/max scalar quantization to
+//!   one byte per dimension. Asymmetric scoring (f32 query vs. u8 codes)
+//!   runs on the mixed-precision kernels in `tv-common::kernels`
+//!   (`dot_u8` / `l2_sq_u8` and their batch forms), so the codes are never
+//!   widened to f32 in the hot loop, and the computed distance equals the
 //!   **exact** distance from the query to the reconstruction.
+//! * **PQ** ([`PqCodec`]) — product quantization: the vector is split into
+//!   `m` sub-spaces, each quantized to one of ≤256 k-means centroids
+//!   (`m` bytes per vector). Queries score via asymmetric distance
+//!   computation (ADC): one `m × ks` lookup table per query, after which
+//!   every candidate costs `m` table reads — also exact w.r.t. the
+//!   reconstruction.
 //!
-//! DESIGN §3e records why there is no product quantization here and the
-//! scale at which it would return.
+//! [`Codec`] is the serializable sum of the two; [`QuantQuery`] is the
+//! per-query prepared scorer (the quantized sibling of
+//! `tv_common::PreparedQuery`). Training is deterministic: k-means runs a
+//! fixed number of Lloyd iterations from a `SplitMix64(seed)`-shuffled
+//! init, so the same data + seed always produce bit-identical codebooks —
+//! the property the durability layer's bit-identical recovery tests rely
+//! on.
 
+mod codec;
+mod pq;
 mod query;
 mod sq8;
 
+pub use codec::{permute_code_rows, Codec, QuantizedCodec};
+pub use pq::PqCodec;
 pub use query::QuantQuery;
 pub use sq8::Sq8Codec;

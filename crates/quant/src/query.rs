@@ -1,22 +1,39 @@
 //! Per-query prepared scoring over quantized codes — the quantized sibling
 //! of `tv_common::kernels::PreparedQuery`.
 
+use crate::codec::{Codec, QuantizedCodec};
+use crate::pq::PqCodec;
 use crate::sq8::Sq8Codec;
 use tv_common::kernels::{self, cosine_from_parts, Kernels};
 use tv_common::DistanceMetric;
+
+/// Per-codec scoring plan, hoisted once per query.
+enum Plan {
+    /// SQ8 asymmetric scoring. With reconstruction
+    /// `r[j] = min[j] + step[j] * c[j]`:
+    /// `|q - r|² = Σ (qa[j] - step[j] * c[j])²` with `qa[j] = q[j] - min[j]`,
+    /// and `<q, r> = bias + Σ qs[j] * c[j]` with `qs[j] = q[j] * step[j]`
+    /// and `bias = <q, min>` — both run on the mixed-precision u8 kernels
+    /// without materializing `r`.
+    Sq8 {
+        qa: Vec<f32>,
+        qs: Vec<f32>,
+        step: Vec<f32>,
+        bias: f32,
+    },
+    /// PQ asymmetric distance computation: a flat `m × ks` lookup table
+    /// (row `s` holds the query sub-vector's distance/dot against every
+    /// centroid of sub-space `s`), after which each candidate costs `m`
+    /// table reads.
+    Pq { lut: Vec<f32>, ks: usize },
+}
 
 /// A query prepared for repeated scoring against one codec's codes. All
 /// distances are **exact** with respect to the codec reconstruction: the
 /// same value `PreparedQuery::distance(reconstruct(code))` would produce,
 /// up to kernel accumulation order.
 ///
-/// With reconstruction `r[j] = min[j] + step[j] * c[j]`:
-/// `|q - r|² = Σ (qa[j] - step[j] * c[j])²` with `qa[j] = q[j] - min[j]`,
-/// and `<q, r> = bias + Σ qs[j] * c[j]` with `qs[j] = q[j] * step[j]` and
-/// `bias = <q, min>`; both run on the mixed-precision u8 kernels without
-/// materializing `r`.
-///
-/// Cosine needs each candidate's reconstructed norm: indexes cache those
+/// Cosine needs each candidate's reconstructed norm — indexes cache those
 /// per slot at encode time and pass them to [`QuantQuery::score`].
 ///
 /// The prepared plan is fully owned (neither the codec nor the query slice
@@ -26,33 +43,58 @@ pub struct QuantQuery {
     metric: DistanceMetric,
     query_norm: f32,
     k: &'static Kernels,
-    qa: Vec<f32>,
-    qs: Vec<f32>,
-    step: Vec<f32>,
-    bias: f32,
+    plan: Plan,
 }
 
 impl QuantQuery {
     /// Prepare `query` against `codec` under the process-wide active kernel
     /// table. `query.len()` must equal `codec.dim()`.
     #[must_use]
-    pub fn new(codec: &Sq8Codec, metric: DistanceMetric, query: &[f32]) -> Self {
+    pub fn new(codec: &Codec, metric: DistanceMetric, query: &[f32]) -> Self {
         debug_assert_eq!(query.len(), codec.dim());
         let k = kernels::active();
         let query_norm = match metric {
             DistanceMetric::Cosine => k.norm_sq(query).sqrt(),
             _ => 0.0,
         };
-        let (min, step) = (codec.min(), codec.step());
+        let plan = match codec {
+            Codec::Sq8(c) => Self::plan_sq8(k, c, query),
+            Codec::Pq(c) => Self::plan_pq(k, c, metric, query),
+        };
         QuantQuery {
             metric,
             query_norm,
             k,
-            qa: query.iter().zip(min).map(|(&q, &m)| q - m).collect(),
-            qs: query.iter().zip(step).map(|(&q, &s)| q * s).collect(),
-            step: step.to_vec(),
-            bias: k.dot(query, min),
+            plan,
         }
+    }
+
+    fn plan_sq8(k: &'static Kernels, c: &Sq8Codec, query: &[f32]) -> Plan {
+        let qa = query.iter().zip(c.min()).map(|(&q, &m)| q - m).collect();
+        let qs = query.iter().zip(c.step()).map(|(&q, &s)| q * s).collect();
+        Plan::Sq8 {
+            qa,
+            qs,
+            step: c.step().to_vec(),
+            bias: k.dot(query, c.min()),
+        }
+    }
+
+    fn plan_pq(k: &Kernels, c: &PqCodec, metric: DistanceMetric, query: &[f32]) -> Plan {
+        let (m, ks) = (c.m(), c.ks());
+        let mut lut = vec![0.0f32; m * ks];
+        for (s, row) in lut.chunks_exact_mut(ks).enumerate() {
+            let sub = &query[c.offsets()[s]..c.offsets()[s + 1]];
+            match metric {
+                DistanceMetric::L2 => k.l2_sq_batch(sub, c.codebook(s), row),
+                // Dot tables serve both inner product and cosine (the
+                // cosine denominator comes from the cached recon norm).
+                DistanceMetric::InnerProduct | DistanceMetric::Cosine => {
+                    k.dot_batch(sub, c.codebook(s), row);
+                }
+            }
+        }
+        Plan::Pq { lut, ks }
     }
 
     /// The metric this query scores under.
@@ -64,22 +106,41 @@ impl QuantQuery {
     /// Bytes per code row this query expects.
     #[must_use]
     pub fn code_len(&self) -> usize {
-        self.qa.len()
+        match &self.plan {
+            Plan::Sq8 { qa, .. } => qa.len(),
+            Plan::Pq { lut, ks } => lut.len() / ks,
+        }
+    }
+
+    /// Sum an ADC lookup table over one code row.
+    #[inline]
+    fn lut_sum(lut: &[f32], ks: usize, code: &[u8]) -> f32 {
+        let mut acc = 0.0f32;
+        for (s, &c) in code.iter().enumerate() {
+            acc += lut[s * ks + c as usize];
+        }
+        acc
     }
 
     /// Distance from the query to the reconstruction of `code`.
-    /// `recon_norm` is the Euclidean norm of that reconstruction, only
+    /// `recon_norm` is the Euclidean norm of that reconstruction — only
     /// consulted for cosine (pass `0.0` otherwise).
     #[must_use]
     pub fn score(&self, code: &[u8], recon_norm: f32) -> f32 {
         debug_assert_eq!(code.len(), self.code_len());
-        match self.metric {
-            DistanceMetric::L2 => self.k.l2_sq_u8(&self.qa, &self.step, code),
-            DistanceMetric::InnerProduct => -(self.bias + self.k.dot_u8(&self.qs, code)),
-            DistanceMetric::Cosine => cosine_from_parts(
-                self.bias + self.k.dot_u8(&self.qs, code),
-                self.query_norm * recon_norm,
-            ),
+        match (&self.plan, self.metric) {
+            (Plan::Sq8 { qa, step, .. }, DistanceMetric::L2) => self.k.l2_sq_u8(qa, step, code),
+            (Plan::Sq8 { qs, bias, .. }, DistanceMetric::InnerProduct) => {
+                -(bias + self.k.dot_u8(qs, code))
+            }
+            (Plan::Sq8 { qs, bias, .. }, DistanceMetric::Cosine) => {
+                cosine_from_parts(bias + self.k.dot_u8(qs, code), self.query_norm * recon_norm)
+            }
+            (Plan::Pq { lut, ks }, DistanceMetric::L2) => Self::lut_sum(lut, *ks, code),
+            (Plan::Pq { lut, ks }, DistanceMetric::InnerProduct) => -Self::lut_sum(lut, *ks, code),
+            (Plan::Pq { lut, ks }, DistanceMetric::Cosine) => {
+                cosine_from_parts(Self::lut_sum(lut, *ks, code), self.query_norm * recon_norm)
+            }
         }
     }
 
@@ -108,25 +169,41 @@ impl QuantQuery {
         }
     }
 
-    /// Score `out.len()` contiguous code rows in one pass on the batched u8
-    /// kernels. `recon_norms` (one per row) is required for cosine. Mirrors
-    /// `PreparedQuery::distance_batch`.
+    /// Score `out.len()` contiguous code rows in one pass; SQ8 runs the
+    /// batched u8 kernels. `recon_norms` (one per row) is required for
+    /// cosine. Mirrors `PreparedQuery::distance_batch`.
     pub fn score_batch(&self, codes: &[u8], recon_norms: Option<&[f32]>, out: &mut [f32]) {
         debug_assert_eq!(codes.len(), self.code_len() * out.len());
-        match self.metric {
-            DistanceMetric::L2 => self.k.l2_sq_u8_batch(&self.qa, &self.step, codes, out),
-            DistanceMetric::InnerProduct => {
-                self.k.dot_u8_batch(&self.qs, codes, out);
-                for o in out.iter_mut() {
-                    *o = -(self.bias + *o);
+        match &self.plan {
+            Plan::Sq8 { qa, qs, step, bias } => match self.metric {
+                DistanceMetric::L2 => self.k.l2_sq_u8_batch(qa, step, codes, out),
+                DistanceMetric::InnerProduct => {
+                    self.k.dot_u8_batch(qs, codes, out);
+                    for o in out.iter_mut() {
+                        *o = -(bias + *o);
+                    }
                 }
-            }
-            DistanceMetric::Cosine => {
-                self.k.dot_u8_batch(&self.qs, codes, out);
-                let ns = recon_norms.expect("cosine score_batch needs recon norms");
-                debug_assert_eq!(ns.len(), out.len());
-                for (o, &n) in out.iter_mut().zip(ns) {
-                    *o = cosine_from_parts(self.bias + *o, self.query_norm * n);
+                DistanceMetric::Cosine => {
+                    self.k.dot_u8_batch(qs, codes, out);
+                    let ns = recon_norms.expect("cosine score_batch needs recon norms");
+                    debug_assert_eq!(ns.len(), out.len());
+                    for (o, &n) in out.iter_mut().zip(ns) {
+                        *o = cosine_from_parts(bias + *o, self.query_norm * n);
+                    }
+                }
+            },
+            Plan::Pq { lut, ks } => {
+                let cl = self.code_len();
+                for (i, o) in out.iter_mut().enumerate() {
+                    let sum = Self::lut_sum(lut, *ks, &codes[i * cl..(i + 1) * cl]);
+                    *o = match self.metric {
+                        DistanceMetric::L2 => sum,
+                        DistanceMetric::InnerProduct => -sum,
+                        DistanceMetric::Cosine => cosine_from_parts(
+                            sum,
+                            self.query_norm * recon_norms.expect("cosine needs recon norms")[i],
+                        ),
+                    };
                 }
             }
         }
@@ -137,7 +214,7 @@ impl QuantQuery {
 mod tests {
     use super::*;
     use tv_common::metric::distance;
-    use tv_common::SplitMix64;
+    use tv_common::{SplitMix64, StorageTier};
 
     const METRICS: [DistanceMetric; 3] = [
         DistanceMetric::L2,
@@ -152,66 +229,82 @@ mod tests {
 
     /// Reference: encode, reconstruct, and score the reconstruction with
     /// the plain f32 metric path.
-    #[test]
-    fn score_is_exact_distance_to_reconstruction() {
-        for dim in [7, 16, 33] {
-            let (n, seed) = (300, 0xABCD ^ dim as u64);
-            let rows = slab(n, dim, seed);
-            let codec = Sq8Codec::train(dim, &rows).unwrap();
-            let queries = slab(8, dim, seed ^ 1);
-            let mut code = vec![0u8; dim];
-            let mut recon = vec![0.0f32; dim];
-            for metric in METRICS {
-                for q in queries.chunks_exact(dim) {
-                    let qq = QuantQuery::new(&codec, metric, q);
-                    for row in rows.chunks_exact(dim).take(40) {
-                        codec.encode_into(row, &mut code);
-                        codec.reconstruct_into(&code, &mut recon);
-                        let rn = tv_common::metric::norm(&recon);
-                        let got = qq.score(&code, rn);
-                        let want = distance(metric, q, &recon);
-                        let scale = want.abs().max(1.0);
-                        assert!(
-                            (got - want).abs() <= 1e-4 * scale,
-                            "dim {dim} {metric:?}: {got} vs {want}"
-                        );
-                    }
+    fn check_matches_reconstruction(tier: StorageTier, dim: usize) {
+        let (n, seed) = (300, 0xABCD ^ dim as u64);
+        let rows = slab(n, dim, seed);
+        let codec = Codec::train(tier, dim, &rows, 7).unwrap();
+        let cl = codec.code_len();
+        let queries = slab(8, dim, seed ^ 1);
+        let mut code = vec![0u8; cl];
+        let mut recon = vec![0.0f32; dim];
+        for metric in METRICS {
+            for q in queries.chunks_exact(dim) {
+                let qq = QuantQuery::new(&codec, metric, q);
+                for row in rows.chunks_exact(dim).take(40) {
+                    codec.encode_into(row, &mut code);
+                    codec.reconstruct_into(&code, &mut recon);
+                    let rn = tv_common::metric::norm(&recon);
+                    let got = qq.score(&code, rn);
+                    let want = distance(metric, q, &recon);
+                    let scale = want.abs().max(1.0);
+                    assert!(
+                        (got - want).abs() <= 1e-4 * scale,
+                        "{tier:?} {metric:?}: {got} vs {want}"
+                    );
                 }
             }
         }
     }
 
     #[test]
+    fn sq8_score_is_exact_distance_to_reconstruction() {
+        for dim in [7, 16, 33] {
+            check_matches_reconstruction(StorageTier::Sq8, dim);
+        }
+    }
+
+    #[test]
+    fn pq_adc_is_exact_distance_to_reconstruction() {
+        check_matches_reconstruction(StorageTier::Pq { m: 4 }, 16);
+        check_matches_reconstruction(StorageTier::Pq { m: 3 }, 7);
+    }
+
+    #[test]
     fn batch_and_slot_paths_match_pair_scoring() {
         let (n, dim) = (64, 12);
         let rows = slab(n, dim, 3);
-        let codec = Sq8Codec::train(dim, &rows).unwrap();
-        let mut codes = vec![0u8; n * dim];
-        let mut norms = vec![0.0f32; n];
-        let mut recon = vec![0.0f32; dim];
-        for (i, row) in rows.chunks_exact(dim).enumerate() {
-            codec.encode_into(row, &mut codes[i * dim..(i + 1) * dim]);
-            codec.reconstruct_into(&codes[i * dim..(i + 1) * dim], &mut recon);
-            norms[i] = tv_common::metric::norm(&recon);
-        }
-        let q = slab(1, dim, 9);
-        for metric in METRICS {
-            let qq = QuantQuery::new(&codec, metric, &q);
-            let mut batch = vec![0.0f32; n];
-            qq.score_batch(&codes, Some(&norms), &mut batch);
-            let slots: Vec<u32> = (0..n as u32).rev().collect();
-            let mut gathered = Vec::new();
-            qq.score_slots(&codes, &norms, &slots, &mut gathered);
-            for (i, &s) in slots.iter().enumerate() {
-                let s = s as usize;
-                let pair = qq.score(&codes[s * dim..(s + 1) * dim], norms[s]);
-                assert_eq!(gathered[i], pair, "{metric:?} slot path");
-                let scale = pair.abs().max(1.0);
-                assert!(
-                    (batch[s] - pair).abs() <= 1e-5 * scale,
-                    "{metric:?} batch {} vs {pair}",
-                    batch[s]
-                );
+        for tier in [StorageTier::Sq8, StorageTier::Pq { m: 4 }] {
+            let codec = Codec::train(tier, dim, &rows, 5).unwrap();
+            let cl = codec.code_len();
+            let mut codes = vec![0u8; n * cl];
+            let mut norms = vec![0.0f32; n];
+            let mut recon = vec![0.0f32; dim];
+            for (i, row) in rows.chunks_exact(dim).enumerate() {
+                codec.encode_into(row, &mut codes[i * cl..(i + 1) * cl]);
+                codec.reconstruct_into(&codes[i * cl..(i + 1) * cl], &mut recon);
+                norms[i] = tv_common::metric::norm(&recon);
+            }
+            let q = slab(1, dim, 9);
+            for metric in METRICS {
+                let qq = QuantQuery::new(&codec, metric, &q);
+                let mut batch = vec![0.0f32; n];
+                qq.score_batch(&codes, Some(&norms), &mut batch);
+                let slots: Vec<u32> = (0..n as u32).rev().collect();
+                let mut gathered = Vec::new();
+                qq.score_slots(&codes, &norms, &slots, &mut gathered);
+                for (i, &s) in slots.iter().enumerate() {
+                    let pair = qq.score(
+                        &codes[s as usize * cl..(s as usize + 1) * cl],
+                        norms[s as usize],
+                    );
+                    assert_eq!(gathered[i], pair, "{tier:?} {metric:?} slot path");
+                    let b = batch[s as usize];
+                    let scale = pair.abs().max(1.0);
+                    assert!(
+                        (b - pair).abs() <= 1e-5 * scale,
+                        "{tier:?} {metric:?} batch {b} vs {pair}"
+                    );
+                }
             }
         }
     }

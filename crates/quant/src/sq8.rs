@@ -1,14 +1,8 @@
 //! Per-dimension min/max scalar quantization to `u8`.
 
+use crate::codec::QuantizedCodec;
 use tv_common::wire::{put_f32s, put_u32, Reader};
 use tv_common::{TvError, TvResult};
-
-/// Version byte of the codec image (bumped on layout change).
-const CODEC_VERSION: u8 = 1;
-const TAG_SQ8: u8 = 1;
-/// The tag product-quantization codecs were written under until the PQ tier
-/// was retired; refused by name so an old image is not mistaken for damage.
-const TAG_PQ_RETIRED: u8 = 2;
 
 /// SQ8 codec: dimension `j` maps `x` to
 /// `round((x - min[j]) / step[j])` clamped to `0..=255`, with
@@ -16,9 +10,7 @@ const TAG_PQ_RETIRED: u8 = 2;
 /// Reconstruction is `min[j] + step[j] * code`. For any `x` inside the
 /// trained range the round-trip error is at most `step[j] / 2` per
 /// dimension (round-to-nearest); out-of-range values clamp to the range
-/// edge. A codec is immutable after training: later inserts encode with the
-/// frozen range, which keeps codes comparable across incremental merges and
-/// byte-identical across crash recovery.
+/// edge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sq8Codec {
     min: Vec<f32>,
@@ -68,59 +60,34 @@ impl Sq8Codec {
         &self.step
     }
 
-    /// The codec image: version byte, codec tag, `dim`, then the `min` and
-    /// `step` arrays. Flows through index snapshots and the durability
-    /// container bit-identically.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = vec![CODEC_VERSION, TAG_SQ8];
-        put_u32(&mut buf, self.min.len() as u32);
-        put_f32s(&mut buf, &self.min);
-        put_f32s(&mut buf, &self.step);
-        buf
+    pub(crate) fn write(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.min.len() as u32);
+        put_f32s(buf, &self.min);
+        put_f32s(buf, &self.step);
     }
 
-    /// Decode a codec image; an unknown version or tag, truncation and
-    /// trailing bytes are each a typed [`TvError::Storage`].
-    pub fn from_bytes(data: &[u8]) -> TvResult<Self> {
-        let mut r = Reader::new(data, "codec");
-        if r.u8()? != CODEC_VERSION {
-            return Err(r.corrupt("unknown codec version"));
-        }
-        match r.u8()? {
-            TAG_SQ8 => {}
-            TAG_PQ_RETIRED => {
-                return Err(r.corrupt("a PQ codec image; the PQ tier was retired"));
-            }
-            t => return Err(r.corrupt(format_args!("unknown codec tag {t}"))),
-        }
+    pub(crate) fn read(r: &mut Reader<'_>) -> TvResult<Self> {
         let dim = r.u32()? as usize;
         if dim == 0 || dim.saturating_mul(8) > r.remaining() {
-            return Err(r.corrupt("SQ8 dimension out of range"));
+            return Err(TvError::Storage("corrupt SQ8 codec: dim".into()));
         }
-        let codec = Sq8Codec {
+        Ok(Sq8Codec {
             min: r.f32s(dim)?,
             step: r.f32s(dim)?,
-        };
-        r.finish()?;
-        Ok(codec)
+        })
     }
+}
 
-    /// Dimensionality of the vectors this codec encodes.
-    #[must_use]
-    pub fn dim(&self) -> usize {
+impl QuantizedCodec for Sq8Codec {
+    fn dim(&self) -> usize {
         self.min.len()
     }
 
-    /// Bytes per encoded vector (one per dimension).
-    #[must_use]
-    pub fn code_len(&self) -> usize {
+    fn code_len(&self) -> usize {
         self.min.len()
     }
 
-    /// Encode `vector` (length [`Self::dim`]) into `out` (length
-    /// [`Self::code_len`]).
-    pub fn encode_into(&self, vector: &[f32], out: &mut [u8]) {
+    fn encode_into(&self, vector: &[f32], out: &mut [u8]) {
         debug_assert_eq!(vector.len(), self.min.len());
         debug_assert_eq!(out.len(), self.min.len());
         for (j, (&x, o)) in vector.iter().zip(out.iter_mut()).enumerate() {
@@ -133,8 +100,7 @@ impl Sq8Codec {
         }
     }
 
-    /// Decode `code` into `out` (length [`Self::dim`]).
-    pub fn reconstruct_into(&self, code: &[u8], out: &mut [f32]) {
+    fn reconstruct_into(&self, code: &[u8], out: &mut [f32]) {
         debug_assert_eq!(code.len(), self.min.len());
         debug_assert_eq!(out.len(), self.min.len());
         for (j, (&c, o)) in code.iter().zip(out.iter_mut()).enumerate() {
@@ -142,10 +108,7 @@ impl Sq8Codec {
         }
     }
 
-    /// Resident bytes of the trained range, counted by the index-level
-    /// `memory_bytes` audits.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         (self.min.len() + self.step.len()) * std::mem::size_of::<f32>()
     }
 }
@@ -223,53 +186,5 @@ mod tests {
         let a = Sq8Codec::train(8, &rows).unwrap();
         let b = Sq8Codec::train(8, &rows).unwrap();
         assert_eq!(a, b);
-    }
-    #[test]
-    fn image_roundtrips_bit_identically() {
-        let codec = Sq8Codec::train(12, &slab(300, 12, 5)).unwrap();
-        let bytes = codec.to_bytes();
-        let back = Sq8Codec::from_bytes(&bytes).unwrap();
-        assert_eq!(codec, back);
-        assert_eq!(bytes, back.to_bytes(), "re-serialization must be stable");
-    }
-
-    /// Captured before the encoders moved to `tv_common::wire`; min/max
-    /// training is the same on every kernel tier.
-    #[test]
-    fn codec_image_bytes_are_pinned() {
-        let mut rng = SplitMix64::new(5);
-        let rows: Vec<f32> = (0..300 * 12).map(|_| rng.next_f32() * 4.0 - 2.0).collect();
-        let image = Sq8Codec::train(12, &rows).unwrap().to_bytes();
-        assert_eq!(tv_common::crc32(&image), 0x712c_933a);
-    }
-
-    #[test]
-    fn damaged_and_retired_images_are_typed_errors() {
-        let bytes = Sq8Codec::train(8, &slab(50, 8, 2)).unwrap().to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(Sq8Codec::from_bytes(&bytes[..cut]).is_err(), "prefix {cut}");
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(Sq8Codec::from_bytes(&trailing).is_err());
-        let mut bad_ver = bytes.clone();
-        bad_ver[0] = 99;
-        assert!(Sq8Codec::from_bytes(&bad_ver).is_err());
-        let mut bad_tag = bytes.clone();
-        bad_tag[1] = 9;
-        assert!(Sq8Codec::from_bytes(&bad_tag).is_err());
-        // Tag 2 was PQ: named, not mistaken for damage, and whatever header
-        // follows it (here one declaring 4 Gi dimensions) is never read.
-        let mut pq = vec![CODEC_VERSION, TAG_PQ_RETIRED];
-        put_u32(&mut pq, u32::MAX);
-        pq.extend_from_slice(&bytes[2..]);
-        match Sq8Codec::from_bytes(&pq) {
-            Err(TvError::Storage(m)) => assert!(m.contains("PQ tier was retired"), "{m}"),
-            other => panic!("expected a storage error, got {other:?}"),
-        }
-        // A declared dimension the input cannot hold fails before allocating.
-        let mut huge = vec![CODEC_VERSION, TAG_SQ8];
-        put_u32(&mut huge, u32::MAX);
-        assert!(Sq8Codec::from_bytes(&huge).is_err());
     }
 }
