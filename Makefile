@@ -1,6 +1,6 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: verify deps-check knobs-check build test test-all clippy fmt fmt-check serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+.PHONY: quant-frontier verify deps-check knobs-check build test test-all clippy fmt fmt-check serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
 verify: fmt-check deps-check knobs-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke build-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
@@ -105,6 +105,22 @@ quant-smoke:
 	cargo test --release -p tv-quant -q
 	TV_KERNELS=scalar cargo test --release -p tv-quant -q
 	cargo run --release -p tv-bench --bin quant_bench
+
+# The one run ROADMAP item G registered to decide the PQ tier, arguments fixed
+# before it was made: five grids (dim 128 x n 20000 x m 8/16/32, dim 768 x
+# n 8000 x m 8/96), q 200, k 10, rerank 4, seeds 21..28 (`SEEDS` in the
+# binary), 2 rounds, `EF_SWEEP` as committed. Every sample of every grid lands
+# in bench_results/quant_frontier_pq_run3.json. About an hour of wall clock
+# that gates nothing, so it is not part of `make verify`.
+quant-frontier:
+	cargo build --release -p tv-bench --bin quant_bench
+	@set -e; out=bench_results/quant_frontier_pq_run3.json; sep='{"grids": ['; : > $$out.tmp; \
+	for grid in "128 20000 8" "128 20000 16" "128 20000 32" "768 8000 8" "768 8000 96"; do \
+	  set -- $$grid; \
+	  target/release/quant_bench --dim $$1 --n $$2 --m $$3 --q 200 --k 10 --rerank 4 --seed 21; \
+	  printf '%s\n' "$$sep" >> $$out.tmp; cat bench_results/quant_bench.json >> $$out.tmp; sep=','; \
+	done; \
+	printf '\n]}\n' >> $$out.tmp; mv $$out.tmp $$out; echo "[saved $$out]"
 
 # Filtered-search planner gate: the planner property suite (oracle identity
 # across the whole selectivity range, starvation regressions), then the

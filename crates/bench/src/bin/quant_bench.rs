@@ -17,9 +17,11 @@
 //! at the widest `ef`, on every seed, codes-only SQ8 must reach **>= 0.95 of
 //! the f32 recall@k** while spending **<= 0.30x the f32 vector bytes**.
 //! Nothing here gates on a clock. Results land in
-//! `bench_results/quant_bench.json`.
+//! `bench_results/quant_bench.json`, every sample included; `make
+//! quant-frontier` runs the five grids ROADMAP item G registered and gathers
+//! them into `bench_results/quant_frontier_pq_run3.json`.
 //!
-//! Usage: `cargo run --release -p tv-bench --bin quant_bench -- [--n 20000] [--q 100] [--k 10] [--m 8] [--rerank 4] [--seed 1]`
+//! Usage: `cargo run --release -p tv-bench --bin quant_bench -- [--n 20000] [--dim 128] [--q 100] [--k 10] [--m 8] [--rerank 4] [--seed 1]`
 
 use tv_baselines::{TigerVectorSystem, VectorSystem};
 use tv_bench::{measure_point, print_table, save_json, set_storage_info, BenchArgs};
@@ -30,8 +32,9 @@ use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 const EF_SWEEP: [usize; 6] = [16, 24, 32, 48, 64, 128];
 /// Datasets per cell (`--seed` names the first) and timed passes per
 /// dataset: the least the ledger's method asks for, with the tier order
-/// rotated between passes.
-const SEEDS: u64 = 3;
+/// rotated between passes. Eight seeds is the count ROADMAP item G fixed for
+/// the run that decides the PQ tier.
+const SEEDS: u64 = 8;
 const ROUNDS: usize = 2;
 /// Positions of the two tiers the assertions compare in `main`'s spec list.
 const F32: usize = 0;
@@ -42,6 +45,7 @@ struct Sample {
     tier: usize,
     ef: usize,
     seed: u64,
+    round: usize,
     qps: f64,
     recall: f64,
     bytes_ratio: f64,
@@ -95,7 +99,7 @@ fn main() {
     let rerank = args.get_usize("rerank", 4);
     let first_seed = args.get_u64("seed", 1);
     let shape = DatasetShape::Sift;
-    let dim = shape.dim();
+    let dim = args.get_usize("dim", shape.dim());
     let layout = SegmentLayout::with_capacity((n / 8).max(1024));
 
     // SQ8 keep-f32 is the exact-rerank operating point; SQ8 codes-only is
@@ -125,7 +129,7 @@ fn main() {
     let mut samples: Vec<Sample> = Vec::new();
     let mut sq8_footprint = None;
     for seed in first_seed..first_seed + SEEDS {
-        let ds = VectorDataset::generate(shape, n, q, seed);
+        let ds = VectorDataset::generate_dim(shape, dim, n, q, seed);
         let data = ds.with_ids(layout);
         let gt = ground_truth(&ds.base, &ds.queries, k, shape.metric(), layout);
         let mut systems: Vec<TigerVectorSystem> = specs
@@ -152,6 +156,7 @@ fn main() {
                         tier,
                         ef,
                         seed,
+                        round,
                         qps: 1.0 / p.cpu_per_query_s,
                         recall: p.recall,
                         bytes_ratio,
@@ -267,6 +272,15 @@ fn main() {
             })
         })
         .collect();
+    let json_samples: Vec<serde_json::Value> = samples
+        .iter()
+        .map(|s| {
+            serde_json::json!({
+                "tier": label(s.tier), "ef": s.ef, "seed": s.seed, "round": s.round,
+                "qps": s.qps, "recall": s.recall, "bytes_ratio_vs_f32": s.bytes_ratio,
+            })
+        })
+        .collect();
     save_json(
         "quant_bench",
         &serde_json::json!({
@@ -278,6 +292,7 @@ fn main() {
             "pq_m": m,
             "qps": "measured, one thread: queries / wall time of the query loop",
             "cells": json_cells,
+            "samples": json_samples,
             "gate": serde_json::json!({
                 "ef": top_ef,
                 "sq8_recall_ratio": recall_ratio,
