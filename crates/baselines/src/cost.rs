@@ -1,6 +1,5 @@
-//! Hardware and pricing constants behind the paper's cost comparison, plus
-//! the throughput model that converts measured per-query CPU time into
-//! modeled QPS on the paper's hardware.
+//! The hardware behind the paper's cost comparison, and the throughput
+//! model that converts measured per-query CPU time into modeled QPS on it.
 //!
 //! Paper facts (§6.1–6.2):
 //! * TigerVector / Milvus / Neo4j run on one GCP `n2d-standard-32` (32
@@ -24,12 +23,6 @@ use std::time::Duration;
 /// Modeled evaluation hardware (one benchmark machine).
 pub const PAPER_CORES: usize = 32;
 
-/// GCP n2d-standard-32 hourly price (USD) — TigerVector/Milvus/Neo4j.
-pub const N2D_STANDARD_32_HOURLY_USD: f64 = 1.37;
-
-/// Neptune 1024 m-NCU hourly price (USD).
-pub const NEPTUNE_1024_MNCU_HOURLY_USD: f64 = 30.72;
-
 /// Client threads used for the throughput experiments (Fig. 7).
 pub const THROUGHPUT_CLIENT_THREADS: usize = 16;
 
@@ -40,8 +33,6 @@ pub struct CostModel {
     pub parallel_efficiency: f64,
     /// Fixed per-request overhead outside the engine.
     pub request_overhead: Duration,
-    /// Hourly hardware price (USD).
-    pub hourly_usd: f64,
 }
 
 impl CostModel {
@@ -51,7 +42,6 @@ impl CostModel {
         CostModel {
             parallel_efficiency: 1.0,
             request_overhead: Duration::from_micros(150),
-            hourly_usd: N2D_STANDARD_32_HOURLY_USD,
         }
     }
 
@@ -61,7 +51,6 @@ impl CostModel {
         CostModel {
             parallel_efficiency: 0.80,
             request_overhead: Duration::from_micros(250),
-            hourly_usd: N2D_STANDARD_32_HOURLY_USD,
         }
     }
 
@@ -71,7 +60,6 @@ impl CostModel {
         CostModel {
             parallel_efficiency: 0.20,
             request_overhead: Duration::from_micros(800),
-            hourly_usd: N2D_STANDARD_32_HOURLY_USD,
         }
     }
 
@@ -81,7 +69,6 @@ impl CostModel {
         CostModel {
             parallel_efficiency: 0.45,
             request_overhead: Duration::from_micros(1500),
-            hourly_usd: NEPTUNE_1024_MNCU_HOURLY_USD,
         }
     }
 
@@ -102,30 +89,11 @@ impl CostModel {
         let inner = cpu_per_query.as_secs_f64() / fanout_cores.max(1) as f64;
         Duration::from_secs_f64(inner) + self.request_overhead
     }
-
-    /// Queries per dollar — the cost-efficiency metric behind the 22.42×
-    /// comparison.
-    #[must_use]
-    pub fn qps_per_dollar_hour(&self, cpu_per_query: Duration) -> f64 {
-        self.modeled_qps(cpu_per_query) / self.hourly_usd
-    }
-}
-
-/// The paper's headline cost ratio.
-#[must_use]
-pub fn neptune_cost_ratio() -> f64 {
-    NEPTUNE_1024_MNCU_HOURLY_USD / N2D_STANDARD_32_HOURLY_USD
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cost_ratio_matches_paper() {
-        let r = neptune_cost_ratio();
-        assert!((r - 22.42).abs() < 0.01, "ratio {r}");
-    }
 
     #[test]
     fn tigervector_outruns_neo4j_at_equal_cpu() {
@@ -146,14 +114,6 @@ mod tests {
             ratio > 1.0 && ratio < 2.0,
             "TigerVector/Milvus ratio {ratio}"
         );
-    }
-
-    #[test]
-    fn neptune_cheaper_hardware_wins_per_dollar() {
-        let cpu = Duration::from_millis(2);
-        let tv = CostModel::tigervector().qps_per_dollar_hour(cpu);
-        let np = CostModel::neptune().qps_per_dollar_hour(cpu);
-        assert!(tv / np > 20.0);
     }
 
     #[test]

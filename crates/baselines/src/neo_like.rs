@@ -248,17 +248,22 @@ mod tests {
                 })
                 .collect()
         };
-        let mut tv = TigerVectorSystem::new(16, DistanceMetric::L2, layout);
-        tv.load(&d);
-        tv.build_index();
-        let mut neo = NeoLike::new(16, DistanceMetric::L2);
-        neo.load(&d);
-        neo.build_index();
+        // Wall clock on a shared host: the two builds alternate and each is
+        // judged by its fastest run, which a neighbouring test cannot slow.
+        let (mut tv_fastest, mut neo_fastest) = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            let mut tv = TigerVectorSystem::new(16, DistanceMetric::L2, layout);
+            tv.load(&d);
+            tv.build_index();
+            let mut neo = NeoLike::new(16, DistanceMetric::L2);
+            neo.load(&d);
+            neo.build_index();
+            tv_fastest = tv_fastest.min(tv.build_times().index_build);
+            neo_fastest = neo_fastest.min(neo.build_times().index_build);
+        }
         assert!(
-            neo.build_times().index_build > tv.build_times().index_build,
-            "neo {:?} vs tv {:?}",
-            neo.build_times().index_build,
-            tv.build_times().index_build
+            neo_fastest > tv_fastest,
+            "neo {neo_fastest:?} vs tv {tv_fastest:?}"
         );
     }
 }

@@ -86,17 +86,6 @@ impl TigerVectorSystem {
     pub fn segment_count(&self) -> usize {
         self.segments.len().max(self.staged.len())
     }
-
-    /// Measured single-query CPU time (mean over `queries`), for the
-    /// throughput model.
-    #[must_use]
-    pub fn measure_cpu(&self, queries: &[Vec<f32>], k: usize) -> Duration {
-        let start = Instant::now();
-        for q in queries {
-            let _ = self.top_k(q, k);
-        }
-        start.elapsed() / queries.len().max(1) as u32
-    }
 }
 
 impl VectorSystem for TigerVectorSystem {

@@ -33,7 +33,7 @@ const EF_SWEEP: [usize; 6] = [16, 24, 32, 48, 64, 128];
 /// Datasets per cell (`--seed` names the first) and timed passes per
 /// dataset: the least the ledger's method asks for, with the tier order
 /// rotated between passes. Eight seeds is the count ROADMAP item G fixed for
-/// the run that decides the PQ tier.
+/// the run that decided the PQ tier (`make quant-frontier`).
 const SEEDS: u64 = 8;
 const ROUNDS: usize = 2;
 /// Positions of the two tiers the assertions compare in `main`'s spec list.

@@ -114,7 +114,6 @@ pub fn measure_point(
     let model = tv_baselines::CostModel {
         parallel_efficiency: system.parallel_efficiency(),
         request_overhead: system.request_overhead(),
-        hourly_usd: 0.0,
     };
     OperatingPoint {
         ef: if tunable { ef } else { 0 },

@@ -79,12 +79,6 @@ impl FilterSet {
         self
     }
 
-    /// The policy applied to unlisted segments.
-    #[must_use]
-    pub fn default_policy(&self) -> FilterDefault {
-        self.default
-    }
-
     /// Number of segments with an explicit bitmap.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -123,7 +117,6 @@ mod tests {
             SegmentFilter::Restricted(_)
         ));
         assert_eq!(f.effective(SegmentId(0)), SegmentFilter::Unfiltered);
-        assert_eq!(f.default_policy(), FilterDefault::All);
     }
 
     #[test]

@@ -36,49 +36,11 @@ impl Placement {
         }
     }
 
-    /// Primary owner of a segment.
-    #[must_use]
-    pub fn primary(&self, seg: SegmentId) -> usize {
-        seg.0 as usize % self.servers
-    }
-
     /// All servers holding a copy of `seg` (primary first).
     #[must_use]
     pub fn holders(&self, seg: SegmentId) -> Vec<usize> {
         (0..self.replication)
             .map(|r| (seg.0 as usize + r) % self.servers)
-            .collect()
-    }
-
-    /// The server that should serve `seg` when `down` servers are
-    /// unavailable; `None` if every holder is down.
-    #[must_use]
-    pub fn serving(&self, seg: SegmentId, down: &[usize]) -> Option<usize> {
-        self.serving_excluding(seg, down, &[])
-    }
-
-    /// Like [`Placement::serving`], but also skipping `excluded` servers —
-    /// the coordinator's per-query suspect list (servers that timed out or
-    /// were unreachable this query and whose segments are being re-routed).
-    /// `None` when no holder survives both lists.
-    #[must_use]
-    pub fn serving_excluding(
-        &self,
-        seg: SegmentId,
-        down: &[usize],
-        excluded: &[usize],
-    ) -> Option<usize> {
-        self.holders(seg)
-            .into_iter()
-            .find(|s| !down.contains(s) && !excluded.contains(s))
-    }
-
-    /// Segments (out of `total`) that server `s` holds a copy of.
-    #[must_use]
-    pub fn segments_of(&self, s: usize, total: usize) -> Vec<SegmentId> {
-        (0..total)
-            .map(|i| SegmentId(i as u32))
-            .filter(|seg| self.holders(*seg).contains(&s))
             .collect()
     }
 }
@@ -199,16 +161,6 @@ impl PlacementTable {
     #[must_use]
     pub fn segment_ids(&self) -> Vec<SegmentId> {
         self.holders.keys().copied().collect()
-    }
-
-    /// Segments server `s` holds a copy of, ascending.
-    #[must_use]
-    pub fn segments_of(&self, s: usize) -> Vec<SegmentId> {
-        self.holders
-            .iter()
-            .filter(|(_, h)| h.contains(&s))
-            .map(|(seg, _)| *seg)
-            .collect()
     }
 
     /// Number of segment copies server `s` holds.
@@ -363,8 +315,7 @@ mod tests {
     #[test]
     fn primary_is_round_robin() {
         let p = Placement::new(4, 1);
-        assert_eq!(p.primary(SegmentId(0)), 0);
-        assert_eq!(p.primary(SegmentId(5)), 1);
+        assert_eq!(p.holders(SegmentId(0)), vec![0]);
         assert_eq!(p.holders(SegmentId(5)), vec![1]);
     }
 
@@ -382,39 +333,6 @@ mod tests {
     fn replication_clamped_to_servers() {
         let p = Placement::new(2, 5);
         assert_eq!(p.replication, 2);
-    }
-
-    #[test]
-    fn failover_prefers_primary_then_replicas() {
-        let p = Placement::new(3, 2);
-        let seg = SegmentId(1);
-        assert_eq!(p.serving(seg, &[]), Some(1));
-        assert_eq!(p.serving(seg, &[1]), Some(2));
-        assert_eq!(p.serving(seg, &[1, 2]), None);
-    }
-
-    #[test]
-    fn serving_excluding_skips_suspects_then_exhausts() {
-        let p = Placement::new(4, 3);
-        let seg = SegmentId(1); // holders 1, 2, 3
-        assert_eq!(p.serving_excluding(seg, &[], &[]), Some(1));
-        assert_eq!(p.serving_excluding(seg, &[], &[1]), Some(2));
-        assert_eq!(p.serving_excluding(seg, &[2], &[1]), Some(3));
-        assert_eq!(p.serving_excluding(seg, &[2], &[1, 3]), None);
-    }
-
-    #[test]
-    fn segments_of_covers_everything() {
-        let p = Placement::new(3, 2);
-        let total = 10;
-        // Every segment is held by exactly `replication` servers.
-        let mut count = vec![0usize; total];
-        for s in 0..3 {
-            for seg in p.segments_of(s, total) {
-                count[seg.0 as usize] += 1;
-            }
-        }
-        assert!(count.iter().all(|&c| c == 2));
     }
 
     #[test]
@@ -445,6 +363,38 @@ mod tests {
         assert!(!t.holds(SegmentId(4), 0));
         assert_eq!(t.serving_excluding(SegmentId(4), &[1], &[]), Some(2));
         assert_eq!(t.load(0), 4); // segments 0, 2, 3, 5
+    }
+
+    #[test]
+    fn failover_prefers_primary_then_replicas() {
+        let t = seeded_table(3, 2, 2);
+        let seg = SegmentId(1);
+        assert_eq!(t.serving_excluding(seg, &[], &[]), Some(1));
+        assert_eq!(t.serving_excluding(seg, &[1], &[]), Some(2));
+        assert_eq!(t.serving_excluding(seg, &[1, 2], &[]), None);
+    }
+
+    #[test]
+    fn serving_excluding_skips_suspects_then_exhausts() {
+        let t = seeded_table(4, 3, 2);
+        let seg = SegmentId(1); // holders 1, 2, 3
+        assert_eq!(t.serving_excluding(seg, &[], &[]), Some(1));
+        assert_eq!(t.serving_excluding(seg, &[], &[1]), Some(2));
+        assert_eq!(t.serving_excluding(seg, &[2], &[1]), Some(3));
+        assert_eq!(t.serving_excluding(seg, &[2], &[1, 3]), None);
+    }
+
+    #[test]
+    fn every_segment_is_held_by_exactly_replication_servers() {
+        let t = seeded_table(3, 2, 10);
+        let mut count = [0usize; 10];
+        for s in 0..3 {
+            for seg in t.segment_ids() {
+                count[seg.0 as usize] += usize::from(t.holds(seg, s));
+            }
+        }
+        assert!(count.iter().all(|&c| c == 2));
+        assert_eq!((0..3).map(|s| t.load(s)).sum::<usize>(), 20);
     }
 
     #[test]

@@ -194,15 +194,6 @@ impl Filter<'_> {
             Filter::Valid(b) => idx < b.len() && b.get(idx),
         }
     }
-
-    /// Number of valid points out of `universe` total.
-    #[must_use]
-    pub fn valid_count(&self, universe: usize) -> usize {
-        match self {
-            Filter::All => universe,
-            Filter::Valid(b) => b.count_ones(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -316,7 +307,6 @@ mod tests {
         let f = Filter::All;
         assert!(f.accepts(0));
         assert!(f.accepts(1_000_000));
-        assert_eq!(f.valid_count(42), 42);
     }
 
     #[test]
@@ -326,6 +316,5 @@ mod tests {
         assert!(f.accepts(2));
         assert!(!f.accepts(3));
         assert!(!f.accepts(10)); // out of range treated as invalid
-        assert_eq!(f.valid_count(10), 2);
     }
 }

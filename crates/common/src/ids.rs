@@ -136,21 +136,17 @@ impl SegmentLayout {
         id.segment().0 as usize * self.capacity + id.local().0 as usize
     }
 
-    /// Number of segments needed to hold `n` rows.
-    #[must_use]
-    pub fn segments_for(&self, n: usize) -> usize {
-        n.div_ceil(self.capacity)
-    }
-
-    /// Number of rows that fall into segment `seg` when `n` total rows are
-    /// laid out sequentially.
-    #[must_use]
-    pub fn rows_in_segment(&self, seg: SegmentId, n: usize) -> usize {
-        let start = seg.0 as usize * self.capacity;
-        if start >= n {
-            0
+    /// Refuse an id whose local offset no segment of this layout has room
+    /// for. A vector stored under one is counted live but dropped by every
+    /// index search, whose filter bitmaps end at the capacity.
+    pub fn check_id(&self, id: VertexId) -> crate::TvResult<()> {
+        if (id.local().0 as usize) < self.capacity {
+            Ok(())
         } else {
-            (n - start).min(self.capacity)
+            Err(crate::TvError::InvalidArgument(format!(
+                "vertex {id} is beyond the segment capacity {}",
+                self.capacity
+            )))
         }
     }
 }
@@ -189,21 +185,21 @@ mod tests {
     }
 
     #[test]
-    fn layout_segments_for() {
+    fn layout_refuses_an_id_beyond_its_capacity() {
         let layout = SegmentLayout::with_capacity(100);
-        assert_eq!(layout.segments_for(0), 0);
-        assert_eq!(layout.segments_for(1), 1);
-        assert_eq!(layout.segments_for(100), 1);
-        assert_eq!(layout.segments_for(101), 2);
-    }
-
-    #[test]
-    fn layout_rows_in_segment() {
-        let layout = SegmentLayout::with_capacity(100);
-        assert_eq!(layout.rows_in_segment(SegmentId(0), 250), 100);
-        assert_eq!(layout.rows_in_segment(SegmentId(1), 250), 100);
-        assert_eq!(layout.rows_in_segment(SegmentId(2), 250), 50);
-        assert_eq!(layout.rows_in_segment(SegmentId(3), 250), 0);
+        assert!(layout
+            .check_id(VertexId::new(SegmentId(3), LocalId(99)))
+            .is_ok());
+        for local in [100, u32::MAX] {
+            let err = layout
+                .check_id(VertexId::new(SegmentId(3), LocalId(local)))
+                .unwrap_err();
+            assert!(
+                matches!(&err, crate::TvError::InvalidArgument(m)
+                    if m.contains(&format!("v(3,{local})")) && m.contains("100")),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]

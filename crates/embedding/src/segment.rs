@@ -21,6 +21,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tv_common::bitmap::Filter;
+use tv_common::ids::SegmentLayout;
 use tv_common::PreparedQuery;
 use tv_common::{
     Bitmap, GraphLayout, Neighbor, NeighborHeap, PlannerConfig, QuantSpec, SegmentId, StorageTier,
@@ -203,13 +204,19 @@ impl EmbeddingSegment {
     /// Append committed deltas (TIDs must be non-decreasing and newer than
     /// everything already stored). Every record is checked before any is
     /// appended: an upsert that [`Self::check_vector`] refuses would fail
-    /// every later index merge of this segment.
+    /// every later index merge of this segment, and a vector under an id
+    /// beyond the capacity would answer from the delta overlay and vanish
+    /// from every search once merged.
     pub fn append_deltas(&self, records: &[DeltaRecord]) -> TvResult<()> {
         if records.is_empty() {
             return Ok(());
         }
         let dim = self.dimension();
+        let layout = SegmentLayout {
+            capacity: self.capacity,
+        };
         for r in records {
+            layout.check_id(r.id)?;
             if matches!(r.action, DeltaAction::Upsert) {
                 check_vector(dim, &r.vector)?;
             }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use tv_common::ids::SegmentLayout;
 use tv_common::{
     crash_hook, Bitmap, CrashPlan, CrashPoint, Deadline, Neighbor, PlannerConfig, SegmentId,
-    TaskGauge, Tid, TvError, TvResult, WorkerPool,
+    TaskGauge, Tid, TvError, TvResult, VertexId, WorkerPool,
 };
 use tv_hnsw::{DeltaRecord, SearchStats};
 
@@ -54,6 +54,12 @@ pub struct EmbeddingAttr {
 }
 
 impl EmbeddingAttr {
+    /// Refuse a vertex id no segment of this attribute has room for
+    /// ([`SegmentLayout::check_id`]).
+    pub fn check_id(&self, id: VertexId) -> TvResult<()> {
+        self.layout.check_id(id)
+    }
+
     fn ensure_segment(&self, seg: SegmentId) {
         let want = seg.0 as usize + 1;
         if self.segments.read().len() >= want {
@@ -250,27 +256,15 @@ impl EmbeddingService {
             .ok_or_else(|| TvError::NotFound(format!("embedding attribute {attr_id}")))
     }
 
-    /// Attribute by `(vertex type, name)`.
-    pub fn attr_by_name(&self, vertex_type: u32, name: &str) -> TvResult<Arc<EmbeddingAttr>> {
-        self.attrs
-            .read()
-            .iter()
-            .find(|a| a.vertex_type == vertex_type && a.def.name == name)
-            .cloned()
-            .ok_or_else(|| {
-                TvError::NotFound(format!(
-                    "embedding attribute '{name}' on vertex type {vertex_type}"
-                ))
-            })
-    }
-
     /// Route committed vector deltas to their home embedding segments. The
     /// records must share one commit's TID ordering (called from inside the
     /// graph store's atomic commit hook).
     pub fn apply_deltas(&self, attr_id: u32, records: &[DeltaRecord]) -> TvResult<()> {
         let attr = self.attr(attr_id)?;
-        // Validate dimensions first (no partial application on error).
+        // Validate every record first (no partial application on error,
+        // whichever segments the batch spans).
         for r in records {
+            attr.check_id(r.id)?;
             if matches!(r.action, tv_hnsw::index::DeltaAction::Upsert) {
                 attr.def.check_query_vector(&r.vector)?;
             }
@@ -715,8 +709,6 @@ mod tests {
         assert_eq!(a, 0);
         assert!(svc.attr(0).is_ok());
         assert!(svc.attr(1).is_err());
-        assert!(svc.attr_by_name(0, "content_emb").is_ok());
-        assert!(svc.attr_by_name(0, "missing").is_err());
         // Duplicate name on the same type rejected.
         assert!(svc
             .register(0, def("content_emb"), SegmentLayout::with_capacity(16))

@@ -451,10 +451,14 @@ impl TxnBuilder<'_> {
     /// vector state become visible together.
     pub fn commit(self) -> TvResult<Tid> {
         let graph = self.graph;
-        // Pre-validate vector dimensions so the hook cannot fail mid-commit.
+        // Pre-validate everything `apply_deltas` checks, so the hook cannot
+        // fail after the WAL append.
         for op in &self.vec_ops {
-            if let VecOp::Upsert(attr_id, _, v) = op {
-                graph.embeddings.attr(*attr_id)?.def.check_query_vector(v)?;
+            let (VecOp::Upsert(attr_id, id, _) | VecOp::Delete(attr_id, id)) = op;
+            let attr = graph.embeddings.attr(*attr_id)?;
+            attr.check_id(*id)?;
+            if let VecOp::Upsert(_, _, v) = op {
+                attr.def.check_query_vector(v)?;
             }
         }
         let vec_ops = self.vec_ops;

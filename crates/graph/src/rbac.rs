@@ -21,8 +21,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tg_storage::AttrValue;
 use tv_common::{Tid, TvError, TvResult};
-use tv_embedding::service::TypedNeighbor;
-use tv_hnsw::SearchStats;
 
 /// Row-level predicate: vertex attribute `attr` must equal `value`.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,37 +228,6 @@ impl AccessControl {
     }
 }
 
-impl Graph {
-    /// Vector search **as a user**: the single access-control surface the
-    /// paper advocates — the same grants govern graph rows and their
-    /// vectors, enforced through the validity-bitmap hand-off of §5.1.
-    /// Unauthorized vertex types are rejected outright; row-restricted
-    /// grants become pre-filter bitmaps intersected with any caller filter.
-    #[allow(clippy::too_many_arguments)]
-    pub fn vector_search_as(
-        &self,
-        acl: &AccessControl,
-        user: &str,
-        attr_ids: &[u32],
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        filter: Option<&VertexSet>,
-        tid: Tid,
-    ) -> TvResult<(Vec<TypedNeighbor>, SearchStats)> {
-        let authorized = acl.restriction_for_attrs(self, user, attr_ids, tid)?;
-
-        // Intersect with the caller's filter (both are candidate sets).
-        let effective = match (authorized, filter) {
-            (None, None) => None,
-            (None, Some(f)) => Some(f.clone()),
-            (Some(a), None) => Some(a),
-            (Some(a), Some(f)) => Some(a.intersect(f)),
-        };
-        self.vector_search(attr_ids, query, k, ef, effective.as_ref(), tid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +236,7 @@ mod tests {
     use tv_common::DistanceMetric;
     use tv_embedding::{EmbeddingTypeDef, ServiceConfig};
 
-    fn secured_graph() -> (Graph, AccessControl, Vec<tv_common::VertexId>) {
+    fn secured_graph() -> (Graph, AccessControl) {
         let g = Graph::with_config(
             SegmentLayout::with_capacity(8),
             ServiceConfig {
@@ -303,61 +270,12 @@ mod tests {
         );
         acl.assign("alice", "admin").unwrap();
         acl.assign("bob", "analyst").unwrap();
-        (g, acl, ids)
-    }
-
-    #[test]
-    fn admin_sees_everything() {
-        let (g, acl, ids) = secured_graph();
-        let tid = g.read_tid();
-        let (r, _) = g
-            .vector_search_as(&acl, "alice", &[0], &[1.0; 4], 1, 32, None, tid)
-            .unwrap();
-        assert_eq!(r[0].neighbor.id, ids[1]); // the secret doc nearest to 1.0
-    }
-
-    #[test]
-    fn analyst_only_sees_public_rows() {
-        let (g, acl, ids) = secured_graph();
-        let tid = g.read_tid();
-        // Nearest to 1.0 overall is secret doc 1; bob must get public doc 0
-        // or 2 instead.
-        let (r, _) = g
-            .vector_search_as(&acl, "bob", &[0], &[1.0; 4], 3, 32, None, tid)
-            .unwrap();
-        assert!(!r.is_empty());
-        for hit in &r {
-            let i = ids.iter().position(|&x| x == hit.neighbor.id).unwrap();
-            assert_eq!(i % 2, 0, "doc {i} is secret but bob saw it");
-        }
-    }
-
-    #[test]
-    fn stranger_is_rejected() {
-        let (g, acl, _) = secured_graph();
-        let tid = g.read_tid();
-        let err = g
-            .vector_search_as(&acl, "mallory", &[0], &[1.0; 4], 1, 32, None, tid)
-            .unwrap_err();
-        assert!(matches!(err, TvError::PermissionDenied(_)));
-    }
-
-    #[test]
-    fn caller_filter_intersects_with_grants() {
-        let (g, acl, ids) = secured_graph();
-        let tid = g.read_tid();
-        // Bob (public only) filtered to {0, 1}: only 0 remains visible.
-        let filter = VertexSet::from_iter_typed(0, [ids[0], ids[1]]);
-        let (r, _) = g
-            .vector_search_as(&acl, "bob", &[0], &[1.0; 4], 5, 32, Some(&filter), tid)
-            .unwrap();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].neighbor.id, ids[0]);
+        (g, acl)
     }
 
     #[test]
     fn row_restriction_is_answered_from_roles_alone() {
-        let (g, acl, _) = secured_graph();
+        let (g, acl) = secured_graph();
         assert_eq!(acl.is_row_restricted(&g, "alice", &[0]), Ok(false));
         assert_eq!(acl.is_row_restricted(&g, "bob", &[0]), Ok(true));
         assert!(matches!(
@@ -377,16 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn revoke_removes_access() {
-        let (g, acl, _) = secured_graph();
-        let tid = g.read_tid();
-        acl.revoke("alice", "admin");
-        assert!(g
-            .vector_search_as(&acl, "alice", &[0], &[1.0; 4], 1, 32, None, tid)
-            .is_err());
-    }
-
-    #[test]
     fn unknown_role_assignment_fails() {
         let acl = AccessControl::new();
         assert!(acl.assign("x", "ghost").is_err());
@@ -396,7 +304,7 @@ mod tests {
     fn grants_cover_vectors_and_rows_together() {
         // The governance argument: one grant controls both attribute reads
         // (select_vertices) and vector search.
-        let (g, acl, _) = secured_graph();
+        let (g, acl) = secured_graph();
         let tid = g.read_tid();
         let set = acl.authorized_vertices(&g, "bob", 0, tid).unwrap().unwrap();
         assert_eq!(set.len(), 5); // the five public docs

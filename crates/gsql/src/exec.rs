@@ -144,7 +144,7 @@ pub fn run(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<Q
 /// can see *how* each query was executed. Graph-only and join queries leave
 /// `stats` untouched.
 #[allow(clippy::too_many_arguments)]
-pub fn run_opts_stats(
+fn run_opts_stats(
     graph: &Graph,
     r: &Resolved,
     params: &Params,
@@ -960,6 +960,78 @@ mod tests {
             assert_eq!(idx % 2, 0, "post {idx} is not English");
             assert!(idx * 250 > 1000);
         }
+    }
+
+    /// The row-security fixture: alice may read every post, bob only the
+    /// English ones (even indexes).
+    fn secured() -> (Fixture, AccessControl) {
+        use tg_graph::Role;
+        let acl = AccessControl::new();
+        acl.define_role("admin", Role::default().allow_type(1));
+        acl.define_role(
+            "analyst",
+            Role::default().allow_rows(1, "language", AttrValue::Str("English".into())),
+        );
+        acl.assign("alice", "admin").unwrap();
+        acl.assign("bob", "analyst").unwrap();
+        (fixture(), acl)
+    }
+
+    const NEAREST: &str = "SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT";
+
+    #[test]
+    fn admin_sees_everything() {
+        let (f, acl) = secured();
+        let p = params_with_vec(&f.post_vecs[7]);
+        let out = execute_as(&f.graph, &acl, "alice", &format!("{NEAREST} 1"), &p).unwrap();
+        assert_eq!(out.rows()[0].id, f.posts[7]); // the Spanish post itself
+    }
+
+    #[test]
+    fn analyst_only_sees_public_rows() {
+        let (f, acl) = secured();
+        // Nearest overall is Spanish post 7; bob must get English posts
+        // instead.
+        let p = params_with_vec(&f.post_vecs[7]);
+        let out = execute_as(&f.graph, &acl, "bob", &format!("{NEAREST} 3"), &p).unwrap();
+        assert!(!out.rows().is_empty());
+        for r in out.rows() {
+            let i = f.posts.iter().position(|&x| x == r.id).unwrap();
+            assert_eq!(i % 2, 0, "post {i} is Spanish but bob saw it");
+        }
+    }
+
+    #[test]
+    fn stranger_is_rejected() {
+        let (f, acl) = secured();
+        let p = params_with_vec(&f.post_vecs[7]);
+        let err = execute_as(&f.graph, &acl, "mallory", &format!("{NEAREST} 1"), &p).unwrap_err();
+        assert!(matches!(err, TvError::PermissionDenied(_)));
+    }
+
+    #[test]
+    fn caller_filter_intersects_with_grants() {
+        let (f, acl) = secured();
+        // Bob (English only) filtered to posts {0, 1}: only 0 remains visible.
+        let out = execute_as(
+            &f.graph,
+            &acl,
+            "bob",
+            "SELECT s FROM (s:Post) WHERE s.length < 500 \
+             ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 5",
+            &params_with_vec(&f.post_vecs[7]),
+        )
+        .unwrap();
+        assert_eq!(out.rows().len(), 1);
+        assert_eq!(out.rows()[0].id, f.posts[0]);
+    }
+
+    #[test]
+    fn revoke_removes_access() {
+        let (f, acl) = secured();
+        acl.revoke("alice", "admin");
+        let p = params_with_vec(&f.post_vecs[7]);
+        assert!(execute_as(&f.graph, &acl, "alice", &format!("{NEAREST} 1"), &p).is_err());
     }
 
     #[test]

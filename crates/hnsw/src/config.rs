@@ -50,13 +50,6 @@ impl HnswConfig {
         self
     }
 
-    /// Override `ef_construction`.
-    #[must_use]
-    pub fn with_ef_construction(mut self, ef: usize) -> Self {
-        self.ef_construction = ef;
-        self
-    }
-
     /// Override the RNG seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {

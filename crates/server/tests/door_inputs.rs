@@ -5,6 +5,14 @@
 //! `Server::cluster_top_k`, `EmbeddingService::top_k_many` and
 //! `EmbeddingService::range_search`. Every cell is `Ok` with an exact row
 //! count or a typed `TvError`; none may panic.
+//!
+//! A second table covers the write doors, `Graph::txn().set_vector(..)
+//! .commit()`, `EmbeddingService::apply_deltas`,
+//! `EmbeddingSegment::append_deltas` and `ClusterRuntime::append_deltas`: a
+//! local id at or beyond the segment capacity, a wrong dimension and NaN/±∞,
+//! each alone and as the third record of a batch (one that spans two
+//! segments where the door routes by id), are a typed `TvError` that appends
+//! nothing and leaves the segment able to merge.
 
 use std::sync::Arc;
 use tg_graph::{AccessControl, Graph, Role};
@@ -266,6 +274,180 @@ fn every_door_answers_edge_case_inputs_with_a_count_or_a_typed_error() {
                 range(&rig, &good, f32::NAN).unwrap_err(),
                 TvError::InvalidArgument(_)
             ));
+        }
+    }
+}
+
+/// The four write doors, each bound to the embedding segment its records
+/// for `SegmentId(1)` end up in.
+const WRITE_DOORS: [&str; 4] = ["txn", "apply_deltas", "segment", "cluster"];
+
+struct WriteRig {
+    graph: Arc<Graph>,
+    cluster: Arc<ClusterRuntime>,
+    /// Every segment behind the door (nothing may be appended to any).
+    segments: Vec<Arc<EmbeddingSegment>>,
+    /// The segment the records of `SegmentId(1)` land in.
+    target: Arc<EmbeddingSegment>,
+    /// First TID above everything the door has stored.
+    next_tid: u64,
+}
+
+fn write_rig(quant: QuantSpec, door: &str) -> WriteRig {
+    let graph = graph(quant, State::Loaded);
+    // Locals 8..16 of graph segment 1, so the good records name real vertices.
+    graph.allocate_many(0, CAPACITY - 8).unwrap();
+    let cluster = cluster(quant, State::Loaded);
+    let (segments, next_tid) = match door {
+        "txn" | "apply_deltas" => (
+            graph.embeddings().attr(0).unwrap().all_segments(),
+            graph.read_tid().0 + 1,
+        ),
+        _ => (
+            (0..3)
+                .map(|s| cluster.segment(SegmentId(s)).unwrap())
+                .collect(),
+            1000,
+        ),
+    };
+    WriteRig {
+        target: Arc::clone(&segments[1]),
+        graph,
+        cluster,
+        segments,
+        next_tid,
+    }
+}
+
+/// Write `batch` through `door`; the TID of the last record on success.
+fn write(rig: &WriteRig, door: &str, batch: &[(VertexId, Vec<f32>)]) -> TvResult<Tid> {
+    let records: Vec<DeltaRecord> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, (id, v))| DeltaRecord::upsert(*id, Tid(rig.next_tid + i as u64), v.clone()))
+        .collect();
+    let last = records.last().expect("non-empty batch").tid;
+    match door {
+        "txn" => {
+            let mut txn = rig.graph.txn();
+            for (id, v) in batch {
+                txn = txn.set_vector(0, *id, v.clone());
+            }
+            txn.commit()
+        }
+        "apply_deltas" => rig
+            .graph
+            .embeddings()
+            .apply_deltas(0, &records)
+            .map(|()| last),
+        "segment" => rig.target.append_deltas(&records).map(|()| last),
+        "cluster" => rig
+            .cluster
+            .append_deltas(SegmentId(1), &records)
+            .map(|()| last),
+        other => panic!("no door named {other}"),
+    }
+}
+
+/// The typed error a bad record must come back as.
+enum Refusal {
+    /// `InvalidArgument` naming the id and the capacity.
+    BeyondCapacity,
+    /// `DimensionMismatch` with both lengths.
+    Dimension,
+    /// `InvalidArgument` naming the poisoned component.
+    NonFinite,
+}
+
+impl Refusal {
+    fn matches(&self, err: &TvError, (id, vector): &(VertexId, Vec<f32>)) -> bool {
+        match (self, err) {
+            (Refusal::BeyondCapacity, TvError::InvalidArgument(m)) => {
+                m.contains(&id.to_string()) && m.contains(&format!("capacity {CAPACITY}"))
+            }
+            (Refusal::Dimension, TvError::DimensionMismatch { expected: DIM, got }) => {
+                *got == vector.len()
+            }
+            (Refusal::NonFinite, TvError::InvalidArgument(m)) => m.contains("component 2"),
+            _ => false,
+        }
+    }
+}
+
+#[test]
+fn every_write_door_refuses_bad_records_whole_and_keeps_merging() {
+    let id = |local: u32| VertexId::new(SegmentId(1), LocalId(local));
+    let good = vec![1.0f32; DIM];
+    let poisoned = |p: f32| {
+        let mut v = good.clone();
+        v[2] = p;
+        v
+    };
+    let cases = [
+        (
+            "local id = capacity",
+            id(CAPACITY as u32),
+            good.clone(),
+            Refusal::BeyondCapacity,
+        ),
+        (
+            "local id = u32::MAX",
+            id(u32::MAX),
+            good.clone(),
+            Refusal::BeyondCapacity,
+        ),
+        (
+            "short vector",
+            id(12),
+            good[..DIM - 1].to_vec(),
+            Refusal::Dimension,
+        ),
+        (
+            "long vector",
+            id(12),
+            vec![1.0; DIM + 1],
+            Refusal::Dimension,
+        ),
+        ("NaN", id(12), poisoned(f32::NAN), Refusal::NonFinite),
+        ("+inf", id(12), poisoned(f32::INFINITY), Refusal::NonFinite),
+        (
+            "-inf",
+            id(12),
+            poisoned(f32::NEG_INFINITY),
+            Refusal::NonFinite,
+        ),
+    ];
+    for quant in [QuantSpec::f32(), QuantSpec::sq8()] {
+        for door in WRITE_DOORS {
+            let rig = write_rig(quant, door);
+            let pending = || -> usize { rig.segments.iter().map(|s| s.mem_delta_count()).sum() };
+            assert_eq!(pending(), 0);
+            for (case, bad_id, bad_vector, refusal) in &cases {
+                let bad = (*bad_id, bad_vector.clone());
+                // Alone, and as the third record behind two good ones; where
+                // the door routes by id, the first is another segment's.
+                let routed = matches!(door, "txn" | "apply_deltas");
+                let first = VertexId::new(SegmentId(u32::from(!routed)), LocalId(8));
+                let third = vec![(first, good.clone()), (id(9), good.clone()), bad.clone()];
+                for batch in [vec![bad.clone()], third] {
+                    let err = write(&rig, door, &batch).unwrap_err();
+                    let ctx = format!("{} {door} {case} x{}", quant.tier, batch.len());
+                    assert!(refusal.matches(&err, &bad), "{ctx}: {err}");
+                    assert_eq!(pending(), 0, "{ctx}: a refused batch appended records");
+                }
+            }
+            // The door still takes a good record, and the segment merges it:
+            // far from every loaded vector, so it is its own nearest.
+            let far = vec![50.0f32; DIM];
+            let tid = write(&rig, door, &[(id(11), far.clone())]).unwrap();
+            assert_eq!(pending(), 1, "{} {door}", quant.tier);
+            rig.target.delta_merge(tid);
+            assert_eq!(rig.target.index_merge(tid).unwrap(), Some(tid));
+            assert_eq!(rig.target.mem_delta_count(), 0);
+            assert_eq!(rig.target.storage_tier(), quant.tier);
+            let (found, stats) = rig.target.search(&far, 1, 32, None, Tid::MAX, &planner());
+            assert_eq!(found[0].id, id(11), "{} {door}", quant.tier);
+            assert_eq!(stats.filtered_out, 0);
         }
     }
 }

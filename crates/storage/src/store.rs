@@ -222,14 +222,9 @@ impl GraphStore {
 
     /// Durable store appending to the WAL at `path`. Existing WAL contents
     /// are NOT replayed automatically — create the vertex types first, then
-    /// call [`GraphStore::replay`] with [`Wal::replay`]'s records.
-    pub fn with_wal(path: &Path) -> TvResult<Self> {
-        Self::with_wal_plan(path, None)
-    }
-
-    /// [`GraphStore::with_wal`] with a crash-point plan threaded into the
-    /// commit pipeline and the WAL (testing only; `None` in production
-    /// makes every hook a no-op).
+    /// call [`GraphStore::replay`] with [`Wal::replay`]'s records. `plan` is
+    /// a crash-point plan threaded into the commit pipeline and the WAL
+    /// (testing only; `None` in production makes every hook a no-op).
     pub fn with_wal_plan(path: &Path, plan: Option<Arc<CrashPlan>>) -> TvResult<Self> {
         let mut wal = Wal::open(path)?;
         wal.set_crash_plan(plan.clone());
@@ -558,7 +553,7 @@ mod tests {
 
         let (id_a, id_b);
         {
-            let store = GraphStore::with_wal(&path).unwrap();
+            let store = GraphStore::with_wal_plan(&path, None).unwrap();
             let pt = store.create_vertex_type(person_schema(), SegmentLayout::with_capacity(4));
             let people = store.vertex_type(pt).unwrap();
             id_a = people.allocate_id();
@@ -600,7 +595,7 @@ mod tests {
         }
 
         // "Restart": new store, same catalog order, replay.
-        let store = GraphStore::with_wal(&path).unwrap();
+        let store = GraphStore::with_wal_plan(&path, None).unwrap();
         let pt = store.create_vertex_type(person_schema(), SegmentLayout::with_capacity(4));
         let records = Wal::replay(&path).unwrap();
         let extras = store.replay(records).unwrap();

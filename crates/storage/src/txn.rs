@@ -79,12 +79,6 @@ impl TxnManager {
         }
     }
 
-    /// Number of currently registered readers (for tests/metrics).
-    #[must_use]
-    pub fn active_readers(&self) -> usize {
-        self.active_reads.lock().values().sum()
-    }
-
     fn end_read(&self, tid: Tid) {
         let mut reads = self.active_reads.lock();
         if let Some(count) = reads.get_mut(&tid.0) {
@@ -170,12 +164,12 @@ mod tests {
         let t1 = mgr.begin_read(); // tid 1
         mgr.commit_with(|_| Ok::<(), ()>(())).unwrap();
         let t2 = mgr.begin_read(); // tid 2
-        assert_eq!(mgr.active_readers(), 2);
         assert_eq!(mgr.vacuum_horizon(), Tid(1));
         drop(t1);
         assert_eq!(mgr.vacuum_horizon(), Tid(2));
         drop(t2);
-        assert_eq!(mgr.active_readers(), 0);
+        // No reader left: the horizon is the commit watermark again.
+        assert_eq!(mgr.vacuum_horizon(), mgr.last_committed());
     }
 
     #[test]

@@ -69,17 +69,6 @@ impl AttrValue {
         }
     }
 
-    /// Default value for a declared type (used for sparse loads).
-    #[must_use]
-    pub fn default_for(t: AttrType) -> AttrValue {
-        match t {
-            AttrType::Int => AttrValue::Int(0),
-            AttrType::Double => AttrValue::Double(0.0),
-            AttrType::Str => AttrValue::Str(String::new()),
-            AttrType::Bool => AttrValue::Bool(false),
-        }
-    }
-
     /// Integer accessor.
     #[must_use]
     pub fn as_int(&self) -> Option<i64> {
@@ -89,30 +78,11 @@ impl AttrValue {
         }
     }
 
-    /// Float accessor (ints widen).
-    #[must_use]
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            AttrValue::Double(v) => Some(*v),
-            AttrValue::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// String accessor.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             AttrValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Bool accessor.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -207,15 +177,6 @@ impl AttrSchema {
         }
         Ok(())
     }
-
-    /// A default row (all defaults), for partially-specified loads.
-    #[must_use]
-    pub fn default_row(&self) -> Vec<AttrValue> {
-        self.types
-            .iter()
-            .map(|&t| AttrValue::default_for(t))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -274,19 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn default_row_matches_schema() {
-        let s = schema();
-        let row = s.default_row();
-        assert!(s.check_row(&row).is_ok());
-    }
-
-    #[test]
     fn value_accessors() {
         assert_eq!(AttrValue::Int(3).as_int(), Some(3));
-        assert_eq!(AttrValue::Int(3).as_double(), Some(3.0));
-        assert_eq!(AttrValue::Double(2.5).as_double(), Some(2.5));
         assert_eq!(AttrValue::Str("a".into()).as_str(), Some("a"));
-        assert_eq!(AttrValue::Bool(true).as_bool(), Some(true));
         assert_eq!(AttrValue::Str("a".into()).as_int(), None);
     }
 

@@ -151,3 +151,63 @@ fn embedding_service_matches_flat_system_recall() {
     let recall = sum / ds.queries.len() as f64;
     assert!(recall > 0.9, "service recall {recall}");
 }
+
+#[test]
+fn pq_tier_serves_top_k_many_at_its_operating_point() {
+    // `pq{m}` has no workload and no example; what keeps it is one cell of
+    // the run ROADMAP item G registered: `pq32` at dimension 128, `ef` 24
+    // (EXPERIMENTS "Quantized storage tier", run 3). Segments declared
+    // `pq(32)` train on what an index merge hands them, traverse ADC codes,
+    // re-score the survivors against the SQ8 side store and answer the
+    // service's batch door close to brute force.
+    use tigervector::common::{Deadline, QuantSpec, StorageTier, Tid};
+    use tigervector::embedding::{BatchQuery, EmbeddingService, EmbeddingTypeDef, ServiceConfig};
+    use tigervector::hnsw::{DeltaRecord, SearchStats};
+
+    const M: usize = 32;
+    const EF: usize = 24;
+    // Two segments of 400: each trains its codebooks once half full.
+    let layout = SegmentLayout::with_capacity(400);
+    let ds = VectorDataset::generate_dim(DatasetShape::Sift, 128, 800, 20, 24);
+    let gt = ground_truth(&ds.base, &ds.queries, K, ds.shape.metric(), layout);
+    let svc = EmbeddingService::new(ServiceConfig::default());
+    let def =
+        EmbeddingTypeDef::new("e", ds.dim, "SIFT", ds.shape.metric()).with_quant(QuantSpec::pq(M));
+    let attr = svc.register(0, def, layout).unwrap();
+    let recs: Vec<DeltaRecord> = ds
+        .with_ids(layout)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (id, v))| DeltaRecord::upsert(id, Tid(i as u64 + 1), v))
+        .collect();
+    let tid = Tid(recs.len() as u64);
+    svc.apply_deltas(attr, &recs).unwrap();
+    svc.delta_merge(attr, tid).unwrap();
+    svc.index_merge(attr, tid, 1).unwrap();
+    for seg in svc.attr(attr).unwrap().all_segments() {
+        assert_eq!(seg.storage_tier(), StorageTier::Pq { m: M });
+    }
+
+    let batch: Vec<BatchQuery<&[f32]>> = ds
+        .queries
+        .iter()
+        .map(|q| BatchQuery {
+            query: q.as_slice(),
+            k: K,
+            ef: EF,
+        })
+        .collect();
+    let mut stats = SearchStats::default();
+    let found = svc
+        .top_k_many(&[attr], &batch, tid, None, Deadline::none(), &mut stats)
+        .unwrap();
+    assert!(stats.reranked > 0, "survivors are re-scored against SQ8");
+    let mut sum = 0.0;
+    for (hits, truth) in found.iter().zip(&gt) {
+        let neighbors: Vec<tigervector::common::Neighbor> =
+            hits.iter().map(|t| t.neighbor).collect();
+        sum += recall_at_k(&neighbors, truth, K);
+    }
+    let recall = sum / found.len() as f64;
+    assert!(recall > 0.9, "pq{M} recall@{K} {recall} at ef {EF}");
+}
