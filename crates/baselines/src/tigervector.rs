@@ -20,8 +20,6 @@ pub struct TigerVectorSystem {
     staged: Vec<Vec<(VertexId, Vec<f32>)>>,
     segments: Vec<HnswIndex>,
     ef: usize,
-    /// Threads per segment index build (1 = sequential, deterministic).
-    build_threads: usize,
     times: BuildTimes,
 }
 
@@ -36,18 +34,8 @@ impl TigerVectorSystem {
             staged: Vec::new(),
             segments: Vec::new(),
             ef: 64,
-            build_threads: 1,
             times: BuildTimes::default(),
         }
-    }
-
-    /// Builder: link each segment's HNSW with this many threads during
-    /// [`VectorSystem::build_index`] (levels stay deterministic per key;
-    /// see `HnswIndex::insert_batch`).
-    #[must_use]
-    pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads.max(1);
-        self
     }
 
     /// Builder: store vectors on a quantized tier. Each segment index is
@@ -119,8 +107,9 @@ impl VectorSystem for TigerVectorSystem {
             .enumerate()
             .map(|(si, rows)| {
                 let mut idx = HnswIndex::new(self.cfg.with_seed(self.cfg.seed ^ si as u64));
-                idx.insert_batch(rows, self.build_threads)
-                    .expect("staged dimensions are valid");
+                for (id, v) in rows {
+                    idx.insert(*id, v).expect("staged dimensions are valid");
+                }
                 if self.quant.is_quantized() && idx.len() > 0 {
                     idx.quantize(self.quant).expect("fresh index accepts spec");
                 }

@@ -65,7 +65,6 @@ fn main() {
                 total_cpu: cpu,
                 merge_cpu: std::time::Duration::from_micros(30),
                 response_bytes: k * 12,
-                request_bytes: ds.dim * 4 + 16,
             };
             let qps = ClusterModel::paper_default(servers).qps(&work);
             let retained = if n == n_small {

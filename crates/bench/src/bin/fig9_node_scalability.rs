@@ -75,7 +75,6 @@ fn main() {
             total_cpu: cpu,
             merge_cpu,
             response_bytes: k * 12,
-            request_bytes: ds.dim * 4 + 16,
         };
         let mut qps_prev = None;
         for servers in [8usize, 16, 32] {

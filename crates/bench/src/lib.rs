@@ -256,7 +256,8 @@ pub fn storage_info() -> serde_json::Value {
     })
 }
 
-/// Write a JSON result file under `bench_results/`, stamped with
+/// Write a JSON result file under `bench_results/` in the working
+/// directory (the `make` smokes run from `target/smoke`), stamped with
 /// [`kernel_info`], [`storage_info`] and [`planner_info`]. Object payloads get the keys
 /// inline; array payloads are wrapped as `{"kernel_info": ..., "rows":
 /// [...]}`.

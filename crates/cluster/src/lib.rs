@@ -14,7 +14,7 @@
 //!   This validates the architecture (results identical to a centralized
 //!   search, replica failover works) and measures real per-server compute.
 //! * [`model`] — an analytic cost model that turns measured per-query CPU
-//!   work into modeled cluster latency/QPS under a configurable network
+//!   work into modeled cluster QPS under a configurable network
 //!   (per-message latency + per-byte cost) and per-server core count. The
 //!   node- and data-scalability figures (Fig. 9/10) are regenerated through
 //!   this model; DESIGN.md documents the substitution.

@@ -52,8 +52,6 @@ pub struct QueryWork {
     pub merge_cpu: Duration,
     /// Result payload per server (ids + distances ≈ 12 bytes × k).
     pub response_bytes: usize,
-    /// Request payload per server (query vector + parameters).
-    pub request_bytes: usize,
 }
 
 /// The modeled cluster.
@@ -79,22 +77,6 @@ impl ClusterModel {
             network: NetworkModel::default(),
             dispatch_overhead: Duration::from_micros(30),
         }
-    }
-
-    /// Modeled single-query latency: dispatch to every server, servers
-    /// search their segment share in parallel (using all local cores), then
-    /// responses return and merge.
-    #[must_use]
-    pub fn latency(&self, work: &QueryWork) -> Duration {
-        let per_server_cpu =
-            work.total_cpu.as_secs_f64() / self.servers as f64 / self.cores_per_server as f64
-                * self.cores_per_server.min(8) as f64; // a single query uses at most ~8 cores effectively
-        let dispatch = self.dispatch_overhead.as_secs_f64() * self.servers as f64;
-        let net_out = self.network.transfer(work.request_bytes).as_secs_f64();
-        let net_back = self.network.transfer(work.response_bytes).as_secs_f64();
-        Duration::from_secs_f64(
-            dispatch + net_out + per_server_cpu + net_back + work.merge_cpu.as_secs_f64(),
-        )
     }
 
     /// Modeled saturated throughput when a fraction `failure_rate` of
@@ -134,7 +116,6 @@ mod tests {
             total_cpu: Duration::from_millis(20),
             merge_cpu: Duration::from_micros(30),
             response_bytes: 1200,
-            request_bytes: 512,
         }
     }
 
@@ -143,7 +124,6 @@ mod tests {
             total_cpu: Duration::from_micros(50),
             merge_cpu: Duration::from_micros(30),
             response_bytes: 1200,
-            request_bytes: 512,
         }
     }
 
@@ -170,26 +150,6 @@ mod tests {
             "light work should scale sublinearly, got {gain}"
         );
         assert!(gain > 1.0, "still should improve, got {gain}");
-    }
-
-    #[test]
-    fn latency_improves_with_servers_for_heavy_work() {
-        let w = heavy_work();
-        let l1 = ClusterModel::paper_default(1).latency(&w);
-        let l8 = ClusterModel::paper_default(8).latency(&w);
-        assert!(l8 < l1);
-    }
-
-    #[test]
-    fn latency_has_network_floor() {
-        let w = QueryWork {
-            total_cpu: Duration::ZERO,
-            merge_cpu: Duration::ZERO,
-            response_bytes: 0,
-            request_bytes: 0,
-        };
-        let l = ClusterModel::paper_default(4).latency(&w);
-        assert!(l >= Duration::from_micros(150)); // two one-way hops
     }
 
     #[test]

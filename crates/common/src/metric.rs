@@ -94,17 +94,37 @@ pub fn distance(metric: DistanceMetric, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Reject a vector with a NaN or infinite component — a distance to it is
-/// not a number any index or merge can order. The error names the first bad
-/// component.
+/// The largest squared norm [`check_finite`] admits: 2^100, a norm of about
+/// 1.1e15 (unit-normalised embeddings sit at 1). Between two admitted
+/// vectors squared L2 is at most (‖a‖ + ‖b‖)² ≤ 2^102, |⟨a, b⟩| and the
+/// cosine denominator ‖a‖‖b‖ at most 2^100, all far below `f32::MAX`
+/// (≈ 2^128). The headroom covers the kernels' f32 rounding and quantized
+/// reconstructions: each component lies inside the trained per-dimension
+/// range, so a reconstruction's squared norm is at most `dim × 2^100`,
+/// under 2^124 for any dimension below 2^24.
+const MAX_NORM_SQ: f64 = (1u128 << 100) as f64;
+
+/// Reject a vector no distance to which is a number every index and merge
+/// can order: a NaN or infinite component (the error names the first), or
+/// finite components whose squared norm exceeds 2^100 — such as
+/// `[1e20, -1e20, 1e20, -1e20]`, whose norm overflows f32 to ∞ and whose
+/// cosine distance to `[1e20; 4]` is NaN.
 pub fn check_finite(v: &[f32]) -> crate::TvResult<()> {
-    match v.iter().position(|x| !x.is_finite()) {
-        None => Ok(()),
-        Some(i) => Err(crate::TvError::InvalidArgument(format!(
+    if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+        return Err(crate::TvError::InvalidArgument(format!(
             "vector component {i} is {}, not a finite number",
             v[i]
-        ))),
+        )));
     }
+    // Summed in f64, which no f32 input can overflow, so the verdict does
+    // not depend on the kernel tier.
+    let norm_sq: f64 = v.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
+    if norm_sq > MAX_NORM_SQ {
+        return Err(crate::TvError::InvalidArgument(format!(
+            "vector squared norm {norm_sq:e} exceeds 2^100; distances to it could overflow"
+        )));
+    }
+    Ok(())
 }
 
 /// Normalize a vector in place to unit length; leaves zero vectors untouched.
@@ -128,12 +148,31 @@ mod tests {
     #[test]
     fn check_finite_names_the_first_bad_component() {
         assert!(check_finite(&[]).is_ok());
-        assert!(check_finite(&[0.0, -1.5, f32::MAX, f32::MIN_POSITIVE]).is_ok());
+        assert!(check_finite(&[0.0, -1.5, 1e15, f32::MIN_POSITIVE]).is_ok());
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let err = check_finite(&[1.0, 2.0, bad, f32::NAN]).unwrap_err();
             assert!(
                 matches!(&err, crate::TvError::InvalidArgument(m) if m.contains("component 2")),
                 "{err}"
+            );
+        }
+    }
+
+    /// Every component finite, the norm too large: refused, whatever the
+    /// sign pattern, right above the bound and not right below it.
+    #[test]
+    fn check_finite_refuses_an_overflowing_norm() {
+        let edge = (MAX_NORM_SQ / 4.0).sqrt() as f32;
+        assert!(check_finite(&[edge; 4]).is_ok());
+        for v in [
+            [edge * 1.01; 4],
+            [1e20, -1e20, 1e20, -1e20],
+            [f32::MAX, 0.0, 0.0, 0.0],
+        ] {
+            let err = check_finite(&v).unwrap_err();
+            assert!(
+                matches!(&err, crate::TvError::InvalidArgument(m) if m.contains("norm")),
+                "{v:?}: {err}"
             );
         }
     }

@@ -518,19 +518,17 @@ impl EmbeddingSegment {
         let snap = self.snapshot_for(read_tid);
         let overlay = self.overlay(snap.up_to, read_tid);
         let mut index = HnswIndex::new(*snap.index.config());
-        let mut items: Vec<(VertexId, Vec<f32>)> = Vec::new();
         for (id, vector) in snap.index.scan() {
-            match overlay.get(&id) {
-                Some(_) => {} // superseded; handled below
-                None => items.push((id, vector)),
+            // The overlay's upsert or delete supersedes the snapshot's vector.
+            if !overlay.contains_key(&id) {
+                index.insert(id, &vector)?;
             }
         }
         for (id, action) in &overlay {
             if let Some(v) = action {
-                items.push((*id, v.clone()));
+                index.insert(*id, v)?;
             }
         }
-        index.insert_batch(&items, 1)?;
         self.apply_quant(&mut index)?;
         self.apply_layout(&mut index);
         let up_to = read_tid.max(snap.up_to);

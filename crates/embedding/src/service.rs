@@ -883,6 +883,52 @@ mod tests {
         assert_eq!(files, 3);
     }
 
+    /// Segments build side by side, each on one thread: whatever the number
+    /// of merge workers, every segment publishes the same snapshot bytes —
+    /// after a first merge, and after a second that moves and deletes
+    /// vectors (neighborhood repair), on f32 and on SQ8.
+    #[test]
+    fn index_merge_publishes_the_same_bytes_at_every_width() {
+        let layout = SegmentLayout::with_capacity(16);
+        let images = |quant: tv_common::QuantSpec, width: usize| -> Vec<Vec<u8>> {
+            let svc = service();
+            let a = svc.register(0, def("e").with_quant(quant), layout).unwrap();
+            let vecs = load(&svc, a, 80, 29); // 5 segments
+            svc.delta_merge(a, Tid(80)).unwrap();
+            assert_eq!(svc.index_merge(a, Tid(80), width).unwrap(), 5);
+            let recs: Vec<DeltaRecord> = (0..80)
+                .step_by(3)
+                .enumerate()
+                .map(|(i, l)| {
+                    let (id, tid) = (layout.vertex_id(l), Tid(81 + i as u64));
+                    if i % 2 == 0 {
+                        DeltaRecord::upsert(id, tid, vecs[79 - l].clone())
+                    } else {
+                        DeltaRecord::delete(id, tid)
+                    }
+                })
+                .collect();
+            svc.apply_deltas(a, &recs).unwrap();
+            svc.delta_merge(a, Tid::MAX).unwrap();
+            assert_eq!(svc.index_merge(a, Tid::MAX, width).unwrap(), 5);
+            svc.attr(a)
+                .unwrap()
+                .all_segments()
+                .iter()
+                .map(|seg| {
+                    assert_eq!(seg.storage_tier(), quant.tier);
+                    tv_hnsw::snapshot::to_bytes(&seg.newest_snapshot().index)
+                })
+                .collect()
+        };
+        for quant in [tv_common::QuantSpec::f32(), tv_common::QuantSpec::sq8()] {
+            let want = images(quant, 1);
+            for width in [2, 4] {
+                assert!(images(quant, width) == want, "{} width {width}", quant.tier);
+            }
+        }
+    }
+
     #[test]
     fn range_search_across_segments() {
         let svc = service();

@@ -160,13 +160,14 @@ impl EmbeddingTypeDef {
     }
 
     /// Validate a vector against this attribute — a query's, or one about
-    /// to be stored: the declared dimension, and every component finite.
+    /// to be stored: the declared dimension, every component finite and
+    /// the norm bounded (`tv_common::check_finite`).
     pub fn check_query_vector(&self, v: &[f32]) -> TvResult<()> {
         check_vector(self.dimension, v)
     }
 }
 
-/// `v` has `dimension` components and every one is finite.
+/// `v` has `dimension` components and passes `tv_common::check_finite`.
 pub(crate) fn check_vector(dimension: usize, v: &[f32]) -> TvResult<()> {
     if v.len() != dimension {
         return Err(TvError::DimensionMismatch {

@@ -1,16 +1,14 @@
 //! Graph construction and repair: inserts, in-place updates with
-//! neighborhood repair, soft deletes, and the parallel bulk build. Every
-//! path links a node with the same [`HnswIndex::link_node`] over a
-//! [`LinkStore`] — the forest for sequential writes, the per-node-locked
-//! forest for the parallel build — and prunes lists with the same
-//! [`HnswIndex::select_from`].
+//! neighborhood repair, and soft deletes. Every path links a node with the
+//! same [`HnswIndex::link_node`] over the forest and prunes lists with the
+//! same [`HnswIndex::select_from`]. A segment's graph is built by one
+//! thread, one insert at a time; build parallelism is whole segments side
+//! by side on the worker pool (DESIGN §3g).
 
 use crate::index::HnswIndex;
-use crate::search::{lock_node, LinkStore, Scorer, SearchScratch};
+use crate::search::{Scorer, SearchScratch};
 use crate::select::select_neighbors;
 use crate::stats::SearchStats;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Mutex, PoisonError, RwLock};
 use tv_common::kernels::{self, cosine_from_parts};
 use tv_common::{DistanceMetric, PreparedQuery, SplitMix64, TvError, TvResult, VertexId};
 use tv_quant::QuantQuery;
@@ -41,11 +39,10 @@ impl HnswIndex {
 
     /// Deterministic per-key level sample: the key (mixed with the config
     /// seed) seeds a [`SplitMix64`] stream whose first exponential draw
-    /// picks the level. Replaces the old shared-mutable build RNG — levels
-    /// no longer depend on insertion order, so parallel build interleaving
-    /// cannot perturb them, a key re-inserted after deletion lands on the
-    /// same level, and `fig11_update` runs are reproducible. Persisted
-    /// snapshots are unaffected (levels are stored).
+    /// picks the level. Levels do not depend on insertion order: a key
+    /// re-inserted after deletion lands on the same level, and
+    /// `fig11_update` runs are reproducible. Persisted snapshots are
+    /// unaffected (levels are stored).
     fn level_for_key(&self, key: VertexId) -> u8 {
         let raw = (u64::from(key.segment().0) << 32) | u64::from(key.local().0);
         let mut rng = SplitMix64::new(self.cfg.seed ^ raw);
@@ -151,11 +148,10 @@ impl HnswIndex {
     /// Link one appended node into `graph`, starting from `entry`: greedy
     /// descent above its level, then per layer a beam search, diversity
     /// selection, the node's own list written, and back-links added (and
-    /// pruned) on each chosen neighbor — one list edited at a time, so the
-    /// locked forest never holds two node locks.
-    fn link_node<G: LinkStore + ?Sized>(
+    /// pruned) on each chosen neighbor.
+    fn link_node(
         &self,
-        graph: &mut G,
+        graph: &mut [Vec<Vec<u32>>],
         slot: u32,
         sc: &Scorer<'_>,
         (start, top): (u32, u8),
@@ -178,42 +174,25 @@ impl HnswIndex {
                 &mut stats,
                 scratch,
             );
-            // A moved node still has in-links, and a node linked in
-            // parallel is reachable once a peer back-links it; never link a
-            // node to itself.
+            // A moved node still has in-links; never link a node to itself.
             found.retain(|&(_, s)| s != slot);
             let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
             let chosen =
                 select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            graph.edit(slot, lvl, |own| own.clone_from(&chosen));
+            graph[slot as usize][lvl as usize].clone_from(&chosen);
             for &nb in &chosen {
-                graph.edit(nb, lvl, |list| {
-                    self.add_back_link(nb, list, slot, max_deg, scratch);
-                });
+                let list = &mut graph[nb as usize][lvl as usize];
+                if !list.contains(&slot) {
+                    list.push(slot);
+                    if list.len() > max_deg {
+                        *list = self.select_from(nb, list, max_deg, scratch);
+                    }
+                }
             }
             entry_points = found.iter().map(|&(_, s)| s).collect();
             if entry_points.is_empty() {
                 entry_points = vec![cur];
             }
-        }
-    }
-
-    /// Add the back-link `nb → slot` to `nb`'s list, pruning the list back
-    /// to `max_deg` if it overflows.
-    fn add_back_link(
-        &self,
-        nb: u32,
-        list: &mut Vec<u32>,
-        slot: u32,
-        max_deg: usize,
-        scratch: &mut SearchScratch,
-    ) {
-        if list.contains(&slot) {
-            return;
-        }
-        list.push(slot);
-        if list.len() > max_deg {
-            *list = self.select_from(nb, list, max_deg, scratch);
         }
     }
 
@@ -312,179 +291,5 @@ impl HnswIndex {
             }
         }
         false
-    }
-
-    /// What a parallel batch may link concurrently. Checks every item's
-    /// dimension (before anything is applied), then returns the keys that
-    /// occur exactly once in the batch and are not in the index yet.
-    /// Everything else — repeated keys, upserts of live keys — must apply
-    /// sequentially, in batch order, to preserve per-id record order.
-    fn fresh_keys(&self, items: &[(VertexId, Vec<f32>)]) -> TvResult<HashSet<VertexId>> {
-        let mut count: HashMap<VertexId, usize> = HashMap::new();
-        for (key, vector) in items {
-            self.check_dim(vector)?;
-            *count.entry(*key).or_insert(0) += 1;
-        }
-        count.retain(|key, n| *n == 1 && !self.slot_of.contains_key(key));
-        Ok(count.into_keys().collect())
-    }
-
-    /// Bulk insert with optional parallel graph construction.
-    ///
-    /// `threads <= 1` (or a batch of one) runs the plain sequential insert
-    /// loop and is **bit-identical** to calling [`HnswIndex::insert`] per
-    /// item. With more threads, items whose key repeats within the batch or
-    /// is already live are applied sequentially first (in batch order, so
-    /// upsert semantics are preserved), and the remaining fresh appends are
-    /// linked concurrently under per-node locks. Levels come from the
-    /// deterministic per-key sampler, so the node set and level assignment
-    /// are identical across thread counts; only link sets may differ
-    /// (hnswlib-style construction races), preserving recall parity rather
-    /// than byte identity.
-    pub fn insert_batch(&mut self, items: &[(VertexId, Vec<f32>)], threads: usize) -> TvResult<()> {
-        self.ensure_mutable();
-        if threads <= 1 || items.len() <= 1 {
-            for (key, vector) in items {
-                self.insert(*key, vector)?;
-            }
-            return Ok(());
-        }
-        let fresh_keys = self.fresh_keys(items)?;
-        let mut fresh: Vec<(VertexId, &[f32])> = Vec::with_capacity(items.len());
-        for (key, vector) in items {
-            if fresh_keys.contains(key) {
-                fresh.push((*key, vector.as_slice()));
-            } else {
-                self.insert(*key, vector)?;
-            }
-        }
-        self.parallel_insert_fresh(&fresh, threads);
-        Ok(())
-    }
-
-    /// Append `items` (all fresh keys, dimension-checked by the caller) and
-    /// link them concurrently. Phase A appends every slot sequentially, so
-    /// the shared state is immutable during linking. Phase B moves the
-    /// adjacency lists into per-node mutexes and the entry point into an
-    /// `RwLock`, then fans the link work out over the shared pool; scoring
-    /// reads only the (now frozen) arena/codes, and neighbor lists are
-    /// touched one lock at a time, so no lock ordering issues arise.
-    fn parallel_insert_fresh(&mut self, items: &[(VertexId, &[f32])], threads: usize) {
-        let first = self.keys.len() as u32;
-        for (key, vector) in items {
-            self.append_slot(*key, vector);
-        }
-        let mut work: Vec<u32> = (first..self.keys.len() as u32).collect();
-        if self.entry.is_none() {
-            if work.is_empty() {
-                return;
-            }
-            // Bootstrap like the sequential path: the first node becomes the
-            // entry with no out-links; later nodes back-link into it.
-            let boot = work.remove(0);
-            self.entry = Some((boot, self.levels[boot as usize]));
-        }
-        if work.is_empty() {
-            return;
-        }
-        let locked: Vec<Mutex<Vec<Vec<u32>>>> = std::mem::take(&mut self.links)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let entry_lock = RwLock::new(self.entry.expect("entry bootstrapped above"));
-        let this = &*self;
-        let pool = tv_common::pool::global();
-        pool.run(work.clone(), threads, |slot| {
-            this.link_one_locked(slot, &locked, &entry_lock);
-        });
-        // Refinement pass: two nodes linked concurrently are blind to each
-        // other (neither had links when the other's beam ran), which costs
-        // a fraction of a percent of recall versus sequential build. One
-        // level-0 re-search per fresh node over the now-complete graph
-        // recovers those missed mutual links and restores recall parity.
-        let entry = *entry_lock.read().unwrap_or_else(PoisonError::into_inner);
-        pool.run(work, threads, |slot| {
-            this.refine_one_locked(slot, &locked, entry);
-        });
-        self.links = locked
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        self.entry = Some(entry);
-    }
-
-    /// Link one pre-appended node into the locked graph
-    /// ([`Self::link_node`] over the locked forest), then raise the shared
-    /// entry point if the node's level tops it.
-    fn link_one_locked(
-        &self,
-        slot: u32,
-        mut links: &[Mutex<Vec<Vec<u32>>>],
-        entry: &RwLock<(u32, u8)>,
-    ) {
-        let level = self.levels[slot as usize];
-        let sc = self.slot_scorer(slot);
-        let mut scratch = self.scratch.take();
-        let at = *entry.read().unwrap_or_else(PoisonError::into_inner);
-        self.link_node(&mut links, slot, &sc, at, &mut scratch);
-        self.scratch.put(scratch);
-        if level > at.1 {
-            let mut e = entry.write().unwrap_or_else(PoisonError::into_inner);
-            if level > e.1 {
-                *e = (slot, level);
-            }
-        }
-    }
-
-    /// Second-pass link refinement for one node (parallel build only):
-    /// re-run the level-0 beam on the completed locked graph, merge the
-    /// candidates with the node's current list through the diversity
-    /// heuristic, and back-link any newly chosen neighbors.
-    fn refine_one_locked(
-        &self,
-        slot: u32,
-        mut links: &[Mutex<Vec<Vec<u32>>>],
-        (start, top): (u32, u8),
-    ) {
-        let sc = self.slot_scorer(slot);
-        let mut scratch = self.scratch.take();
-        let mut stats = SearchStats::default();
-        let ef = self.cfg.ef_construction;
-        let cur = self.greedy_descent(&links, &sc, start, top, 1, &mut stats, &mut scratch);
-        let mut found = self.beam_search(
-            &links,
-            &sc,
-            &[cur],
-            ef,
-            0,
-            |_, _| true,
-            &mut stats,
-            &mut scratch,
-        );
-        found.retain(|&(_, s)| s != slot);
-        if !found.is_empty() {
-            let own: Vec<u32> = lock_node(&links[slot as usize])[0].clone();
-            self.score_slots(&sc, &own, &mut scratch.dists);
-            for (&nb, &nd) in own.iter().zip(&scratch.dists) {
-                if !found.iter().any(|&(_, s)| s == nb) {
-                    found.push((nd, nb));
-                }
-            }
-            found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let chosen =
-                select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            let added: Vec<u32> = chosen
-                .iter()
-                .copied()
-                .filter(|nb| !own.contains(nb))
-                .collect();
-            links.edit(slot, 0, |list| *list = chosen);
-            for nb in added {
-                links.edit(nb, 0, |list| {
-                    self.add_back_link(nb, list, slot, self.cfg.m0, &mut scratch);
-                });
-            }
-        }
-        self.scratch.put(scratch);
     }
 }

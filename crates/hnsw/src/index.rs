@@ -1114,89 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_single_thread_is_bit_identical_to_sequential() {
-        let vecs = make_vectors(300, 8, 23);
-        let items: Vec<(VertexId, Vec<f32>)> = vecs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (key(i as u32), v.clone()))
-            .collect();
-        let seq = build_index(&vecs);
-        let mut batched = HnswIndex::new(HnswConfig::new(8, DistanceMetric::L2));
-        batched.insert_batch(&items, 1).unwrap();
-        assert_eq!(
-            crate::snapshot::to_bytes(&seq),
-            crate::snapshot::to_bytes(&batched),
-            "threads=1 insert_batch must reproduce the sequential build byte for byte"
-        );
-    }
-
-    #[test]
-    fn parallel_build_keeps_recall_and_loses_no_keys() {
-        let n = 600usize;
-        let vecs = make_vectors(n, 16, 41);
-        let items: Vec<(VertexId, Vec<f32>)> = vecs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (key(i as u32), v.clone()))
-            .collect();
-        let queries = make_vectors(30, 16, 77);
-        let mut seq = HnswIndex::new(HnswConfig::new(16, DistanceMetric::L2));
-        seq.insert_batch(&items, 1).unwrap();
-        let seq_recall = recall_against_exact(&seq, &vecs, &queries);
-        for threads in [2usize, 4, 8] {
-            let mut idx = HnswIndex::new(HnswConfig::new(16, DistanceMetric::L2));
-            idx.insert_batch(&items, threads).unwrap();
-            // No lost or duplicated keys: every key maps to exactly one
-            // live slot and the scan returns each exactly once.
-            assert_eq!(idx.len(), n, "threads={threads}: live count");
-            let mut seen: Vec<u32> = idx.scan().map(|(id, _)| id.local().0).collect();
-            seen.sort_unstable();
-            assert_eq!(seen.len(), n, "threads={threads}: scan count");
-            seen.dedup();
-            assert_eq!(seen.len(), n, "threads={threads}: duplicate keys");
-            // Deterministic levels: identical node levels regardless of
-            // thread count (only link sets may differ).
-            assert_eq!(idx.levels, seq.levels, "threads={threads}: levels");
-            let recall = recall_against_exact(&idx, &vecs, &queries);
-            assert!(
-                recall >= seq_recall - 0.005,
-                "threads={threads}: recall {recall} vs sequential {seq_recall}"
-            );
-        }
-    }
-
-    #[test]
-    fn insert_batch_routes_duplicates_and_live_keys_sequentially() {
-        let vecs = make_vectors(120, 8, 67);
-        let mut idx = build_index(&vecs[..100]);
-        idx.remove(key(5));
-        // Batch mixing: a live-key upsert (update-in-place path), a key
-        // repeated within the batch (last write must win), a re-insert of a
-        // tombstoned key, and fresh appends.
-        let items: Vec<(VertexId, Vec<f32>)> = vec![
-            (key(3), vecs[100].clone()),
-            (key(200), vecs[101].clone()),
-            (key(200), vecs[102].clone()),
-            (key(5), vecs[103].clone()),
-            (key(201), vecs[104].clone()),
-            (key(202), vecs[105].clone()),
-        ];
-        let mut oracle = idx.clone();
-        for (k, v) in &items {
-            oracle.insert(*k, v).unwrap();
-        }
-        idx.insert_batch(&items, 4).unwrap();
-        assert_eq!(idx.len(), oracle.len());
-        let mut got: Vec<(u32, Vec<f32>)> = idx.scan().map(|(id, v)| (id.local().0, v)).collect();
-        let mut want: Vec<(u32, Vec<f32>)> =
-            oracle.scan().map(|(id, v)| (id.local().0, v)).collect();
-        got.sort_by_key(|(l, _)| *l);
-        want.sort_by_key(|(l, _)| *l);
-        assert_eq!(got, want, "live key→vector mapping must match sequential");
-    }
-
-    #[test]
     fn level_assignment_is_independent_of_insertion_order() {
         let vecs = make_vectors(100, 8, 29);
         let forward = build_index(&vecs);

@@ -18,12 +18,14 @@
 //! MPP layer builds one index per segment and merges per-segment top-k
 //! results (§4.2). Searches take `&self` and may run concurrently from many
 //! threads; mutation takes `&mut self` (segment indexes are single-writer —
-//! the embedding service's vacuum assigns each segment to one merge thread).
+//! the embedding service's vacuum assigns each segment to one merge thread,
+//! so a segment's graph is built sequentially and build parallelism is
+//! segments side by side).
 //!
 //! The index is one struct ([`index`]) with its jobs in sibling modules:
 //! [`search`] holds the single beam search and greedy descent, generic over
-//! a `GraphView` (mutable forest, per-node-locked forest, compiled CSR) and
-//! every query path built on them; [`build`] links and repairs the graph;
+//! a `GraphView` (mutable forest, compiled CSR) and every query path built
+//! on them; [`build`] links and repairs the graph;
 //! [`layout`] moves between the mutable forest and the one compiled form
 //! ([`packed`]); [`quant_state`] is the quantized storage tier.
 

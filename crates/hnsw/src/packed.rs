@@ -154,7 +154,7 @@ impl GraphView for PackedGraph {
     const PREFETCH: bool = true;
 
     #[inline]
-    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, _buf: &'a mut Vec<u32>) -> &'a [u32] {
+    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
         self.row(slot, lvl)
     }
 

@@ -2,11 +2,10 @@
 //! dispatched over a [`GraphView`], plus every query path built on them
 //! (top-k, post-filter, brute force, the planner's routing, range search).
 //!
-//! The same traversal serves the build (over the mutable forest, or the
-//! per-node-locked forest during a parallel build, admitting every node)
-//! and queries (over whichever form is resident, admitting only live,
-//! filter-passing nodes). The representation is a type parameter, so no hop
-//! branches on it.
+//! The same traversal serves the build (over the mutable forest, admitting
+//! every node) and queries (over whichever form is resident, admitting only
+//! live, filter-passing nodes). The representation is a type parameter, so
+//! no hop branches on it.
 
 use crate::index::{HnswIndex, VectorIndex};
 use crate::planner::{self, PlanChoice, PlanInputs};
@@ -14,72 +13,32 @@ use crate::select::Scored;
 use crate::stats::SearchStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
 use tv_common::{Kernels, Neighbor, PlannerConfig, PreparedQuery};
 use tv_quant::{QuantQuery, QuantizedCodec};
 
 /// Read access to one adjacency representation. Implemented by the mutable
-/// forest (`[Vec<Vec<u32>>]`), the per-node-locked forest of a parallel
-/// build (`&[Mutex<Vec<Vec<u32>>>]`) and the compiled
-/// [`crate::packed::PackedGraph`].
+/// forest (`[Vec<Vec<u32>>]`) and the compiled [`crate::packed::PackedGraph`].
 pub(crate) trait GraphView {
     /// Whether traversals over this view issue software prefetches for the
     /// rows they are about to score. Only the compiled form does: its rows
     /// are laid out so that the next candidates' addresses are known early.
     const PREFETCH: bool = false;
 
-    /// The neighbor list of `slot` on `lvl`. Views that can lend the list
-    /// ignore `buf`; the locked view copies the list into it under the
-    /// node's lock, so no lock is held while the caller scores.
-    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, buf: &'a mut Vec<u32>) -> &'a [u32];
+    /// The neighbor list of `slot` on `lvl`.
+    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32];
 
     /// Request the head of `slot`'s level-0 adjacency row ahead of the pop
     /// that reads it. Called only when [`Self::PREFETCH`] is set.
     fn prefetch_l0_row(&self, _k: &Kernels, _slot: u32) {}
 }
 
-/// A view the build can also write: the forest directly, the locked forest
-/// one node lock at a time.
-pub(crate) trait LinkStore: GraphView {
-    /// Run `f` on `slot`'s neighbor list on `lvl`.
-    fn edit(&mut self, slot: u32, lvl: u8, f: impl FnOnce(&mut Vec<u32>));
-}
-
 impl GraphView for [Vec<Vec<u32>>] {
     #[inline]
-    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, _buf: &'a mut Vec<u32>) -> &'a [u32] {
+    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
         &self[slot as usize][lvl as usize]
-    }
-}
-
-impl LinkStore for [Vec<Vec<u32>>] {
-    fn edit(&mut self, slot: u32, lvl: u8, f: impl FnOnce(&mut Vec<u32>)) {
-        f(&mut self[slot as usize][lvl as usize]);
-    }
-}
-
-/// Lock one node of the locked forest. A poisoned lock means a link worker
-/// panicked; the pool re-raises that panic on the caller, so the list is
-/// never used afterwards.
-pub(crate) fn lock_node(m: &Mutex<Vec<Vec<u32>>>) -> MutexGuard<'_, Vec<Vec<u32>>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl GraphView for &[Mutex<Vec<Vec<u32>>>] {
-    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, buf: &'a mut Vec<u32>) -> &'a [u32] {
-        buf.clear();
-        if let Some(l) = lock_node(&self[slot as usize]).get(lvl as usize) {
-            buf.extend_from_slice(l);
-        }
-        buf
-    }
-}
-
-impl LinkStore for &[Mutex<Vec<Vec<u32>>>] {
-    fn edit(&mut self, slot: u32, lvl: u8, f: impl FnOnce(&mut Vec<u32>)) {
-        f(&mut lock_node(&self[slot as usize])[lvl as usize]);
     }
 }
 
@@ -138,9 +97,7 @@ pub(crate) struct SearchScratch {
     visited: Visited,
     batch: Vec<u32>,
     pub(crate) dists: Vec<f32>,
-    /// The hop's neighbor list when the view has to copy it out (locked
-    /// forest); between searches, the moved node's old neighborhood in
-    /// `update_in_place`.
+    /// The moved node's old neighborhood in `update_in_place`.
     pub(crate) nbrs: Vec<u32>,
     /// Repair-path staging (`update_in_place`, link pruning): the 2-hop
     /// candidate pool and the scored pairs — pooled here so the graph-repair
@@ -247,10 +204,9 @@ impl HnswIndex {
         }
     }
 
-    /// A stored slot prepared to act as the query (parallel linking, link
-    /// pruning) — f32 indexes reuse the cached norm; quantized indexes
-    /// reconstruct the slot so construction geometry matches search
-    /// geometry.
+    /// A stored slot prepared to act as the query (link pruning) — f32
+    /// indexes reuse the cached norm; quantized indexes reconstruct the slot
+    /// so construction geometry matches search geometry.
     pub(crate) fn slot_scorer(&self, slot: u32) -> Scorer<'_> {
         match &self.quant {
             Some(q) => {
@@ -355,7 +311,7 @@ impl HnswIndex {
             let mut cur_dist = self.score_slot(sc, cur);
             stats.distance_computations += 1;
             loop {
-                let nbs = graph.neighbors(cur, lvl, &mut scratch.nbrs);
+                let nbs = graph.neighbors(cur, lvl);
                 if G::PREFETCH {
                     // Warm the hop's leading rows in full; the scorer's own
                     // schedule requests the rest two rows ahead of use.
@@ -446,7 +402,7 @@ impl HnswIndex {
                 break;
             }
             scratch.batch.clear();
-            for &nb in graph.neighbors(key_slot(key), lvl, &mut scratch.nbrs) {
+            for &nb in graph.neighbors(key_slot(key), lvl) {
                 if scratch.visited.visit(nb) {
                     // Warm the batch's first rows in full — the scorer hits
                     // them before its own two-ahead schedule ramps up — and
@@ -902,11 +858,11 @@ mod tests {
         (at, stats)
     }
 
-    /// One loop, three views: the beam and the greedy descent over the
-    /// forest, the locked forest and the compiled CSR of the same graph
-    /// return the same candidates, bit for bit, for the same work.
+    /// One loop, two views: the beam and the greedy descent over the forest
+    /// and the compiled CSR of the same graph return the same candidates,
+    /// bit for bit, for the same work.
     #[test]
-    fn beam_and_descent_agree_across_all_three_views() {
+    fn beam_and_descent_agree_across_both_views() {
         let key = |i: u32| VertexId::new(SegmentId(0), LocalId(i));
         let mut rng = SplitMix64::new(0x3E3);
         let mut idx = HnswIndex::new(HnswConfig::new(8, DistanceMetric::L2).with_m(6));
@@ -919,8 +875,6 @@ mod tests {
             .for_each(|i| assert!(idx.remove(key(i))));
         assert!(idx.entry.unwrap().1 >= 1, "the recipe needs an upper layer");
         let forest = idx.links.as_slice();
-        let locked: Vec<Mutex<Vec<Vec<u32>>>> = forest.iter().cloned().map(Mutex::new).collect();
-        let locked = locked.as_slice();
         // Built without the BFS renumbering, so slot ids line up.
         let packed = PackedGraph::build(forest);
         for q in 0..6 {
@@ -933,11 +887,6 @@ mod tests {
                         let want = beam(&idx, forest, &sc, shape);
                         assert!(!want.0.is_empty() && want.1.hops > 0);
                         assert_eq!(
-                            beam(&idx, &locked, &sc, shape),
-                            want,
-                            "locked {q} {shape:?}"
-                        );
-                        assert_eq!(
                             beam(&idx, &packed, &sc, shape),
                             want,
                             "packed {q} {shape:?}"
@@ -947,11 +896,6 @@ mod tests {
             }
             let want = descend(&idx, forest, &sc);
             assert!(want.1.distance_computations > 0);
-            assert_eq!(
-                descend(&idx, &locked, &sc),
-                want,
-                "locked forest, query {q}"
-            );
             assert_eq!(
                 descend(&idx, &packed, &sc),
                 want,

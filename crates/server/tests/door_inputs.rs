@@ -1,5 +1,6 @@
 //! Edge-case inputs at every serving door, as one table: `k = 0`, `k` above
-//! the live count, a wrong dimension, NaN/±∞, and segments that hold nothing
+//! the live count, a wrong dimension, NaN/±∞, finite components whose norm
+//! overflows f32 (`OVERFLOWING`), and segments that hold nothing
 //! (never written, or every vector tombstoned), each on f32 and on SQ8
 //! storage. The doors are `Server::query`, `Server::vector_top_k`,
 //! `Server::cluster_top_k`, `EmbeddingService::top_k_many` and
@@ -9,8 +10,8 @@
 //! A second table covers the write doors, `Graph::txn().set_vector(..)
 //! .commit()`, `EmbeddingService::apply_deltas`,
 //! `EmbeddingSegment::append_deltas` and `ClusterRuntime::append_deltas`: a
-//! local id at or beyond the segment capacity, a wrong dimension and NaN/±∞,
-//! each alone and as the third record of a batch (one that spans two
+//! local id at or beyond the segment capacity, a wrong dimension, NaN/±∞ and
+//! an overflowing norm, each alone and as the third record of a batch (one that spans two
 //! segments where the door routes by id), are a typed `TvError` that appends
 //! nothing and leaves the segment able to merge.
 
@@ -32,6 +33,9 @@ const DIM: usize = 4;
 /// capacity of 16 an SQ8 segment trains its codec once it holds 8 vectors.
 const CAPACITY: usize = 16;
 const DOCS: usize = 24;
+/// Every component finite, the squared norm ≈ 4e40: it overflows f32, and
+/// a cosine distance to `[1e20; DIM]` would be NaN.
+const OVERFLOWING: [f32; DIM] = [1e20, -1e20, 1e20, -1e20];
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum State {
@@ -257,6 +261,12 @@ fn every_door_answers_edge_case_inputs_with_a_count_or_a_typed_error() {
                         ctx(door, "non-finite")
                     );
                 }
+                let err = top_k(&rig, door, &OVERFLOWING, 3).unwrap_err();
+                assert!(
+                    matches!(&err, TvError::InvalidArgument(m) if m.contains("norm")),
+                    "{}: {err}",
+                    ctx(door, "overflowing norm")
+                );
             }
             // The range door: everything within +inf, nothing within 0 of a
             // point no vector sits on, and the same typed refusals.
@@ -269,6 +279,10 @@ fn every_door_answers_edge_case_inputs_with_a_count_or_a_typed_error() {
             assert!(matches!(
                 range(&rig, &[f32::NAN; DIM], 1.0).unwrap_err(),
                 TvError::InvalidArgument(_)
+            ));
+            assert!(matches!(
+                range(&rig, &OVERFLOWING, 1.0).unwrap_err(),
+                TvError::InvalidArgument(m) if m.contains("norm")
             ));
             assert!(matches!(
                 range(&rig, &good, f32::NAN).unwrap_err(),
@@ -357,6 +371,8 @@ enum Refusal {
     Dimension,
     /// `InvalidArgument` naming the poisoned component.
     NonFinite,
+    /// `InvalidArgument` naming the norm.
+    Overflow,
 }
 
 impl Refusal {
@@ -369,6 +385,7 @@ impl Refusal {
                 *got == vector.len()
             }
             (Refusal::NonFinite, TvError::InvalidArgument(m)) => m.contains("component 2"),
+            (Refusal::Overflow, TvError::InvalidArgument(m)) => m.contains("norm"),
             _ => false,
         }
     }
@@ -415,6 +432,12 @@ fn every_write_door_refuses_bad_records_whole_and_keeps_merging() {
             id(12),
             poisoned(f32::NEG_INFINITY),
             Refusal::NonFinite,
+        ),
+        (
+            "overflowing norm",
+            id(12),
+            OVERFLOWING.to_vec(),
+            Refusal::Overflow,
         ),
     ];
     for quant in [QuantSpec::f32(), QuantSpec::sq8()] {

@@ -127,7 +127,6 @@ fn main() {
         total_cpu: Duration::from_millis(4),
         merge_cpu: Duration::from_micros(30),
         response_bytes: 100 * 12,
-        request_bytes: dim * 4 + 16,
     };
     let mut prev: Option<f64> = None;
     for s in [8usize, 16, 32] {
