@@ -126,38 +126,19 @@ fn measure_tier(
 
     // Quantized-tier kernels: f32 query against u8 codes (the SQ8 scoring
     // path). One code byte replaces each 4-byte float on the stored side.
-    let codes: Vec<u8> = (0..dim * rows)
-        .map(|_| (rng.next_u64() & 0xFF) as u8)
-        .collect();
+    let codes: Vec<u8> = (0..dim).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
     let scale: Vec<f32> = (0..dim).map(|_| rng.next_f32() + 0.5).collect();
     let u8_pair_bytes = (dim * std::mem::size_of::<f32>() + dim) as f64;
 
     let ns = bench_ns(min_ns, || {
-        black_box(k.dot_u8(black_box(&a), black_box(&codes[..dim])));
+        black_box(k.dot_u8(black_box(&a), black_box(&codes)));
     });
     push("dot_u8", ns, u8_pair_bytes);
 
     let ns = bench_ns(min_ns, || {
-        black_box(k.l2_sq_u8(black_box(&a), black_box(&scale), black_box(&codes[..dim])));
+        black_box(k.l2_sq_u8(black_box(&a), black_box(&scale), black_box(&codes)));
     });
     push("l2_sq_u8", ns, u8_pair_bytes);
-
-    let ns = bench_ns(min_ns * 4, || {
-        k.dot_u8_batch(black_box(&a), black_box(&codes), &mut dists);
-        black_box(dists[rows / 2]);
-    });
-    push("dot_u8_batch", ns / rows as f64, u8_pair_bytes);
-
-    let ns = bench_ns(min_ns * 4, || {
-        k.l2_sq_u8_batch(
-            black_box(&a),
-            black_box(&scale),
-            black_box(&codes),
-            &mut dists,
-        );
-        black_box(dists[rows / 2]);
-    });
-    push("l2_sq_u8_batch", ns / rows as f64, u8_pair_bytes);
 
     // Keep `norms` alive so the cached-cosine rows stay honest about setup.
     black_box(&norms);

@@ -307,8 +307,8 @@ impl QuantSpec {
 /// on; `PackedPrefetch` compiles the frozen search form at
 /// `index_merge`/snapshot-load time — contiguous CSR neighbor slabs, BFS
 /// locality reordering, and software prefetch of upcoming candidates'
-/// vector and neighbor rows inside the traversal (a no-op on the scalar
-/// kernel tier). Results are bit-identical across layouts modulo the slot
+/// vector and neighbor rows inside the traversal (on every kernel tier).
+/// Results are bit-identical across layouts modulo the slot
 /// permutation — the layout is purely an execution choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GraphLayout {

@@ -11,12 +11,17 @@
 //!
 //! Beyond plain `dot`/`l2_sq`, the table exposes **fused** one-pass kernels
 //! (`dot_norm_sq` computes `<a,b>` and `|b|²` in a single sweep) and
-//! **batched** kernels that score one query against N contiguous rows per
-//! call, so the per-call dispatch cost is paid once per candidate batch
-//! rather than once per candidate. [`PreparedQuery`] packages the
-//! metric-aware scoring on top: it hoists the query norm once per search and
-//! scores candidates against cached per-slot norms, which drops cosine from
-//! three passes over both vectors to one fused pass per candidate.
+//! **slab** kernels that score one query against N contiguous rows per
+//! call, so the per-call dispatch cost is paid once per slab rather than
+//! once per row. [`PreparedQuery`] packages the metric-aware scoring on top:
+//! it hoists the query norm once per search and scores candidates against
+//! cached per-slot norms, which drops cosine from three passes over both
+//! vectors to one fused pass per candidate. Gathered slots (a graph hop's
+//! neighbours, which are not contiguous) go through
+//! [`PreparedQuery::distance_slots`], one table call per slot.
+//!
+//! [`prefetch`] is not in the table: a cache hint changes no distance, so
+//! every tier issues the same instruction, inlined at the call site.
 //!
 //! ## Tolerance contract
 //!
@@ -77,9 +82,6 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-/// Batched asymmetric L2 against u8 codes: `(adjusted_query, step, codes, out)`.
-type L2SqU8BatchFn = fn(&[f32], &[f32], &[u8], &mut [f32]);
-
 /// A resolved table of distance kernels for one tier. All slices handed to
 /// pair kernels must be equal-length; batch kernels take a row-major slab of
 /// `out.len()` rows of `query.len()` floats.
@@ -93,9 +95,6 @@ pub struct Kernels {
     l2_sq_batch: fn(&[f32], &[f32], &mut [f32]),
     dot_u8: fn(&[f32], &[u8]) -> f32,
     l2_sq_u8: fn(&[f32], &[f32], &[u8]) -> f32,
-    dot_u8_batch: fn(&[f32], &[u8], &mut [f32]),
-    l2_sq_u8_batch: L2SqU8BatchFn,
-    prefetch: fn(*const u8),
 }
 
 impl Kernels {
@@ -166,29 +165,6 @@ impl Kernels {
         (self.l2_sq_u8)(a, scale, codes)
     }
 
-    /// Batched [`Self::dot_u8`]: `out[i] = dot_u8(a, codes[i*d..][..d])`.
-    pub fn dot_u8_batch(&self, a: &[f32], codes: &[u8], out: &mut [f32]) {
-        debug_assert_eq!(codes.len(), a.len() * out.len());
-        (self.dot_u8_batch)(a, codes, out);
-    }
-
-    /// Batched [`Self::l2_sq_u8`] over contiguous code rows.
-    pub fn l2_sq_u8_batch(&self, a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        debug_assert_eq!(a.len(), scale.len());
-        debug_assert_eq!(codes.len(), a.len() * out.len());
-        (self.l2_sq_u8_batch)(a, scale, codes, out);
-    }
-
-    /// Advisory prefetch of the cache line at `p` into L1 (PREFETCHT0 /
-    /// PRFM PLDL1KEEP). Purely a hint: the instruction never faults, so any
-    /// address is safe to pass; the scalar tier compiles to a no-op. The
-    /// packed-graph search loops use it to hide the DRAM latency of the
-    /// next candidates' vector and neighbor rows.
-    #[inline]
-    pub fn prefetch(&self, p: *const u8) {
-        (self.prefetch)(p);
-    }
-
     /// Qualified names of the kernels in this table, for bench provenance
     /// (e.g. `"avx2+fma::dot_batch"`).
     #[must_use]
@@ -202,14 +178,39 @@ impl Kernels {
             "l2_sq_batch",
             "dot_u8",
             "l2_sq_u8",
-            "dot_u8_batch",
-            "l2_sq_u8_batch",
-            "prefetch",
         ]
         .iter()
         .map(|op| format!("{}::{op}", self.tier.name()))
         .collect()
     }
+}
+
+/// Advisory prefetch of the cache line at `p` into L1: PREFETCHT0 on
+/// x86-64 (SSE baseline), PRFM PLDL1KEEP on aarch64, nothing elsewhere.
+/// Purely a hint — the instruction never faults, so any address is safe to
+/// pass, and no distance depends on it, so it is the same on every kernel
+/// tier and lives outside the dispatch table: a fn pointer cannot inline,
+/// and the packed-graph search issues several of these per scored row.
+#[inline(always)]
+pub fn prefetch(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 is an advisory hint that never faults (any
+    // address, mapped or not) and is part of the SSE baseline on x86-64.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>());
+    }
+    #[cfg(target_arch = "aarch64")]
+    // SAFETY: PRFM PLDL1KEEP is an advisory hint that never faults.
+    unsafe {
+        core::arch::asm!(
+            "prfm pldl1keep, [{0}]",
+            in(reg) p,
+            options(nostack, preserves_flags, readonly)
+        );
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = p;
 }
 
 /// Cosine distance from precomputed parts: `1 - dot / denom` with the
@@ -323,7 +324,9 @@ impl<'q> PreparedQuery<'q> {
 
     /// Score `slots` gathered from a slot-major `arena` (`dim` floats per
     /// slot) against this query, using the per-slot `norms` cache; distances
-    /// land in `out` (cleared first, one entry per slot, same order).
+    /// land in `out` (cleared first, one entry per slot, same order). The
+    /// rows are not contiguous, so each slot is one call through the kernel
+    /// table.
     pub fn distance_slots(
         &self,
         arena: &[f32],
@@ -340,13 +343,14 @@ impl<'q> PreparedQuery<'q> {
         }
     }
 
-    /// [`Self::distance_slots`] with software prefetch interleaved: while
-    /// slot `i` is being scored, slot `i+2`'s row is requested — two rows
-    /// of arithmetic (~hundreds of cycles at dim 768) cover a DRAM-latency
-    /// round trip, where one row's worth would not. Capped at 32 lines per
-    /// row; the hardware stride prefetcher streams the tail of wider rows
-    /// once the kernel starts walking them. Used by the compiled
-    /// (`packed+prefetch`) graph layout; a no-op on the scalar tier.
+    /// [`Self::distance_slots`] with software prefetch, each row requested
+    /// once: the first two rows before scoring starts, then slot `i+2`'s
+    /// row while slot `i` is being scored — two rows of arithmetic
+    /// (~hundreds of cycles at dim 768) cover a DRAM-latency round trip,
+    /// where one row's worth would not. Capped at 32 lines per row; the
+    /// hardware stride prefetcher streams the tail of wider rows once the
+    /// kernel starts walking them. Used by the compiled (`packed+prefetch`)
+    /// graph traversal.
     pub fn distance_slots_prefetch(
         &self,
         arena: &[f32],
@@ -359,14 +363,12 @@ impl<'q> PreparedQuery<'q> {
         out.reserve(slots.len());
         let lines = (dim * std::mem::size_of::<f32>()).div_ceil(64).min(32);
         let warm = |s: u32| {
-            let p = arena.as_ptr().wrapping_add(s as usize * dim).cast::<u8>();
+            let row = arena.as_ptr().wrapping_add(s as usize * dim).cast::<u8>();
             for l in 0..lines {
-                self.k.prefetch(p.wrapping_add(l * 64));
+                prefetch(row.wrapping_add(l * 64));
             }
         };
-        if let Some(&second) = slots.get(1) {
-            warm(second);
-        }
+        slots.iter().take(2).for_each(|&s| warm(s));
         for (i, &s) in slots.iter().enumerate() {
             if let Some(&ahead) = slots.get(i + 2) {
                 warm(ahead);
@@ -536,24 +538,6 @@ pub mod scalar {
         }
         sum
     }
-
-    pub(super) fn dot_u8_batch(a: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_u8(a, &codes[i * d..(i + 1) * d]);
-        }
-    }
-
-    pub(super) fn l2_sq_u8_batch(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq_u8(a, scale, &codes[i * d..(i + 1) * d]);
-        }
-    }
-
-    /// Reference prefetch: a hint the portable tier cannot express, so it
-    /// compiles to nothing.
-    pub(super) fn prefetch(_p: *const u8) {}
 }
 
 static SCALAR: Kernels = Kernels {
@@ -566,19 +550,17 @@ static SCALAR: Kernels = Kernels {
     l2_sq_batch: scalar::l2_sq_batch,
     dot_u8: scalar::dot_u8,
     l2_sq_u8: scalar::l2_sq_u8,
-    dot_u8_batch: scalar::dot_u8_batch,
-    l2_sq_u8_batch: scalar::l2_sq_u8_batch,
-    prefetch: scalar::prefetch,
 };
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! SSE2 and AVX2+FMA kernels. Every `unsafe` block is justified by the
     //! runtime feature check performed before the table is installed (SSE2
-    //! is part of the x86-64 baseline). Batch kernels call the pair kernels
-    //! from inside the same `#[target_feature]` context so they inline into
-    //! one vectorized loop per row — the per-call dispatch cost is paid once
-    //! per batch.
+    //! is part of the x86-64 baseline). Slab kernels (`dot_batch`,
+    //! `l2_sq_batch`) call the pair kernels from inside the same
+    //! `#[target_feature]` context so they inline into one vectorized loop
+    //! per row — the dispatch cost is paid once per slab. Gathered scoring
+    //! (`PreparedQuery::distance_slots`) still pays one table call per slot.
 
     use super::{KernelTier, Kernels};
     #[allow(clippy::wildcard_imports)]
@@ -759,21 +741,6 @@ mod x86 {
         sum
     }
 
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_u8_batch_sse_raw(a: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_u8_sse_raw(a, &codes[i * d..(i + 1) * d]);
-        }
-    }
-    #[target_feature(enable = "sse2")]
-    unsafe fn l2_sq_u8_batch_sse_raw(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq_u8_sse_raw(a, scale, &codes[i * d..(i + 1) * d]);
-        }
-    }
-
     fn dot_u8_sse(a: &[f32], codes: &[u8]) -> f32 {
         // SAFETY: SSE2 is part of the x86-64 baseline.
         unsafe { dot_u8_sse_raw(a, codes) }
@@ -781,20 +748,6 @@ mod x86 {
     fn l2_sq_u8_sse(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
         // SAFETY: SSE2 is part of the x86-64 baseline.
         unsafe { l2_sq_u8_sse_raw(a, scale, codes) }
-    }
-    fn dot_u8_batch_sse(a: &[f32], codes: &[u8], out: &mut [f32]) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { dot_u8_batch_sse_raw(a, codes, out) }
-    }
-    fn l2_sq_u8_batch_sse(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { l2_sq_u8_batch_sse_raw(a, scale, codes, out) }
-    }
-
-    fn prefetch_x86(p: *const u8) {
-        // SAFETY: PREFETCHT0 is an advisory hint that never faults (any
-        // address, mapped or not) and is part of the SSE baseline on x86-64.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) }
     }
 
     pub(super) static SSE: Kernels = Kernels {
@@ -807,9 +760,6 @@ mod x86 {
         l2_sq_batch: l2_sq_batch_sse,
         dot_u8: dot_u8_sse,
         l2_sq_u8: l2_sq_u8_sse,
-        dot_u8_batch: dot_u8_batch_sse,
-        l2_sq_u8_batch: l2_sq_u8_batch_sse,
-        prefetch: prefetch_x86,
     };
 
     #[inline]
@@ -1029,21 +979,6 @@ mod x86 {
         sum
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_u8_batch_avx2_raw(a: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_u8_avx2_raw(a, &codes[i * d..(i + 1) * d]);
-        }
-    }
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn l2_sq_u8_batch_avx2_raw(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq_u8_avx2_raw(a, scale, &codes[i * d..(i + 1) * d]);
-        }
-    }
-
     fn dot_u8_avx2(a: &[f32], codes: &[u8]) -> f32 {
         // SAFETY: table only installed when avx2_available() held.
         unsafe { dot_u8_avx2_raw(a, codes) }
@@ -1051,14 +986,6 @@ mod x86 {
     fn l2_sq_u8_avx2(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
         // SAFETY: table only installed when avx2_available() held.
         unsafe { l2_sq_u8_avx2_raw(a, scale, codes) }
-    }
-    fn dot_u8_batch_avx2(a: &[f32], codes: &[u8], out: &mut [f32]) {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { dot_u8_batch_avx2_raw(a, codes, out) }
-    }
-    fn l2_sq_u8_batch_avx2(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { l2_sq_u8_batch_avx2_raw(a, scale, codes, out) }
     }
 
     pub(super) static AVX2: Kernels = Kernels {
@@ -1071,9 +998,6 @@ mod x86 {
         l2_sq_batch: l2_sq_batch_avx2,
         dot_u8: dot_u8_avx2,
         l2_sq_u8: l2_sq_u8_avx2,
-        dot_u8_batch: dot_u8_batch_avx2,
-        l2_sq_u8_batch: l2_sq_u8_batch_avx2,
-        prefetch: prefetch_x86,
     };
 }
 
@@ -1239,31 +1163,6 @@ mod arm {
         // SAFETY: NEON is part of the aarch64 baseline.
         unsafe { l2_sq_u8_neon_raw(a, scale, codes) }
     }
-    fn dot_u8_batch_neon(a: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            // SAFETY: NEON is part of the aarch64 baseline.
-            *o = unsafe { dot_u8_neon_raw(a, &codes[i * d..(i + 1) * d]) };
-        }
-    }
-    fn l2_sq_u8_batch_neon(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = a.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            // SAFETY: NEON is part of the aarch64 baseline.
-            *o = unsafe { l2_sq_u8_neon_raw(a, scale, &codes[i * d..(i + 1) * d]) };
-        }
-    }
-
-    fn prefetch_neon(p: *const u8) {
-        // SAFETY: PRFM PLDL1KEEP is an advisory hint that never faults.
-        unsafe {
-            core::arch::asm!(
-                "prfm pldl1keep, [{0}]",
-                in(reg) p,
-                options(nostack, preserves_flags, readonly)
-            );
-        }
-    }
 
     pub(super) static NEON: Kernels = Kernels {
         tier: KernelTier::Neon,
@@ -1275,9 +1174,6 @@ mod arm {
         l2_sq_batch: l2_sq_batch_neon,
         dot_u8: dot_u8_neon,
         l2_sq_u8: l2_sq_u8_neon,
-        dot_u8_batch: dot_u8_batch_neon,
-        l2_sq_u8_batch: l2_sq_u8_batch_neon,
-        prefetch: prefetch_neon,
     };
 }
 
@@ -1431,45 +1327,20 @@ mod tests {
         let names = SCALAR.kernel_names();
         assert!(names.contains(&"scalar::dot".to_string()));
         assert!(names.contains(&"scalar::dot_u8".to_string()));
-        assert!(names.contains(&"scalar::prefetch".to_string()));
-        assert_eq!(names.len(), 11);
+        assert!(!names.iter().any(|n| n.ends_with("prefetch")));
+        assert_eq!(names.len(), 8);
     }
 
     #[test]
-    fn prefetch_is_callable_on_every_tier() {
-        // Prefetch is advisory: calling it on any tier must be a no-op
-        // observable only through performance. Exercise in-bounds, unaligned,
-        // and null pointers — none may fault.
+    fn prefetch_never_faults() {
+        // Prefetch is advisory and observable only through performance: an
+        // in-bounds, an unaligned, a one-past-the-end and a null pointer must
+        // all be accepted.
         let data = vec![0u8; 4096];
-        for k in available() {
-            k.prefetch(data.as_ptr());
-            k.prefetch(unsafe { data.as_ptr().add(17) });
-            k.prefetch(std::ptr::null());
-        }
-    }
-
-    #[test]
-    fn u8_batch_matches_pair_kernels() {
-        let dim = 21;
-        let n = 11;
-        let a: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.41).sin()).collect();
-        let scale: Vec<f32> = (0..dim)
-            .map(|i| 0.01 + (i as f32 * 0.17).cos().abs())
-            .collect();
-        let codes: Vec<u8> = (0..dim * n).map(|i| (i * 37 % 256) as u8).collect();
-        for k in available() {
-            let mut out = vec![0.0f32; n];
-            k.dot_u8_batch(&a, &codes, &mut out);
-            for (i, &o) in out.iter().enumerate() {
-                let want = k.dot_u8(&a, &codes[i * dim..(i + 1) * dim]);
-                assert_eq!(o.to_bits(), want.to_bits(), "tier {}", k.tier());
-            }
-            k.l2_sq_u8_batch(&a, &scale, &codes, &mut out);
-            for (i, &o) in out.iter().enumerate() {
-                let want = k.l2_sq_u8(&a, &scale, &codes[i * dim..(i + 1) * dim]);
-                assert_eq!(o.to_bits(), want.to_bits(), "tier {}", k.tier());
-            }
-        }
+        prefetch(data.as_ptr());
+        prefetch(data.as_ptr().wrapping_add(17));
+        prefetch(data.as_ptr().wrapping_add(data.len()));
+        prefetch(std::ptr::null());
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn l2_u8_scale(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
 #[test]
 fn u8_kernels_match_scalar_across_dims() {
     // The quantized-tier analogue of the f32 sweep: every tier's u8 kernels
-    // (pair and batch) must agree with the scalar u8 reference across dims
+    // must agree with the scalar u8 reference across dims
     // covering empty, sub-register tails, and unaligned lengths. This test
     // also runs under `TV_KERNELS=scalar` forcing in `make quant-smoke`,
     // which proves active()-dispatched quantized scoring is tier-independent.
@@ -175,41 +175,6 @@ fn u8_kernels_match_scalar_across_dims() {
                 l2_u8_scale(&a, &scale_v, &codes),
                 &ctx("l2_sq_u8"),
             );
-        }
-
-        // Batch forms over a code slab.
-        for dim in [0usize, 1, 3, 4, 7, 16, 63, 67] {
-            let rows = 9;
-            let a: Vec<f32> = (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
-            let scale_v: Vec<f32> = (0..dim).map(|_| 1e-3 + rng.next_f32() * 0.05).collect();
-            let slab: Vec<u8> = (0..dim * rows)
-                .map(|_| (rng.next_u64() % 256) as u8)
-                .collect();
-            let mut got = vec![0.0f32; rows];
-            let mut want = vec![0.0f32; rows];
-            k.dot_u8_batch(&a, &slab, &mut got);
-            scalar.dot_u8_batch(&a, &slab, &mut want);
-            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                let row = &slab[i * dim..(i + 1) * dim];
-                let widened: Vec<f32> = row.iter().map(|&c| f32::from(c)).collect();
-                assert_within(
-                    g,
-                    w,
-                    dot_scale(&a, &widened),
-                    &format!("{}::dot_u8_batch dim={dim} row={i}", k.tier()),
-                );
-            }
-            k.l2_sq_u8_batch(&a, &scale_v, &slab, &mut got);
-            scalar.l2_sq_u8_batch(&a, &scale_v, &slab, &mut want);
-            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                let row = &slab[i * dim..(i + 1) * dim];
-                assert_within(
-                    g,
-                    w,
-                    l2_u8_scale(&a, &scale_v, row),
-                    &format!("{}::l2_sq_u8_batch dim={dim} row={i}", k.tier()),
-                );
-            }
         }
     }
 }

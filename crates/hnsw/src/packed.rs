@@ -24,7 +24,7 @@
 
 use crate::search::GraphView;
 use std::collections::VecDeque;
-use tv_common::Kernels;
+use tv_common::kernels::prefetch;
 
 /// CSR-packed adjacency: the frozen search representation compiled from the
 /// per-node `Vec` forest at index-merge/snapshot-load time.
@@ -159,12 +159,11 @@ impl GraphView for PackedGraph {
     }
 
     /// Prefetch the head of `slot`'s level-0 adjacency row (issued when a
-    /// candidate is admitted to the frontier, ahead of the pop that reads
-    /// its list).
+    /// candidate enters the frontier, ahead of the pop that reads its list).
     #[inline]
-    fn prefetch_l0_row(&self, k: &Kernels, slot: u32) {
+    fn prefetch_l0_row(&self, slot: u32) {
         let off = self.l0_off[slot as usize] as usize;
-        k.prefetch(self.l0_nbr.as_ptr().wrapping_add(off).cast::<u8>());
+        prefetch(self.l0_nbr.as_ptr().wrapping_add(off).cast::<u8>());
     }
 }
 

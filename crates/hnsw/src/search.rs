@@ -15,9 +15,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Mutex, PoisonError};
 use tv_common::bitmap::Filter;
-use tv_common::kernels;
-use tv_common::{Kernels, Neighbor, PlannerConfig, PreparedQuery};
-use tv_quant::{QuantQuery, QuantizedCodec};
+use tv_common::kernels::prefetch;
+use tv_common::{Neighbor, PlannerConfig, PreparedQuery};
+use tv_quant::QuantQuery;
 
 /// Read access to one adjacency representation. Implemented by the mutable
 /// forest (`[Vec<Vec<u32>>]`) and the compiled [`crate::packed::PackedGraph`].
@@ -32,7 +32,7 @@ pub(crate) trait GraphView {
 
     /// Request the head of `slot`'s level-0 adjacency row ahead of the pop
     /// that reads it. Called only when [`Self::PREFETCH`] is set.
-    fn prefetch_l0_row(&self, _k: &Kernels, _slot: u32) {}
+    fn prefetch_l0_row(&self, _slot: u32) {}
 }
 
 impl GraphView for [Vec<Vec<u32>>] {
@@ -77,16 +77,24 @@ impl Visited {
         self.epoch += 1;
     }
 
-    /// Mark `slot` visited; true iff this is its first visit this epoch.
+    /// Mark every id in `row` visited and leave in `batch` the ones that
+    /// were not visited before, in row order — what visiting them one by
+    /// one and keeping the first visits would leave (an id repeated in the
+    /// row is kept once). Every id is written to the next free place and
+    /// the place advances only for a first visit, so no branch depends on
+    /// the marks.
     #[inline]
-    fn visit(&mut self, slot: u32) -> bool {
-        let m = &mut self.marks[slot as usize];
-        if *m == self.epoch {
-            false
-        } else {
+    fn collect_unvisited(&mut self, row: &[u32], batch: &mut Vec<u32>) {
+        batch.clear();
+        batch.resize(row.len(), 0);
+        let mut fresh = 0;
+        for &id in row {
+            let m = &mut self.marks[id as usize];
+            batch[fresh] = id;
+            fresh += usize::from(*m != self.epoch);
             *m = self.epoch;
-            true
         }
+        batch.truncate(fresh);
     }
 }
 
@@ -250,50 +258,33 @@ impl HnswIndex {
     }
 
     /// [`Self::score_slots`] for one hop of a traversal over `G`. A
-    /// prefetching view scores f32 rows on the interleaved schedule: while
-    /// one slot's row is scored, the head of the next slot's row is
-    /// requested. The admission logic sees identical distances either way.
+    /// prefetching view requests each scoring row once: f32 rows on the
+    /// scorer's own schedule (`PreparedQuery::distance_slots_prefetch`),
+    /// and — since the code scorer has none — every code row's head line
+    /// before scoring starts. The admission logic sees identical distances
+    /// either way.
     #[inline]
     fn score_hop<G: GraphView + ?Sized>(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
         match sc {
             Scorer::F32(pq) if G::PREFETCH => {
                 pq.distance_slots_prefetch(&self.vectors, self.cfg.dim, &self.norms, slots, out);
             }
-            _ => self.score_slots(sc, slots, out),
-        }
-    }
-
-    /// Issue an advisory prefetch for `slot`'s scoring row — the quantized
-    /// code row when a quantized tier is attached (traversal scores codes),
-    /// the f32 arena row otherwise. Called while the batch is still being
-    /// collected, so the loads overlap the preceding scoring work. `deep`
-    /// warms up to 32 lines instead of 2: the scorer's own interleaved
-    /// schedule starts two rows in, so only the batch's first rows need
-    /// their full depth requested ahead of time.
-    #[inline]
-    fn prefetch_slot(&self, k: &Kernels, slot: u32, deep: bool) {
-        let s = slot as usize;
-        if let Some(q) = &self.quant {
-            let cl = q.main.codec.code_len();
-            k.prefetch(q.main.codes.as_ptr().wrapping_add(s * cl));
-        } else {
-            let p = self
-                .vectors
-                .as_ptr()
-                .wrapping_add(s * self.cfg.dim)
-                .cast::<u8>();
-            let row_lines = (self.cfg.dim * std::mem::size_of::<f32>()).div_ceil(64);
-            let lines = row_lines.min(if deep { 32 } else { 2 });
-            for l in 0..lines {
-                k.prefetch(p.wrapping_add(l * 64));
+            Scorer::Quant(qq) if G::PREFETCH => {
+                let q = self.quant.as_ref().expect("quant scorer without codes");
+                let cl = qq.code_len();
+                for &s in slots {
+                    prefetch(q.main.codes.as_ptr().wrapping_add(s as usize * cl));
+                }
+                qq.score_slots(&q.main.codes, &q.main.recon_norms, slots, out);
             }
+            _ => self.score_slots(sc, slots, out),
         }
     }
 
     /// Greedy walk from `start` down through layers `top..=floor`, moving
     /// to the locally-closest node on each (the ef=1 upper-layer descent of
     /// the HNSW search). Each hop scores the node's whole neighbor list in
-    /// one batched kernel call.
+    /// one gathered pass.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn greedy_descent<G: GraphView + ?Sized>(
         &self,
@@ -305,20 +296,12 @@ impl HnswIndex {
         stats: &mut SearchStats,
         scratch: &mut SearchScratch,
     ) -> u32 {
-        let k = kernels::active();
         let mut cur = start;
         for lvl in (floor..=top).rev() {
             let mut cur_dist = self.score_slot(sc, cur);
             stats.distance_computations += 1;
             loop {
                 let nbs = graph.neighbors(cur, lvl);
-                if G::PREFETCH {
-                    // Warm the hop's leading rows in full; the scorer's own
-                    // schedule requests the rest two rows ahead of use.
-                    for (i, &nb) in nbs.iter().enumerate() {
-                        self.prefetch_slot(k, nb, i < 2);
-                    }
-                }
                 self.score_hop::<G>(sc, nbs, &mut scratch.dists);
                 stats.distance_computations += nbs.len() as u64;
                 stats.hops += nbs.len() as u64;
@@ -367,7 +350,6 @@ impl HnswIndex {
         // Pooled visited set: one epoch bump instead of an O(n) alloc +
         // memset per call.
         scratch.visited.begin(self.keys.len());
-        let kern = kernels::active();
         // Min-heap of frontier candidates; max-heap of the best `ef`
         // admitted so far, whose worst distance is `bound` (∞ while empty).
         let nodes = self.keys.len();
@@ -376,16 +358,13 @@ impl HnswIndex {
         let mut best: BinaryHeap<u64> = BinaryHeap::with_capacity(ef.min(nodes));
         let mut bound = f32::INFINITY;
 
-        // Batched scoring: the unvisited neighbors of one node, scored in a
-        // single kernel call. Distances don't depend on heap state, so
-        // admission order — and therefore results — match a one-at-a-time
-        // loop exactly.
-        scratch.batch.clear();
-        for &e in entries {
-            if scratch.visited.visit(e) {
-                scratch.batch.push(e);
-            }
-        }
+        // Batched scoring: the unvisited neighbors of one node, collected in
+        // row order and scored in one gathered pass. Distances don't depend
+        // on heap state, so admission order — and therefore results — match
+        // a one-at-a-time loop exactly.
+        scratch
+            .visited
+            .collect_unvisited(entries, &mut scratch.batch);
         self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
         stats.distance_computations += scratch.batch.len() as u64;
         for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
@@ -401,22 +380,8 @@ impl HnswIndex {
             if key_dist(key) > bound && best.len() >= ef {
                 break;
             }
-            scratch.batch.clear();
-            for &nb in graph.neighbors(key_slot(key), lvl) {
-                if scratch.visited.visit(nb) {
-                    // Warm the batch's first rows in full — the scorer hits
-                    // them before its own two-ahead schedule ramps up — and
-                    // later rows' heads, plus (on the base layer) the
-                    // candidate's adjacency row.
-                    if G::PREFETCH {
-                        self.prefetch_slot(kern, nb, scratch.batch.len() < 2);
-                        if lvl == 0 {
-                            graph.prefetch_l0_row(kern, nb);
-                        }
-                    }
-                    scratch.batch.push(nb);
-                }
-            }
+            let row = graph.neighbors(key_slot(key), lvl);
+            scratch.visited.collect_unvisited(row, &mut scratch.batch);
             self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
             stats.hops += scratch.batch.len() as u64;
             stats.distance_computations += scratch.batch.len() as u64;
@@ -424,6 +389,11 @@ impl HnswIndex {
                 if nd < bound || best.len() < ef {
                     let key = heap_key(nd, nb);
                     frontier.push(Reverse(key));
+                    // Only a frontier member's adjacency row can be read
+                    // later, so that is when the row is requested.
+                    if G::PREFETCH && lvl == 0 {
+                        graph.prefetch_l0_row(nb);
+                    }
                     if admit(nb, stats) {
                         keep_smallest(&mut best, ef, key);
                         bound = worst_dist(&best);
@@ -795,21 +765,111 @@ mod tests {
         keep_smallest(&mut BinaryHeap::new(), 0, 1);
     }
 
+    /// The per-slot loop [`Visited::collect_unvisited`] replaced: visit the
+    /// row's ids one at a time and keep each first visit.
+    fn first_visits(seen: &mut [bool], row: &[u32]) -> Vec<u32> {
+        row.iter()
+            .copied()
+            .filter(|&id| !std::mem::replace(&mut seen[id as usize], true))
+            .collect()
+    }
+
+    #[test]
+    fn collect_unvisited_matches_the_per_slot_loop() {
+        let mut v = Visited::default();
+        v.begin(64);
+        let mut seen = vec![false; 64];
+        // Whatever the batch held before is replaced, not appended to.
+        let mut batch = vec![u32::MAX; 3];
+        let named: [(&str, &[u32], &[u32]); 5] = [
+            ("a repeated id is kept once", &[3, 7, 3, 1, 7], &[3, 7, 1]),
+            ("all visited", &[7, 1, 3], &[]),
+            ("empty", &[], &[]),
+            (
+                "visited and fresh interleaved",
+                &[0, 3, 63, 1, 2, 0],
+                &[0, 63, 2],
+            ),
+            ("one id, repeated", &[9, 9, 9], &[9]),
+        ];
+        for (what, row, want) in named {
+            v.collect_unvisited(row, &mut batch);
+            assert_eq!(batch, want, "{what}");
+            assert_eq!(first_visits(&mut seen, row), want, "{what}: reference");
+        }
+        let mut rng = SplitMix64::new(0x515);
+        for round in 0..300 {
+            if round % 50 == 0 {
+                v.begin(64);
+                seen.fill(false);
+            }
+            let len = (rng.next_u64() % 40) as usize;
+            let row: Vec<u32> = (0..len).map(|_| (rng.next_u64() % 64) as u32).collect();
+            v.collect_unvisited(&row, &mut batch);
+            assert_eq!(
+                batch,
+                first_visits(&mut seen, &row),
+                "round {round}: {row:?}"
+            );
+        }
+    }
+
     #[test]
     fn visited_epoch_wrap_resets_marks() {
         let mut v = Visited::default();
+        let mut batch = Vec::new();
         v.begin(8);
-        assert!(v.visit(3));
-        assert!(!v.visit(3));
+        v.collect_unvisited(&[3, 5, 3], &mut batch);
+        assert_eq!(batch, [3, 5]);
+        v.collect_unvisited(&[5, 3], &mut batch);
+        assert!(batch.is_empty());
         // Force the wrap: the next begin() must zero the marks once and
-        // restart epochs, so slot 3 reads unvisited again.
+        // restart epochs, so slots 3 and 5 read unvisited again.
         v.epoch = u32::MAX;
         v.begin(8);
         assert_eq!(v.epoch, 1);
-        assert!(v.visit(3), "post-wrap visit must start clean");
-        assert!(!v.visit(3));
+        v.collect_unvisited(&[5, 3, 5, 6], &mut batch);
+        assert_eq!(batch, [5, 3, 6], "post-wrap visits must start clean");
+        v.collect_unvisited(&[3, 6, 5], &mut batch);
+        assert!(batch.is_empty());
         // A stale mark from the pre-wrap era can never alias the new epoch.
         assert!(v.marks.iter().all(|&m| m <= 1));
+    }
+
+    /// A neighbour listed twice in one row is scored once, on both views,
+    /// and counts once in the work counters.
+    #[test]
+    fn a_repeated_neighbour_is_scored_once() {
+        let key = |i: u32| VertexId::new(SegmentId(0), LocalId(i));
+        let mut idx = HnswIndex::new(HnswConfig::new(2, DistanceMetric::L2));
+        for i in 0..4 {
+            idx.insert(key(i), &[i as f32, 0.0]).unwrap();
+        }
+        let forest: Vec<Vec<Vec<u32>>> = vec![
+            vec![vec![1, 2, 1, 3, 2]],
+            vec![vec![0, 2, 0]],
+            vec![vec![3, 3]],
+            vec![vec![]],
+        ];
+        let packed = PackedGraph::build(&forest);
+        let sc = idx.scorer(&[0.0, 0.0]);
+        fn from_slot_0<G: GraphView + ?Sized>(
+            idx: &HnswIndex,
+            graph: &G,
+            sc: &Scorer<'_>,
+        ) -> (Vec<u32>, u64, u64) {
+            let mut stats = SearchStats::default();
+            let mut scratch = SearchScratch::default();
+            let admit_all = |_: u32, _: &mut SearchStats| true;
+            let found =
+                idx.beam_search(graph, sc, &[0], 10, 0, admit_all, &mut stats, &mut scratch);
+            let slots = found.iter().map(|&(_, s)| s).collect();
+            (slots, stats.distance_computations, stats.hops)
+        }
+        let on_forest = from_slot_0(&idx, forest.as_slice(), &sc);
+        assert_eq!(on_forest, (vec![0, 1, 2, 3], 4, 3));
+        let on_packed = from_slot_0(&idx, &packed, &sc);
+        assert_eq!(on_packed, on_forest);
     }
 
     /// One beam over `graph` from `entry`; `live_only` swaps the build's

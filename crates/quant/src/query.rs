@@ -168,46 +168,6 @@ impl QuantQuery {
             out.push(self.score(code, rn));
         }
     }
-
-    /// Score `out.len()` contiguous code rows in one pass; SQ8 runs the
-    /// batched u8 kernels. `recon_norms` (one per row) is required for
-    /// cosine. Mirrors `PreparedQuery::distance_batch`.
-    pub fn score_batch(&self, codes: &[u8], recon_norms: Option<&[f32]>, out: &mut [f32]) {
-        debug_assert_eq!(codes.len(), self.code_len() * out.len());
-        match &self.plan {
-            Plan::Sq8 { qa, qs, step, bias } => match self.metric {
-                DistanceMetric::L2 => self.k.l2_sq_u8_batch(qa, step, codes, out),
-                DistanceMetric::InnerProduct => {
-                    self.k.dot_u8_batch(qs, codes, out);
-                    for o in out.iter_mut() {
-                        *o = -(bias + *o);
-                    }
-                }
-                DistanceMetric::Cosine => {
-                    self.k.dot_u8_batch(qs, codes, out);
-                    let ns = recon_norms.expect("cosine score_batch needs recon norms");
-                    debug_assert_eq!(ns.len(), out.len());
-                    for (o, &n) in out.iter_mut().zip(ns) {
-                        *o = cosine_from_parts(bias + *o, self.query_norm * n);
-                    }
-                }
-            },
-            Plan::Pq { lut, ks } => {
-                let cl = self.code_len();
-                for (i, o) in out.iter_mut().enumerate() {
-                    let sum = Self::lut_sum(lut, *ks, &codes[i * cl..(i + 1) * cl]);
-                    *o = match self.metric {
-                        DistanceMetric::L2 => sum,
-                        DistanceMetric::InnerProduct => -sum,
-                        DistanceMetric::Cosine => cosine_from_parts(
-                            sum,
-                            self.query_norm * recon_norms.expect("cosine needs recon norms")[i],
-                        ),
-                    };
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_slot_paths_match_pair_scoring() {
+    fn slot_path_matches_pair_scoring() {
         let (n, dim) = (64, 12);
         let rows = slab(n, dim, 3);
         for tier in [StorageTier::Sq8, StorageTier::Pq { m: 4 }] {
@@ -287,8 +247,6 @@ mod tests {
             let q = slab(1, dim, 9);
             for metric in METRICS {
                 let qq = QuantQuery::new(&codec, metric, &q);
-                let mut batch = vec![0.0f32; n];
-                qq.score_batch(&codes, Some(&norms), &mut batch);
                 let slots: Vec<u32> = (0..n as u32).rev().collect();
                 let mut gathered = Vec::new();
                 qq.score_slots(&codes, &norms, &slots, &mut gathered);
@@ -298,12 +256,6 @@ mod tests {
                         norms[s as usize],
                     );
                     assert_eq!(gathered[i], pair, "{tier:?} {metric:?} slot path");
-                    let b = batch[s as usize];
-                    let scale = pair.abs().max(1.0);
-                    assert!(
-                        (b - pair).abs() <= 1e-5 * scale,
-                        "{tier:?} {metric:?} batch {b} vs {pair}"
-                    );
                 }
             }
         }
