@@ -39,10 +39,10 @@ use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 /// the PR 9 machine 1.37. 1.1 is under every round ever observed here and
 /// at the top of the 1.0–1.1 an L3-resident index shows, so it fails when the layout
 /// stops helping and not when the host is having a slow day. The paper's
-/// 1.3 is a target this host meets on some days, not a gate. Three
-/// alternating runs on the same 2-vCPU host with the prefetch hint inlined and
-/// each row requested once read medians of 1.18–1.20, against 1.16–1.18 for
-/// the schedule before it (a fn-pointer hint, rows requested twice); a
+/// 1.3 is a target this host meets on some days, not a gate. Six
+/// alternating runs on the same 2-vCPU host with the prefetch hint inlined
+/// and each row requested once read medians of 1.17–1.20, against 1.14–1.18
+/// for the schedule before it (a fn-pointer hint, rows requested twice); a
 /// build with no software prefetch at all read 1.06–1.07, under the floor,
 /// which is why the compiled traversal keeps its prefetch.
 const MIN_SPEEDUP: f64 = 1.1;
