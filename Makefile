@@ -1,8 +1,8 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: quant-frontier verify deps-check knobs-check build test test-all clippy fmt fmt-check serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+.PHONY: quant-frontier verify deps-check knobs-check surface-check build test test-all clippy fmt fmt-check serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
-verify: fmt-check deps-check knobs-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+verify: fmt-check deps-check knobs-check surface-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
 
 build:
 	cargo build --release
@@ -42,13 +42,12 @@ deps-check:
 # *Config, *Policy, *Spec, *Hooks or *Defaults under crates/*/src. Env: `env::var` sites
 # under crates/ and shims/ plus `?=` variables in this file. Features:
 # entries of every manifest's [features] table. Variants: the variants of the
-# option enums (a storage tier, an index kind, a graph layout, a cluster
-# filter default), because a value a field can take is as much an option as
-# the field.
+# option enums (a storage tier, an index kind, a graph layout), because a
+# value a field can take is as much an option as the field.
 KNOB_FIELDS = 51
 KNOB_ENV = 4
 KNOB_FEATURES = 0
-KNOB_VARIANTS = FilterDefault=2 GraphLayout=2 IndexKind=1 StorageTier=3
+KNOB_VARIANTS = GraphLayout=2 IndexKind=1 StorageTier=3
 knobs-check:
 	@fields=$$(find crates/*/src -name '*.rs' | sort | xargs awk ' \
 	    /^pub struct [A-Za-z0-9]*(Config|Policy|Spec|Hooks|Defaults)[ <{]/ { s = 1; next } \
@@ -60,12 +59,26 @@ knobs-check:
 	  features=$$(( features + $$(sed -n '/^\[features\]/,/^\[[a-z]/p' $$m | grep -c '^[A-Za-z0-9_-]* *=') )); \
 	done; \
 	variants=$$(find crates/*/src -name '*.rs' | sort | xargs awk ' \
-	    /^pub enum (StorageTier|IndexKind|GraphLayout|FilterDefault) / { e = $$3; next } \
+	    /^pub enum (StorageTier|IndexKind|GraphLayout) / { e = $$3; next } \
 	    e != "" && /^}/ { print e "=" n; e = ""; n = 0 } \
 	    e != "" && /^    [A-Z][A-Za-z0-9]*[,( {]/ { n++ }' | sort | xargs); \
 	echo "knobs: $$fields config fields (pinned $(KNOB_FIELDS)), $$env env/make variables (pinned $(KNOB_ENV)), $$features cargo features (pinned $(KNOB_FEATURES)), option-enum variants $$variants (pinned $(KNOB_VARIANTS))"; \
 	[ "$$fields" = "$(KNOB_FIELDS)" ] && [ "$$env" = "$(KNOB_ENV)" ] && [ "$$features" = "$(KNOB_FEATURES)" ] && [ "$$variants" = "$(KNOB_VARIANTS)" ] \
 	  || { echo "knobs-check: a count moved; if that is intended, edit the pinned number in the Makefile"; exit 1; }
+
+# Surface gate: two counts pinned like the knobs above: the crates under
+# crates/, and the `pub fn` under crates/*/src. rustc's `dead_code` lint (an
+# error under `make clippy`) never reports a `pub` item, so an item with no
+# caller outside its crate stays `pub(crate)`, and a new crate or a new
+# public function edits its number here in the same diff that adds it.
+SURFACE_CRATES = 9
+SURFACE_PUB_FN = 443
+surface-check:
+	@crates=$$(ls crates/*/Cargo.toml | wc -l); \
+	pubfn=$$(grep -rE '\bpub (const |unsafe )?fn\b' crates/*/src | wc -l); \
+	echo "surface: $$crates crates (pinned $(SURFACE_CRATES)), $$pubfn pub fn under crates/*/src (pinned $(SURFACE_PUB_FN))"; \
+	[ "$$crates" = "$(SURFACE_CRATES)" ] && [ "$$pubfn" = "$(SURFACE_PUB_FN)" ] \
+	  || { echo "surface-check: a count moved; if that is intended, edit the pinned number in the Makefile"; exit 1; }
 
 serve-load:
 	cargo run --release -p tv-bench --bin serve_load
@@ -95,28 +108,29 @@ recovery-smoke:
 	$(SMOKE_BIN) recovery_bench -- --base 500
 
 # Kernel-layer gate: cross-tier equivalence tests, the index/embedding test
-# suites re-run with the SIMD dispatch forced to the scalar fallback (proves
-# results do not depend on the tier — and is the run in which the search
-# core's pinned `core_identity` constants bind), and a quick kernel
-# microbench.
+# suites (the codecs of `tv-hnsw::quant` among them) and the comparator
+# systems' unit tests in `tv-bench` re-run with the SIMD dispatch forced to
+# the scalar fallback (proves results do not depend on the tier — and is the
+# run in which the search core's pinned `core_identity` constants bind), and
+# a quick kernel microbench.
 kernel-smoke:
 	cargo test --release -p tv-common --test kernel_equivalence -q
-	TV_KERNELS=scalar cargo test --release -p tv-common -p tv-hnsw -p tv-embedding -p tv-baselines -q
+	TV_KERNELS=scalar cargo test --release -p tv-common -p tv-hnsw -p tv-embedding -q
+	TV_KERNELS=scalar cargo test --release -p tv-bench --lib -q
 	$(SMOKE_BIN) kernel_bench -- --quick 1
 
-# Quantized-tier gate: the codec and scorer suites (round trip, determinism,
-# the pinned codec images), the same suites on the scalar u8 kernels (results
-# must not depend on the SIMD tier), and `quant_bench` at its defaults (dim
-# 128, n 20000, --m 8, seeds 1..8 x 2 rounds, ~2 min), which prints the
-# (tier, ef) cells of f32 / sq8 / sq8+f32 / pq8 with the cell that dominates
-# each, or "frontier", and fails on two deterministic assertions only: on
-# every seed codes-only SQ8 reaches >= 0.95x the f32 recall@10 at <= 0.30x
-# the f32 vector bytes. No smoke target reads a clock against a file from
+# Quantized-tier gate: the codec, scorer and quantized-storage suites of
+# `tv-hnsw` (round trip, determinism, the pinned codec images;
+# `kernel-smoke` runs them again on the scalar u8 kernels), and `quant_bench`
+# at its defaults (dim 128, n 20000, --m 8, seeds 1..8 x 2 rounds, ~2 min),
+# which prints the (tier, ef) cells of f32 / sq8 / sq8+f32 / pq8 with the
+# cell that dominates each, or "frontier", and fails on two deterministic
+# assertions only: on every seed codes-only SQ8 reaches >= 0.95x the f32
+# recall@10 at <= 0.30x the f32 vector bytes. No smoke target reads a clock against a file from
 # another day: a throughput claim is judged by the paired `compare` of
 # `benchmark/`.
 quant-smoke:
-	cargo test --release -p tv-quant -q
-	TV_KERNELS=scalar cargo test --release -p tv-quant -q
+	cargo test --release -p tv-hnsw --lib -q quant
 	$(SMOKE_BIN) quant_bench
 
 # The one run ROADMAP item G registered to decide the PQ tier, arguments fixed

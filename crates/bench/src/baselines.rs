@@ -1,5 +1,3 @@
-//! # tv-baselines
-//!
 //! The comparator systems of the paper's evaluation (§6), rebuilt as
 //! simplified architectural models sharing one HNSW core so the *measured*
 //! differences come from architecture, not implementation accidents:
@@ -24,16 +22,16 @@
 //! Every system implements [`VectorSystem`], so the benchmark harness runs
 //! the same workload over all four.
 
-pub mod cost;
-pub mod milvus_like;
-pub mod neo_like;
-pub mod neptune_like;
-pub mod system;
-pub mod tigervector;
+pub(crate) mod cost;
+pub(crate) mod milvus_like;
+pub(crate) mod neo_like;
+pub(crate) mod neptune_like;
+pub(crate) mod system;
+pub(crate) mod tigervector;
 
-pub use cost::CostModel;
+pub(crate) use cost::CostModel;
 pub use milvus_like::MilvusLike;
 pub use neo_like::NeoLike;
 pub use neptune_like::NeptuneLike;
-pub use system::{recall_at_k, BuildTimes, VectorSystem};
+pub use system::{recall_at_k, VectorSystem};
 pub use tigervector::TigerVectorSystem;

@@ -21,14 +21,11 @@
 use std::time::Duration;
 
 /// Modeled evaluation hardware (one benchmark machine).
-pub const PAPER_CORES: usize = 32;
-
-/// Client threads used for the throughput experiments (Fig. 7).
-pub const THROUGHPUT_CLIENT_THREADS: usize = 16;
+pub(crate) const PAPER_CORES: usize = 32;
 
 /// Cost model for one benchmarked system.
 #[derive(Debug, Clone, Copy)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Fraction of [`PAPER_CORES`] the engine keeps busy under load.
     pub parallel_efficiency: f64,
     /// Fixed per-request overhead outside the engine.
@@ -38,7 +35,7 @@ pub struct CostModel {
 impl CostModel {
     /// TigerVector on n2d-standard-32.
     #[must_use]
-    pub fn tigervector() -> Self {
+    pub(crate) fn tigervector() -> Self {
         CostModel {
             parallel_efficiency: 1.0,
             request_overhead: Duration::from_micros(150),
@@ -47,7 +44,7 @@ impl CostModel {
 
     /// Milvus on the same hardware.
     #[must_use]
-    pub fn milvus() -> Self {
+    pub(crate) fn milvus() -> Self {
         CostModel {
             parallel_efficiency: 0.80,
             request_overhead: Duration::from_micros(250),
@@ -56,7 +53,7 @@ impl CostModel {
 
     /// Neo4j on the same hardware.
     #[must_use]
-    pub fn neo4j() -> Self {
+    pub(crate) fn neo4j() -> Self {
         CostModel {
             parallel_efficiency: 0.20,
             request_overhead: Duration::from_micros(800),
@@ -65,7 +62,7 @@ impl CostModel {
 
     /// Neptune at 1024 m-NCUs.
     #[must_use]
-    pub fn neptune() -> Self {
+    pub(crate) fn neptune() -> Self {
         CostModel {
             parallel_efficiency: 0.45,
             request_overhead: Duration::from_micros(1500),
@@ -75,7 +72,7 @@ impl CostModel {
     /// Modeled saturated QPS on the paper's hardware given measured
     /// single-core per-query CPU time.
     #[must_use]
-    pub fn modeled_qps(&self, cpu_per_query: Duration) -> f64 {
+    pub(crate) fn modeled_qps(&self, cpu_per_query: Duration) -> f64 {
         let effective_cores = PAPER_CORES as f64 * self.parallel_efficiency;
         let service_time = cpu_per_query + self.request_overhead;
         effective_cores / service_time.as_secs_f64().max(1e-9)
@@ -85,7 +82,7 @@ impl CostModel {
     /// parallelizes segment fan-out inside the engine (up to ~8 cores for
     /// TigerVector-style MPP, none for monolithic indexes).
     #[must_use]
-    pub fn modeled_latency(&self, cpu_per_query: Duration, fanout_cores: usize) -> Duration {
+    pub(crate) fn modeled_latency(&self, cpu_per_query: Duration, fanout_cores: usize) -> Duration {
         let inner = cpu_per_query.as_secs_f64() / fanout_cores.max(1) as f64;
         Duration::from_secs_f64(inner) + self.request_overhead
     }

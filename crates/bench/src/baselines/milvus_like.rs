@@ -10,7 +10,7 @@
 //! discount (the paper: "the more effective use of multi-core parallelism"
 //! and "the difference in programming languages").
 
-use crate::system::{BuildTimes, VectorSystem};
+use crate::baselines::system::{BuildTimes, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
@@ -43,12 +43,6 @@ impl MilvusLike {
             ef: 64,
             times: BuildTimes::default(),
         }
-    }
-
-    /// Number of segments.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.segments.len().max(self.binlogs.len())
     }
 
     fn encode_row(buf: &mut Vec<u8>, id: VertexId, v: &[f32]) {
@@ -142,11 +136,11 @@ impl VectorSystem for MilvusLike {
     }
 
     fn parallel_efficiency(&self) -> f64 {
-        crate::cost::CostModel::milvus().parallel_efficiency
+        crate::baselines::cost::CostModel::milvus().parallel_efficiency
     }
 
     fn request_overhead(&self) -> Duration {
-        crate::cost::CostModel::milvus().request_overhead
+        crate::baselines::cost::CostModel::milvus().request_overhead
     }
 
     fn update(&mut self, id: VertexId, vector: &[f32]) -> bool {
@@ -182,7 +176,7 @@ mod tests {
         let mut sys = MilvusLike::new(8, DistanceMetric::L2, layout);
         sys.load(&d);
         sys.build_index();
-        assert_eq!(sys.segment_count(), 4);
+        assert_eq!(sys.segments.len(), 4);
         for i in [0usize, 63, 64, 199] {
             assert_eq!(sys.top_k(&d[i].1, 1)[0].id, d[i].0);
         }

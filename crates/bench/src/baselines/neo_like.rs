@@ -10,26 +10,26 @@
 //! serialization pipeline is what stretches index build to 5–7× TigerVector
 //! (Table 2).
 
-use crate::system::{BuildTimes, VectorSystem};
+use crate::baselines::system::{BuildTimes, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::{DistanceMetric, Neighbor, VertexId};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 /// The fixed search beam Neo4j-like systems run with (not user-tunable).
-pub const FIXED_EF: usize = 40;
+pub(crate) const FIXED_EF: usize = 40;
 
 /// Quantization levels of the Lucene-style byte-vector storage. Lucene's
 /// KNN codec stores vectors lossily quantized; with coarse levels over the
 /// SIFT value range this is what costs the recall the paper measures
 /// (67.5% / 64.5% vs TigerVector's 90%+): the index ranks by quantized
 /// distances and near-ties reorder.
-pub const QUANT_LEVELS: f32 = 8.0;
+pub(crate) const QUANT_LEVELS: f32 = 8.0;
 
 /// Default value range the quantizer covers before the data-adaptive range
 /// is computed at build time (Lucene's scalar quantizer calibrates to the
 /// observed value distribution).
-pub const QUANT_RANGE: f32 = 256.0;
+pub(crate) const QUANT_RANGE: f32 = 256.0;
 
 /// Neo4j-style single-index system.
 pub struct NeoLike {
@@ -155,11 +155,11 @@ impl VectorSystem for NeoLike {
     }
 
     fn parallel_efficiency(&self) -> f64 {
-        crate::cost::CostModel::neo4j().parallel_efficiency
+        crate::baselines::cost::CostModel::neo4j().parallel_efficiency
     }
 
     fn request_overhead(&self) -> Duration {
-        crate::cost::CostModel::neo4j().request_overhead
+        crate::baselines::cost::CostModel::neo4j().request_overhead
     }
 
     fn update(&mut self, id: VertexId, vector: &[f32]) -> bool {
@@ -179,20 +179,6 @@ mod tests {
     use super::*;
     use tv_common::ids::SegmentLayout;
     use tv_common::SplitMix64;
-
-    #[allow(dead_code)]
-    fn data(n: usize, dim: usize) -> Vec<(VertexId, Vec<f32>)> {
-        let layout = SegmentLayout::with_capacity(1 << 20);
-        let mut rng = SplitMix64::new(8);
-        (0..n)
-            .map(|i| {
-                (
-                    layout.vertex_id(i),
-                    (0..dim).map(|_| rng.next_f32()).collect(),
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn ef_cannot_be_tuned() {
@@ -235,7 +221,7 @@ mod tests {
 
     #[test]
     fn build_is_slower_than_tigervector() {
-        use crate::tigervector::TigerVectorSystem;
+        use crate::baselines::tigervector::TigerVectorSystem;
         let layout = SegmentLayout::with_capacity(256);
         let d: Vec<(VertexId, Vec<f32>)> = {
             let mut rng = SplitMix64::new(5);

@@ -8,14 +8,14 @@
 //! atomic"); and a managed HTTP endpoint whose per-request overhead no
 //! amount of hardware hides.
 
-use crate::system::{BuildTimes, VectorSystem};
+use crate::baselines::system::{BuildTimes, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::{DistanceMetric, Neighbor, VertexId};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 /// Fixed high-recall search beam (hits ~99.9% recall, untunable).
-pub const FIXED_EF: usize = 400;
+pub(crate) const FIXED_EF: usize = 400;
 
 /// Neptune-style managed single-index system.
 pub struct NeptuneLike {
@@ -79,11 +79,11 @@ impl VectorSystem for NeptuneLike {
     }
 
     fn parallel_efficiency(&self) -> f64 {
-        crate::cost::CostModel::neptune().parallel_efficiency
+        crate::baselines::cost::CostModel::neptune().parallel_efficiency
     }
 
     fn request_overhead(&self) -> Duration {
-        crate::cost::CostModel::neptune().request_overhead
+        crate::baselines::cost::CostModel::neptune().request_overhead
     }
 
     fn update(&mut self, _id: VertexId, _vector: &[f32]) -> bool {

@@ -3,7 +3,7 @@
 //! loader (the engine's loading tool, which Table 2 credits for the
 //! data-load edge over Milvus).
 
-use crate::system::{BuildTimes, VectorSystem};
+use crate::baselines::system::{BuildTimes, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
@@ -137,11 +137,11 @@ impl VectorSystem for TigerVectorSystem {
     }
 
     fn parallel_efficiency(&self) -> f64 {
-        crate::cost::CostModel::tigervector().parallel_efficiency
+        crate::baselines::cost::CostModel::tigervector().parallel_efficiency
     }
 
     fn request_overhead(&self) -> Duration {
-        crate::cost::CostModel::tigervector().request_overhead
+        crate::baselines::cost::CostModel::tigervector().request_overhead
     }
 
     fn update(&mut self, id: VertexId, vector: &[f32]) -> bool {

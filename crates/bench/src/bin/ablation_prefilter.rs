@@ -15,11 +15,11 @@
 //! Usage: `cargo run --release -p tv-bench --bin ablation_prefilter -- [--n 20000]`
 
 use std::time::Instant;
+use tv_bench::datagen::{DatasetShape, VectorDataset};
 use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
 use tv_common::{Bitmap, Neighbor};
-use tv_datagen::{DatasetShape, VectorDataset};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 fn main() {

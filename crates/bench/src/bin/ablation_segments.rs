@@ -11,12 +11,12 @@
 //! Usage: `cargo run --release -p tv-bench --bin ablation_segments -- [--n 20000]`
 
 use std::time::Instant;
-use tv_baselines::recall_at_k;
+use tv_bench::baselines::recall_at_k;
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
 use tv_common::merge_topk;
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 fn main() {

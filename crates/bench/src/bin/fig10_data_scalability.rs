@@ -12,11 +12,11 @@
 //! Usage: `cargo run --release -p tv-bench --bin fig10_data_scalability -- [--n 10000] [--factor 10]`
 
 use std::time::Instant;
-use tv_baselines::{recall_at_k, TigerVectorSystem, VectorSystem};
+use tv_bench::baselines::{recall_at_k, TigerVectorSystem, VectorSystem};
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{print_table, save_json, BenchArgs};
 use tv_cluster::{ClusterModel, QueryWork};
 use tv_common::ids::SegmentLayout;
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 
 fn main() {
     let args = BenchArgs::from_env();

@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use tv_bench::datagen::{DatasetShape, VectorDataset};
 use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
 use tv_common::ids::SegmentLayout;
 use tv_common::{SplitMix64, Tid};
-use tv_datagen::{DatasetShape, VectorDataset};
 use tv_embedding::{EmbeddingService, EmbeddingTypeDef, ServiceConfig};
 use tv_hnsw::DeltaRecord;
 

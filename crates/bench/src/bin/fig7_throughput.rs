@@ -6,16 +6,16 @@
 //! point); Neo4j/Neptune appear as single points
 //! (the paper: "Neo4j and Amazon Neptune do not allow parameter tuning").
 //! Recall and per-query CPU are measured; QPS on the paper's 32-core box is
-//! modeled per `tv-baselines::cost` (see the table there for the constants
+//! modeled per `tv_bench::baselines::cost` (see the table there for the constants
 //! and their rationale).
 //!
 //! Usage: `cargo run --release -p tv-bench --bin fig7_throughput -- [--n 20000] [--q 100] [--k 100]`
 
-use tv_baselines::{MilvusLike, NeoLike, NeptuneLike, TigerVectorSystem, VectorSystem};
+use tv_bench::baselines::{MilvusLike, NeoLike, NeptuneLike, TigerVectorSystem, VectorSystem};
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{measure_point, print_table, save_json, set_storage_info, BenchArgs};
 use tv_common::ids::SegmentLayout;
 use tv_common::QuantSpec;
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 
 fn main() {
     let args = BenchArgs::from_env();

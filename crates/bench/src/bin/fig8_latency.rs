@@ -6,11 +6,11 @@
 //!
 //! Usage: `cargo run --release -p tv-bench --bin fig8_latency -- [--n 20000]`
 
-use tv_baselines::{MilvusLike, NeoLike, NeptuneLike, TigerVectorSystem, VectorSystem};
+use tv_bench::baselines::{MilvusLike, NeoLike, NeptuneLike, TigerVectorSystem, VectorSystem};
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{measure_point, print_table, save_json, set_storage_info, BenchArgs};
 use tv_common::ids::SegmentLayout;
 use tv_common::{DistanceMetric, QuantSpec};
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 
 fn main() {
     let args = BenchArgs::from_env();

@@ -10,12 +10,12 @@
 //! Usage: `cargo run --release -p tv-bench --bin fig9_node_scalability -- [--n 20000]`
 
 use std::time::Instant;
-use tv_baselines::{recall_at_k, TigerVectorSystem, VectorSystem};
+use tv_bench::baselines::{recall_at_k, TigerVectorSystem, VectorSystem};
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{print_table, save_json, BenchArgs};
 use tv_cluster::{ClusterModel, QueryWork};
 use tv_common::ids::SegmentLayout;
 use tv_common::merge_topk;
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 
 fn main() {
     let args = BenchArgs::from_env();

@@ -24,11 +24,11 @@
 //! Usage: `cargo run --release -p tv-bench --bin layout_bench -- [--n 20000] [--dim 768] [--q 150] [--ef 64] [--rounds 5]`
 
 use std::time::Instant;
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{print_table, save_json, set_layout_info, set_storage_info, BenchArgs};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
 use tv_common::{GraphLayout, VertexId};
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 /// Floor under the median of the per-round paired QPS ratios at the default

@@ -32,11 +32,12 @@
 //! Usage: `cargo run --release -p tv-bench --bin planner_sweep -- [--n 20000] [--q 40] [--k 10] [--cost-factor 1.3]`
 
 use std::time::Instant;
-use tv_bench::{print_table, recall, save_json, set_planner_info, BenchArgs};
+use tv_bench::baselines::recall_at_k;
+use tv_bench::datagen::{DatasetShape, VectorDataset};
+use tv_bench::{print_table, save_json, set_planner_info, BenchArgs};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
 use tv_common::{Bitmap, PlannerConfig};
-use tv_datagen::{DatasetShape, VectorDataset};
 use tv_hnsw::{HnswConfig, HnswIndex, SearchStats, VectorIndex};
 
 /// One strategy's measurement at one selectivity.
@@ -58,7 +59,7 @@ fn measure(
     for (qi, qv) in queries.iter().enumerate() {
         let (r, s) = run(qv);
         dc += s.distance_computations;
-        rec += recall(&r, &oracle[qi], k);
+        rec += recall_at_k(&r, &oracle[qi], k);
     }
     let elapsed = started.elapsed().as_secs_f64();
     let nq = queries.len() as f64;

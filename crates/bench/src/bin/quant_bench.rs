@@ -23,11 +23,11 @@
 //!
 //! Usage: `cargo run --release -p tv-bench --bin quant_bench -- [--n 20000] [--dim 128] [--q 100] [--k 10] [--m 8] [--rerank 4] [--seed 1]`
 
-use tv_baselines::{TigerVectorSystem, VectorSystem};
+use tv_bench::baselines::{TigerVectorSystem, VectorSystem};
+use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
 use tv_bench::{measure_point, print_table, save_json, set_storage_info, BenchArgs};
 use tv_common::ids::SegmentLayout;
 use tv_common::QuantSpec;
-use tv_datagen::{ground_truth, DatasetShape, VectorDataset};
 
 const EF_SWEEP: [usize; 6] = [16, 24, 32, 48, 64, 128];
 /// Datasets per cell (`--seed` names the first) and timed passes per

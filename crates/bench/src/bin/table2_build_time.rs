@@ -11,10 +11,10 @@
 //!
 //! Usage: `cargo run --release -p tv-bench --bin table2_build_time -- [--n 20000]`
 
-use tv_baselines::{MilvusLike, NeoLike, TigerVectorSystem, VectorSystem};
+use tv_bench::baselines::{MilvusLike, NeoLike, TigerVectorSystem, VectorSystem};
+use tv_bench::datagen::{DatasetShape, VectorDataset};
 use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
 use tv_common::ids::SegmentLayout;
-use tv_datagen::{DatasetShape, VectorDataset};
 
 fn main() {
     let args = BenchArgs::from_env();

@@ -10,9 +10,9 @@
 //!
 //! Usage: `cargo run --release -p tv-bench --bin table34_hybrid -- --sf 10 [--dim 16]`
 
+use tv_bench::datagen::vectors::DatasetShape;
+use tv_bench::datagen::{run_ic, IcQuery, SnbConfig, SnbGraph, VectorDataset};
 use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
-use tv_datagen::vectors::DatasetShape;
-use tv_datagen::{run_ic, IcQuery, SnbConfig, SnbGraph, VectorDataset};
 
 fn main() {
     let args = BenchArgs::from_env();

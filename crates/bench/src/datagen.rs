@@ -1,5 +1,3 @@
-//! # tv-datagen
-//!
 //! Synthetic datasets and workloads standing in for the paper's
 //! SIFT100M/1B, Deep100M/1B, and LDBC-SNB inputs (§6.1), plus exact ground
 //! truth for recall measurement:
@@ -14,10 +12,10 @@
 //!   (IC3/5/6/9/11 shapes with variable KNOWS repetitions) whose candidate
 //!   sets feed a top-k vector search, instrumented exactly like Tables 3–4.
 
-pub mod ic;
-pub mod snb;
+pub(crate) mod ic;
+pub(crate) mod snb;
 pub mod vectors;
 
-pub use ic::{run_ic, HybridStats, IcQuery};
+pub use ic::{run_ic, IcQuery};
 pub use snb::{SnbConfig, SnbGraph};
 pub use vectors::{ground_truth, DatasetShape, VectorDataset};

@@ -14,7 +14,7 @@
 //! | IC9   | 20 most recent messages              | exactly 20 |
 //! | IC11  | language = "es"                      | moderate-large |
 
-use crate::snb::{SnbGraph, COUNTRIES};
+use crate::datagen::snb::{SnbGraph, COUNTRIES};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use tg_graph::accum::SetAccum;
@@ -207,7 +207,7 @@ pub fn run_ic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snb::SnbConfig;
+    use crate::datagen::snb::SnbConfig;
 
     fn small_snb() -> SnbGraph {
         SnbGraph::generate(SnbConfig {

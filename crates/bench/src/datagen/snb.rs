@@ -8,13 +8,13 @@
 //! attributes with realistic selectivities, and SIFT-shaped embeddings on
 //! every message.
 
-use crate::vectors::{DatasetShape, VectorDataset};
+use crate::datagen::vectors::{DatasetShape, VectorDataset};
 use tg_graph::Graph;
 use tv_common::ids::SegmentLayout;
 use tv_common::{PlannerConfig, SplitMix64, TvResult, VertexId};
 
 // Re-exported so callers need not import tg-storage types directly.
-pub use tg_storage::{AttrType, AttrValue};
+pub(crate) use tg_storage::{AttrType, AttrValue};
 use tv_embedding::{EmbeddingSpace, IndexKind, ServiceConfig, VectorDataType};
 
 /// Generator parameters.
@@ -48,13 +48,13 @@ impl Default for SnbConfig {
 
 /// Number of languages; index 1 ("es") is the IC11 filter (~20% of
 /// messages).
-pub const LANGUAGES: [&str; 5] = ["en", "es", "de", "fr", "zh"];
+pub(crate) const LANGUAGES: [&str; 5] = ["en", "es", "de", "fr", "zh"];
 
 /// Tag universe size (IC6 filters on one rare tag).
-pub const TAGS: i64 = 200;
+pub(crate) const TAGS: i64 = 200;
 
 /// Countries (IC3 filters on the two rarest).
-pub const COUNTRIES: usize = 20;
+pub(crate) const COUNTRIES: usize = 20;
 
 /// A generated SNB-like graph plus the ids needed to query it.
 pub struct SnbGraph {

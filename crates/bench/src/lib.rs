@@ -18,14 +18,19 @@
 //! Measured quantities (per-query CPU, build times, recall, candidate
 //! counts) are real; cluster QPS and per-system service throughput go
 //! through the documented models in `tv-cluster::model` and
-//! `tv-baselines::cost` — see DESIGN.md's substitution table.
+//! [`baselines::cost`] — see DESIGN.md's substitution table.
+//!
+//! The inputs and the comparators live here too: [`datagen`] generates the
+//! datasets and [`baselines`] holds the comparator systems. The root crate
+//! re-exports both for its examples and tests.
 
+pub mod baselines;
+pub mod datagen;
+
+use baselines::{recall_at_k, VectorSystem};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use tv_baselines::{recall_at_k, VectorSystem};
 use tv_common::VertexId;
-
-pub use tv_baselines::system::recall_at_k as recall;
 
 /// Simple `--key value` CLI parsing for the bench binaries.
 #[derive(Debug, Clone, Default)]
@@ -111,7 +116,7 @@ pub fn measure_point(
         recall_sum += recall_at_k(&got, truth, k);
     }
     let cpu_per_query = started.elapsed() / queries.len().max(1) as u32;
-    let model = tv_baselines::CostModel {
+    let model = baselines::CostModel {
         parallel_efficiency: system.parallel_efficiency(),
         request_overhead: system.request_overhead(),
     };
@@ -199,7 +204,7 @@ fn planner_json(cfg: &tv_common::PlannerConfig) -> serde_json::Value {
 /// throughput numbers are meaningless without the routing policy they were
 /// measured under).
 #[must_use]
-pub fn planner_info() -> serde_json::Value {
+pub(crate) fn planner_info() -> serde_json::Value {
     PLANNER_INFO
         .lock()
         .unwrap()
@@ -223,7 +228,7 @@ pub fn set_layout_info(layout: tv_common::GraphLayout, link_bytes: usize) {
 /// bench JSON (single-thread QPS moves ≥1.3x between layouts, so numbers
 /// are not comparable without it).
 #[must_use]
-pub fn layout_info() -> serde_json::Value {
+pub(crate) fn layout_info() -> serde_json::Value {
     LAYOUT_INFO.lock().unwrap().clone().unwrap_or_else(|| {
         serde_json::json!({
             "layout": tv_common::GraphLayout::default().name(),
@@ -247,7 +252,7 @@ pub fn set_storage_info(tier: tv_common::StorageTier, memory_bytes: usize) {
 /// bench JSON (memory numbers are meaningless without the tier they were
 /// measured on).
 #[must_use]
-pub fn storage_info() -> serde_json::Value {
+pub(crate) fn storage_info() -> serde_json::Value {
     STORAGE_INFO.lock().unwrap().clone().unwrap_or_else(|| {
         serde_json::json!({
             "tier": tv_common::StorageTier::F32.name(),

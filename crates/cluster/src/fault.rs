@@ -43,21 +43,13 @@ pub enum FaultKind {
 /// What the worker loop should do with one incoming request, aggregated
 /// over every fault active on that server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultAction {
+pub(crate) struct FaultAction {
     /// Swallow the request without replying.
     pub crash: bool,
     /// Do the work, then lose the reply.
     pub drop_reply: bool,
     /// Sleep this long before searching.
     pub delay: Duration,
-}
-
-impl FaultAction {
-    /// True when the request is processed and answered normally.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.crash && !self.drop_reply && self.delay.is_zero()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -84,14 +76,14 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// An empty plan: every request is clean.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FaultPlan::default()
     }
 
     /// Arm `kind` on `server` for the next `times` requests it receives
-    /// (`None` = until [`FaultPlan::clear`]). Multiple faults stack: a
+    /// (`None` = until [`FaultPlan::clear_all`]). Multiple faults stack: a
     /// delay plus a drop-reply models a slow worker whose answer is lost.
-    pub fn inject(&self, server: usize, kind: FaultKind, times: Option<u64>) {
+    pub(crate) fn inject(&self, server: usize, kind: FaultKind, times: Option<u64>) {
         self.state
             .lock()
             .entry(server)
@@ -103,13 +95,6 @@ impl FaultPlan {
             });
     }
 
-    /// Remove every fault armed on `server`.
-    pub fn clear(&self, server: usize) {
-        if let Some(s) = self.state.lock().get_mut(&server) {
-            s.faults.clear();
-        }
-    }
-
     /// Remove every fault on every server.
     pub fn clear_all(&self) {
         for s in self.state.lock().values_mut() {
@@ -117,16 +102,10 @@ impl FaultPlan {
         }
     }
 
-    /// Number of faults currently armed (for assertions in tests).
-    #[must_use]
-    pub fn armed(&self) -> usize {
-        self.state.lock().values().map(|s| s.faults.len()).sum()
-    }
-
     /// Consulted by a worker for each received request: aggregates the
     /// active faults into one [`FaultAction`] and consumes one use from
     /// every counted fault.
-    pub fn on_receive(&self, server: usize) -> FaultAction {
+    pub(crate) fn on_receive(&self, server: usize) -> FaultAction {
         let mut state = self.state.lock();
         let Some(s) = state.get_mut(&server) else {
             return FaultAction::default();
@@ -160,8 +139,7 @@ mod tests {
     #[test]
     fn clean_by_default() {
         let plan = FaultPlan::new();
-        assert!(plan.on_receive(0).is_clean());
-        assert_eq!(plan.armed(), 0);
+        assert_eq!(plan.on_receive(0), FaultAction::default());
     }
 
     #[test]
@@ -170,10 +148,9 @@ mod tests {
         plan.inject(1, FaultKind::CrashOnRecv, Some(2));
         assert!(plan.on_receive(1).crash);
         assert!(plan.on_receive(1).crash);
-        assert!(plan.on_receive(1).is_clean());
-        assert_eq!(plan.armed(), 0);
+        assert_eq!(plan.on_receive(1), FaultAction::default());
         // Other servers were never affected.
-        assert!(plan.on_receive(0).is_clean());
+        assert_eq!(plan.on_receive(0), FaultAction::default());
     }
 
     #[test]
@@ -183,8 +160,8 @@ mod tests {
         for _ in 0..5 {
             assert!(plan.on_receive(0).drop_reply);
         }
-        plan.clear(0);
-        assert!(plan.on_receive(0).is_clean());
+        plan.clear_all();
+        assert_eq!(plan.on_receive(0), FaultAction::default());
     }
 
     #[test]
@@ -223,9 +200,8 @@ mod tests {
         let plan = FaultPlan::new();
         plan.inject(0, FaultKind::CrashOnRecv, None);
         plan.inject(3, FaultKind::DropReply, None);
-        assert_eq!(plan.armed(), 2);
         plan.clear_all();
-        assert_eq!(plan.armed(), 0);
-        assert!(plan.on_receive(0).is_clean() && plan.on_receive(3).is_clean());
+        assert_eq!(plan.on_receive(0), FaultAction::default());
+        assert_eq!(plan.on_receive(3), FaultAction::default());
     }
 }

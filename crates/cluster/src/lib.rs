@@ -22,30 +22,27 @@
 //! The runtime is fault-tolerant rather than fault-oblivious: [`fault`]
 //! injects deterministic worker failures (crash-on-recv, reply-drop,
 //! fixed/seeded delay), the coordinator recovers via replica retry waves
-//! and optional hedged requests ([`tv_common::RetryPolicy`]), [`filter`]
-//! makes per-segment filter hand-off policy-explicit (no silent
-//! unfiltered fallback), and degraded mode returns partial results with an
-//! honest [`Coverage`] instead of discarding finished work. DESIGN.md
-//! ("Failure model") documents the guarantees.
+//! and optional hedged requests ([`tv_common::RetryPolicy`]), and degraded
+//! mode returns partial results with an honest [`Coverage`] instead of
+//! discarding finished work. DESIGN.md ("Failure model") documents the
+//! guarantees. A cluster query searches every segment whole: it takes no
+//! per-segment bitmap.
 //!
 //! The cluster is also *elastic*: [`placement`] carries a
 //! generation-versioned [`PlacementTable`] (queries pin the table they
-//! scattered with; flips swap it atomically) with a minimal-move
-//! [`PlacementTable::rebalance_plan`] planner, and [`migrate`] executes
+//! scattered with; flips swap it atomically), and [`migrate`] executes
 //! [`MigrationPlan`]s live — snapshot-ship via the `durafile` container,
 //! delta-tail catch-up while the source keeps serving, and a gated atomic
 //! flip — with every phase crash-instrumented and abort/retry-safe.
 
-pub mod fault;
-pub mod filter;
-pub mod migrate;
-pub mod model;
-pub mod placement;
-pub mod runtime;
+pub(crate) mod fault;
+pub(crate) mod migrate;
+pub(crate) mod model;
+pub(crate) mod placement;
+pub(crate) mod runtime;
 
-pub use fault::{FaultAction, FaultKind, FaultPlan};
-pub use filter::{FilterDefault, FilterSet, SegmentFilter};
-pub use migrate::{MigrationErrors, MigrationPhase, MigrationReport, Migrator};
-pub use model::{ClusterModel, NetworkModel, QueryWork};
-pub use placement::{MigrationPlan, Placement, PlacementTable};
-pub use runtime::{ClusterResponse, ClusterRuntime, Coverage, RuntimeConfig};
+pub use fault::FaultKind;
+pub use migrate::{MigrationReport, Migrator};
+pub use model::{ClusterModel, QueryWork};
+pub use placement::MigrationPlan;
+pub use runtime::{ClusterResponse, ClusterRuntime, RuntimeConfig};

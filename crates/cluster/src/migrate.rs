@@ -34,7 +34,6 @@
 
 use crate::placement::MigrationPlan;
 use crate::runtime::ClusterRuntime;
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,69 +43,27 @@ use tv_common::{durafile, MigrationConfig, SegmentId, Tid, TvError, TvResult};
 use tv_embedding::{EmbeddingSegment, SegmentImage};
 
 /// `durafile` kind tag of a shipped migration segment ("MIGS").
-pub const KIND_MIGRATE_SEG: u32 = 0x4D49_4753;
+pub(crate) const KIND_MIGRATE_SEG: u32 = 0x4D49_4753;
 /// Version 2: the payload is the embedding segment image.
 const FORMAT_VERSION: u32 = 2;
 
-/// The migration state-machine phase an error was raised in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MigrationPhase {
-    /// Snapshot-shipping the source index into the staging container.
-    Ship,
-    /// Decoding + registering the destination copy.
-    Install,
-    /// Background delta-tail replay onto the destination.
-    CatchUp,
-    /// The gated final-tail drain + placement table swap.
-    Flip,
-    /// Post-flip source-copy release and staging cleanup.
-    Release,
-}
-
-impl fmt::Display for MigrationPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MigrationPhase::Ship => "ship",
-            MigrationPhase::Install => "install",
-            MigrationPhase::CatchUp => "catch-up",
-            MigrationPhase::Flip => "flip",
-            MigrationPhase::Release => "release",
-        })
-    }
-}
-
-/// Migration failure log — the `VacuumErrors` pattern: a lock-free counter
-/// for cheap "did anything fail" checks plus a detailed (phase, segment,
-/// error) entry list behind a mutex.
+/// Migration failure counter — the `VacuumErrors` pattern: a lock-free
+/// count for cheap "did anything fail" checks.
 #[derive(Default)]
 pub struct MigrationErrors {
     count: AtomicU64,
-    log: parking_lot::Mutex<Vec<(MigrationPhase, SegmentId, String)>>,
 }
 
 impl MigrationErrors {
     /// Record one aborted migration.
-    pub fn record(&self, phase: MigrationPhase, segment: SegmentId, error: &TvError) {
+    pub(crate) fn record(&self) {
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.log.lock().push((phase, segment, error.to_string()));
     }
 
     /// Total aborts recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// The most recent abort, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<(MigrationPhase, SegmentId, String)> {
-        self.log.lock().last().cloned()
-    }
-
-    /// Every recorded abort, oldest first.
-    #[must_use]
-    pub fn entries(&self) -> Vec<(MigrationPhase, SegmentId, String)> {
-        self.log.lock().clone()
     }
 }
 
@@ -226,23 +183,16 @@ impl Migrator {
 
         match self.execute(plan, started) {
             Ok(report) => Ok(report),
-            Err((phase, e)) => {
+            Err(e) => {
                 self.abort(plan);
-                self.runtime
-                    .migration_errors()
-                    .record(phase, plan.segment, &e);
+                self.runtime.migration_errors().record();
                 Err(e)
             }
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute(
-        &self,
-        plan: MigrationPlan,
-        started: Instant,
-    ) -> Result<MigrationReport, (MigrationPhase, TvError)> {
-        use MigrationPhase as P;
+    fn execute(&self, plan: MigrationPlan, started: Instant) -> TvResult<MigrationReport> {
         let seg_id = plan.segment;
         let crash = self.crash.as_deref();
         let path = self.ship_path(plan);
@@ -255,37 +205,32 @@ impl Migrator {
             .get(&seg_id)
             .cloned()
             .ok_or_else(|| {
-                (
-                    P::Ship,
-                    TvError::Cluster(format!(
-                        "source server {} has no local copy of segment {}",
-                        plan.from, seg_id.0
-                    )),
-                )
+                TvError::Cluster(format!(
+                    "source server {} has no local copy of segment {}",
+                    plan.from, seg_id.0
+                ))
             })?;
-        crash_hook(crash, CrashPoint::MigrateMidShip).map_err(|e| (P::Ship, e))?;
+        crash_hook(crash, CrashPoint::MigrateMidShip)?;
         let snap = src.newest_snapshot();
         let snap_tid = snap.up_to;
         let mut payload = Vec::new();
         src.encode_image(&snap, &[], &mut payload);
         let shipped_bytes = payload.len() as u64;
         std::fs::create_dir_all(&self.staging)
-            .map_err(|e| (P::Ship, TvError::Storage(format!("staging dir: {e}"))))?;
-        durafile::write_atomic(&path, KIND_MIGRATE_SEG, FORMAT_VERSION, &payload)
-            .map_err(|e| (P::Ship, e))?;
+            .map_err(|e| TvError::Storage(format!("staging dir: {e}")))?;
+        durafile::write_atomic(&path, KIND_MIGRATE_SEG, FORMAT_VERSION, &payload)?;
         if crash_hook(crash, CrashPoint::MigrateShipTruncate).is_err() {
             // The injected "crash" models a transfer cut mid-stream: chop
             // the shipped container and carry on — the install phase's CRC
             // verification must catch it and abort the migration.
-            truncate_file(&path).map_err(|e| (P::Ship, e))?;
+            truncate_file(&path)?;
         }
 
         // --- Phase 2: Install ----------------------------------------------
         let dest = durafile::read(&path, KIND_MIGRATE_SEG, FORMAT_VERSION)
             .and_then(|read_back| SegmentImage::decode(&read_back))
-            .and_then(EmbeddingSegment::from_image)
-            .map_err(|e| (P::Install, e))?;
-        crash_hook(crash, CrashPoint::MigrateMidInstall).map_err(|e| (P::Install, e))?;
+            .and_then(EmbeddingSegment::from_image)?;
+        crash_hook(crash, CrashPoint::MigrateMidInstall)?;
         let dest = Arc::new(dest);
         self.runtime
             .store(plan.to)
@@ -303,9 +248,9 @@ impl Migrator {
             {
                 break;
             }
-            crash_hook(crash, CrashPoint::MigrateMidCatchup).map_err(|e| (P::CatchUp, e))?;
+            crash_hook(crash, CrashPoint::MigrateMidCatchup)?;
             let batch = &tail[..tail.len().min(self.config.catchup_batch)];
-            dest.append_deltas(batch).map_err(|e| (P::CatchUp, e))?;
+            dest.append_deltas(batch)?;
             cursor = batch.last().expect("non-empty batch").tid;
             catchup_records += batch.len() as u64;
             catchup_rounds += 1;
@@ -319,21 +264,18 @@ impl Migrator {
         let generation;
         {
             let _guard = gate.lock();
-            crash_hook(crash, CrashPoint::MigrateAtFlip).map_err(|e| (P::Flip, e))?;
+            crash_hook(crash, CrashPoint::MigrateAtFlip)?;
             let tail = src.delta_tail(cursor, Tid::MAX);
             if !tail.is_empty() {
-                dest.append_deltas(&tail).map_err(|e| (P::Flip, e))?;
+                dest.append_deltas(&tail)?;
                 catchup_records += tail.len() as u64;
             }
-            generation = self
-                .runtime
-                .commit_flip(seg_id, plan.from, plan.to)
-                .map_err(|e| (P::Flip, e))?;
+            generation = self.runtime.commit_flip(seg_id, plan.from, plan.to)?;
         }
         let flip_pause = flip_started.elapsed();
 
         // --- Phase 5: Release ----------------------------------------------
-        crash_hook(crash, CrashPoint::MigratePostFlipPreRelease).map_err(|e| (P::Release, e))?;
+        crash_hook(crash, CrashPoint::MigratePostFlipPreRelease)?;
         self.release(plan);
 
         Ok(MigrationReport {
@@ -459,25 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn migration_errors_log_records_and_counts() {
+    fn migration_errors_count() {
         let errs = MigrationErrors::default();
         assert_eq!(errs.count(), 0);
-        assert!(errs.last().is_none());
-        errs.record(
-            MigrationPhase::Install,
-            SegmentId(3),
-            &TvError::Storage("crc mismatch".into()),
-        );
-        errs.record(
-            MigrationPhase::Flip,
-            SegmentId(4),
-            &TvError::Injected("migrate/at-flip".into()),
-        );
+        errs.record();
+        errs.record();
         assert_eq!(errs.count(), 2);
-        let (phase, seg, msg) = errs.last().unwrap();
-        assert_eq!(phase, MigrationPhase::Flip);
-        assert_eq!(seg, SegmentId(4));
-        assert!(msg.contains("at-flip"));
-        assert_eq!(errs.entries().len(), 2);
     }
 }

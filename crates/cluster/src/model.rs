@@ -38,7 +38,7 @@ impl Default for NetworkModel {
 impl NetworkModel {
     /// Time to move `bytes` one way.
     #[must_use]
-    pub fn transfer(&self, bytes: usize) -> Duration {
+    pub(crate) fn transfer(&self, bytes: usize) -> Duration {
         self.latency + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
 }

@@ -30,11 +30,11 @@
 //!   Strict mode (the default) keeps the original fail-hard behavior.
 
 use crate::fault::FaultPlan;
-use crate::filter::{FilterSet, SegmentFilter};
 use crate::migrate::MigrationErrors;
 use crate::placement::{Placement, PlacementTable};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,9 +83,7 @@ impl Default for RuntimeConfig {
 /// How much of the query the answer actually reflects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coverage {
-    /// Segments whose contribution is exact: searched by a worker, or
-    /// excluded by an explicit [`FilterSet`] policy (an excluded segment's
-    /// answer — the empty set — is exact, not degraded).
+    /// Segments whose contribution is exact: searched by a worker.
     pub segments_searched: usize,
     /// Segments registered with the cluster.
     pub segments_total: usize,
@@ -147,8 +145,6 @@ struct Request {
     tid: Tid,
     /// Segments this server must search for this query.
     segments: Vec<SegmentId>,
-    /// Per-segment filter policy (explicit default for absent segments).
-    filters: Arc<FilterSet>,
     /// Abandon the scatter-gather mid-flight once this expires (checked
     /// at every segment-search boundary in the worker loop).
     deadline: Deadline,
@@ -252,18 +248,8 @@ impl ClusterRuntime {
                     timed_out = true;
                     break;
                 }
-                let filter = match req.filters.effective(seg_id) {
-                    SegmentFilter::Excluded => {
-                        // Excluded by policy: the empty set is this
-                        // segment's exact answer.
-                        results.push((seg_id, Vec::new()));
-                        continue;
-                    }
-                    SegmentFilter::Restricted(b) => Some(b),
-                    SegmentFilter::Unfiltered => None,
-                };
                 if let Some(seg) = map.get(&seg_id) {
-                    let (r, s) = seg.search(&req.query, req.k, req.ef, filter, req.tid, &planner);
+                    let (r, s) = seg.search(&req.query, req.k, req.ef, None, req.tid, &planner);
                     stats.merge(&s);
                     results.push((seg_id, r));
                 } else {
@@ -291,42 +277,6 @@ impl ClusterRuntime {
         });
     }
 
-    /// Rebuild the vector index of every registered segment up to `up_to`,
-    /// fanned out over the runtime's pool. Returns the per-segment merge
-    /// results keyed by segment id, sorted.
-    pub fn index_merge_all(&self, up_to: Tid) -> TvResult<Vec<(SegmentId, Option<Tid>)>> {
-        // Every *distinct* copy per segment is merged: replicas registered
-        // through `add_segment` share one instance, but a mid-migration
-        // destination copy is independent and must not be left behind.
-        let table = self.table.read().clone();
-        let mut jobs: Vec<(SegmentId, Arc<EmbeddingSegment>)> = Vec::new();
-        for id in table.segment_ids() {
-            let mut seen: Vec<*const EmbeddingSegment> = Vec::new();
-            for &h in table.holders(id) {
-                if let Some(seg) = self.stores[h].read().get(&id) {
-                    if !seen.contains(&Arc::as_ptr(seg)) {
-                        seen.push(Arc::as_ptr(seg));
-                        jobs.push((id, Arc::clone(seg)));
-                    }
-                }
-            }
-        }
-        let width = self.pool.width();
-        let out = self.pool.run(jobs, width, |(id, seg)| {
-            Ok::<_, TvError>((id, seg.index_merge(up_to)?))
-        });
-        let merged: Vec<(SegmentId, Option<Tid>)> = out.into_iter().collect::<TvResult<_>>()?;
-        // One row per segment: copies fold the same record set to the same
-        // tid, so the first (jobs are segment-ordered) speaks for all.
-        let mut per_seg: Vec<(SegmentId, Option<Tid>)> = Vec::new();
-        for (id, m) in merged {
-            if per_seg.last().map(|&(last, _)| last) != Some(id) {
-                per_seg.push((id, m));
-            }
-        }
-        Ok(per_seg)
-    }
-
     /// Register an embedding segment with the cluster. The holders come
     /// from the round-robin [`Placement`] policy; all replicas share this
     /// one instance. Registration does not bump the placement generation —
@@ -339,18 +289,6 @@ impl ClusterRuntime {
         }
         let mut table = self.table.write();
         *table = Arc::new(table.assign(id, holders));
-    }
-
-    /// Number of registered segments.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.table.read().len()
-    }
-
-    /// Registered segment ids, sorted.
-    #[must_use]
-    pub fn segment_ids(&self) -> Vec<SegmentId> {
-        self.table.read().segment_ids()
     }
 
     /// The currently serving copy of `seg` (the first live table holder's),
@@ -503,15 +441,16 @@ impl ClusterRuntime {
 
     /// Distributed top-k: scatter per-server requests, gather and globally
     /// merge, recovering from unresponsive servers via replica retry.
+    /// `no_filter` takes no value: see [`ClusterRuntime::top_k_deadline`].
     pub fn top_k(
         &self,
         query: &[f32],
         k: usize,
         ef: usize,
         tid: Tid,
-        filters: Option<&FilterSet>,
+        no_filter: Option<Infallible>,
     ) -> TvResult<ClusterResponse> {
-        self.top_k_deadline(query, k, ef, tid, filters, Deadline::none())
+        self.top_k_deadline(query, k, ef, tid, no_filter, Deadline::none())
     }
 
     /// Route each pending segment to a live, non-suspect holder of the
@@ -544,6 +483,12 @@ impl ClusterRuntime {
     /// deadline fails it with [`TvError::Timeout`]. Degraded mode: the
     /// query returns whatever was gathered, with an accurate
     /// [`Coverage`] — partial answers beat dead ones for serving RAG.
+    ///
+    /// Every segment is searched whole: a cluster query applies no
+    /// per-segment bitmap, so no grant or row security either.
+    /// `_no_filter` is always `None` (`Infallible` has no value). It keeps
+    /// the argument list of the callers that pass `None` there, the
+    /// benchmark package among them.
     #[allow(clippy::too_many_lines)]
     pub fn top_k_deadline(
         &self,
@@ -551,14 +496,13 @@ impl ClusterRuntime {
         k: usize,
         ef: usize,
         tid: Tid,
-        filters: Option<&FilterSet>,
+        _no_filter: Option<Infallible>,
         deadline: Deadline,
     ) -> TvResult<ClusterResponse> {
         deadline.check("cluster top-k scatter")?;
         let policy = self.config.retry;
         let degraded = self.config.degraded_mode;
         let down = self.down.read().clone();
-        let filters = Arc::new(filters.cloned().unwrap_or_default());
 
         // Pin the placement: this query routes against exactly this view
         // even if a migration flip swaps the runtime's table mid-flight. A
@@ -566,8 +510,6 @@ impl ClusterRuntime {
         // against the fresh table below.
         let table = self.table.read().clone();
 
-        // Resolve the filter policy at the coordinator: excluded segments
-        // are covered (their answer is empty by policy), never scattered.
         let all_segments = table.segment_ids();
         // Segments of one cluster share a declaration, so any of them can
         // vet the query (dimension, NaN/±∞) before anything is scattered.
@@ -576,15 +518,7 @@ impl ClusterRuntime {
             None => tv_common::check_finite(query)?,
         }
         let segments_total = all_segments.len();
-        let mut covered_by_policy = 0usize;
-        let mut pending: HashSet<SegmentId> = HashSet::new();
-        for seg in all_segments {
-            if matches!(filters.effective(seg), SegmentFilter::Excluded) {
-                covered_by_policy += 1;
-            } else {
-                pending.insert(seg);
-            }
-        }
+        let mut pending: HashSet<SegmentId> = all_segments.into_iter().collect();
 
         let query = Arc::new(query.to_vec());
         let (reply_tx, reply_rx) = channel::<WorkerReply>();
@@ -629,7 +563,6 @@ impl ClusterRuntime {
                     ef,
                     tid,
                     segments: segments.clone(),
-                    filters: Arc::clone(&filters),
                     deadline,
                     reply: reply_tx.clone(),
                 });
@@ -665,7 +598,6 @@ impl ClusterRuntime {
                                 k,
                                 ef,
                                 tid,
-                                &filters,
                                 deadline,
                                 &reply_tx,
                             );
@@ -713,7 +645,6 @@ impl ClusterRuntime {
                                     ef,
                                     tid,
                                     segments: vec![seg],
-                                    filters: Arc::clone(&filters),
                                     deadline,
                                     reply: reply_tx.clone(),
                                 });
@@ -759,7 +690,7 @@ impl ClusterRuntime {
             }
         }
         let coverage = Coverage {
-            segments_searched: covered_by_policy + gathered.len(),
+            segments_searched: gathered.len(),
             segments_total,
             servers_failed: failed.len(),
         };
@@ -808,7 +739,6 @@ impl ClusterRuntime {
         k: usize,
         ef: usize,
         tid: Tid,
-        filters: &Arc<FilterSet>,
         deadline: Deadline,
         reply_tx: &Sender<WorkerReply>,
     ) -> u64 {
@@ -860,7 +790,6 @@ impl ClusterRuntime {
                 ef,
                 tid,
                 segments,
-                filters: Arc::clone(filters),
                 deadline,
                 reply: reply_tx.clone(),
             });
@@ -876,7 +805,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use tv_common::ids::{LocalId, VertexId};
-    use tv_common::{Bitmap, DistanceMetric, SplitMix64};
+    use tv_common::{DistanceMetric, SplitMix64};
     use tv_embedding::EmbeddingTypeDef;
     use tv_hnsw::DeltaRecord;
 
@@ -1164,57 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn filters_apply_per_segment() {
-        let (runtime, all) = loaded_cluster(2, 1, 4, 25);
-        // Only segment 2, locals 0..5 are valid; deny everything unlisted.
-        let mut bm = Bitmap::new(1024);
-        for l in 0..5 {
-            bm.set(l, true);
-        }
-        let filters = FilterSet::deny_unlisted().with(SegmentId(2), bm);
-        let r = runtime
-            .top_k(&all[0].1, 3, 64, Tid::MAX, Some(&filters))
-            .unwrap();
-        assert!(!r.neighbors.is_empty());
-        assert!(r
-            .neighbors
-            .iter()
-            .all(|n| n.id.segment() == SegmentId(2) && n.id.local().0 < 5));
-        // Policy-excluded segments are covered: exclusion is an exact
-        // answer, not a failure.
-        assert!(r.coverage.is_complete());
-    }
-
-    #[test]
-    fn absent_segment_cannot_leak_rows_regression() {
-        // Regression for the pre-FilterSet footgun: an RBAC bitmap that
-        // misses a segment used to fall through to "search unfiltered".
-        let (runtime, all) = loaded_cluster(2, 1, 4, 25);
-        let mut bm = Bitmap::new(1024);
-        bm.set(0, true);
-        // deny_unlisted with a bitmap ONLY for segment 1 — segments 0, 2, 3
-        // have no entry and must contribute nothing.
-        let filters = FilterSet::deny_unlisted().with(SegmentId(1), bm);
-        let r = runtime
-            .top_k(&all[0].1, 10, 64, Tid::MAX, Some(&filters))
-            .unwrap();
-        assert_eq!(r.neighbors.len(), 1, "only the single allowed row");
-        assert_eq!(r.neighbors[0].id, VertexId::new(SegmentId(1), LocalId(0)));
-        // The permissive default keeps pre-filter semantics for callers
-        // that only restrict the segments they name.
-        let mut bm2 = Bitmap::new(1024);
-        bm2.set(0, true);
-        let permissive = FilterSet::unfiltered().with(SegmentId(1), bm2);
-        let r2 = runtime
-            .top_k(&all[0].1, 100, 64, Tid::MAX, Some(&permissive))
-            .unwrap();
-        assert!(
-            r2.neighbors.iter().any(|n| n.id.segment() != SegmentId(1)),
-            "unlisted segments stay searchable under FilterDefault::All"
-        );
-    }
-
-    #[test]
     fn expired_deadline_rejected_before_scatter() {
         let (runtime, all) = loaded_cluster(2, 1, 4, 20);
         let err = runtime
@@ -1256,41 +1134,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn index_merge_all_folds_every_segment_through_the_pool() {
-        let (runtime, all) = loaded_cluster(3, 1, 6, 25);
-        // Append a second delta wave the initial load did not index, then
-        // flush it so index_merge_all has delta files to fold.
-        let def = EmbeddingTypeDef::new("e", 8, "M", DistanceMetric::L2);
-        let _ = def;
-        let mut tid = 6 * 25;
-        let mut extra = Vec::new();
-        for s in 0..6u32 {
-            let seg = runtime.segment(SegmentId(s)).unwrap();
-            let mut recs = Vec::new();
-            for l in 25..30u32 {
-                tid += 1;
-                let v: Vec<f32> = (0..8).map(|d| (d + l + s * 100) as f32).collect();
-                let id = VertexId::new(SegmentId(s), LocalId(l));
-                recs.push(DeltaRecord::upsert(id, Tid(tid), v.clone()));
-                extra.push((id, v));
-            }
-            runtime.append_deltas(SegmentId(s), &recs).unwrap();
-            seg.delta_merge(Tid(tid)).unwrap();
-        }
-        let merged = runtime.index_merge_all(Tid(tid)).unwrap();
-        assert_eq!(merged.len(), 6);
-        assert!(
-            merged.iter().all(|(_, m)| m.is_some()),
-            "every segment had deltas to fold: {merged:?}"
-        );
-        // The freshly merged vectors are now served from the indexes.
-        let (id, v) = &extra[7];
-        let r = runtime.top_k(v, 1, 64, Tid::MAX, None).unwrap();
-        assert_eq!(r.neighbors[0].id, *id);
-        let _ = all;
     }
 
     #[test]
@@ -1394,8 +1237,7 @@ mod tests {
         // The segment's index can still advance past a later, good batch.
         runtime.append_deltas(SegmentId(0), &batch[..1]).unwrap();
         seg.delta_merge(Tid(1000)).unwrap();
-        let merged = runtime.index_merge_all(Tid(1000)).unwrap();
-        assert_eq!(merged[0], (SegmentId(0), Some(Tid(1000))));
+        assert_eq!(seg.index_merge(Tid(1000)).unwrap(), Some(Tid(1000)));
         let r = runtime.top_k(&all[0].1, 3, 32, Tid::MAX, None).unwrap();
         assert_eq!(r.stats.overlay_dim_mismatches, 0);
     }

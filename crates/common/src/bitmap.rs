@@ -45,16 +45,12 @@ impl Bitmap {
         b
     }
 
-    /// Number of addressable bits.
+    /// Number of addressable bits: a capacity, so there is no `is_empty`
+    /// (a bitmap with no bit set is [`Bitmap::count_ones`] `== 0`).
     #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the bitmap has zero length.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Bit at `idx` (panics if out of range).

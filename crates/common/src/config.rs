@@ -189,29 +189,14 @@ pub enum StorageTier {
 }
 
 impl StorageTier {
-    /// Stable display name (`f32`, `sq8`, `pq8`, …); also accepted by
-    /// [`StorageTier::parse`]. Used for bench provenance stamping.
+    /// Stable display name (`f32`, `sq8`, `pq8`, …). Used for bench
+    /// provenance stamping.
     #[must_use]
     pub fn name(self) -> String {
         match self {
             StorageTier::F32 => "f32".into(),
             StorageTier::Sq8 => "sq8".into(),
             StorageTier::Pq { m } => format!("pq{m}"),
-        }
-    }
-
-    /// Parse a tier name: `f32`, `sq8`, or `pq<m>` (e.g. `pq16`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.to_ascii_lowercase();
-        match s.as_str() {
-            "f32" => Some(StorageTier::F32),
-            "sq8" => Some(StorageTier::Sq8),
-            _ => s
-                .strip_prefix("pq")
-                .and_then(|m| m.parse::<usize>().ok())
-                .filter(|&m| m > 0)
-                .map(|m| StorageTier::Pq { m }),
         }
     }
 }
@@ -376,19 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn storage_tier_names_roundtrip() {
-        for t in [
-            StorageTier::F32,
-            StorageTier::Sq8,
-            StorageTier::Pq { m: 8 },
-            StorageTier::Pq { m: 16 },
-        ] {
-            assert_eq!(StorageTier::parse(&t.name()), Some(t));
-        }
-        assert_eq!(StorageTier::parse("PQ32"), Some(StorageTier::Pq { m: 32 }));
-        assert_eq!(StorageTier::parse("pq0"), None);
-        assert_eq!(StorageTier::parse("pqx"), None);
-        assert_eq!(StorageTier::parse("bf16"), None);
+    fn storage_tier_names() {
+        assert_eq!(StorageTier::F32.name(), "f32");
+        assert_eq!(StorageTier::Sq8.name(), "sq8");
+        assert_eq!(StorageTier::Pq { m: 16 }.name(), "pq16");
         assert_eq!(StorageTier::default(), StorageTier::F32);
     }
 

@@ -85,22 +85,6 @@ impl CrashPoint {
         CrashPoint::MigrateAtFlip,
         CrashPoint::MigratePostFlipPreRelease,
     ];
-
-    /// All registered crash points, in pipeline order ([`Self::DURABILITY`]
-    /// then [`Self::MIGRATION`]).
-    pub const ALL: [CrashPoint; 11] = [
-        CrashPoint::CommitMidWalAppend,
-        CrashPoint::CommitPostWalPreApply,
-        CrashPoint::CheckpointMidWrite,
-        CrashPoint::CheckpointPostManifestPreTruncate,
-        CrashPoint::VacuumMidIndexMerge,
-        CrashPoint::MigrateMidShip,
-        CrashPoint::MigrateShipTruncate,
-        CrashPoint::MigrateMidInstall,
-        CrashPoint::MigrateMidCatchup,
-        CrashPoint::MigrateAtFlip,
-        CrashPoint::MigratePostFlipPreRelease,
-    ];
 }
 
 impl fmt::Display for CrashPoint {
@@ -155,11 +139,6 @@ impl CrashPlan {
         points.entry(point).or_default().trip_at = Some(nth);
     }
 
-    /// Disarm every point and reset hit counters.
-    pub fn reset(&self) {
-        self.points.lock().expect("crash plan lock").clear();
-    }
-
     /// How many times `point` has been reached.
     #[must_use]
     pub fn hits(&self, point: CrashPoint) -> u64 {
@@ -172,7 +151,7 @@ impl CrashPlan {
 
     /// Hook entry: record the hit and return `Err(TvError::Injected)` iff
     /// the point is armed and this is the armed occurrence.
-    pub fn fire(&self, point: CrashPoint) -> TvResult<()> {
+    pub(crate) fn fire(&self, point: CrashPoint) -> TvResult<()> {
         let mut points = self.points.lock().expect("crash plan lock");
         let state = points.entry(point).or_default();
         state.hits += 1;
@@ -232,15 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_disarms_and_clears_counters() {
-        let plan = CrashPlan::new();
-        plan.arm(CrashPoint::CommitMidWalAppend, 1);
-        plan.reset();
-        plan.fire(CrashPoint::CommitMidWalAppend).unwrap();
-        assert_eq!(plan.hits(CrashPoint::CommitMidWalAppend), 1);
-    }
-
-    #[test]
     fn hook_helper_is_noop_without_plan() {
         crash_hook(None, CrashPoint::CommitMidWalAppend).unwrap();
         let plan = CrashPlan::new();
@@ -251,12 +221,5 @@ mod tests {
     #[test]
     fn injected_error_is_not_retryable() {
         assert!(!TvError::Injected("x".into()).is_retryable());
-    }
-
-    #[test]
-    fn all_is_durability_then_migration() {
-        let mut expected = CrashPoint::DURABILITY.to_vec();
-        expected.extend(CrashPoint::MIGRATION);
-        assert_eq!(expected, CrashPoint::ALL.to_vec());
     }
 }

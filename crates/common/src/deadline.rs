@@ -31,12 +31,6 @@ impl Deadline {
         }
     }
 
-    /// Deadline at an absolute instant.
-    #[must_use]
-    pub const fn at(instant: Instant) -> Self {
-        Deadline { at: Some(instant) }
-    }
-
     /// An already-expired deadline (tests and fail-fast paths).
     #[must_use]
     pub fn expired_now() -> Self {
@@ -133,10 +127,9 @@ mod tests {
 
     #[test]
     fn latest_is_the_more_permissive() {
-        let now = Instant::now();
         let (near, far) = (
-            Deadline::at(now + Duration::from_millis(1)),
-            Deadline::at(now + Duration::from_secs(1)),
+            Deadline::after(Duration::from_millis(1)),
+            Deadline::after(Duration::from_secs(1)),
         );
         assert_eq!(near.latest(far), far);
         assert_eq!(far.latest(near), far);

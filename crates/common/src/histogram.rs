@@ -46,12 +46,6 @@ fn bucket_upper(idx: usize) -> u64 {
 }
 
 impl LatencyHistogram {
-    /// Empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
     /// Record one observation.
     pub fn record(&self, latency: Duration) {
         let nanos = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
@@ -86,7 +80,7 @@ impl LatencyHistogram {
     /// Quantile estimate (`q` in `[0, 1]`), accurate to the bucket upper
     /// bound; zero when empty. Monotone in `q`.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> Duration {
+    pub(crate) fn quantile(&self, q: f64) -> Duration {
         let n = self.count();
         if n == 0 {
             return Duration::ZERO;
@@ -122,7 +116,7 @@ mod tests {
 
     #[test]
     fn empty_is_zero() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.99), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
@@ -130,7 +124,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotone_and_bounded() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         for us in 1..=1000u64 {
             h.record(Duration::from_micros(us));
         }
@@ -143,7 +137,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording() {
-        let h = std::sync::Arc::new(LatencyHistogram::new());
+        let h = std::sync::Arc::new(LatencyHistogram::default());
         let mut handles = Vec::new();
         for _ in 0..8 {
             let h = std::sync::Arc::clone(&h);

@@ -11,7 +11,7 @@
 /// to a smaller power of two so that laptop-scale datasets still produce
 /// enough segments to exercise the MPP scatter-gather paths. Callers that
 /// need a different granularity parameterize [`crate::ids::SegmentLayout`].
-pub const SEGMENT_CAPACITY: usize = 8192;
+pub(crate) const SEGMENT_CAPACITY: usize = 8192;
 
 /// Monotonically increasing transaction id (MVCC timestamp).
 ///
@@ -26,12 +26,6 @@ impl Tid {
     pub const ZERO: Tid = Tid(0);
     /// Maximum tid; a reader at `Tid::MAX` sees every committed delta.
     pub const MAX: Tid = Tid(u64::MAX);
-
-    /// Next transaction id.
-    #[must_use]
-    pub fn next(self) -> Tid {
-        Tid(self.0 + 1)
-    }
 }
 
 impl std::fmt::Display for Tid {
@@ -89,10 +83,6 @@ impl std::fmt::Display for VertexId {
         write!(f, "v({},{})", self.segment().0, self.local().0)
     }
 }
-
-/// Alias kept for readability in index code, where an id is "the thing the
-/// index returns" rather than specifically a vertex.
-pub type GlobalId = VertexId;
 
 /// Maps a dense external row number (0..n) to `(segment, local)` coordinates
 /// and back, for a fixed per-segment capacity.
@@ -167,13 +157,6 @@ mod tests {
         let a = VertexId::new(SegmentId(1), LocalId(u32::MAX));
         let b = VertexId::new(SegmentId(2), LocalId(0));
         assert!(a < b);
-    }
-
-    #[test]
-    fn tid_next_is_monotone() {
-        let t = Tid(5);
-        assert!(t.next() > t);
-        assert_eq!(t.next(), Tid(6));
     }
 
     #[test]

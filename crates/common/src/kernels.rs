@@ -65,7 +65,7 @@ impl KernelTier {
 
     /// Parse a tier name (`scalar`, `sse`, `avx2`, `avx2+fma`, `neon`).
     #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelTier::Scalar),
             "sse" | "sse2" => Some(KernelTier::Sse),
@@ -271,30 +271,6 @@ impl<'q> PreparedQuery<'q> {
         }
     }
 
-    /// The metric this query scores under.
-    #[must_use]
-    pub fn metric(&self) -> DistanceMetric {
-        self.metric
-    }
-
-    /// The prepared query vector.
-    #[must_use]
-    pub fn query(&self) -> &[f32] {
-        self.query
-    }
-
-    /// The hoisted Euclidean query norm (0.0 for non-cosine metrics).
-    #[must_use]
-    pub fn query_norm(&self) -> f32 {
-        self.query_norm
-    }
-
-    /// The kernel tier scoring this query.
-    #[must_use]
-    pub fn tier(&self) -> KernelTier {
-        self.k.tier()
-    }
-
     /// Distance to a candidate whose norm is **not** cached (cosine runs the
     /// fused `dot_norm_sq` kernel — one pass instead of three).
     #[must_use]
@@ -415,10 +391,10 @@ impl<'q> PreparedQuery<'q> {
 
 /// The seed 4-lane scalar kernels — the always-correct reference every other
 /// tier is tested against.
-pub mod scalar {
+pub(crate) mod scalar {
     /// Inner product, 4-lane unrolled (auto-vectorizes on any target).
     #[must_use]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
         let mut acc = [0.0f32; 4];
         let chunks = a.len() / 4;
         for i in 0..chunks {
@@ -436,7 +412,7 @@ pub mod scalar {
 
     /// Squared L2 distance, 4-lane unrolled.
     #[must_use]
-    pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         let mut acc = [0.0f32; 4];
         let chunks = a.len() / 4;
         for i in 0..chunks {
@@ -456,7 +432,7 @@ pub mod scalar {
 
     /// Squared norm (`dot(a, a)` in the seed's accumulation order).
     #[must_use]
-    pub fn norm_sq(a: &[f32]) -> f32 {
+    pub(crate) fn norm_sq(a: &[f32]) -> f32 {
         dot(a, a)
     }
 
@@ -464,7 +440,7 @@ pub mod scalar {
     /// same lane order as [`dot`], so the parts are bit-identical to the
     /// seed's separate passes.
     #[must_use]
-    pub fn dot_norm_sq(a: &[f32], b: &[f32]) -> (f32, f32) {
+    pub(crate) fn dot_norm_sq(a: &[f32], b: &[f32]) -> (f32, f32) {
         let mut ab = [0.0f32; 4];
         let mut bb = [0.0f32; 4];
         let chunks = a.len() / 4;
@@ -502,7 +478,7 @@ pub mod scalar {
     /// the same accumulation order as [`dot`] — the reference every SIMD
     /// tier's u8 kernels are tested against.
     #[must_use]
-    pub fn dot_u8(a: &[f32], codes: &[u8]) -> f32 {
+    pub(crate) fn dot_u8(a: &[f32], codes: &[u8]) -> f32 {
         let mut acc = [0.0f32; 4];
         let chunks = a.len() / 4;
         for i in 0..chunks {
@@ -521,7 +497,7 @@ pub mod scalar {
     /// Mixed-precision squared L2 `Σ (a[i] - scale[i]*codes[i])²`, 4-lane
     /// unrolled.
     #[must_use]
-    pub fn l2_sq_u8(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
+    pub(crate) fn l2_sq_u8(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
         let mut acc = [0.0f32; 4];
         let chunks = a.len() / 4;
         for i in 0..chunks {

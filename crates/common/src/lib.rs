@@ -10,18 +10,18 @@
 //! the query engine, and the cluster simulator all speak these types.
 
 pub mod bitmap;
-pub mod config;
+pub(crate) mod config;
 pub mod crash;
-pub mod deadline;
+pub(crate) mod deadline;
 pub mod durafile;
-pub mod error;
-pub mod histogram;
+pub(crate) mod error;
+pub(crate) mod histogram;
 pub mod ids;
 pub mod kernels;
 pub mod metric;
 pub mod pool;
-pub mod rng;
-pub mod topk;
+pub(crate) mod rng;
+pub(crate) mod topk;
 pub mod wire;
 
 pub use bitmap::Bitmap;
@@ -33,9 +33,9 @@ pub use deadline::Deadline;
 pub use durafile::crc32;
 pub use error::{TvError, TvResult};
 pub use histogram::LatencyHistogram;
-pub use ids::{GlobalId, LocalId, SegmentId, Tid, VertexId, SEGMENT_CAPACITY};
-pub use kernels::{KernelTier, Kernels, PreparedQuery};
-pub use metric::{check_finite, distance, DistanceMetric};
+pub use ids::{SegmentId, Tid, VertexId};
+pub use kernels::{KernelTier, PreparedQuery};
+pub use metric::{check_finite, DistanceMetric};
 pub use pool::{PoolStats, TaskGauge, WorkerPool};
 pub use rng::SplitMix64;
 pub use topk::{merge_topk, Neighbor, NeighborHeap};

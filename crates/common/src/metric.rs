@@ -27,19 +27,9 @@ pub enum DistanceMetric {
 }
 
 impl DistanceMetric {
-    /// Parse the GSQL keyword (`COSINE`, `L2`, `IP`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_uppercase().as_str() {
-            "L2" | "EUCLIDEAN" => Some(DistanceMetric::L2),
-            "COSINE" => Some(DistanceMetric::Cosine),
-            "IP" | "INNER_PRODUCT" | "DOT" => Some(DistanceMetric::InnerProduct),
-            _ => None,
-        }
-    }
-
     /// GSQL keyword for this metric.
     #[must_use]
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             DistanceMetric::L2 => "L2",
             DistanceMetric::Cosine => "COSINE",
@@ -63,7 +53,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 
 /// Inner product of two equal-length vectors.
 #[must_use]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     kernels::active().dot(a, b)
 }
@@ -78,7 +68,7 @@ pub fn norm(a: &[f32]) -> f32 {
 /// distant (distance 1) rather than producing NaN. Runs the fused
 /// `dot_norm_sq` kernel — two passes over the pair, not three.
 #[must_use]
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
     let k = kernels::active();
     let (d, b_norm_sq) = k.dot_norm_sq(a, b);
     cosine_from_parts(d, k.norm_sq(a).sqrt() * b_norm_sq.sqrt())
@@ -244,18 +234,5 @@ mod tests {
         let mut v = vec![0.0, 0.0];
         normalize(&mut v);
         assert_eq!(v, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn metric_parse_roundtrip() {
-        for m in [
-            DistanceMetric::L2,
-            DistanceMetric::Cosine,
-            DistanceMetric::InnerProduct,
-        ] {
-            assert_eq!(DistanceMetric::parse(m.keyword()), Some(m));
-        }
-        assert_eq!(DistanceMetric::parse("euclidean"), Some(DistanceMetric::L2));
-        assert_eq!(DistanceMetric::parse("bogus"), None);
     }
 }

@@ -684,24 +684,22 @@ mod tests {
 
     #[test]
     fn small_batches_stay_on_their_thread() {
-        let pool = WorkerPool::new(2);
-        let gauge = TaskGauge::new();
-        let batch = || {
-            pool.run_gauged(&gauge, vec![(); 4], 2, |()| spin(Duration::from_micros(5)));
-        };
-        // The first batch measures the tasks, the second sends the ping that
-        // measures the hand-off; it lands once a worker is up.
-        while pool.stats().handoff_ns == 0 {
-            batch();
-        }
-        let warm = pool.stats();
-        for _ in 0..1000 {
-            batch();
-        }
-        // None, unless sibling tests take the core away from several batches
-        // in a row and the gauge believes them.
-        let after = pool.stats();
-        assert!(after.runs_fanned - warm.runs_fanned <= 10, "{after:?}");
+        // Both estimates are set, not measured, so the decision is the
+        // policy's alone: no sibling test can inflate a reading. The hand-off
+        // is the cheapest this host reads (22 µs); the weighing counter is
+        // past 0 so no ping re-measures it within these 63 decisions.
+        let pool = pool_with_handoff(2, Duration::from_micros(22));
+        pool.shared.weighed.store(1, Ordering::Relaxed);
+        let _lane = Lane::enter(&pool.shared);
+        // Four 5 µs tasks on two lanes save 10 µs, under 3 × 22 µs.
+        let small = nanos(Duration::from_micros(5));
+        let fanned = (0..62)
+            .filter(|_| pool.helpers_worth_waking(small, 4, 2) > 0)
+            .count();
+        assert!(fanned <= 10, "{fanned} of 62 small batches fanned out");
+        // Four 34 µs tasks save 68 µs, past the line: they fan out.
+        let large = nanos(Duration::from_micros(34));
+        assert_eq!(pool.helpers_worth_waking(large, 4, 2), 1);
     }
 
     #[test]

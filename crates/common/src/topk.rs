@@ -82,18 +82,6 @@ impl NeighborHeap {
         self.k
     }
 
-    /// Number of neighbors currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no neighbors are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Offer a candidate; returns true if it entered the top-k.
     pub fn push(&mut self, n: Neighbor) -> bool {
         if self.k == 0 {
@@ -108,24 +96,6 @@ impl NeighborHeap {
             true
         } else {
             false
-        }
-    }
-
-    /// The current k-th (worst retained) distance, or `f32::INFINITY` while
-    /// the heap is not yet full. HNSW uses this as its expansion bound.
-    #[must_use]
-    pub fn bound(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.heap.peek().map_or(f32::INFINITY, |n| n.dist)
-        }
-    }
-
-    /// Merge another heap's contents into this one.
-    pub fn merge(&mut self, other: &NeighborHeap) {
-        for n in &other.heap {
-            self.push(*n);
         }
     }
 
@@ -184,22 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn bound_is_infinite_until_full() {
-        let mut h = NeighborHeap::new(2);
-        assert_eq!(h.bound(), f32::INFINITY);
-        h.push(Neighbor::new(v(0), 1.0));
-        assert_eq!(h.bound(), f32::INFINITY);
-        h.push(Neighbor::new(v(1), 2.0));
-        assert_eq!(h.bound(), 2.0);
-        h.push(Neighbor::new(v(2), 0.5));
-        assert_eq!(h.bound(), 1.0);
-    }
-
-    #[test]
     fn zero_k_accepts_nothing() {
         let mut h = NeighborHeap::new(0);
         assert!(!h.push(Neighbor::new(v(0), 1.0)));
-        assert!(h.is_empty());
         assert!(h.into_sorted().is_empty());
     }
 
@@ -229,20 +186,6 @@ mod tests {
         let got = merge_topk([s0, s1], 3);
         let ids: Vec<VertexId> = got.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![v(1), v(2), v(0)]);
-    }
-
-    #[test]
-    fn merge_heaps() {
-        let mut a = NeighborHeap::new(2);
-        a.push(Neighbor::new(v(0), 5.0));
-        let mut b = NeighborHeap::new(2);
-        b.push(Neighbor::new(v(1), 1.0));
-        b.push(Neighbor::new(v(2), 2.0));
-        a.merge(&b);
-        let got = a.into_sorted();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].id, v(1));
-        assert_eq!(got[1].id, v(2));
     }
 
     #[test]

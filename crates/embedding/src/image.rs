@@ -119,7 +119,7 @@ impl EmbeddingSegment {
     /// segment declared like this one: same id, capacity, storage spec,
     /// dimension and metric. (The layout is an execution choice, not data:
     /// this segment keeps its own and compiles into it at the next merge.)
-    pub fn restore_image(&self, image: SegmentImage) -> TvResult<()> {
+    pub(crate) fn restore_image(&self, image: SegmentImage) -> TvResult<()> {
         let own = self.newest_snapshot();
         let (want, got) = (own.index.config(), image.index.config());
         // (segment, capacity, storage spec, dimension, metric)

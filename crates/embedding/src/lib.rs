@@ -21,14 +21,14 @@
 //!   restores and migration ships.
 
 pub mod encode;
-pub mod image;
-pub mod segment;
+pub(crate) mod image;
+pub(crate) mod segment;
 pub mod service;
-pub mod types;
+pub(crate) mod types;
 pub mod vacuum;
 
 pub use image::SegmentImage;
 pub use segment::EmbeddingSegment;
-pub use service::{BatchQuery, EmbeddingService, SegmentFilters, ServiceConfig, TypedNeighbor};
+pub use service::{BatchQuery, EmbeddingService, ServiceConfig, TypedNeighbor};
 pub use types::{EmbeddingSpace, EmbeddingTypeDef, IndexKind, VectorDataType};
-pub use vacuum::{BackgroundVacuum, ThreadTuner, VacuumConfig, VacuumErrors};
+pub use vacuum::{BackgroundVacuum, VacuumConfig};

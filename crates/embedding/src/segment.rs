@@ -138,7 +138,7 @@ impl EmbeddingSegment {
     /// Resident bytes: every retained snapshot plus the delta overlay
     /// (mem store and flushed delta files).
     #[must_use]
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let delta_bytes = |r: &DeltaRecord| std::mem::size_of::<DeltaRecord>() + r.vector.len() * 4;
         let mut total: usize = self
             .snapshots
@@ -433,7 +433,7 @@ impl EmbeddingSegment {
     }
 
     /// Range search at `read_tid` (same combination rule as [`Self::search`]).
-    pub fn range_search(
+    pub(crate) fn range_search(
         &self,
         query: &[f32],
         threshold: f32,
@@ -514,7 +514,7 @@ impl EmbeddingSegment {
     /// Rebuild the index from scratch at `read_tid` (live vectors only) and
     /// publish it — the alternative Fig. 11 compares incremental merging
     /// against, which wins once >~20% of vectors changed.
-    pub fn rebuild(&self, read_tid: Tid) -> TvResult<Tid> {
+    pub(crate) fn rebuild(&self, read_tid: Tid) -> TvResult<Tid> {
         let snap = self.snapshot_for(read_tid);
         let overlay = self.overlay(snap.up_to, read_tid);
         let mut index = HnswIndex::new(*snap.index.config());
@@ -564,7 +564,7 @@ impl EmbeddingSegment {
     /// Install checkpointed state into this (pristine) segment: an index
     /// image valid up to `up_to` plus the delta tail beyond it. Refuses to
     /// clobber a segment that already holds data.
-    pub fn restore_checkpoint(
+    pub(crate) fn restore_checkpoint(
         &self,
         up_to: Tid,
         index: HnswIndex,
@@ -593,7 +593,7 @@ impl EmbeddingSegment {
     /// newer; drop delta files fully covered by the oldest retained
     /// snapshot. ("The old index snapshot and delta files are deleted only
     /// after the new index snapshot is visible to all running transactions.")
-    pub fn prune(&self, horizon: Tid) -> (usize, usize) {
+    pub(crate) fn prune(&self, horizon: Tid) -> (usize, usize) {
         let mut snaps = self.snapshots.write();
         let keep_from = snaps.iter().rposition(|s| s.up_to <= horizon).unwrap_or(0);
         let dropped_snaps = keep_from;

@@ -100,12 +100,6 @@ impl EmbeddingAttr {
         self.segments.read().clone()
     }
 
-    /// Number of materialized segments.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.segments.read().len()
-    }
-
     /// Total live vectors at `read_tid`.
     #[must_use]
     pub fn live_count(&self, read_tid: Tid) -> usize {
@@ -117,16 +111,8 @@ impl EmbeddingAttr {
 
     /// Resident bytes across all materialized segments (snapshots + deltas).
     #[must_use]
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.all_segments().iter().map(|s| s.memory_bytes()).sum()
-    }
-
-    /// Storage tier of the attribute's newest snapshots. Mixed tiers (some
-    /// segments not yet merged past their first codec training) report the
-    /// declared spec's tier.
-    #[must_use]
-    pub fn storage_tier(&self) -> tv_common::StorageTier {
-        self.def.quant.tier
     }
 }
 
@@ -183,10 +169,10 @@ impl EmbeddingService {
         }
     }
 
-    /// Run fan-outs on an injected pool instead of the global one (tests and
-    /// embedders that want isolated widths).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
+    /// Run fan-outs on an injected pool instead of the global one, so a
+    /// test can hold its lanes.
+    #[cfg(test)]
+    pub(crate) fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = pool;
         self
     }
@@ -726,7 +712,7 @@ mod tests {
             .register(0, def("e"), SegmentLayout::with_capacity(16))
             .unwrap();
         let vecs = load(&svc, a, 64, 5); // 4 segments
-        assert_eq!(svc.attr(a).unwrap().segment_count(), 4);
+        assert_eq!(svc.attr(a).unwrap().all_segments().len(), 4);
         let q = &vecs[50];
         let (r, _) = svc.top_k(&[a], q, 5, 64, Tid(64), None).unwrap();
         assert_eq!(r.len(), 5);

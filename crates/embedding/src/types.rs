@@ -17,44 +17,12 @@ pub enum IndexKind {
     Hnsw,
 }
 
-impl IndexKind {
-    /// GSQL keyword.
-    #[must_use]
-    pub fn keyword(self) -> &'static str {
-        "HNSW"
-    }
-
-    /// Parse a GSQL keyword.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_uppercase().as_str() {
-            "HNSW" => Some(IndexKind::Hnsw),
-            _ => None,
-        }
-    }
-}
-
 /// Element type of the stored vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VectorDataType {
     /// 32-bit float (the only type the reproduction materializes).
     #[default]
     Float,
-}
-
-impl VectorDataType {
-    /// GSQL keyword.
-    #[must_use]
-    pub fn keyword(self) -> &'static str {
-        "FLOAT"
-    }
-
-    /// Parse a GSQL keyword.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_uppercase().as_str() {
-            "FLOAT" => Some(VectorDataType::Float),
-            _ => None,
-        }
-    }
 }
 
 /// Full metadata of one embedding attribute — what `ADD EMBEDDING ATTRIBUTE`
@@ -115,7 +83,7 @@ impl EmbeddingTypeDef {
     }
 
     /// Validate the definition.
-    pub fn validate(&self) -> TvResult<()> {
+    pub(crate) fn validate(&self) -> TvResult<()> {
         if self.name.is_empty() {
             return Err(TvError::Schema("embedding attribute needs a name".into()));
         }
@@ -131,7 +99,7 @@ impl EmbeddingTypeDef {
     /// The paper's compatibility rule: everything but the index kind must
     /// match for two attributes to be searched together.
     #[must_use]
-    pub fn compatible_with(&self, other: &EmbeddingTypeDef) -> bool {
+    pub(crate) fn compatible_with(&self, other: &EmbeddingTypeDef) -> bool {
         self.dimension == other.dimension
             && self.model == other.model
             && self.datatype == other.datatype
@@ -315,18 +283,5 @@ mod tests {
         assert!(post.compatible_with(&comment));
         assert_eq!(post.dimension, 1024);
         assert_eq!(post.model, "GPT4");
-    }
-
-    #[test]
-    fn keywords_roundtrip() {
-        assert_eq!(IndexKind::parse("hnsw"), Some(IndexKind::Hnsw));
-        // `FLAT` / `BRUTEFORCE` / `NONE` used to parse into a kind no code
-        // read: the attribute was silently served by HNSW.
-        for unserved in ["FLAT", "BRUTEFORCE", "NONE", "ivf"] {
-            assert_eq!(IndexKind::parse(unserved), None, "{unserved}");
-        }
-        assert_eq!(IndexKind::Hnsw.keyword(), "HNSW");
-        assert_eq!(VectorDataType::parse("FLOAT"), Some(VectorDataType::Float));
-        assert_eq!(VectorDataType::parse("INT8"), None);
     }
 }

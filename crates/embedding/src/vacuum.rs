@@ -10,11 +10,10 @@
 //! threads back off to keep queries responsive.
 
 use crate::service::EmbeddingService;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tv_common::{Tid, TvError};
+use tv_common::Tid;
 
 /// Vacuum scheduling knobs.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +44,7 @@ impl Default for VacuumConfig {
 /// "we monitor the CPU utilization and dynamically tune the number of
 /// threads for parallel index updates".
 #[derive(Debug, Clone, Copy)]
-pub struct ThreadTuner {
+pub(crate) struct ThreadTuner {
     /// Hard ceiling on merge threads.
     pub max_threads: usize,
     /// Foreground utilization target.
@@ -57,7 +56,7 @@ impl ThreadTuner {
     /// full parallelism when idle, scaled down proportionally as load nears
     /// the target, never below one (progress guarantee).
     #[must_use]
-    pub fn tune(&self, load: f64) -> usize {
+    pub(crate) fn tune(&self, load: f64) -> usize {
         let load = load.clamp(0.0, 1.0);
         if self.target_utilization <= 0.0 {
             return 1;
@@ -70,30 +69,22 @@ impl ThreadTuner {
 
 /// Error telemetry shared by the vacuum threads. A persistently failing
 /// attribute used to be swallowed forever by `unwrap_or(0)`; now every
-/// failed merge bumps the counter and records the message, so operators
-/// can see (and alert on) a vacuum that is silently falling behind.
+/// failed merge bumps the counter, so operators can see (and alert on) a
+/// vacuum that is silently falling behind.
 #[derive(Default)]
-pub struct VacuumErrors {
+pub(crate) struct VacuumErrors {
     count: AtomicU64,
-    last: Mutex<Option<String>>,
 }
 
 impl VacuumErrors {
-    fn record(&self, attr: u32, what: &str, e: &TvError) {
+    fn record(&self) {
         self.count.fetch_add(1, Ordering::Relaxed);
-        *self.last.lock() = Some(format!("{what} failed for attr {attr}: {e}"));
     }
 
     /// Total merge failures observed since start.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// The most recent failure message, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<String> {
-        self.last.lock().clone()
     }
 }
 
@@ -110,7 +101,7 @@ fn delta_round(
     for &attr in attrs {
         match service.delta_merge(attr, up_to) {
             Ok(n) => flushed += n as u64,
-            Err(e) => errors.record(attr, "delta merge", &e),
+            Err(_) => errors.record(),
         }
     }
     flushed
@@ -130,7 +121,7 @@ fn index_round(
     for &attr in attrs {
         match service.index_merge(attr, up_to, threads) {
             Ok(n) => folded += n as u64,
-            Err(e) => errors.record(attr, "index merge", &e),
+            Err(_) => errors.record(),
         }
     }
     folded
@@ -235,12 +226,6 @@ impl BackgroundVacuum {
     #[must_use]
     pub fn error_count(&self) -> u64 {
         self.errors.count()
-    }
-
-    /// The most recent merge failure, if any ever occurred.
-    #[must_use]
-    pub fn last_error(&self) -> Option<String> {
-        self.errors.last()
     }
 
     /// Signal the threads to stop and join them.
@@ -360,11 +345,8 @@ mod tests {
         let flushed = delta_round(&svc, &[9999], Tid(64), &errors);
         assert_eq!(flushed, 0);
         assert_eq!(errors.count(), 1);
-        let msg = errors.last().expect("last error recorded");
-        assert!(msg.contains("9999") && msg.contains("delta merge"), "{msg}");
         index_round(&svc, &[9999], Tid(64), 1, &errors);
         assert_eq!(errors.count(), 2);
-        assert!(errors.last().unwrap().contains("index merge"));
     }
 
     #[test]
@@ -420,7 +402,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(vacuum.error_count(), 0, "healthy vacuum must report none");
-        assert!(vacuum.last_error().is_none());
         vacuum.stop();
         assert_eq!(svc.total_mem_deltas(), 0, "mem deltas not flushed");
         assert_eq!(svc.total_delta_files(), 0, "delta files not merged+pruned");

@@ -2,50 +2,12 @@
 //!
 //! Global accumulators (`@@`) are read and written across query blocks;
 //! vertex-local accumulators (`@`) hang off vertices. The reproduction
-//! provides the ones the paper's queries use: sum, max, set, map (the
-//! `distanceMap` output parameter of `VectorSearch()`), and the bounded
-//! top-k heap accumulator that powers vector similarity join (§5.4).
+//! provides the ones the paper's queries use: set, map (the `distanceMap`
+//! output parameter of `VectorSearch()`), and the bounded top-k heap
+//! accumulator that powers vector similarity join (§5.4).
 
 use std::collections::HashMap;
 use tv_common::{Neighbor, NeighborHeap, VertexId};
-
-/// `SumAccum<INT/DOUBLE>`.
-#[derive(Debug, Clone, Default)]
-pub struct SumAccum {
-    value: f64,
-}
-
-impl SumAccum {
-    /// Add to the accumulator (`+=` in GSQL).
-    pub fn add(&mut self, v: f64) {
-        self.value += v;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-}
-
-/// `MaxAccum<DOUBLE>`.
-#[derive(Debug, Clone, Default)]
-pub struct MaxAccum {
-    value: Option<f64>,
-}
-
-impl MaxAccum {
-    /// Offer a value.
-    pub fn add(&mut self, v: f64) {
-        self.value = Some(self.value.map_or(v, |m| m.max(v)));
-    }
-
-    /// Current max, if anything was offered.
-    #[must_use]
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
-}
 
 /// `SetAccum<VERTEX>` — collects vertices (type-tagged).
 #[derive(Debug, Clone, Default)]
@@ -57,18 +19,6 @@ impl SetAccum {
     /// Insert a vertex.
     pub fn add(&mut self, type_id: u32, id: VertexId) {
         self.items.insert((type_id, id));
-    }
-
-    /// Number of distinct members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Iterate members.
@@ -96,22 +46,12 @@ impl MapAccum {
         self.entries.insert((type_id, id), value);
     }
 
-    /// Read an entry.
+    /// Number of entries (no caller asks whether the map is empty, so
+    /// there is no `is_empty`).
     #[must_use]
-    pub fn get(&self, type_id: u32, id: VertexId) -> Option<f64> {
-        self.entries.get(&(type_id, id)).copied()
-    }
-
-    /// Number of entries.
-    #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Entries sorted by ascending value (distance order).
@@ -175,18 +115,6 @@ impl PairHeapAccum {
             .filter_map(|n| pairs.get(&n.id.0).map(|&(s, t)| (s, t, n.dist)))
             .collect()
     }
-
-    /// Number of retained pairs (≤ k).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if nothing retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -199,29 +127,12 @@ mod tests {
     }
 
     #[test]
-    fn sum_accum() {
-        let mut a = SumAccum::default();
-        a.add(1.5);
-        a.add(2.5);
-        assert_eq!(a.get(), 4.0);
-    }
-
-    #[test]
-    fn max_accum() {
-        let mut a = MaxAccum::default();
-        assert_eq!(a.get(), None);
-        a.add(3.0);
-        a.add(-1.0);
-        assert_eq!(a.get(), Some(3.0));
-    }
-
-    #[test]
     fn set_accum_dedupes_and_converts() {
         let mut a = SetAccum::default();
         a.add(0, vid(1));
         a.add(0, vid(1));
         a.add(1, vid(1));
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.iter().count(), 2);
         let vs = a.to_vertex_set();
         assert!(vs.contains(0, vid(1)));
         assert!(vs.contains(1, vid(1)));
@@ -235,9 +146,8 @@ mod tests {
         m.put(0, vid(3), 0.5);
         let sorted = m.sorted_by_value();
         assert_eq!(sorted[0].0 .1, vid(2));
+        assert_eq!(sorted[1], ((0, vid(3)), 0.5));
         assert_eq!(sorted[2].0 .1, vid(1));
-        assert_eq!(m.get(0, vid(3)), Some(0.5));
-        assert_eq!(m.get(1, vid(3)), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::vertex_set::VertexSet;
 use std::collections::HashMap;
 use tg_storage::segment::SegmentStore;
 use tg_storage::AttrValue;
-use tv_common::ids::{LocalId, SegmentLayout};
+use tv_common::ids::LocalId;
 use tv_common::{Bitmap, SegmentId, Tid, TvResult, VertexId};
 
 impl Graph {
@@ -20,7 +20,7 @@ impl Graph {
     /// pool, at most `query_threads` wide, and leaves the calling thread only
     /// when the pool finds the scans worth a hand-off. `f` receives the
     /// segment store and its id.
-    pub fn vertex_action<R: Send>(
+    pub(crate) fn vertex_action<R: Send>(
         &self,
         type_id: u32,
         f: impl Fn(&SegmentStore, SegmentId) -> R + Sync,
@@ -72,7 +72,7 @@ impl Graph {
     /// in schema order (resolve column indices once, through the type's
     /// `AttrSchema`, before the scan). Segments with no qualifying vertex
     /// are omitted.
-    pub fn filter_bitmaps(
+    pub(crate) fn filter_bitmaps(
         &self,
         type_id: u32,
         tid: Tid,
@@ -160,17 +160,13 @@ impl Graph {
         }
         Ok(out)
     }
-
-    /// The layout of a vertex type (for bitmap capacity decisions).
-    pub fn type_layout(&self, type_id: u32) -> TvResult<SegmentLayout> {
-        Ok(self.store().vertex_type(type_id)?.layout())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tg_storage::AttrType;
+    use tv_common::ids::SegmentLayout;
     use tv_embedding::ServiceConfig;
 
     fn graph() -> (Graph, u32, u32) {

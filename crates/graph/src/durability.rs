@@ -78,7 +78,7 @@ pub struct RecoveryReport {
 
 /// Writes checkpoints into `<dir>/checkpoints/ckpt-<tid>/` and rotates the
 /// WAL once each manifest is durable.
-pub struct CheckpointManager {
+pub(crate) struct CheckpointManager {
     dir: PathBuf,
     /// Verified checkpoints to retain (older ones are pruned).
     keep: usize,
@@ -88,7 +88,7 @@ pub struct CheckpointManager {
 impl CheckpointManager {
     /// Manager rooted at a graph data directory.
     #[must_use]
-    pub fn new(dir: &Path) -> Self {
+    pub(crate) fn new(dir: &Path) -> Self {
         CheckpointManager {
             dir: dir.to_path_buf(),
             keep: 2,
@@ -98,14 +98,14 @@ impl CheckpointManager {
 
     /// Arm deterministic crash injection (tests only).
     #[must_use]
-    pub fn with_crash_plan(mut self, plan: Option<Arc<CrashPlan>>) -> Self {
+    pub(crate) fn with_crash_plan(mut self, plan: Option<Arc<CrashPlan>>) -> Self {
         self.crash_plan = plan;
         self
     }
 
     /// Persist a consistent point at the graph's latest committed TID, then
     /// rotate the WAL and prune old checkpoints.
-    pub fn checkpoint(&self, graph: &Graph) -> TvResult<CheckpointInfo> {
+    pub(crate) fn checkpoint(&self, graph: &Graph) -> TvResult<CheckpointInfo> {
         let ckpt_tid = graph.read_tid();
         let ckpt_dir = self
             .dir
@@ -228,14 +228,14 @@ struct LoadedCheckpoint {
 }
 
 /// Restores the newest verifiable checkpoint and replays the WAL tail.
-pub struct RecoveryManager {
+pub(crate) struct RecoveryManager {
     dir: PathBuf,
 }
 
 impl RecoveryManager {
     /// Manager rooted at a graph data directory.
     #[must_use]
-    pub fn new(dir: &Path) -> Self {
+    pub(crate) fn new(dir: &Path) -> Self {
         RecoveryManager {
             dir: dir.to_path_buf(),
         }
@@ -246,7 +246,7 @@ impl RecoveryManager {
     /// beyond its TID. With no usable checkpoint the full WAL is replayed —
     /// which only succeeds while the log still starts at the first
     /// transaction.
-    pub fn recover(&self, graph: &Graph) -> TvResult<RecoveryReport> {
+    pub(crate) fn recover(&self, graph: &Graph) -> TvResult<RecoveryReport> {
         let mut candidates = list_checkpoints(&self.dir.join(CKPT_DIR));
         candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
         let mut skipped = 0;

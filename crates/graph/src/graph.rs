@@ -7,7 +7,6 @@ use crate::vertex_set::VertexSet;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tg_storage::txn::ReadTicket;
 use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta, GraphStore};
 use tv_common::ids::SegmentLayout;
 use tv_common::{CrashPlan, TaskGauge, Tid, TvError, TvResult, VertexId};
@@ -197,22 +196,10 @@ impl Graph {
         &self.store
     }
 
-    /// Segment layout used for new types.
-    #[must_use]
-    pub fn layout(&self) -> SegmentLayout {
-        self.default_layout
-    }
-
     /// Latest committed TID (the default read snapshot).
     #[must_use]
     pub fn read_tid(&self) -> Tid {
         self.store.txn().last_committed()
-    }
-
-    /// Register a pinned read snapshot (MVCC ticket).
-    #[must_use]
-    pub fn begin_read(&self) -> ReadTicket {
-        self.store.txn().begin_read()
     }
 
     /// Allocate one vertex id of `type_id`.
@@ -431,18 +418,6 @@ impl TxnBuilder<'_> {
     pub fn set_vector(mut self, attr_id: u32, id: VertexId, vector: Vec<f32>) -> Self {
         self.vec_ops.push(VecOp::Upsert(attr_id, id, vector));
         self
-    }
-
-    /// Delete a vertex's vector under an embedding attribute.
-    pub fn delete_vector(mut self, attr_id: u32, id: VertexId) -> Self {
-        self.vec_ops.push(VecOp::Delete(attr_id, id));
-        self
-    }
-
-    /// True if nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty() && self.vec_ops.is_empty()
     }
 
     /// Commit atomically; returns the TID. Vector deltas are validated,
@@ -761,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn read_tickets_pin_vector_visibility() {
+    fn older_tid_keeps_the_older_vector() {
         let g = small_graph();
         let (post, emb) = setup_post_graph(&g);
         let id = g.allocate(post).unwrap();
@@ -774,14 +749,11 @@ mod tests {
             .set_vector(emb, id, vec![1.0; 4])
             .commit()
             .unwrap();
-        let ticket = g.begin_read();
+        let pinned = g.read_tid();
         // A later update...
         g.txn().set_vector(emb, id, vec![2.0; 4]).commit().unwrap();
-        // ...is invisible at the pinned tid.
-        assert_eq!(
-            g.embedding_of(emb, id, ticket.tid()).unwrap(),
-            Some(vec![1.0; 4])
-        );
+        // ...is invisible at the earlier tid.
+        assert_eq!(g.embedding_of(emb, id, pinned).unwrap(), Some(vec![1.0; 4]));
         assert_eq!(
             g.embedding_of(emb, id, g.read_tid()).unwrap(),
             Some(vec![2.0; 4])

@@ -25,17 +25,16 @@
 //!   injection for torture testing.
 
 pub mod accum;
-pub mod actions;
-pub mod algo;
+pub(crate) mod actions;
+pub(crate) mod algo;
 pub mod durability;
-pub mod graph;
+pub(crate) mod graph;
 pub mod loader;
-pub mod rbac;
-pub mod schema;
-pub mod vertex_set;
+pub(crate) mod rbac;
+pub(crate) mod schema;
+pub(crate) mod vertex_set;
 
-pub use durability::{CheckpointInfo, CheckpointManager, RecoveryManager, RecoveryReport};
-pub use graph::{Graph, TxnBuilder};
+pub use durability::CheckpointInfo;
+pub use graph::Graph;
 pub use rbac::{AccessControl, Role};
-pub use schema::{Catalog, EdgeTypeDef, VertexTypeDef};
 pub use vertex_set::VertexSet;

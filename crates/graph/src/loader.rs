@@ -17,7 +17,7 @@
 use crate::graph::Graph;
 use std::collections::HashMap;
 use tg_storage::{AttrType, AttrValue};
-use tv_common::{Tid, TvError, TvResult, VertexId};
+use tv_common::{TvError, TvResult, VertexId};
 
 /// A loading job bound to one graph. Tracks the primary-key → vertex-id
 /// assignment so attribute and embedding files can arrive in either order.
@@ -25,30 +25,23 @@ pub struct LoadingJob<'g> {
     graph: &'g Graph,
     /// `(vertex type, external key)` → assigned vertex id.
     key_map: HashMap<(u32, i64), VertexId>,
-    /// Rows per commit batch.
-    batch_size: usize,
 }
 
+/// Rows per commit batch.
+const BATCH_ROWS: usize = 4096;
+
 impl<'g> LoadingJob<'g> {
-    /// New job with the default batch size.
+    /// New job.
     #[must_use]
     pub fn new(graph: &'g Graph) -> Self {
         LoadingJob {
             graph,
             key_map: HashMap::new(),
-            batch_size: 4096,
         }
     }
 
-    /// Override the commit batch size.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch.max(1);
-        self
-    }
-
     /// The vertex id assigned to `(type, key)`, allocating if new.
-    pub fn id_for(&mut self, type_id: u32, key: i64) -> TvResult<VertexId> {
+    pub(crate) fn id_for(&mut self, type_id: u32, key: i64) -> TvResult<VertexId> {
         if let Some(&id) = self.key_map.get(&(type_id, key)) {
             return Ok(id);
         }
@@ -67,7 +60,7 @@ impl<'g> LoadingJob<'g> {
             (vt.type_id, vt.schema.clone())
         };
         let mut loaded = 0;
-        for chunk in lines.chunks(self.batch_size) {
+        for chunk in lines.chunks(BATCH_ROWS) {
             let mut txn = self.graph.txn();
             for line in chunk {
                 let mut fields = line.split(',');
@@ -115,7 +108,7 @@ impl<'g> LoadingJob<'g> {
             (vt.type_id, attr_id, def.clone())
         };
         let mut loaded = 0;
-        for chunk in lines.chunks(self.batch_size) {
+        for chunk in lines.chunks(BATCH_ROWS) {
             let mut txn = self.graph.txn();
             for line in chunk {
                 let (key_str, vec_str) = line.split_once(',').ok_or_else(|| {
@@ -136,50 +129,11 @@ impl<'g> LoadingJob<'g> {
         Ok(loaded)
     }
 
-    /// `LOAD ... TO EDGE <type> VALUES (from, to)`: each line is
-    /// `from_key,to_key`.
-    pub fn load_edges(&mut self, edge_type: &str, lines: &[&str]) -> TvResult<usize> {
-        let (etype, from_type, to_type) = {
-            let catalog = self.graph.catalog();
-            let et = catalog.edge_type(edge_type)?;
-            (et.etype_id, et.from_type, et.to_type)
-        };
-        let mut loaded = 0;
-        for chunk in lines.chunks(self.batch_size) {
-            let mut txn = self.graph.txn();
-            for line in chunk {
-                let (a, b) = line
-                    .split_once(',')
-                    .ok_or_else(|| TvError::InvalidArgument(format!("bad edge line '{line}'")))?;
-                let from_key: i64 = a
-                    .trim()
-                    .parse()
-                    .map_err(|_| TvError::InvalidArgument(format!("bad from-key in '{line}'")))?;
-                let to_key: i64 = b
-                    .trim()
-                    .parse()
-                    .map_err(|_| TvError::InvalidArgument(format!("bad to-key in '{line}'")))?;
-                let from = self.id_for(from_type, from_key)?;
-                let to = self.id_for(to_type, to_key)?;
-                txn = txn.add_edge(etype, from_type, from, to);
-                loaded += 1;
-            }
-            txn.commit()?;
-        }
-        Ok(loaded)
-    }
-
-    /// Snapshot of the key → id assignment (examples use it to address
-    /// loaded vertices).
-    #[must_use]
-    pub fn key_map(&self) -> &HashMap<(u32, i64), VertexId> {
+    /// Snapshot of the key → id assignment (tests address loaded vertices
+    /// through it).
+    #[cfg(test)]
+    pub(crate) fn key_map(&self) -> &HashMap<(u32, i64), VertexId> {
         &self.key_map
-    }
-
-    /// The TID after the last commit.
-    #[must_use]
-    pub fn tid(&self) -> Tid {
-        self.graph.read_tid()
     }
 }
 
@@ -217,12 +171,16 @@ fn split_vector(s: &str) -> TvResult<Vec<f32>> {
 mod tests {
     use super::*;
     use tv_common::ids::SegmentLayout;
-    use tv_common::DistanceMetric;
+    use tv_common::{DistanceMetric, Tid};
     use tv_embedding::{EmbeddingTypeDef, ServiceConfig};
 
     fn graph() -> Graph {
+        graph_with(8)
+    }
+
+    fn graph_with(capacity: usize) -> Graph {
         let g = Graph::with_config(
-            SegmentLayout::with_capacity(8),
+            SegmentLayout::with_capacity(capacity),
             ServiceConfig {
                 planner: tv_common::PlannerConfig::default().with_brute_threshold(2),
                 query_threads: 1,
@@ -333,35 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn edge_loading() {
-        let g = graph();
-        g.create_vertex_type("Person", &[("name", AttrType::Str)])
-            .unwrap();
-        g.create_edge_type("hasCreator", "Post", "Person").unwrap();
-        let mut job = LoadingJob::new(&g);
-        job.load_vertices("Post", &["1,a,t1", "2,b,t2"]).unwrap();
-        job.load_vertices("Person", &["10,alice"]).unwrap();
-        let n = job.load_edges("hasCreator", &["1,10", "2,10"]).unwrap();
-        assert_eq!(n, 2);
-        let catalog = g.catalog();
-        let post = catalog.vertex_type("Post").unwrap().type_id;
-        let person = catalog.vertex_type("Person").unwrap().type_id;
-        let et = catalog.edge_type("hasCreator").unwrap().etype_id;
-        drop(catalog);
-        let tid = g.read_tid();
-        let p1 = job.key_map()[&(post, 1)];
-        let alice = job.key_map()[&(person, 10)];
-        assert_eq!(g.out_neighbors(post, p1, et, tid).unwrap(), vec![alice]);
-    }
-
-    #[test]
     fn batching_commits_incrementally() {
-        let g = graph();
-        let mut job = LoadingJob::new(&g).with_batch_size(2);
-        let lines: Vec<String> = (0..5).map(|i| format!("{i},u{i},c{i}")).collect();
+        let g = graph_with(2 * BATCH_ROWS);
+        let mut job = LoadingJob::new(&g);
+        let lines: Vec<String> = (0..=BATCH_ROWS).map(|i| format!("{i},u{i},c{i}")).collect();
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
         job.load_vertices("Post", &refs).unwrap();
-        // 5 rows at batch size 2 → 3 commits.
-        assert_eq!(g.read_tid(), Tid(3));
+        // One row past a batch → 2 commits.
+        assert_eq!(g.read_tid(), Tid(2));
     }
 }

@@ -24,7 +24,7 @@ use tv_common::{Tid, TvError, TvResult};
 
 /// Row-level predicate: vertex attribute `attr` must equal `value`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowRule {
+pub(crate) struct RowRule {
     /// Attribute name on the granted vertex type.
     pub attr: String,
     /// Required value.
@@ -33,7 +33,7 @@ pub struct RowRule {
 
 /// A grant: read access to one vertex type, optionally row-restricted.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Grant {
+pub(crate) struct Grant {
     /// Granted vertex type id.
     pub vertex_type: u32,
     /// Optional row-security rule (None = whole type).

@@ -55,7 +55,7 @@ pub struct Catalog {
 
 impl Catalog {
     /// Register a vertex type (store id must match registration order).
-    pub fn add_vertex_type(
+    pub(crate) fn add_vertex_type(
         &mut self,
         name: &str,
         type_id: u32,
@@ -80,7 +80,12 @@ impl Catalog {
     }
 
     /// Register an edge type.
-    pub fn add_edge_type(&mut self, name: &str, from_type: u32, to_type: u32) -> TvResult<u32> {
+    pub(crate) fn add_edge_type(
+        &mut self,
+        name: &str,
+        from_type: u32,
+        to_type: u32,
+    ) -> TvResult<u32> {
         if self.edge_by_name.contains_key(name) {
             return Err(TvError::Schema(format!("edge type '{name}' exists")));
         }
@@ -103,7 +108,7 @@ impl Catalog {
     }
 
     /// Attach an embedding attribute to a vertex type.
-    pub fn attach_embedding(
+    pub(crate) fn attach_embedding(
         &mut self,
         type_id: u32,
         attr_id: u32,
@@ -124,7 +129,7 @@ impl Catalog {
     }
 
     /// Register an embedding space (`CREATE EMBEDDING SPACE`).
-    pub fn add_space(&mut self, space: EmbeddingSpace) -> TvResult<()> {
+    pub(crate) fn add_space(&mut self, space: EmbeddingSpace) -> TvResult<()> {
         if self.spaces.contains_key(&space.name) {
             return Err(TvError::Schema(format!(
                 "embedding space '{}' exists",
@@ -136,7 +141,7 @@ impl Catalog {
     }
 
     /// Look up an embedding space.
-    pub fn space(&self, name: &str) -> TvResult<&EmbeddingSpace> {
+    pub(crate) fn space(&self, name: &str) -> TvResult<&EmbeddingSpace> {
         self.spaces
             .get(name)
             .ok_or_else(|| TvError::NotFound(format!("embedding space '{name}'")))
@@ -163,25 +168,6 @@ impl Catalog {
             .get(name)
             .map(|&id| &self.edge_types[id as usize])
             .ok_or_else(|| TvError::NotFound(format!("edge type '{name}'")))
-    }
-
-    /// Edge type by id.
-    pub fn edge_type_by_id(&self, id: u32) -> TvResult<&EdgeTypeDef> {
-        self.edge_types
-            .get(id as usize)
-            .ok_or_else(|| TvError::NotFound(format!("edge type {id}")))
-    }
-
-    /// All vertex types.
-    #[must_use]
-    pub fn vertex_types(&self) -> &[VertexTypeDef] {
-        &self.vertex_types
-    }
-
-    /// All edge types.
-    #[must_use]
-    pub fn edge_types(&self) -> &[EdgeTypeDef] {
-        &self.edge_types
     }
 }
 

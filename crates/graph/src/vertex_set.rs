@@ -58,7 +58,7 @@ impl VertexSet {
     /// Set of one type from per-segment bitmaps over local ids (what a
     /// segment scan produces), taken as they are.
     #[must_use]
-    pub fn from_segment_bitmaps(
+    pub(crate) fn from_segment_bitmaps(
         type_id: u32,
         bitmaps: impl IntoIterator<Item = (SegmentId, Bitmap)>,
     ) -> Self {
@@ -159,7 +159,7 @@ impl VertexSet {
 
     /// GSQL `MINUS`.
     #[must_use]
-    pub fn minus(&self, other: &VertexSet) -> VertexSet {
+    pub(crate) fn minus(&self, other: &VertexSet) -> VertexSet {
         self.combine(|key, mine| {
             let mut rest = mine.clone();
             if let Some(theirs) = other.members.get(key) {
@@ -185,7 +185,11 @@ impl VertexSet {
     /// the pre-filter hand-off to the vector index (§5.2). `capacity` is the
     /// segment capacity of that type's layout; members past it are dropped.
     #[must_use]
-    pub fn to_segment_bitmaps(&self, type_id: u32, capacity: usize) -> HashMap<SegmentId, Bitmap> {
+    pub(crate) fn to_segment_bitmaps(
+        &self,
+        type_id: u32,
+        capacity: usize,
+    ) -> HashMap<SegmentId, Bitmap> {
         self.segments_of(type_id)
             .map(|(seg, bm)| {
                 let sized = if bm.len() > capacity {

@@ -113,7 +113,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Source form.
     #[must_use]
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
             CmpOp::Neq => "!=",
@@ -143,7 +143,7 @@ pub enum Value {
 impl Value {
     /// Numeric view (ints widen).
     #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Double(d) => Some(*d),
@@ -153,7 +153,7 @@ impl Value {
 
     /// Vector view.
     #[must_use]
-    pub fn as_vector(&self) -> Option<&[f32]> {
+    pub(crate) fn as_vector(&self) -> Option<&[f32]> {
         match self {
             Value::Vector(v) => Some(v),
             _ => None,
@@ -163,7 +163,7 @@ impl Value {
 
 impl Expr {
     /// Collect the aliases this expression references.
-    pub fn aliases(&self, out: &mut Vec<String>) {
+    pub(crate) fn aliases(&self, out: &mut Vec<String>) {
         match self {
             Expr::Attr(a, _) => {
                 if !out.contains(a) {

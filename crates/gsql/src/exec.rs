@@ -66,8 +66,10 @@ pub fn execute_at(graph: &Graph, src: &str, params: &Params, tid: Tid) -> TvResu
 }
 
 /// Parse, resolve, and execute `src` **as a user** at the latest committed
-/// snapshot, with no deadline. See [`execute_at_as_stats`].
-pub fn execute_as(
+/// snapshot, with no deadline: the access-control tests' shorthand for
+/// [`execute_at_as_stats`].
+#[cfg(test)]
+pub(crate) fn execute_as(
     graph: &Graph,
     acl: &AccessControl,
     user: &str,
@@ -131,7 +133,7 @@ pub fn execute_at_as_stats(
 }
 
 /// Execute an already-resolved query: no restriction, no deadline.
-pub fn run(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<QueryOutput> {
+pub(crate) fn run(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<QueryOutput> {
     let mut stats = SearchStats::default();
     run_opts_stats(graph, r, params, tid, None, Deadline::none(), &mut stats)
 }

@@ -38,19 +38,17 @@
 //! design of §5.2/§5.3. Similarity joins enumerate matched paths and push
 //! pair distances through a global heap accumulator (§5.4).
 
-pub mod ast;
-pub mod exec;
-pub mod func;
-pub mod parser;
+pub(crate) mod ast;
+pub(crate) mod exec;
+pub(crate) mod func;
+pub(crate) mod parser;
 pub mod plan;
 mod pred;
 pub mod sema;
-pub mod token;
+pub(crate) mod token;
 
-pub use ast::{Query, Value};
-pub use exec::{
-    execute, execute_as, execute_at, execute_at_as_stats, Params, QueryOutput, ResultRow,
-};
+pub use ast::Value;
+pub use exec::{execute, execute_at, execute_at_as_stats, Params, QueryOutput};
 pub use func::{community_topk, vector_search, vector_search_with_stats, VectorSearchOptions};
 pub use parser::parse;
-pub use plan::{explain, Plan};
+pub use plan::explain;

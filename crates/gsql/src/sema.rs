@@ -304,7 +304,7 @@ fn check_filter(
 /// mention only that node's alias (pushdown). Cross-alias terms are returned
 /// in the residual list.
 #[must_use]
-pub fn pushdown_predicates(
+pub(crate) fn pushdown_predicates(
     filter: Option<&Expr>,
     alias_of: &HashMap<String, usize>,
     node_count: usize,

@@ -4,7 +4,7 @@ use tv_common::{TvError, TvResult};
 
 /// One lexical token with its byte offset (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind/payload.
     pub kind: TokenKind,
     /// Byte offset in the source.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     // Keywords (case-insensitive in source).
     Select,
     From,
@@ -52,7 +52,7 @@ pub enum TokenKind {
 }
 
 /// Tokenize a query string.
-pub fn tokenize(src: &str) -> TvResult<Vec<Token>> {
+pub(crate) fn tokenize(src: &str) -> TvResult<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

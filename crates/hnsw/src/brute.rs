@@ -56,7 +56,7 @@ impl BruteForceIndex {
     }
 
     /// Insert or replace the vector for `key`.
-    pub fn insert(&mut self, key: VertexId, vector: &[f32]) -> TvResult<()> {
+    pub(crate) fn insert(&mut self, key: VertexId, vector: &[f32]) -> TvResult<()> {
         if vector.len() != self.dim {
             return Err(TvError::DimensionMismatch {
                 expected: self.dim,
@@ -91,7 +91,7 @@ impl BruteForceIndex {
     }
 
     /// Remove the vector for `key`; returns true if it was present.
-    pub fn remove(&mut self, key: VertexId) -> bool {
+    pub(crate) fn remove(&mut self, key: VertexId) -> bool {
         if let Some(slot) = self.slot_of.remove(&key) {
             self.occupied[slot as usize] = false;
             self.free.push(slot);

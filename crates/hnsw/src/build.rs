@@ -6,12 +6,12 @@
 //! by side on the worker pool (DESIGN §3g).
 
 use crate::index::HnswIndex;
+use crate::quant::QuantQuery;
 use crate::search::{Scorer, SearchScratch};
 use crate::select::select_neighbors;
 use crate::stats::SearchStats;
 use tv_common::kernels::{self, cosine_from_parts};
 use tv_common::{DistanceMetric, PreparedQuery, SplitMix64, TvError, TvResult, VertexId};
-use tv_quant::QuantQuery;
 
 impl HnswIndex {
     /// Distance between two stored slots: cached norms on the f32 path

@@ -59,12 +59,12 @@ impl HnswConfig {
 
     /// Effective level-normalization factor.
     #[must_use]
-    pub fn level_norm(&self) -> f64 {
+    pub(crate) fn level_norm(&self) -> f64 {
         self.ml.unwrap_or_else(|| 1.0 / (self.m.max(2) as f64).ln())
     }
 
     /// Validate invariants; called by the index constructor.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.dim == 0 {
             return Err("dimension must be non-zero".into());
         }

@@ -226,7 +226,7 @@ impl HnswIndex {
     /// [`Self::link_memory_bytes`]), keys, levels, tombstone flags, and the
     /// key→slot hash map (entries plus ~30% open-addressing slack).
     #[must_use]
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let vec_bytes = self.vector_storage_bytes();
         let key_bytes = self.keys.len() * size_of::<VertexId>();
@@ -315,7 +315,7 @@ impl HnswIndex {
 
     /// Storage tier of the vector payload.
     #[must_use]
-    pub fn storage_tier(&self) -> StorageTier {
+    pub(crate) fn storage_tier(&self) -> StorageTier {
         self.quant
             .as_ref()
             .map_or(StorageTier::F32, |q| q.spec.tier)
@@ -337,17 +337,6 @@ impl HnswIndex {
         let mut out = vec![0.0f32; self.cfg.dim];
         q.materialize_into(slot as usize, &mut out);
         out
-    }
-
-    /// Fraction of live points among all slots; used with the valid-point
-    /// threshold to pick brute force vs. index search.
-    #[must_use]
-    pub fn live_fraction(&self) -> f64 {
-        if self.keys.is_empty() {
-            1.0
-        } else {
-            1.0 - self.deleted_count as f64 / self.keys.len() as f64
-        }
     }
 
     /// True cardinality of the valid set under `filter`: live points whose
@@ -874,17 +863,6 @@ mod tests {
         // The norm cache alone must be visible in the accounting: one f32
         // per slot.
         assert_eq!(idx.norms.len(), idx.slot_count());
-    }
-
-    #[test]
-    fn live_fraction_tracks_deletes() {
-        let vecs = make_vectors(100, 4, 47);
-        let mut idx = build_index(&vecs);
-        assert!((idx.live_fraction() - 1.0).abs() < 1e-9);
-        for i in 0..50 {
-            idx.remove(key(i));
-        }
-        assert!((idx.live_fraction() - 0.5).abs() < 1e-9);
     }
 
     fn recall_against_exact(idx: &HnswIndex, vecs: &[Vec<f32>], queries: &[Vec<f32>]) -> f64 {

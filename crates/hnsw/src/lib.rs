@@ -27,23 +27,24 @@
 //! a `GraphView` (mutable forest, compiled CSR) and every query path built
 //! on them; [`build`] links and repairs the graph;
 //! [`layout`] moves between the mutable forest and the one compiled form
-//! ([`packed`]); [`quant_state`] is the quantized storage tier.
+//! ([`packed`]); [`quant_state`] is the quantized storage tier, over the
+//! SQ8 / PQ codecs of [`quant`].
 
-pub mod brute;
+pub(crate) mod brute;
 pub(crate) mod build;
-pub mod config;
+pub(crate) mod config;
 pub mod index;
 pub(crate) mod layout;
 pub(crate) mod packed;
-pub mod planner;
+pub(crate) mod planner;
+pub(crate) mod quant;
 pub(crate) mod quant_state;
 pub(crate) mod search;
-pub mod select;
+pub(crate) mod select;
 pub mod snapshot;
-pub mod stats;
+pub(crate) mod stats;
 
 pub use brute::BruteForceIndex;
 pub use config::HnswConfig;
 pub use index::{DeltaRecord, HnswIndex, VectorIndex};
-pub use planner::{PlanChoice, PlanInputs};
 pub use stats::SearchStats;

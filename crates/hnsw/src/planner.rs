@@ -19,7 +19,7 @@ use tv_common::PlannerConfig;
 
 /// The strategy chosen for one filtered search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanChoice {
+pub(crate) enum PlanChoice {
     /// No valid point exists; return empty without touching vector data.
     Empty,
     /// Exact scan over the filtered survivors.
@@ -39,7 +39,7 @@ pub enum PlanChoice {
 
 /// Everything the cost model looks at for one query.
 #[derive(Debug, Clone, Copy)]
-pub struct PlanInputs {
+pub(crate) struct PlanInputs {
     /// True cardinality of the valid set: filter bitmap ∩ live occupancy.
     pub valid_live: usize,
     /// Live (non-tombstoned) points in the index.
@@ -63,7 +63,7 @@ pub struct PlanInputs {
 ///   enough (`post_filter_min_selectivity`) that the enlarged beam stays
 ///   small.
 #[must_use]
-pub fn choose(cfg: &PlannerConfig, inputs: PlanInputs) -> PlanChoice {
+pub(crate) fn choose(cfg: &PlannerConfig, inputs: PlanInputs) -> PlanChoice {
     let PlanInputs {
         valid_live,
         live_total,

@@ -1,7 +1,7 @@
-//! # tv-quant
-//!
 //! Quantized vector storage: the compressed representations behind
 //! `StorageTier::Sq8` and `StorageTier::Pq` (see `tv-common::config`).
+//! [`crate::quant_state`] holds a segment's codes; this module holds the
+//! codecs and the per-query scorer.
 //!
 //! Two codecs implement the common [`QuantizedCodec`] trait:
 //!
@@ -31,7 +31,5 @@ mod pq;
 mod query;
 mod sq8;
 
-pub use codec::{permute_code_rows, Codec, QuantizedCodec};
-pub use pq::PqCodec;
-pub use query::QuantQuery;
-pub use sq8::Sq8Codec;
+pub(crate) use codec::{permute_code_rows, Codec, QuantizedCodec};
+pub(crate) use query::QuantQuery;

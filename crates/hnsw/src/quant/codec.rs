@@ -1,7 +1,7 @@
 //! The common codec trait and the serializable codec sum type.
 
-use crate::pq::PqCodec;
-use crate::sq8::Sq8Codec;
+use crate::quant::pq::PqCodec;
+use crate::quant::sq8::Sq8Codec;
 use tv_common::wire::Reader;
 use tv_common::{StorageTier, TvError, TvResult};
 
@@ -10,7 +10,7 @@ use tv_common::{StorageTier, TvError, TvResult};
 /// immutable after training — incremental inserts encode with the frozen
 /// codec, which is what keeps codes deterministic across merges and crash
 /// recovery.
-pub trait QuantizedCodec {
+pub(crate) trait QuantizedCodec {
     /// Dimensionality of the vectors this codec encodes.
     fn dim(&self) -> usize;
     /// Bytes per encoded vector.
@@ -34,7 +34,7 @@ const TAG_PQ: u8 = 2;
 /// codecs flow through index snapshots and the durability container
 /// bit-identically.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Codec {
+pub(crate) enum Codec {
     /// Scalar quantization (1 byte/dim).
     Sq8(Sq8Codec),
     /// Product quantization (`m` bytes/vector).
@@ -45,7 +45,7 @@ impl Codec {
     /// Train the codec named by `tier` on `rows` (a contiguous `n × dim`
     /// slab). `seed` drives PQ's k-means init (ignored by SQ8). Errors for
     /// `StorageTier::F32` (nothing to train) and for empty training data.
-    pub fn train(tier: StorageTier, dim: usize, rows: &[f32], seed: u64) -> TvResult<Self> {
+    pub(crate) fn train(tier: StorageTier, dim: usize, rows: &[f32], seed: u64) -> TvResult<Self> {
         match tier {
             StorageTier::F32 => Err(TvError::InvalidArgument(
                 "StorageTier::F32 has no codec".into(),
@@ -57,7 +57,7 @@ impl Codec {
 
     /// The storage tier this codec implements.
     #[must_use]
-    pub fn tier(&self) -> StorageTier {
+    pub(crate) fn tier(&self) -> StorageTier {
         match self {
             Codec::Sq8(_) => StorageTier::Sq8,
             Codec::Pq(pq) => StorageTier::Pq { m: pq.m() },
@@ -69,7 +69,7 @@ impl Codec {
     /// larger one would index past the codebook (and every ADC table built
     /// from it). Checked on codes that arrive from outside the process.
     #[must_use]
-    pub fn accepts(&self, codes: &[u8]) -> bool {
+    pub(crate) fn accepts(&self, codes: &[u8]) -> bool {
         match self {
             Codec::Sq8(_) => true,
             Codec::Pq(pq) => pq.ks() == 256 || codes.iter().all(|&c| usize::from(c) < pq.ks()),
@@ -78,7 +78,7 @@ impl Codec {
 
     /// Serialize into the versioned wire format.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut buf = vec![CODEC_VERSION];
         match self {
             Codec::Sq8(c) => {
@@ -95,7 +95,7 @@ impl Codec {
 
     /// Deserialize; rejects unknown versions/tags, truncation, and trailing
     /// bytes.
-    pub fn from_bytes(data: &[u8]) -> TvResult<Self> {
+    pub(crate) fn from_bytes(data: &[u8]) -> TvResult<Self> {
         let mut r = Reader::new(data, "codec");
         if r.u8()? != CODEC_VERSION {
             return Err(TvError::Storage("unknown codec version".into()));
@@ -152,7 +152,7 @@ impl QuantizedCodec for Codec {
 /// by the cache-conscious layout compiler in `tv-hnsw`, which renumbers
 /// slots by BFS order and must carry the code arena (and any rerank side
 /// store) along with the vectors.
-pub fn permute_code_rows(codes: &[u8], row_len: usize, perm: &[u32]) -> Vec<u8> {
+pub(crate) fn permute_code_rows(codes: &[u8], row_len: usize, perm: &[u32]) -> Vec<u8> {
     debug_assert_eq!(codes.len(), perm.len() * row_len);
     let mut out = vec![0u8; codes.len()];
     for (old, &new) in perm.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Product quantization with deterministic k-means codebooks.
 
-use crate::codec::QuantizedCodec;
+use crate::quant::codec::QuantizedCodec;
 use tv_common::kernels;
 use tv_common::wire::{put_f32s, put_u32, Reader};
 use tv_common::{SplitMix64, TvError, TvResult};
@@ -17,7 +17,7 @@ const TRAIN_ITERS: usize = 10;
 /// squared L2, the standard PQ training objective regardless of the search
 /// metric.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PqCodec {
+pub(crate) struct PqCodec {
     dim: usize,
     /// Sub-space boundaries, `m + 1` entries (`offsets[0] == 0`,
     /// `offsets[m] == dim`).
@@ -34,7 +34,7 @@ impl PqCodec {
     /// sub-quantizers. Deterministic for fixed `(rows, m, seed)`: centroid
     /// init samples distinct training rows via a seeded shuffle and Lloyd
     /// runs a fixed iteration count with f64 accumulation.
-    pub fn train(dim: usize, m: usize, rows: &[f32], seed: u64) -> TvResult<Self> {
+    pub(crate) fn train(dim: usize, m: usize, rows: &[f32], seed: u64) -> TvResult<Self> {
         if dim == 0 || m == 0 || m > dim {
             return Err(TvError::InvalidArgument(format!(
                 "PQ needs 0 < m <= dim, got m={m} dim={dim}"
@@ -83,19 +83,19 @@ impl PqCodec {
 
     /// Number of sub-quantizers.
     #[must_use]
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Centroids per sub-space.
     #[must_use]
-    pub fn ks(&self) -> usize {
+    pub(crate) fn ks(&self) -> usize {
         self.ks
     }
 
     /// Sub-space boundaries (`m + 1` entries).
     #[must_use]
-    pub fn offsets(&self) -> &[usize] {
+    pub(crate) fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
@@ -103,7 +103,7 @@ impl PqCodec {
     /// width) — the ADC lookup-table builder scores the query against this
     /// in one batched kernel call.
     #[must_use]
-    pub fn codebook(&self, s: usize) -> &[f32] {
+    pub(crate) fn codebook(&self, s: usize) -> &[f32] {
         &self.codebooks[s]
     }
 

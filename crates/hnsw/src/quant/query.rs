@@ -1,9 +1,9 @@
 //! Per-query prepared scoring over quantized codes — the quantized sibling
 //! of `tv_common::kernels::PreparedQuery`.
 
-use crate::codec::{Codec, QuantizedCodec};
-use crate::pq::PqCodec;
-use crate::sq8::Sq8Codec;
+use crate::quant::codec::{Codec, QuantizedCodec};
+use crate::quant::pq::PqCodec;
+use crate::quant::sq8::Sq8Codec;
 use tv_common::kernels::{self, cosine_from_parts, Kernels};
 use tv_common::DistanceMetric;
 
@@ -39,7 +39,7 @@ enum Plan {
 /// The prepared plan is fully owned (neither the codec nor the query slice
 /// is borrowed), so an index can hold a `QuantQuery` while mutating its
 /// graph structure.
-pub struct QuantQuery {
+pub(crate) struct QuantQuery {
     metric: DistanceMetric,
     query_norm: f32,
     k: &'static Kernels,
@@ -50,7 +50,7 @@ impl QuantQuery {
     /// Prepare `query` against `codec` under the process-wide active kernel
     /// table. `query.len()` must equal `codec.dim()`.
     #[must_use]
-    pub fn new(codec: &Codec, metric: DistanceMetric, query: &[f32]) -> Self {
+    pub(crate) fn new(codec: &Codec, metric: DistanceMetric, query: &[f32]) -> Self {
         debug_assert_eq!(query.len(), codec.dim());
         let k = kernels::active();
         let query_norm = match metric {
@@ -97,15 +97,9 @@ impl QuantQuery {
         Plan::Pq { lut, ks }
     }
 
-    /// The metric this query scores under.
-    #[must_use]
-    pub fn metric(&self) -> DistanceMetric {
-        self.metric
-    }
-
     /// Bytes per code row this query expects.
     #[must_use]
-    pub fn code_len(&self) -> usize {
+    pub(crate) fn code_len(&self) -> usize {
         match &self.plan {
             Plan::Sq8 { qa, .. } => qa.len(),
             Plan::Pq { lut, ks } => lut.len() / ks,
@@ -126,7 +120,7 @@ impl QuantQuery {
     /// `recon_norm` is the Euclidean norm of that reconstruction — only
     /// consulted for cosine (pass `0.0` otherwise).
     #[must_use]
-    pub fn score(&self, code: &[u8], recon_norm: f32) -> f32 {
+    pub(crate) fn score(&self, code: &[u8], recon_norm: f32) -> f32 {
         debug_assert_eq!(code.len(), self.code_len());
         match (&self.plan, self.metric) {
             (Plan::Sq8 { qa, step, .. }, DistanceMetric::L2) => self.k.l2_sq_u8(qa, step, code),
@@ -148,7 +142,7 @@ impl QuantQuery {
     /// (`code_len` bytes per slot) using the per-slot `recon_norms` cache;
     /// distances land in `out` (cleared first, one entry per slot, same
     /// order). Mirrors `PreparedQuery::distance_slots`.
-    pub fn score_slots(
+    pub(crate) fn score_slots(
         &self,
         codes: &[u8],
         recon_norms: &[f32],

@@ -1,6 +1,6 @@
 //! Per-dimension min/max scalar quantization to `u8`.
 
-use crate::codec::QuantizedCodec;
+use crate::quant::codec::QuantizedCodec;
 use tv_common::wire::{put_f32s, put_u32, Reader};
 use tv_common::{TvError, TvResult};
 
@@ -12,7 +12,7 @@ use tv_common::{TvError, TvResult};
 /// dimension (round-to-nearest); out-of-range values clamp to the range
 /// edge.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sq8Codec {
+pub(crate) struct Sq8Codec {
     min: Vec<f32>,
     step: Vec<f32>,
 }
@@ -20,7 +20,7 @@ pub struct Sq8Codec {
 impl Sq8Codec {
     /// Train on `rows` (a contiguous `n × dim` slab): per-dimension min/max
     /// scan. Deterministic; `rows` must be non-empty.
-    pub fn train(dim: usize, rows: &[f32]) -> TvResult<Self> {
+    pub(crate) fn train(dim: usize, rows: &[f32]) -> TvResult<Self> {
         if dim == 0 || rows.is_empty() || !rows.len().is_multiple_of(dim) {
             return Err(TvError::InvalidArgument(format!(
                 "SQ8 training needs a non-empty n x {dim} slab, got {} floats",
@@ -49,14 +49,14 @@ impl Sq8Codec {
 
     /// Per-dimension range minimum.
     #[must_use]
-    pub fn min(&self) -> &[f32] {
+    pub(crate) fn min(&self) -> &[f32] {
         &self.min
     }
 
     /// Per-dimension quantization step (`0` where the dimension is
     /// constant).
     #[must_use]
-    pub fn step(&self) -> &[f32] {
+    pub(crate) fn step(&self) -> &[f32] {
         &self.step
     }
 

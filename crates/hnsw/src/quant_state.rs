@@ -3,9 +3,9 @@
 
 use crate::index::HnswIndex;
 use crate::layout::permuted;
+use crate::quant::{permute_code_rows, Codec, QuantizedCodec};
 use tv_common::kernels;
 use tv_common::{DistanceMetric, QuantSpec, StorageTier, TvError, TvResult};
-use tv_quant::{permute_code_rows, Codec, QuantizedCodec};
 
 /// One frozen codec and what it encoded: a slot-major code arena
 /// (tombstones included — deleted slots must stay navigable/scorable) and

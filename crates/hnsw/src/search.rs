@@ -9,6 +9,7 @@
 
 use crate::index::{HnswIndex, VectorIndex};
 use crate::planner::{self, PlanChoice, PlanInputs};
+use crate::quant::QuantQuery;
 use crate::select::Scored;
 use crate::stats::SearchStats;
 use std::cmp::Reverse;
@@ -17,7 +18,6 @@ use std::sync::{Mutex, PoisonError};
 use tv_common::bitmap::Filter;
 use tv_common::kernels::prefetch;
 use tv_common::{Neighbor, PlannerConfig, PreparedQuery};
-use tv_quant::QuantQuery;
 
 /// Read access to one adjacency representation. Implemented by the mutable
 /// forest (`[Vec<Vec<u32>>]`) and the compiled [`crate::packed::PackedGraph`].
@@ -421,7 +421,7 @@ impl HnswIndex {
         };
         // Deleted slots and filter rejections are counted separately: the
         // planner's selectivity feedback needs filter pressure, not
-        // tombstone density (which `live_fraction` already tracks).
+        // tombstone density.
         let admit = |slot: u32, stats: &mut SearchStats| -> bool {
             if self.deleted[slot as usize] {
                 stats.deleted_skipped += 1;

@@ -8,7 +8,7 @@
 //! benchmarks).
 
 /// A scored candidate: `(distance to the base point, slot)`.
-pub type Scored = (f32, u32);
+pub(crate) type Scored = (f32, u32);
 
 /// Select up to `m` diverse neighbors from `candidates` (must be sorted by
 /// ascending distance). `dist_between(candidate, kept)` resolves the
@@ -18,7 +18,7 @@ pub type Scored = (f32, u32);
 /// `keep_pruned` re-fills from the pruned list when fewer than `m` survive
 /// the diversity test, matching hnswlib's `extendCandidates=false,
 /// keepPrunedConnections=true` default.
-pub fn select_neighbors(
+pub(crate) fn select_neighbors(
     candidates: &[Scored],
     m: usize,
     keep_pruned: bool,

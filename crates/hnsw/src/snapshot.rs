@@ -26,12 +26,12 @@
 use crate::config::HnswConfig;
 use crate::index::HnswIndex;
 use crate::packed::PackedGraph;
+use crate::quant::{Codec, QuantizedCodec};
 use crate::quant_state::{CodeStore, QuantState};
 use tv_common::wire::{
     put_bytes, put_f32s, put_f64, put_layout, put_metric, put_quant_spec, put_u32, put_u64, Reader,
 };
 use tv_common::{DistanceMetric, GraphLayout, TvError, TvResult, VertexId};
-use tv_quant::{Codec, QuantizedCodec};
 
 const MAGIC: &[u8; 8] = b"TVHNSW03";
 /// `level_for_key` caps levels at 32; anything near a byte's range is damage.

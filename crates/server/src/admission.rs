@@ -82,7 +82,7 @@ pub struct AdmissionController {
 /// [`AdmissionController::charge`]. Converts into the
 /// [`TvError::Overloaded`] callers see.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RateLimited {
+pub(crate) struct RateLimited {
     /// The throttled tenant.
     pub tenant: String,
 }
@@ -124,7 +124,7 @@ impl Drop for Permit<'_> {
 impl AdmissionController {
     /// New controller.
     #[must_use]
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new(config: AdmissionConfig) -> Self {
         AdmissionController {
             config,
             inner: Mutex::new(Inner {
@@ -135,12 +135,6 @@ impl AdmissionController {
             cv: Condvar::new(),
             buckets: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> AdmissionConfig {
-        self.config
     }
 
     /// Requests currently waiting in the queue.
@@ -154,8 +148,8 @@ impl AdmissionController {
     }
 
     /// Requests currently executing.
-    #[must_use]
-    pub fn active(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).active
     }
 
@@ -164,7 +158,7 @@ impl AdmissionController {
     ///
     /// Note a rate-limited tenant's rejected request still consumed its
     /// token: probing while throttled keeps you throttled.
-    pub fn charge(&self, tenant: &str) -> Result<(), RateLimited> {
+    pub(crate) fn charge(&self, tenant: &str) -> Result<(), RateLimited> {
         let Some(rl) = self.config.rate_limit else {
             return Ok(());
         };
@@ -191,7 +185,7 @@ impl AdmissionController {
     /// A permit if an executor is free and nobody is queued ahead (so taking
     /// it overtakes no one), else `None`. Never waits.
     #[must_use]
-    pub fn try_admit(&self) -> Option<Permit<'_>> {
+    pub(crate) fn try_admit(&self) -> Option<Permit<'_>> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         self.take_idle(&mut inner).then(|| Permit { ctl: self })
     }
@@ -216,7 +210,11 @@ impl AdmissionController {
 
     /// Take a permit, blocking (FIFO) while the pool is saturated; the
     /// request has been charged already. `tenant` only labels the timeout.
-    pub fn acquire(&self, tenant: &str, deadline: Deadline) -> TvResult<(Permit<'_>, AdmitInfo)> {
+    pub(crate) fn acquire(
+        &self,
+        tenant: &str,
+        deadline: Deadline,
+    ) -> TvResult<(Permit<'_>, AdmitInfo)> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
 
         if self.take_idle(&mut inner) {

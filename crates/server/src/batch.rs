@@ -40,7 +40,7 @@ use tv_hnsw::SearchStats;
 /// What makes two top-k queries coalescible: same attributes, same `k` and
 /// `ef`, same read snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BatchKey {
+pub(crate) struct BatchKey {
     /// Embedding attribute ids being searched.
     pub attr_ids: Vec<u32>,
     /// Result count.
@@ -53,7 +53,7 @@ pub struct BatchKey {
 
 /// What the executor returns for one member: its merged top-k (or its
 /// error) and the work counters of its own searches.
-pub type Reply = (TvResult<Vec<TypedNeighbor>>, SearchStats);
+pub(crate) type Reply = (TvResult<Vec<TypedNeighbor>>, SearchStats);
 
 enum Phase {
     /// The leader is queued for a permit (the batch is published and
@@ -80,7 +80,7 @@ struct Batch {
 }
 
 /// One participant's view of a finished batch.
-pub struct BatchOutcome {
+pub(crate) struct BatchOutcome {
     /// This query's merged top-k, or the error it ended with.
     pub result: TvResult<Vec<TypedNeighbor>>,
     /// Work counters of this query's own segment searches.
@@ -120,7 +120,7 @@ pub struct Batcher {
 impl Batcher {
     /// A batcher capping batches at `max_batch` queries.
     #[must_use]
-    pub fn new(max_batch: usize) -> Self {
+    pub(crate) fn new(max_batch: usize) -> Self {
         Batcher {
             max_batch: max_batch.max(1),
             pending: Mutex::new(HashMap::new()),
@@ -143,7 +143,7 @@ impl Batcher {
     /// same order (a missing one reaches its member as an error), and the
     /// permit is released after they are handed out. A follower's closures
     /// are dropped unused.
-    pub fn submit<P, A, F>(
+    pub(crate) fn submit<P, A, F>(
         &self,
         key: &BatchKey,
         mut query: Vec<f32>,

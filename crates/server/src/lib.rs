@@ -41,16 +41,12 @@
 //!   (p50/p95/p99, queue depth, batch sizes, rejection/timeout counts)
 //!   exported as JSON.
 
-pub mod admission;
-pub mod batch;
-pub mod metrics;
-pub mod server;
-pub mod session;
+pub(crate) mod admission;
+pub(crate) mod batch;
+pub(crate) mod metrics;
+pub(crate) mod server;
+pub(crate) mod session;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, AdmitInfo, Permit, RateLimitConfig, RateLimited,
-};
-pub use batch::{BatchKey, BatchOutcome, Batcher, Reply};
-pub use metrics::{ClusterMetrics, MetricsRegistry, TenantMetrics};
+pub use admission::{AdmissionConfig, RateLimitConfig};
 pub use server::{Server, ServerConfig};
-pub use session::{Session, SessionManager};
+pub use session::Session;

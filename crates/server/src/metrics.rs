@@ -28,7 +28,7 @@ macro_rules! metrics_block {
     ) => {
         $(#[$attr])*
         #[derive(Default)]
-        pub struct $name {
+        pub(crate) struct $name {
             $($(#[$doc])* $counter: AtomicU64,)*
             $($field: $ty,)*
         }
@@ -103,7 +103,7 @@ impl TenantMetrics {
     /// observed (0 = fast path, or a batch follower: it has no slot of its
     /// own) and `waited` the time from its arrival to the start of its
     /// execution — queue wait and batch wait alike.
-    pub fn record_admitted(&self, queued_at_depth: usize, waited: Duration) {
+    pub(crate) fn record_admitted(&self, queued_at_depth: usize, waited: Duration) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.max_queue_depth
             .fetch_max(queued_at_depth as u64, Ordering::Relaxed);
@@ -111,33 +111,33 @@ impl TenantMetrics {
     }
 
     /// A request finished successfully after `elapsed`.
-    pub fn record_completed(&self, elapsed: Duration) {
+    pub(crate) fn record_completed(&self, elapsed: Duration) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.latency.record(elapsed);
     }
 
     /// A request was shed at the admission queue.
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A request was shed by the tenant's token bucket.
-    pub fn record_rate_limited(&self) {
+    pub(crate) fn record_rate_limited(&self) {
         self.rate_limited.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A request's deadline expired (queued or mid-search).
-    pub fn record_timeout(&self) {
+    pub(crate) fn record_timeout(&self) {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// rbac denied the request.
-    pub fn record_denied(&self) {
+    pub(crate) fn record_denied(&self) {
         self.denied.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The request executed inside a coalesced batch of `size` queries.
-    pub fn record_batched(&self, size: usize) {
+    pub(crate) fn record_batched(&self, size: usize) {
         if size > 1 {
             self.batched.fetch_add(1, Ordering::Relaxed);
         }
@@ -147,14 +147,14 @@ impl TenantMetrics {
 
     /// The request ran a direct top-k fan-out, for itself alone or as the
     /// leader of a batch.
-    pub fn record_fanout(&self) {
+    pub(crate) fn record_fanout(&self) {
         self.fanouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A cluster scatter-gather finished: `retries` replica re-routes and
     /// `hedges` duplicate requests were needed, and the answer was
     /// `degraded` (incomplete coverage) or not.
-    pub fn record_cluster(&self, retries: u64, hedges: u64, degraded: bool) {
+    pub(crate) fn record_cluster(&self, retries: u64, hedges: u64, degraded: bool) {
         self.cluster_retries.fetch_add(retries, Ordering::Relaxed);
         self.cluster_hedges.fetch_add(hedges, Ordering::Relaxed);
         if degraded {
@@ -164,7 +164,7 @@ impl TenantMetrics {
 
     /// Accumulate the filtered-search planner's routing counters from one
     /// query's [`SearchStats`] (one count per segment search routed).
-    pub fn record_plans(&self, stats: &SearchStats) {
+    pub(crate) fn record_plans(&self, stats: &SearchStats) {
         self.plans_brute
             .fetch_add(stats.plans_brute, Ordering::Relaxed);
         self.plans_in_traversal
@@ -224,7 +224,13 @@ metrics_block! {
 impl DurabilityMetrics {
     /// A checkpoint completed at `tid`, writing `files` data files and
     /// leaving `wal_kept` records in the rotated WAL.
-    pub fn record_checkpoint(&self, tid: u64, files: usize, wal_kept: usize, elapsed: Duration) {
+    pub(crate) fn record_checkpoint(
+        &self,
+        tid: u64,
+        files: usize,
+        wal_kept: usize,
+        elapsed: Duration,
+    ) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.last_checkpoint_tid.store(tid, Ordering::Relaxed);
         self.last_checkpoint_files
@@ -235,13 +241,13 @@ impl DurabilityMetrics {
     }
 
     /// Set the `graph_store_tail` gauge.
-    pub fn set_graph_store_tail(&self, pending: usize) {
+    pub(crate) fn set_graph_store_tail(&self, pending: usize) {
         self.graph_store_tail
             .store(pending as u64, Ordering::Relaxed);
     }
 
     /// A checkpoint attempt failed.
-    pub fn record_checkpoint_failure(&self) {
+    pub(crate) fn record_checkpoint_failure(&self) {
         self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -283,7 +289,7 @@ metrics_block! {
 
 impl ClusterMetrics {
     /// A migration completed (or was found already complete on retry).
-    pub fn record_completed(&self, report: &MigrationReport) {
+    pub(crate) fn record_completed(&self, report: &MigrationReport) {
         self.migrations_completed.fetch_add(1, Ordering::Relaxed);
         self.shipped_bytes
             .fetch_add(report.shipped_bytes, Ordering::Relaxed);
@@ -296,13 +302,13 @@ impl ClusterMetrics {
     }
 
     /// A migration aborted cleanly; `detail` names the plan and error.
-    pub fn record_aborted(&self, detail: String) {
+    pub(crate) fn record_aborted(&self, detail: String) {
         self.migrations_aborted.fetch_add(1, Ordering::Relaxed);
         *self.last_error.lock() = Some(detail);
     }
 
     /// Sync the error count from the runtime's migration-error log.
-    pub fn set_migration_errors(&self, count: u64) {
+    pub(crate) fn set_migration_errors(&self, count: u64) {
         self.migration_errors.store(count, Ordering::Relaxed);
     }
 
@@ -323,7 +329,7 @@ impl ClusterMetrics {
 /// Registry of per-tenant metrics, get-or-create by tenant name, plus the
 /// system-wide durability counters.
 #[derive(Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     tenants: RwLock<HashMap<String, Arc<TenantMetrics>>>,
     durability: DurabilityMetrics,
     cluster: ClusterMetrics,
@@ -332,12 +338,12 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
     /// Metrics handle for `tenant`, created on first use.
-    pub fn tenant(&self, tenant: &str) -> Arc<TenantMetrics> {
+    pub(crate) fn tenant(&self, tenant: &str) -> Arc<TenantMetrics> {
         if let Some(m) = self.tenants.read().get(tenant) {
             return Arc::clone(m);
         }
@@ -347,13 +353,13 @@ impl MetricsRegistry {
 
     /// The durability (checkpoint/recovery) counters.
     #[must_use]
-    pub fn durability(&self) -> &DurabilityMetrics {
+    pub(crate) fn durability(&self) -> &DurabilityMetrics {
         &self.durability
     }
 
     /// The elastic-cluster (segment migration) counters.
     #[must_use]
-    pub fn cluster(&self) -> &ClusterMetrics {
+    pub(crate) fn cluster(&self) -> &ClusterMetrics {
         &self.cluster
     }
 

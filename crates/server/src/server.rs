@@ -92,18 +92,6 @@ impl Server {
         &self.graph
     }
 
-    /// The access-control policy in force.
-    #[must_use]
-    pub fn acl(&self) -> &Arc<AccessControl> {
-        &self.acl
-    }
-
-    /// The metrics registry.
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// The admission controller (for observing queue depth).
     #[must_use]
     pub fn admission(&self) -> &AdmissionController {

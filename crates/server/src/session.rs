@@ -35,7 +35,7 @@ impl Session {
 
 /// The registry of open sessions.
 #[derive(Default)]
-pub struct SessionManager {
+pub(crate) struct SessionManager {
     next_id: AtomicU64,
     open: RwLock<HashMap<u64, String>>,
 }
@@ -43,12 +43,12 @@ pub struct SessionManager {
 impl SessionManager {
     /// Empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SessionManager::default()
     }
 
     /// Open a session for `tenant` acting as rbac principal `user`.
-    pub fn open(&self, tenant: &str, user: &str) -> Session {
+    pub(crate) fn open(&self, tenant: &str, user: &str) -> Session {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.open.write().insert(id, tenant.to_string());
         Session {
@@ -60,13 +60,13 @@ impl SessionManager {
     }
 
     /// Close a session (idempotent).
-    pub fn close(&self, session: &Session) {
+    pub(crate) fn close(&self, session: &Session) {
         self.open.write().remove(&session.id);
     }
 
     /// Number of open sessions.
     #[must_use]
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.open.read().len()
     }
 }

@@ -100,8 +100,6 @@ mod tests {
     use super::*;
     use crate::delta::GraphDelta;
     use crate::segment::SegmentStore;
-    use crate::value::{AttrSchema, AttrType};
-    use std::sync::Arc;
     use tv_common::ids::{LocalId, SegmentId};
     use tv_common::SplitMix64;
 
@@ -110,14 +108,7 @@ mod tests {
     }
 
     fn populated_store() -> SegmentStore {
-        let schema = Arc::new(
-            AttrSchema::new([
-                ("name".to_string(), AttrType::Str),
-                ("score".to_string(), AttrType::Double),
-            ])
-            .unwrap(),
-        );
-        let mut s = SegmentStore::new(SegmentId(0), schema, 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8);
         for i in 0..6u32 {
             s.append_delta(
                 Tid(u64::from(i) + 1),
@@ -183,8 +174,7 @@ mod tests {
     fn restore_rejects_mismatched_capacity_and_pending_deltas() {
         let store = populated_store();
         let image = store.image_at(Tid(8));
-        let schema = Arc::new(AttrSchema::new([("x".to_string(), AttrType::Int)]).unwrap());
-        let mut wrong_cap = SegmentStore::new(SegmentId(0), Arc::clone(&schema), 4);
+        let mut wrong_cap = SegmentStore::new(SegmentId(0), 4);
         assert!(wrong_cap.restore(image.clone()).is_err());
         let mut dirty = populated_store();
         assert!(dirty.restore(image).is_err());
@@ -194,14 +184,7 @@ mod tests {
     fn restore_then_read_matches_source() {
         let source = populated_store();
         let image = source.image_at(Tid(8));
-        let schema = Arc::new(
-            AttrSchema::new([
-                ("name".to_string(), AttrType::Str),
-                ("score".to_string(), AttrType::Double),
-            ])
-            .unwrap(),
-        );
-        let mut restored = SegmentStore::new(SegmentId(0), schema, 8);
+        let mut restored = SegmentStore::new(SegmentId(0), 8);
         restored.restore(image).unwrap();
         let tid = Tid(8);
         for local in 0..8 {

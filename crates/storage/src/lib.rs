@@ -20,19 +20,18 @@
 //! per-type segmented graph store with vacuum).
 
 pub mod checkpoint;
-pub mod delta;
+pub(crate) mod delta;
 pub mod segment;
-pub mod store;
-pub mod txn;
-pub mod value;
-pub mod wal;
+pub(crate) mod store;
+pub(crate) mod txn;
+pub(crate) mod value;
+pub(crate) mod wal;
 
 pub use delta::GraphDelta;
-pub use segment::{SegmentSnapshot, SegmentStore};
-pub use store::{GraphStore, VertexTypeStore};
-pub use txn::{Transaction, TxnManager};
+pub use segment::SegmentSnapshot;
+pub use store::GraphStore;
 pub use value::{AttrSchema, AttrType, AttrValue};
-pub use wal::{Wal, WalRecord};
+pub use wal::Wal;
 
 #[cfg(test)]
 mod model_check;

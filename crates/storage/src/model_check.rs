@@ -9,11 +9,10 @@
 use crate::checkpoint::{decode_segment_image, encode_segment_image};
 use crate::delta::GraphDelta;
 use crate::segment::{probe, SegmentStore};
-use crate::value::{AttrSchema, AttrType, AttrValue};
+use crate::value::AttrValue;
 use crate::wal::{Wal, WalRecord};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 use tv_common::ids::{LocalId, SegmentId};
 use tv_common::{Bitmap, SplitMix64, Tid, VertexId};
 
@@ -25,16 +24,6 @@ const COLS: usize = 3;
 
 fn vid(l: u32) -> VertexId {
     VertexId::new(SegmentId(0), LocalId(l))
-}
-
-fn schema() -> Arc<AttrSchema> {
-    Arc::new(
-        AttrSchema::new([
-            ("v".to_string(), AttrType::Int),
-            ("s".to_string(), AttrType::Str),
-        ])
-        .unwrap(),
-    )
 }
 
 fn random_delta(rng: &mut SplitMix64) -> GraphDelta {
@@ -170,7 +159,7 @@ fn reads_match_model_across_appends_vacuums_and_restores() {
     for seed in 0..CASES {
         let ctx = format!("seed {seed}");
         let mut rng = SplitMix64::new(0x5E6D_0000 + seed);
-        let mut store = SegmentStore::new(SegmentId(0), schema(), CAPACITY);
+        let mut store = SegmentStore::new(SegmentId(0), CAPACITY);
         // models[t] = state after every delta with tid <= t; `floor` is the
         // newest fold point, below which the store no longer answers.
         let mut models = vec![Model::default()];
@@ -194,7 +183,7 @@ fn reads_match_model_across_appends_vacuums_and_restores() {
                     let image =
                         decode_segment_image(&encode_segment_image(&store.image_at(Tid(floor))))
                             .unwrap();
-                    store = SegmentStore::new(SegmentId(0), schema(), CAPACITY);
+                    store = SegmentStore::new(SegmentId(0), CAPACITY);
                     store.restore(image).unwrap();
                     for (tid, delta) in log.iter().filter(|(tid, _)| tid.0 > floor) {
                         store.append_delta(*tid, delta.clone()).unwrap();
@@ -231,7 +220,7 @@ fn reads_match_model_across_appends_vacuums_and_restores() {
 fn reads_touch_each_delta_at_most_once_and_only_their_own_local() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(0xC0_0000 + seed);
-        let mut store = SegmentStore::new(SegmentId(0), schema(), CAPACITY);
+        let mut store = SegmentStore::new(SegmentId(0), CAPACITY);
         let n = 1 + rng.next_below(80);
         let mut homes: Vec<u32> = Vec::new();
         for tid in 1..=n {
@@ -375,7 +364,7 @@ fn torn_wal_replays_atomic_prefix() {
 fn segment_image_roundtrips_at_any_horizon() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(0x1A_0000 + seed);
-        let mut store = SegmentStore::new(SegmentId(0), schema(), CAPACITY);
+        let mut store = SegmentStore::new(SegmentId(0), CAPACITY);
         let n = 1 + rng.next_below(40);
         for tid in 1..=n {
             store

@@ -10,7 +10,7 @@
 //! version behaviour the paper describes for vertex segments (§4.2).
 
 use crate::delta::GraphDelta;
-use crate::value::{AttrSchema, AttrValue};
+use crate::value::AttrValue;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tv_common::{Bitmap, SegmentId, Tid, TvError, TvResult, VertexId};
@@ -31,7 +31,7 @@ pub struct SegmentSnapshot {
 impl SegmentSnapshot {
     /// An empty snapshot at TID zero.
     #[must_use]
-    pub fn empty(capacity: usize) -> Self {
+    pub(crate) fn empty(capacity: usize) -> Self {
         SegmentSnapshot {
             up_to: Tid::ZERO,
             live: vec![false; capacity],
@@ -42,31 +42,31 @@ impl SegmentSnapshot {
 
     /// Capacity in vertices.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.live.len()
     }
 
     /// Number of live vertices.
-    #[must_use]
-    pub fn live_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_count(&self) -> usize {
         self.live.iter().filter(|&&l| l).count()
     }
 
     /// Liveness flags per local id (checkpoint serialization).
     #[must_use]
-    pub fn live(&self) -> &[bool] {
+    pub(crate) fn live(&self) -> &[bool] {
         &self.live
     }
 
     /// Attribute rows per local id (checkpoint serialization).
     #[must_use]
-    pub fn attrs(&self) -> &[Vec<AttrValue>] {
+    pub(crate) fn attrs(&self) -> &[Vec<AttrValue>] {
         &self.attrs
     }
 
     /// Outgoing adjacency per edge type (checkpoint serialization).
     #[must_use]
-    pub fn edges(&self) -> &HashMap<u32, Vec<Vec<VertexId>>> {
+    pub(crate) fn edges(&self) -> &HashMap<u32, Vec<Vec<VertexId>>> {
         &self.edges
     }
 
@@ -81,7 +81,7 @@ impl SegmentSnapshot {
     /// Rebuild a snapshot from its serialized parts, validating structural
     /// invariants (per-local lists sized to capacity) so corrupt checkpoint
     /// bytes cannot smuggle in an inconsistent image.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         up_to: Tid,
         live: Vec<bool>,
         attrs: Vec<Vec<AttrValue>>,
@@ -166,7 +166,6 @@ const NO_DELTA: u32 = u32::MAX;
 pub struct SegmentStore {
     /// This segment's id.
     pub segment_id: SegmentId,
-    schema: Arc<AttrSchema>,
     snapshot: Arc<SegmentSnapshot>,
     /// Committed deltas newer than the snapshot, in commit (TID) order.
     deltas: Vec<(Tid, GraphDelta)>,
@@ -177,12 +176,11 @@ pub struct SegmentStore {
 }
 
 impl SegmentStore {
-    /// New empty segment with the given schema and capacity.
+    /// New empty segment with the given capacity.
     #[must_use]
-    pub fn new(segment_id: SegmentId, schema: Arc<AttrSchema>, capacity: usize) -> Self {
+    pub(crate) fn new(segment_id: SegmentId, capacity: usize) -> Self {
         SegmentStore {
             segment_id,
-            schema,
             snapshot: Arc::new(SegmentSnapshot::empty(capacity)),
             deltas: Vec::new(),
             prev: Vec::new(),
@@ -190,15 +188,9 @@ impl SegmentStore {
         }
     }
 
-    /// The segment's attribute schema.
-    #[must_use]
-    pub fn schema(&self) -> &AttrSchema {
-        &self.schema
-    }
-
     /// Capacity in vertices.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.snapshot.capacity()
     }
 
@@ -208,16 +200,9 @@ impl SegmentStore {
         self.deltas.len()
     }
 
-    /// Current snapshot handle (readers clone the `Arc` and stay consistent
-    /// across a concurrent vacuum swap).
-    #[must_use]
-    pub fn snapshot(&self) -> Arc<SegmentSnapshot> {
-        Arc::clone(&self.snapshot)
-    }
-
     /// Append a committed delta. `tid`s must arrive in non-decreasing order
     /// (the transaction manager serializes commits).
-    pub fn append_delta(&mut self, tid: Tid, delta: GraphDelta) -> TvResult<()> {
+    pub(crate) fn append_delta(&mut self, tid: Tid, delta: GraphDelta) -> TvResult<()> {
         if let Some(&(last, _)) = self.deltas.last() {
             if tid < last {
                 return Err(TvError::Storage(format!(
@@ -345,7 +330,7 @@ impl SegmentStore {
 
     /// Whether `local` is live as of `read_tid`.
     #[must_use]
-    pub fn is_live(&self, local: usize, read_tid: Tid) -> bool {
+    pub(crate) fn is_live(&self, local: usize, read_tid: Tid) -> bool {
         self.chain(local, read_tid)
             .find_map(|d| match d {
                 GraphDelta::UpsertVertex { .. } => Some(true),
@@ -357,14 +342,14 @@ impl SegmentStore {
 
     /// Attribute `col` of `local` as of `read_tid`.
     #[must_use]
-    pub fn attr(&self, local: usize, col: usize, read_tid: Tid) -> Option<AttrValue> {
+    pub(crate) fn attr(&self, local: usize, col: usize, read_tid: Tid) -> Option<AttrValue> {
         self.resolve(local, read_tid, &mut Vec::new(), &mut Vec::new())
             .and_then(|row| row.get(col).cloned())
     }
 
     /// Full attribute row of `local` as of `read_tid`.
-    #[must_use]
-    pub fn row(&self, local: usize, read_tid: Tid) -> Option<Vec<AttrValue>> {
+    #[cfg(test)]
+    pub(crate) fn row(&self, local: usize, read_tid: Tid) -> Option<Vec<AttrValue>> {
         self.resolve(local, read_tid, &mut Vec::new(), &mut Vec::new())
             .filter(|row| !row.is_empty())
             .map(<[AttrValue]>::to_vec)
@@ -455,7 +440,7 @@ impl SegmentStore {
     /// Install a checkpoint image as this segment's snapshot. Only legal on
     /// a freshly-created segment (recovery restores images before replaying
     /// the WAL tail, so no deltas can exist yet — and hence no chains).
-    pub fn restore(&mut self, snapshot: SegmentSnapshot) -> TvResult<()> {
+    pub(crate) fn restore(&mut self, snapshot: SegmentSnapshot) -> TvResult<()> {
         if !self.deltas.is_empty() {
             return Err(TvError::Storage(format!(
                 "restore into segment {} with {} pending deltas",
@@ -478,7 +463,7 @@ impl SegmentStore {
     /// Returns how many deltas were folded. Deltas newer than `up_to` are
     /// retained (they belong to transactions that may still be invisible to
     /// running readers).
-    pub fn vacuum(&mut self, up_to: Tid) -> usize {
+    pub(crate) fn vacuum(&mut self, up_to: Tid) -> usize {
         let split = self.deltas.partition_point(|(tid, _)| *tid <= up_to);
         if split == 0 {
             return 0;
@@ -524,18 +509,7 @@ pub(crate) mod probe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::AttrType;
     use tv_common::ids::LocalId;
-
-    fn schema() -> Arc<AttrSchema> {
-        Arc::new(
-            AttrSchema::new([
-                ("name".to_string(), AttrType::Str),
-                ("age".to_string(), AttrType::Int),
-            ])
-            .unwrap(),
-        )
-    }
 
     fn vid(seg: u32, local: u32) -> VertexId {
         VertexId::new(SegmentId(seg), LocalId(local))
@@ -547,7 +521,7 @@ mod tests {
 
     #[test]
     fn upsert_visible_at_and_after_tid() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 16);
+        let mut s = SegmentStore::new(SegmentId(0), 16);
         s.append_delta(
             Tid(5),
             GraphDelta::UpsertVertex {
@@ -565,7 +539,7 @@ mod tests {
 
     #[test]
     fn set_attr_then_delete() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 16);
+        let mut s = SegmentStore::new(SegmentId(0), 16);
         s.append_delta(
             Tid(1),
             GraphDelta::UpsertVertex {
@@ -593,7 +567,7 @@ mod tests {
 
     #[test]
     fn edges_combine_snapshot_and_deltas() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 16);
+        let mut s = SegmentStore::new(SegmentId(0), 16);
         s.append_delta(
             Tid(1),
             GraphDelta::AddEdge {
@@ -631,7 +605,7 @@ mod tests {
 
     #[test]
     fn duplicate_edge_not_added_twice() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8);
         for tid in 1..=2 {
             s.append_delta(
                 Tid(tid),
@@ -648,7 +622,7 @@ mod tests {
 
     #[test]
     fn vacuum_folds_and_preserves_reads() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 16);
+        let mut s = SegmentStore::new(SegmentId(0), 16);
         for i in 0..10u64 {
             s.append_delta(
                 Tid(i + 1),
@@ -669,12 +643,12 @@ mod tests {
         // Vacuuming everything empties the delta list.
         assert_eq!(s.vacuum(Tid(100)), 5);
         assert_eq!(s.pending_deltas(), 0);
-        assert_eq!(s.snapshot().live_count(), 10);
+        assert_eq!(s.live_bitmap(Tid(100)).count_ones(), 10);
     }
 
     #[test]
     fn vacuum_rejects_stale_appends() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8);
         s.append_delta(
             Tid(1),
             GraphDelta::UpsertVertex {
@@ -696,7 +670,7 @@ mod tests {
 
     #[test]
     fn out_of_order_delta_rejected() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8);
         s.append_delta(
             Tid(5),
             GraphDelta::UpsertVertex {
@@ -718,7 +692,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_rejected() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 4);
+        let mut s = SegmentStore::new(SegmentId(0), 4);
         assert!(s
             .append_delta(
                 Tid(1),
@@ -732,7 +706,7 @@ mod tests {
 
     #[test]
     fn live_bitmap_reflects_tid() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8);
         s.append_delta(
             Tid(1),
             GraphDelta::UpsertVertex {
@@ -748,26 +722,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_arc_stable_across_vacuum() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 8);
-        s.append_delta(
-            Tid(1),
-            GraphDelta::UpsertVertex {
-                id: vid(0, 0),
-                attrs: row("a", 1),
-            },
-        )
-        .unwrap();
-        let old = s.snapshot();
-        s.vacuum(Tid(1));
-        // The old handle still reflects the pre-vacuum (empty) image.
-        assert_eq!(old.live_count(), 0);
-        assert_eq!(s.snapshot().live_count(), 1);
-    }
-
-    #[test]
     fn delete_clears_outgoing_edges() {
-        let mut s = SegmentStore::new(SegmentId(0), schema(), 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8);
         s.append_delta(
             Tid(1),
             GraphDelta::UpsertVertex {

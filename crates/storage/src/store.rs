@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tv_common::crash::{crash_hook, CrashPlan, CrashPoint};
 use tv_common::ids::SegmentLayout;
-use tv_common::{Bitmap, SegmentId, Tid, TvError, TvResult, VertexId};
+use tv_common::{SegmentId, Tid, TvError, TvResult, VertexId};
 
 /// All segments of one vertex type.
 pub struct VertexTypeStore {
@@ -90,7 +90,6 @@ impl VertexTypeStore {
             let sid = SegmentId(segs.len() as u32);
             segs.push(Arc::new(RwLock::new(SegmentStore::new(
                 sid,
-                Arc::clone(&self.schema),
                 self.layout.capacity,
             ))));
         }
@@ -110,7 +109,7 @@ impl VertexTypeStore {
     }
 
     /// Apply one committed delta, routing it to its home segment.
-    pub fn apply(&self, tid: Tid, delta: GraphDelta) -> TvResult<()> {
+    pub(crate) fn apply(&self, tid: Tid, delta: GraphDelta) -> TvResult<()> {
         let seg = delta.home_vertex().segment();
         self.ensure_segment(seg);
         let handle = self
@@ -131,14 +130,6 @@ impl VertexTypeStore {
         guard.attr(id.local().0 as usize, col, tid)
     }
 
-    /// Full-row read at `tid`.
-    #[must_use]
-    pub fn row(&self, id: VertexId, tid: Tid) -> Option<Vec<AttrValue>> {
-        let seg = self.segment(id.segment())?;
-        let guard = seg.read();
-        guard.row(id.local().0 as usize, tid)
-    }
-
     /// Outgoing edges of `id` under `etype` at `tid`.
     #[must_use]
     pub fn edges(&self, id: VertexId, etype: u32, tid: Tid) -> Vec<VertexId> {
@@ -157,23 +148,8 @@ impl VertexTypeStore {
         }
     }
 
-    /// Per-segment liveness bitmap at `tid`.
-    #[must_use]
-    pub fn live_bitmap(&self, seg: SegmentId, tid: Tid) -> Option<Bitmap> {
-        self.segment(seg).map(|s| s.read().live_bitmap(tid))
-    }
-
-    /// Total live vertices at `tid` (scans all segments).
-    #[must_use]
-    pub fn live_count(&self, tid: Tid) -> usize {
-        self.all_segments()
-            .iter()
-            .map(|s| s.read().live_bitmap(tid).count_ones())
-            .sum()
-    }
-
     /// Fold deltas up to `horizon` into fresh snapshots; returns folded count.
-    pub fn vacuum(&self, horizon: Tid) -> usize {
+    pub(crate) fn vacuum(&self, horizon: Tid) -> usize {
         self.all_segments()
             .iter()
             .map(|s| s.write().vacuum(horizon))
@@ -265,20 +241,20 @@ impl GraphStore {
         self.types.read().len()
     }
 
-    /// Atomically commit a write set: WAL append+sync first, then apply to
-    /// segment stores, then make the TID visible. `extra` is an opaque
-    /// payload logged with the record (vector deltas from the embedding
-    /// service ride here, giving cross-store atomicity).
-    pub fn commit(&self, deltas: Vec<(u32, GraphDelta)>, extra: Vec<u8>) -> TvResult<Tid> {
+    /// [`GraphStore::commit_hooked`] with no hook: the store tests' commit.
+    #[cfg(test)]
+    pub(crate) fn commit(&self, deltas: Vec<(u32, GraphDelta)>, extra: Vec<u8>) -> TvResult<Tid> {
         self.commit_hooked(deltas, move |_| extra, |_| Ok(()))
     }
 
-    /// [`GraphStore::commit`] with two extension points used by the graph
-    /// engine to make graph+vector commits atomic: `make_extra` builds the
-    /// WAL `extra` payload once the TID is known (vector deltas carry their
-    /// TID), and `hook` runs *inside* the commit critical section after the
-    /// graph deltas apply — the embedding service installs its deltas there,
-    /// so no reader can observe the graph state without the vector state.
+    /// Atomically commit a write set: WAL append+sync first, then apply to
+    /// segment stores, then make the TID visible. Two extension points make
+    /// graph+vector commits atomic: `make_extra` builds the WAL record's
+    /// opaque `extra` payload once the TID is known (vector deltas carry
+    /// their TID, giving cross-store atomicity), and `hook` runs *inside*
+    /// the commit critical section after the graph deltas apply — the
+    /// embedding service installs its deltas there, so no reader can
+    /// observe the graph state without the vector state.
     pub fn commit_hooked(
         &self,
         deltas: Vec<(u32, GraphDelta)>,
@@ -500,45 +476,23 @@ mod tests {
     }
 
     #[test]
-    fn vacuum_respects_read_tickets() {
+    fn vacuum_folds_to_the_commit_watermark() {
         let store = GraphStore::in_memory();
         let pt = store.create_vertex_type(person_schema(), SegmentLayout::with_capacity(8));
         let people = store.vertex_type(pt).unwrap();
-        let a = people.allocate_id();
-        store
-            .commit(
-                vec![(
-                    pt,
-                    GraphDelta::UpsertVertex {
-                        id: a,
-                        attrs: person_row("a", 1),
-                    },
-                )],
-                Vec::new(),
-            )
-            .unwrap();
-        let ticket = store.txn().begin_read(); // pins tid 1
-        let b = people.allocate_id();
-        store
-            .commit(
-                vec![(
-                    pt,
-                    GraphDelta::UpsertVertex {
-                        id: b,
-                        attrs: person_row("b", 2),
-                    },
-                )],
-                Vec::new(),
-            )
-            .unwrap();
+        let (a, b) = (people.allocate_id(), people.allocate_id());
+        for (id, name) in [(a, "a"), (b, "b")] {
+            let attrs = person_row(name, 1);
+            store
+                .commit(
+                    vec![(pt, GraphDelta::UpsertVertex { id, attrs })],
+                    Vec::new(),
+                )
+                .unwrap();
+        }
         assert_eq!(store.pending_deltas(), 2);
-        // Horizon pinned at 1: only the first delta may fold.
-        assert_eq!(store.vacuum(), 1);
-        assert_eq!(store.pending_deltas(), 1);
+        assert_eq!(store.vacuum(), 2);
         let seg = people.segment(SegmentId(0)).unwrap();
-        assert_eq!(seg.read().pending_deltas(), 1);
-        drop(ticket);
-        assert_eq!(store.vacuum(), 1);
         assert_eq!(seg.read().pending_deltas(), 0);
         let tid = store.txn().last_committed();
         assert!(people.is_live(a, tid) && people.is_live(b, tid));
@@ -622,36 +576,5 @@ mod tests {
             Vec::new(),
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn live_count_and_bitmap() {
-        let store = GraphStore::in_memory();
-        let pt = store.create_vertex_type(person_schema(), SegmentLayout::with_capacity(4));
-        let people = store.vertex_type(pt).unwrap();
-        let ids = people.allocate_ids(6);
-        let deltas: Vec<(u32, GraphDelta)> = ids
-            .iter()
-            .map(|&id| {
-                (
-                    pt,
-                    GraphDelta::UpsertVertex {
-                        id,
-                        attrs: person_row("x", 0),
-                    },
-                )
-            })
-            .collect();
-        store.commit(deltas, Vec::new()).unwrap();
-        store
-            .commit(
-                vec![(pt, GraphDelta::DeleteVertex { id: ids[0] })],
-                Vec::new(),
-            )
-            .unwrap();
-        let tid = store.txn().last_committed();
-        assert_eq!(people.live_count(tid), 5);
-        let bm0 = people.live_bitmap(SegmentId(0), tid).unwrap();
-        assert_eq!(bm0.count_ones(), 3); // ids 1..4 minus deleted id 0
     }
 }

@@ -23,23 +23,12 @@ pub enum AttrType {
 impl AttrType {
     /// GSQL keyword for this type.
     #[must_use]
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             AttrType::Int => "INT",
             AttrType::Double => "DOUBLE",
             AttrType::Str => "STRING",
             AttrType::Bool => "BOOL",
-        }
-    }
-
-    /// Parse a GSQL type keyword.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_uppercase().as_str() {
-            "INT" => Some(AttrType::Int),
-            "DOUBLE" | "FLOAT" => Some(AttrType::Double),
-            "STRING" => Some(AttrType::Str),
-            "BOOL" | "BOOLEAN" => Some(AttrType::Bool),
-            _ => None,
         }
     }
 }
@@ -60,7 +49,7 @@ pub enum AttrValue {
 impl AttrValue {
     /// The type of this value.
     #[must_use]
-    pub fn attr_type(&self) -> AttrType {
+    pub(crate) fn attr_type(&self) -> AttrType {
         match self {
             AttrValue::Int(_) => AttrType::Int,
             AttrValue::Double(_) => AttrType::Double,
@@ -117,7 +106,7 @@ impl AttrSchema {
     }
 
     /// Append a field; duplicate names are rejected.
-    pub fn push(&mut self, name: String, ty: AttrType) -> TvResult<()> {
+    pub(crate) fn push(&mut self, name: String, ty: AttrType) -> TvResult<()> {
         if self.names.contains(&name) {
             return Err(TvError::Schema(format!("duplicate attribute '{name}'")));
         }
@@ -126,16 +115,13 @@ impl AttrSchema {
         Ok(())
     }
 
-    /// Number of attributes.
+    /// Number of attributes: the row arity every write is checked
+    /// against. Nothing asks whether a schema is empty, so there is no
+    /// `is_empty`.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.names.len()
-    }
-
-    /// True if the schema has no attributes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Column index of `name`.
@@ -150,14 +136,8 @@ impl AttrSchema {
         self.types.get(idx).copied()
     }
 
-    /// Field names in declaration order.
-    #[must_use]
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Check a full row against the schema.
-    pub fn check_row(&self, row: &[AttrValue]) -> TvResult<()> {
+    pub(crate) fn check_row(&self, row: &[AttrValue]) -> TvResult<()> {
         if row.len() != self.len() {
             return Err(TvError::Schema(format!(
                 "expected {} attributes, got {}",
@@ -239,20 +219,6 @@ mod tests {
         assert_eq!(AttrValue::Int(3).as_int(), Some(3));
         assert_eq!(AttrValue::Str("a".into()).as_str(), Some("a"));
         assert_eq!(AttrValue::Str("a".into()).as_int(), None);
-    }
-
-    #[test]
-    fn type_keyword_roundtrip() {
-        for t in [
-            AttrType::Int,
-            AttrType::Double,
-            AttrType::Str,
-            AttrType::Bool,
-        ] {
-            assert_eq!(AttrType::parse(t.keyword()), Some(t));
-        }
-        assert_eq!(AttrType::parse("FLOAT"), Some(AttrType::Double));
-        assert_eq!(AttrType::parse("nope"), None);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl Wal {
     /// An existing file is scanned first: a torn tail is physically
     /// truncated away (so new appends land after the last valid frame, not
     /// after unreachable garbage), while interior corruption fails the open.
-    pub fn open(path: &Path) -> TvResult<Self> {
+    pub(crate) fn open(path: &Path) -> TvResult<Self> {
         let mut data = Vec::new();
         match File::open(path) {
             Ok(mut f) => {
@@ -117,12 +117,12 @@ impl Wal {
     }
 
     /// Install a crash-point plan (testing only; `None` in production).
-    pub fn set_crash_plan(&mut self, plan: Option<Arc<CrashPlan>>) {
+    pub(crate) fn set_crash_plan(&mut self, plan: Option<Arc<CrashPlan>>) {
         self.crash_plan = plan;
     }
 
     /// Append a record and flush it to the OS. Returns the encoded size.
-    pub fn append(&mut self, record: &WalRecord) -> TvResult<usize> {
+    pub(crate) fn append(&mut self, record: &WalRecord) -> TvResult<usize> {
         let payload = encode_record(record);
         let frame = encode_frame(self.next_seq, &payload);
         if let Err(e) = crash_hook(self.crash_plan.as_deref(), CrashPoint::CommitMidWalAppend) {
@@ -142,7 +142,7 @@ impl Wal {
     }
 
     /// Force bytes to stable storage.
-    pub fn sync(&mut self) -> TvResult<()> {
+    pub(crate) fn sync(&mut self) -> TvResult<()> {
         self.writer
             .get_ref()
             .sync_data()
@@ -183,7 +183,7 @@ impl Wal {
     /// (checkpoint truncation). The surviving records are renumbered from
     /// sequence 0 and the new file replaces the old one atomically via
     /// temp-file + rename. Returns how many records were kept.
-    pub fn rotate(&mut self, keep_after: Tid) -> TvResult<usize> {
+    pub(crate) fn rotate(&mut self, keep_after: Tid) -> TvResult<usize> {
         self.writer
             .flush()
             .map_err(|e| TvError::Storage(format!("wal flush: {e}")))?;

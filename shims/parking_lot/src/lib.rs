@@ -12,9 +12,9 @@ use std::sync;
 /// public signature, and std's generics line up exactly.
 pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
 /// Write-side guard.
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
+pub(crate) type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
 /// Mutex guard.
-pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
+pub(crate) type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
 
 /// Non-poisoning mutex with parking_lot's `lock()` signature.
 #[derive(Debug, Default)]
@@ -25,35 +25,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consume, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, ignoring poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -65,13 +42,6 @@ impl<T> RwLock<T> {
     /// New lock.
     pub const fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consume, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -85,34 +55,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
     }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-/// Condition variable mirroring parking_lot's non-poisoning API.
-#[derive(Debug, Default)]
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    /// New condvar.
-    pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +67,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

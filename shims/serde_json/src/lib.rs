@@ -2,7 +2,7 @@
 //!
 //! Implements the subset the workspace uses — a concrete [`Value`] tree, the
 //! [`json!`] macro for flat literals, [`Map`], and [`to_string_pretty`] /
-//! [`to_string`] — with output byte-compatible with serde_json's default
+//! `Display` — with output byte-compatible with serde_json's default
 //! configuration (sorted object keys, 2-space pretty indent, shortest
 //! round-trip float formatting with a trailing `.0` for integral floats).
 //!
@@ -80,19 +80,13 @@ impl Map {
 
     /// Value under `key`.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         self.entries.get(key)
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// True when empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -377,13 +371,6 @@ pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Render a value as compact JSON.
-pub fn to_string(value: &Value) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, value, 0, false);
-    Ok(out)
-}
-
 impl fmt::Display for Value {
     /// Compact JSON rendering (matches serde_json's `Display`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -637,13 +624,13 @@ mod tests {
     fn arrays_and_nesting() {
         let inner = json!({ "a": 1 });
         let v = Value::Array(vec![inner, json!(null), json!("x")]);
-        assert_eq!(to_string(&v).unwrap(), "[{\"a\":1},null,\"x\"]");
+        assert_eq!(v.to_string(), "[{\"a\":1},null,\"x\"]");
     }
 
     #[test]
     fn string_escaping() {
         let v = json!("a\"b\\c\nd");
-        assert_eq!(to_string(&v).unwrap(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(v.to_string(), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]
@@ -665,7 +652,7 @@ mod tests {
             "flag": true,
             "big": u64::MAX,
         });
-        for render in [to_string_pretty(&v).unwrap(), to_string(&v).unwrap()] {
+        for render in [to_string_pretty(&v).unwrap(), v.to_string()] {
             let back = from_str(&render).unwrap();
             assert_eq!(back, v, "parse({render}) diverged");
         }

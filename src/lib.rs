@@ -55,12 +55,11 @@
 
 pub use tg_graph as graph;
 pub use tg_storage as storage;
-pub use tv_baselines as baselines;
+pub use tv_bench::baselines;
+pub use tv_bench::datagen;
 pub use tv_cluster as cluster;
 pub use tv_common as common;
-pub use tv_datagen as datagen;
 pub use tv_embedding as embedding;
 pub use tv_gsql as gsql;
 pub use tv_hnsw as hnsw;
-pub use tv_quant as quant;
 pub use tv_server as server;
