@@ -13,6 +13,7 @@ pub mod bitmap;
 pub(crate) mod config;
 pub mod crash;
 pub(crate) mod deadline;
+pub mod delta_log;
 pub mod durafile;
 pub(crate) mod error;
 pub(crate) mod histogram;
@@ -30,6 +31,7 @@ pub use config::{
 };
 pub use crash::{crash_hook, CrashPlan, CrashPoint};
 pub use deadline::Deadline;
+pub use delta_log::{DeltaLog, Logged};
 pub use durafile::crc32;
 pub use error::{TvError, TvResult};
 pub use histogram::LatencyHistogram;

@@ -22,6 +22,8 @@
 
 pub mod encode;
 pub(crate) mod image;
+#[cfg(test)]
+mod model_check;
 pub(crate) mod segment;
 pub mod service;
 pub(crate) mod types;

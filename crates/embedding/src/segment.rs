@@ -7,8 +7,9 @@
 //! * a list of **index snapshots**, each an HNSW image valid up to a TID —
 //!   multi-versioned so readers keep a consistent view while the vacuum
 //!   swaps in newer snapshots;
-//! * the **in-memory delta store**: committed vector deltas not yet flushed;
-//! * **delta files**: flushed delta batches awaiting the index merge.
+//! * the **delta log** ([`DeltaLog`], the one vertex segments keep too):
+//!   committed vector deltas newer than the oldest retained snapshot, and a
+//!   flushed watermark the delta merge moves and the index merge folds up to.
 //!
 //! A search at TID `t` picks the newest snapshot with `up_to <= t`, searches
 //! its index, and combines the result with a brute-force pass over the delta
@@ -17,15 +18,14 @@
 //! results over vector deltas".
 
 use crate::types::{check_vector, EmbeddingTypeDef};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
 use tv_common::PreparedQuery;
 use tv_common::{
-    Bitmap, GraphLayout, Neighbor, NeighborHeap, PlannerConfig, QuantSpec, SegmentId, StorageTier,
-    Tid, TvError, TvResult, VertexId,
+    Bitmap, DeltaLog, GraphLayout, Logged, Neighbor, NeighborHeap, PlannerConfig, QuantSpec,
+    SegmentId, StorageTier, Tid, TvError, TvResult, VertexId,
 };
 use tv_hnsw::index::DeltaAction;
 use tv_hnsw::{DeltaRecord, HnswConfig, HnswIndex, SearchStats, VectorIndex};
@@ -53,24 +53,15 @@ pub struct IndexSnapshot {
 /// trains once it is half full.
 const CODEC_TRAIN_FLOOR: usize = 1024;
 
-/// A flushed batch of vector deltas covering `(lo, hi]`.
-pub struct DeltaFile {
-    /// Exclusive lower TID bound.
-    pub lo: Tid,
-    /// Inclusive upper TID bound.
-    pub hi: Tid,
-    /// Records in commit order.
-    pub records: Vec<DeltaRecord>,
-}
-
 /// Decoupled vector storage + index for one (vertex segment, embedding
 /// attribute) pair.
 ///
-/// Lock order: `mem_deltas`, then `delta_files`, then `snapshots` — the order
-/// `delta_merge` moves records in. A record lives in exactly one of the two
-/// delta stores, so a reader that wants every delta holds `mem_deltas`
-/// across both scans ([`Self::for_each_delta`]); nothing takes an earlier
-/// lock while holding a later one.
+/// Lock order: `tail`, then `snapshots`. A read picks its snapshot while it
+/// holds `tail`'s read lock and is done with the overlay before it lets go,
+/// so the records between its snapshot and its TID cannot be cut under it;
+/// the HNSW search runs afterwards on the snapshot's `Arc`. `prune` drops
+/// snapshots first, then, under the write lock, cuts the flushed records
+/// the oldest snapshot it kept covers.
 pub struct EmbeddingSegment {
     /// The vertex segment this embedding segment is aligned with.
     pub segment_id: SegmentId,
@@ -78,8 +69,15 @@ pub struct EmbeddingSegment {
     quant: QuantSpec,
     layout: GraphLayout,
     snapshots: RwLock<Vec<Arc<IndexSnapshot>>>,
-    mem_deltas: RwLock<Vec<DeltaRecord>>,
-    delta_files: RwLock<Vec<Arc<DeltaFile>>>,
+    tail: RwLock<Tail>,
+}
+
+/// The committed vector deltas newer than the oldest retained snapshot.
+struct Tail {
+    log: DeltaLog<DeltaRecord>,
+    /// Records at or below this TID are flushed (vacuum stage 1): the index
+    /// merge may fold them and `prune` may cut them.
+    flushed: Tid,
 }
 
 impl EmbeddingSegment {
@@ -110,8 +108,10 @@ impl EmbeddingSegment {
             quant,
             layout,
             snapshots: RwLock::new(vec![Arc::new(first)]),
-            mem_deltas: RwLock::new(Vec::new()),
-            delta_files: RwLock::new(Vec::new()),
+            tail: RwLock::new(Tail {
+                log: DeltaLog::new(capacity),
+                flushed: Tid::ZERO,
+            }),
         }
     }
 
@@ -135,53 +135,38 @@ impl EmbeddingSegment {
         self.newest_snapshot().index.storage_tier()
     }
 
-    /// Resident bytes: every retained snapshot plus the delta overlay
-    /// (mem store and flushed delta files).
+    /// Resident bytes: every retained snapshot plus the delta log's records.
     #[must_use]
     pub(crate) fn memory_bytes(&self) -> usize {
-        let delta_bytes = |r: &DeltaRecord| std::mem::size_of::<DeltaRecord>() + r.vector.len() * 4;
-        let mut total: usize = self
-            .snapshots
-            .read()
-            .iter()
-            .map(|s| s.index.memory_bytes())
-            .sum();
-        total += self
-            .mem_deltas
-            .read()
-            .iter()
-            .map(delta_bytes)
-            .sum::<usize>();
-        for f in self.delta_files.read().iter() {
-            total += f.records.iter().map(delta_bytes).sum::<usize>();
-        }
-        total
+        let record = |r: &DeltaRecord| std::mem::size_of::<DeltaRecord>() + r.vector.len() * 4;
+        let tail = self.tail.read();
+        let records: usize = tail.log.range(Tid::ZERO, Tid::MAX).iter().map(record).sum();
+        let snaps = self.snapshots.read();
+        records + snaps.iter().map(|s| s.index.memory_bytes()).sum::<usize>()
     }
 
-    /// Quantize `index` per the declared spec, if it is not already and
-    /// holds enough live vectors to train a codec on
-    /// ([`CODEC_TRAIN_FLOOR`]); until then the snapshot stays f32. Called on
-    /// every freshly built snapshot: a clone of an already-quantized base
-    /// keeps its frozen codec instead (so codes stay comparable across
-    /// incremental merges). Whether a given snapshot trains depends only on
-    /// what it holds; *which* vectors the codec is trained on is the first
-    /// snapshot to reach the floor, so it depends on the merge schedule
-    /// (`[1024, 2000]` trains on 1 024 vectors, `[2000]` on all 2 000), and
-    /// the same schedule replayed gives the same bytes.
-    fn apply_quant(&self, index: &mut HnswIndex) -> TvResult<()> {
+    /// Publish a freshly built `index` as the snapshot valid up to `up_to`.
+    /// It is quantized per the declared spec once it holds enough live
+    /// vectors to train a codec on ([`CODEC_TRAIN_FLOOR`]; until then it
+    /// stays f32), unless it is a clone of an already-quantized base, which
+    /// keeps its frozen codec (so codes stay comparable across incremental
+    /// merges). Whether a given snapshot trains depends only on what it
+    /// holds; *which* vectors the codec is trained on is the first snapshot
+    /// to reach the floor, so it depends on the merge schedule (`[1024,
+    /// 2000]` trains on 1 024 vectors, `[2000]` on all 2 000), and the same
+    /// schedule replayed gives the same bytes. Then it is compiled into the
+    /// declared search layout (after quantizing, so the BFS permutation
+    /// carries the code slabs along; the results are bit-identical either
+    /// way).
+    fn publish(&self, up_to: Tid, mut index: HnswIndex) -> TvResult<()> {
         let floor = CODEC_TRAIN_FLOOR.min(self.capacity / 2).max(1);
         if self.quant.is_quantized() && index.len() >= floor && index.quant_spec().is_none() {
             index.quantize(self.quant)?;
         }
-        Ok(())
-    }
-
-    /// Compile the freshly built snapshot into its declared search layout.
-    /// Runs after `apply_quant` so the BFS permutation carries the code
-    /// slabs along with the vectors. Purely representational: the snapshot
-    /// serves bit-identical results either way.
-    fn apply_layout(&self, index: &mut HnswIndex) {
         index.compile_layout(self.layout);
+        let snap = Arc::new(IndexSnapshot { up_to, index });
+        self.snapshots.write().push(snap);
+        Ok(())
     }
 
     /// The search-graph layout this segment compiles snapshots into.
@@ -201,44 +186,34 @@ impl EmbeddingSegment {
         self.newest_snapshot().index.config().dim
     }
 
-    /// Append committed deltas (TIDs must be non-decreasing and newer than
-    /// everything already stored). Every record is checked before any is
+    /// Append committed deltas (TIDs must be non-decreasing and no older
+    /// than anything already stored). Every record is checked before any is
     /// appended: an upsert that [`Self::check_vector`] refuses would fail
     /// every later index merge of this segment, and a vector under an id
     /// beyond the capacity would answer from the delta overlay and vanish
     /// from every search once merged.
     pub fn append_deltas(&self, records: &[DeltaRecord]) -> TvResult<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
         let dim = self.dimension();
         let layout = SegmentLayout {
             capacity: self.capacity,
         };
+        let mut tail = self.tail.write();
+        let newest = || self.newest_snapshot().up_to;
+        let mut prev = tail.log.last_tid().unwrap_or_else(newest);
         for r in records {
             layout.check_id(r.id)?;
             if matches!(r.action, DeltaAction::Upsert) {
                 check_vector(dim, &r.vector)?;
             }
-        }
-        let mut mem = self.mem_deltas.write();
-        let floor = mem
-            .last()
-            .map(|r| r.tid)
-            .or_else(|| self.delta_files.read().last().map(|f| f.hi))
-            .unwrap_or_else(|| self.newest_snapshot().up_to);
-        let mut prev = floor;
-        for r in records {
             if r.tid < prev {
                 return Err(TvError::Storage(format!(
-                    "vector delta {} older than {}",
-                    r.tid, prev
+                    "vector delta {} older than {prev}",
+                    r.tid
                 )));
             }
             prev = r.tid;
         }
-        mem.extend_from_slice(records);
-        Ok(())
+        records.iter().try_for_each(|r| tail.log.append(r.clone()))
     }
 
     /// Newest snapshot regardless of TID (the index-merge base).
@@ -260,50 +235,27 @@ impl EmbeddingSegment {
             .expect("at least one snapshot")
     }
 
-    /// Visit every delta record with a TID in `(after, up_to]`, oldest first
-    /// (delta files, then the mem-delta store; both are tid-ordered).
-    /// `delta_merge` moves records from the mem store to a file, so the mem
-    /// lock is taken first and held across both scans: taken after the
-    /// files scan, a merge in between would hide its records from both.
-    fn for_each_delta(&self, after: Tid, up_to: Tid, mut f: impl FnMut(&DeltaRecord)) {
-        let mem = self.mem_deltas.read();
-        for file in self.delta_files.read().iter() {
-            if file.hi > after && file.lo <= up_to {
-                file.records
-                    .iter()
-                    .filter(|r| r.tid > after && r.tid <= up_to)
-                    .for_each(&mut f);
-            }
-        }
-        mem.iter()
-            .filter(|r| r.tid > after && r.tid <= up_to)
-            .for_each(&mut f);
+    /// Where every read at `read_tid` starts: the tail, read-locked, and the
+    /// snapshot picked under that lock, whose overlay cannot be cut meanwhile.
+    fn view(&self, read_tid: Tid) -> (RwLockReadGuard<'_, Tail>, Arc<IndexSnapshot>) {
+        let tail = self.tail.read();
+        let snap = self.snapshot_for(read_tid);
+        (tail, snap)
     }
 
-    /// Collect the overlay of deltas in `(after, read_tid]`: for each vertex
-    /// the latest action — `Some(vector)` for a live upsert, `None` for a
-    /// delete.
-    fn overlay(&self, after: Tid, read_tid: Tid) -> HashMap<VertexId, Option<Vec<f32>>> {
-        let mut map = HashMap::new();
-        self.for_each_delta(after, read_tid, |r| {
-            match r.action {
-                DeltaAction::Upsert => map.insert(r.id, Some(r.vector.clone())),
-                DeltaAction::Delete => map.insert(r.id, None),
-            };
-        });
-        map
-    }
-
-    /// Number of unflushed in-memory deltas.
+    /// Number of committed deltas the delta merge has not flushed yet.
     #[must_use]
     pub fn mem_delta_count(&self) -> usize {
-        self.mem_deltas.read().len()
+        let tail = self.tail.read();
+        tail.log.range(tail.flushed, Tid::MAX).len()
     }
 
-    /// Number of delta files awaiting index merge / pruning.
+    /// Number of flushed deltas awaiting the index merge and `prune` (the
+    /// records the delta files used to hold; zero still means drained).
     #[must_use]
     pub fn delta_file_count(&self) -> usize {
-        self.delta_files.read().len()
+        let tail = self.tail.read();
+        tail.log.len() - tail.log.range(tail.flushed, Tid::MAX).len()
     }
 
     /// Number of retained snapshot versions.
@@ -315,87 +267,65 @@ impl EmbeddingSegment {
     /// Live vector count at `read_tid`.
     #[must_use]
     pub fn live_count(&self, read_tid: Tid) -> usize {
-        let snap = self.snapshot_for(read_tid);
-        let overlay = self.overlay(snap.up_to, read_tid);
-        let mut n = snap.index.len();
-        for (id, action) in &overlay {
-            let in_snap = snap.index.get_embedding(*id).is_some();
-            match (in_snap, action.is_some()) {
-                (false, true) => n += 1,
-                (true, false) => n -= 1,
-                _ => {}
+        let (tail, snap) = self.view(read_tid);
+        let overlay = tail.log.overlay(snap.up_to, read_tid);
+        overlay.fold(snap.index.len(), |n, r| {
+            match (snap.index.contains(r.id), r.action) {
+                (false, DeltaAction::Upsert) => n + 1,
+                (true, DeltaAction::Delete) => n - 1,
+                _ => n,
             }
-        }
-        n
+        })
     }
 
     /// The stored vector for `id` at `read_tid`.
     #[must_use]
     pub fn get_embedding(&self, id: VertexId, read_tid: Tid) -> Option<Vec<f32>> {
-        let snap = self.snapshot_for(read_tid);
-        let overlay = self.overlay(snap.up_to, read_tid);
-        match overlay.get(&id) {
-            Some(Some(v)) => Some(v.clone()),
-            Some(None) => None,
-            None => snap.index.get_embedding(id),
+        let (tail, snap) = self.view(read_tid);
+        let newest = tail.log.chain(id.local().0 as usize, read_tid).next();
+        match newest {
+            Some(r) if r.tid > snap.up_to => {
+                matches!(r.action, DeltaAction::Upsert).then(|| r.vector.clone())
+            }
+            _ => snap.index.get_embedding(id),
         }
     }
 
-    /// The index-side validity bitmap for one search: the caller's filter
-    /// (or all of `capacity`) minus every overlaid id — their index-resident
-    /// version is stale and the overlay pass re-scores them exactly.
-    fn index_bitmap(
+    /// The overlay half of one search at `read_tid`, under the tail's read
+    /// lock: each live overlay upsert the filter accepts is scored in place
+    /// into `sink`. Returns the snapshot to search and its validity bitmap:
+    /// the caller's filter (or all of `capacity`) minus every overlaid id.
+    /// Filter rejections and dimension mismatches are counted: the planner's
+    /// selectivity feedback needs the former, and the latter is corrupt data.
+    fn overlay_pass(
         &self,
+        query: &[f32],
         filter: Option<&Bitmap>,
-        overlay: &HashMap<VertexId, Option<Vec<f32>>>,
-    ) -> Bitmap {
-        let mut bitmap = match filter {
-            Some(b) => b.clone(),
-            None => Bitmap::full(self.capacity),
-        };
-        for id in overlay.keys() {
-            let l = id.local().0 as usize;
+        read_tid: Tid,
+        stats: &mut SearchStats,
+        mut sink: impl FnMut(VertexId, f32),
+    ) -> (Arc<IndexSnapshot>, Bitmap) {
+        let (tail, snap) = self.view(read_tid);
+        let mut bitmap = filter.map_or_else(|| Bitmap::full(self.capacity), Bitmap::clone);
+        let pq = PreparedQuery::new(snap.index.metric(), query);
+        for r in tail.log.overlay(snap.up_to, read_tid) {
+            let l = r.local();
             if l < bitmap.len() {
                 bitmap.set(l, false);
             }
-        }
-        bitmap
-    }
-
-    /// Brute-force pass over the overlay's live upserts, pushed into `sink`.
-    /// The query is prepared once (norm hoisted); each overlay vector is
-    /// scored with the fused one-pass kernel — overlay entries are
-    /// transient, so there is no persistent norm cache to consult.
-    /// Filter rejections and dimension mismatches are counted, not silently
-    /// skipped: a mismatched overlay vector is corrupt data the stats must
-    /// surface, and the planner's selectivity feedback needs the rejections.
-    fn overlay_pass(
-        overlay: &HashMap<VertexId, Option<Vec<f32>>>,
-        pq: &PreparedQuery<'_>,
-        query_len: usize,
-        filter: Option<&Bitmap>,
-        stats: &mut SearchStats,
-        mut sink: impl FnMut(VertexId, f32),
-    ) {
-        for (id, action) in overlay {
-            if let Some(v) = action {
-                let l = id.local().0 as usize;
-                let accepted = match filter {
-                    Some(b) => l < b.len() && b.get(l),
-                    None => true,
-                };
-                if !accepted {
-                    stats.filtered_out += 1;
-                    continue;
-                }
-                if v.len() != query_len {
-                    stats.overlay_dim_mismatches += 1;
-                    continue;
-                }
+            if matches!(r.action, DeltaAction::Delete) {
+                continue;
+            }
+            if !filter.is_none_or(|b| l < b.len() && b.get(l)) {
+                stats.filtered_out += 1;
+            } else if r.vector.len() != query.len() {
+                stats.overlay_dim_mismatches += 1;
+            } else {
                 stats.distance_computations += 1;
-                sink(*id, pq.distance(v));
+                sink(r.id, pq.distance(&r.vector));
             }
         }
+        (snap, bitmap)
     }
 
     /// Top-k search at `read_tid`. `filter` is the validity bitmap over
@@ -413,22 +343,18 @@ impl EmbeddingSegment {
         read_tid: Tid,
         planner: &PlannerConfig,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let snap = self.snapshot_for(read_tid);
-        let overlay = self.overlay(snap.up_to, read_tid);
-        let bitmap = self.index_bitmap(filter, &overlay);
-
-        let (index_results, mut stats) =
-            snap.index
-                .search_planned(query, k, ef, Filter::Valid(&bitmap), planner);
-
-        let pq = PreparedQuery::new(snap.index.metric(), query);
         let mut heap = NeighborHeap::new(k);
-        for n in index_results {
-            heap.push(n);
-        }
-        Self::overlay_pass(&overlay, &pq, query.len(), filter, &mut stats, |id, d| {
+        let mut overlay = SearchStats::default();
+        let (snap, bitmap) = self.overlay_pass(query, filter, read_tid, &mut overlay, |id, d| {
             heap.push(Neighbor::new(id, d));
         });
+        let (found, mut stats) =
+            snap.index
+                .search_planned(query, k, ef, Filter::Valid(&bitmap), planner);
+        stats.merge(&overlay);
+        for n in found {
+            heap.push(n);
+        }
         (heap.into_sorted(), stats)
     }
 
@@ -442,112 +368,91 @@ impl EmbeddingSegment {
         read_tid: Tid,
         planner: &PlannerConfig,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let snap = self.snapshot_for(read_tid);
-        let overlay = self.overlay(snap.up_to, read_tid);
-        let bitmap = self.index_bitmap(filter, &overlay);
+        let mut near = Vec::new();
+        let mut overlay = SearchStats::default();
+        let (snap, bitmap) = self.overlay_pass(query, filter, read_tid, &mut overlay, |id, d| {
+            if d <= threshold {
+                near.push(Neighbor::new(id, d));
+            }
+        });
         let (mut out, mut stats) =
             snap.index
                 .range_search_planned(query, threshold, ef, Filter::Valid(&bitmap), planner);
-        let pq = PreparedQuery::new(snap.index.metric(), query);
-        Self::overlay_pass(&overlay, &pq, query.len(), filter, &mut stats, |id, d| {
-            if d <= threshold {
-                out.push(Neighbor::new(id, d));
-            }
-        });
+        stats.merge(&overlay);
+        out.append(&mut near);
         out.sort_unstable();
         (out, stats)
     }
 
-    /// **Delta-merge vacuum step** (§4.3, right side of Fig. 4): flush
-    /// in-memory deltas with `tid <= up_to` into a new delta file. Fast —
-    /// just moves records. Returns the new file, if any records qualified.
-    pub fn delta_merge(&self, up_to: Tid) -> Option<Arc<DeltaFile>> {
-        let mut mem = self.mem_deltas.write();
-        let split = mem.partition_point(|r| r.tid <= up_to);
-        if split == 0 {
-            return None;
-        }
-        let records: Vec<DeltaRecord> = mem.drain(..split).collect();
-        let mut files = self.delta_files.write();
-        let lo = files
-            .last()
-            .map(|f| f.hi)
-            .unwrap_or_else(|| self.newest_snapshot().up_to);
-        let hi = records.last().expect("non-empty").tid;
-        let file = Arc::new(DeltaFile { lo, hi, records });
-        files.push(Arc::clone(&file));
-        Some(file)
+    /// **Delta-merge vacuum step** (§4.3, right side of Fig. 4): flush the
+    /// deltas with `tid <= up_to`. Fast — it moves the flushed watermark,
+    /// not the records. Returns how many records it flushed, `None` if none
+    /// qualified.
+    pub fn delta_merge(&self, up_to: Tid) -> Option<usize> {
+        let mut tail = self.tail.write();
+        let flushed = tail.log.range(tail.flushed, up_to);
+        let (n, last) = (flushed.len(), flushed.last()?.tid);
+        tail.flushed = last;
+        Some(n)
     }
 
-    /// **Index-merge vacuum step** (left side of Fig. 4): fold delta files
-    /// up to `up_to` into a copy of the newest index and publish it as a new
-    /// snapshot. Slow — this is the 30-seconds-per-million-vectors step the
-    /// paper decouples from the delta merge. Returns the new snapshot TID,
-    /// or `None` if no flushed deltas qualified.
+    /// **Index-merge vacuum step** (left side of Fig. 4): fold the flushed
+    /// deltas up to `up_to` into a copy of the newest index and publish it
+    /// as a new snapshot. Slow — this is the 30-seconds-per-million-vectors
+    /// step the paper decouples from the delta merge. Returns the new
+    /// snapshot TID, or `None` if no flushed deltas qualified.
     pub fn index_merge(&self, up_to: Tid) -> TvResult<Option<Tid>> {
         let base = self.newest_snapshot();
-        let records: Vec<DeltaRecord> = {
-            let files = self.delta_files.read();
-            files
-                .iter()
-                .flat_map(|f| f.records.iter())
-                .filter(|r| r.tid > base.up_to && r.tid <= up_to)
-                .cloned()
-                .collect()
+        let records = {
+            let tail = self.tail.read();
+            tail.log.range(base.up_to, up_to.min(tail.flushed)).to_vec()
         };
-        if records.is_empty() {
+        let Some(new_tid) = records.last().map(|r| r.tid) else {
             return Ok(None);
-        }
-        let new_tid = records.last().expect("non-empty").tid;
+        };
         let mut index = base.index.clone();
         index.update_items(&records)?;
-        self.apply_quant(&mut index)?;
-        self.apply_layout(&mut index);
-        let snap = Arc::new(IndexSnapshot {
-            up_to: new_tid,
-            index,
-        });
-        self.snapshots.write().push(snap);
+        self.publish(new_tid, index)?;
         Ok(Some(new_tid))
     }
 
     /// Rebuild the index from scratch at `read_tid` (live vectors only) and
     /// publish it — the alternative Fig. 11 compares incremental merging
-    /// against, which wins once >~20% of vectors changed.
+    /// against, which wins once >~20% of vectors changed. The overlay's
+    /// upserts go in in commit order, so the same records rebuild the same
+    /// bytes.
     pub(crate) fn rebuild(&self, read_tid: Tid) -> TvResult<Tid> {
-        let snap = self.snapshot_for(read_tid);
-        let overlay = self.overlay(snap.up_to, read_tid);
+        let (snap, overlay) = {
+            let (tail, snap) = self.view(read_tid);
+            let mut overlay: Vec<DeltaRecord> =
+                tail.log.overlay(snap.up_to, read_tid).cloned().collect();
+            overlay.reverse();
+            (snap, overlay)
+        };
+        let overlaid = Bitmap::from_indices(self.capacity, overlay.iter().map(Logged::local));
         let mut index = HnswIndex::new(*snap.index.config());
         for (id, vector) in snap.index.scan() {
             // The overlay's upsert or delete supersedes the snapshot's vector.
-            if !overlay.contains_key(&id) {
+            let l = id.local().0 as usize;
+            if l >= overlaid.len() || !overlaid.get(l) {
                 index.insert(id, &vector)?;
             }
         }
-        for (id, action) in &overlay {
-            if let Some(v) = action {
-                index.insert(*id, v)?;
-            }
-        }
-        self.apply_quant(&mut index)?;
-        self.apply_layout(&mut index);
+        index.update_items(&overlay)?;
         let up_to = read_tid.max(snap.up_to);
-        self.snapshots
-            .write()
-            .push(Arc::new(IndexSnapshot { up_to, index }));
+        self.publish(up_to, index)?;
         Ok(up_to)
     }
 
     /// Export this segment's durable state at `ckpt_tid` for a checkpoint:
     /// the newest index snapshot visible at that TID plus every delta record
-    /// in `(snapshot.up_to, ckpt_tid]` (from delta files and the mem store,
-    /// in commit order). Restoring the pair reproduces reads at `ckpt_tid`
-    /// exactly.
+    /// in `(snapshot.up_to, ckpt_tid]`, in commit order. Restoring the pair
+    /// reproduces reads at `ckpt_tid` exactly.
     #[must_use]
     pub fn checkpoint_state(&self, ckpt_tid: Tid) -> (Arc<IndexSnapshot>, Vec<DeltaRecord>) {
-        let snap = self.snapshot_for(ckpt_tid);
-        let tail = self.delta_tail(snap.up_to, ckpt_tid);
-        (snap, tail)
+        let (tail, snap) = self.view(ckpt_tid);
+        let records = tail.log.range(snap.up_to, ckpt_tid).to_vec();
+        (snap, records)
     }
 
     /// The delta records in `(after, up_to]`, oldest first. This is the
@@ -556,9 +461,7 @@ impl EmbeddingSegment {
     /// from the still-serving source until the tail is short enough to drain
     /// inside the flip critical section.
     pub fn delta_tail(&self, after: Tid, up_to: Tid) -> Vec<DeltaRecord> {
-        let mut tail = Vec::new();
-        self.for_each_delta(after, up_to, |r| tail.push(r.clone()));
-        tail
+        self.tail.read().log.range(after, up_to).to_vec()
     }
 
     /// Install checkpointed state into this (pristine) segment: an index
@@ -571,9 +474,8 @@ impl EmbeddingSegment {
         deltas: &[DeltaRecord],
     ) -> TvResult<()> {
         {
-            let no_deltas = self.mem_deltas.read().is_empty() && self.delta_files.read().is_empty();
-            let snaps = self.snapshots.read();
-            let pristine = no_deltas
+            let (tail, snaps) = (self.tail.read(), self.snapshots.read());
+            let pristine = tail.log.is_empty()
                 && snaps.len() == 1
                 && snaps[0].up_to == Tid::ZERO
                 && snaps[0].index.len() == 0;
@@ -588,22 +490,21 @@ impl EmbeddingSegment {
         self.append_deltas(deltas)
     }
 
-    /// Reclaim snapshots and delta files no running transaction can need:
-    /// keep the newest snapshot with `up_to <= horizon` and everything
-    /// newer; drop delta files fully covered by the oldest retained
-    /// snapshot. ("The old index snapshot and delta files are deleted only
-    /// after the new index snapshot is visible to all running transactions.")
-    pub(crate) fn prune(&self, horizon: Tid) -> (usize, usize) {
-        let mut snaps = self.snapshots.write();
-        let keep_from = snaps.iter().rposition(|s| s.up_to <= horizon).unwrap_or(0);
-        let dropped_snaps = keep_from;
-        snaps.drain(..keep_from);
-        let floor = snaps.first().expect("at least one snapshot").up_to;
-        drop(snaps);
-        let mut files = self.delta_files.write();
-        let before = files.len();
-        files.retain(|f| f.hi > floor);
-        (dropped_snaps, before - files.len())
+    /// Reclaim snapshots and flushed deltas no running transaction can
+    /// need: keep the newest snapshot with `up_to <= horizon` and everything
+    /// newer, then cut the flushed deltas the oldest kept snapshot covers.
+    /// ("The old index snapshot and delta files are deleted only after the
+    /// new index snapshot is visible to all running transactions.")
+    pub(crate) fn prune(&self, horizon: Tid) {
+        let floor = {
+            let mut snaps = self.snapshots.write();
+            let keep_from = snaps.iter().rposition(|s| s.up_to <= horizon).unwrap_or(0);
+            snaps.drain(..keep_from);
+            snaps[0].up_to
+        };
+        let mut tail = self.tail.write();
+        let floor = floor.min(tail.flushed);
+        tail.log.cut(floor);
     }
 }
 
@@ -645,9 +546,9 @@ mod tests {
     }
 
     #[test]
-    fn delta_tail_spans_files_and_mem_in_order() {
+    fn delta_tail_spans_flushed_and_unflushed_in_order() {
         let (seg, _vecs) = seeded_segment(60);
-        // Flush a prefix to a delta file so the tail spans both stores.
+        // Flush a prefix so the tail spans both sides of the watermark.
         seg.delta_merge(Tid(40)).expect("records flushed");
         let tail = seg.delta_tail(Tid(10), Tid(55));
         assert_eq!(tail.len(), 45);
@@ -675,8 +576,7 @@ mod tests {
     #[test]
     fn two_stage_vacuum_then_search() {
         let (seg, vecs) = seeded_segment(60);
-        let file = seg.delta_merge(Tid(40)).expect("records flushed");
-        assert_eq!(file.records.len(), 40);
+        assert_eq!(seg.delta_merge(Tid(40)), Some(40));
         assert_eq!(seg.mem_delta_count(), 20);
         let merged = seg.index_merge(Tid(40)).unwrap();
         assert_eq!(merged, Some(Tid(40)));
@@ -788,12 +688,10 @@ mod tests {
         seg.index_merge(Tid(30)).unwrap();
         assert_eq!(seg.snapshot_count(), 2);
         // A reader pinned at tid 5 forbids dropping the base snapshot.
-        let (s, f) = seg.prune(Tid(5));
-        assert_eq!((s, f), (0, 0));
-        assert_eq!(seg.snapshot_count(), 2);
-        // Horizon past 30: base snapshot and the delta file go.
-        let (s, f) = seg.prune(Tid(30));
-        assert_eq!((s, f), (1, 1));
+        seg.prune(Tid(5));
+        assert_eq!((seg.snapshot_count(), seg.delta_file_count()), (2, 30));
+        // Horizon past 30: the base snapshot and the 30 flushed records go.
+        seg.prune(Tid(30));
         assert_eq!(seg.snapshot_count(), 1);
         assert_eq!(seg.delta_file_count(), 0);
     }
@@ -819,6 +717,18 @@ mod tests {
         assert_eq!(r[0].id, vid(0));
         let (r, _) = seg.search(&vecs[35], 1, 64, None, Tid(70), &plan0());
         assert_eq!(r[0].id, vid(35));
+    }
+
+    /// The same records rebuild the same bytes: the overlay's upserts go
+    /// into the fresh index in commit order, not in hash order.
+    #[test]
+    fn rebuild_is_deterministic() {
+        let rebuilt = || {
+            let (seg, _) = seeded_segment(200);
+            seg.rebuild(Tid(200)).unwrap();
+            tv_hnsw::snapshot::to_bytes(&seg.newest_snapshot().index)
+        };
+        assert_eq!(rebuilt(), rebuilt(), "same records, different bytes");
     }
 
     /// Index merges and rebuilds publish snapshots compiled into the

@@ -522,7 +522,7 @@ impl EmbeddingService {
         Ok(attr
             .all_segments()
             .iter()
-            .filter_map(|s| s.delta_merge(up_to).map(|f| f.records.len()))
+            .filter_map(|s| s.delta_merge(up_to))
             .sum())
     }
 
@@ -550,20 +550,13 @@ impl EmbeddingService {
         Ok(count)
     }
 
-    /// Prune old snapshots / delta files across every attribute, given the
+    /// Prune old snapshots and flushed deltas across every attribute, given the
     /// transaction manager's vacuum horizon.
-    pub fn prune(&self, horizon: Tid) -> (usize, usize) {
+    pub fn prune(&self, horizon: Tid) {
         let attrs = self.attrs.read().clone();
-        let mut snaps = 0;
-        let mut files = 0;
-        for attr in attrs {
-            for seg in attr.all_segments() {
-                let (s, f) = seg.prune(horizon);
-                snaps += s;
-                files += f;
-            }
+        for seg in attrs.iter().flat_map(|a| a.all_segments()) {
+            seg.prune(horizon);
         }
-        (snaps, files)
     }
 
     /// Rebuild every segment index of an attribute from scratch at
@@ -582,8 +575,8 @@ impl EmbeddingService {
         Ok(n)
     }
 
-    /// Total unflushed in-memory deltas across every attribute (vacuum
-    /// scheduling signal).
+    /// Total deltas the delta merge has not flushed, across every attribute
+    /// (vacuum scheduling signal).
     #[must_use]
     pub fn total_mem_deltas(&self) -> usize {
         self.attrs
@@ -594,7 +587,8 @@ impl EmbeddingService {
             .sum()
     }
 
-    /// Total flushed-but-unmerged delta files across every attribute.
+    /// Total flushed deltas not yet pruned across every attribute (the
+    /// delta-file records of the paper's Fig. 4; zero means drained).
     #[must_use]
     pub fn total_delta_files(&self) -> usize {
         self.attrs
@@ -854,7 +848,7 @@ mod tests {
         let flushed = svc.delta_merge(a, Tid(48)).unwrap();
         assert_eq!(flushed, 48);
         assert_eq!(svc.total_mem_deltas(), 0);
-        assert_eq!(svc.total_delta_files(), 3);
+        assert_eq!(svc.total_delta_files(), 48);
         let merged = svc.index_merge(a, Tid(48), 2).unwrap();
         assert_eq!(merged, 3);
         // Search after merge still correct.
@@ -864,9 +858,8 @@ mod tests {
             SegmentLayout::with_capacity(16).vertex_id(20)
         );
         // Prune once visible to all.
-        let (snaps, files) = svc.prune(Tid(48));
-        assert_eq!(snaps, 3);
-        assert_eq!(files, 3);
+        svc.prune(Tid(48));
+        assert_eq!(svc.total_delta_files(), 0);
     }
 
     /// Segments build side by side, each on one thread: whatever the number

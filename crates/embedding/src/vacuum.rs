@@ -2,8 +2,8 @@
 //!
 //! The paper decouples vector vacuuming into two processes because flushing
 //! deltas is ~30× faster than folding them into an HNSW index: a **delta
-//! merge** that drains the in-memory store into delta files, and an **index
-//! merge** that folds delta files into a new index snapshot. Both run here
+//! merge** that marks the committed deltas flushed, and an **index merge**
+//! that folds the flushed deltas into a new index snapshot. Both run here
 //! as background threads against an [`EmbeddingService`]. The index merge's
 //! parallelism is adjusted each cycle by a [`ThreadTuner`] that models the
 //! paper's CPU-utilization monitor: when foreground load is high, merge
@@ -13,7 +13,7 @@ use crate::service::EmbeddingService;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tv_common::Tid;
+use tv_common::{Tid, TvResult};
 
 /// Vacuum scheduling knobs.
 #[derive(Debug, Clone, Copy)]
@@ -88,43 +88,18 @@ impl VacuumErrors {
     }
 }
 
-/// One delta-merge round: a single sweep over `attrs`, flushing each one's
-/// in-memory deltas up to `up_to`. Returns the number of records flushed
-/// across the whole sweep; failures are recorded, never swallowed.
-fn delta_round(
-    service: &EmbeddingService,
-    attrs: &[u32],
-    up_to: Tid,
-    errors: &VacuumErrors,
-) -> u64 {
-    let mut flushed = 0u64;
+/// One vacuum round: a single sweep over `attrs`, with `merge` flushing
+/// (delta merge) or folding (index merge) one attribute. Returns what the
+/// whole sweep moved; failures are recorded, never swallowed.
+fn sweep(attrs: &[u32], errors: &VacuumErrors, merge: impl Fn(u32) -> TvResult<usize>) -> usize {
+    let mut moved = 0;
     for &attr in attrs {
-        match service.delta_merge(attr, up_to) {
-            Ok(n) => flushed += n as u64,
+        match merge(attr) {
+            Ok(n) => moved += n,
             Err(_) => errors.record(),
         }
     }
-    flushed
-}
-
-/// One index-merge round: a single sweep over `attrs`, folding each one's
-/// delta files into its index with `threads` workers. Returns the number
-/// of segments folded across the whole sweep.
-fn index_round(
-    service: &EmbeddingService,
-    attrs: &[u32],
-    up_to: Tid,
-    threads: usize,
-    errors: &VacuumErrors,
-) -> u64 {
-    let mut folded = 0u64;
-    for &attr in attrs {
-        match service.index_merge(attr, up_to, threads) {
-            Ok(n) => folded += n as u64,
-            Err(_) => errors.record(),
-        }
-    }
-    folded
+    moved
 }
 
 /// Handle to the two background vacuum threads; stops and joins on drop.
@@ -171,7 +146,8 @@ impl BackgroundVacuum {
             handles.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let up_to = committed();
-                    if delta_round(&service, &service.attr_ids(), up_to, &errors) > 0 {
+                    let flush = |attr| service.delta_merge(attr, up_to);
+                    if sweep(&service.attr_ids(), &errors, flush) > 0 {
                         counter.fetch_add(1, Ordering::Relaxed);
                     }
                     std::thread::sleep(config.delta_merge_interval);
@@ -189,7 +165,8 @@ impl BackgroundVacuum {
                 while !stop.load(Ordering::Relaxed) {
                     let threads = tuner.tune(load());
                     let up_to = committed();
-                    if index_round(&service, &service.attr_ids(), up_to, threads, &errors) > 0 {
+                    let fold = |attr| service.index_merge(attr, up_to, threads);
+                    if sweep(&service.attr_ids(), &errors, fold) > 0 {
                         counter.fetch_add(1, Ordering::Relaxed);
                     }
                     service.prune(horizon());
@@ -324,15 +301,16 @@ mod tests {
         // cycle while the docs promised "completed rounds".
         let (svc, attrs) = two_attr_service();
         let errors = VacuumErrors::default();
-        let flushed = delta_round(&svc, &attrs, Tid(64), &errors);
+        let flush = |attr| svc.delta_merge(attr, Tid(64));
+        let flushed = sweep(&attrs, &errors, flush);
         assert_eq!(flushed, 16, "both attributes flushed in one sweep");
-        let folded = index_round(&svc, &attrs, Tid(64), 1, &errors);
+        let folded = sweep(&attrs, &errors, |attr| svc.index_merge(attr, Tid(64), 1));
         assert!(folded > 0);
         assert_eq!(errors.count(), 0);
-        // The counter contract: one sweep = at most one increment. The
-        // round helpers return the sweep total, so the thread-side
+        // The counter contract: one sweep = at most one increment. `sweep`
+        // returns the sweep total, so the thread-side
         // `if round > 0 { counter += 1 }` cannot double-count attributes.
-        let idle = delta_round(&svc, &attrs, Tid(64), &errors);
+        let idle = sweep(&attrs, &errors, flush);
         assert_eq!(idle, 0, "nothing left to flush on the second sweep");
     }
 
@@ -342,10 +320,10 @@ mod tests {
         let errors = VacuumErrors::default();
         // An unknown attribute id makes every merge fail — the shape of a
         // persistently failing attr.
-        let flushed = delta_round(&svc, &[9999], Tid(64), &errors);
+        let flushed = sweep(&[9999], &errors, |attr| svc.delta_merge(attr, Tid(64)));
         assert_eq!(flushed, 0);
         assert_eq!(errors.count(), 1);
-        index_round(&svc, &[9999], Tid(64), 1, &errors);
+        sweep(&[9999], &errors, |attr| svc.index_merge(attr, Tid(64), 1));
         assert_eq!(errors.count(), 2);
     }
 

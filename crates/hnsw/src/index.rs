@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
 use tv_common::{
-    Bitmap, DistanceMetric, Neighbor, PlannerConfig, QuantSpec, StorageTier, Tid, TvError,
+    Bitmap, DistanceMetric, Logged, Neighbor, PlannerConfig, QuantSpec, StorageTier, Tid, TvError,
     TvResult, VertexId,
 };
 
@@ -76,6 +76,16 @@ impl DeltaRecord {
             tid,
             vector: Vec::new(),
         }
+    }
+}
+
+impl Logged for DeltaRecord {
+    fn tid(&self) -> Tid {
+        self.tid
+    }
+
+    fn local(&self) -> usize {
+        self.id.local().0 as usize
     }
 }
 
@@ -218,6 +228,15 @@ impl HnswIndex {
     #[must_use]
     pub fn tombstone_count(&self) -> usize {
         self.deleted_count
+    }
+
+    /// Whether `id` holds a live vector ([`VectorIndex::get_embedding`]
+    /// without materializing it).
+    #[must_use]
+    pub fn contains(&self, id: VertexId) -> bool {
+        self.slot_of
+            .get(&id)
+            .is_some_and(|&slot| !self.deleted[slot as usize])
     }
 
     /// Approximate resident bytes across **all** resident structures:

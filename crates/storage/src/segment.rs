@@ -1,19 +1,20 @@
 //! Vertex segments: snapshot + delta read path and the vacuum fold.
 //!
 //! A [`SegmentStore`] owns one segment's state as an immutable
-//! [`SegmentSnapshot`] (valid up to some TID) plus an ordered list of newer
-//! committed deltas, indexed per vertex. Readers at TID `t` see the snapshot
-//! corrected by the deltas with `tid <= t`, found by following the vertex's
-//! own chain through the list; the vacuum folds deltas into a fresh snapshot
-//! and atomically swaps it in (§4.3). Snapshots are kept behind `Arc` so queries
-//! running against an old snapshot stay valid during a swap — the multi-
-//! version behaviour the paper describes for vertex segments (§4.2).
+//! [`SegmentSnapshot`] (valid up to some TID) plus the log of newer
+//! committed deltas ([`DeltaLog`], shared with the embedding segments).
+//! Readers at TID `t` see the snapshot corrected by the deltas with
+//! `tid <= t`, found by following the vertex's own chain through the log;
+//! the vacuum folds deltas into a fresh snapshot and atomically swaps it in
+//! (§4.3). Snapshots are kept behind `Arc` so queries running against an
+//! old snapshot stay valid during a swap — the multi-version behaviour the
+//! paper describes for vertex segments (§4.2).
 
 use crate::delta::GraphDelta;
 use crate::value::AttrValue;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tv_common::{Bitmap, SegmentId, Tid, TvError, TvResult, VertexId};
+use tv_common::{Bitmap, DeltaLog, Logged, SegmentId, Tid, TvError, TvResult, VertexId};
 
 /// Immutable image of a segment at a point in TID time.
 #[derive(Debug, Clone)]
@@ -151,28 +152,27 @@ impl SegmentSnapshot {
     }
 }
 
-/// "No delta" in the per-local chain links.
-const NO_DELTA: u32 = u32::MAX;
+/// A committed graph delta as the [`DeltaLog`] keeps it.
+struct Committed(Tid, GraphDelta);
 
-/// One segment's mutable store: current snapshot + newer committed deltas.
-///
-/// The pending deltas are one TID-ordered log (what WAL replay, `image_at`,
-/// checkpoints and `vacuum` read) with a per-local chain threaded through
-/// it: `last[local]` is the newest pending delta homed at `local`, and
-/// `prev[i]` the one before delta `i` on the same local. Every read resolves
-/// a local through its own chain, so a point read costs that local's pending
-/// history and a whole-segment scan touches each pending delta at most once
-/// — neither rescans the log.
+impl Logged for Committed {
+    fn tid(&self) -> Tid {
+        self.0
+    }
+
+    fn local(&self) -> usize {
+        self.1.home_vertex().local().0 as usize
+    }
+}
+
+/// One segment's mutable store: current snapshot + newer committed deltas,
+/// kept in a [`DeltaLog`] whose per-local chains every read resolves through.
 pub struct SegmentStore {
     /// This segment's id.
     pub segment_id: SegmentId,
     snapshot: Arc<SegmentSnapshot>,
-    /// Committed deltas newer than the snapshot, in commit (TID) order.
-    deltas: Vec<(Tid, GraphDelta)>,
-    /// Parallel to `deltas`: the previous pending delta of the same local.
-    prev: Vec<u32>,
-    /// Per local id: its newest pending delta.
-    last: Vec<u32>,
+    /// Committed deltas newer than the snapshot.
+    log: DeltaLog<Committed>,
 }
 
 impl SegmentStore {
@@ -182,9 +182,7 @@ impl SegmentStore {
         SegmentStore {
             segment_id,
             snapshot: Arc::new(SegmentSnapshot::empty(capacity)),
-            deltas: Vec::new(),
-            prev: Vec::new(),
-            last: vec![NO_DELTA; capacity],
+            log: DeltaLog::new(capacity),
         }
     }
 
@@ -197,70 +195,24 @@ impl SegmentStore {
     /// Number of pending (un-vacuumed) deltas.
     #[must_use]
     pub fn pending_deltas(&self) -> usize {
-        self.deltas.len()
+        self.log.len()
     }
 
     /// Append a committed delta. `tid`s must arrive in non-decreasing order
     /// (the transaction manager serializes commits).
     pub(crate) fn append_delta(&mut self, tid: Tid, delta: GraphDelta) -> TvResult<()> {
-        if let Some(&(last, _)) = self.deltas.last() {
-            if tid < last {
-                return Err(TvError::Storage(format!(
-                    "out-of-order delta: {tid} after {last}"
-                )));
-            }
-        }
         if tid <= self.snapshot.up_to {
             return Err(TvError::Storage(format!(
                 "delta {tid} not newer than snapshot {}",
                 self.snapshot.up_to
             )));
         }
-        let local = delta.home_vertex().local().0 as usize;
-        if local >= self.capacity() {
-            return Err(TvError::Storage(format!(
-                "local id {local} exceeds segment capacity {}",
-                self.capacity()
-            )));
-        }
-        let at = u32::try_from(self.deltas.len())
-            .ok()
-            .filter(|&at| at != NO_DELTA)
-            .ok_or_else(|| {
-                TvError::Storage(format!("segment {} delta tail is full", self.segment_id))
-            })?;
-        self.prev.push(std::mem::replace(&mut self.last[local], at));
-        self.deltas.push((tid, delta));
-        Ok(())
+        self.log.append(Committed(tid, delta))
     }
 
-    /// Rebuild the per-local chains after the log was cut.
-    fn reindex(&mut self) {
-        self.last.fill(NO_DELTA);
-        self.prev.clear();
-        for (at, (_, delta)) in self.deltas.iter().enumerate() {
-            let local = delta.home_vertex().local().0 as usize;
-            self.prev
-                .push(std::mem::replace(&mut self.last[local], at as u32));
-        }
-    }
-
-    /// The pending deltas homed at `local` that are visible at `read_tid`,
-    /// newest first. Every read of the log below goes through here.
+    /// The pending deltas of `local` visible at `read_tid`, newest first.
     fn chain(&self, local: usize, read_tid: Tid) -> impl Iterator<Item = &GraphDelta> + '_ {
-        let mut at = self.last.get(local).copied().unwrap_or(NO_DELTA);
-        std::iter::from_fn(move || {
-            while at != NO_DELTA {
-                #[cfg(test)]
-                probe::record(at);
-                let (tid, delta) = &self.deltas[at as usize];
-                at = self.prev[at as usize];
-                if *tid <= read_tid {
-                    return Some(delta);
-                }
-            }
-            None
-        })
+        self.log.chain(local, read_tid).map(|c| &c.1)
     }
 
     /// The attribute row of `local` as of `read_tid`, `None` when it is not
@@ -397,17 +349,14 @@ impl SegmentStore {
     /// instead of materializing a fresh bitmap (§5.1).
     #[must_use]
     pub fn live_bitmap(&self, read_tid: Tid) -> Bitmap {
-        let cap = self.capacity();
-        let mut bm = Bitmap::new(cap);
-        for (l, &alive) in self.snapshot.live.iter().enumerate() {
-            if alive {
-                bm.set(l, true);
-            }
-        }
-        for (tid, d) in &self.deltas {
-            if *tid > read_tid {
-                break;
-            }
+        let live = self
+            .snapshot
+            .live
+            .iter()
+            .enumerate()
+            .filter(|(_, &alive)| alive);
+        let mut bm = Bitmap::from_indices(self.capacity(), live.map(|(l, _)| l));
+        for Committed(_, d) in self.log.range(self.snapshot.up_to, read_tid) {
             match d {
                 GraphDelta::UpsertVertex { id, .. } => bm.set(id.local().0 as usize, true),
                 GraphDelta::DeleteVertex { id } => bm.set(id.local().0 as usize, false),
@@ -423,17 +372,16 @@ impl SegmentStore {
     /// that needs no delta replay below `up_to`.
     #[must_use]
     pub fn image_at(&self, up_to: Tid) -> SegmentSnapshot {
+        self.folded(self.log.range(self.snapshot.up_to, up_to), up_to)
+    }
+
+    /// The snapshot with `deltas` (none above `up_to`) folded in, at `up_to`.
+    fn folded(&self, deltas: &[Committed], up_to: Tid) -> SegmentSnapshot {
         let mut snap = (*self.snapshot).clone();
-        for (tid, d) in &self.deltas {
-            if *tid > up_to {
-                break;
-            }
+        for Committed(_, d) in deltas {
             snap.apply(d);
-            snap.up_to = *tid;
         }
-        if up_to > snap.up_to {
-            snap.up_to = up_to;
-        }
+        snap.up_to = snap.up_to.max(up_to);
         snap
     }
 
@@ -441,11 +389,11 @@ impl SegmentStore {
     /// a freshly-created segment (recovery restores images before replaying
     /// the WAL tail, so no deltas can exist yet — and hence no chains).
     pub(crate) fn restore(&mut self, snapshot: SegmentSnapshot) -> TvResult<()> {
-        if !self.deltas.is_empty() {
+        if !self.log.is_empty() {
             return Err(TvError::Storage(format!(
                 "restore into segment {} with {} pending deltas",
                 self.segment_id,
-                self.deltas.len()
+                self.log.len()
             )));
         }
         if snapshot.capacity() != self.capacity() {
@@ -464,47 +412,18 @@ impl SegmentStore {
     /// retained (they belong to transactions that may still be invisible to
     /// running readers).
     pub(crate) fn vacuum(&mut self, up_to: Tid) -> usize {
-        let split = self.deltas.partition_point(|(tid, _)| *tid <= up_to);
-        if split == 0 {
-            return 0;
+        let folded = self.log.cut(up_to);
+        if !folded.is_empty() {
+            // The snapshot records the full horizon, not the last folded
+            // tid, so later appends below it are rejected.
+            self.snapshot = Arc::new(self.folded(&folded, up_to));
         }
-        let mut snap = (*self.snapshot).clone();
-        for (tid, d) in self.deltas.drain(..split) {
-            snap.apply(&d);
-            snap.up_to = tid;
-        }
-        // up_to may exceed the last folded tid; record the full horizon so
-        // later appends below it are rejected.
-        if up_to > snap.up_to {
-            snap.up_to = up_to;
-        }
-        self.snapshot = Arc::new(snap);
-        self.reindex();
-        split
+        folded.len()
     }
 }
 
-/// Test-only record of which pending deltas the read path looked at, so the
-/// cost model (a scan reads each delta at most once, a point read only its
-/// own local's) is asserted as counts rather than timings. Thread-local:
-/// `cargo test` runs tests on parallel threads.
 #[cfg(test)]
-pub(crate) mod probe {
-    use std::cell::RefCell;
-
-    thread_local! {
-        static READS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    }
-
-    pub(crate) fn record(at: u32) {
-        READS.with(|r| r.borrow_mut().push(at));
-    }
-
-    /// The log positions read since the last call.
-    pub(crate) fn take() -> Vec<u32> {
-        READS.with(|r| std::mem::take(&mut *r.borrow_mut()))
-    }
-}
+pub(crate) use tv_common::delta_log::probe;
 
 #[cfg(test)]
 mod tests {
