@@ -179,21 +179,22 @@ layout-smoke:
 	cargo test --release -p tv-hnsw --test layout_oracle -q
 	$(SMOKE_BIN) layout_bench
 
-# Candidate-set gate: the storage model check (model map vs. the chained
-# read path and the row scan at every TID, across vacuums and restores, plus
-# the delta-read counts) and the GSQL candidate-set identity suite (compiled
-# bitmap path vs. a store-independent reference), the latter with the worker
-# pool one and two wide — the segment scan runs on it; the storage suite
-# never touches the pool. Whether a scan or a search leaves its thread is
-# the pool's decision and depends on its width and occupancy, so the pool's
-# own tests and the embedding service's run one, two and four wide (four is
-# oversubscribed on a 2-core host; the service's suite includes the check
-# that index merges publish the same bytes at every width). Then the filtered workload of the
-# benchmark at smoke size, which exits non-zero when an answer fails its
-# brute-force check.
+# Candidate-set gate: the storage model check (model map vs. the row image's
+# reads and the block scan at every TID, across vacuums and restores; the
+# image against the chain path it falls back to; the delta-read counts), the
+# block-predicate identity suite (64-row words vs. the per-row reference
+# interpreter) and the GSQL candidate-set identity suite (compiled bitmap
+# path vs. a store-independent reference), each with the worker pool one and
+# two wide — the segment scan runs on it. Whether a scan or a search leaves
+# its thread is the pool's decision and depends on its width and occupancy,
+# so the pool's own tests and the embedding service's run one, two and four
+# wide (four is oversubscribed on a 2-core host; the service's suite
+# includes the check that index merges publish the same bytes at every
+# width). Then the filtered workload of the benchmark at smoke size, which
+# exits non-zero when an answer fails its brute-force check.
 filter-smoke:
-	cargo test --release -p tg-storage model_check -q
-	for w in 1 2; do TV_THREADS=$$w cargo test --release -p tv-gsql candidate_identity -q || exit 1; done
+	for w in 1 2; do TV_THREADS=$$w cargo test --release -p tg-storage model_check -q || exit 1; done
+	for w in 1 2; do TV_THREADS=$$w cargo test --release -p tv-gsql -q -- block_identity candidate_identity || exit 1; done
 	for w in 1 2 4; do TV_THREADS=$$w cargo test --release -p tv-common -p tv-embedding -q || exit 1; done
 	$(LEDGER_CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- --workload hybrid_filtered --smoke
 

@@ -400,7 +400,7 @@ mod tests {
         let tid = g.graph.read_tid();
         let es = g
             .graph
-            .select_vertices(g.post_t, tid, |_, row| row[0].as_str() == Some("es"))
+            .select_vertices(g.post_t, tid, |row| row[0].as_str() == Some("es"))
             .unwrap();
         let frac = es.len() as f64 / g.posts.len() as f64;
         assert!((0.1..0.35).contains(&frac), "es fraction {frac}");

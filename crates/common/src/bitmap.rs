@@ -45,6 +45,30 @@ impl Bitmap {
         b
     }
 
+    /// Build from 64-bit words, bit `i` of word `w` being position
+    /// `64 * w + i` (the form a block-at-a-time scan produces). Panics
+    /// unless there are exactly `len.div_ceil(64)` words; bits past `len`
+    /// are cleared.
+    #[must_use]
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits in {} words",
+            words.len()
+        );
+        let mut b = Bitmap { words, len };
+        b.clear_tail();
+        b
+    }
+
+    /// The bits as 64-bit words, in the layout [`Bitmap::from_words`] takes;
+    /// bits past `len` are zero.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of addressable bits: a capacity, so there is no `is_empty`
     /// (a bitmap with no bit set is [`Bitmap::count_ones`] `== 0`).
     #[must_use]
@@ -234,6 +258,17 @@ mod tests {
         let b = Bitmap::from_indices(200, [5, 64, 63, 199, 0]);
         let ones: Vec<usize> = b.iter_ones().collect();
         assert_eq!(ones, vec![0, 5, 63, 64, 199]);
+    }
+
+    #[test]
+    fn words_roundtrip_and_clear_the_tail() {
+        let b = Bitmap::from_indices(70, [0, 63, 64, 69]);
+        assert_eq!(b.words(), [1 | 1 << 63, 1 | 1 << 5]);
+        assert_eq!(Bitmap::from_words(70, b.words().to_vec()), b);
+        let full = Bitmap::from_words(70, vec![u64::MAX; 2]);
+        assert_eq!(full, Bitmap::full(70));
+        assert_eq!(full.count_ones(), 70);
+        assert_eq!(Bitmap::from_words(0, Vec::new()).count_ones(), 0);
     }
 
     #[test]

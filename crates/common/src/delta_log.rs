@@ -56,8 +56,9 @@ impl<T: Logged> DeltaLog<T> {
         self.records.last().map(Logged::tid)
     }
 
-    /// Append a record no older than the newest, at a local below capacity.
-    pub fn append(&mut self, record: T) -> TvResult<()> {
+    /// Append a record no older than the newest, at a local below capacity;
+    /// returns it where it now lies.
+    pub fn append(&mut self, record: T) -> TvResult<&T> {
         let (tid, local) = (record.tid(), record.local());
         if let Some(last) = self.last_tid().filter(|&last| tid < last) {
             return Err(TvError::Storage(format!("delta {tid} after {last}")));
@@ -68,7 +69,7 @@ impl<T: Logged> DeltaLog<T> {
             .ok_or_else(|| TvError::Storage(format!("no room for a delta at local {local}")))?;
         self.prev.push(std::mem::replace(&mut self.last[local], at));
         self.records.push(record);
-        Ok(())
+        Ok(&self.records[at as usize])
     }
 
     /// The records homed at `local` visible at `read_tid`, newest first.

@@ -213,7 +213,9 @@ impl EmbeddingSegment {
             }
             prev = r.tid;
         }
-        records.iter().try_for_each(|r| tail.log.append(r.clone()))
+        records
+            .iter()
+            .try_for_each(|r| tail.log.append(r.clone()).map(drop))
     }
 
     /// Newest snapshot regardless of TID (the index-merge base).

@@ -8,11 +8,10 @@
 
 use crate::graph::Graph;
 use crate::vertex_set::VertexSet;
-use std::collections::HashMap;
 use tg_storage::segment::SegmentStore;
 use tg_storage::AttrValue;
 use tv_common::ids::LocalId;
-use tv_common::{Bitmap, SegmentId, Tid, TvResult, VertexId};
+use tv_common::{SegmentId, Tid, TvResult, VertexId};
 
 impl Graph {
     /// **VertexAction**: run `f` over every segment of `type_id`, collecting
@@ -36,16 +35,20 @@ impl Graph {
             }))
     }
 
-    /// One scan per segment: the vertices live at `tid` (only the members of
-    /// `within`, when given) whose attribute row passes `pred`, as
-    /// per-segment bitmaps. Segments with no qualifying vertex are omitted.
-    fn scan_bitmaps(
+    /// The one scan door, one segment scan each: the vertices of `type_id`
+    /// live at `tid` (only the members of `within`, when given) that pass
+    /// `pred`. The scan hands `pred` 64 locals at a time — a word of
+    /// candidates (bit `i` is the block's `i`-th local, live and within)
+    /// and their attribute rows, row-major in schema order, one cell per
+    /// column — and keeps the bits of the word it returns that are
+    /// candidates. Blocks without a candidate are skipped.
+    pub fn scan_vertices(
         &self,
         type_id: u32,
         tid: Tid,
         within: Option<&VertexSet>,
-        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
-    ) -> TvResult<HashMap<SegmentId, Bitmap>> {
+        pred: impl Fn(u64, &[AttrValue]) -> u64 + Sync,
+    ) -> TvResult<VertexSet> {
         let capacity = self.store().vertex_type(type_id)?.layout().capacity;
         let within = within.map(|set| set.to_segment_bitmaps(type_id, capacity));
         let per_segment = self.vertex_action(type_id, |seg, seg_id| {
@@ -53,63 +56,36 @@ impl Graph {
                 None => None,
                 Some(bitmaps) => Some(bitmaps.get(&seg_id)?),
             };
-            let mut bm = Bitmap::new(capacity);
-            let mut any = false;
-            seg.for_each_live_row(tid, within, |local, row| {
-                if pred(VertexId::new(seg_id, LocalId(local as u32)), row) {
-                    bm.set(local, true);
-                    any = true;
-                }
-            });
-            any.then_some((seg_id, bm))
+            Some((seg_id, seg.scan_blocks(tid, within, &pred)))
         })?;
-        Ok(per_segment.into_iter().flatten().collect())
+        Ok(VertexSet::from_segment_bitmaps(
+            type_id,
+            per_segment.into_iter().flatten(),
+        ))
     }
 
-    /// Evaluate `pred` over every live vertex of `type_id` at `tid` and
-    /// produce per-segment validity bitmaps — the pre-filter stage of
-    /// filtered vector search (§5.2). `pred` sees the vertex's attribute row
-    /// in schema order (resolve column indices once, through the type's
-    /// `AttrSchema`, before the scan). Segments with no qualifying vertex
-    /// are omitted.
-    pub(crate) fn filter_bitmaps(
-        &self,
-        type_id: u32,
-        tid: Tid,
-        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
-    ) -> TvResult<HashMap<SegmentId, Bitmap>> {
-        self.scan_bitmaps(type_id, tid, None, pred)
-    }
-
-    /// Materialize the vertices of `type_id` satisfying `pred` as a
-    /// [`VertexSet`] — the `SELECT s FROM (s:Type) WHERE ...` block.
+    /// Materialize the vertices of `type_id` whose attribute row (in schema
+    /// order; resolve column indices once, through the type's `AttrSchema`,
+    /// before the scan) satisfies `pred` as a [`VertexSet`] — the `SELECT s
+    /// FROM (s:Type) WHERE ...` block, one row at a time through the same
+    /// door as the block predicates.
     pub fn select_vertices(
         &self,
         type_id: u32,
         tid: Tid,
-        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
+        pred: impl Fn(&[AttrValue]) -> bool + Sync,
     ) -> TvResult<VertexSet> {
-        let bitmaps = self.filter_bitmaps(type_id, tid, pred)?;
-        Ok(VertexSet::from_segment_bitmaps(type_id, bitmaps))
-    }
-
-    /// The members of `within` (of type `type_id`) that are live at `tid`
-    /// and satisfy `pred` — the right-hand side of a pattern hop, where the
-    /// candidates are edge targets rather than the whole type.
-    pub fn restrict_vertices(
-        &self,
-        type_id: u32,
-        tid: Tid,
-        within: &VertexSet,
-        pred: impl Fn(VertexId, &[AttrValue]) -> bool + Sync,
-    ) -> TvResult<VertexSet> {
-        let bitmaps = self.scan_bitmaps(type_id, tid, Some(within), pred)?;
-        Ok(VertexSet::from_segment_bitmaps(type_id, bitmaps))
+        let arity = self.store().vertex_type(type_id)?.schema().len();
+        self.scan_vertices(type_id, tid, None, move |mask, rows| {
+            (0..64)
+                .filter(|&i| mask >> i & 1 == 1 && pred(&rows[i * arity..(i + 1) * arity]))
+                .fold(0, |word, i| word | 1 << i)
+        })
     }
 
     /// All live vertices of a type at `tid`.
     pub fn all_vertices(&self, type_id: u32, tid: Tid) -> TvResult<VertexSet> {
-        self.select_vertices(type_id, tid, |_, _| true)
+        self.scan_vertices(type_id, tid, None, |live, _| live)
     }
 
     /// **EdgeAction**: run `f` over every live out-edge of `etype` whose
@@ -124,7 +100,7 @@ impl Graph {
     ) -> TvResult<Vec<R>> {
         let per_segment = self.vertex_action(from_type, |seg, seg_id| {
             let mut out = Vec::new();
-            let live = seg.live_bitmap(tid);
+            let live = seg.scan_blocks(tid, None, |live, _| live);
             for local in live.iter_ones() {
                 let from = VertexId::new(seg_id, LocalId(local as u32));
                 for to in seg.edges(local, etype, tid) {
@@ -204,7 +180,10 @@ mod tests {
         let (g, person, _) = graph();
         load_people(&g, person, 10); // 3 segments at capacity 4
         let counts = g
-            .vertex_action(person, |seg, _| seg.live_bitmap(g.read_tid()).count_ones())
+            .vertex_action(person, |seg, _| {
+                seg.scan_blocks(g.read_tid(), None, |live, _| live)
+                    .count_ones()
+            })
             .unwrap();
         assert_eq!(counts, vec![4, 4, 2]);
     }
@@ -215,10 +194,9 @@ mod tests {
         load_people(&g, person, 10);
         let tid = g.read_tid();
         let bitmaps = g
-            .filter_bitmaps(person, tid, |_, row| {
-                row[1].as_int().is_some_and(|a| a >= 8)
-            })
-            .unwrap();
+            .select_vertices(person, tid, |row| row[1].as_int().is_some_and(|a| a >= 8))
+            .unwrap()
+            .to_segment_bitmaps(person, 4);
         // Only ages 8, 9 qualify — both in segment 2.
         assert_eq!(bitmaps.len(), 1);
         assert_eq!(bitmaps[&SegmentId(2)].count_ones(), 2);
@@ -230,7 +208,7 @@ mod tests {
         let ids = load_people(&g, person, 6);
         let tid = g.read_tid();
         let evens = g
-            .select_vertices(person, tid, |_, row| {
+            .select_vertices(person, tid, |row| {
                 row[1].as_int().is_some_and(|a| a % 2 == 0)
             })
             .unwrap();
@@ -282,7 +260,9 @@ mod tests {
         let frontier = VertexSet::from_iter_typed(person, [ids[0]]);
         let hop = g.expand(&frontier, person, knows, person, tid).unwrap();
         assert_eq!(hop.of_type(person), vec![ids[2], dangling]);
-        let live = g.restrict_vertices(person, tid, &hop, |_, _| true).unwrap();
+        let live = g
+            .scan_vertices(person, tid, Some(&hop), |live, _| live)
+            .unwrap();
         assert_eq!(live.of_type(person), vec![ids[2]]);
     }
 

@@ -165,7 +165,7 @@ impl AccessControl {
             .filter_map(|g| g.rule.as_ref())
             .filter_map(|rule| Some((schema.index_of(&rule.attr)?, &rule.value)))
             .collect();
-        let set = graph.select_vertices(vertex_type, tid, |_, row| {
+        let set = graph.select_vertices(vertex_type, tid, |row| {
             rules
                 .iter()
                 .any(|&(col, value)| row.get(col) == Some(value))

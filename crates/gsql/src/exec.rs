@@ -9,7 +9,7 @@
 
 use crate::ast::{Expr, Value};
 use crate::parser::parse;
-use crate::pred::{constant, Pred};
+use crate::pred::{constant, NodeFilter};
 use crate::sema::{pushdown_predicates, resolve, QueryKind, Resolved};
 use std::collections::{HashMap, HashSet};
 use tg_graph::accum::PairHeapAccum;
@@ -255,24 +255,22 @@ fn node_candidates(
         return Ok(vec![None]);
     }
 
-    let mut preds: Vec<Vec<Pred>> = Vec::with_capacity(n);
-    for (exprs, &type_id) in per_node.iter().zip(&r.node_types) {
-        let store = graph.store().vertex_type(type_id)?;
-        preds.push(
-            exprs
-                .iter()
-                .map(|e| Pred::compile(e, store.schema(), params))
-                .collect::<TvResult<_>>()?,
-        );
-    }
+    let filters = per_node
+        .iter()
+        .zip(&r.node_types)
+        .map(|(terms, &type_id)| {
+            let store = graph.store().vertex_type(type_id)?;
+            NodeFilter::compile(terms, store.schema(), params)
+        })
+        .collect::<TvResult<Vec<_>>>()?;
     let passes = |node: usize| {
-        let preds = &preds[node];
-        move |_: VertexId, row: &[AttrValue]| preds.iter().all(|p| p.matches(row))
+        let filter = &filters[node];
+        move |mask: u64, rows: &[AttrValue]| filter.eval(mask, rows)
     };
 
     let mut sets: Vec<Option<VertexSet>> = vec![None; n];
     // Node 0: all vertices of the type passing its predicates (VertexAction).
-    sets[0] = Some(graph.select_vertices(r.node_types[0], tid, passes(0))?);
+    sets[0] = Some(graph.scan_vertices(r.node_types[0], tid, None, passes(0))?);
 
     for (i, edge) in r.edges.iter().enumerate() {
         let left = sets[i].as_ref().expect("left set materialized");
@@ -281,11 +279,11 @@ fn node_candidates(
             // Left is the stored source: expand its out-edges, then keep the
             // targets that are live and pass the right node's predicates.
             let targets = graph.expand(left, left_type, edge.etype, right_type, tid)?;
-            graph.restrict_vertices(right_type, tid, &targets, passes(i + 1))?
+            graph.scan_vertices(right_type, tid, Some(&targets), passes(i + 1))?
         } else {
             // Right is the stored source: scan right candidates whose
             // out-edges hit the left set.
-            let candidates = graph.select_vertices(right_type, tid, passes(i + 1))?;
+            let candidates = graph.scan_vertices(right_type, tid, None, passes(i + 1))?;
             let store = graph.store().vertex_type(right_type)?;
             VertexSet::from_iter_typed(
                 right_type,
@@ -390,15 +388,16 @@ fn run_graph_only(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvR
     let sel = &r.query.select[0];
     let node = r.alias_of[sel];
     let type_id = r.node_types[node];
-    let ids: Vec<VertexId> = match &sets[node] {
-        Some(set) => set.of_type(type_id),
-        None => graph.all_vertices(type_id, tid)?.of_type(type_id),
-    };
     let k = limit_of(r, params)?;
+    let set = match sets.into_iter().nth(node).flatten() {
+        Some(set) => set,
+        None => graph.all_vertices(type_id, tid)?,
+    };
     Ok(QueryOutput::Vertices(
-        ids.into_iter()
+        set.iter()
+            .filter(|&(t, _)| t == type_id)
             .take(k)
-            .map(|id| ResultRow {
+            .map(|(_, id)| ResultRow {
                 vertex_type: type_id,
                 id,
                 dist: None,
@@ -558,6 +557,8 @@ fn dfs_pairs(
     Ok(())
 }
 
+#[cfg(test)]
+mod block_identity;
 #[cfg(test)]
 mod candidate_identity;
 

@@ -281,7 +281,7 @@ fn ref_scalar(e: &Expr, get: &dyn Fn(&str) -> Option<AttrValue>, params: &Params
     }
 }
 
-fn ref_pred(e: &Expr, get: &dyn Fn(&str) -> Option<AttrValue>, params: &Params) -> bool {
+pub(super) fn ref_pred(e: &Expr, get: &dyn Fn(&str) -> Option<AttrValue>, params: &Params) -> bool {
     use std::cmp::Ordering;
     match e {
         Expr::Cmp(l, op, r) => {

@@ -246,7 +246,7 @@ mod tests {
         // First query block: posts with length >= 4.
         let tid = g.read_tid();
         let candidates = g
-            .select_vertices(0, tid, |_, row| row[0].as_int().is_some_and(|l| l >= 4))
+            .select_vertices(0, tid, |row| row[0].as_int().is_some_and(|l| l >= 4))
             .unwrap();
         // Second block: VectorSearch with the candidate filter.
         let set = vector_search(

@@ -1,12 +1,17 @@
-//! Pushed-down predicates, compiled once per query.
+//! Pushed-down predicates, compiled once per query and evaluated a block of
+//! rows at a time.
 //!
 //! A `WHERE` term that mentions one pattern node runs inside that node's
-//! `VertexAction` scan, once per live row. Compilation resolves everything
-//! that does not depend on the row before the scan starts: attribute names
-//! become column indices of the node type's [`AttrSchema`], literals and
-//! `$params` become typed constants (an unbound or vector-valued parameter
-//! is an error here, once, rather than a row that silently fails to match).
-//! Evaluation then reads the row in place and allocates nothing.
+//! `VertexAction` scan. Compilation resolves everything that does not depend
+//! on the row before the scan starts: attribute names become column indices
+//! of the node type's [`AttrSchema`] (an attribute the type does not have
+//! becomes the constant it reads as, `false`), literals and `$params` become
+//! typed constants (an unbound or vector-valued parameter is an error here,
+//! once, rather than a row that silently fails to match). The scan then
+//! hands over up to 64 rows at once and gets one bitmap word back: each
+//! comparison picks its loop once per block, from its operand kinds and its
+//! operator, and `AND` / `OR` / `NOT` are word operations. Rows are read in
+//! place; nothing is allocated.
 
 use crate::ast::{CmpOp, Expr, Value};
 use crate::exec::Params;
@@ -14,22 +19,32 @@ use std::cmp::Ordering;
 use tg_storage::{AttrSchema, AttrValue};
 use tv_common::{TvError, TvResult};
 
+/// One pattern node's pushed-down terms, compiled against its type: the
+/// block predicate its scan runs.
+#[derive(Debug)]
+pub(crate) struct NodeFilter {
+    terms: Vec<Pred>,
+    /// Cells per row: the schema's column count.
+    arity: usize,
+}
+
 /// A compiled boolean predicate over one vertex's attribute row.
 #[derive(Debug)]
-pub(crate) enum Pred {
+enum Pred {
     Cmp(Operand, CmpOp, Operand),
     And(Box<Pred>, Box<Pred>),
     Or(Box<Pred>, Box<Pred>),
     Not(Box<Pred>),
-    /// A bare `alias.attr`: true iff the column holds `Bool(true)`.
+    /// A bare `alias.attr`: true iff the column holds `Bool(true)`; `None`
+    /// for an attribute the type does not have.
     Flag(Option<usize>),
 }
 
 /// One side of a comparison.
 #[derive(Debug)]
-pub(crate) enum Operand {
-    /// A column of the row; `None` for an attribute the type does not have.
-    Col(Option<usize>),
+enum Operand {
+    /// A column of the row.
+    Col(usize),
     Num(f64),
     Str(String),
     Bool(bool),
@@ -53,9 +68,78 @@ pub(crate) fn constant<'a>(expr: &'a Expr, params: &'a Params) -> TvResult<&'a V
     }
 }
 
+impl NodeFilter {
+    /// Compile the conjunction of `terms` against the schema of the node
+    /// they filter.
+    pub(crate) fn compile(terms: &[Expr], schema: &AttrSchema, params: &Params) -> TvResult<Self> {
+        Ok(NodeFilter {
+            terms: terms
+                .iter()
+                .map(|e| Pred::compile(e, schema, params))
+                .collect::<TvResult<_>>()?,
+            arity: schema.len(),
+        })
+    }
+
+    /// The members of `mask` whose rows pass every term. `rows` holds the
+    /// block's rows, row-major, `arity` cells each; bit `i` of `mask` (and
+    /// of the result) is row `i`.
+    pub(crate) fn eval(&self, mask: u64, rows: &[AttrValue]) -> u64 {
+        let block = Block {
+            rows,
+            arity: self.arity,
+        };
+        let mut word = mask;
+        for term in &self.terms {
+            if word == 0 {
+                break;
+            }
+            word &= term.eval(&block);
+        }
+        word
+    }
+}
+
+/// Up to 64 rows, row-major.
+struct Block<'a> {
+    rows: &'a [AttrValue],
+    arity: usize,
+}
+
+/// The word whose bit `i` is `bit` of row `i`'s cell in column `col`. The
+/// bits go to a byte each first and are packed eight at a time after, so
+/// the rows do not wait on each other (or on a branch) for the word.
+fn word(block: &Block<'_>, col: usize, mut bit: impl FnMut(&AttrValue) -> bool) -> u64 {
+    let (rows, arity) = (block.rows, block.arity);
+    let mut bytes = [0u8; 64];
+    if arity == 1 {
+        // One column: the cells are contiguous, the common case.
+        for (byte, cell) in bytes.iter_mut().zip(rows) {
+            *byte = u8::from(bit(cell));
+        }
+    } else {
+        for (byte, row) in bytes.iter_mut().zip(rows.chunks_exact(arity)) {
+            *byte = u8::from(bit(&row[col]));
+        }
+    }
+    bytes.chunks_exact(8).rev().fold(0, |word, eight| {
+        let eight = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        word << 8 | eight.wrapping_mul(0x0102_0408_1020_4080) >> 56
+    })
+}
+
+/// All ones or all zeros.
+fn splat(bit: bool) -> u64 {
+    if bit {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
 impl Pred {
     /// Compile `expr` against the attribute schema of the node it filters.
-    pub(crate) fn compile(expr: &Expr, schema: &AttrSchema, params: &Params) -> TvResult<Pred> {
+    fn compile(expr: &Expr, schema: &AttrSchema, params: &Params) -> TvResult<Pred> {
         let both = |l: &Expr, r: &Expr| -> TvResult<(Box<Pred>, Box<Pred>)> {
             Ok((
                 Box::new(Pred::compile(l, schema, params)?),
@@ -82,14 +166,21 @@ impl Pred {
         })
     }
 
-    /// Whether `row` (schema-ordered) satisfies the predicate.
-    pub(crate) fn matches(&self, row: &[AttrValue]) -> bool {
+    /// The word of the block's rows that satisfy the predicate (bits past
+    /// the block's last row are unspecified).
+    fn eval(&self, block: &Block<'_>) -> u64 {
         match self {
-            Pred::Cmp(l, op, r) => compare(&l.of(row), *op, &r.of(row)),
-            Pred::And(l, r) => l.matches(row) && r.matches(row),
-            Pred::Or(l, r) => l.matches(row) || r.matches(row),
-            Pred::Not(inner) => !inner.matches(row),
-            Pred::Flag(col) => matches!(col.and_then(|c| row.get(c)), Some(AttrValue::Bool(true))),
+            Pred::Cmp(l, op, r) => compare_block(l, *op, r, block),
+            Pred::And(l, r) => match l.eval(block) {
+                0 => 0,
+                word => word & r.eval(block),
+            },
+            Pred::Or(l, r) => l.eval(block) | r.eval(block),
+            Pred::Not(inner) => !inner.eval(block),
+            Pred::Flag(None) => 0,
+            Pred::Flag(Some(col)) => {
+                word(block, *col, |cell| matches!(cell, AttrValue::Bool(true)))
+            }
         }
     }
 }
@@ -97,7 +188,10 @@ impl Pred {
 impl Operand {
     fn compile(expr: &Expr, schema: &AttrSchema, params: &Params) -> TvResult<Operand> {
         if let Expr::Attr(_, name) = expr {
-            return Ok(Operand::Col(schema.index_of(name)));
+            // A missing attribute reads as `false` in every row.
+            return Ok(schema
+                .index_of(name)
+                .map_or(Operand::Bool(false), Operand::Col));
         }
         Ok(match constant(expr, params)? {
             Value::Int(i) => Operand::Num(*i as f64),
@@ -112,34 +206,99 @@ impl Operand {
         })
     }
 
-    fn of<'a>(&'a self, row: &'a [AttrValue]) -> Scalar<'a> {
+    /// The value of a constant operand.
+    fn constant(&self) -> Option<Scalar<'_>> {
         match self {
-            Operand::Num(n) => Scalar::Num(*n),
-            Operand::Str(s) => Scalar::Str(s),
-            Operand::Bool(b) => Scalar::Bool(*b),
-            Operand::Col(col) => match col.and_then(|c| row.get(c)) {
-                Some(AttrValue::Int(i)) => Scalar::Num(*i as f64),
-                Some(AttrValue::Double(d)) => Scalar::Num(*d),
-                Some(AttrValue::Str(s)) => Scalar::Str(s),
-                Some(AttrValue::Bool(b)) => Scalar::Bool(*b),
-                None => Scalar::Bool(false), // a missing attribute never matches
-            },
+            Operand::Num(n) => Some(Scalar::Num(*n)),
+            Operand::Str(s) => Some(Scalar::Str(s)),
+            Operand::Bool(b) => Some(Scalar::Bool(*b)),
+            Operand::Col(_) => None,
         }
     }
 }
 
-fn compare(l: &Scalar<'_>, op: CmpOp, r: &Scalar<'_>) -> bool {
-    let ord = match (l, r) {
-        (Scalar::Str(a), Scalar::Str(b)) => Some(a.cmp(b)),
-        (Scalar::Bool(a), Scalar::Bool(b)) => Some(a.cmp(b)),
+fn scalar(cell: &AttrValue) -> Scalar<'_> {
+    match cell {
         // Ints widen to f64, as they do against a DOUBLE column.
-        (Scalar::Num(a), Scalar::Num(b)) => a.partial_cmp(b),
-        _ => None,
-    };
-    let Some(ord) = ord else {
-        // Incomparable types never match (except !=).
-        return op == CmpOp::Neq;
-    };
+        AttrValue::Int(i) => Scalar::Num(*i as f64),
+        AttrValue::Double(d) => Scalar::Num(*d),
+        AttrValue::Str(s) => Scalar::Str(s),
+        AttrValue::Bool(b) => Scalar::Bool(*b),
+    }
+}
+
+/// `l op r` over a block: one loop, chosen here, per comparison.
+fn compare_block(l: &Operand, op: CmpOp, r: &Operand, block: &Block<'_>) -> u64 {
+    match (l, r) {
+        (Operand::Col(a), Operand::Col(b)) => {
+            let (rows, arity) = (block.rows, block.arity);
+            (0..rows.len() / arity).fold(0, |word, i| {
+                let (x, y) = (&rows[i * arity + a], &rows[i * arity + b]);
+                word | u64::from(compare(&scalar(x), op, &scalar(y))) << i
+            })
+        }
+        (Operand::Col(col), k) => column_against(block, *col, op, k),
+        // `k op x` is `x op' k` with the operator mirrored.
+        (k, Operand::Col(col)) => column_against(block, *col, mirrored(op), k),
+        (k, j) => match (k.constant(), j.constant()) {
+            (Some(k), Some(j)) => splat(compare(&k, op, &j)),
+            _ => unreachable!("both operands are constants"),
+        },
+    }
+}
+
+fn mirrored(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Neq => op,
+    }
+}
+
+/// `cell op k` for each cell. A cell of another type than the constant
+/// matches only `!=`, as in [`compare`].
+fn column_against(block: &Block<'_>, col: usize, op: CmpOp, k: &Operand) -> u64 {
+    let other = op == CmpOp::Neq;
+    match k {
+        Operand::Num(k) => numbers_against(block, col, op, *k),
+        Operand::Str(k) => word(block, col, |cell| match cell {
+            AttrValue::Str(s) => holds(op, s.as_str().cmp(k)),
+            _ => other,
+        }),
+        Operand::Bool(k) => word(block, col, |cell| match cell {
+            AttrValue::Bool(b) => holds(op, b.cmp(k)),
+            _ => other,
+        }),
+        Operand::Col(_) => unreachable!("a column against a constant"),
+    }
+}
+
+/// `cell op k` for a numeric constant, the IEEE comparison picked once. It
+/// is [`compare`]'s rule: NaN on either side matches only `!=`, as does a
+/// cell that is not a number.
+fn numbers_against(block: &Block<'_>, col: usize, op: CmpOp, k: f64) -> u64 {
+    match op {
+        CmpOp::Eq => numbers(block, col, |x| x == k, false),
+        CmpOp::Neq => numbers(block, col, |x| x != k, true),
+        CmpOp::Lt => numbers(block, col, |x| x < k, false),
+        CmpOp::Le => numbers(block, col, |x| x <= k, false),
+        CmpOp::Gt => numbers(block, col, |x| x > k, false),
+        CmpOp::Ge => numbers(block, col, |x| x >= k, false),
+    }
+}
+
+/// `hit` of each numeric cell (ints widen to `f64`); `other` for the rest.
+fn numbers(block: &Block<'_>, col: usize, hit: impl Fn(f64) -> bool, other: bool) -> u64 {
+    word(block, col, |cell| match cell {
+        AttrValue::Int(i) => hit(*i as f64),
+        AttrValue::Double(d) => hit(*d),
+        AttrValue::Str(_) | AttrValue::Bool(_) => other,
+    })
+}
+
+fn holds(op: CmpOp, ord: Ordering) -> bool {
     match op {
         CmpOp::Eq => ord == Ordering::Equal,
         CmpOp::Neq => ord != Ordering::Equal,
@@ -148,4 +307,15 @@ fn compare(l: &Scalar<'_>, op: CmpOp, r: &Scalar<'_>) -> bool {
         CmpOp::Gt => ord == Ordering::Greater,
         CmpOp::Ge => ord != Ordering::Less,
     }
+}
+
+fn compare(l: &Scalar<'_>, op: CmpOp, r: &Scalar<'_>) -> bool {
+    let ord = match (l, r) {
+        (Scalar::Str(a), Scalar::Str(b)) => Some(a.cmp(b)),
+        (Scalar::Bool(a), Scalar::Bool(b)) => Some(a.cmp(b)),
+        (Scalar::Num(a), Scalar::Num(b)) => a.partial_cmp(b),
+        _ => None,
+    };
+    // Incomparable types never match (except !=).
+    ord.map_or(op == CmpOp::Neq, |ord| holds(op, ord))
 }

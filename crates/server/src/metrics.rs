@@ -383,7 +383,7 @@ impl MetricsRegistry {
 /// on (`__pool__`): its occupancy and measured hand-off, its batch counters,
 /// and `task_ns`, the embedding service's estimate of one segment search.
 #[must_use]
-pub fn pool_snapshot(pool: tv_common::PoolStats, task_ns: u64) -> serde_json::Value {
+pub(crate) fn pool_snapshot(pool: tv_common::PoolStats, task_ns: u64) -> serde_json::Value {
     let us = |ns: u64| ns as f64 / 1e3;
     serde_json::json!({
         "width": pool.width,

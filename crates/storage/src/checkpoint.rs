@@ -108,7 +108,7 @@ mod tests {
     }
 
     fn populated_store() -> SegmentStore {
-        let mut s = SegmentStore::new(SegmentId(0), 8);
+        let mut s = SegmentStore::new(SegmentId(0), 8, 2);
         for i in 0..6u32 {
             s.append_delta(
                 Tid(u64::from(i) + 1),
@@ -174,7 +174,7 @@ mod tests {
     fn restore_rejects_mismatched_capacity_and_pending_deltas() {
         let store = populated_store();
         let image = store.image_at(Tid(8));
-        let mut wrong_cap = SegmentStore::new(SegmentId(0), 4);
+        let mut wrong_cap = SegmentStore::new(SegmentId(0), 4, 2);
         assert!(wrong_cap.restore(image.clone()).is_err());
         let mut dirty = populated_store();
         assert!(dirty.restore(image).is_err());
@@ -184,7 +184,7 @@ mod tests {
     fn restore_then_read_matches_source() {
         let source = populated_store();
         let image = source.image_at(Tid(8));
-        let mut restored = SegmentStore::new(SegmentId(0), 8);
+        let mut restored = SegmentStore::new(SegmentId(0), 8, 2);
         restored.restore(image).unwrap();
         let tid = Tid(8);
         for local in 0..8 {

@@ -91,6 +91,7 @@ impl VertexTypeStore {
             segs.push(Arc::new(RwLock::new(SegmentStore::new(
                 sid,
                 self.layout.capacity,
+                self.schema.len(),
             ))));
         }
     }
