@@ -152,12 +152,16 @@ quant-frontier:
 	printf '\n]}\n' >> $$out.tmp; mv $$out.tmp $$out; echo "[saved $$out]"
 
 # Filtered-search planner gate: the planner property suite (oracle identity
-# across the whole selectivity range, starvation regressions), then the
-# selectivity sweep — the binary itself exits 1 if the planner's cost
-# leaves 1.3x of the best exact-capable strategy at any selectivity or its
-# recall drops below the static-threshold router's.
+# across the whole selectivity range, starvation regressions), the exact
+# scan's identity suite (the word-at-a-time walk of `live_mask ∧ filter`
+# against the per-slot reference loop and `BruteForceIndex`: same top-k bits,
+# same counters, every tier and layout), then the selectivity sweep — the
+# binary itself exits 1 if the planner's cost leaves 1.3x of the best
+# exact-capable strategy at any selectivity or its recall drops below the
+# static-threshold router's.
 planner-smoke:
 	cargo test --release -p tv-hnsw --test planner_prop -q
+	cargo test --release -p tv-hnsw --lib -q brute_identity
 	$(SMOKE_BIN) planner_sweep -- --n 8000 --q 20
 
 # Elastic-cluster gate: the migration chaos suite (every migration crash

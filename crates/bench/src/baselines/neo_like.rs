@@ -10,7 +10,7 @@
 //! serialization pipeline is what stretches index build to 5–7× TigerVector
 //! (Table 2).
 
-use crate::baselines::system::{BuildTimes, VectorSystem};
+use crate::baselines::system::{BuildTimes, RowKeys, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::{DistanceMetric, Neighbor, VertexId};
@@ -38,6 +38,8 @@ pub struct NeoLike {
     /// Staged rows (the transactional store the index pipeline re-reads).
     staged: Vec<(VertexId, Vec<f32>)>,
     index: Option<HnswIndex>,
+    /// The index's keys: every row in one local space.
+    keys: RowKeys,
     times: BuildTimes,
     /// Data-adaptive quantization step, calibrated at build time.
     quant_step: f32,
@@ -52,6 +54,7 @@ impl NeoLike {
             cfg: HnswConfig::new(dim, metric),
             staged: Vec::new(),
             index: None,
+            keys: RowKeys::default(),
             times: BuildTimes::default(),
             quant_step: QUANT_RANGE / QUANT_LEVELS,
         }
@@ -122,6 +125,7 @@ impl VectorSystem for NeoLike {
         self.calibrate();
         let step = self.quant_step;
         let mut index = HnswIndex::new(self.cfg);
+        self.keys = RowKeys::default();
         for (id, v) in &self.staged {
             // Monolithic index + per-document serialization roundtrips (the
             // index pipeline re-reads the store and normalizes documents;
@@ -129,7 +133,9 @@ impl VectorSystem for NeoLike {
             let (rid, rv) = Self::document_roundtrip(self.dim, step, *id, v);
             let (rid, rv) = Self::document_roundtrip(self.dim, step, rid, &rv);
             let (rid, rv) = Self::document_roundtrip(self.dim, step, rid, &rv);
-            index.insert(rid, &rv).expect("dimensions valid");
+            index
+                .insert(self.keys.key(rid), &rv)
+                .expect("dimensions valid");
         }
         self.index = Some(index);
         self.times.index_build += start.elapsed();
@@ -149,7 +155,9 @@ impl VectorSystem for NeoLike {
 
     fn top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         match &self.index {
-            Some(idx) => idx.top_k(query, k, FIXED_EF, Filter::All).0,
+            Some(idx) => self
+                .keys
+                .restore(idx.top_k(query, k, FIXED_EF, Filter::All).0),
             None => Vec::new(),
         }
     }
@@ -167,7 +175,7 @@ impl VectorSystem for NeoLike {
         match &mut self.index {
             Some(idx) => {
                 let (rid, rv) = Self::document_roundtrip(self.dim, self.quant_step, id, vector);
-                idx.insert(rid, &rv).is_ok()
+                idx.insert(self.keys.key(rid), &rv).is_ok()
             }
             None => false,
         }

@@ -8,7 +8,7 @@
 //! atomic"); and a managed HTTP endpoint whose per-request overhead no
 //! amount of hardware hides.
 
-use crate::baselines::system::{BuildTimes, VectorSystem};
+use crate::baselines::system::{BuildTimes, RowKeys, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::{DistanceMetric, Neighbor, VertexId};
@@ -22,6 +22,8 @@ pub struct NeptuneLike {
     cfg: HnswConfig,
     staged: Vec<(VertexId, Vec<f32>)>,
     index: Option<HnswIndex>,
+    /// The index's keys: every row in one local space.
+    keys: RowKeys,
     times: BuildTimes,
 }
 
@@ -33,6 +35,7 @@ impl NeptuneLike {
             cfg: HnswConfig::new(dim, metric),
             staged: Vec::new(),
             index: None,
+            keys: RowKeys::default(),
             times: BuildTimes::default(),
         }
     }
@@ -52,8 +55,11 @@ impl VectorSystem for NeptuneLike {
     fn build_index(&mut self) {
         let start = Instant::now();
         let mut index = HnswIndex::new(self.cfg);
+        self.keys = RowKeys::default();
         for (id, v) in &self.staged {
-            index.insert(*id, v).expect("dimensions valid");
+            index
+                .insert(self.keys.key(*id), v)
+                .expect("dimensions valid");
         }
         self.index = Some(index);
         self.times.index_build += start.elapsed();
@@ -73,7 +79,9 @@ impl VectorSystem for NeptuneLike {
 
     fn top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         match &self.index {
-            Some(idx) => idx.top_k(query, k, FIXED_EF, Filter::All).0,
+            Some(idx) => self
+                .keys
+                .restore(idx.top_k(query, k, FIXED_EF, Filter::All).0),
             None => Vec::new(),
         }
     }

@@ -1,6 +1,8 @@
 //! The common interface all benchmarked systems implement.
 
+use std::collections::HashMap;
 use std::time::Duration;
+use tv_common::ids::{LocalId, SegmentId};
 use tv_common::{Neighbor, VertexId};
 
 /// Load/build timing breakdown (Table 2's rows: End to End = Data Load +
@@ -58,6 +60,37 @@ pub trait VectorSystem: Send + Sync {
     /// Incremental update of one vector; returns false if the system only
     /// supports full rebuilds.
     fn update(&mut self, id: VertexId, vector: &[f32]) -> bool;
+}
+
+/// The keys of one monolithic index over rows of many segments. An
+/// `HnswIndex` is one segment's local space (its filters and live mask
+/// address rows by local id alone, and it refuses a second segment's key),
+/// so a single-index comparator numbers its rows in segment 0's local space
+/// and maps answers back to the original ids.
+#[derive(Default)]
+pub(crate) struct RowKeys {
+    ids: Vec<VertexId>,
+    row_of: HashMap<VertexId, u32>,
+}
+
+impl RowKeys {
+    /// The index key of `id`: its row, numbered the first time `id` is seen.
+    pub(crate) fn key(&mut self, id: VertexId) -> VertexId {
+        let next = self.ids.len() as u32;
+        let row = *self.row_of.entry(id).or_insert(next);
+        if row == next {
+            self.ids.push(id);
+        }
+        VertexId::new(SegmentId(0), LocalId(row))
+    }
+
+    /// The index's answers under the original ids.
+    pub(crate) fn restore(&self, found: Vec<Neighbor>) -> Vec<Neighbor> {
+        found
+            .into_iter()
+            .map(|n| Neighbor::new(self.ids[n.id.local().0 as usize], n.dist))
+            .collect()
+    }
 }
 
 /// Compute recall@k of `got` against exact `truth`.

@@ -189,9 +189,11 @@ impl EmbeddingSegment {
     /// Append committed deltas (TIDs must be non-decreasing and no older
     /// than anything already stored). Every record is checked before any is
     /// appended: an upsert that [`Self::check_vector`] refuses would fail
-    /// every later index merge of this segment, and a vector under an id
+    /// every later index merge of this segment, a vector under an id
     /// beyond the capacity would answer from the delta overlay and vanish
-    /// from every search once merged.
+    /// from every search once merged, and another segment's id would be
+    /// served under that id, pass this segment's filters through its local
+    /// id, and fail every index merge (an index holds one segment's keys).
     pub fn append_deltas(&self, records: &[DeltaRecord]) -> TvResult<()> {
         let dim = self.dimension();
         let layout = SegmentLayout {
@@ -201,6 +203,12 @@ impl EmbeddingSegment {
         let newest = || self.newest_snapshot().up_to;
         let mut prev = tail.log.last_tid().unwrap_or_else(newest);
         for r in records {
+            if r.id.segment() != self.segment_id {
+                return Err(TvError::InvalidArgument(format!(
+                    "vertex {} is not in {}, the segment it was appended to",
+                    r.id, self.segment_id
+                )));
+            }
             layout.check_id(r.id)?;
             if matches!(r.action, DeltaAction::Upsert) {
                 check_vector(dim, &r.vector)?;
@@ -748,7 +756,7 @@ mod tests {
         assert_eq!(stats.packed_searches, 1, "served from the packed form");
 
         let pointer_def = def().with_layout(GraphLayout::Pointer);
-        let seg2 = EmbeddingSegment::new(SegmentId(1), &pointer_def, 1024);
+        let seg2 = EmbeddingSegment::new(SegmentId(0), &pointer_def, 1024);
         let mut rng = SplitMix64::new(7);
         let records: Vec<DeltaRecord> = (0..30)
             .map(|i| DeltaRecord::upsert(vid(i), Tid(u64::from(i) + 1), rand_vec(&mut rng)))

@@ -5,7 +5,7 @@
 //! thread, one insert at a time; build parallelism is whole segments side
 //! by side on the worker pool (DESIGN §3g).
 
-use crate::index::HnswIndex;
+use crate::index::{HnswIndex, NO_SLOT};
 use crate::quant::QuantQuery;
 use crate::search::{Scorer, SearchScratch};
 use crate::select::select_neighbors;
@@ -62,8 +62,8 @@ impl HnswIndex {
     }
 
     /// Append one unlinked slot for `key` — arena, norms, codes, keys,
-    /// level, tombstone flag, empty per-level lists, key map, live mask —
-    /// and return it.
+    /// level, tombstone flag, empty per-level lists, local→slot table, live
+    /// mask — and return it.
     fn append_slot(&mut self, key: VertexId, vector: &[f32]) -> u32 {
         let slot = self.keys.len() as u32;
         let level = self.level_for_key(key);
@@ -82,17 +82,21 @@ impl HnswIndex {
         self.deleted.push(false);
         self.links
             .push((0..=level).map(|_| Vec::new()).collect::<Vec<_>>());
-        self.slot_of.insert(key, slot);
-        let local = key.local().0 as usize;
-        self.live_mask.grow(local + 1);
-        self.live_mask.set(local, true);
+        self.set_live_slot(key.local().0 as usize, slot);
         slot
     }
 
     /// Insert or replace the vector for `key`. Returns an error on dimension
-    /// mismatch.
+    /// mismatch, and on a key of another segment than the index's first key
+    /// (filters and the live mask address an index by local id alone).
     pub fn insert(&mut self, key: VertexId, vector: &[f32]) -> TvResult<()> {
         self.check_dim(vector)?;
+        if let Some(first) = self.keys.first().filter(|k| k.segment() != key.segment()) {
+            return Err(TvError::InvalidArgument(format!(
+                "vertex {key} is not in {}, the segment this index holds",
+                first.segment()
+            )));
+        }
         // Writes run against the mutable forest; a compiled index thaws
         // here (the BFS renumbering is kept — only the storage form
         // reverts, so search results are unchanged).
@@ -100,11 +104,9 @@ impl HnswIndex {
         // Upsert of a live key: in-place update with neighborhood repair
         // (hnswlib's updatePoint) — the expensive path whose cost Fig. 11
         // compares against a full rebuild.
-        if let Some(&old) = self.slot_of.get(&key) {
-            if !self.deleted[old as usize] {
-                self.update_in_place(old, vector);
-                return Ok(());
-            }
+        if let Some(old) = self.live_slot(key) {
+            self.update_in_place(old, vector);
+            return Ok(());
         }
         let slot = self.append_slot(key, vector);
         let level = self.levels[slot as usize];
@@ -278,18 +280,14 @@ impl HnswIndex {
     /// Mark the vector for `key` deleted. Returns true if a live entry was
     /// removed.
     pub fn remove(&mut self, key: VertexId) -> bool {
-        if let Some(&slot) = self.slot_of.get(&key) {
-            if !self.deleted[slot as usize] {
-                self.deleted[slot as usize] = true;
-                self.deleted_count += 1;
-                self.slot_of.remove(&key);
-                let local = key.local().0 as usize;
-                if local < self.live_mask.len() {
-                    self.live_mask.set(local, false);
-                }
-                return true;
-            }
-        }
-        false
+        let Some(slot) = self.live_slot(key) else {
+            return false;
+        };
+        self.deleted[slot as usize] = true;
+        self.deleted_count += 1;
+        let local = key.local().0 as usize;
+        self.local_slot[local] = NO_SLOT;
+        self.live_mask.set(local, false);
+        true
     }
 }

@@ -6,9 +6,10 @@
 //!
 //! Layout: node `slot` (a dense `u32`) owns a vector (`dim` floats in a
 //! slot-major arena), an external key ([`VertexId`]), a top level, a deleted
-//! flag, and per-level neighbor lists. External keys map to slots through a
-//! hash map so upserts and deletes address vectors by id, as the embedding
-//! service's delta records do (§4.3).
+//! flag, and per-level neighbor lists. An index holds one segment's keys, so
+//! a key is its local id: a dense table indexed by local id names each live
+//! key's slot, and upserts and deletes address vectors by id, as the
+//! embedding service's delta records do (§4.3).
 //!
 //! Upserts of live keys update **in place** with neighborhood repair
 //! (hnswlib's `updatePoint`): the old neighbors' lists are re-selected from
@@ -23,13 +24,15 @@ use crate::packed::PackedGraph;
 use crate::quant_state::QuantState;
 use crate::search::ScratchPool;
 use crate::stats::SearchStats;
-use std::collections::HashMap;
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
 use tv_common::{
     Bitmap, DistanceMetric, Logged, Neighbor, PlannerConfig, QuantSpec, StorageTier, Tid, TvError,
     TvResult, VertexId,
 };
+
+/// The local→slot table's entry for a local id no live slot carries.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Upsert/delete action flag of a vector delta (§4.3: the delta schema is
 /// `Action Flag, ID, TID, Vector Value`).
@@ -152,10 +155,13 @@ pub struct HnswIndex {
     /// norms never change between writes, so cosine scoring pays one dot
     /// pass per candidate instead of three full passes).
     pub(crate) norms: Vec<f32>,
-    /// External key per slot.
+    /// External key per slot. Every key names the segment of the first
+    /// (the index is one segment's local space; [`Self::insert`] refuses
+    /// another segment's key).
     pub(crate) keys: Vec<VertexId>,
-    /// Key → live slot.
-    pub(crate) slot_of: HashMap<VertexId, u32>,
+    /// Local id → its live slot, [`NO_SLOT`] where no live slot carries that
+    /// local id. Set entries are exactly the set bits of `live_mask`.
+    pub(crate) local_slot: Vec<u32>,
     /// Per-slot, per-level adjacency.
     pub(crate) links: Vec<Vec<Vec<u32>>>,
     /// Top level per slot.
@@ -196,7 +202,7 @@ impl HnswIndex {
             vectors: Vec::new(),
             norms: Vec::new(),
             keys: Vec::new(),
-            slot_of: HashMap::new(),
+            local_slot: Vec::new(),
             links: Vec::new(),
             levels: Vec::new(),
             deleted: Vec::new(),
@@ -234,16 +240,33 @@ impl HnswIndex {
     /// without materializing it).
     #[must_use]
     pub fn contains(&self, id: VertexId) -> bool {
-        self.slot_of
-            .get(&id)
-            .is_some_and(|&slot| !self.deleted[slot as usize])
+        self.live_slot(id).is_some()
+    }
+
+    /// The live slot carrying `id`: the table entry of its local id, if
+    /// that slot's key is `id` itself (another segment's id with the same
+    /// local id answers `None`).
+    pub(crate) fn live_slot(&self, id: VertexId) -> Option<u32> {
+        let slot = *self.local_slot.get(id.local().0 as usize)?;
+        (slot != NO_SLOT && self.keys[slot as usize] == id).then_some(slot)
+    }
+
+    /// Record `slot` as the live slot of local id `local` in the table and
+    /// the live mask, growing both to cover it.
+    pub(crate) fn set_live_slot(&mut self, local: usize, slot: u32) {
+        if self.local_slot.len() <= local {
+            self.local_slot.resize(local + 1, NO_SLOT);
+        }
+        self.local_slot[local] = slot;
+        self.live_mask.grow(local + 1);
+        self.live_mask.set(local, true);
     }
 
     /// Approximate resident bytes across **all** resident structures:
     /// vector payload (f32 arena + norm cache and/or quantized codes, norm
     /// caches, and codec parameters), adjacency (the resident form from
-    /// [`Self::link_memory_bytes`]), keys, levels, tombstone flags, and the
-    /// key→slot hash map (entries plus ~30% open-addressing slack).
+    /// [`Self::link_memory_bytes`]), keys, levels, tombstone flags, the
+    /// local→slot table and the live mask.
     #[must_use]
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -257,15 +280,14 @@ impl HnswIndex {
         } else {
             pointer_links
         };
-        let slot_of_bytes =
-            self.slot_of.len() * (size_of::<VertexId>() + size_of::<u32>()) * 13 / 10;
+        let table_bytes = self.local_slot.len() * size_of::<u32>();
         let live_mask_bytes = self.live_mask.len().div_ceil(64) * size_of::<u64>();
         vec_bytes
             + key_bytes
             + level_bytes
             + deleted_bytes
             + link_bytes
-            + slot_of_bytes
+            + table_bytes
             + live_mask_bytes
     }
 
@@ -385,12 +407,7 @@ impl VectorIndex for HnswIndex {
     }
 
     fn get_embedding(&self, id: VertexId) -> Option<Vec<f32>> {
-        let &slot = self.slot_of.get(&id)?;
-        if self.deleted[slot as usize] {
-            None
-        } else {
-            Some(self.materialize(slot))
-        }
+        self.live_slot(id).map(|slot| self.materialize(slot))
     }
 
     fn top_k(
@@ -453,9 +470,7 @@ impl VectorIndex for HnswIndex {
             self.keys
                 .iter()
                 .enumerate()
-                .filter(move |&(slot, key)| {
-                    !self.deleted[slot] && self.slot_of.get(key) == Some(&(slot as u32))
-                })
+                .filter(move |&(slot, _)| !self.deleted[slot])
                 .map(move |(slot, &key)| (key, self.materialize(slot as u32))),
         )
     }
@@ -473,7 +488,8 @@ impl VectorIndex for HnswIndex {
 impl HnswIndex {
     /// Assemble an index from decoded snapshot parts, checking that every
     /// per-slot structure agrees on the slot count and rebuilding what the
-    /// format does not carry (key map, live mask, norm cache).
+    /// format does not carry (local→slot table, live mask, norm cache). The
+    /// keys must name one segment, and no two live slots one key.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         cfg: HnswConfig,
@@ -503,18 +519,9 @@ impl HnswIndex {
                 return Err(TvError::Storage("inconsistent rerank store".into()));
             }
         }
-        let mut slot_of = HashMap::with_capacity(n);
-        let mut deleted_count = 0;
-        let mut live_mask = Bitmap::new(0);
-        for (slot, (&key, &dead)) in keys.iter().zip(&deleted).enumerate() {
-            if dead {
-                deleted_count += 1;
-            } else {
-                slot_of.insert(key, slot as u32);
-                let local = key.local().0 as usize;
-                live_mask.grow(local + 1);
-                live_mask.set(local, true);
-            }
+        let segment = keys.first().map(|k| k.segment());
+        if keys.iter().any(|k| Some(k.segment()) != segment) {
+            return Err(TvError::Storage("snapshot keys span segments".into()));
         }
         // The snapshot format carries no norms; rebuild the cache in one
         // pass over the arena (cheaper than persisting and keeps old
@@ -527,22 +534,34 @@ impl HnswIndex {
                 .map(|s| k.norm_sq(&vectors[s * cfg.dim..(s + 1) * cfg.dim]).sqrt())
                 .collect()
         };
-        Ok(HnswIndex {
+        let mut index = HnswIndex {
             cfg,
             vectors,
             norms,
             keys,
-            slot_of,
+            local_slot: Vec::new(),
             links,
             levels,
             deleted,
-            deleted_count,
-            live_mask,
+            deleted_count: 0,
+            live_mask: Bitmap::new(0),
             entry,
             packed: None,
             scratch: ScratchPool::default(),
             quant,
-        })
+        };
+        for slot in 0..n {
+            if index.deleted[slot] {
+                index.deleted_count += 1;
+                continue;
+            }
+            let local = index.keys[slot].local().0 as usize;
+            if index.local_slot.get(local).is_some_and(|&s| s != NO_SLOT) {
+                return Err(TvError::Storage("snapshot holds a key twice".into()));
+            }
+            index.set_live_slot(local, slot as u32);
+        }
+        Ok(index)
     }
 }
 
@@ -550,7 +569,7 @@ impl HnswIndex {
 mod tests {
     use super::*;
     use tv_common::ids::{LocalId, SegmentId};
-    use tv_common::SplitMix64;
+    use tv_common::{GraphLayout, SplitMix64};
 
     fn key(i: u32) -> VertexId {
         VertexId::new(SegmentId(0), LocalId(i))
@@ -855,7 +874,7 @@ mod tests {
         let idx = build_index(&vecs);
         use std::mem::size_of;
         // Lower bound from first principles: arena + norm cache + keys +
-        // levels + tombstones + link payloads + slot_of entries. If any of
+        // levels + tombstones + link payloads + the local→slot table. If any of
         // these stops being counted, this assertion breaks.
         let link_payload: usize = idx
             .links
@@ -873,7 +892,7 @@ mod tests {
             + idx.levels.len()
             + idx.deleted.len()
             + link_payload
-            + idx.slot_of.len() * (size_of::<VertexId>() + size_of::<u32>());
+            + idx.local_slot.len() * size_of::<u32>();
         assert!(
             idx.memory_bytes() >= floor,
             "memory_bytes {} < structural floor {floor}",
@@ -1110,6 +1129,91 @@ mod tests {
         }
     }
 
+    /// The local→slot table against a model of the live keys, after every
+    /// step of a seeded sequence of inserts, upserts, removes, re-inserts,
+    /// compiles, thaws and snapshot round trips: each live key's entry
+    /// names a live slot carrying that key, the set entries are exactly the
+    /// live mask's set bits, and a removed key or another segment's id with
+    /// a live local id is not found.
+    #[test]
+    fn local_slot_table_tracks_the_live_keys() {
+        let seg = |s: u32, l: u64| VertexId::new(SegmentId(s), LocalId(l as u32));
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(0x7AB1E ^ seed);
+            let mut idx = HnswIndex::new(HnswConfig::new(4, DistanceMetric::L2).with_m(4));
+            let mut live = std::collections::BTreeSet::new();
+            let mut removed = std::collections::BTreeSet::new();
+            for step in 0..400 {
+                let l = rng.next_below(120);
+                let v: Vec<f32> = (0..4).map(|_| rng.next_f32()).collect();
+                match rng.next_below(20) {
+                    0 => {
+                        idx.compile_layout(GraphLayout::PackedPrefetch);
+                    }
+                    1 => {
+                        idx.compile_layout(GraphLayout::Pointer);
+                    }
+                    2 => {
+                        idx = crate::snapshot::from_bytes(&crate::snapshot::to_bytes(&idx)).unwrap()
+                    }
+                    3..=7 => {
+                        assert_eq!(
+                            idx.remove(seg(1, l)),
+                            live.remove(&l),
+                            "seed {seed} step {step}"
+                        );
+                        removed.insert(l);
+                    }
+                    _ => {
+                        // A fresh insert, an upsert in place, or a
+                        // re-insert of a removed key into a new slot.
+                        idx.insert(seg(1, l), &v).unwrap();
+                        live.insert(l);
+                        removed.remove(&l);
+                    }
+                }
+                let ctx = format!("seed {seed} step {step}");
+                for &l in &live {
+                    let slot = idx.local_slot[l as usize];
+                    assert_eq!(idx.keys[slot as usize], seg(1, l), "{ctx}");
+                    assert!(!idx.deleted[slot as usize], "{ctx}");
+                    assert!(idx.contains(seg(1, l)), "{ctx}");
+                    // A foreign id with a live local id is not this key.
+                    assert!(!idx.contains(seg(2, l)), "{ctx}");
+                    assert!(idx.get_embedding(seg(0, l)).is_none(), "{ctx}");
+                }
+                let set: Vec<usize> = (0..idx.local_slot.len())
+                    .filter(|&l| idx.local_slot[l] != NO_SLOT)
+                    .collect();
+                assert_eq!(set, idx.live_mask.iter_ones().collect::<Vec<_>>(), "{ctx}");
+                assert_eq!(set.len(), live.len(), "{ctx}");
+                for &l in &removed {
+                    assert!(!idx.contains(seg(1, l)), "{ctx}");
+                    assert!(idx.get_embedding(seg(1, l)).is_none(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn insert_refuses_another_segments_key() {
+        let mut idx = HnswIndex::new(HnswConfig::new(2, DistanceMetric::L2));
+        let other = VertexId::new(SegmentId(1), LocalId(0));
+        idx.insert(key(0), &[1.0, 2.0]).unwrap();
+        let err = idx.insert(other, &[1.0, 2.0]).unwrap_err();
+        assert!(
+            matches!(&err, TvError::InvalidArgument(m) if m.contains("v(1,0)")),
+            "{err}"
+        );
+        assert!(!idx.remove(other));
+        assert_eq!((idx.len(), idx.slot_count()), (1, 1));
+        // The first key decides, removed or not: a tombstone keeps its key.
+        idx.remove(key(0));
+        assert!(idx.insert(other, &[1.0, 2.0]).is_err());
+        idx.insert(key(0), &[3.0, 4.0]).unwrap();
+        assert_eq!(idx.get_embedding(key(0)).unwrap(), [3.0, 4.0]);
+    }
+
     #[test]
     fn level_assignment_is_independent_of_insertion_order() {
         let vecs = make_vectors(100, 8, 29);
@@ -1119,8 +1223,8 @@ mod tests {
             reversed.insert(key(i as u32), v).unwrap();
         }
         for i in 0..100u32 {
-            let fs = forward.slot_of[&key(i)] as usize;
-            let rs = reversed.slot_of[&key(i)] as usize;
+            let fs = forward.live_slot(key(i)).unwrap() as usize;
+            let rs = reversed.live_slot(key(i)).unwrap() as usize;
             assert_eq!(
                 forward.levels[fs], reversed.levels[rs],
                 "key {i}: level must depend only on the key and seed"
@@ -1128,9 +1232,9 @@ mod tests {
         }
         // Re-insert after delete lands on the same level.
         let mut idx = forward.clone();
-        let before = idx.levels[idx.slot_of[&key(42)] as usize];
+        let before = idx.levels[idx.live_slot(key(42)).unwrap() as usize];
         idx.remove(key(42));
         idx.insert(key(42), &vecs[42]).unwrap();
-        assert_eq!(idx.levels[idx.slot_of[&key(42)] as usize], before);
+        assert_eq!(idx.levels[idx.live_slot(key(42)).unwrap() as usize], before);
     }
 }

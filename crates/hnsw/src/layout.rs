@@ -3,7 +3,7 @@
 //! compiled form ([`crate::packed::PackedGraph`]: CSR slabs, BFS-renumbered
 //! slots, prefetching traversal) queries are served from.
 
-use crate::index::HnswIndex;
+use crate::index::{HnswIndex, NO_SLOT};
 use crate::packed::{self, PackedGraph};
 use tv_common::GraphLayout;
 
@@ -22,10 +22,11 @@ impl HnswIndex {
     /// Compile the frozen, cache-conscious search layout: renumber slots in
     /// BFS order from the entry point (applied to every slot-indexed
     /// structure — vectors, norms, keys, levels, tombstones, links, entry,
-    /// quantized code slabs; the live mask is keyed by local id and is
-    /// unaffected), then freeze the adjacency into CSR slabs
-    /// ([`crate::packed`]). `Pointer` thaws instead. Returns true iff the
-    /// index is compiled afterwards; empty indexes stay uncompiled.
+    /// quantized code slabs, the local→slot table's entries; the live mask
+    /// is keyed by local id and is unaffected), then freeze the adjacency
+    /// into CSR slabs ([`crate::packed`]). `Pointer` thaws instead. Returns
+    /// true iff the index is compiled afterwards; empty indexes stay
+    /// uncompiled.
     ///
     /// Search results are bit-identical across layouts (modulo the slot
     /// renumbering, which is invisible through the key-based API).
@@ -102,8 +103,10 @@ impl HnswIndex {
                 .collect();
         }
         self.links = new_links;
-        for slot in self.slot_of.values_mut() {
-            *slot = perm[*slot as usize];
+        for slot in &mut self.local_slot {
+            if *slot != NO_SLOT {
+                *slot = perm[*slot as usize];
+            }
         }
         if let Some((e, top)) = self.entry {
             self.entry = Some((perm[e as usize], top));

@@ -31,6 +31,8 @@
 //! SQ8 / PQ codecs of [`quant`].
 
 pub(crate) mod brute;
+#[cfg(test)]
+mod brute_identity;
 pub(crate) mod build;
 pub(crate) mod config;
 pub mod index;

@@ -507,9 +507,93 @@ impl HnswIndex {
 
     /// Exact linear scan over live, filter-passing entries — the planner's
     /// fallback when too few points are valid for graph search to pay off.
-    /// On quantized tiers the scan scores codes and the exact-rerank stage
+    /// It costs O(words + valid rows), the cost the planner's model
+    /// assumes: the accepted slots come from `live_mask ∧ filter` one word
+    /// at a time ([`Self::accepted_slots`]), and only they are touched. On
+    /// quantized tiers the scan scores codes and the exact-rerank stage
     /// re-scores the shortlist, same as graph search.
     pub fn brute_force_top_k(
+        &self,
+        query: &[f32],
+        k: usize,
+        filter: Filter<'_>,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let accepted = self.accepted_slots(filter);
+        // The counters a walk over every slot would have kept: it skips
+        // each tombstone and rejects each live row the filter refuses.
+        let mut stats = SearchStats {
+            brute_force: true,
+            deleted_skipped: self.deleted_count as u64,
+            filtered_out: (self.len() - accepted.len()) as u64,
+            ..SearchStats::default()
+        };
+        let sc = self.scorer(query);
+        let mut dists: Vec<f32> = Vec::new();
+        // Accepted rows sit at scattered slots, so f32 rows are requested
+        // ahead of the kernel, as the compiled beam requests them.
+        match &sc {
+            Scorer::F32(pq) => {
+                let (arena, norms) = (&self.vectors, &self.norms);
+                pq.distance_slots_prefetch(arena, self.cfg.dim, norms, &accepted, &mut dists);
+            }
+            Scorer::Quant(_) => self.score_slots(&sc, &accepted, &mut dists),
+        }
+        stats.distance_computations += accepted.len() as u64;
+        let out = self.keep_nearest(query, k, &accepted, &dists, &mut stats);
+        (out, stats)
+    }
+
+    /// The live slots `filter` accepts. Under a bitmap: the set bits of
+    /// `live_mask ∧ filter`, a word at a time, in local-id order, each
+    /// mapped to its slot through the local→slot table (bits past either
+    /// bitmap's end count as unset). With no filter: every slot not
+    /// tombstoned, in slot order.
+    fn accepted_slots(&self, filter: Filter<'_>) -> Vec<u32> {
+        let slots = 0..self.keys.len() as u32;
+        match filter {
+            Filter::All if self.deleted_count == 0 => slots.collect(),
+            Filter::All => slots.filter(|&s| !self.deleted[s as usize]).collect(),
+            Filter::Valid(b) => {
+                let mut out = Vec::with_capacity(self.live_mask.intersection_count(b));
+                let words = self.live_mask.words().iter().zip(b.words());
+                for (wi, (&live, &valid)) in words.enumerate() {
+                    let mut bits = live & valid;
+                    while bits != 0 {
+                        out.push(self.local_slot[wi * 64 + bits.trailing_zeros() as usize]);
+                        bits &= bits - 1;
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// The final stage of an exact scan: keep the `fetch` best of the
+    /// scored `slots` (a bounded max-heap caps memory at O(fetch)), then the
+    /// (possibly exact-rerank) final cut to `k`. Keys are `(distance,
+    /// slot)`, a total order, so the order the slots were scored in does
+    /// not change the answer.
+    fn keep_nearest(
+        &self,
+        query: &[f32],
+        k: usize,
+        slots: &[u32],
+        dists: &[f32],
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        let fetch = self.fetch_count(k);
+        let mut heap: BinaryHeap<u64> = BinaryHeap::with_capacity(fetch.min(slots.len()));
+        for (&slot, &d) in slots.iter().zip(dists) {
+            keep_smallest(&mut heap, fetch, heap_key(d, slot));
+        }
+        self.rerank_and_take(query, nearest_first(heap), k, stats)
+    }
+
+    /// The slot-walking scan [`Self::brute_force_top_k`] replaced, kept as
+    /// its reference: every slot visited in slot order, tombstones and
+    /// filter rejections counted one at a time.
+    #[cfg(test)]
+    pub(crate) fn brute_force_top_k_per_slot(
         &self,
         query: &[f32],
         k: usize,
@@ -519,8 +603,6 @@ impl HnswIndex {
             brute_force: true,
             ..SearchStats::default()
         };
-        // Gather accepted slots first, then score the whole set in batched
-        // kernel calls — the filter pass touches no vector data.
         let mut accepted: Vec<u32> = Vec::new();
         for (slot, &key) in self.keys.iter().enumerate() {
             if self.deleted[slot] {
@@ -537,14 +619,7 @@ impl HnswIndex {
         let mut dists: Vec<f32> = Vec::new();
         self.score_slots(&sc, &accepted, &mut dists);
         stats.distance_computations += accepted.len() as u64;
-        // Keep only the `fetch` best before the (possibly exact-rerank)
-        // final stage; a bounded max-heap caps memory at O(fetch).
-        let fetch = self.fetch_count(k);
-        let mut heap: BinaryHeap<u64> = BinaryHeap::with_capacity(fetch.min(accepted.len()));
-        for (&slot, &d) in accepted.iter().zip(&dists) {
-            keep_smallest(&mut heap, fetch, heap_key(d, slot));
-        }
-        let out = self.rerank_and_take(query, nearest_first(heap), k, &mut stats);
+        let out = self.keep_nearest(query, k, &accepted, &dists, &mut stats);
         (out, stats)
     }
 
