@@ -205,11 +205,12 @@ filter-smoke:
 # Benchmark gate: `benchmark/` (BENCHMARK.json's perf_ledger) is a package of
 # its own that the root workspace does not build, so an API removal in a
 # product crate could break it without tier-1 noticing. Builds it against the
-# current crates, runs its unit tests, then all four workloads at a tenth of
-# their size (2 s windows, same metric names; exits non-zero when an answer
-# fails its brute-force check).
+# current crates, runs its unit tests, clippies it (root clippy does not see
+# it), then all four workloads at a tenth of their size (2 s windows, same
+# metric names; exits non-zero when an answer fails its brute-force check).
 ledger-smoke:
 	$(LEDGER_CARGO) test --offline --manifest-path benchmark/Cargo.toml -q
+	$(LEDGER_CARGO) clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 	$(LEDGER_CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke
 
 # Serving gate: the closed-loop gateway benchmark at 2 / 8 / 32 clients on 2

@@ -474,6 +474,18 @@ impl ClusterRuntime {
         (assignment, unroutable)
     }
 
+    /// Refuse a query vector the cluster cannot score, before anything is
+    /// scattered: segments of one cluster share a declaration, so any of
+    /// them vets the query (dimension, NaN/±∞); with no segment, only
+    /// finiteness is checked.
+    pub fn check_query(&self, query: &[f32]) -> TvResult<()> {
+        let first = self.table.read().segment_ids().first().copied();
+        match first.and_then(|id| self.segment(id)) {
+            Some(seg) => seg.check_vector(query),
+            None => tv_common::check_finite(query),
+        }
+    }
+
     /// Distributed top-k with a deadline: workers check it before every
     /// segment search, and every coordinator-side recovery wait is bounded
     /// by [`Deadline::bounded_wait`].
@@ -485,7 +497,8 @@ impl ClusterRuntime {
     /// [`Coverage`] — partial answers beat dead ones for serving RAG.
     ///
     /// Every segment is searched whole: a cluster query applies no
-    /// per-segment bitmap, so no grant or row security either.
+    /// per-segment bitmap, so it cannot apply row security either, and
+    /// `Server::cluster_top_k` refuses row-restricted sessions.
     /// `_no_filter` is always `None` (`Infallible` has no value). It keeps
     /// the argument list of the callers that pass `None` there, the
     /// benchmark package among them.
@@ -511,12 +524,7 @@ impl ClusterRuntime {
         let table = self.table.read().clone();
 
         let all_segments = table.segment_ids();
-        // Segments of one cluster share a declaration, so any of them can
-        // vet the query (dimension, NaN/±∞) before anything is scattered.
-        match all_segments.first().and_then(|&id| self.segment(id)) {
-            Some(seg) => seg.check_vector(query)?,
-            None => tv_common::check_finite(query)?,
-        }
+        self.check_query(query)?;
         let segments_total = all_segments.len();
         let mut pending: HashSet<SegmentId> = all_segments.into_iter().collect();
 

@@ -434,7 +434,12 @@ impl EmbeddingService {
 
     /// **EmbeddingAction[Range]**: parallel per-segment range search with a
     /// global merge. A NaN `threshold` compares false with every distance
-    /// and is refused; `+∞` is legal and means "all".
+    /// and is refused; `+∞` is legal and means "all". The `deadline` is
+    /// checked before every segment search, as in
+    /// [`top_k_many`](Self::top_k_many): when it expires the search fails
+    /// with [`TvError::Timeout`], and the work that was performed still
+    /// accumulates into `stats_out`.
+    #[allow(clippy::too_many_arguments)]
     pub fn range_search(
         &self,
         attr_ids: &[u32],
@@ -443,13 +448,16 @@ impl EmbeddingService {
         ef: usize,
         read_tid: Tid,
         filters: Option<&SegmentFilters>,
-    ) -> TvResult<(Vec<TypedNeighbor>, SearchStats)> {
+        deadline: Deadline,
+        stats_out: &mut SearchStats,
+    ) -> TvResult<Vec<TypedNeighbor>> {
         if threshold.is_nan() {
             return Err(TvError::InvalidArgument(
                 "range search threshold is NaN".into(),
             ));
         }
         let attrs = self.check_search(attr_ids, query)?;
+        deadline.check("range search admission")?;
         let tasks = self.collect_tasks(&attrs, filters);
         let planner = self.config.planner;
         let results = self.pool.run_gauged(
@@ -457,19 +465,32 @@ impl EmbeddingService {
             tasks,
             self.config.query_threads,
             move |(attr, seg, bitmap)| {
+                if deadline.expired() {
+                    return None;
+                }
                 let (neighbors, stats) =
                     seg.range_search(query, threshold, ef, bitmap.as_ref(), read_tid, &planner);
-                (attr.typed(neighbors), stats)
+                Some((attr.typed(neighbors), stats))
             },
         );
         let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        for (neighbors, s) in results {
-            out.extend(neighbors);
-            stats.merge(&s);
+        let mut expired = false;
+        for result in results {
+            match result {
+                Some((neighbors, stats)) => {
+                    out.extend(neighbors);
+                    stats_out.merge(&stats);
+                }
+                None => expired = true,
+            }
+        }
+        if expired {
+            return Err(TvError::Timeout(
+                "deadline exceeded during range search segment fan-out".into(),
+            ));
         }
         out.sort_unstable_by_key(|a| a.neighbor);
-        Ok((out, stats))
+        Ok(out)
     }
 
     /// Validate a multi-attribute search: attributes exist, are mutually
@@ -916,7 +937,20 @@ mod tests {
             .unwrap();
         let vecs = load(&svc, a, 48, 13);
         let q = &vecs[5];
-        let (r, _) = svc.range_search(&[a], q, 10.0, 64, Tid(48), None).unwrap();
+        let mut stats = SearchStats::default();
+        let r = svc
+            .range_search(
+                &[a],
+                q,
+                10.0,
+                64,
+                Tid(48),
+                None,
+                Deadline::none(),
+                &mut stats,
+            )
+            .unwrap();
+        assert!(stats.distance_computations > 0);
         assert!(!r.is_empty());
         assert!(r.iter().all(|tn| tn.neighbor.dist <= 10.0));
         assert!(r
@@ -1014,8 +1048,10 @@ mod tests {
             for q in &queries {
                 let (hits, stats) = svc.top_k(&[a], &q.query, q.k, q.ef, Tid(64), None).unwrap();
                 out.push((bits(&hits), stats));
-                let (hits, stats) = svc
-                    .range_search(&[a], &q.query, 9.0, q.ef, Tid(64), None)
+                let mut stats = SearchStats::default();
+                let (none, ef) = (Deadline::none(), q.ef);
+                let hits = svc
+                    .range_search(&[a], &q.query, 9.0, ef, Tid(64), None, none, &mut stats)
                     .unwrap();
                 out.push((bits(&hits), stats));
             }
@@ -1103,6 +1139,22 @@ mod tests {
                 Deadline::expired_now(),
                 &mut stats,
             )
+            .unwrap_err();
+        assert!(matches!(err, TvError::Timeout(_)));
+        assert_eq!(stats.distance_computations, 0);
+    }
+
+    #[test]
+    fn expired_deadline_skips_all_range_searches() {
+        let svc = service();
+        let a = svc
+            .register(0, def("e"), SegmentLayout::with_capacity(16))
+            .unwrap();
+        let vecs = load(&svc, a, 48, 29);
+        let mut stats = SearchStats::default();
+        let expired = Deadline::expired_now();
+        let err = svc
+            .range_search(&[a], &vecs[0], 1e9, 64, Tid(48), None, expired, &mut stats)
             .unwrap_err();
         assert!(matches!(err, TvError::Timeout(_)));
         assert_eq!(stats.distance_computations, 0);

@@ -319,7 +319,9 @@ impl Graph {
         Ok(out.pop().unwrap_or_default())
     }
 
-    /// Range vector search (`WHERE VECTOR_DIST(...) < threshold`).
+    /// Range vector search (`WHERE VECTOR_DIST(...) < threshold`), with the
+    /// deadline and statistics of [`Self::vector_search_deadline`].
+    #[allow(clippy::too_many_arguments)]
     pub fn vector_range_search(
         &self,
         attr_ids: &[u32],
@@ -328,13 +330,23 @@ impl Graph {
         ef: usize,
         filter: Option<&VertexSet>,
         tid: Tid,
-    ) -> TvResult<(Vec<TypedNeighbor>, SearchStats)> {
+        deadline: tv_common::Deadline,
+        stats_out: &mut SearchStats,
+    ) -> TvResult<Vec<TypedNeighbor>> {
         let filters = match filter {
             Some(set) => Some(self.segment_filters(attr_ids, set)?),
             None => None,
         };
-        self.embeddings
-            .range_search(attr_ids, query, threshold, ef, tid, filters.as_ref())
+        self.embeddings.range_search(
+            attr_ids,
+            query,
+            threshold,
+            ef,
+            tid,
+            filters.as_ref(),
+            deadline,
+            stats_out,
+        )
     }
 
     /// Convert a candidate vertex set into per-(attribute, segment) bitmaps.

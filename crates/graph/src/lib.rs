@@ -36,5 +36,5 @@ pub(crate) mod vertex_set;
 
 pub use durability::CheckpointInfo;
 pub use graph::Graph;
-pub use rbac::{AccessControl, Role};
+pub use rbac::{AccessControl, Role, RowRule};
 pub use vertex_set::VertexSet;

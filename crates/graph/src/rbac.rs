@@ -12,19 +12,22 @@
 //! security). Because vector attributes hang off vertices, one grant
 //! governs both the attributes *and* the embeddings of a type — there is no
 //! separate vector ACL to drift out of sync, which is the governance point
-//! the paper makes against the two-system architecture.
+//! the paper makes against the two-system architecture. This module is the
+//! policy alone and reads no rows: `tv-gsql` evaluates a grant's rules as
+//! one more predicate of each pattern node's candidate scan.
 
 use crate::graph::Graph;
-use crate::vertex_set::VertexSet;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tg_storage::AttrValue;
-use tv_common::{Tid, TvError, TvResult};
+use tv_common::{TvError, TvResult};
 
-/// Row-level predicate: vertex attribute `attr` must equal `value`.
+/// Row-level predicate: vertex attribute `attr` must equal `value`, as
+/// exact [`AttrValue`] equality (an `Int` rule does not match a `Double`
+/// cell). A rule on an attribute the type does not have matches no row.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RowRule {
+pub struct RowRule {
     /// Attribute name on the granted vertex type.
     pub attr: String,
     /// Required value.
@@ -68,10 +71,6 @@ impl Role {
             }),
         });
         self
-    }
-
-    fn covers_type(&self, vertex_type: u32) -> bool {
-        self.grants.iter().any(|g| g.vertex_type == vertex_type)
     }
 }
 
@@ -123,54 +122,35 @@ impl AccessControl {
             .unwrap_or_default()
     }
 
-    /// Whether `user` may read any rows of `vertex_type`.
-    #[must_use]
-    pub fn can_read_type(&self, user: &str, vertex_type: u32) -> bool {
-        self.roles_of(user)
-            .iter()
-            .any(|r| r.covers_type(vertex_type))
-    }
-
-    /// Materialize the set of vertices of `vertex_type` that `user` may
-    /// read at `tid` — the "authorized" side of the §5.1 validity bitmap.
-    /// Returns `None` when the user has *unrestricted* access to the type
-    /// (no bitmap needed — the engine reuses the liveness structure).
-    pub fn authorized_vertices(
+    /// What `user` may read of each of `vertex_types`, in order: `None`
+    /// where one of the user's grants on the type is unrestricted, else
+    /// every row rule granted on it (a row may be read when it satisfies
+    /// any one). Rejects with [`TvError::PermissionDenied`] when a type has
+    /// no grant at all. Reads roles only, never rows: the rules are data,
+    /// and the query engine evaluates them in its candidate scan — the
+    /// "authorized" side of the §5.1 validity bitmap.
+    pub fn row_rules(
         &self,
-        graph: &Graph,
         user: &str,
-        vertex_type: u32,
-        tid: Tid,
-    ) -> TvResult<Option<VertexSet>> {
+        vertex_types: &[u32],
+    ) -> TvResult<Vec<Option<Vec<RowRule>>>> {
         let roles = self.roles_of(user);
-        let grants: Vec<&Grant> = roles
+        vertex_types
             .iter()
-            .flat_map(|r| r.grants.iter())
-            .filter(|g| g.vertex_type == vertex_type)
-            .collect();
-        if grants.is_empty() {
-            return Err(TvError::PermissionDenied(format!(
-                "user '{user}' has no grant on vertex type {vertex_type}"
-            )));
-        }
-        if grants.iter().any(|g| g.rule.is_none()) {
-            return Ok(None); // unrestricted
-        }
-        // Union of all row-restricted grants, columns resolved once. A rule
-        // on an attribute the type does not have matches no row.
-        let store = graph.store().vertex_type(vertex_type)?;
-        let schema = store.schema();
-        let rules: Vec<(usize, &AttrValue)> = grants
-            .iter()
-            .filter_map(|g| g.rule.as_ref())
-            .filter_map(|rule| Some((schema.index_of(&rule.attr)?, &rule.value)))
-            .collect();
-        let set = graph.select_vertices(vertex_type, tid, |row| {
-            rules
-                .iter()
-                .any(|&(col, value)| row.get(col) == Some(value))
-        })?;
-        Ok(Some(set))
+            .map(|&vt| {
+                let mut grants = roles
+                    .iter()
+                    .flat_map(|r| r.grants.iter())
+                    .filter(|g| g.vertex_type == vt)
+                    .peekable();
+                if grants.peek().is_none() {
+                    return Err(TvError::PermissionDenied(format!(
+                        "user '{user}' has no grant on vertex type {vt}"
+                    )));
+                }
+                Ok(grants.map(|g| g.rule.clone()).collect())
+            })
+            .collect()
     }
 
     /// Whether a vector search over `attr_ids` needs a row-security
@@ -180,51 +160,11 @@ impl AccessControl {
     /// roles only, never at rows, so a gateway can ask before it commits an
     /// executor to the request.
     pub fn is_row_restricted(&self, graph: &Graph, user: &str, attr_ids: &[u32]) -> TvResult<bool> {
-        let roles = self.roles_of(user);
-        let mut restricted = false;
-        for &attr_id in attr_ids {
-            let vt = graph.embeddings().attr(attr_id)?.vertex_type;
-            let mut grants = roles
-                .iter()
-                .flat_map(|r| r.grants.iter())
-                .filter(|g| g.vertex_type == vt)
-                .peekable();
-            if grants.peek().is_none() {
-                return Err(TvError::PermissionDenied(format!(
-                    "user '{user}' is not authorized for vertex type {vt}"
-                )));
-            }
-            restricted |= grants.all(|g| g.rule.is_some());
-        }
-        Ok(restricted)
-    }
-
-    /// The candidate-set restriction a vector search over `attr_ids` must
-    /// respect for `user`: `None` when every touched type is unrestricted,
-    /// otherwise the union of authorized vertices across the searched types.
-    /// Rejects outright (with [`TvError::PermissionDenied`]) when any type
-    /// lacks a grant.
-    pub fn restriction_for_attrs(
-        &self,
-        graph: &Graph,
-        user: &str,
-        attr_ids: &[u32],
-        tid: Tid,
-    ) -> TvResult<Option<VertexSet>> {
-        if !self.is_row_restricted(graph, user, attr_ids)? {
-            return Ok(None);
-        }
-        // Row-security sets of the restricted types, and the full live sets
-        // of the unrestricted ones so they are not filtered out.
-        let mut acc = VertexSet::default();
-        for &attr_id in attr_ids {
-            let vt = graph.embeddings().attr(attr_id)?.vertex_type;
-            acc = acc.union(&match self.authorized_vertices(graph, user, vt, tid)? {
-                Some(set) => set,
-                None => graph.all_vertices(vt, tid)?,
-            });
-        }
-        Ok(Some(acc))
+        let types = attr_ids
+            .iter()
+            .map(|&attr_id| Ok(graph.embeddings().attr(attr_id)?.vertex_type))
+            .collect::<TvResult<Vec<u32>>>()?;
+        Ok(self.row_rules(user, &types)?.iter().any(Option::is_some))
     }
 }
 
@@ -282,15 +222,10 @@ mod tests {
             acl.is_row_restricted(&g, "mallory", &[0]),
             Err(TvError::PermissionDenied(_))
         ));
-        // An unrestricted grant beside a row rule lifts the restriction,
-        // exactly as `restriction_for_attrs` then builds no set.
+        // An unrestricted grant beside a row rule lifts the restriction.
         acl.assign("bob", "admin").unwrap();
         assert_eq!(acl.is_row_restricted(&g, "bob", &[0]), Ok(false));
-        let tid = g.read_tid();
-        assert!(acl
-            .restriction_for_attrs(&g, "bob", &[0], tid)
-            .unwrap()
-            .is_none());
+        assert_eq!(acl.row_rules("bob", &[0]), Ok(vec![None]));
         assert!(acl.is_row_restricted(&g, "alice", &[7]).is_err());
     }
 
@@ -301,16 +236,44 @@ mod tests {
     }
 
     #[test]
-    fn grants_cover_vectors_and_rows_together() {
-        // The governance argument: one grant controls both attribute reads
-        // (select_vertices) and vector search.
-        let (g, acl) = secured_graph();
-        let tid = g.read_tid();
-        let set = acl.authorized_vertices(&g, "bob", 0, tid).unwrap().unwrap();
-        assert_eq!(set.len(), 5); // the five public docs
-        assert!(acl
-            .authorized_vertices(&g, "alice", 0, tid)
-            .unwrap()
-            .is_none());
+    fn row_rules_are_the_grants_of_each_type_as_data() {
+        let (_, acl) = secured_graph();
+        let rule = |attr: &str, value: &str| RowRule {
+            attr: attr.into(),
+            value: AttrValue::Str(value.into()),
+        };
+        acl.define_role(
+            "two-rules",
+            Role::default()
+                .allow_rows(0, "classification", AttrValue::Str("public".into()))
+                .allow_rows(0, "owner", AttrValue::Str("carol".into()))
+                .allow_type(1),
+        );
+        acl.assign("carol", "two-rules").unwrap();
+        assert_eq!(acl.row_rules("alice", &[0]), Ok(vec![None]));
+        assert_eq!(
+            acl.row_rules("bob", &[0, 0]),
+            Ok(vec![Some(vec![rule("classification", "public")]); 2])
+        );
+        // Several grants on one type are ORed; types answer in order.
+        assert_eq!(
+            acl.row_rules("carol", &[1, 0]),
+            Ok(vec![
+                None,
+                Some(vec![
+                    rule("classification", "public"),
+                    rule("owner", "carol")
+                ])
+            ])
+        );
+        // One type without a grant refuses the whole request.
+        for (user, types) in [("bob", &[0, 1][..]), ("mallory", &[0][..])] {
+            assert!(matches!(
+                acl.row_rules(user, types),
+                Err(TvError::PermissionDenied(_))
+            ));
+        }
+        acl.revoke("bob", "analyst");
+        assert!(acl.row_rules("bob", &[0]).is_err());
     }
 }

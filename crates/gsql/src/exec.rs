@@ -85,13 +85,14 @@ pub(crate) fn execute_as(
 /// deadline — the serving layer's entry point.
 ///
 /// Access control is the paper's single-surface model (§1): every vertex
-/// type in the pattern needs a type grant (rejected with
-/// [`TvError::PermissionDenied`] otherwise), and for vector queries a
-/// row-restricted grant becomes a candidate set intersected into the §5.2
-/// pre-filter bitmaps, so row security and deletions ride the same validity
-/// mask. The deadline is threaded down to the per-segment searches, and the
-/// vector-search statistics (planner routing counters included) are merged
-/// into `stats`, which feeds the per-tenant plan metrics.
+/// type in the pattern needs a grant (rejected with
+/// [`TvError::PermissionDenied`] before anything is scanned), and a
+/// row-restricted grant's rules are one more term of that node's candidate
+/// scan — every node, every query kind — so row security and deletions
+/// ride the same validity mask (§5.1). The deadline is threaded down to the
+/// per-segment searches and the join's path walk, and the vector-search
+/// statistics (planner routing counters included) are merged into `stats`,
+/// which feeds the per-tenant plan metrics.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_at_as_stats(
     graph: &Graph,
@@ -103,78 +104,70 @@ pub fn execute_at_as_stats(
     deadline: Deadline,
     stats: &mut SearchStats,
 ) -> TvResult<QueryOutput> {
-    let query = parse(src)?;
-    let resolved = resolve(graph, query)?;
-    for &vt in &resolved.node_types {
-        if !acl.can_read_type(user, vt) {
-            return Err(TvError::PermissionDenied(format!(
-                "user '{user}' may not read vertex type {vt}"
-            )));
-        }
-    }
-    let restriction = match resolved.kind {
-        QueryKind::TopK | QueryKind::Range => {
-            let (target_node, _) = resolved.target.expect("vector target");
-            acl.authorized_vertices(graph, user, resolved.node_types[target_node], tid)?
-        }
-        // Graph-only/join output is drawn from pattern nodes, all of which
-        // passed the type-grant check above.
-        _ => None,
-    };
-    run_opts_stats(
-        graph,
-        &resolved,
-        params,
-        tid,
-        restriction.as_ref(),
-        deadline,
-        stats,
-    )
+    let mut resolved = resolve(graph, parse(src)?)?;
+    resolved.row_rules = acl.row_rules(user, &resolved.node_types)?;
+    run_opts_stats(graph, &resolved, params, tid, deadline, stats)
 }
 
-/// Execute an already-resolved query: no restriction, no deadline.
+/// The rows of the types `attr_ids` embed that `user` may read at `tid`, as
+/// a direct vector search's candidate set: `None` when every type's grant is
+/// unrestricted. A restricted type contributes the rows its rules pass, in
+/// the same block scan a pattern node's rules run in; an unrestricted one
+/// all its live rows. Rejects with [`TvError::PermissionDenied`] when a
+/// type has no grant.
+pub fn readable_rows(
+    graph: &Graph,
+    acl: &AccessControl,
+    user: &str,
+    attr_ids: &[u32],
+    tid: Tid,
+) -> TvResult<Option<VertexSet>> {
+    let types = attr_ids
+        .iter()
+        .map(|&attr_id| Ok(graph.embeddings().attr(attr_id)?.vertex_type))
+        .collect::<TvResult<Vec<u32>>>()?;
+    let rules = acl.row_rules(user, &types)?;
+    if rules.iter().all(Option::is_none) {
+        return Ok(None);
+    }
+    let mut rows = VertexSet::default();
+    for (&type_id, rules) in types.iter().zip(&rules) {
+        let store = graph.store().vertex_type(type_id)?;
+        let filter = NodeFilter::compile(&[], store.schema(), &Params::new())?;
+        let filter = filter.with_rules(rules.as_deref(), store.schema());
+        rows = rows.union(
+            &graph.scan_vertices(type_id, tid, None, |mask, block| filter.eval(mask, block))?,
+        );
+    }
+    Ok(Some(rows))
+}
+
+/// Execute an already-resolved query with no deadline.
 pub(crate) fn run(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<QueryOutput> {
     let mut stats = SearchStats::default();
-    run_opts_stats(graph, r, params, tid, None, Deadline::none(), &mut stats)
+    run_opts_stats(graph, r, params, tid, Deadline::none(), &mut stats)
 }
 
-/// Execute an already-resolved query with serving-layer options: an extra
-/// candidate restriction (row security) and a deadline. The vector-search
+/// Execute an already-resolved query under a deadline. The vector-search
 /// statistics are merged into `stats` — including the filtered-search
 /// planner's routing counters (`plans_brute` / `plans_in_traversal` /
 /// `plans_post_filter`, `ef_escalations`, `brute_fallbacks`), so callers
 /// can see *how* each query was executed. Graph-only and join queries leave
 /// `stats` untouched.
-#[allow(clippy::too_many_arguments)]
 fn run_opts_stats(
     graph: &Graph,
     r: &Resolved,
     params: &Params,
     tid: Tid,
-    restriction: Option<&VertexSet>,
     deadline: Deadline,
     stats: &mut SearchStats,
 ) -> TvResult<QueryOutput> {
     deadline.check("query admission")?;
     match r.kind {
-        QueryKind::TopK => run_topk(graph, r, params, tid, restriction, deadline, stats),
-        QueryKind::Range => run_range(graph, r, params, tid, restriction, stats),
-        QueryKind::SimilarityJoin => run_join(graph, r, params, tid),
+        QueryKind::TopK => run_topk(graph, r, params, tid, deadline, stats),
+        QueryKind::Range => run_range(graph, r, params, tid, deadline, stats),
+        QueryKind::SimilarityJoin => run_join(graph, r, params, tid, deadline),
         QueryKind::GraphOnly => run_graph_only(graph, r, params, tid),
-    }
-}
-
-/// Intersect the pattern-derived candidate set with the rbac restriction.
-/// `None` on both sides means unconstrained (the pure-search fast path).
-fn apply_restriction(
-    candidates: Option<VertexSet>,
-    restriction: Option<&VertexSet>,
-) -> Option<VertexSet> {
-    match (candidates, restriction) {
-        (None, None) => None,
-        (Some(c), None) => Some(c),
-        (None, Some(rst)) => Some(rst.clone()),
-        (Some(c), Some(rst)) => Some(c.intersect(rst)),
     }
 }
 
@@ -250,17 +243,19 @@ fn node_candidates(
         ));
     }
 
-    // Fast path: single unconstrained node.
-    if n == 1 && per_node[0].is_empty() {
+    // Fast path: single unconstrained node the reader may read whole.
+    if n == 1 && per_node[0].is_empty() && r.row_rules[0].is_none() {
         return Ok(vec![None]);
     }
 
     let filters = per_node
         .iter()
         .zip(&r.node_types)
-        .map(|(terms, &type_id)| {
+        .zip(&r.row_rules)
+        .map(|((terms, &type_id), rules)| {
             let store = graph.store().vertex_type(type_id)?;
-            NodeFilter::compile(terms, store.schema(), params)
+            let filter = NodeFilter::compile(terms, store.schema(), params)?;
+            Ok(filter.with_rules(rules.as_deref(), store.schema()))
         })
         .collect::<TvResult<Vec<_>>>()?;
     let passes = |node: usize| {
@@ -284,20 +279,70 @@ fn node_candidates(
             // Right is the stored source: scan right candidates whose
             // out-edges hit the left set.
             let candidates = graph.scan_vertices(right_type, tid, None, passes(i + 1))?;
-            let store = graph.store().vertex_type(right_type)?;
-            VertexSet::from_iter_typed(
+            with_edge_into(
+                graph,
+                &candidates,
                 right_type,
-                candidates.of_type(right_type).into_iter().filter(|&v| {
-                    store
-                        .edges(v, edge.etype, tid)
-                        .iter()
-                        .any(|&t| left.contains(left_type, t))
-                }),
-            )
+                edge.etype,
+                left,
+                left_type,
+                tid,
+            )?
         };
         sets[i + 1] = Some(right);
     }
     Ok(sets)
+}
+
+/// The members of `sources` (of `source_type`, the edge type's stored
+/// source) with an out-edge of `etype` into `targets`.
+fn with_edge_into(
+    graph: &Graph,
+    sources: &VertexSet,
+    source_type: u32,
+    etype: u32,
+    targets: &VertexSet,
+    target_type: u32,
+    tid: Tid,
+) -> TvResult<VertexSet> {
+    let store = graph.store().vertex_type(source_type)?;
+    Ok(VertexSet::from_iter_typed(
+        source_type,
+        sources.of_type(source_type).into_iter().filter(|&v| {
+            store
+                .edges(v, etype, tid)
+                .iter()
+                .any(|&t| targets.contains(target_type, t))
+        }),
+    ))
+}
+
+/// The candidate set of pattern node `node`, `None` when unconstrained. The
+/// forward pass of [`node_candidates`] narrows each node by the nodes before
+/// it only; this walks back from the last node to `node`, keeping each
+/// vertex with an edge, in the pattern's direction, into the next node's
+/// set. It does nothing when `node` is the last node.
+fn candidates_of(
+    graph: &Graph,
+    r: &Resolved,
+    params: &Params,
+    tid: Tid,
+    node: usize,
+) -> TvResult<Option<VertexSet>> {
+    let mut sets = node_candidates(graph, r, params, tid)?;
+    for (i, edge) in r.edges.iter().enumerate().skip(node).rev() {
+        let (here_type, next_type) = (r.node_types[i], r.node_types[i + 1]);
+        let here = sets[i].as_ref().expect("pattern sets materialized");
+        let next = sets[i + 1].as_ref().expect("pattern sets materialized");
+        let kept = if edge.forward {
+            with_edge_into(graph, here, here_type, edge.etype, next, next_type, tid)?
+        } else {
+            // Next is the stored source: keep the targets of its out-edges.
+            here.intersect(&graph.expand(next, next_type, edge.etype, here_type, tid)?)
+        };
+        sets[i] = Some(kept);
+    }
+    Ok(sets.swap_remove(node))
 }
 
 fn run_topk(
@@ -305,15 +350,13 @@ fn run_topk(
     r: &Resolved,
     params: &Params,
     tid: Tid,
-    restriction: Option<&VertexSet>,
     deadline: Deadline,
     stats: &mut SearchStats,
 ) -> TvResult<QueryOutput> {
     let (target_node, attr_id) = r.target.expect("topk target");
     let k = limit_of(r, params)?;
     let qv = query_vector(r, params)?;
-    let mut sets = node_candidates(graph, r, params, tid)?;
-    let filter_set = apply_restriction(sets[target_node].take(), restriction);
+    let filter_set = candidates_of(graph, r, params, tid, target_node)?;
     // Early out: a filtered search whose candidate set is empty.
     if let Some(fs) = &filter_set {
         if fs.is_empty() {
@@ -347,7 +390,7 @@ fn run_range(
     r: &Resolved,
     params: &Params,
     tid: Tid,
-    restriction: Option<&VertexSet>,
+    deadline: Deadline,
     stats: &mut SearchStats,
 ) -> TvResult<QueryOutput> {
     let (target_node, attr_id) = r.target.expect("range target");
@@ -355,23 +398,23 @@ fn run_range(
         .as_f64()
         .ok_or_else(|| TvError::Execution("range threshold must be numeric".into()))?;
     let qv = query_vector(r, params)?;
-    let mut sets = node_candidates(graph, r, params, tid)?;
-    let filter_set = apply_restriction(sets[target_node].take(), restriction);
+    let filter_set = candidates_of(graph, r, params, tid, target_node)?;
     if let Some(fs) = &filter_set {
         if fs.is_empty() {
             return Ok(QueryOutput::Vertices(Vec::new()));
         }
     }
     let ef = graph.embeddings().config().default_ef;
-    let (hits, range_stats) = graph.vector_range_search(
+    let hits = graph.vector_range_search(
         &[attr_id],
         qv,
         threshold as f32,
         ef,
         filter_set.as_ref(),
         tid,
+        deadline,
+        stats,
     )?;
-    stats.merge(&range_stats);
     Ok(QueryOutput::Vertices(
         hits.into_iter()
             .map(|tn| ResultRow {
@@ -384,12 +427,10 @@ fn run_range(
 }
 
 fn run_graph_only(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<QueryOutput> {
-    let sets = node_candidates(graph, r, params, tid)?;
-    let sel = &r.query.select[0];
-    let node = r.alias_of[sel];
+    let node = r.alias_of[&r.query.select[0]];
     let type_id = r.node_types[node];
     let k = limit_of(r, params)?;
-    let set = match sets.into_iter().nth(node).flatten() {
+    let set = match candidates_of(graph, r, params, tid, node)? {
         Some(set) => set,
         None => graph.all_vertices(type_id, tid)?,
     };
@@ -406,7 +447,13 @@ fn run_graph_only(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvR
     ))
 }
 
-fn run_join(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<QueryOutput> {
+fn run_join(
+    graph: &Graph,
+    r: &Resolved,
+    params: &Params,
+    tid: Tid,
+    deadline: Deadline,
+) -> TvResult<QueryOutput> {
     let ((s_node, s_attr), (t_node, t_attr)) = r.join.expect("join endpoints");
     let k = limit_of(r, params)?;
     let sets = node_candidates(graph, r, params, tid)?;
@@ -425,6 +472,7 @@ fn run_join(graph: &Graph, r: &Resolved, params: &Params, tid: Tid) -> TvResult<
     let mut pairs: HashSet<(VertexId, VertexId)> = HashSet::new();
     let mut path: Vec<VertexId> = Vec::with_capacity(n);
     for &start in &materialized[0] {
+        deadline.check("similarity join path walk")?;
         path.push(start);
         dfs_pairs(
             graph,
@@ -1035,6 +1083,184 @@ mod tests {
         acl.revoke("alice", "admin");
         let p = params_with_vec(&f.post_vecs[7]);
         assert!(execute_as(&f.graph, &acl, "alice", &format!("{NEAREST} 1"), &p).is_err());
+    }
+
+    /// Reads each of the four shapes that once returned rows the grant
+    /// forbids: graph-only, graph-only on a row-restricted type, a join,
+    /// and a pattern selected through a non-target node.
+    #[test]
+    fn row_rules_bind_every_node_of_every_query_kind() {
+        use tg_graph::Role;
+        let f = fixture();
+        let acl = AccessControl::new();
+        let english = AttrValue::Str("English".into());
+        acl.define_role(
+            "english",
+            Role::default().allow_rows(1, "language", english),
+        );
+        acl.define_role("people", Role::default().allow_type(0));
+        acl.define_role(
+            "alice",
+            Role::default()
+                .allow_rows(0, "firstName", AttrValue::Str("Alice".into()))
+                .allow_type(1),
+        );
+        acl.assign("en", "english").unwrap();
+        acl.assign("en", "people").unwrap();
+        acl.assign("al", "alice").unwrap();
+        let english_post = |id: VertexId| f.posts.iter().position(|&p| p == id).unwrap() % 2 == 0;
+        let p = params_with_vec(&f.post_vecs[7]);
+        let rows = |user: &str, src: &str| execute_as(&f.graph, &acl, user, src, &p).unwrap();
+
+        let out = rows("en", "SELECT s FROM (s:Post) LIMIT 100");
+        assert_eq!(out.rows().len(), 6);
+        assert!(out.rows().iter().all(|r| english_post(r.id)));
+
+        let src = "SELECT u FROM (u:Person) WHERE u.firstName = \"Bob\"";
+        assert!(rows("al", src).rows().is_empty());
+        let src = "SELECT u FROM (u:Person) WHERE u.firstName != \"Bob\"";
+        let out = rows("al", src);
+        assert_eq!(
+            out.rows().iter().map(|r| r.id).collect::<Vec<_>>(),
+            [f.people[0]]
+        );
+
+        let join =
+            "SELECT s, t FROM (s:Post) -[:hasCreator]-> (u:Person) <-[:hasCreator]- (t:Post) \
+                    ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT 40";
+        let QueryOutput::Pairs(pairs) = rows("en", join) else {
+            panic!("a join returns pairs")
+        };
+        // Creators 0 and 2 wrote the English posts, three each.
+        assert_eq!(pairs.len(), 6);
+        assert!(pairs
+            .iter()
+            .all(|(s, t, _)| english_post(s.id) && english_post(t.id)));
+
+        let by = |name: &str| {
+            format!(
+                "SELECT s FROM (u:Person) <-[:hasCreator]- (s:Post) WHERE u.firstName = \"{name}\" \
+                 ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 10"
+            )
+        };
+        assert!(rows("al", &by("Bob")).rows().is_empty());
+        let alices: HashSet<VertexId> = rows("al", &by("Alice"))
+            .rows()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(alices, HashSet::from([f.posts[0], f.posts[4], f.posts[8]]));
+
+        // A type with no grant refuses every kind before any scan.
+        for src in ["SELECT s FROM (s:Post) LIMIT 100", join, &by("Alice")] {
+            let err = execute_as(&f.graph, &acl, "nobody", src, &p).unwrap_err();
+            assert!(matches!(err, TvError::PermissionDenied(_)), "{src}");
+        }
+        let err = execute_as(&f.graph, &acl, "en", &by("Alice"), &p);
+        assert!(err.is_ok(), "en may read every Person");
+        acl.revoke("en", "people");
+        let err = execute_as(&f.graph, &acl, "en", &by("Alice"), &p).unwrap_err();
+        assert!(matches!(err, TvError::PermissionDenied(_)));
+    }
+
+    /// A pattern's two spellings select the same rows whichever node the
+    /// query reads: the constraints after it narrow it too.
+    #[test]
+    fn mirrored_patterns_select_the_same_rows() {
+        let f = fixture();
+        let p = params_with_vec(&f.post_vecs[0]);
+        let ids = |src: &str| -> Vec<VertexId> {
+            let mut ids: Vec<VertexId> = execute(&f.graph, src, &p)
+                .unwrap()
+                .rows()
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let bobs = vec![f.posts[1], f.posts[5], f.posts[9]];
+        let long_posts_creators = vec![f.people[1], f.people[2], f.people[3]];
+        for (spellings, want) in [
+            (
+                [
+                    "SELECT s FROM (s:Post) -[:hasCreator]-> (u:Person) WHERE u.firstName = \"Bob\" \
+                     ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 10",
+                    "SELECT s FROM (u:Person) <-[:hasCreator]- (s:Post) WHERE u.firstName = \"Bob\" \
+                     ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 10",
+                ],
+                &bobs,
+            ),
+            (
+                [
+                    "SELECT s FROM (s:Post) -[:hasCreator]-> (u:Person) WHERE u.firstName = \"Bob\" \
+                     AND VECTOR_DIST(s.content_emb, $qv) < 1e9",
+                    "SELECT s FROM (u:Person) <-[:hasCreator]- (s:Post) WHERE u.firstName = \"Bob\" \
+                     AND VECTOR_DIST(s.content_emb, $qv) < 1e9",
+                ],
+                &bobs,
+            ),
+            (
+                [
+                    "SELECT u FROM (u:Person) <-[:hasCreator]- (s:Post) WHERE s.length > 2000",
+                    "SELECT u FROM (s:Post) -[:hasCreator]-> (u:Person) WHERE s.length > 2000",
+                ],
+                &long_posts_creators,
+            ),
+            (
+                // A middle node: the friends of Alice who wrote a long post.
+                [
+                    "SELECT u FROM (a:Person) -[:knows]-> (u:Person) <-[:hasCreator]- (s:Post) \
+                     WHERE a.firstName = \"Alice\" AND s.length > 2000",
+                    "SELECT u FROM (s:Post) -[:hasCreator]-> (u:Person) <-[:knows]- (a:Person) \
+                     WHERE a.firstName = \"Alice\" AND s.length > 2000",
+                ],
+                &vec![f.people[1], f.people[2]],
+            ),
+        ] {
+            for src in spellings {
+                assert_eq!(&ids(src), want, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn join_path_walk_checks_the_deadline() {
+        let f = fixture();
+        let src =
+            "SELECT s, t FROM (s:Post) -[:hasCreator]-> (u:Person) <-[:hasCreator]- (t:Post) \
+                   ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT 4";
+        let r = resolve(&f.graph, parse(src).unwrap()).unwrap();
+        let (params, tid) = (Params::new(), f.graph.read_tid());
+        let err = run_join(&f.graph, &r, &params, tid, Deadline::expired_now()).unwrap_err();
+        assert!(matches!(err, TvError::Timeout(_)));
+        assert!(run_join(&f.graph, &r, &params, tid, Deadline::none()).is_ok());
+    }
+
+    /// One grant governs both attribute reads and vector search: a direct
+    /// search's restriction is the rows the rules pass, or none at all.
+    #[test]
+    fn readable_rows_are_the_rule_rows_or_none() {
+        let (f, acl) = secured();
+        let tid = f.graph.read_tid();
+        let set = readable_rows(&f.graph, &acl, "bob", &[0], tid)
+            .unwrap()
+            .unwrap();
+        assert_eq!(set.len(), 6); // the six English posts
+        assert!(set
+            .of_type(1)
+            .iter()
+            .all(|&id| f.posts.iter().position(|&p| p == id).unwrap() % 2 == 0));
+        assert!(readable_rows(&f.graph, &acl, "alice", &[0], tid)
+            .unwrap()
+            .is_none());
+        // An unrestricted grant beside a row rule lifts the restriction.
+        acl.assign("bob", "admin").unwrap();
+        assert!(readable_rows(&f.graph, &acl, "bob", &[0], tid)
+            .unwrap()
+            .is_none());
+        let err = readable_rows(&f.graph, &acl, "mallory", &[0], tid).unwrap_err();
+        assert!(matches!(err, TvError::PermissionDenied(_)));
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! tail, fully folded, and folded then mutated, at the latest and at every
 //! addressable historical TID.
 
-use super::{apply_restriction, node_candidates, Params};
+use super::{candidates_of, node_candidates, readable_rows, Params};
 use crate::ast::{CmpOp, Expr, Value};
 use crate::parser::parse;
-use crate::sema::{pushdown_predicates, resolve, Resolved};
+use crate::sema::{pushdown_predicates, resolve, QueryKind, Resolved};
 use std::collections::{BTreeMap, BTreeSet};
-use tg_graph::{AccessControl, Graph, Role, VertexSet};
+use tg_graph::{AccessControl, Graph, Role, RowRule, VertexSet};
 use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta};
 use tv_common::ids::SegmentLayout;
 use tv_common::{DistanceMetric, SplitMix64, Tid, VertexId};
@@ -48,6 +48,18 @@ const TEXTS: &[&str] = &[
     "SELECT a FROM (s:Doc)<-[:wrote]-(a:Author) WHERE s.bucket < 10",
     "SELECT a FROM (s:Doc)<-[:wrote]-(a:Author) WHERE s.flag AND a.name > \"a2\"",
     "SELECT t FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) WHERE s.bucket < 3 AND t.flag",
+];
+
+/// Texts that select the first or a middle pattern node: a node the
+/// forward pass alone leaves too wide.
+const SELECT_EARLIER: &[&str] = &[
+    "SELECT a FROM (a:Author)-[:wrote]->(s:Doc) WHERE s.bucket < 10",
+    "SELECT s FROM (s:Doc)<-[:wrote]-(a:Author) WHERE a.name = $n",
+    "SELECT s FROM (s:Doc)<-[:wrote]-(a:Author) WHERE a.name > \"a2\" \
+     ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 10",
+    "SELECT a FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) WHERE s.bucket < 3 AND t.flag",
+    "SELECT s FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) \
+     WHERE t.bucket < 5 AND a.name != $n",
 ];
 
 fn params() -> Params {
@@ -370,6 +382,91 @@ fn reference(
     sets.into_iter().map(Some).collect()
 }
 
+/// The selected node's members on some whole path of the pattern, every
+/// node passing its predicates: the paths are enumerated over the model.
+fn path_reference(
+    g: &Graph,
+    m: &Model,
+    r: &Resolved,
+    params: &Params,
+    selected: usize,
+) -> BTreeSet<VertexId> {
+    let (per_node, _) =
+        pushdown_predicates(r.graph_filter.as_ref(), &r.alias_of, r.node_types.len());
+    let passing: Vec<BTreeSet<VertexId>> = (0..r.node_types.len())
+        .map(|node| {
+            let t = r.node_types[node];
+            let schema = g.catalog().vertex_type_by_id(t).unwrap().schema.clone();
+            ref_select(m, &schema, t, &per_node[node], params)
+        })
+        .collect();
+    let linked = |i: usize, from: VertexId, to: VertexId| {
+        let edge = r.edges[i];
+        let (source, (s, t)) = if edge.forward {
+            (r.node_types[i], (from, to))
+        } else {
+            (r.node_types[i + 1], (to, from))
+        };
+        m.edges
+            .get(&((source, s), edge.etype))
+            .is_some_and(|list| list.contains(&t))
+    };
+    let mut paths: Vec<Vec<VertexId>> = passing[0].iter().map(|&v| vec![v]).collect();
+    for i in 0..r.edges.len() {
+        paths = paths
+            .into_iter()
+            .flat_map(|path| {
+                let last = path[i];
+                passing[i + 1]
+                    .iter()
+                    .filter(move |&&next| linked(i, last, next))
+                    .map(move |&next| [path.clone(), vec![next]].concat())
+            })
+            .collect();
+    }
+    paths.into_iter().map(|path| path[selected]).collect()
+}
+
+/// The node whose set a query reads: the vector target, else the selection.
+fn selected_node(r: &Resolved) -> usize {
+    match r.kind {
+        QueryKind::TopK | QueryKind::Range => r.target.unwrap().0,
+        _ => r.alias_of[&r.query.select[0]],
+    }
+}
+
+/// `r` with the reader's row rules added as `WHERE` conjuncts on each
+/// node's alias, a GSQL `=` per rule, ORed.
+fn with_rule_conjuncts(r: &Resolved, rules: &[Option<Vec<RowRule>>]) -> Resolved {
+    let mut out = r.clone();
+    for (node, rules) in rules.iter().enumerate() {
+        let Some(rules) = rules else { continue };
+        let alias = r.query.pattern.nodes[node]
+            .alias
+            .clone()
+            .expect("aliased node");
+        let term = rules
+            .iter()
+            .map(|rule| {
+                let value = match &rule.value {
+                    AttrValue::Str(s) => Value::Str(s.clone()),
+                    AttrValue::Bool(b) => Value::Bool(*b),
+                    AttrValue::Int(i) => Value::Int(*i),
+                    AttrValue::Double(d) => Value::Double(*d),
+                };
+                let attr = Box::new(Expr::Attr(alias.clone(), rule.attr.clone()));
+                Expr::Cmp(attr, CmpOp::Eq, Box::new(Expr::Literal(value)))
+            })
+            .reduce(|a, b| Expr::Or(Box::new(a), Box::new(b)))
+            .expect("a restricted grant has a rule");
+        out.graph_filter = Some(match out.graph_filter.take() {
+            Some(filter) => Expr::And(Box::new(filter), Box::new(term)),
+            None => term,
+        });
+    }
+    out
+}
+
 fn members(set: &VertexSet, type_id: u32) -> BTreeSet<VertexId> {
     assert_eq!(
         set.types(),
@@ -427,6 +524,24 @@ fn check_all(f: &Fixture, tids: std::ops::RangeInclusive<u64>, state: &str) {
         vec![None]
     );
 
+    // Selecting the first or a middle node: the forward pass, narrowed back
+    // from the last node, against every whole path over the model.
+    for text in SELECT_EARLIER.iter().chain(TEXTS) {
+        let r = resolve(g, parse(text).unwrap()).unwrap();
+        let node = selected_node(&r);
+        for t in tids.clone() {
+            let tid = Tid(t);
+            let got = candidates_of(g, &r, &params, tid, node).unwrap();
+            let Some(got) = got else { continue };
+            let want = path_reference(g, &f.model_at(tid), &r, &params, node);
+            assert_eq!(
+                members(&got, r.node_types[node]),
+                want,
+                "{state}: {text} at {tid}"
+            );
+        }
+    }
+
     // Row security: the authorized set, and its intersection with a query's
     // candidates, against the same one-row-at-a-time reference.
     let acl = AccessControl::new();
@@ -435,28 +550,59 @@ fn check_all(f: &Fixture, tids: std::ops::RangeInclusive<u64>, state: &str) {
         Role::default()
             .allow_rows(DOC, "title", AttrValue::Str("t1".into()))
             .allow_rows(DOC, "flag", AttrValue::Bool(true))
-            .allow_rows(DOC, "no_such", AttrValue::Int(1)),
+            .allow_rows(DOC, "no_such", AttrValue::Int(1))
+            .allow_rows(AUTHOR, "name", AttrValue::Str("a2".into()))
+            .allow_rows(AUTHOR, "name", AttrValue::Str("a3".into())),
     );
     acl.assign("u", "t1-or-flagged").unwrap();
     let rule = parse("SELECT s FROM (s:Doc) WHERE s.title = \"t1\" OR s.flag").unwrap();
     let rule = [rule.where_clause.unwrap()];
     let r = resolve(g, parse(TEXTS[0]).unwrap()).unwrap();
     let schema = g.catalog().vertex_type_by_id(DOC).unwrap().schema.clone();
-    for t in tids {
+    let as_u = |mut r: Resolved| {
+        r.row_rules = acl.row_rules("u", &r.node_types).unwrap();
+        r
+    };
+    for t in tids.clone() {
         let tid = Tid(t);
         let model = f.model_at(tid);
-        let authorized = acl.authorized_vertices(g, "u", DOC, tid).unwrap();
+        let authorized = readable_rows(g, &acl, "u", &[0], tid).unwrap();
         let want_auth = ref_select(&model, &schema, DOC, &rule, &params);
         let got_auth = members(authorized.as_ref().unwrap(), DOC);
         assert_eq!(got_auth, want_auth, "{state}: authorized at {tid}");
-        let candidates = node_candidates(g, &r, &params, tid).unwrap().remove(0);
-        let got = apply_restriction(candidates, authorized.as_ref()).unwrap();
+        let candidates = node_candidates(g, &as_u(r.clone()), &params, tid).unwrap();
+        let got = candidates.into_iter().next().flatten().unwrap();
         let want = reference(g, &model, &r, &params).remove(0).unwrap();
         assert_eq!(
             members(&got, DOC),
             want.intersection(&want_auth).copied().collect(),
             "{state}: restricted at {tid}"
         );
+    }
+    // Every text read by the restricted principal: its rules in each node's
+    // scan match the reference with the rules spelled as `WHERE` conjuncts
+    // (the rules are `Str` and `Bool`, where the rule's exact equality and
+    // GSQL `=` agree), per node and for the selected node's whole paths.
+    for text in TEXTS.iter().chain(SELECT_EARLIER) {
+        let r = as_u(resolve(g, parse(text).unwrap()).unwrap());
+        let spelled = with_rule_conjuncts(&r, &r.row_rules);
+        let node = selected_node(&r);
+        for t in tids.clone() {
+            let (tid, model) = (Tid(t), f.model_at(Tid(t)));
+            let got = node_candidates(g, &r, &params, tid).unwrap();
+            let want = reference(g, &model, &spelled, &params);
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let got = got.as_ref().map(|s| members(s, r.node_types[i]));
+                assert_eq!(&got, want, "{state}: as u: {text}: node {i} at {tid}");
+            }
+            let got = candidates_of(g, &r, &params, tid, node).unwrap().unwrap();
+            let want = path_reference(g, &model, &spelled, &params, node);
+            assert_eq!(
+                members(&got, r.node_types[node]),
+                want,
+                "{state}: as u: {text}"
+            );
+        }
     }
 }
 

@@ -48,7 +48,7 @@ pub mod sema;
 pub(crate) mod token;
 
 pub use ast::Value;
-pub use exec::{execute, execute_at, execute_at_as_stats, Params, QueryOutput};
+pub use exec::{execute, execute_at, execute_at_as_stats, readable_rows, Params, QueryOutput};
 pub use func::{community_topk, vector_search, vector_search_with_stats, VectorSearchOptions};
 pub use parser::parse;
 pub use plan::explain;

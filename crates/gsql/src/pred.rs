@@ -11,11 +11,14 @@
 //! hands over up to 64 rows at once and gets one bitmap word back: each
 //! comparison picks its loop once per block, from its operand kinds and its
 //! operator, and `AND` / `OR` / `NOT` are word operations. Rows are read in
-//! place; nothing is allocated.
+//! place; nothing is allocated. A reader's rbac row rules on the node's type
+//! are one more term of the same filter, so row security costs one more
+//! word per block of the one scan.
 
 use crate::ast::{CmpOp, Expr, Value};
 use crate::exec::Params;
 use std::cmp::Ordering;
+use tg_graph::RowRule;
 use tg_storage::{AttrSchema, AttrValue};
 use tv_common::{TvError, TvResult};
 
@@ -38,6 +41,11 @@ enum Pred {
     /// A bare `alias.attr`: true iff the column holds `Bool(true)`; `None`
     /// for an attribute the type does not have.
     Flag(Option<usize>),
+    /// A grant's row rules (rbac): true iff some rule's column holds exactly
+    /// its value. Exact [`AttrValue`] equality, not the GSQL `=`: an int
+    /// does not widen to match a double. Empty (every rule named an
+    /// attribute the type lacks) matches no row.
+    Rules(Vec<(usize, AttrValue)>),
 }
 
 /// One side of a comparison.
@@ -79,6 +87,18 @@ impl NodeFilter {
                 .collect::<TvResult<_>>()?,
             arity: schema.len(),
         })
+    }
+
+    /// The same filter, also requiring the reader's row `rules` on the
+    /// node's type (`None`: the whole type may be read).
+    pub(crate) fn with_rules(mut self, rules: Option<&[RowRule]>, schema: &AttrSchema) -> Self {
+        if let Some(rules) = rules {
+            let rules = rules
+                .iter()
+                .filter_map(|rule| Some((schema.index_of(&rule.attr)?, rule.value.clone())));
+            self.terms.push(Pred::Rules(rules.collect()));
+        }
+        self
     }
 
     /// The members of `mask` whose rows pass every term. `rows` holds the
@@ -181,6 +201,9 @@ impl Pred {
             Pred::Flag(Some(col)) => {
                 word(block, *col, |cell| matches!(cell, AttrValue::Bool(true)))
             }
+            Pred::Rules(rules) => rules.iter().fold(0, |hits, (col, value)| {
+                hits | word(block, *col, |cell| cell == value)
+            }),
         }
     }
 }

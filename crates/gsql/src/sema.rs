@@ -5,7 +5,7 @@
 
 use crate::ast::*;
 use std::collections::HashMap;
-use tg_graph::Graph;
+use tg_graph::{Graph, RowRule};
 use tv_common::{TvError, TvResult};
 use tv_embedding::EmbeddingTypeDef;
 
@@ -55,6 +55,11 @@ pub struct Resolved {
     pub range_threshold: Option<Expr>,
     /// `WHERE` with any `VECTOR_DIST` term stripped (the graph-side filter).
     pub graph_filter: Option<Expr>,
+    /// Per pattern node, the reader's row rules on its type (rbac): `None`
+    /// where the whole type may be read. [`resolve`] leaves every node
+    /// unrestricted; an execution as a user sets them from the user's
+    /// grants, and each node's candidate scan evaluates its rules.
+    pub row_rules: Vec<Option<Vec<RowRule>>>,
 }
 
 /// Resolve and validate a parsed query against `graph`'s catalog.
@@ -200,6 +205,7 @@ pub fn resolve(graph: &Graph, query: Query) -> TvResult<Resolved> {
 
     drop(catalog);
     Ok(Resolved {
+        row_rules: vec![None; node_types.len()],
         query,
         node_types,
         alias_of,

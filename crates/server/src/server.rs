@@ -266,12 +266,8 @@ impl Server {
             self.acquire(session, &tenant, deadline, start)
                 .and_then(|_permit| {
                     let tid = self.graph.read_tid();
-                    let set = self.acl.restriction_for_attrs(
-                        &self.graph,
-                        &session.user,
-                        attr_ids,
-                        tid,
-                    )?;
+                    let user = &session.user;
+                    let set = tv_gsql::readable_rows(&self.graph, &self.acl, user, attr_ids, tid)?;
                     let mut stats = SearchStats::default();
                     let r = self.graph.vector_search_deadline(
                         attr_ids,
@@ -365,6 +361,12 @@ impl Server {
     /// [`ClusterResponse`] is returned so callers see the coverage of a
     /// degraded answer; the tenant's metrics record every replica retry,
     /// hedge, and degraded completion.
+    ///
+    /// The runtime's segments are not mapped to attributes, so once the
+    /// query vector is vetted the session needs a grant on the type of
+    /// every embedding attribute of the served graph, and an unrestricted
+    /// one: the scatter takes no filter, so a row-restricted session is
+    /// refused with [`TvError::PermissionDenied`].
     pub fn cluster_top_k(
         &self,
         session: &Session,
@@ -379,6 +381,21 @@ impl Server {
         let tenant = self.metrics.tenant(&session.tenant);
         let deadline = self.deadline_for(session);
         let start = Instant::now();
+        runtime.check_query(query)?;
+        let attr_ids = self.graph.embeddings().attr_ids();
+        let user = &session.user;
+        let granted = self
+            .acl
+            .is_row_restricted(&self.graph, user, &attr_ids)
+            .and_then(|restricted| match restricted {
+                false => Ok(()),
+                true => Err(TvError::PermissionDenied(format!(
+                    "user '{user}' is row-restricted, and the cluster top-k door applies no filter"
+                ))),
+            });
+        if let Err(e) = granted {
+            return self.record_outcome(&tenant, start, Err(e));
+        }
         self.charge(session, &tenant)?;
         let result = self
             .acquire(session, &tenant, deadline, start)

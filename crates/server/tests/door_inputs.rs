@@ -7,7 +7,12 @@
 //! `EmbeddingService::range_search`. Every cell is `Ok` with an exact row
 //! count or a typed `TvError`; none may panic.
 //!
-//! A second table covers the write doors, `Graph::txn().set_vector(..)
+//! A "who is asking" table puts an admin, a row-restricted analyst and a
+//! stranger through every read door of `Server` and every GSQL query kind:
+//! each answer is exactly the admin's rows that the analyst's rules let
+//! through, or the same typed refusal.
+//!
+//! A third table covers the write doors, `Graph::txn().set_vector(..)
 //! .commit()`, `EmbeddingService::apply_deltas`,
 //! `EmbeddingSegment::append_deltas` and `ClusterRuntime::append_deltas`: a
 //! local id at or beyond the segment capacity, a wrong dimension, NaN/±∞ and
@@ -25,7 +30,7 @@ use tv_common::{
     Deadline, DistanceMetric, QuantSpec, SegmentId, SplitMix64, Tid, TvError, TvResult, VertexId,
 };
 use tv_embedding::{BatchQuery, EmbeddingSegment, EmbeddingTypeDef, ServiceConfig};
-use tv_gsql::{Params, Value};
+use tv_gsql::{Params, QueryOutput, Value};
 use tv_hnsw::{DeltaRecord, SearchStats};
 use tv_server::{Server, ServerConfig, Session};
 
@@ -208,10 +213,16 @@ fn top_k(rig: &Rig, door: &str, q: &[f32], k: usize) -> TvResult<usize> {
 
 fn range(rig: &Rig, q: &[f32], threshold: f32) -> TvResult<usize> {
     let graph = rig.server.graph();
-    let (found, _) =
-        graph
-            .embeddings()
-            .range_search(&[0], q, threshold, 32, graph.read_tid(), None)?;
+    let found = graph.embeddings().range_search(
+        &[0],
+        q,
+        threshold,
+        32,
+        graph.read_tid(),
+        None,
+        Deadline::none(),
+        &mut SearchStats::default(),
+    )?;
     Ok(found.len())
 }
 
@@ -489,4 +500,178 @@ fn every_write_door_refuses_bad_records_whole_and_keeps_merging() {
             assert_eq!(stats.filtered_out, 0);
         }
     }
+}
+
+/// The "who is asking" graph: `Doc(class)` with an embedding, `Author(name)`
+/// and `wrote: Author -> Doc`. Doc `i` is public unless `i % 3 == 1`, and
+/// author `i % 4` wrote it.
+struct Asking {
+    server: Server,
+    docs: Vec<VertexId>,
+    vecs: Vec<Vec<f32>>,
+}
+
+const AUTHORS: usize = 4;
+
+fn doc_is_public(i: usize) -> bool {
+    i % 3 != 1
+}
+
+/// The analyst's author rule: `name = "a0"` or `name = "a2"`.
+fn author_is_readable(i: usize) -> bool {
+    i.is_multiple_of(2)
+}
+
+fn asking() -> Asking {
+    let graph = Graph::with_config(
+        SegmentLayout::with_capacity(CAPACITY),
+        ServiceConfig {
+            planner: planner(),
+            query_threads: 2,
+            default_ef: 32,
+        },
+    );
+    graph
+        .create_vertex_type("Doc", &[("class", AttrType::Str)])
+        .unwrap();
+    graph
+        .create_vertex_type("Author", &[("name", AttrType::Str)])
+        .unwrap();
+    graph.create_edge_type("wrote", "Author", "Doc").unwrap();
+    let def = EmbeddingTypeDef::new("emb", DIM, "M", DistanceMetric::L2);
+    graph.add_embedding_attribute("Doc", def).unwrap();
+    let docs = graph.allocate_many(0, DOCS).unwrap();
+    let authors = graph.allocate_many(1, AUTHORS).unwrap();
+    let vecs = vectors();
+    let mut txn = graph.txn();
+    for (i, &a) in authors.iter().enumerate() {
+        txn = txn.upsert_vertex(1, a, vec![AttrValue::Str(format!("a{i}"))]);
+    }
+    for (i, (&id, v)) in docs.iter().zip(&vecs).enumerate() {
+        let class = if doc_is_public(i) { "public" } else { "secret" };
+        txn = txn
+            .upsert_vertex(0, id, vec![AttrValue::Str(class.into())])
+            .set_vector(0, id, v.clone())
+            .add_edge(0, 1, authors[i % AUTHORS], id);
+    }
+    txn.commit().unwrap();
+
+    let acl = AccessControl::new();
+    acl.define_role("admin", Role::default().allow_type(0).allow_type(1));
+    acl.define_role(
+        "analyst",
+        Role::default()
+            .allow_rows(0, "class", AttrValue::Str("public".into()))
+            .allow_rows(1, "name", AttrValue::Str("a0".into()))
+            .allow_rows(1, "name", AttrValue::Str("a2".into())),
+    );
+    acl.assign("u-admin", "admin").unwrap();
+    acl.assign("u-analyst", "analyst").unwrap();
+    let server = Server::new(Arc::new(graph), Arc::new(acl), ServerConfig::default())
+        .with_cluster(cluster(QuantSpec::f32(), State::Loaded));
+    Asking { server, docs, vecs }
+}
+
+/// One answer row: the docs it names, and its distance's bits.
+type Row = (Vec<VertexId>, u32);
+
+/// The rows of `door` for `user`, every row of the graph asked for.
+fn ask(rig: &Asking, user: &str, door: &str) -> TvResult<Vec<Row>> {
+    let session = rig.server.open_session("t", user);
+    let q = rig.vecs[5].clone();
+    let mut params = Params::new();
+    params.insert("qv".into(), Value::Vector(q.clone()));
+    let top = |src: &str| -> TvResult<Vec<Row>> {
+        let out = rig.server.query(&session, src, &params)?;
+        let bits = |d: Option<f32>| d.map_or(0, f32::to_bits);
+        Ok(match out {
+            QueryOutput::Vertices(rows) => {
+                rows.iter().map(|r| (vec![r.id], bits(r.dist))).collect()
+            }
+            QueryOutput::Pairs(pairs) => pairs
+                .iter()
+                .map(|(s, t, d)| (vec![s.id, t.id], d.to_bits()))
+                .collect(),
+        })
+    };
+    match door {
+        "query top-k" => top("SELECT s FROM (s:Doc) ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 100"),
+        "query range" => top("SELECT s FROM (s:Doc) WHERE VECTOR_DIST(s.emb, $qv) < 1e30"),
+        "query graph-only" => top("SELECT s FROM (s:Doc) LIMIT 100"),
+        "query join" => top(
+            "SELECT s, t FROM (s:Doc) <-[:wrote]- (a:Author) -[:wrote]-> (t:Doc) \
+             ORDER BY VECTOR_DIST(s.emb, t.emb) LIMIT 1000",
+        ),
+        "query pattern, target last" => top("SELECT s FROM (a:Author) -[:wrote]-> (s:Doc) \
+             ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 100"),
+        "query pattern, target first" => top("SELECT s FROM (s:Doc) <-[:wrote]- (a:Author) \
+             ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 100"),
+        "vector_top_k" => Ok(rig
+            .server
+            .vector_top_k(&session, &[0], q, 100)?
+            .iter()
+            .map(|n| (vec![n.neighbor.id], n.neighbor.dist.to_bits()))
+            .collect()),
+        "cluster_top_k" => Ok(rig
+            .server
+            .cluster_top_k(&session, &q, 100, 32, Tid::MAX)?
+            .neighbors
+            .iter()
+            .map(|n| (vec![n.id], n.dist.to_bits()))
+            .collect()),
+        other => panic!("no door named {other}"),
+    }
+}
+
+#[test]
+fn every_door_answers_each_principal_with_its_readable_rows_or_a_refusal() {
+    let rig = asking();
+    let index = |id: &VertexId| rig.docs.iter().position(|d| d == id).unwrap();
+    // Whether the analyst may read a doc, and, through a pattern, its author.
+    let readable = |id: &VertexId, through_author: bool| {
+        let i = index(id);
+        doc_is_public(i) && (!through_author || author_is_readable(i % AUTHORS))
+    };
+    for (door, through_author) in [
+        ("query top-k", false),
+        ("query range", false),
+        ("query graph-only", false),
+        ("query join", true),
+        ("query pattern, target last", true),
+        ("query pattern, target first", true),
+        ("vector_top_k", false),
+        ("cluster_top_k", false),
+    ] {
+        let admin = ask(&rig, "u-admin", door).unwrap();
+        let want_rows = if door == "query join" {
+            // Pairs of distinct docs by one author: C(6, 2) for each of four.
+            AUTHORS * (DOCS / AUTHORS) * (DOCS / AUTHORS - 1) / 2
+        } else {
+            DOCS
+        };
+        assert_eq!(admin.len(), want_rows, "{door}: admin");
+        let analyst = ask(&rig, "u-analyst", door);
+        if door == "cluster_top_k" {
+            // The scatter takes no filter: a row-restricted session is refused.
+            let err = analyst.unwrap_err();
+            assert!(
+                matches!(&err, TvError::PermissionDenied(m) if m.contains("cluster")),
+                "{door}: {err}"
+            );
+        } else {
+            let want: Vec<Row> = admin
+                .iter()
+                .filter(|(ids, _)| ids.iter().all(|id| readable(id, through_author)))
+                .cloned()
+                .collect();
+            assert!(!want.is_empty() && want.len() < admin.len(), "{door}");
+            assert_eq!(analyst.unwrap(), want, "{door}: analyst");
+        }
+        let err = ask(&rig, "u-stranger", door).unwrap_err();
+        assert!(matches!(err, TvError::PermissionDenied(_)), "{door}: {err}");
+    }
+    // Every refusal is counted as one.
+    let snap = rig.server.metrics_json();
+    let tenant = snap.get("t").unwrap();
+    assert_eq!(tenant.get("denied").unwrap().as_u64(), Some(9));
 }

@@ -3,10 +3,11 @@
 
 use std::collections::HashMap;
 use tigervector::common::ids::SegmentLayout;
-use tigervector::common::{DistanceMetric, SplitMix64};
+use tigervector::common::{Deadline, DistanceMetric, SplitMix64};
 use tigervector::embedding::{EmbeddingTypeDef, ServiceConfig};
 use tigervector::graph::Graph;
 use tigervector::gsql::{execute, explain, Value};
+use tigervector::hnsw::SearchStats;
 use tigervector::storage::{AttrType, AttrValue};
 
 fn social_graph() -> (Graph, Vec<tigervector::common::VertexId>, Vec<Vec<f32>>) {
@@ -269,20 +270,22 @@ fn non_finite_vectors_are_rejected_everywhere() {
         refused(execute(&g, text, &params).map(|_| ()), "component 2");
     }
     let tid = g.read_tid();
+    let (none, mut stats) = (Deadline::none(), SearchStats::default());
     let q = bad(0, f32::NEG_INFINITY);
     refused(
         g.vector_search(&[0], &q, 5, 64, None, tid).map(|_| ()),
         "component 0",
     );
     refused(
-        emb.range_search(&[0], &q, 10.0, 64, tid, None).map(|_| ()),
+        emb.range_search(&[0], &q, 10.0, 64, tid, None, none, &mut stats)
+            .map(|_| ()),
         "component 0",
     );
 
     // A NaN range threshold compares false with every distance and is
     // refused too; +∞ stays legal and means "all".
     refused(
-        emb.range_search(&[0], &vecs[3], f32::NAN, 64, tid, None)
+        emb.range_search(&[0], &vecs[3], f32::NAN, 64, tid, None, none, &mut stats)
             .map(|_| ()),
         "threshold",
     );
