@@ -72,7 +72,7 @@ knobs-check:
 # caller outside its crate stays `pub(crate)`, and a new crate or a new
 # public function edits its number here in the same diff that adds it.
 SURFACE_CRATES = 9
-SURFACE_PUB_FN = 454
+SURFACE_PUB_FN = 451
 surface-check:
 	@crates=$$(ls crates/*/Cargo.toml | wc -l); \
 	pubfn=$$(grep -rE '\bpub (const |unsafe )?fn\b' crates/*/src | wc -l); \
@@ -195,12 +195,17 @@ layout-smoke:
 # wide (four is oversubscribed on a 2-core host; the service's suite
 # includes the check that index merges publish the same bytes at every
 # width). Then the filtered workload of the benchmark at smoke size, which
-# exits non-zero when an answer fails its brute-force check.
+# exits non-zero when an answer fails its brute-force check. Last, the
+# callers of the reverse edge walk that no test runs: Tables 3–4 at SF 1
+# (`table34_hybrid`) and the three examples that expand patterns, each
+# failing on a panic.
 filter-smoke:
 	for w in 1 2; do TV_THREADS=$$w cargo test --release -p tg-storage model_check -q || exit 1; done
 	for w in 1 2; do TV_THREADS=$$w cargo test --release -p tv-gsql -q -- block_identity candidate_identity || exit 1; done
 	for w in 1 2 4; do TV_THREADS=$$w cargo test --release -p tv-common -p tv-embedding -q || exit 1; done
 	$(LEDGER_CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- --workload hybrid_filtered --smoke
+	$(SMOKE_BIN) table34_hybrid -- --sf 1 --dim 8
+	for ex in hybrid_rag community_search similarity_join; do cargo run --release --example $$ex || exit 1; done
 
 # Benchmark gate: `benchmark/` (BENCHMARK.json's perf_ledger) is a package of
 # its own that the root workspace does not build, so an API removal in a

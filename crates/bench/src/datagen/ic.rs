@@ -17,9 +17,8 @@
 use crate::datagen::snb::{SnbGraph, COUNTRIES};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
-use tg_graph::accum::SetAccum;
-use tg_graph::VertexSet;
-use tv_common::{TvResult, VertexId};
+use tg_graph::{Direction, Graph, VertexSet};
+use tv_common::{TvError, TvResult, VertexId};
 use tv_gsql::{vector_search_with_stats, VectorSearchOptions};
 
 /// Which IC shape to run.
@@ -90,69 +89,51 @@ pub fn run_ic(
     let tid = g.read_tid();
     let started = Instant::now();
 
-    // KNOWS^hops neighborhood (the IC query skeleton).
+    // KNOWS^hops neighborhood (the IC query skeleton); IC3 keeps the
+    // friends in the rarest country. Country indices are zipf-skewed
+    // towards 0, so the last index is the rarest (~2% of persons).
     let seeds = VertexSet::from_iter_typed(snb.person_t, [seed_person]);
-    let friends = g.k_hop(&seeds, snb.person_t, snb.knows_e, hops, tid)?;
-    let friend_set: HashSet<VertexId> = friends.of_type(snb.person_t).into_iter().collect();
+    let mut friends = g.k_hop(&seeds, snb.knows_e, hops, tid)?;
+    if query == IcQuery::Ic3 {
+        let rarest_country = (COUNTRIES - 1) as i64;
+        let col = column(g, snb.person_t, "countryId")?;
+        let rare = g.select_vertices(snb.person_t, tid, |row| {
+            row[col].as_int() == Some(rarest_country)
+        })?;
+        friends = friends.intersect(&rare);
+    }
 
-    // Collect Message candidates through a global accumulator, walking the
-    // hasCreator edges of both message types (EdgeAction).
-    let mut accum = SetAccum::default();
-    // Country indices are zipf-skewed towards 0, so the last index is the
-    // rarest (~2% of persons); tag values are skewed the same way, so tag 0
-    // is the most common (~7%) and low thresholds are selective.
-    let rarest_country = (COUNTRIES - 1) as i64;
+    // Collect the friends' Message candidates: one expansion against the
+    // hasCreator edges of each message type, into the messages passing the
+    // query's filter. Tag values are skewed like countries, so tag 0 is the
+    // most common (~7%) and low thresholds are selective.
+    let mut messages = VertexSet::new();
     for (msg_type, creator_edge) in [
         (snb.post_t, snb.post_creator_e),
         (snb.comment_t, snb.comment_creator_e),
     ] {
-        let store = g.store().vertex_type(msg_type)?;
-        let schema = store.schema().clone();
-        let lang_col = schema.index_of("language").expect("language attr");
-        let tag_col = schema.index_of("tag").expect("tag attr");
-        let country_attr_col = {
-            let pstore = g.store().vertex_type(snb.person_t)?;
-            pstore.schema().index_of("countryId").expect("countryId")
+        let lang = column(g, msg_type, "language")?;
+        let tag = column(g, msg_type, "tag")?;
+        let passing = match query {
+            IcQuery::Ic5 | IcQuery::Ic9 => None,
+            IcQuery::Ic11 => {
+                Some(g.select_vertices(msg_type, tid, |row| row[lang].as_str() == Some("es"))?)
+            }
+            IcQuery::Ic6 => {
+                Some(g.select_vertices(msg_type, tid, |row| row[tag].as_int() == Some(0))?)
+            }
+            IcQuery::Ic3 => Some(g.select_vertices(msg_type, tid, |row| {
+                row[tag].as_int().is_some_and(|t| t < 2)
+            })?),
         };
-        let edges = g.edge_action(msg_type, creator_edge, tid, |msg, person| (msg, person))?;
-        for (msg, person) in edges {
-            if !friend_set.contains(&person) {
-                continue;
-            }
-            let keep = match query {
-                IcQuery::Ic5 | IcQuery::Ic9 => true,
-                IcQuery::Ic11 => store
-                    .attr(msg, lang_col, tid)
-                    .and_then(|v| v.as_str().map(|s| s == "es"))
-                    .unwrap_or(false),
-                IcQuery::Ic6 => store
-                    .attr(msg, tag_col, tid)
-                    .and_then(|v| v.as_int())
-                    .is_some_and(|t| t == 0),
-                IcQuery::Ic3 => {
-                    let country_ok = g
-                        .store()
-                        .vertex_type(snb.person_t)?
-                        .attr(person, country_attr_col, tid)
-                        .and_then(|v| v.as_int())
-                        .is_some_and(|c| c == rarest_country);
-                    let tag_ok = store
-                        .attr(msg, tag_col, tid)
-                        .and_then(|v| v.as_int())
-                        .is_some_and(|t| t < 2);
-                    country_ok && tag_ok
-                }
-            };
-            if keep {
-                accum.add(msg_type, msg);
-            }
-        }
+        let found = g.expand(&friends, creator_edge, Direction::In, passing.as_ref(), tid)?;
+        messages = messages.union(&found);
     }
 
     // IC9 keeps only the 20 most recent messages.
     let candidates: VertexSet = if query == IcQuery::Ic9 {
         let mut dated: Vec<(i64, u32, VertexId)> = Vec::new();
-        for (t, id) in accum.iter() {
+        for (t, id) in messages.iter() {
             let store = g.store().vertex_type(t)?;
             let col = store.schema().index_of("creationDate").expect("date");
             let date = store
@@ -168,7 +149,7 @@ pub fn run_ic(
             .map(|(_, t, id)| (t, id))
             .collect()
     } else {
-        accum.to_vertex_set()
+        messages
     };
     let candidate_count = candidates.len();
 
@@ -202,6 +183,15 @@ pub fn run_ic(
         segments_touched,
         brute_force: stats.brute_force,
     })
+}
+
+/// The schema position of `name` in `type_id`'s rows.
+fn column(g: &Graph, type_id: u32, name: &str) -> TvResult<usize> {
+    let store = g.store().vertex_type(type_id)?;
+    store
+        .schema()
+        .index_of(name)
+        .ok_or_else(|| TvError::NotFound(format!("attribute '{name}'")))
 }
 
 #[cfg(test)]

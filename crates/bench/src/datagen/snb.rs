@@ -387,10 +387,7 @@ mod tests {
         // 2-hop neighborhood of a hub (author 0 is the most prolific; person
         // 0 also tends to be well connected) should reach a decent chunk.
         let seeds = tg_graph::VertexSet::from_iter_typed(g.person_t, [g.persons[0]]);
-        let reached = g
-            .graph
-            .k_hop(&seeds, g.person_t, g.knows_e, 2, tid)
-            .unwrap();
+        let reached = g.graph.k_hop(&seeds, g.knows_e, 2, tid).unwrap();
         assert!(reached.len() > 10, "2-hop reached only {}", reached.len());
     }
 

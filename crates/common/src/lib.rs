@@ -40,4 +40,4 @@ pub use kernels::{KernelTier, PreparedQuery};
 pub use metric::{check_finite, DistanceMetric};
 pub use pool::{PoolStats, TaskGauge, WorkerPool};
 pub use rng::SplitMix64;
-pub use topk::{merge_topk, Neighbor, NeighborHeap};
+pub use topk::{merge_topk, BoundedHeap, Neighbor, NeighborHeap};

@@ -5,7 +5,8 @@
 //! the coordinator merges per-segment (and per-server) results into the
 //! global answer (§5.1, Fig. 5). [`NeighborHeap`] is that primitive: a
 //! max-heap of at most `k` `(distance, id)` pairs that keeps the k smallest
-//! distances seen.
+//! distances seen. It is a [`BoundedHeap`], which the similarity join's
+//! pair heap shares.
 
 use crate::ids::VertexId;
 use std::cmp::Ordering;
@@ -58,21 +59,29 @@ impl Ord for Neighbor {
     }
 }
 
-/// Bounded max-heap keeping the `k` nearest neighbors seen so far.
+/// How many slots a bounded heap reserves up front: `k + 1` up to this many.
+/// An ordinary `k` allocates once; a client's huge `k` costs only what the
+/// heap comes to hold.
+const RESERVED_SLOTS: usize = 1024;
+
+/// Bounded max-heap keeping the `k` smallest items seen so far.
 #[derive(Debug, Clone)]
-pub struct NeighborHeap {
+pub struct BoundedHeap<T> {
     k: usize,
-    heap: BinaryHeap<Neighbor>,
+    heap: BinaryHeap<T>,
 }
 
-impl NeighborHeap {
-    /// A heap that retains at most `k` nearest neighbors. `k == 0` is allowed
-    /// and retains nothing.
+/// The `k` nearest neighbors seen so far.
+pub type NeighborHeap = BoundedHeap<Neighbor>;
+
+impl<T: Ord> BoundedHeap<T> {
+    /// A heap that retains at most `k` items. `k == 0` is allowed and
+    /// retains nothing.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        NeighborHeap {
+        BoundedHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(RESERVED_SLOTS)),
         }
     }
 
@@ -83,7 +92,7 @@ impl NeighborHeap {
     }
 
     /// Offer a candidate; returns true if it entered the top-k.
-    pub fn push(&mut self, n: Neighbor) -> bool {
+    pub fn push(&mut self, n: T) -> bool {
         if self.k == 0 {
             return false;
         }
@@ -99,9 +108,9 @@ impl NeighborHeap {
         }
     }
 
-    /// Consume the heap, returning neighbors sorted nearest-first.
+    /// Consume the heap, returning the items sorted smallest-first.
     #[must_use]
-    pub fn into_sorted(self) -> Vec<Neighbor> {
+    pub fn into_sorted(self) -> Vec<T> {
         let mut v = self.heap.into_vec();
         v.sort_unstable();
         v
@@ -158,6 +167,23 @@ mod tests {
         let mut h = NeighborHeap::new(0);
         assert!(!h.push(Neighbor::new(v(0), 1.0)));
         assert!(h.into_sorted().is_empty());
+    }
+
+    #[test]
+    fn huge_k_reserves_a_bounded_amount() {
+        for k in [1_000_000_000_000, usize::MAX] {
+            let mut h = NeighborHeap::new(k);
+            assert_eq!(h.k(), k);
+            for i in 0..3 {
+                assert!(h.push(Neighbor::new(v(i), 3.0 - i as f32)));
+            }
+            let ids: Vec<VertexId> = h.into_sorted().iter().map(|n| n.id).collect();
+            assert_eq!(ids, [v(2), v(1), v(0)]);
+        }
+        assert_eq!(
+            merge_topk([vec![Neighbor::new(v(0), 1.0)]], usize::MAX).len(),
+            1
+        );
     }
 
     #[test]

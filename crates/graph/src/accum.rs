@@ -2,36 +2,14 @@
 //!
 //! Global accumulators (`@@`) are read and written across query blocks;
 //! vertex-local accumulators (`@`) hang off vertices. The reproduction
-//! provides the ones the paper's queries use: set, map (the `distanceMap`
+//! provides the ones the paper's queries use: map (the `distanceMap`
 //! output parameter of `VectorSearch()`), and the bounded top-k heap
-//! accumulator that powers vector similarity join (§5.4).
+//! accumulator that powers vector similarity join (§5.4). A set
+//! accumulator is a [`crate::VertexSet`].
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use tv_common::{Neighbor, NeighborHeap, VertexId};
-
-/// `SetAccum<VERTEX>` — collects vertices (type-tagged).
-#[derive(Debug, Clone, Default)]
-pub struct SetAccum {
-    items: std::collections::BTreeSet<(u32, VertexId)>,
-}
-
-impl SetAccum {
-    /// Insert a vertex.
-    pub fn add(&mut self, type_id: u32, id: VertexId) {
-        self.items.insert((type_id, id));
-    }
-
-    /// Iterate members.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, VertexId)> + '_ {
-        self.items.iter().copied()
-    }
-
-    /// Convert into a [`crate::VertexSet`].
-    #[must_use]
-    pub fn to_vertex_set(&self) -> crate::VertexSet {
-        self.iter().collect()
-    }
-}
+use tv_common::{BoundedHeap, VertexId};
 
 /// `MapAccum<VERTEX, DOUBLE>` — e.g. the top-k distance map returned by
 /// `VectorSearch()` (§5.5, query Q3's `@@disMap`).
@@ -63,56 +41,68 @@ impl MapAccum {
     }
 }
 
-/// `HeapAccum` over `(pair, score)` — keeps the k smallest scores. Vector
-/// similarity join pushes every matched `(source, target)` pair's distance
-/// through one of these during MPP computation (§5.4).
+/// `HeapAccum` over `(pair, score)` — keeps the k smallest scores, ties
+/// broken by the pair's ids, so the answer does not depend on the order
+/// pairs arrive in. Vector similarity join pushes every matched `(source,
+/// target)` pair's distance through one of these (§5.4).
 #[derive(Debug, Clone)]
 pub struct PairHeapAccum {
-    heap: NeighborHeap,
-    /// Pair payloads keyed by a synthetic id; bounded like the heap.
-    pairs: HashMap<u64, (VertexId, VertexId)>,
-    next_key: u64,
+    heap: BoundedHeap<ScoredPair>,
 }
+
+/// A pair and its score, ordered by score (a total order), then by pair.
+#[derive(Debug, Clone, Copy)]
+struct ScoredPair {
+    dist: f32,
+    pair: (VertexId, VertexId),
+}
+
+impl Ord for ScoredPair {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.dist
+            .total_cmp(&other.dist)
+            .then(self.pair.cmp(&other.pair))
+    }
+}
+
+impl PartialOrd for ScoredPair {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ScoredPair {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ScoredPair {}
 
 impl PairHeapAccum {
     /// Heap retaining the `k` best pairs.
     #[must_use]
     pub fn new(k: usize) -> Self {
         PairHeapAccum {
-            heap: NeighborHeap::new(k),
-            pairs: HashMap::new(),
-            next_key: 0,
+            heap: BoundedHeap::new(k),
         }
     }
 
     /// Offer a pair with its distance.
     pub fn add(&mut self, source: VertexId, target: VertexId, dist: f32) {
-        let key = self.next_key;
-        self.next_key += 1;
-        if self.heap.push(Neighbor::new(VertexId(key), dist)) {
-            self.pairs.insert(key, (source, target));
-            // Opportunistic GC once the side table doubles the heap size.
-            if self.pairs.len() > 2 * self.heap.k().max(1) {
-                let live: std::collections::HashSet<u64> = self
-                    .heap
-                    .clone()
-                    .into_sorted()
-                    .iter()
-                    .map(|n| n.id.0)
-                    .collect();
-                self.pairs.retain(|k, _| live.contains(k));
-            }
-        }
+        self.heap.push(ScoredPair {
+            dist,
+            pair: (source, target),
+        });
     }
 
     /// Best pairs, nearest first.
     #[must_use]
     pub fn into_sorted(self) -> Vec<(VertexId, VertexId, f32)> {
-        let pairs = self.pairs;
         self.heap
             .into_sorted()
             .into_iter()
-            .filter_map(|n| pairs.get(&n.id.0).map(|&(s, t)| (s, t, n.dist)))
+            .map(|p| (p.pair.0, p.pair.1, p.dist))
             .collect()
     }
 }
@@ -124,18 +114,6 @@ mod tests {
 
     fn vid(l: u32) -> VertexId {
         VertexId::new(SegmentId(0), LocalId(l))
-    }
-
-    #[test]
-    fn set_accum_dedupes_and_converts() {
-        let mut a = SetAccum::default();
-        a.add(0, vid(1));
-        a.add(0, vid(1));
-        a.add(1, vid(1));
-        assert_eq!(a.iter().count(), 2);
-        let vs = a.to_vertex_set();
-        assert!(vs.contains(0, vid(1)));
-        assert!(vs.contains(1, vid(1)));
     }
 
     #[test]
@@ -164,7 +142,17 @@ mod tests {
     }
 
     #[test]
-    fn pair_heap_gc_keeps_correctness_under_churn() {
+    fn pair_heap_breaks_ties_by_pair() {
+        let mut h = PairHeapAccum::new(2);
+        for (s, t) in [(3, 4), (1, 5), (1, 2), (0, 9)] {
+            h.add(vid(s), vid(t), 1.0);
+        }
+        let best = h.into_sorted();
+        assert_eq!(best, [(vid(0), vid(9), 1.0), (vid(1), vid(2), 1.0)]);
+    }
+
+    #[test]
+    fn pair_heap_keeps_correctness_under_churn() {
         let mut h = PairHeapAccum::new(3);
         for i in 0..1000u32 {
             // Decreasing distances: every add displaces the worst.

@@ -4,14 +4,24 @@
 //! functions across segments; the filtered-vector-search pipeline is
 //! literally `VertexAction` (evaluate the predicate, produce bitmaps)
 //! feeding `EmbeddingAction` (per-segment index search) — the query plans
-//! shown in §5.2/§5.3.
+//! shown in §5.2/§5.3. Every edge walk, in either direction, is one
+//! expansion ([`Graph::expand_edges`]).
 
 use crate::graph::Graph;
 use crate::vertex_set::VertexSet;
 use tg_storage::segment::SegmentStore;
 use tg_storage::AttrValue;
 use tv_common::ids::LocalId;
-use tv_common::{SegmentId, Tid, TvResult, VertexId};
+use tv_common::{Bitmap, SegmentId, Tid, TvResult, VertexId};
+
+/// Which way a pattern step walks an edge type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Along the stored edges: from sources to their targets.
+    Out,
+    /// Against them: from targets to the sources pointing at them.
+    In,
+}
 
 impl Graph {
     /// **VertexAction**: run `f` over every segment of `type_id`, collecting
@@ -49,19 +59,28 @@ impl Graph {
         within: Option<&VertexSet>,
         pred: impl Fn(u64, &[AttrValue]) -> u64 + Sync,
     ) -> TvResult<VertexSet> {
+        let per_segment = self.scoped_action(type_id, within, |seg, seg_id, scope| {
+            (seg_id, seg.scan_blocks(tid, scope, &pred))
+        })?;
+        Ok(VertexSet::from_segment_bitmaps(type_id, per_segment))
+    }
+
+    /// [`Graph::vertex_action`] over the segments of `type_id` holding a
+    /// member of `within` (every segment, when `None`); `f` also receives
+    /// `within`'s bitmap of the segment.
+    fn scoped_action<R: Send>(
+        &self,
+        type_id: u32,
+        within: Option<&VertexSet>,
+        f: impl Fn(&SegmentStore, SegmentId, Option<&Bitmap>) -> R + Sync,
+    ) -> TvResult<Vec<R>> {
         let capacity = self.store().vertex_type(type_id)?.layout().capacity;
         let within = within.map(|set| set.to_segment_bitmaps(type_id, capacity));
-        let per_segment = self.vertex_action(type_id, |seg, seg_id| {
-            let within = match &within {
-                None => None,
-                Some(bitmaps) => Some(bitmaps.get(&seg_id)?),
-            };
-            Some((seg_id, seg.scan_blocks(tid, within, &pred)))
+        let per_segment = self.vertex_action(type_id, |seg, seg_id| match &within {
+            None => Some(f(seg, seg_id, None)),
+            Some(bitmaps) => Some(f(seg, seg_id, Some(bitmaps.get(&seg_id)?))),
         })?;
-        Ok(VertexSet::from_segment_bitmaps(
-            type_id,
-            per_segment.into_iter().flatten(),
-        ))
+        Ok(per_segment.into_iter().flatten().collect())
     }
 
     /// Materialize the vertices of `type_id` whose attribute row (in schema
@@ -88,53 +107,92 @@ impl Graph {
         self.scan_vertices(type_id, tid, None, |live, _| live)
     }
 
-    /// **EdgeAction**: run `f` over every live out-edge of `etype` whose
-    /// source has type `from_type`, in segment-parallel fashion. Results are
-    /// concatenated in segment order.
-    pub fn edge_action<R: Send>(
-        &self,
-        from_type: u32,
-        etype: u32,
-        tid: Tid,
-        f: impl Fn(VertexId, VertexId) -> R + Sync,
-    ) -> TvResult<Vec<R>> {
-        let per_segment = self.vertex_action(from_type, |seg, seg_id| {
-            let mut out = Vec::new();
-            let live = seg.scan_blocks(tid, None, |live, _| live);
-            for local in live.iter_ones() {
-                let from = VertexId::new(seg_id, LocalId(local as u32));
-                for to in seg.edges(local, etype, tid) {
-                    out.push(f(from, to));
-                }
-            }
-            out
-        })?;
-        Ok(per_segment.into_iter().flatten().collect())
-    }
-
-    /// Expand a frontier one hop along `etype` (source type `from_type`,
-    /// targets of the edge type's target type). Returns the target set.
+    /// One pattern step from `frontier` along `etype` in `direction`: the
+    /// neighbours [`Graph::expand_edges`] reaches, as a set of the step's
+    /// far type.
     pub fn expand(
         &self,
         frontier: &VertexSet,
-        from_type: u32,
         etype: u32,
-        to_type: u32,
+        direction: Direction,
+        within: Option<&VertexSet>,
         tid: Tid,
     ) -> TvResult<VertexSet> {
-        let store = self.store().vertex_type(from_type)?;
-        // An edge may dangle; a target past the segment capacity cannot name
-        // a vertex of `to_type` at all, and would only size a bitmap.
-        let capacity = self.store().vertex_type(to_type)?.layout().capacity;
-        let mut out = VertexSet::new();
-        for id in frontier.of_type(from_type) {
-            for target in store.edges(id, etype, tid) {
-                if (target.local().0 as usize) < capacity {
-                    out.insert(to_type, target);
+        let (from_type, to_type) = self.endpoints(etype)?;
+        let far = match direction {
+            Direction::Out => to_type,
+            Direction::In => from_type,
+        };
+        let edges = self.expand_edges(frontier, etype, direction, within, tid)?;
+        Ok(VertexSet::from_iter_typed(
+            far,
+            edges.into_iter().map(|(_, to)| to),
+        ))
+    }
+
+    /// **EdgeAction**, the one edge walk: the edges of `etype` at `tid`
+    /// between `frontier` and the step's neighbours (only the members of
+    /// `within`, when given), each as (frontier member, neighbour).
+    ///
+    /// `Out` walks the out-lists of the frontier's members of the edge's
+    /// source type, on the calling thread; a neighbour is a stored target,
+    /// live or not, except one past the target type's segment capacity,
+    /// which no vertex can have. `In` scans the edge's sources live at
+    /// `tid`, segment-parallel like a `VertexAction`, and keeps each
+    /// out-edge into the frontier's members of the target type. Edges come
+    /// in ascending order of the walked side (frontier members for `Out`,
+    /// sources for `In`), each list in its stored order.
+    pub fn expand_edges(
+        &self,
+        frontier: &VertexSet,
+        etype: u32,
+        direction: Direction,
+        within: Option<&VertexSet>,
+        tid: Tid,
+    ) -> TvResult<Vec<(VertexId, VertexId)>> {
+        let (from_type, to_type) = self.endpoints(etype)?;
+        let sources = self.store().vertex_type(from_type)?;
+        match direction {
+            Direction::Out => {
+                let capacity = self.store().vertex_type(to_type)?.layout().capacity;
+                let mut out = Vec::new();
+                for id in frontier.of_type(from_type) {
+                    for to in sources.edges(id, etype, tid) {
+                        if (to.local().0 as usize) < capacity
+                            && within.is_none_or(|set| set.contains(to_type, to))
+                        {
+                            out.push((id, to));
+                        }
+                    }
                 }
+                Ok(out)
+            }
+            Direction::In => {
+                if !frontier.types().contains(&to_type) {
+                    return Ok(Vec::new());
+                }
+                let per_segment = self.scoped_action(from_type, within, |seg, seg_id, scope| {
+                    let mut out = Vec::new();
+                    for local in seg.scan_blocks(tid, scope, |live, _| live).iter_ones() {
+                        let source = VertexId::new(seg_id, LocalId(local as u32));
+                        for to in seg.edges(local, etype, tid) {
+                            if frontier.contains(to_type, to) {
+                                out.push((to, source));
+                            }
+                        }
+                    }
+                    out
+                })?;
+                Ok(per_segment.into_iter().flatten().collect())
             }
         }
-        Ok(out)
+    }
+
+    /// The (source, target) vertex types of edge type `etype`.
+    fn endpoints(&self, etype: u32) -> TvResult<(u32, u32)> {
+        let catalog = self.catalog();
+        let def = catalog.edge_type_by_id(etype)?;
+        Ok((def.from_type, def.to_type))
     }
 }
 
@@ -220,26 +278,61 @@ mod tests {
     }
 
     #[test]
-    fn edge_action_and_expand() {
+    fn expand_walks_both_directions() {
         let (g, person, knows) = graph();
-        let ids = load_people(&g, person, 5);
+        let ids = load_people(&g, person, 10); // 3 segments at capacity 4
         g.txn()
             .add_edge(knows, person, ids[0], ids[1])
             .add_edge(knows, person, ids[0], ids[2])
             .add_edge(knows, person, ids[1], ids[3])
+            .add_edge(knows, person, ids[9], ids[3])
             .commit()
             .unwrap();
         let tid = g.read_tid();
-        let pairs = g
-            .edge_action(person, knows, tid, |from, to| (from, to))
+        let step = |frontier: &[VertexId], direction, within: Option<&VertexSet>| {
+            let frontier = VertexSet::from_iter_typed(person, frontier.iter().copied());
+            let edges = g
+                .expand_edges(&frontier, knows, direction, within, tid)
+                .unwrap();
+            let set = g.expand(&frontier, knows, direction, within, tid).unwrap();
+            let mut reached: Vec<VertexId> = edges.iter().map(|&(_, to)| to).collect();
+            reached.sort_unstable();
+            reached.dedup();
+            assert_eq!(set.of_type(person), reached);
+            edges
+        };
+        let all = g.all_vertices(person, tid).unwrap();
+        assert_eq!(step(&ids, Direction::Out, None).len(), 4);
+        assert_eq!(step(&ids, Direction::In, Some(&all)).len(), 4);
+        assert_eq!(
+            step(&[ids[0]], Direction::Out, None),
+            [(ids[0], ids[1]), (ids[0], ids[2])]
+        );
+        let hop1 = VertexSet::from_iter_typed(person, [ids[1], ids[2]]);
+        assert_eq!(
+            step(&[ids[0], ids[1]], Direction::Out, Some(&hop1)),
+            [(ids[0], ids[1]), (ids[0], ids[2])]
+        );
+        // Against the edges: the sources pointing at the frontier, in
+        // source order, only those in `within`.
+        assert_eq!(
+            step(&[ids[3], ids[2]], Direction::In, None),
+            [(ids[2], ids[0]), (ids[3], ids[1]), (ids[3], ids[9])]
+        );
+        let first_segment = VertexSet::from_iter_typed(person, ids[..4].iter().copied());
+        assert_eq!(
+            step(&[ids[3]], Direction::In, Some(&first_segment)),
+            [(ids[3], ids[1])]
+        );
+        assert!(step(&[], Direction::In, None).is_empty());
+        // A deleted source no longer points anywhere.
+        g.txn().delete_vertex(person, ids[9]).commit().unwrap();
+        let tid = g.read_tid();
+        let frontier = VertexSet::from_iter_typed(person, [ids[3]]);
+        let back = g
+            .expand(&frontier, knows, Direction::In, None, tid)
             .unwrap();
-        assert_eq!(pairs.len(), 3);
-
-        let frontier = VertexSet::from_iter_typed(person, [ids[0]]);
-        let hop1 = g.expand(&frontier, person, knows, person, tid).unwrap();
-        assert_eq!(hop1.len(), 2);
-        let hop2 = g.expand(&hop1, person, knows, person, tid).unwrap();
-        assert_eq!(hop2.of_type(person), vec![ids[3]]);
+        assert_eq!(back.of_type(person), [ids[1]]);
     }
 
     #[test]
@@ -258,7 +351,9 @@ mod tests {
             .unwrap();
         let tid = g.read_tid();
         let frontier = VertexSet::from_iter_typed(person, [ids[0]]);
-        let hop = g.expand(&frontier, person, knows, person, tid).unwrap();
+        let hop = g
+            .expand(&frontier, knows, Direction::Out, None, tid)
+            .unwrap();
         assert_eq!(hop.of_type(person), vec![ids[2], dangling]);
         let live = g
             .scan_vertices(person, tid, Some(&hop), |live, _| live)

@@ -2,21 +2,19 @@
 //! expansion (the IC-query skeleton of §6.5) and Louvain community detection
 //! (`tg_louvain`, used by query Q4 in §5.5).
 
+use crate::actions::Direction;
 use crate::graph::Graph;
 use crate::vertex_set::VertexSet;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use tv_common::{Tid, TvResult, VertexId};
 
 impl Graph {
-    /// Expand `seeds` along `etype` for `hops` hops and return every vertex
-    /// reached (excluding the seeds unless revisited). `from_type`/`to_type`
-    /// must both equal the edge's endpoints for multi-hop traversal over a
-    /// self-edge (e.g. `knows`); for heterogeneous edges use
-    /// [`Graph::expand`] per hop.
+    /// Expand `seeds` along `etype`, a self-edge (e.g. `knows`), for `hops`
+    /// hops and return every vertex reached (excluding the seeds unless
+    /// revisited); for heterogeneous edges use [`Graph::expand`] per hop.
     pub fn k_hop(
         &self,
         seeds: &VertexSet,
-        vertex_type: u32,
         etype: u32,
         hops: usize,
         tid: Tid,
@@ -25,7 +23,7 @@ impl Graph {
         let mut frontier = seeds.clone();
         let mut reached = VertexSet::new();
         for _ in 0..hops {
-            let next = self.expand(&frontier, vertex_type, etype, vertex_type, tid)?;
+            let next = self.expand(&frontier, etype, Direction::Out, None, tid)?;
             let fresh = next.minus(&visited);
             if fresh.is_empty() {
                 break;
@@ -54,7 +52,7 @@ impl Graph {
         let index_of: HashMap<VertexId, usize> =
             nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        let edges = self.edge_action(vertex_type, etype, tid, |from, to| (from, to))?;
+        let edges = self.expand_edges(&vertices, etype, Direction::Out, None, tid)?;
         let mut m2 = 0usize; // 2 * |E| counted as total degree
         for (from, to) in edges {
             if let (Some(&a), Some(&b)) = (index_of.get(&from), index_of.get(&to)) {
@@ -81,8 +79,10 @@ impl Graph {
             let mut moved = false;
             for v in 0..nodes.len() {
                 let cur = community[v];
-                // Links from v to each neighboring community.
-                let mut links: HashMap<usize, usize> = HashMap::new();
+                // Links from v to each neighboring community, in community
+                // order, so an equal gain goes to the same community on
+                // every run.
+                let mut links: BTreeMap<usize, usize> = BTreeMap::new();
                 for &n in &adj[v] {
                     *links.entry(community[n]).or_insert(0) += 1;
                 }
@@ -185,12 +185,12 @@ mod tests {
         txn.commit().unwrap();
         let tid = g.read_tid();
         let seeds = VertexSet::from_iter_typed(person, [ids[0]]);
-        let h1 = g.k_hop(&seeds, person, knows, 1, tid).unwrap();
+        let h1 = g.k_hop(&seeds, knows, 1, tid).unwrap();
         assert_eq!(h1.of_type(person), vec![ids[1]]);
-        let h3 = g.k_hop(&seeds, person, knows, 3, tid).unwrap();
+        let h3 = g.k_hop(&seeds, knows, 3, tid).unwrap();
         assert_eq!(h3.len(), 3);
         // Hops beyond the chain length saturate.
-        let h9 = g.k_hop(&seeds, person, knows, 9, tid).unwrap();
+        let h9 = g.k_hop(&seeds, knows, 9, tid).unwrap();
         assert_eq!(h9.len(), 4);
         // Seeds are not included.
         assert!(!h9.contains(person, ids[0]));
@@ -221,6 +221,21 @@ mod tests {
         }
         // And the two cliques in different communities.
         assert_ne!(communities[&ids[0]], communities[&ids[4]]);
+    }
+
+    /// A ring of eight offers equal gains at every move: the answer must
+    /// not depend on hash order.
+    #[test]
+    fn louvain_is_deterministic_under_ties() {
+        let (g, person, knows) = graph();
+        let ids = load(&g, person, 8);
+        let ring: Vec<(usize, usize)> = (0..8).map(|i| (i, (i + 1) % 8)).collect();
+        connect(&g, person, knows, &ring, &ids);
+        let tid = g.read_tid();
+        let first = g.louvain(person, knows, tid).unwrap();
+        for _ in 0..20 {
+            assert_eq!(g.louvain(person, knows, tid).unwrap(), first);
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   (§2.1/§5.5), with `UNION` / `INTERSECT` / `MINUS` and conversion to
 //!   per-segment pre-filter bitmaps;
 //! * [`actions`] — the MPP primitives `VertexAction` and `EdgeAction` that
-//!   run user functions across segments in parallel (§2.1);
-//! * [`accum`] — global and vertex-local accumulators (sum, max, set, map,
-//!   and the top-k heap accumulator used by vector similarity join, §5.4);
+//!   run user functions across segments in parallel (§2.1); the one edge
+//!   walk, `expand`, steps a pattern edge in either [`Direction`];
+//! * [`accum`] — accumulators: the `distanceMap` map and the top-k heap
+//!   accumulator used by vector similarity join (§5.4);
 //! * [`algo`] — graph algorithms: k-hop expansion and Louvain community
 //!   detection (the paper's Q4 composition demo, §5.5);
 //! * [`loader`] — loading jobs: attribute and embedding files loaded
@@ -34,6 +35,7 @@ pub(crate) mod rbac;
 pub(crate) mod schema;
 pub(crate) mod vertex_set;
 
+pub use actions::Direction;
 pub use durability::CheckpointInfo;
 pub use graph::Graph;
 pub use rbac::{AccessControl, Role, RowRule};

@@ -169,6 +169,13 @@ impl Catalog {
             .map(|&id| &self.edge_types[id as usize])
             .ok_or_else(|| TvError::NotFound(format!("edge type '{name}'")))
     }
+
+    /// Edge type by catalog id.
+    pub(crate) fn edge_type_by_id(&self, id: u32) -> TvResult<&EdgeTypeDef> {
+        self.edge_types
+            .get(id as usize)
+            .ok_or_else(|| TvError::NotFound(format!("edge type id {id}")))
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@ use crate::ast::{Expr, Value};
 use crate::parser::parse;
 use crate::pred::{constant, NodeFilter};
 use crate::sema::{pushdown_predicates, resolve, QueryKind, Resolved};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use tg_graph::accum::PairHeapAccum;
-use tg_graph::{AccessControl, Graph, VertexSet};
+use tg_graph::{AccessControl, Direction, Graph, VertexSet};
 use tg_storage::AttrValue;
 use tv_common::metric::distance;
 use tv_common::{Deadline, Tid, TvError, TvResult, VertexId};
@@ -269,59 +269,51 @@ fn node_candidates(
 
     for (i, edge) in r.edges.iter().enumerate() {
         let left = sets[i].as_ref().expect("left set materialized");
-        let (left_type, right_type) = (r.node_types[i], r.node_types[i + 1]);
+        let right_type = r.node_types[i + 1];
         let right = if edge.forward {
             // Left is the stored source: expand its out-edges, then keep the
             // targets that are live and pass the right node's predicates.
-            let targets = graph.expand(left, left_type, edge.etype, right_type, tid)?;
+            let targets = graph.expand(left, edge.etype, Direction::Out, None, tid)?;
             graph.scan_vertices(right_type, tid, Some(&targets), passes(i + 1))?
         } else {
-            // Right is the stored source: scan right candidates whose
-            // out-edges hit the left set.
+            // Right is the stored source: of its candidates, keep those with
+            // an out-edge into the left set.
             let candidates = graph.scan_vertices(right_type, tid, None, passes(i + 1))?;
-            with_edge_into(
-                graph,
-                &candidates,
-                right_type,
-                edge.etype,
-                left,
-                left_type,
-                tid,
-            )?
+            graph.expand(left, edge.etype, Direction::In, Some(&candidates), tid)?
         };
         sets[i + 1] = Some(right);
     }
     Ok(sets)
 }
 
-/// The members of `sources` (of `source_type`, the edge type's stored
-/// source) with an out-edge of `etype` into `targets`.
-fn with_edge_into(
+/// The candidate sets of the pattern's nodes, each `None` when
+/// unconstrained. The forward pass of [`node_candidates`] narrows each node
+/// by the nodes before it only; this walks back from the last node to
+/// `node`, keeping each vertex with an edge, in the pattern's direction,
+/// into the next node's set. From `node` on, every member lies on a whole
+/// path of the pattern.
+fn pattern_sets(
     graph: &Graph,
-    sources: &VertexSet,
-    source_type: u32,
-    etype: u32,
-    targets: &VertexSet,
-    target_type: u32,
+    r: &Resolved,
+    params: &Params,
     tid: Tid,
-) -> TvResult<VertexSet> {
-    let store = graph.store().vertex_type(source_type)?;
-    Ok(VertexSet::from_iter_typed(
-        source_type,
-        sources.of_type(source_type).into_iter().filter(|&v| {
-            store
-                .edges(v, etype, tid)
-                .iter()
-                .any(|&t| targets.contains(target_type, t))
-        }),
-    ))
+    node: usize,
+) -> TvResult<Vec<Option<VertexSet>>> {
+    let mut sets = node_candidates(graph, r, params, tid)?;
+    for (i, edge) in r.edges.iter().enumerate().skip(node).rev() {
+        let here = sets[i].as_ref().expect("pattern sets materialized");
+        let next = sets[i + 1].as_ref().expect("pattern sets materialized");
+        let back = if edge.forward {
+            Direction::In
+        } else {
+            Direction::Out
+        };
+        sets[i] = Some(graph.expand(next, edge.etype, back, Some(here), tid)?);
+    }
+    Ok(sets)
 }
 
-/// The candidate set of pattern node `node`, `None` when unconstrained. The
-/// forward pass of [`node_candidates`] narrows each node by the nodes before
-/// it only; this walks back from the last node to `node`, keeping each
-/// vertex with an edge, in the pattern's direction, into the next node's
-/// set. It does nothing when `node` is the last node.
+/// The candidate set of pattern node `node` from [`pattern_sets`].
 fn candidates_of(
     graph: &Graph,
     r: &Resolved,
@@ -329,20 +321,7 @@ fn candidates_of(
     tid: Tid,
     node: usize,
 ) -> TvResult<Option<VertexSet>> {
-    let mut sets = node_candidates(graph, r, params, tid)?;
-    for (i, edge) in r.edges.iter().enumerate().skip(node).rev() {
-        let (here_type, next_type) = (r.node_types[i], r.node_types[i + 1]);
-        let here = sets[i].as_ref().expect("pattern sets materialized");
-        let next = sets[i + 1].as_ref().expect("pattern sets materialized");
-        let kept = if edge.forward {
-            with_edge_into(graph, here, here_type, edge.etype, next, next_type, tid)?
-        } else {
-            // Next is the stored source: keep the targets of its out-edges.
-            here.intersect(&graph.expand(next, next_type, edge.etype, here_type, tid)?)
-        };
-        sets[i] = Some(kept);
-    }
-    Ok(sets.swap_remove(node))
+    Ok(pattern_sets(graph, r, params, tid, node)?.swap_remove(node))
 }
 
 fn run_topk(
@@ -397,6 +376,7 @@ fn run_range(
     let threshold = constant(r.range_threshold.as_ref().expect("threshold"), params)?
         .as_f64()
         .ok_or_else(|| TvError::Execution("range threshold must be numeric".into()))?;
+    let k = limit_of(r, params)?;
     let qv = query_vector(r, params)?;
     let filter_set = candidates_of(graph, r, params, tid, target_node)?;
     if let Some(fs) = &filter_set {
@@ -405,7 +385,7 @@ fn run_range(
         }
     }
     let ef = graph.embeddings().config().default_ef;
-    let hits = graph.vector_range_search(
+    let mut hits = graph.vector_range_search(
         &[attr_id],
         qv,
         threshold as f32,
@@ -415,6 +395,8 @@ fn run_range(
         deadline,
         stats,
     )?;
+    // Nearest first: `LIMIT` keeps the nearest rows within the radius.
+    hits.truncate(k);
     Ok(QueryOutput::Vertices(
         hits.into_iter()
             .map(|tn| ResultRow {
@@ -456,153 +438,93 @@ fn run_join(
 ) -> TvResult<QueryOutput> {
     let ((s_node, s_attr), (t_node, t_attr)) = r.join.expect("join endpoints");
     let k = limit_of(r, params)?;
-    let sets = node_candidates(graph, r, params, tid)?;
-
-    // Enumerate matched paths with a DFS along the chain, collecting the
-    // distinct (s, t) pairs. Matched paths are typically sparse (§5.4), so
-    // brute force over pairs is the paper's choice too.
-    let n = r.query.pattern.nodes.len();
-    let sets: Vec<VertexSet> = sets.into_iter().map(Option::unwrap_or_default).collect();
-    let materialized: Vec<Vec<VertexId>> = sets
-        .iter()
-        .zip(&r.node_types)
-        .map(|(set, &t)| set.of_type(t))
+    // Every member of a node's set from `lo` on lies on a whole path, so the
+    // pairs are the ends of the paths from node `lo` to node `hi`, walked
+    // over each hop's edges, expanded once per query. Matched paths are
+    // typically sparse (§5.4), so brute force over pairs is the paper's
+    // choice too.
+    let (lo, hi) = (s_node.min(t_node), s_node.max(t_node));
+    let sets: Vec<VertexSet> = pattern_sets(graph, r, params, tid, lo)?
+        .into_iter()
+        .map(Option::unwrap_or_default)
         .collect();
-
-    let mut pairs: HashSet<(VertexId, VertexId)> = HashSet::new();
-    let mut path: Vec<VertexId> = Vec::with_capacity(n);
-    for &start in &materialized[0] {
-        deadline.check("similarity join path walk")?;
-        path.push(start);
-        dfs_pairs(
-            graph,
-            r,
-            &sets,
-            &materialized,
-            &mut path,
-            0,
-            s_node,
-            t_node,
-            &mut pairs,
-            tid,
-        )?;
-        path.pop();
+    let mut hops = Vec::with_capacity(hi - lo);
+    for i in lo..hi {
+        let edge = r.edges[i];
+        let direction = if edge.forward {
+            Direction::Out
+        } else {
+            Direction::In
+        };
+        let mut next_of: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        let within = Some(&sets[i + 1]);
+        for (from, to) in graph.expand_edges(&sets[i], edge.etype, direction, within, tid)? {
+            next_of.entry(from).or_default().push(to);
+        }
+        hops.push(next_of);
     }
 
-    // Compute distances with an embedding cache, keep the global top-k in a
-    // heap accumulator.
-    let s_attr_ref = graph.embeddings().attr(s_attr)?;
-    let t_attr_ref = graph.embeddings().attr(t_attr)?;
-    let metric = s_attr_ref.def.metric;
-    let mut cache: HashMap<(u32, VertexId), Option<Vec<f32>>> = HashMap::new();
-    let mut heap = PairHeapAccum::new(k);
-    for (s, t) in pairs {
-        let sv = cache
-            .entry((s_attr, s))
-            .or_insert_with(|| {
-                s_attr_ref
-                    .segment(s.segment())
-                    .and_then(|seg| seg.get_embedding(s, tid))
-            })
-            .clone();
-        let tv = cache
-            .entry((t_attr, t))
-            .or_insert_with(|| {
-                t_attr_ref
-                    .segment(t.segment())
-                    .and_then(|seg| seg.get_embedding(t, tid))
-            })
-            .clone();
-        if let (Some(sv), Some(tv)) = (sv, tv) {
-            if s == t {
-                continue; // a vertex is trivially closest to itself
+    let same_type = r.node_types[s_node] == r.node_types[t_node];
+    let mut pairs = BTreeSet::new();
+    for start in sets[lo].of_type(r.node_types[lo]) {
+        deadline.check("similarity join path walk")?;
+        let mut reached = vec![start];
+        for next_of in &hops {
+            reached = reached
+                .iter()
+                .filter_map(|v| next_of.get(v))
+                .flatten()
+                .copied()
+                .collect();
+            reached.sort_unstable();
+            reached.dedup();
+        }
+        for end in reached {
+            let (mut s, mut t) = if s_node == lo {
+                (start, end)
+            } else {
+                (end, start)
+            };
+            // Symmetric patterns match every pair in both orders; canonicalize
+            // same-type pairs so (a, b) and (b, a) count once.
+            if same_type && t < s {
+                std::mem::swap(&mut s, &mut t);
             }
-            heap.add(s, t, distance(metric, &sv, &tv));
+            // A vertex is trivially closest to itself.
+            if s != t {
+                pairs.insert((s, t));
+            }
         }
     }
-    let s_type = r.node_types[s_node];
-    let t_type = r.node_types[t_node];
+
+    // Each distinct endpoint's vector, read once; the global top-k in a heap
+    // accumulator.
+    let ends: BTreeSet<(u32, VertexId)> = pairs
+        .iter()
+        .flat_map(|&(s, t)| [(s_attr, s), (t_attr, t)])
+        .collect();
+    let vectors = ends
+        .into_iter()
+        .map(|(attr, v)| Ok(((attr, v), graph.embedding_of(attr, v, tid)?)))
+        .collect::<TvResult<HashMap<_, _>>>()?;
+    let metric = graph.embeddings().attr(s_attr)?.def.metric;
+    let mut heap = PairHeapAccum::new(k);
+    for (s, t) in pairs {
+        if let (Some(sv), Some(tv)) = (&vectors[&(s_attr, s)], &vectors[&(t_attr, t)]) {
+            heap.add(s, t, distance(metric, sv, tv));
+        }
+    }
+    let row = |node: usize, id: VertexId| ResultRow {
+        vertex_type: r.node_types[node],
+        id,
+        dist: None,
+    };
     Ok(QueryOutput::Pairs(
         heap.into_sorted()
             .into_iter()
-            .map(|(s, t, d)| {
-                (
-                    ResultRow {
-                        vertex_type: s_type,
-                        id: s,
-                        dist: None,
-                    },
-                    ResultRow {
-                        vertex_type: t_type,
-                        id: t,
-                        dist: None,
-                    },
-                    d,
-                )
-            })
+            .map(|(s, t, d)| (row(s_node, s), row(t_node, t), d))
             .collect(),
     ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_pairs(
-    graph: &Graph,
-    r: &Resolved,
-    sets: &[VertexSet],
-    materialized: &[Vec<VertexId>],
-    path: &mut Vec<VertexId>,
-    edge_idx: usize,
-    s_node: usize,
-    t_node: usize,
-    pairs: &mut HashSet<(VertexId, VertexId)>,
-    tid: Tid,
-) -> TvResult<()> {
-    if edge_idx == r.edges.len() {
-        let (mut s, mut t) = (path[s_node], path[t_node]);
-        // Symmetric patterns match every pair in both orders; canonicalize
-        // same-type pairs so (a, b) and (b, a) count once.
-        if r.node_types[s_node] == r.node_types[t_node] && t < s {
-            std::mem::swap(&mut s, &mut t);
-        }
-        pairs.insert((s, t));
-        return Ok(());
-    }
-    let edge = r.edges[edge_idx];
-    let cur = path[edge_idx];
-    let next_type = r.node_types[edge_idx + 1];
-    let nexts: Vec<VertexId> = if edge.forward {
-        let store = graph.store().vertex_type(r.node_types[edge_idx])?;
-        store
-            .edges(cur, edge.etype, tid)
-            .into_iter()
-            .filter(|&t| sets[edge_idx + 1].contains(next_type, t))
-            .collect()
-    } else {
-        // Reverse traversal: scan allowed right candidates pointing at cur.
-        let store = graph.store().vertex_type(next_type)?;
-        materialized[edge_idx + 1]
-            .iter()
-            .copied()
-            .filter(|&v| store.edges(v, edge.etype, tid).contains(&cur))
-            .collect()
-    };
-    for next in nexts {
-        path.push(next);
-        dfs_pairs(
-            graph,
-            r,
-            sets,
-            materialized,
-            path,
-            edge_idx + 1,
-            s_node,
-            t_node,
-            pairs,
-            tid,
-        )?;
-        path.pop();
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -613,6 +535,7 @@ mod candidate_identity;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use tg_storage::AttrType;
     use tv_common::ids::SegmentLayout;
     use tv_common::{DistanceMetric, SplitMix64};
@@ -760,6 +683,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.rows().len(), 6);
+        // `LIMIT` keeps the nearest rows within the radius.
+        let all = execute(
+            &f.graph,
+            "SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < 1000000",
+            &params_with_vec(&f.post_vecs[0]),
+        )
+        .unwrap();
+        let out = execute(
+            &f.graph,
+            "SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < 1000000 LIMIT 2",
+            &params_with_vec(&f.post_vecs[0]),
+        )
+        .unwrap();
+        assert_eq!(out.rows(), &all.rows()[..2]);
+        assert_eq!(out.rows()[0].id, f.posts[0]);
     }
 
     #[test]
@@ -852,6 +790,68 @@ mod tests {
                 }
             }
             other => panic!("expected pairs, got {other:?}"),
+        }
+    }
+
+    const SAME_CREATOR_JOIN: &str =
+        "SELECT s, t FROM (s:Post) -[:hasCreator]-> (u:Person) <-[:hasCreator]- (t:Post) \
+         ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT";
+
+    /// A client's `k` is what it asks for, not what is reserved: a huge
+    /// `LIMIT` answers every row there is.
+    #[test]
+    fn a_huge_limit_answers_every_row() {
+        let f = fixture();
+        let p = params_with_vec(&f.post_vecs[0]);
+        for k in ["1000000000000", "1000000000000000000"] {
+            let src = format!(
+                "SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT {k}"
+            );
+            assert_eq!(execute(&f.graph, &src, &p).unwrap().rows().len(), 12, "{k}");
+            let src = format!("{SAME_CREATOR_JOIN} {k}");
+            let QueryOutput::Pairs(pairs) = execute(&f.graph, &src, &p).unwrap() else {
+                panic!("a join returns pairs")
+            };
+            // Four creators of three posts each: three pairs apiece.
+            assert_eq!(pairs.len(), 12, "{k}");
+        }
+    }
+
+    /// Six posts by one person with one vector: every pair among them ties
+    /// at distance 0, and the answer is the smallest (s, t) pairs, however
+    /// often it is asked.
+    #[test]
+    fn tied_join_pairs_break_by_ids() {
+        let f = fixture();
+        let eve = f.graph.allocate(0).unwrap();
+        let posts = f.graph.allocate_many(1, 6).unwrap();
+        let mut txn = f
+            .graph
+            .txn()
+            .upsert_vertex(0, eve, vec![AttrValue::Str("Eve".into())]);
+        for &m in &posts {
+            let row = vec![AttrValue::Str("English".into()), AttrValue::Int(1)];
+            txn = txn
+                .upsert_vertex(1, m, row)
+                .set_vector(0, m, vec![100.0; 4])
+                .add_edge(1, 1, m, eve);
+        }
+        txn.commit().unwrap();
+        let tid = f.graph.read_tid();
+        let src = format!("{SAME_CREATOR_JOIN} 3");
+        let want = vec![
+            (posts[0], posts[1], 0.0),
+            (posts[0], posts[2], 0.0),
+            (posts[0], posts[3], 0.0),
+        ];
+        for _ in 0..20 {
+            let QueryOutput::Pairs(pairs) =
+                execute_at(&f.graph, &src, &Params::new(), tid).unwrap()
+            else {
+                panic!("a join returns pairs")
+            };
+            let got: Vec<_> = pairs.iter().map(|(s, t, d)| (s.id, t.id, *d)).collect();
+            assert_eq!(got, want);
         }
     }
 

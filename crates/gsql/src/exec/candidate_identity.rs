@@ -5,9 +5,13 @@
 //! re-interpreting each predicate per row with attributes fetched by name.
 //! The two must agree member for member on a graph whose store is all delta
 //! tail, fully folded, and folded then mutated, at the latest and at every
-//! addressable historical TID.
+//! addressable historical TID. Similarity joins are held the same way: the
+//! reference ranks the ends of the whole paths over the model, reading only
+//! the endpoints' stored vectors.
 
-use super::{candidates_of, node_candidates, readable_rows, Params};
+use super::{
+    candidates_of, limit_of, node_candidates, readable_rows, run_join, Params, QueryOutput,
+};
 use crate::ast::{CmpOp, Expr, Value};
 use crate::parser::parse;
 use crate::sema::{pushdown_predicates, resolve, QueryKind, Resolved};
@@ -15,7 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use tg_graph::{AccessControl, Graph, Role, RowRule, VertexSet};
 use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta};
 use tv_common::ids::SegmentLayout;
-use tv_common::{DistanceMetric, SplitMix64, Tid, VertexId};
+use tv_common::metric::distance;
+use tv_common::{Deadline, DistanceMetric, SplitMix64, Tid, VertexId};
 use tv_embedding::{EmbeddingTypeDef, ServiceConfig};
 
 const DOC: u32 = 0;
@@ -60,6 +65,22 @@ const SELECT_EARLIER: &[&str] = &[
     "SELECT a FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) WHERE s.bucket < 3 AND t.flag",
     "SELECT s FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) \
      WHERE t.bucket < 5 AND a.name != $n",
+];
+
+/// Similarity joins: forward and reverse steps, 3 to 5 nodes, endpoints at
+/// the ends and inside the pattern, in both orders.
+const JOINS: &[&str] = &[
+    "SELECT s, t FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) \
+     ORDER BY VECTOR_DIST(s.emb, t.emb) LIMIT 10",
+    "SELECT s, t FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(t:Doc) \
+     WHERE s.bucket < 40 AND t.flag AND a.name != $n \
+     ORDER BY VECTOR_DIST(s.emb, t.emb) LIMIT 1000",
+    "SELECT s, t FROM (a:Author)-[:wrote]->(s:Doc)<-[:wrote]-(b:Author)-[:wrote]->(t:Doc) \
+     WHERE a.name < \"a4\" ORDER BY VECTOR_DIST(s.emb, t.emb) LIMIT 12",
+    "SELECT t, s FROM (a:Author)-[:wrote]->(s:Doc)<-[:wrote]-(b:Author)-[:wrote]->(t:Doc) \
+     WHERE t.bucket < 60 ORDER BY VECTOR_DIST(t.emb, s.emb) LIMIT 1000",
+    "SELECT s, t FROM (s:Doc)<-[:wrote]-(a:Author)-[:wrote]->(m:Doc)<-[:wrote]-(b:Author)\
+     -[:wrote]->(t:Doc) WHERE m.flag ORDER BY VECTOR_DIST(s.emb, t.emb) LIMIT 15",
 ];
 
 fn params() -> Params {
@@ -382,15 +403,9 @@ fn reference(
     sets.into_iter().map(Some).collect()
 }
 
-/// The selected node's members on some whole path of the pattern, every
-/// node passing its predicates: the paths are enumerated over the model.
-fn path_reference(
-    g: &Graph,
-    m: &Model,
-    r: &Resolved,
-    params: &Params,
-    selected: usize,
-) -> BTreeSet<VertexId> {
+/// Every whole path of the pattern over the model, each node passing its
+/// predicates.
+fn whole_paths(g: &Graph, m: &Model, r: &Resolved, params: &Params) -> Vec<Vec<VertexId>> {
     let (per_node, _) =
         pushdown_predicates(r.graph_filter.as_ref(), &r.alias_of, r.node_types.len());
     let passing: Vec<BTreeSet<VertexId>> = (0..r.node_types.len())
@@ -424,7 +439,52 @@ fn path_reference(
             })
             .collect();
     }
+    paths
+}
+
+/// The selected node's members on some whole path of the pattern.
+fn path_reference(
+    g: &Graph,
+    m: &Model,
+    r: &Resolved,
+    params: &Params,
+    selected: usize,
+) -> BTreeSet<VertexId> {
+    let paths = whole_paths(g, m, r, params);
     paths.into_iter().map(|path| path[selected]).collect()
+}
+
+/// A join's answer from the whole paths: their distinct (s, t) ends, a
+/// same-type pair in id order and s = t dropped, ranked by the distance
+/// between the vectors stored at `tid`, ties broken by (s, t), the first
+/// `LIMIT` of them.
+fn join_reference(
+    g: &Graph,
+    m: &Model,
+    r: &Resolved,
+    params: &Params,
+    tid: Tid,
+) -> Vec<(VertexId, VertexId, f32)> {
+    let ((s_node, s_attr), (t_node, t_attr)) = r.join.unwrap();
+    let same_type = r.node_types[s_node] == r.node_types[t_node];
+    let pairs: BTreeSet<(VertexId, VertexId)> = whole_paths(g, m, r, params)
+        .into_iter()
+        .map(|path| (path[s_node], path[t_node]))
+        .map(|(s, t)| if same_type && t < s { (t, s) } else { (s, t) })
+        .filter(|(s, t)| s != t)
+        .collect();
+    let metric = g.embeddings().attr(s_attr).unwrap().def.metric;
+    let mut ranked: Vec<(VertexId, VertexId, f32)> = pairs
+        .into_iter()
+        .filter_map(|(s, t)| {
+            let sv = g.embedding_of(s_attr, s, tid).unwrap()?;
+            let tv = g.embedding_of(t_attr, t, tid).unwrap()?;
+            Some((s, t, distance(metric, &sv, &tv)))
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.2.total_cmp(&b.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+    ranked.truncate(limit_of(r, params).unwrap());
+    ranked
 }
 
 /// The node whose set a query reads: the vector target, else the selection.
@@ -539,6 +599,22 @@ fn check_all(f: &Fixture, tids: std::ops::RangeInclusive<u64>, state: &str) {
                 want,
                 "{state}: {text} at {tid}"
             );
+        }
+    }
+
+    // Similarity joins: the pairs of the whole paths, ranked.
+    for text in JOINS {
+        let r = resolve(g, parse(text).unwrap()).unwrap();
+        assert_eq!(r.kind, QueryKind::SimilarityJoin, "{text}");
+        for t in tids.clone() {
+            let tid = Tid(t);
+            let QueryOutput::Pairs(got) = run_join(g, &r, &params, tid, Deadline::none()).unwrap()
+            else {
+                panic!("a join returns pairs")
+            };
+            let got: Vec<_> = got.iter().map(|(s, t, d)| (s.id, t.id, *d)).collect();
+            let want = join_reference(g, &f.model_at(tid), &r, &params, tid);
+            assert_eq!(got, want, "{state}: {text} at {tid}");
         }
     }
 

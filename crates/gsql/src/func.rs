@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use tg_graph::accum::MapAccum;
-use tg_graph::{Graph, VertexSet};
+use tg_graph::{Direction, Graph, VertexSet};
 use tv_common::{Tid, TvResult};
 use tv_hnsw::SearchStats;
 
@@ -112,21 +112,16 @@ pub fn community_topk(
     // Louvain tags each person with a community id (tg_louvain in Q4).
     let (communities, count) = graph.louvain(person_id, knows_id, tid)?;
 
-    // Invert hasCreator: target (e.g. Post) -> creator.
-    let creator_of: HashMap<_, _> = graph
-        .edge_action(target_id, creator_id, tid, |post, person| (post, person))?
-        .into_iter()
-        .collect();
+    // Each community's posts: one expansion against hasCreator from every
+    // person Louvain tagged.
+    let people = VertexSet::from_iter_typed(person_id, communities.keys().copied());
+    let mut posts_of = vec![VertexSet::new(); count];
+    for (person, post) in graph.expand_edges(&people, creator_id, Direction::In, None, tid)? {
+        posts_of[communities[&person]].insert(target_id, post);
+    }
 
     let mut out = HashMap::new();
-    for community in 0..count {
-        // Posts whose creator belongs to this community.
-        let mut candidates = VertexSet::new();
-        for (&post, person) in &creator_of {
-            if communities.get(person) == Some(&community) {
-                candidates.insert(target_id, post);
-            }
-        }
+    for (community, candidates) in posts_of.into_iter().enumerate() {
         if candidates.is_empty() {
             continue;
         }

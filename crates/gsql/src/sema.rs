@@ -192,15 +192,27 @@ pub fn resolve(graph: &Graph, query: Query) -> TvResult<Resolved> {
         (QueryKind::GraphOnly, None, None, None)
     };
 
-    if kind == QueryKind::SimilarityJoin && query.select.len() != 2 {
-        return Err(TvError::Semantic(
-            "similarity join must SELECT both pair aliases".into(),
-        ));
-    }
-    if kind != QueryKind::SimilarityJoin && query.select.len() != 1 {
-        return Err(TvError::Semantic(
-            "query must SELECT exactly one alias".into(),
-        ));
+    // The SELECT list names what the query returns: a vector query's
+    // `VECTOR_DIST` target, a join's two endpoints in `VECTOR_DIST` order.
+    let selected: Vec<usize> = query.select.iter().map(|a| alias_of[a]).collect();
+    match (kind, target, join) {
+        (QueryKind::SimilarityJoin, _, Some(((s, _), (t, _)))) if selected != [s, t] => {
+            return Err(TvError::Semantic(
+                "similarity join must SELECT its two VECTOR_DIST aliases, in order".into(),
+            ));
+        }
+        (QueryKind::SimilarityJoin, ..) => {}
+        _ if selected.len() != 1 => {
+            return Err(TvError::Semantic(
+                "query must SELECT exactly one alias".into(),
+            ));
+        }
+        (_, Some((node, _)), _) if selected[0] != node => {
+            return Err(TvError::Semantic(
+                "a vector query must SELECT its VECTOR_DIST alias".into(),
+            ));
+        }
+        _ => {}
     }
 
     drop(catalog);
@@ -512,6 +524,36 @@ mod tests {
         let g = ldbc_graph();
         let q = parse("SELECT z FROM (s:Post)").unwrap();
         assert!(matches!(resolve(&g, q), Err(TvError::Semantic(_))));
+    }
+
+    #[test]
+    fn rejects_a_select_list_the_query_does_not_return() {
+        let g = ldbc_graph();
+        let join = "FROM (s:Post) -[:hasCreator]-> (u:Person) <-[:hasCreator]- (t:Post) \
+                    ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT 3";
+        for src in [
+            "SELECT u FROM (u:Person) <-[:hasCreator]- (s:Post) \
+             ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 3",
+            "SELECT s, u FROM (u:Person) <-[:hasCreator]- (s:Post) \
+             ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 3",
+            "SELECT u FROM (u:Person) <-[:hasCreator]- (s:Post) \
+             WHERE VECTOR_DIST(s.content_emb, $qv) < 2.0",
+            &format!("SELECT s, u {join}"),
+            &format!("SELECT t, s {join}"),
+            &format!("SELECT s {join}"),
+            &format!("SELECT s, t, u {join}"),
+        ] {
+            let err = resolve(&g, parse(src).unwrap()).unwrap_err();
+            assert!(matches!(err, TvError::Semantic(_)), "{src}: {err:?}");
+        }
+        for src in [
+            "SELECT s FROM (u:Person) <-[:hasCreator]- (s:Post) \
+             ORDER BY VECTOR_DIST(s.content_emb, $qv) LIMIT 3",
+            "SELECT u FROM (u:Person) <-[:hasCreator]- (s:Post)",
+            &format!("SELECT s, t {join}"),
+        ] {
+            assert!(resolve(&g, parse(src).unwrap()).is_ok(), "{src}");
+        }
     }
 
     #[test]

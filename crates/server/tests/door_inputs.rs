@@ -241,8 +241,9 @@ fn every_door_answers_edge_case_inputs_with_a_count_or_a_typed_error() {
                     "{}",
                     ctx(door, "k=0")
                 );
-                // An ordinary k and one above the live count: min(k, live).
-                for k in [3, DOCS + 10] {
+                // An ordinary k and ones above the live count, one far past
+                // anything a heap could reserve: min(k, live).
+                for k in [3, DOCS + 10, 1_000_000_000_000] {
                     assert_eq!(
                         top_k(&rig, door, &good, k).unwrap(),
                         k.min(rig.live),

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use tigervector::datagen::{SnbConfig, SnbGraph};
-use tigervector::graph::VertexSet;
+use tigervector::graph::{Direction, VertexSet};
 use tigervector::gsql::{execute_at, vector_search, Value, VectorSearchOptions};
 
 fn main() {
@@ -97,19 +97,12 @@ fn main() {
     .unwrap();
     // Expand: seed posts → their creators → everything else they wrote.
     let creators = g
-        .expand(&seeds, snb.post_t, snb.post_creator_e, snb.person_t, tid)
+        .expand(&seeds, snb.post_creator_e, Direction::Out, None, tid)
         .unwrap();
-    let mut expanded = seeds.clone();
-    let creator_posts = g
-        .edge_action(snb.post_t, snb.post_creator_e, tid, |post, person| {
-            (post, person)
-        })
-        .unwrap();
-    for (post, person) in creator_posts {
-        if creators.contains(snb.person_t, person) {
-            expanded.insert(snb.post_t, post);
-        }
-    }
+    let expanded = seeds.union(
+        &g.expand(&creators, snb.post_creator_e, Direction::In, None, tid)
+            .unwrap(),
+    );
     println!(
         "strategy 2 (expand): {} seeds → {} creators → {} context messages",
         seeds.len(),

@@ -7,7 +7,7 @@ use tigervector::common::ids::SegmentLayout;
 use tigervector::common::{DistanceMetric, SplitMix64, VertexId};
 use tigervector::embedding::{EmbeddingSpace, IndexKind, ServiceConfig, VectorDataType};
 use tigervector::graph::accum::MapAccum;
-use tigervector::graph::{Graph, VertexSet};
+use tigervector::graph::{Direction, Graph, VertexSet};
 use tigervector::gsql::{execute, vector_search, Value, VectorSearchOptions};
 use tigervector::storage::{AttrType, AttrValue};
 
@@ -274,8 +274,8 @@ fn q2_composition_topk_then_creators() {
     let tid = s.g.read_tid();
     // Expand each message type along its hasCreator edge.
     let mut authors = VertexSet::new();
-    authors = authors.union(&s.g.expand(&topk, 1, 1, 0, tid).unwrap());
-    authors = authors.union(&s.g.expand(&topk, 2, 2, 0, tid).unwrap());
+    authors = authors.union(&s.g.expand(&topk, 1, Direction::Out, None, tid).unwrap());
+    authors = authors.union(&s.g.expand(&topk, 2, Direction::Out, None, tid).unwrap());
     assert!(!authors.is_empty());
     // Every author must be the creator of one of the top-k messages.
     for (t, a) in authors.iter() {
