@@ -1,8 +1,8 @@
 # Development shortcuts; `make verify` mirrors the CI pipeline exactly.
 
-.PHONY: quant-frontier verify deps-check knobs-check surface-check build test test-all clippy fmt fmt-check serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+.PHONY: quant-frontier verify deps-check knobs-check surface-check build test test-all clippy fmt fmt-check serve-load chaos-smoke kernel-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke paper-smoke
 
-verify: fmt-check deps-check knobs-check surface-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke
+verify: fmt-check deps-check knobs-check surface-check build clippy test test-all kernel-smoke chaos-smoke recovery-smoke quant-smoke planner-smoke migrate-smoke layout-smoke filter-smoke ledger-smoke serve-smoke paper-smoke
 
 build:
 	cargo build --release
@@ -72,7 +72,7 @@ knobs-check:
 # caller outside its crate stays `pub(crate)`, and a new crate or a new
 # public function edits its number here in the same diff that adds it.
 SURFACE_CRATES = 9
-SURFACE_PUB_FN = 451
+SURFACE_PUB_FN = 449
 surface-check:
 	@crates=$$(ls crates/*/Cargo.toml | wc -l); \
 	pubfn=$$(grep -rE '\bpub (const |unsafe )?fn\b' crates/*/src | wc -l); \
@@ -138,8 +138,11 @@ quant-smoke:
 # n 8000 x m 8/96), q 200, k 10, rerank 4, seeds 21..28 (`SEEDS` in the
 # binary), 2 rounds, `EF_SWEEP` as committed. Every sample of every grid lands
 # in bench_results/quant_frontier_pq_run3.json. PR 24 made it (1 of 30 PQ
-# cells undominated, so PQ stays) and the decision is not taken again; the
-# target stays so the file can be reproduced. Fifteen minutes of wall clock
+# cells undominated, so PQ stays) and the decision is not taken again. That
+# run searched the pointer form through a bench-side copy of TigerVector,
+# although its grids' `layout_info` says "packed+prefetch" (DESIGN §3e). The
+# target now measures the engine, which serves the compiled form, and has not
+# been re-run, so the file stays as registered. Fifteen minutes of wall clock
 # that gates nothing, so it is part of neither `make verify` nor CI.
 quant-frontier:
 	cargo build --release -p tv-bench --bin quant_bench
@@ -224,3 +227,15 @@ ledger-smoke:
 # a shed request, and refuses to time a graph with a delta tail.
 serve-smoke:
 	$(SMOKE_BIN) serve_load
+
+# Paper-driver gate: the binaries that regenerate Figs. 7–10 (fig7_throughput
+# writes Fig. 8 too), Table 2 and the segment ablation, each at a size of
+# seconds. Each run fails on a panic, among them the TigerVector adapter's
+# assertion that a build leaves every segment one snapshot in the compiled
+# layout and no delta tail.
+paper-smoke:
+	$(SMOKE_BIN) fig7_throughput -- --n 2000 --q 10 --k 10
+	$(SMOKE_BIN) fig9_node_scalability -- --n 2000 --q 10 --k 10
+	$(SMOKE_BIN) fig10_data_scalability -- --n 1000 --factor 2 --q 10 --k 10
+	$(SMOKE_BIN) table2_build_time -- --n 2000
+	$(SMOKE_BIN) ablation_segments -- --n 2000 --q 10

@@ -14,7 +14,7 @@ use crate::baselines::system::{BuildTimes, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
-use tv_common::{merge_topk, DistanceMetric, Neighbor, VertexId};
+use tv_common::{merge_topk, DistanceMetric, GraphLayout, Neighbor, VertexId};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 /// Milvus-style segmented vector database.
@@ -112,6 +112,7 @@ impl VectorSystem for MilvusLike {
                     }
                     idx.insert(id, &v).expect("dimensions valid");
                 }
+                idx.compile_layout(GraphLayout::PackedPrefetch);
                 idx
             })
             .collect();

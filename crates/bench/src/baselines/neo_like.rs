@@ -13,7 +13,7 @@
 use crate::baselines::system::{BuildTimes, RowKeys, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
-use tv_common::{DistanceMetric, Neighbor, VertexId};
+use tv_common::{DistanceMetric, GraphLayout, Neighbor, VertexId};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 /// The fixed search beam Neo4j-like systems run with (not user-tunable).
@@ -137,6 +137,7 @@ impl VectorSystem for NeoLike {
                 .insert(self.keys.key(rid), &rv)
                 .expect("dimensions valid");
         }
+        index.compile_layout(GraphLayout::PackedPrefetch);
         self.index = Some(index);
         self.times.index_build += start.elapsed();
     }

@@ -11,7 +11,7 @@
 use crate::baselines::system::{BuildTimes, RowKeys, VectorSystem};
 use std::time::{Duration, Instant};
 use tv_common::bitmap::Filter;
-use tv_common::{DistanceMetric, Neighbor, VertexId};
+use tv_common::{DistanceMetric, GraphLayout, Neighbor, VertexId};
 use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 /// Fixed high-recall search beam (hits ~99.9% recall, untunable).
@@ -61,6 +61,7 @@ impl VectorSystem for NeptuneLike {
                 .insert(self.keys.key(*id), v)
                 .expect("dimensions valid");
         }
+        index.compile_layout(GraphLayout::PackedPrefetch);
         self.index = Some(index);
         self.times.index_build += start.elapsed();
     }

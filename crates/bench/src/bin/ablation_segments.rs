@@ -2,22 +2,20 @@
 //! design choice ("we choose to partition the vector embeddings and build a
 //! separate vector index for each segment").
 //!
-//! Sweeps the segment count for a fixed dataset and measures (a) total
-//! build time, (b) per-query search CPU, (c) recall — showing the trade-off
+//! Sweeps the segment count (the engine's segment capacity) for a fixed
+//! dataset and measures (a) total index-build time, (b) per-query search
+//! CPU at `ef` 64, (c) recall — showing the trade-off
 //! the paper banks on: segmented builds are cheaper and embarrassingly
 //! parallel, while search pays a small per-segment overhead that the MPP
 //! fan-out absorbs.
 //!
 //! Usage: `cargo run --release -p tv-bench --bin ablation_segments -- [--n 20000]`
 
-use std::time::Instant;
-use tv_bench::baselines::recall_at_k;
+use std::time::Duration;
+use tv_bench::baselines::{TigerVectorSystem, VectorSystem};
 use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
-use tv_bench::{fmt_duration, print_table, save_json, BenchArgs};
-use tv_common::bitmap::Filter;
+use tv_bench::{fmt_duration, measure_point, print_table, save_json, BenchArgs};
 use tv_common::ids::SegmentLayout;
-use tv_common::merge_topk;
-use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -34,29 +32,13 @@ fn main() {
         let layout = SegmentLayout::with_capacity(capacity);
         let gt = ground_truth(&ds.base, &ds.queries, k, ds.shape.metric(), layout);
 
-        let started = Instant::now();
-        let mut indexes: Vec<HnswIndex> = (0..segments)
-            .map(|_| HnswIndex::new(HnswConfig::new(ds.dim, ds.shape.metric())))
-            .collect();
-        for (i, v) in ds.base.iter().enumerate() {
-            let id = layout.vertex_id(i);
-            indexes[id.segment().0 as usize].insert(id, v).unwrap();
-        }
-        let build = started.elapsed();
-
-        let started = Instant::now();
-        let mut recall_sum = 0.0;
-        for (qv, truth) in ds.queries.iter().zip(&gt) {
-            let merged = merge_topk(
-                indexes
-                    .iter()
-                    .map(|idx| idx.top_k(qv, k, 64, Filter::All).0),
-                k,
-            );
-            recall_sum += recall_at_k(&merged, truth, k);
-        }
-        let search = started.elapsed() / ds.queries.len() as u32;
-        let recall = recall_sum / ds.queries.len() as f64;
+        let mut sys = TigerVectorSystem::new(ds.dim, ds.shape.metric(), layout);
+        sys.load(&ds.with_ids(layout));
+        sys.build_index();
+        sys.stamp_provenance();
+        let build = sys.build_times().index_build;
+        let p = measure_point(&mut sys, 64, &ds.queries, &gt, k, 1);
+        let (search, recall) = (Duration::from_secs_f64(p.cpu_per_query_s), p.recall);
 
         rows.push(vec![
             format!("HNSW × {segments}"),

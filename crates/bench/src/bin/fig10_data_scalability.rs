@@ -11,11 +11,10 @@
 //!
 //! Usage: `cargo run --release -p tv-bench --bin fig10_data_scalability -- [--n 10000] [--factor 10]`
 
-use std::time::Instant;
-use tv_bench::baselines::{recall_at_k, TigerVectorSystem, VectorSystem};
+use std::time::Duration;
+use tv_bench::baselines::{ClusterModel, QueryWork, TigerVectorSystem, VectorSystem};
 use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
-use tv_bench::{print_table, save_json, BenchArgs};
-use tv_cluster::{ClusterModel, QueryWork};
+use tv_bench::{measure_point, print_table, save_json, BenchArgs};
 use tv_common::ids::SegmentLayout;
 
 fn main() {
@@ -46,27 +45,20 @@ fn main() {
         let mut sys = TigerVectorSystem::new(ds.dim, shape.metric(), layout);
         sys.load(&data);
         sys.build_index();
+        sys.stamp_provenance();
         println!(
             "  segments: {} ({}× the small scale)",
             sys.segment_count(),
             sys.segment_count() * capacity / n_small.max(1)
         );
         for (i, ef) in ef_sweep.iter().enumerate() {
-            sys.set_ef(*ef);
-            let started = Instant::now();
-            let mut recall_sum = 0.0;
-            for (qv, truth) in ds.queries.iter().zip(&gt) {
-                let got = sys.top_k(qv, k);
-                recall_sum += recall_at_k(&got, truth, k);
-            }
-            let cpu = started.elapsed() / ds.queries.len().max(1) as u32;
-            let recall = recall_sum / ds.queries.len() as f64;
+            let p = measure_point(&mut sys, *ef, &ds.queries, &gt, k, 1);
+            let recall = p.recall;
             let work = QueryWork {
-                total_cpu: cpu,
-                merge_cpu: std::time::Duration::from_micros(30),
-                response_bytes: k * 12,
+                total_cpu: Duration::from_secs_f64(p.cpu_per_query_s),
+                k,
             };
-            let qps = ClusterModel::paper_default(servers).qps(&work);
+            let qps = ClusterModel { servers }.qps(&work);
             let retained = if n == n_small {
                 small_points.push((i, qps));
                 String::new()

@@ -240,7 +240,7 @@ fn main() {
         .iter()
         .max_by(|a, b| a.qps().total_cmp(&b.qps()))
         .expect("non-empty sweep");
-    set_layout_info(best.layout, best.link_bytes);
+    set_layout_info([&best.index]);
     save_json("layout_bench", &serde_json::Value::Array(json));
 
     // Gate 1: result identity. The compiled layout searches the same graph

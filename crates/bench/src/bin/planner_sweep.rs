@@ -34,7 +34,7 @@
 use std::time::Instant;
 use tv_bench::baselines::recall_at_k;
 use tv_bench::datagen::{DatasetShape, VectorDataset};
-use tv_bench::{print_table, save_json, set_planner_info, BenchArgs};
+use tv_bench::{print_table, save_json, set_layout_info, set_planner_info, BenchArgs};
 use tv_common::bitmap::Filter;
 use tv_common::ids::SegmentLayout;
 use tv_common::{Bitmap, PlannerConfig};
@@ -206,6 +206,7 @@ fn main() {
         ],
         &rows,
     );
+    set_layout_info([&idx]);
     save_json("planner_sweep", &serde_json::Value::Array(json));
 
     if violations.is_empty() {

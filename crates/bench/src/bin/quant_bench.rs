@@ -25,7 +25,7 @@
 
 use tv_bench::baselines::{TigerVectorSystem, VectorSystem};
 use tv_bench::datagen::{ground_truth, DatasetShape, VectorDataset};
-use tv_bench::{measure_point, print_table, save_json, set_storage_info, BenchArgs};
+use tv_bench::{measure_point, print_table, save_json, BenchArgs};
 use tv_common::ids::SegmentLayout;
 use tv_common::QuantSpec;
 
@@ -127,7 +127,6 @@ fn main() {
     );
 
     let mut samples: Vec<Sample> = Vec::new();
-    let mut sq8_footprint = None;
     for seed in first_seed..first_seed + SEEDS {
         let ds = VectorDataset::generate_dim(shape, dim, n, q, seed);
         let data = ds.with_ids(layout);
@@ -142,7 +141,9 @@ fn main() {
             })
             .collect();
         let f32_bytes = systems[F32].vector_storage_bytes() as f64;
-        sq8_footprint = Some((systems[SQ8].storage_tier(), systems[SQ8].memory_bytes()));
+        // The headline tier's footprint and layout are this process's
+        // provenance blocks.
+        systems[SQ8].stamp_provenance();
         for round in 0..ROUNDS {
             for &ef in &EF_SWEEP {
                 // Rotate which tier is timed first, so no tier always runs
@@ -255,10 +256,6 @@ fn main() {
     println!("  sq8 vector bytes / f32 bytes   = {bytes_ratio:.4} (target <= 0.30)");
     println!("  => {}", if pass { "PASS" } else { "FAIL" });
 
-    // Stamp the headline tier's footprint as this process's storage block.
-    if let Some((tier, bytes)) = sq8_footprint {
-        set_storage_info(tier, bytes);
-    }
     let json_cells: Vec<serde_json::Value> = cells
         .iter()
         .zip(&dominated_by)

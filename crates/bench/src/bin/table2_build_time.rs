@@ -28,14 +28,20 @@ fn main() {
         let data = ds.with_ids(layout);
 
         let mut rows = Vec::new();
+        let mut tv = TigerVectorSystem::new(ds.dim, shape.metric(), layout);
+        tv.load(&data);
+        tv.build_index();
+        tv.stamp_provenance();
         let mut systems: Vec<Box<dyn VectorSystem>> = vec![
-            Box::new(TigerVectorSystem::new(ds.dim, shape.metric(), layout)),
             Box::new(MilvusLike::new(ds.dim, shape.metric(), layout)),
             Box::new(NeoLike::new(ds.dim, shape.metric())),
         ];
         for sys in &mut systems {
             sys.load(&data);
             sys.build_index();
+        }
+        systems.insert(0, Box::new(tv));
+        for sys in &systems {
             let t = sys.build_times();
             rows.push(vec![
                 sys.name().to_string(),

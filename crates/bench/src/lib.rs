@@ -5,8 +5,7 @@
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
-//! | `fig7_throughput` | Fig. 7 — QPS vs recall, all four systems, both datasets |
-//! | `fig8_latency` | Fig. 8 — single-thread latency vs recall |
+//! | `fig7_throughput` | Figs. 7–8 — QPS and single-thread latency vs recall, all four systems, both datasets (one sweep, two JSONs) |
 //! | `fig9_node_scalability` | Fig. 9 — QPS vs cluster size at three recall targets |
 //! | `fig10_data_scalability` | Fig. 10 — QPS vs dataset size (100K→1M standing in for 100M→1B) |
 //! | `table2_build_time` | Table 2 — data-load / index-build / end-to-end times |
@@ -16,9 +15,10 @@
 //! Every binary prints a human-readable table and writes machine-readable
 //! JSON under `bench_results/` (EXPERIMENTS.md quotes those numbers).
 //! Measured quantities (per-query CPU, build times, recall, candidate
-//! counts) are real; cluster QPS and per-system service throughput go
-//! through the documented models in `tv-cluster::model` and
-//! [`baselines::cost`] — see DESIGN.md's substitution table.
+//! counts) are real, and every TigerVector number is the engine's
+//! (`EmbeddingService` behind [`baselines::TigerVectorSystem`]); cluster QPS
+//! and per-system service throughput go through the documented models in
+//! `baselines::cost` — see DESIGN.md's substitution table.
 //!
 //! The inputs and the comparators live here too: [`datagen`] generates the
 //! datasets and [`baselines`] holds the comparator systems. The root crate
@@ -213,25 +213,37 @@ pub(crate) fn planner_info() -> serde_json::Value {
 }
 
 /// Record the graph-layout provenance block for this process's bench JSONs:
-/// which adjacency representation searches ran against (mutable pointer
-/// forest vs. frozen CSR, with or without software prefetch) and its exact
-/// link footprint. Benches that search a real index call this before
-/// [`save_json`]; benches without one get the configured-default stamp.
-pub fn set_layout_info(layout: tv_common::GraphLayout, link_bytes: usize) {
+/// the adjacency representation the searched `indexes` hold (mutable pointer
+/// forest vs. frozen CSR with software prefetch; one bench searches one) and
+/// their resident link bytes. Benches that search a real index call this
+/// before [`save_json`]; the others record no layout.
+pub fn set_layout_info<'a>(indexes: impl IntoIterator<Item = &'a tv_hnsw::HnswIndex>) {
+    let (mut layout, mut link_bytes) = (None, 0);
+    for index in indexes {
+        let form = index.layout();
+        assert!(
+            layout.is_none_or(|l| l == form),
+            "one bench stamps one layout"
+        );
+        let (pointer, packed) = index.link_memory_bytes();
+        link_bytes += if form.is_packed() { packed } else { pointer };
+        layout = Some(form);
+    }
     *LAYOUT_INFO.lock().unwrap() = Some(serde_json::json!({
-        "layout": layout.name(),
+        "layout": layout.map(tv_common::GraphLayout::name),
         "link_bytes": link_bytes,
     }));
 }
 
 /// The layout provenance block recorded next to [`kernel_info`] in every
 /// bench JSON (single-thread QPS moves ≥1.3x between layouts, so numbers
-/// are not comparable without it).
+/// are not comparable without it); `null` for a bench that searched no
+/// index.
 #[must_use]
 pub(crate) fn layout_info() -> serde_json::Value {
     LAYOUT_INFO.lock().unwrap().clone().unwrap_or_else(|| {
         serde_json::json!({
-            "layout": tv_common::GraphLayout::default().name(),
+            "layout": serde_json::Value::Null,
             "link_bytes": serde_json::Value::Null,
         })
     })

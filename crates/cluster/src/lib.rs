@@ -6,18 +6,15 @@
 //! and the IDs + distances flow back to the coordinator's response pool for
 //! a global merge.
 //!
-//! The paper runs on 8–32 GCP machines; this container has one core, so the
-//! crate provides two layers (both exercised by the benchmarks):
-//!
-//! * [`runtime`] — a *real* message-passing runtime: one thread per server,
-//!   std channels as the network, actual scatter-gather execution.
-//!   This validates the architecture (results identical to a centralized
-//!   search, replica failover works) and measures real per-server compute.
-//! * [`model`] — an analytic cost model that turns measured per-query CPU
-//!   work into modeled cluster QPS under a configurable network
-//!   (per-message latency + per-byte cost) and per-server core count. The
-//!   node- and data-scalability figures (Fig. 9/10) are regenerated through
-//!   this model; DESIGN.md documents the substitution.
+//! The paper runs on 8–32 GCP machines. Here [`runtime`] is a *real*
+//! message-passing runtime on one host: one thread per server, std channels
+//! as the network, actual scatter-gather execution. It validates the
+//! architecture (results identical to a centralized search, replica failover
+//! works) and measures real per-server compute. The analytic model that turns
+//! measured per-query CPU into modeled cluster QPS for the node- and
+//! data-scalability figures (Fig. 9/10) is a benchmark's, not the runtime's:
+//! it lives in `tv-bench`'s `baselines::cost` (DESIGN.md documents the
+//! substitution).
 //!
 //! The runtime is fault-tolerant rather than fault-oblivious: [`fault`]
 //! injects deterministic worker failures (crash-on-recv, reply-drop,
@@ -37,12 +34,10 @@
 
 pub(crate) mod fault;
 pub(crate) mod migrate;
-pub(crate) mod model;
 pub(crate) mod placement;
 pub(crate) mod runtime;
 
 pub use fault::FaultKind;
 pub use migrate::{MigrationReport, Migrator};
-pub use model::{ClusterModel, QueryWork};
 pub use placement::MigrationPlan;
 pub use runtime::{ClusterResponse, ClusterRuntime, RuntimeConfig};

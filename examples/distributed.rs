@@ -7,7 +7,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tigervector::cluster::{ClusterModel, ClusterRuntime, FaultKind, QueryWork, RuntimeConfig};
+use tigervector::baselines::{ClusterModel, QueryWork};
+use tigervector::cluster::{ClusterRuntime, FaultKind, RuntimeConfig};
 use tigervector::common::ids::{LocalId, SegmentLayout};
 use tigervector::common::{DistanceMetric, RetryPolicy, SegmentId, Tid, VertexId};
 use tigervector::datagen::{DatasetShape, VectorDataset};
@@ -125,20 +126,19 @@ fn main() {
     println!("\nmodeled cluster QPS (measured CPU + modeled 32-core servers):");
     let work = QueryWork {
         total_cpu: Duration::from_millis(4),
-        merge_cpu: Duration::from_micros(30),
-        response_bytes: 100 * 12,
+        k: 100,
     };
     let mut prev: Option<f64> = None;
-    for s in [8usize, 16, 32] {
-        let qps = ClusterModel::paper_default(s).qps(&work);
+    for servers in [8usize, 16, 32] {
+        let qps = ClusterModel { servers }.qps(&work);
         let gain = prev.map_or(String::new(), |p| {
             format!("  ({:.2}× vs previous)", qps / p)
         });
-        println!("  {s:>2} servers: {qps:>10.0} QPS{gain}");
+        println!("  {servers:>2} servers: {qps:>10.0} QPS{gain}");
         prev = Some(qps);
     }
     println!(
         "modeled at 10% failure rate: {:.0} QPS on 8 servers",
-        ClusterModel::paper_default(8).qps_with_failures(&work, 0.1)
+        ClusterModel { servers: 8 }.qps_with_failures(&work, 0.1)
     );
 }

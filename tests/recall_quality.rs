@@ -113,7 +113,8 @@ fn milvus_and_tigervector_match_at_equal_ef() {
 #[test]
 fn embedding_service_matches_flat_system_recall() {
     // The full MVCC embedding service should search as well as the plain
-    // segmented system (same indexes underneath).
+    // segmented system without MVCC on the same HNSW core (`MilvusLike`;
+    // `TigerVectorSystem` is this service).
     use tigervector::common::Tid;
     use tigervector::embedding::{EmbeddingService, EmbeddingTypeDef, ServiceConfig};
     use tigervector::hnsw::DeltaRecord;
