@@ -111,12 +111,15 @@ recovery-smoke:
 # suites (the codecs of `tv-hnsw::quant` among them) and the comparator
 # systems' unit tests in `tv-bench` re-run with the SIMD dispatch forced to
 # the scalar fallback (proves results do not depend on the tier — and is the
-# run in which the search core's pinned `core_identity` constants bind), and
-# a quick kernel microbench.
+# run in which the search core's pinned `core_identity` constants bind), the
+# crash-point torture suite on the scalar tier (where `durafile`'s CRC32
+# takes its portable slicing-by-16 path, so crash, recover and bit-compare
+# run on it end to end), and a quick kernel microbench.
 kernel-smoke:
 	cargo test --release -p tv-common --test kernel_equivalence -q
 	TV_KERNELS=scalar cargo test --release -p tv-common -p tv-hnsw -p tv-embedding -q
 	TV_KERNELS=scalar cargo test --release -p tv-bench --lib -q
+	TV_KERNELS=scalar cargo test --release -p tg-graph --test crash_torture -q
 	$(SMOKE_BIN) kernel_bench -- --quick 1
 
 # Quantized-tier gate: the codec, scorer and quantized-storage suites of

@@ -228,7 +228,7 @@ impl Migrator {
 
         // --- Phase 2: Install ----------------------------------------------
         let dest = durafile::read(&path, KIND_MIGRATE_SEG, FORMAT_VERSION)
-            .and_then(|read_back| SegmentImage::decode(&read_back))
+            .and_then(|(read_back, _)| SegmentImage::decode(&read_back))
             .and_then(EmbeddingSegment::from_image)?;
         crash_hook(crash, CrashPoint::MigrateMidInstall)?;
         let dest = Arc::new(dest);

@@ -61,6 +61,8 @@ pub struct CheckpointInfo {
     pub tid: Tid,
     /// Data files written (graph + embedding segments).
     pub files: usize,
+    /// Payload bytes written: every data file's and the manifest's.
+    pub bytes: u64,
     /// WAL records surviving the post-checkpoint rotation.
     pub wal_records_kept: usize,
 }
@@ -120,8 +122,9 @@ impl CheckpointManager {
             // directory holds a mix of old and new files but no (new)
             // manifest, so recovery never sees the partial checkpoint.
             crash_hook(self.crash_plan.as_deref(), CrashPoint::CheckpointMidWrite)?;
-            durafile::write_atomic(&ckpt_dir.join(&name), kind, FORMAT_VERSION, &payload)?;
-            files.push((name, durafile::crc32(&payload), payload.len() as u64));
+            let crc =
+                durafile::write_atomic(&ckpt_dir.join(&name), kind, FORMAT_VERSION, &payload)?;
+            files.push((name, crc, payload.len() as u64));
             Ok(())
         };
 
@@ -166,6 +169,7 @@ impl CheckpointManager {
         // checkpoint.
         let n_files = files.len();
         let manifest = encode_manifest(ckpt_tid, &watermarks, &files);
+        let bytes = files.iter().map(|f| f.2).sum::<u64>() + manifest.len() as u64;
         durafile::write_atomic(
             &ckpt_dir.join("MANIFEST"),
             KIND_MANIFEST,
@@ -189,6 +193,7 @@ impl CheckpointManager {
         Ok(CheckpointInfo {
             tid: ckpt_tid,
             files: n_files,
+            bytes,
             wal_records_kept: kept,
         })
     }
@@ -202,7 +207,7 @@ impl CheckpointManager {
         let mut valid = Vec::new();
         for (tid, path) in list_checkpoints(&self.dir.join(CKPT_DIR)) {
             let manifest_ok = durafile::read(&path.join("MANIFEST"), KIND_MANIFEST, FORMAT_VERSION)
-                .and_then(|m| decode_manifest(&m))
+                .and_then(|(m, _)| decode_manifest(&m))
                 .is_ok();
             if manifest_ok {
                 valid.push((tid, path));
@@ -223,8 +228,14 @@ impl CheckpointManager {
 struct LoadedCheckpoint {
     tid: Tid,
     watermarks: Vec<u64>,
-    graph_segments: Vec<(u32, SegmentId, SegmentSnapshot)>,
-    emb_segments: Vec<(u32, SegmentImage)>,
+    /// In manifest order.
+    segments: Vec<LoadedSegment>,
+}
+
+/// One decoded data file of a checkpoint.
+enum LoadedSegment {
+    Graph(u32, SegmentId, SegmentSnapshot),
+    Embedding(u32, Box<SegmentImage>),
 }
 
 /// Restores the newest verifiable checkpoint and replays the WAL tail.
@@ -252,7 +263,7 @@ impl RecoveryManager {
         let mut skipped = 0;
         let mut restored = None;
         for (tid, path) in candidates {
-            match load_checkpoint(&path, tid) {
+            match load_checkpoint(graph, &path, tid) {
                 Ok(ck) => {
                     install_checkpoint(graph, ck)?;
                     restored = Some(tid);
@@ -294,9 +305,11 @@ impl RecoveryManager {
 
 /// Read and fully verify one checkpoint directory. Any missing file, CRC
 /// mismatch, or decode failure is an `Err` — the caller falls back to an
-/// older checkpoint.
-fn load_checkpoint(dir: &Path, expect_tid: Tid) -> TvResult<LoadedCheckpoint> {
-    let manifest = durafile::read(&dir.join("MANIFEST"), KIND_MANIFEST, FORMAT_VERSION)?;
+/// older checkpoint. The data files are read, verified and decoded side by
+/// side on the embedding service's pool, at its query width; nothing is
+/// installed until all of them have decoded.
+fn load_checkpoint(graph: &Graph, dir: &Path, expect_tid: Tid) -> TvResult<LoadedCheckpoint> {
+    let (manifest, _) = durafile::read(&dir.join("MANIFEST"), KIND_MANIFEST, FORMAT_VERSION)?;
     let (tid, watermarks, files) = decode_manifest(&manifest)?;
     if tid != expect_tid {
         return Err(TvError::Storage(format!(
@@ -304,56 +317,69 @@ fn load_checkpoint(dir: &Path, expect_tid: Tid) -> TvResult<LoadedCheckpoint> {
             dir.display()
         )));
     }
-    let mut graph_segments = Vec::new();
-    let mut emb_segments = Vec::new();
-    for (name, want_crc, want_len) in files {
-        let kind = if name.starts_with("graph-") {
-            KIND_GRAPH_SEG
-        } else {
-            KIND_EMB_SEG
-        };
-        let payload = durafile::read(&dir.join(&name), kind, FORMAT_VERSION)?;
-        if payload.len() as u64 != want_len || durafile::crc32(&payload) != want_crc {
-            return Err(TvError::Storage(format!(
-                "checkpoint file {name} does not match its manifest entry"
-            )));
-        }
-        let mut r = Reader::new(&payload, "checkpoint file");
-        if kind == KIND_GRAPH_SEG {
-            let type_id = r.u32()?;
-            let seg = SegmentId(r.u32()?);
-            let image = decode_segment_image(r.take(r.remaining())?)?;
-            graph_segments.push((type_id, seg, image));
-        } else {
-            let attr_id = r.u32()?;
-            let image = SegmentImage::decode(r.take(r.remaining())?)?;
-            emb_segments.push((attr_id, image));
-        }
-    }
+    let embeddings = graph.embeddings();
+    let segments = embeddings
+        .pool()
+        .run(files, embeddings.config().query_threads, |entry| {
+            load_segment(dir, entry)
+        })
+        .into_iter()
+        .collect::<TvResult<_>>()?;
     Ok(LoadedCheckpoint {
         tid,
         watermarks,
-        graph_segments,
-        emb_segments,
+        segments,
     })
 }
 
-/// Install a fully-verified checkpoint into a fresh graph. An embedding
-/// image declared differently from the attribute the DDL recreated
-/// (capacity, storage spec, dimension, metric) is refused.
+/// Read one data file, hold the CRC its container verified against the
+/// manifest's entry (so its bytes are checksummed once), and decode it.
+fn load_segment(dir: &Path, (name, want_crc, want_len): ManifestEntry) -> TvResult<LoadedSegment> {
+    let graph_file = name.starts_with("graph-");
+    let kind = if graph_file {
+        KIND_GRAPH_SEG
+    } else {
+        KIND_EMB_SEG
+    };
+    let (payload, crc) = durafile::read(&dir.join(&name), kind, FORMAT_VERSION)?;
+    if payload.len() as u64 != want_len || crc != want_crc {
+        return Err(TvError::Storage(format!(
+            "checkpoint file {name} does not match its manifest entry"
+        )));
+    }
+    let mut r = Reader::new(&payload, "checkpoint file");
+    if graph_file {
+        let type_id = r.u32()?;
+        let seg = SegmentId(r.u32()?);
+        let image = decode_segment_image(r.take(r.remaining())?)?;
+        Ok(LoadedSegment::Graph(type_id, seg, image))
+    } else {
+        let attr_id = r.u32()?;
+        let image = SegmentImage::decode(r.take(r.remaining())?)?;
+        Ok(LoadedSegment::Embedding(attr_id, Box::new(image)))
+    }
+}
+
+/// Install a fully-verified checkpoint into a fresh graph, in manifest
+/// order. An embedding image declared differently from the attribute the
+/// DDL recreated (capacity, storage spec, dimension, metric) is refused.
 fn install_checkpoint(graph: &Graph, ck: LoadedCheckpoint) -> TvResult<()> {
     let store = graph.store();
-    for (type_id, seg, image) in ck.graph_segments {
-        store.vertex_type(type_id)?.restore_segment(seg, image)?;
+    let embeddings = graph.embeddings();
+    for segment in ck.segments {
+        match segment {
+            LoadedSegment::Graph(type_id, seg, image) => {
+                store.vertex_type(type_id)?.restore_segment(seg, image)?;
+            }
+            LoadedSegment::Embedding(attr_id, image) => {
+                embeddings.restore_segment(attr_id, *image)?;
+            }
+        }
     }
     for (type_id, rows) in ck.watermarks.iter().enumerate() {
         store
             .vertex_type(type_id as u32)?
             .restore_allocated(*rows as usize);
-    }
-    let embeddings = graph.embeddings();
-    for (attr_id, image) in ck.emb_segments {
-        embeddings.restore_segment(attr_id, image)?;
     }
     store.txn().recover_to(ck.tid);
     Ok(())

@@ -283,6 +283,89 @@ fn corrupt_newest_checkpoint_falls_back_to_previous() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn ckpt_dir(dir: &Path, tid: u64) -> PathBuf {
+    dir.join("checkpoints").join(format!("ckpt-{tid:020}"))
+}
+
+/// A durafile container is 28 header bytes, the payload CRC at 24..28, then
+/// the payload: whether `bytes` verifies on its own.
+fn container_verifies(bytes: &[u8]) -> bool {
+    let crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
+    tv_common::crc32(&bytes[28..]) == crc
+}
+
+/// Copy `name` from the checkpoint taken at TID 10 over the file of that
+/// name in the checkpoint taken at TID 20. The copy is a whole container
+/// whose own CRC verifies: only checkpoint 20's manifest entry can tell
+/// that it belongs to another checkpoint.
+fn transplant_older_file(dir: &Path, name: &str) {
+    let older = std::fs::read(ckpt_dir(dir, 10).join(name)).unwrap();
+    let newer = std::fs::read(ckpt_dir(dir, 20).join(name)).unwrap();
+    assert_ne!(older, newer, "{name} must differ between the checkpoints");
+    assert!(container_verifies(&older), "{name} verifies alone");
+    std::fs::write(ckpt_dir(dir, 20).join(name), &older).unwrap();
+}
+
+/// Change one digit of a title in checkpoint 20's `graph-t0-s0.seg` and
+/// reseal its container: same length, still decodable, own CRC valid, so
+/// only the manifest's CRC tells the file is not the one it listed.
+fn reseal_graph_file(dir: &Path) {
+    let path = ckpt_dir(dir, 20).join("graph-t0-s0.seg");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes
+        .windows(4)
+        .position(|w| w == b"doc-")
+        .expect("a title in the image")
+        + 4;
+    bytes[at] = b'0' + (bytes[at] - b'0' + 1) % 10;
+    let crc = tv_common::crc32(&bytes[28..]);
+    bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+    assert!(container_verifies(&bytes));
+    std::fs::write(&path, &bytes).unwrap();
+}
+
+/// After `tamper` swaps a data file of checkpoint 20 for one its manifest
+/// did not list, recovery skips checkpoint 20, restores 10, replays, and
+/// reaches the oracle.
+fn swapped_file_falls_back_to_previous(label: &str, tamper: impl Fn(&Path)) {
+    let dir = test_dir(label);
+    {
+        let g = open(&dir, None);
+        run_from(&g, 1, N_TXNS).unwrap();
+    }
+    tamper(&dir);
+
+    let g = open(&dir, None);
+    let report = g.recover().unwrap();
+    assert_eq!(report.skipped_checkpoints, 1);
+    assert_eq!(report.checkpoint, Some(Tid(10)));
+    assert_eq!(report.replayed, (N_TXNS - 10) as usize);
+    assert_eq!(fingerprint(&g), oracle());
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn embedding_image_of_an_older_checkpoint_is_refused_by_the_manifest() {
+    swapped_file_falls_back_to_previous("transplant-emb", |dir| {
+        transplant_older_file(dir, "emb-a0-s0.vec");
+    });
+}
+
+#[test]
+fn graph_image_of_an_older_checkpoint_is_refused_by_the_manifest() {
+    swapped_file_falls_back_to_previous("transplant-graph", |dir| {
+        transplant_older_file(dir, "graph-t0-s0.seg");
+    });
+}
+
+/// The two files above also differ in length from the ones they replace;
+/// this one differs only in the CRC the manifest recorded.
+#[test]
+fn resealed_image_of_the_same_length_is_refused_by_the_manifest() {
+    swapped_file_falls_back_to_previous("reseal-graph", reseal_graph_file);
+}
+
 /// With *every* retained checkpoint corrupt there is nothing to fall back
 /// to: the WAL was rotated past the older one, so it starts at TID 11.
 /// Replaying it onto an empty graph would silently drop transactions 1–10;

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use tg_graph::CheckpointInfo;
 use tv_cluster::MigrationReport;
 use tv_common::LatencyHistogram;
 use tv_hnsw::SearchStats;
@@ -209,6 +210,9 @@ metrics_block! {
             last_checkpoint_tid,
             /// Data files the most recent checkpoint wrote.
             last_checkpoint_files,
+            /// Payload bytes the most recent checkpoint wrote (data files
+            /// and manifest): over `checkpoint_mean_ms`, its write rate.
+            last_checkpoint_bytes,
             /// Records the most recent checkpoint left in the rotated WAL.
             wal_records_kept,
             /// Gauge: pending graph-store deltas (summed `SegmentStore`
@@ -222,21 +226,17 @@ metrics_block! {
 }
 
 impl DurabilityMetrics {
-    /// A checkpoint completed at `tid`, writing `files` data files and
-    /// leaving `wal_kept` records in the rotated WAL.
-    pub(crate) fn record_checkpoint(
-        &self,
-        tid: u64,
-        files: usize,
-        wal_kept: usize,
-        elapsed: Duration,
-    ) {
+    /// A checkpoint completed in `elapsed`.
+    pub(crate) fn record_checkpoint(&self, info: &CheckpointInfo, elapsed: Duration) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.last_checkpoint_tid.store(tid, Ordering::Relaxed);
+        self.last_checkpoint_tid
+            .store(info.tid.0, Ordering::Relaxed);
         self.last_checkpoint_files
-            .store(files as u64, Ordering::Relaxed);
+            .store(info.files as u64, Ordering::Relaxed);
+        self.last_checkpoint_bytes
+            .store(info.bytes, Ordering::Relaxed);
         self.wal_records_kept
-            .store(wal_kept as u64, Ordering::Relaxed);
+            .store(info.wal_records_kept as u64, Ordering::Relaxed);
         self.checkpoint_latency.record(elapsed);
     }
 

@@ -147,12 +147,9 @@ impl Server {
         let start = Instant::now();
         match self.graph.checkpoint() {
             Ok(info) => {
-                self.metrics.durability().record_checkpoint(
-                    info.tid.0,
-                    info.files,
-                    info.wal_records_kept,
-                    start.elapsed(),
-                );
+                self.metrics
+                    .durability()
+                    .record_checkpoint(&info, start.elapsed());
                 Ok(info)
             }
             Err(e) => {

@@ -675,6 +675,69 @@ fn server_checkpoint_and_recovery_serving_continuity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `__durability__.last_checkpoint_bytes` is what the checkpoint wrote:
+/// the payloads of its data files and manifest, read back from the
+/// directory (each durafile container is a 28-byte header, then the
+/// payload).
+#[test]
+fn last_checkpoint_bytes_is_the_sum_of_the_checkpoint_payloads() {
+    const HEADER: u64 = 28;
+    let dir = std::env::temp_dir().join(format!("tv-serve-ckpt-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let graph = Graph::durable(
+        &dir,
+        SegmentLayout::with_capacity(8),
+        ServiceConfig::default(),
+    )
+    .unwrap();
+    graph
+        .create_vertex_type("Doc", &[("classification", AttrType::Str)])
+        .unwrap();
+    graph
+        .add_embedding_attribute(
+            "Doc",
+            EmbeddingTypeDef::new("emb", DIM, "M", DistanceMetric::L2),
+        )
+        .unwrap();
+    let ids = graph.allocate_many(0, DOCS).unwrap();
+    let mut rng = SplitMix64::new(43);
+    let mut txn = graph.txn();
+    for &id in &ids {
+        let v: Vec<f32> = (0..DIM).map(|_| rng.next_f32()).collect();
+        txn = txn
+            .upsert_vertex(0, id, vec![AttrValue::Str("public".into())])
+            .set_vector(0, id, v);
+    }
+    txn.commit().unwrap();
+    let server = Server::new(
+        Arc::new(graph),
+        Arc::new(AccessControl::new()),
+        ServerConfig::default(),
+    );
+    let info = server.checkpoint().unwrap();
+    let ckpt = dir
+        .join("checkpoints")
+        .join(format!("ckpt-{:020}", info.tid.0));
+    let on_disk: u64 = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len() - HEADER)
+        .sum();
+    let files = std::fs::read_dir(&ckpt).unwrap().count();
+    assert_eq!(files, info.files + 1, "data files and the manifest");
+    let metrics = server.metrics_json();
+    let reported = metrics
+        .get("__durability__")
+        .unwrap()
+        .get("last_checkpoint_bytes")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    assert!(reported > 0);
+    assert_eq!(reported, on_disk);
+    assert_eq!(info.bytes, on_disk);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn migrate_segment_is_admin_triggered_and_lands_in_cluster_metrics() {
     let (graph, acl, _ids, _vecs) = serving_fixture();
@@ -843,6 +906,7 @@ fn metrics_json_blocks_have_exactly_these_keys() {
                 ("checkpoint_mean_ms", F),
                 ("checkpoints", U),
                 ("graph_store_tail", U),
+                ("last_checkpoint_bytes", U),
                 ("last_checkpoint_files", U),
                 ("last_checkpoint_tid", U),
                 ("wal_records_kept", U),
