@@ -12,8 +12,15 @@
 //! The graph is vacuumed to an empty delta tail before the first level, so
 //! every query searches the index, not a brute-forced overlay.
 //!
-//! Writes `bench_results/serve_load.json`; `make serve-smoke` gates its QPS
-//! against `bench_results/baseline/serve_load.json`.
+//! Writes `bench_results/serve_load.json`, then checks three counter gates
+//! that hold on any host, whatever its speed (`make serve-smoke` is this
+//! binary's exit code):
+//!
+//! * at 2 clients on 2 executors nothing waits, because an executor is
+//!   always free: 0 rejected, and mean batch 1.0;
+//! * at 32 clients the waiting top-ks coalesce: mean batch > 1;
+//! * every call is answered or refused with `Overloaded`: a client panics
+//!   on any other outcome.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -193,6 +200,7 @@ fn main() {
     let levels = [2usize, 8, 32];
     let mut rows = Vec::new();
     let mut json_levels = Vec::new();
+    let mut results = Vec::new();
     for threads in levels {
         let r = run_level(&graph, &acl, &queries, threads, duration, k);
         rows.push(vec![
@@ -211,6 +219,7 @@ fn main() {
             "qps": r.qps, "rejected": r.rejected,
             "rejection_rate": r.rejection_rate, "threads": r.threads,
         }));
+        results.push(r);
     }
 
     print_table(
@@ -237,5 +246,19 @@ fn main() {
     out.insert("n".into(), serde_json::json!(n));
     out.insert("queue_capacity".into(), serde_json::json!(8));
     out.insert("tenants".into(), serde_json::json!(TENANTS.len()));
+
+    let (idle, busy) = (&results[0], &results[2]);
+    let gates = [
+        ("2 clients: 0 rejected", idle.rejected == 0),
+        ("2 clients: mean batch 1.0", idle.mean_batch == 1.0),
+        ("32 clients: mean batch > 1", busy.mean_batch > 1.0),
+    ];
+    println!("\ngates:");
+    for (gate, pass) in gates {
+        println!("  {gate}: {}", if pass { "PASS" } else { "FAIL" });
+    }
+    let pass = gates.iter().all(|&(_, pass)| pass);
+    out.insert("gates_pass".into(), serde_json::json!(pass));
     save_json("serve_load", &serde_json::Value::Object(out));
+    assert!(pass, "serve_load gates failed: {gates:?}");
 }

@@ -310,10 +310,10 @@ impl EmbeddingService {
 
     /// **EmbeddingAction[Top k, batched]**: several queries against the same
     /// attribute set share one per-segment fan-out — the serving layer's
-    /// batcher uses this to amortize segment dispatch across tenants. Every
-    /// top-k door runs this one fan-out, and each query's per-segment
-    /// results are merged in segment order, so batched results are
-    /// bit-identical to issuing the queries one by one.
+    /// queued batches use this to amortize segment dispatch across
+    /// tenants. Every top-k door runs this one fan-out, and each query's
+    /// per-segment results are merged in segment order, so batched results
+    /// are bit-identical to issuing the queries one by one.
     ///
     /// The `deadline` is checked before every segment search; when it
     /// expires the whole batch fails with [`TvError::Timeout`]. Statistics
@@ -494,17 +494,20 @@ impl EmbeddingService {
     }
 
     /// Validate a multi-attribute search: attributes exist, are mutually
-    /// compatible, and the query vector matches their dimension.
+    /// compatible, and the query vector matches their dimension. The ids
+    /// are a set: an attribute named twice is searched once.
     fn check_search(&self, attr_ids: &[u32], query: &[f32]) -> TvResult<Vec<Arc<EmbeddingAttr>>> {
         if attr_ids.is_empty() {
             return Err(TvError::InvalidArgument(
                 "vector search needs at least one embedding attribute".into(),
             ));
         }
-        let attrs: Vec<Arc<EmbeddingAttr>> = attr_ids
-            .iter()
-            .map(|&id| self.attr(id))
-            .collect::<TvResult<_>>()?;
+        let mut attrs: Vec<Arc<EmbeddingAttr>> = Vec::with_capacity(attr_ids.len());
+        for (i, &id) in attr_ids.iter().enumerate() {
+            if !attr_ids[..i].contains(&id) {
+                attrs.push(self.attr(id)?);
+            }
+        }
         let defs: Vec<&EmbeddingTypeDef> = attrs.iter().map(|a| &a.def).collect();
         EmbeddingTypeDef::check_compatible(&defs)?;
         attrs[0].def.check_query_vector(query)?;
@@ -826,6 +829,44 @@ mod tests {
         for run in 0..50 {
             let (got, _) = svc.top_k(&[a, b], &q, 12, 64, Tid(40), None).unwrap();
             assert_eq!(bits(&got), bits(&want), "run {run}");
+        }
+    }
+
+    /// An attribute named twice used to be searched twice: every hit came
+    /// back twice, so a top-k held half as many vertices and a range
+    /// search twice as many hits.
+    #[test]
+    fn an_attribute_named_twice_is_searched_once() {
+        let svc = service();
+        let layout = SegmentLayout::with_capacity(16);
+        let a = svc.register(0, def("post_emb"), layout).unwrap();
+        let b = svc.register(1, def("comment_emb"), layout).unwrap();
+        let vecs = load(&svc, a, 48, 17);
+        load(&svc, b, 48, 19);
+        let q = &vecs[7];
+        for (twice, once) in [(vec![a, a], vec![a]), (vec![b, a, b, a], vec![b, a])] {
+            let top = |ids: &[u32]| svc.top_k(ids, q, 6, 64, Tid(48), None).unwrap();
+            let ((hits, stats), (want, want_stats)) = (top(&twice), top(&once));
+            assert_eq!(bits(&hits), bits(&want), "{twice:?}");
+            assert_eq!(
+                stats.distance_computations, want_stats.distance_computations,
+                "{twice:?}"
+            );
+            let within = |ids: &[u32]| {
+                let mut stats = SearchStats::default();
+                let found = svc.range_search(
+                    ids,
+                    q,
+                    10.0,
+                    64,
+                    Tid(48),
+                    None,
+                    Deadline::none(),
+                    &mut stats,
+                );
+                bits(&found.unwrap())
+            };
+            assert_eq!(within(&twice), within(&once), "{twice:?}");
         }
     }
 

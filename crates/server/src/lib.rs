@@ -12,12 +12,11 @@
 //!              (tenant,    (token bucket, then a        (GSQL /      (global
 //!               rbac        permit: at once if one is    segment      top-k)
 //!               user)       free, else a bounded FIFO    fan-out)
-//!                           queue)
-//!                             │ direct top-ks that must queue
-//!                             ▼
-//!                           Batcher (same-shape top-ks waiting together
-//!                           become one batch: one queue slot, one permit,
-//!                           one fan-out)
+//!                           queue whose entry is one
+//!                           request or one batch of
+//!                           same-shape direct top-ks:
+//!                           one slot, one permit, one
+//!                           fan-out)
 //! ```
 //!
 //! Responsibilities:
@@ -25,13 +24,13 @@
 //! * [`session`] — session handles carrying a tenant id and an rbac
 //!   principal, wired into `tg-graph::rbac` so one grant set governs graph
 //!   rows *and* vectors (§1's data-governance argument);
-//! * [`admission`] — a semaphore-bounded executor pool behind a bounded
+//! * [`admission`] — a semaphore-bounded executor pool behind one bounded
 //!   FIFO queue with explicit rejection ([`tv_common::TvError::Overloaded`])
-//!   and per-tenant token-bucket rate limits;
-//! * [`batch`] — work-conserving coalescing: a direct top-k that finds a
-//!   free executor runs at once and alone; those that must wait for one
-//!   join the batch of a queued request with the same attribute, `k`, `ef`
-//!   and snapshot, and the batch runs as one multi-query segment fan-out
+//!   and per-tenant token-bucket rate limits, and work-conserving
+//!   coalescing inside that queue: a direct top-k that finds a free
+//!   executor runs at once and alone; one that must wait joins the queued
+//!   batch with the same attribute, `k`, `ef` and snapshot, and the batch
+//!   runs as one multi-query segment fan-out
 //!   (`EmbeddingService::top_k_many_each`) under one permit, bit-identical
 //!   to one-by-one execution. Nothing ever waits *for* a batch;
 //! * deadlines — every request carries a [`tv_common::Deadline`] checked at
@@ -42,7 +41,6 @@
 //!   exported as JSON.
 
 pub(crate) mod admission;
-pub(crate) mod batch;
 pub(crate) mod metrics;
 pub(crate) mod server;
 pub(crate) mod session;

@@ -101,9 +101,9 @@ metrics_block! {
 
 impl TenantMetrics {
     /// A request passed admission; `queued_at_depth` is the queue depth it
-    /// observed (0 = fast path, or a batch follower: it has no slot of its
-    /// own) and `waited` the time from its arrival to the start of its
-    /// execution — queue wait and batch wait alike.
+    /// observed (0 = fast path, or a batch member that another member ran:
+    /// it has no slot of its own) and `waited` the time from its arrival to
+    /// the start of its execution — queue wait and batch wait alike.
     pub(crate) fn record_admitted(&self, queued_at_depth: usize, waited: Duration) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.max_queue_depth
@@ -146,8 +146,8 @@ impl TenantMetrics {
             .fetch_max(size as u64, Ordering::Relaxed);
     }
 
-    /// The request ran a direct top-k fan-out, for itself alone or as the
-    /// leader of a batch.
+    /// The request ran a direct top-k fan-out, for itself alone or for its
+    /// whole batch.
     pub(crate) fn record_fanout(&self) {
         self.fanouts.fetch_add(1, Ordering::Relaxed);
     }

@@ -2,8 +2,7 @@
 //! coalesce there) → GSQL executor | segment fan-out → merge, with
 //! per-tenant metrics around every step.
 
-use crate::admission::{AdmissionConfig, AdmissionController, Permit};
-use crate::batch::{BatchKey, Batcher, Reply};
+use crate::admission::{AdmissionConfig, AdmissionController, BatchKey, Permit, Reply, TopKTurn};
 use crate::metrics::{MetricsRegistry, TenantMetrics};
 use crate::session::{Session, SessionManager};
 use std::path::Path;
@@ -49,14 +48,13 @@ impl Default for ServerConfig {
 /// Holds the graph, the rbac [`AccessControl`] every request is checked
 /// against, and the serving stages. Batching note: a request that gets an
 /// executor runs at once; direct top-ks coalesce only while they wait for
-/// one, and a batch runs under a single permit — admission bounds work,
-/// batching amortizes the backlog.
+/// one, as one entry of the admission queue, and a batch runs under a
+/// single permit — admission bounds work, batching amortizes the backlog.
 pub struct Server {
     graph: Arc<Graph>,
     acl: Arc<AccessControl>,
     config: ServerConfig,
     admission: AdmissionController,
-    batcher: Batcher,
     metrics: MetricsRegistry,
     sessions: SessionManager,
     cluster: Option<Arc<ClusterRuntime>>,
@@ -69,8 +67,7 @@ impl Server {
         Server {
             graph,
             acl,
-            admission: AdmissionController::new(config.admission),
-            batcher: Batcher::new(config.max_batch),
+            admission: AdmissionController::new(config.admission, config.max_batch),
             metrics: MetricsRegistry::new(),
             sessions: SessionManager::new(),
             cluster: None,
@@ -92,16 +89,11 @@ impl Server {
         &self.graph
     }
 
-    /// The admission controller (for observing queue depth).
+    /// The admission controller (for observing the queue: its depth, and
+    /// how many requests wait in it).
     #[must_use]
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
-    }
-
-    /// The batcher (for observing how many top-ks wait in open batches).
-    #[must_use]
-    pub fn batcher(&self) -> &Batcher {
-        &self.batcher
     }
 
     /// Open a session for `tenant` acting as rbac principal `user`.
@@ -286,7 +278,7 @@ impl Server {
     }
 
     /// The top-k of a user who may read every row: alone and at once on a
-    /// free executor, else through the batcher.
+    /// free executor, else in a batch of the admission queue.
     #[allow(clippy::too_many_arguments)]
     fn unrestricted_top_k(
         &self,
@@ -300,27 +292,13 @@ impl Server {
         ef: usize,
     ) -> TvResult<Vec<TypedNeighbor>> {
         let tid = self.graph.read_tid();
-        let run = |queries: Vec<Vec<f32>>, deadline: Deadline| -> Vec<Reply> {
-            let batch: Vec<BatchQuery> = queries
-                .into_iter()
-                .map(|query| BatchQuery { query, k, ef })
-                .collect();
-            let mut stats = vec![SearchStats::default(); batch.len()];
-            let found = self
-                .graph
-                .embeddings()
-                .top_k_many_each(attr_ids, &batch, tid, None, deadline, &mut stats);
-            match found {
-                Ok(all) => all.into_iter().map(Ok).zip(stats).collect(),
-                Err(e) => stats.into_iter().map(|s| (Err(e.clone()), s)).collect(),
-            }
-        };
-
         // An executor is free and nobody waits for it: run now, alone.
         if let Some(_permit) = self.admission.try_admit() {
             tenant.record_admitted(0, start.elapsed());
             tenant.record_fanout();
-            let (result, stats) = run(vec![query], deadline)
+            let query = vec![query];
+            let (result, stats) = self
+                .run_top_ks(attr_ids, query, k, ef, tid, deadline)
                 .pop()
                 .expect("one reply per query");
             tenant.record_plans(&stats);
@@ -333,24 +311,61 @@ impl Server {
             ef,
             tid,
         };
-        let out = self.batcher.submit(
-            &key,
-            query,
-            deadline,
-            || self.acquire(session, tenant, deadline, start),
-            run,
-        );
-        if let Some(started) = out.started {
-            if out.was_leader {
+        let answer = match self
+            .admission
+            .queue_top_k(&session.tenant, key, query, deadline)?
+        {
+            TopKTurn::Run(mut batch) => {
+                tenant.record_admitted(batch.queued_at_depth, start.elapsed());
                 tenant.record_fanout();
-            } else {
-                // Rode its leader's queue slot and permit.
-                tenant.record_admitted(0, started.saturating_duration_since(start));
+                let queries = std::mem::take(&mut batch.queries);
+                let replies = self.run_top_ks(attr_ids, queries, k, ef, tid, batch.deadline);
+                batch.answer(replies)
             }
-            tenant.record_batched(out.batch_size);
+            TopKTurn::Answered(answer) => {
+                // Rode the runner's queue slot and permit.
+                let waited = answer.started.saturating_duration_since(start);
+                tenant.record_admitted(0, waited);
+                answer
+            }
+        };
+        tenant.record_batched(answer.batch_size);
+        let (result, stats) = answer.reply;
+        tenant.record_plans(&stats);
+        // The batch ran under its most permissive deadline; this member's
+        // own decides whether the answer still counts.
+        match result {
+            Ok(_) if deadline.expired() => Err(TvError::Timeout(
+                "deadline expired while the batch ran".into(),
+            )),
+            other => other,
         }
-        tenant.record_plans(&out.stats);
-        out.result
+    }
+
+    /// Run `queries` as one segment fan-out under a permit the caller
+    /// holds: one reply per query, in order.
+    fn run_top_ks(
+        &self,
+        attr_ids: &[u32],
+        queries: Vec<Vec<f32>>,
+        k: usize,
+        ef: usize,
+        tid: Tid,
+        deadline: Deadline,
+    ) -> Vec<Reply> {
+        let batch: Vec<BatchQuery> = queries
+            .into_iter()
+            .map(|query| BatchQuery { query, k, ef })
+            .collect();
+        let mut stats = vec![SearchStats::default(); batch.len()];
+        let found = self
+            .graph
+            .embeddings()
+            .top_k_many_each(attr_ids, &batch, tid, None, deadline, &mut stats);
+        match found {
+            Ok(all) => all.into_iter().map(Ok).zip(stats).collect(),
+            Err(e) => stats.into_iter().map(|s| (Err(e.clone()), s)).collect(),
+        }
     }
 
     /// Scatter a top-k across the attached cluster runtime with the session

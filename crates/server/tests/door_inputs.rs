@@ -1,8 +1,8 @@
 //! Edge-case inputs at every serving door, as one table: `k = 0`, `k` above
 //! the live count, a wrong dimension, NaN/±∞, finite components whose norm
-//! overflows f32 (`OVERFLOWING`), and segments that hold nothing
-//! (never written, or every vector tombstoned), each on f32 and on SQ8
-//! storage. The doors are `Server::query`, `Server::vector_top_k`,
+//! overflows f32 (`OVERFLOWING`), an attribute named twice, and segments
+//! that hold nothing (never written, or every vector tombstoned), each on
+//! f32 and on SQ8 storage. The doors are `Server::query`, `Server::vector_top_k`,
 //! `Server::cluster_top_k`, `EmbeddingService::top_k_many` and
 //! `EmbeddingService::range_search`. Every cell is `Ok` with an exact row
 //! count or a typed `TvError`; none may panic.
@@ -301,6 +301,52 @@ fn every_door_answers_edge_case_inputs_with_a_count_or_a_typed_error() {
                 range(&rig, &good, f32::NAN).unwrap_err(),
                 TvError::InvalidArgument(_)
             ));
+            // The one attribute named twice is searched once: every door
+            // that takes attribute ids counts as if it were named once.
+            let graph = rig.server.graph();
+            let (twice, tid) = ([0u32, 0], graph.read_tid());
+            for k in [3, DOCS + 10] {
+                let found = rig
+                    .server
+                    .vector_top_k(&rig.session, &twice, good.to_vec(), k);
+                let named = [("Doc", "emb"); 2];
+                let set = tv_gsql::vector_search(graph, &named, &good, k, Default::default());
+                let batch = [BatchQuery {
+                    query: &good[..],
+                    k,
+                    ef: 32,
+                }];
+                let mut stats = SearchStats::default();
+                let many = graph.embeddings().top_k_many(
+                    &twice,
+                    &batch,
+                    tid,
+                    None,
+                    Deadline::none(),
+                    &mut stats,
+                );
+                assert_eq!(
+                    [
+                        found.unwrap().len(),
+                        set.unwrap().len(),
+                        many.unwrap()[0].len()
+                    ],
+                    [k.min(rig.live); 3],
+                    "{}",
+                    ctx("attribute twice", &format!("k={k}"))
+                );
+            }
+            let within = graph.embeddings().range_search(
+                &twice,
+                &good,
+                f32::INFINITY,
+                32,
+                tid,
+                None,
+                Deadline::none(),
+                &mut SearchStats::default(),
+            );
+            assert_eq!(within.unwrap().len(), rig.live);
         }
     }
 }

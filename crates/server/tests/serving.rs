@@ -351,8 +351,7 @@ fn spawn_top_k(
 }
 
 /// Send one top-k (k = 4) per `(session, query)` from a thread each while the
-/// only executor is held: the first queues as a leader, the others join its
-/// batch. Returns once all of them wait, in order; the caller lets go of the
+/// only executor is held: the first queues a batch, the others join it. Returns once all of them wait, in order; the caller lets go of the
 /// executor.
 fn coalesced(
     server: &Arc<Server>,
@@ -361,7 +360,7 @@ fn coalesced(
     let mut handles = Vec::new();
     for (i, (session, qv)) in requests.into_iter().enumerate() {
         handles.push(spawn_top_k(server, session, qv));
-        while server.batcher().waiting() < i + 1 || server.admission().queue_depth() < 1 {
+        while server.admission().waiting() < i + 1 || server.admission().queue_depth() < 1 {
             std::thread::yield_now();
         }
     }
@@ -404,7 +403,7 @@ fn batched_vector_topk_is_bit_identical_to_solo() {
     assert_eq!(counter("completed"), n as u64);
     assert_eq!(counter("max_queue_depth"), 1, "followers take no slot");
     assert!(acme.get("wait_p99_ms").unwrap().as_f64().unwrap() > 0.0);
-    assert_eq!(server.batcher().waiting(), 0);
+    assert_eq!(server.admission().waiting(), 0);
 
     // With the executor free the same call runs alone, at once.
     let session = server.open_session("solo", "u-acme");
@@ -450,13 +449,13 @@ fn coalesced_members_keep_their_own_deadlines() {
     let led = handles.pop().unwrap().join().unwrap().unwrap();
     assert_eq!(led, solo_top_k(&graph, &vecs[0]).0);
 
-    // A hurried leader times out in the queue; the patient follower it
-    // abandons starts over, queues by itself and is answered. (Should the
-    // leader expire before the follower has joined — its 40 ms say it will
-    // not — the follower leads from the start: same outcome.)
+    // A hurried first member times out in the queue; the patient member
+    // behind it keeps the batch's place and is answered. (Should the first
+    // expire before the second has joined — its 40 ms say it will not —
+    // the second queues a batch of its own: same outcome.)
     let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
     let leader = spawn_top_k(&server, hurried(40), vecs[2].clone());
-    while server.batcher().waiting() < 1 && !leader.is_finished() {
+    while server.admission().waiting() < 1 && !leader.is_finished() {
         std::thread::yield_now();
     }
     let follower = spawn_top_k(&server, patient(), vecs[3].clone());
@@ -472,7 +471,180 @@ fn coalesced_members_keep_their_own_deadlines() {
         solo_top_k(&graph, &vecs[3]).0
     );
     assert_eq!(timeouts("patient"), 0);
-    assert_eq!(server.batcher().waiting(), 0);
+    assert_eq!(server.admission().waiting(), 0);
+}
+
+/// A batch whose first member timed out used to be abandoned: the patient
+/// member behind it queued again at the back, behind a GSQL query that had
+/// arrived after it.
+#[test]
+fn a_batch_keeps_its_queue_place_when_a_member_leaves() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = one_permit_server(&graph, &acl);
+    let (gate, _) = server.admission().admit("gate", Deadline::none()).unwrap();
+    let hurried = server
+        .open_session("hurried", "u-globex")
+        .with_deadline(Duration::from_millis(300));
+    let first = spawn_top_k(&server, hurried, vecs[0].clone());
+    while server.admission().waiting() < 1 && !first.is_finished() {
+        std::thread::yield_now();
+    }
+    let patient = server.open_session("patient", "u-acme");
+    let second = spawn_top_k(&server, patient, vecs[1].clone());
+    while server.admission().waiting() < 2 && !first.is_finished() {
+        std::thread::yield_now();
+    }
+    let later = {
+        let server = Arc::clone(&server);
+        let session = server.open_session("later", "u-initech");
+        let params = topk_params(&vecs[2]);
+        std::thread::spawn(move || server.query(&session, TOPK_SRC, &params))
+    };
+    while server.admission().queue_depth() < 2 {
+        std::thread::yield_now();
+    }
+    let late = first.join().unwrap();
+    assert!(matches!(late, Err(TvError::Timeout(_))), "{late:?}");
+    // Everyone left waiting holds a place before the executor frees.
+    while server.admission().queue_depth() < 2 {
+        std::thread::yield_now();
+    }
+
+    drop(gate);
+    assert_eq!(
+        second.join().unwrap().unwrap(),
+        solo_top_k(&graph, &vecs[1]).0
+    );
+    later.join().unwrap().unwrap();
+    let snap = server.metrics_json();
+    let depth = |tenant: &str| {
+        let t = snap.get(tenant).unwrap();
+        t.get("max_queue_depth").unwrap().as_u64().unwrap()
+    };
+    // The patient member ran its batch from the place the batch took
+    // first, ahead of the later query.
+    assert_eq!(depth("patient"), 1);
+    assert_eq!(depth("later"), 2);
+    assert_eq!(server.admission().waiting(), 0);
+}
+
+/// Sixteen clients on one executor, a queue of four and batches of four:
+/// top-ks of two batch keys and GSQL queries, half of them with a deadline
+/// of 1–5 ms, while a gate request keeps taking the executor for 2 ms at a
+/// time so that requests queue, coalesce and expire. Every call ends in its
+/// solo answer, `Timeout` or `Overloaded`; none hangs, and the queue
+/// drains.
+#[test]
+fn sixteen_clients_on_one_executor_end_in_an_answer_a_timeout_or_a_refusal() {
+    const CLIENTS: u64 = 16;
+    const CALLS: usize = 200;
+    const KS: [usize; 2] = [3, 4];
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = Arc::new(Server::new(
+        Arc::clone(&graph),
+        acl,
+        ServerConfig {
+            admission: AdmissionConfig {
+                executor_permits: 1,
+                queue_capacity: 4,
+                rate_limit: None,
+            },
+            max_batch: 4,
+            ..ServerConfig::default()
+        },
+    ));
+    // The solo answers, taken before any load.
+    let tid = graph.read_tid();
+    let ef = graph.embeddings().config().default_ef.max(4);
+    let solo: Arc<Vec<[Vec<TypedNeighbor>; 2]>> = Arc::new(
+        vecs.iter()
+            .map(|qv| KS.map(|k| graph.vector_search(&[0], qv, k, ef, None, tid).unwrap().0))
+            .collect(),
+    );
+    let idle = server.open_session("idle", "u-acme");
+    let gsql: Arc<Vec<_>> = Arc::new(
+        vecs.iter()
+            .map(|qv| server.query(&idle, TOPK_SRC, &topk_params(qv)).unwrap())
+            .collect(),
+    );
+    let vecs = Arc::new(vecs);
+
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let gate = {
+        let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                if let Ok(held) = server.admission().admit("gate", Deadline::none()) {
+                    std::thread::sleep(Duration::from_millis(2));
+                    drop(held);
+                }
+                std::thread::sleep(Duration::from_micros(500));
+            }
+        })
+    };
+    let (done, finished) = std::sync::mpsc::channel();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let (server, vecs, solo, gsql) = (
+                Arc::clone(&server),
+                Arc::clone(&vecs),
+                Arc::clone(&solo),
+                Arc::clone(&gsql),
+            );
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let mut rng = SplitMix64::new(0x5EED + c);
+                // Answered, timed out, refused.
+                let mut tally = [0usize; 3];
+                for _ in 0..CALLS {
+                    let i = rng.next_below(DOCS as u64) as usize;
+                    let kind = rng.next_below(3) as usize;
+                    let mut session = server.open_session("load", "u-acme");
+                    if rng.next_below(2) == 1 {
+                        let ms = 1 + rng.next_below(5);
+                        session = session.with_deadline(Duration::from_millis(ms));
+                    }
+                    let outcome = match kind {
+                        0 | 1 => server
+                            .vector_top_k(&session, &[0], vecs[i].clone(), KS[kind])
+                            .map(|found| assert_eq!(found, solo[i][kind], "top-k {i}")),
+                        _ => server
+                            .query(&session, TOPK_SRC, &topk_params(&vecs[i]))
+                            .map(|out| assert_eq!(out, gsql[i], "GSQL {i}")),
+                    };
+                    server.close_session(&session);
+                    match outcome {
+                        Ok(()) => tally[0] += 1,
+                        Err(TvError::Timeout(_)) => tally[1] += 1,
+                        Err(TvError::Overloaded(_)) => {
+                            tally[2] += 1;
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        Err(e) => panic!("client {c}: {e}"),
+                    }
+                }
+                done.send(tally).unwrap();
+            })
+        })
+        .collect();
+    let mut total = [0usize; 3];
+    for _ in 0..CLIENTS {
+        let tally = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("every client finishes: none hangs or fails");
+        for (sum, n) in total.iter_mut().zip(tally) {
+            *sum += n;
+        }
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    for client in clients {
+        client.join().unwrap();
+    }
+    gate.join().unwrap();
+    assert_eq!(total.iter().sum::<usize>(), CLIENTS as usize * CALLS);
+    assert!(total[0] > 0, "{total:?}");
+    let admission = server.admission();
+    assert_eq!((admission.queue_depth(), admission.waiting()), (0, 0));
 }
 
 /// The gateway used to tell a token-bucket refusal from a full queue by
@@ -533,7 +705,7 @@ fn rate_limit_refusals_are_counted_apart_from_queue_rejections() {
     assert!(matches!(err, TvError::Overloaded(_)));
     drop(gate);
     assert_eq!(counters("quiet"), [0, 2, 0]);
-    assert_eq!(server.batcher().waiting(), 0);
+    assert_eq!(server.admission().waiting(), 0);
 }
 
 /// A batch's planner counters used to be billed to its leader's tenant.
