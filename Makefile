@@ -72,7 +72,7 @@ knobs-check:
 # caller outside its crate stays `pub(crate)`, and a new crate or a new
 # public function edits its number here in the same diff that adds it.
 SURFACE_CRATES = 9
-SURFACE_PUB_FN = 448
+SURFACE_PUB_FN = 450
 surface-check:
 	@crates=$$(ls crates/*/Cargo.toml | wc -l); \
 	pubfn=$$(grep -rE '\bpub (const |unsafe )?fn\b' crates/*/src | wc -l); \
@@ -182,9 +182,10 @@ migrate-smoke:
 # Graph-layout gate: the compiled-vs-pointer oracle identity suite, then the
 # paired layout sweep — the binary itself exits 1 if recall drifts beyond
 # ±0.0001 between the two layouts, if the work counters (distance computations,
-# hops) differ, or if the median of the per-round paired packed+prefetch /
-# pointer QPS ratios misses the floor in the binary (`MIN_SPEEDUP`; the
-# comment there says how it was chosen).
+# hops) differ, if the compiled graph's link bytes are not exactly 2 B per
+# stored neighbor id plus the u32 offset tables, or if the median of the
+# per-round paired packed+prefetch / pointer QPS ratios misses the floor in
+# the binary (`MIN_SPEEDUP`; the comment there says how it was chosen).
 layout-smoke:
 	cargo test --release -p tv-hnsw --test layout_oracle -q
 	$(SMOKE_BIN) layout_bench

@@ -18,6 +18,9 @@
 //!
 //! * recall must be equal across layouts within ±0.0001 — the compiled
 //!   layout is an execution choice, not an accuracy trade;
+//! * the compiled graph's link bytes must be exactly 2 B per stored
+//!   neighbor id (4 B above 65 536 slots) plus the three `u32` offset
+//!   tables — a check of the code that holds on any host;
 //! * the median paired `packed+prefetch` / pointer QPS ratio must reach
 //!   [`MIN_SPEEDUP`].
 //!
@@ -264,7 +267,29 @@ fn main() {
         );
     }
 
-    // Gate 2: the compiled layout must pay for itself. Median of the
+    // Gate 2: the compiled graph's size. Neighbor ids take two bytes in an
+    // index of at most 65 536 slots and four above, beside three `u32`
+    // offset tables: n + 1 level-0 offsets, n + 1 upper-row bases and
+    // rows + 1 upper-row offsets.
+    for r in runs.iter().filter(|r| r.layout.is_packed()) {
+        let (ids, rows) = r.index.stored_links();
+        let slots = r.index.slot_count();
+        let id_bytes = if slots <= 1 << 16 { 2 } else { 4 };
+        let want = id_bytes * ids + 4 * (2 * (slots + 1) + rows + 1);
+        println!(
+            "{} link bytes: {} for {ids} neighbor ids at {id_bytes} B and {rows} upper rows (want {want})",
+            r.layout.name(),
+            r.link_bytes
+        );
+        assert_eq!(
+            r.link_bytes,
+            want,
+            "{} link bytes are not {id_bytes} B per id plus the offset tables",
+            r.layout.name()
+        );
+    }
+
+    // Gate 3: the compiled layout must pay for itself. Median of the
     // per-round paired ratios, not a ratio of medians — each ratio compares
     // two interleaved measurements of the same moment on the host.
     let _ = pointer_qps;

@@ -82,15 +82,17 @@ impl EmbeddingSegment {
     /// records beyond `snap.up_to` — see
     /// [`EmbeddingSegment::checkpoint_state`]).
     pub fn encode_image(&self, snap: &IndexSnapshot, tail: &[DeltaRecord], buf: &mut Vec<u8>) {
-        let index = snapshot::to_bytes(&snap.index);
-        buf.reserve(index.len() + 64);
         put_u32(buf, self.segment_id.0);
         put_u64(buf, snap.up_to.0);
         put_u32(buf, self.capacity() as u32);
         put_quant_spec(buf, &self.quant_spec());
         put_layout(buf, self.layout());
-        put_u64(buf, index.len() as u64);
-        buf.extend_from_slice(&index);
+        // The snapshot is written in place; its length is patched in after.
+        let len_at = buf.len();
+        put_u64(buf, 0);
+        snapshot::write_into(&snap.index, buf);
+        let len = (buf.len() - len_at - 8) as u64;
+        buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
         put_u32(buf, tail.len() as u32);
         for rec in tail {
             put_delta_record(buf, rec);

@@ -20,7 +20,7 @@
 //! rebuild path compacts them away.
 
 use crate::config::HnswConfig;
-use crate::packed::PackedGraph;
+use crate::packed::{self, CompiledGraph};
 use crate::quant_state::QuantState;
 use crate::search::ScratchPool;
 use crate::stats::SearchStats;
@@ -182,10 +182,11 @@ pub struct HnswIndex {
     /// all scoring runs against codes.
     pub(crate) quant: Option<QuantState>,
     /// Compiled cache-conscious adjacency (see [`crate::packed`]). When
-    /// present, `links` is empty and searches read the CSR slabs; mutation
+    /// present, `links` is empty and searches read the CSR slabs, at the
+    /// id width the slot count allowed when it was compiled; mutation
     /// paths thaw back to the forest first. Slots are renumbered in BFS
     /// order at compile time, so the two forms are never mixed.
-    pub(crate) packed: Option<PackedGraph>,
+    pub(crate) packed: Option<CompiledGraph>,
     /// Pooled search scratch (visited epochs + batch-scoring buffers).
     pub(crate) scratch: ScratchPool,
 }
@@ -300,15 +301,15 @@ impl HnswIndex {
     /// (built once at final size). The non-resident form is the len-based
     /// cost the index *would* pay after converting: neighbor payload plus
     /// per-node and per-level `Vec` headers for the forest; neighbor slabs
-    /// plus prefix tables for the CSR.
+    /// at the id width compiling would choose, plus the `u32` prefix tables,
+    /// for the CSR — equal to what compiling then reports.
     #[must_use]
     pub fn link_memory_bytes(&self) -> (usize, usize) {
         use std::mem::size_of;
         let n = self.keys.len();
+        let (nbrs, rows) = self.stored_links();
         match &self.packed {
             Some(p) => {
-                let nbrs = p.neighbor_count();
-                let rows = p.upper_row_count();
                 let pointer = n * size_of::<Vec<Vec<u32>>>()
                     + (n + rows) * size_of::<Vec<u32>>()
                     + nbrs * size_of::<u32>();
@@ -316,21 +317,30 @@ impl HnswIndex {
             }
             None => {
                 let mut pointer = self.links.capacity() * size_of::<Vec<Vec<u32>>>();
-                let mut nbrs = 0usize;
-                let mut rows = 0usize;
                 for per_node in &self.links {
                     pointer += per_node.capacity() * size_of::<Vec<u32>>();
-                    rows += per_node.len().saturating_sub(1);
-                    for l in per_node {
-                        pointer += l.capacity() * size_of::<u32>();
-                        nbrs += l.len();
-                    }
+                    pointer += per_node.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>();
                 }
                 // CSR cost: l0_off (n+1) + upper_base (n+1) + upper_row_off
-                // (rows+1) + both neighbor slabs.
-                let packed = (2 * (n + 1) + rows + 1 + nbrs) * size_of::<u32>();
+                // (rows+1), then both neighbor slabs.
+                let packed =
+                    (2 * (n + 1) + rows + 1) * size_of::<u32>() + nbrs * packed::id_bytes(n);
                 (pointer, packed)
             }
+        }
+    }
+
+    /// `(neighbor ids, upper-level rows)` the adjacency stores, in whichever
+    /// form is resident: every node's level lists summed, and the lists
+    /// above level 0 (Σ `levels[s]`).
+    #[must_use]
+    pub fn stored_links(&self) -> (usize, usize) {
+        match &self.packed {
+            Some(p) => p.link_counts(),
+            None => self.links.iter().fold((0, 0), |(ids, rows), per_node| {
+                let node_ids: usize = per_node.iter().map(Vec::len).sum();
+                (ids + node_ids, rows + per_node.len().saturating_sub(1))
+            }),
         }
     }
 

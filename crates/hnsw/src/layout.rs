@@ -1,10 +1,11 @@
 //! The two adjacency forms of an index and the moves between them: the
 //! mutable pointer forest every build and update runs on, and the one
 //! compiled form ([`crate::packed::PackedGraph`]: CSR slabs, BFS-renumbered
-//! slots, prefetching traversal) queries are served from.
+//! slots, prefetching traversal, neighbor ids as narrow as the slot count
+//! allows) queries are served from.
 
 use crate::index::{HnswIndex, NO_SLOT};
-use crate::packed::{self, PackedGraph};
+use crate::packed::{self, CompiledGraph};
 use tv_common::GraphLayout;
 
 impl HnswIndex {
@@ -24,9 +25,10 @@ impl HnswIndex {
     /// structure — vectors, norms, keys, levels, tombstones, links, entry,
     /// quantized code slabs, the local→slot table's entries; the live mask
     /// is keyed by local id and is unaffected), then freeze the adjacency
-    /// into CSR slabs ([`crate::packed`]). `Pointer` thaws instead. Returns
-    /// true iff the index is compiled afterwards; empty indexes stay
-    /// uncompiled.
+    /// into CSR slabs ([`crate::packed`]) whose neighbor ids are `u16` when
+    /// the index holds at most 65 536 slots and `u32` otherwise. `Pointer`
+    /// thaws instead. Returns true iff the index is compiled afterwards;
+    /// empty indexes stay uncompiled.
     ///
     /// Search results are bit-identical across layouts (modulo the slot
     /// renumbering, which is invisible through the key-based API).
@@ -72,7 +74,7 @@ impl HnswIndex {
         if self.keys.is_empty() {
             return;
         }
-        self.packed = Some(PackedGraph::build(&self.links));
+        self.packed = Some(CompiledGraph::build(&self.links));
         self.links = Vec::new();
     }
 

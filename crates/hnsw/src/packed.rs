@@ -5,10 +5,18 @@
 //! every beam-search step is a cache-miss chain even though the distance
 //! kernels are SIMD-speed and allocation-free. [`PackedGraph`] is the
 //! compiled search form: level 0 (where almost all traversal work happens)
-//! becomes one contiguous CSR — a single `u32` neighbor slab plus `n + 1`
-//! prefix offsets — and the sparse upper levels pack into a second small
-//! slab addressed through a per-node row base. Reading a neighbor list is
-//! one offset lookup into an arena that the hardware prefetcher can stream.
+//! becomes one contiguous CSR — a neighbor slab plus `n + 1` `u32` prefix
+//! offsets — and the sparse upper levels pack into a second small slab
+//! addressed through a per-node row base. Reading a neighbor list is one
+//! offset lookup into an arena that the hardware prefetcher can stream.
+//!
+//! The slabs store neighbor ids at the narrowest width the slot count
+//! allows ([`CompiledGraph`]): `u16` for an index of at most
+//! [`NARROW_SLOTS`] slots — every segment index at its default capacity —
+//! and `u32` above that (the single-index comparators, a segment declared
+//! or grown past it). Reads widen an id where it is copied anyway, so the
+//! traversal is the same code at either width. The offset tables stay
+//! `u32`: `n · m0` ids overflow 16 bits.
 //!
 //! Compilation also renumbers slots by BFS order from the entry point
 //! ([`bfs_order`]), so nodes that are neighbors in traversal are neighbors
@@ -19,59 +27,74 @@
 //! layout-oracle test suite).
 //!
 //! The packed form is read-only: mutations thaw the index back to the
-//! forest (`PackedGraph::to_links`), and the vacuum/index-merge policy
+//! forest (`CompiledGraph::to_links`), and the vacuum/index-merge policy
 //! recompiles. Correctness therefore never depends on layout freshness.
+//! A snapshot is written from the rows directly, without thawing.
 
 use crate::search::GraphView;
 use std::collections::VecDeque;
+use std::mem::size_of;
 use tv_common::kernels::prefetch;
 
-/// CSR-packed adjacency: the frozen search representation compiled from the
-/// per-node `Vec` forest at index-merge/snapshot-load time.
+/// Most slots an index may hold for its compiled graph to store neighbor
+/// ids as `u16` (slot ids `0..=u16::MAX`).
+pub(crate) const NARROW_SLOTS: usize = 1 << 16;
+
+/// CSR-packed adjacency with neighbor ids of type `T` (`u16` or `u32`):
+/// the frozen search representation compiled from the per-node `Vec`
+/// forest at index-merge/snapshot-load time.
 #[derive(Clone, Debug)]
-pub(crate) struct PackedGraph {
+pub(crate) struct PackedGraph<T> {
     /// `n + 1` prefix offsets into [`Self::l0_nbr`]; node `s`'s level-0
     /// neighbors are `l0_nbr[l0_off[s] .. l0_off[s + 1]]`.
     l0_off: Vec<u32>,
     /// Level-0 neighbor slab, concatenated in slot order.
-    l0_nbr: Vec<u32>,
+    l0_nbr: Vec<T>,
     /// `n + 1` prefix sums of upper rows per node: node `s` owns rows
     /// `upper_base[s] .. upper_base[s + 1]` (one row per level `1..=top`).
     upper_base: Vec<u32>,
     /// `total_rows + 1` prefix offsets into [`Self::upper_nbr`].
     upper_row_off: Vec<u32>,
     /// Upper-level neighbor slab.
-    upper_nbr: Vec<u32>,
+    upper_nbr: Vec<T>,
 }
 
-impl PackedGraph {
-    /// Compile the forest into CSR slabs. Neighbor order within every list
-    /// is preserved exactly, so traversal visit order — and therefore
-    /// results — match the pointer form bit for bit.
+impl<T: Copy + Into<u32> + TryFrom<u32>> PackedGraph<T> {
+    /// Compile the forest into CSR slabs, each allocated at its final size.
+    /// Neighbor order within every list is preserved exactly, so traversal
+    /// visit order — and therefore results — match the pointer form bit
+    /// for bit. Panics if a neighbor id does not fit `T`.
     pub(crate) fn build(links: &[Vec<Vec<u32>>]) -> Self {
         let n = links.len();
+        let (mut l0_ids, mut rows, mut upper_ids) = (0, 0, 0);
+        for per_node in links {
+            l0_ids += per_node.first().map_or(0, Vec::len);
+            rows += per_node.len().saturating_sub(1);
+            upper_ids += per_node.iter().skip(1).map(Vec::len).sum::<usize>();
+        }
+        let narrow = |nb: &u32| {
+            T::try_from(*nb)
+                .ok()
+                .expect("slot id exceeds the link width")
+        };
         let mut l0_off = Vec::with_capacity(n + 1);
-        let mut l0_nbr = Vec::new();
+        let mut l0_nbr = Vec::with_capacity(l0_ids);
         let mut upper_base = Vec::with_capacity(n + 1);
-        let mut rows = 0u32;
+        let mut upper_row_off = Vec::with_capacity(rows + 1);
+        let mut upper_nbr = Vec::with_capacity(upper_ids);
         l0_off.push(0u32);
         upper_base.push(0u32);
-        for per_node in links {
-            if let Some(l0) = per_node.first() {
-                l0_nbr.extend_from_slice(l0);
-            }
-            l0_off.push(l0_nbr.len() as u32);
-            rows += per_node.len().saturating_sub(1) as u32;
-            upper_base.push(rows);
-        }
-        let mut upper_row_off = Vec::with_capacity(rows as usize + 1);
-        let mut upper_nbr = Vec::new();
         upper_row_off.push(0u32);
         for per_node in links {
+            if let Some(l0) = per_node.first() {
+                l0_nbr.extend(l0.iter().map(narrow));
+            }
+            l0_off.push(l0_nbr.len() as u32);
             for level_list in per_node.iter().skip(1) {
-                upper_nbr.extend_from_slice(level_list);
+                upper_nbr.extend(level_list.iter().map(narrow));
                 upper_row_off.push(upper_nbr.len() as u32);
             }
+            upper_base.push((upper_row_off.len() - 1) as u32);
         }
         PackedGraph {
             l0_off,
@@ -91,7 +114,7 @@ impl PackedGraph {
     /// chase. Levels above the node's top return an empty slice, matching
     /// the forest's `per_node.get(lvl)` shape for out-of-range reads.
     #[inline]
-    pub(crate) fn row(&self, slot: u32, lvl: u8) -> &[u32] {
+    pub(crate) fn row(&self, slot: u32, lvl: u8) -> &[T] {
         let s = slot as usize;
         if lvl == 0 {
             &self.l0_nbr[self.l0_off[s] as usize..self.l0_off[s + 1] as usize]
@@ -107,33 +130,32 @@ impl PackedGraph {
         }
     }
 
-    /// Thaw back into the mutable forest (mutation paths and snapshot
-    /// serialization). Node `s` gets `1 + upper_rows(s)` level lists, which
-    /// is exactly the `levels[s] + 1` lists the forest held at compile time.
+    /// Thaw back into the mutable forest (mutation paths). Node `s` gets
+    /// `1 + upper_rows(s)` level lists, which is exactly the `levels[s] + 1`
+    /// lists the forest held at compile time.
     pub(crate) fn to_links(&self) -> Vec<Vec<Vec<u32>>> {
         let n = self.len();
         (0..n)
             .map(|s| {
                 let rows = (self.upper_base[s + 1] - self.upper_base[s]) as usize;
-                let mut per_node = Vec::with_capacity(rows + 1);
-                per_node.push(self.row(s as u32, 0).to_vec());
-                for lvl in 1..=rows {
-                    per_node.push(self.row(s as u32, lvl as u8).to_vec());
-                }
-                per_node
+                (0..=rows)
+                    .map(|lvl| {
+                        let row = self.row(s as u32, lvl as u8);
+                        row.iter().map(|&nb| nb.into()).collect()
+                    })
+                    .collect()
             })
             .collect()
     }
 
-    /// Resident bytes of the five slabs (exact — CSR vectors are built once
-    /// at final size, so capacity equals length).
+    /// Resident bytes of the five slabs: the three `u32` offset tables and
+    /// the two neighbor slabs at `size_of::<T>()` per id. `build` allocates
+    /// every slab at its final size, so this equals the length-based
+    /// estimate `HnswIndex::link_memory_bytes` gives before compiling.
     pub(crate) fn memory_bytes(&self) -> usize {
-        (self.l0_off.len()
-            + self.l0_nbr.len()
-            + self.upper_base.len()
-            + self.upper_row_off.len()
-            + self.upper_nbr.len())
-            * std::mem::size_of::<u32>()
+        (self.l0_off.capacity() + self.upper_base.capacity() + self.upper_row_off.capacity())
+            * size_of::<u32>()
+            + (self.l0_nbr.capacity() + self.upper_nbr.capacity()) * size_of::<T>()
     }
 
     /// Total stored neighbor ids across all levels.
@@ -150,11 +172,12 @@ impl PackedGraph {
 /// The compiled form is the one view that prefetches: its rows are
 /// contiguous and BFS-ordered, so the addresses a hop will touch are known
 /// while the previous hop is still being scored.
-impl GraphView for PackedGraph {
+impl<T: Copy + Into<u32> + TryFrom<u32>> GraphView for PackedGraph<T> {
+    type Id = T;
     const PREFETCH: bool = true;
 
     #[inline]
-    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
+    fn neighbors(&self, slot: u32, lvl: u8) -> &[T] {
         self.row(slot, lvl)
     }
 
@@ -164,6 +187,64 @@ impl GraphView for PackedGraph {
     fn prefetch_l0_row(&self, slot: u32) {
         let off = self.l0_off[slot as usize] as usize;
         prefetch(self.l0_nbr.as_ptr().wrapping_add(off).cast::<u8>());
+    }
+}
+
+/// An index's compiled graph at the one width its slot count allows,
+/// chosen when it is compiled: `u16` ids up to [`NARROW_SLOTS`] slots,
+/// `u32` above.
+#[derive(Clone, Debug)]
+pub(crate) enum CompiledGraph {
+    Narrow(PackedGraph<u16>),
+    Wide(PackedGraph<u32>),
+}
+
+/// Run `$body` with `$p` bound to the [`PackedGraph`] inside a
+/// [`CompiledGraph`], whichever width it holds (each arm is monomorphized
+/// for its width, so nothing inside `$body` branches on it).
+macro_rules! with_width {
+    ($graph:expr, $p:ident => $body:expr) => {
+        match $graph {
+            $crate::packed::CompiledGraph::Narrow($p) => $body,
+            $crate::packed::CompiledGraph::Wide($p) => $body,
+        }
+    };
+}
+pub(crate) use with_width;
+
+/// Bytes one neighbor id takes in the compiled graph of an index holding
+/// `slots` slots.
+pub(crate) fn id_bytes(slots: usize) -> usize {
+    if slots <= NARROW_SLOTS {
+        size_of::<u16>()
+    } else {
+        size_of::<u32>()
+    }
+}
+
+impl CompiledGraph {
+    /// Compile the forest at the width its node count allows.
+    pub(crate) fn build(links: &[Vec<Vec<u32>>]) -> Self {
+        if links.len() <= NARROW_SLOTS {
+            CompiledGraph::Narrow(PackedGraph::build(links))
+        } else {
+            CompiledGraph::Wide(PackedGraph::build(links))
+        }
+    }
+
+    /// Thaw back into the mutable forest.
+    pub(crate) fn to_links(&self) -> Vec<Vec<Vec<u32>>> {
+        with_width!(self, p => p.to_links())
+    }
+
+    /// Resident bytes ([`PackedGraph::memory_bytes`]).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        with_width!(self, p => p.memory_bytes())
+    }
+
+    /// `(stored neighbor ids, upper-level rows)`.
+    pub(crate) fn link_counts(&self) -> (usize, usize) {
+        with_width!(self, p => (p.neighbor_count(), p.upper_row_count()))
     }
 }
 
@@ -227,15 +308,16 @@ mod tests {
     #[test]
     fn csr_matches_forest_on_every_level() {
         let links = forest();
-        let pg = PackedGraph::build(&links);
+        let pg = PackedGraph::<u16>::build(&links);
         assert_eq!(pg.len(), links.len());
         for (s, per_node) in links.iter().enumerate() {
             for (lvl, list) in per_node.iter().enumerate() {
-                assert_eq!(
-                    pg.row(s as u32, lvl as u8),
-                    list.as_slice(),
-                    "node {s} level {lvl}"
-                );
+                let row: Vec<u32> = pg
+                    .row(s as u32, lvl as u8)
+                    .iter()
+                    .map(|&nb| nb.into())
+                    .collect();
+                assert_eq!(&row, list, "node {s} level {lvl}");
             }
             // Levels above the node's top read as empty.
             assert!(pg.row(s as u32, per_node.len() as u8).is_empty());
@@ -248,8 +330,45 @@ mod tests {
     #[test]
     fn thaw_roundtrips_exactly() {
         let links = forest();
-        let pg = PackedGraph::build(&links);
-        assert_eq!(pg.to_links(), links);
+        assert_eq!(PackedGraph::<u16>::build(&links).to_links(), links);
+        assert_eq!(PackedGraph::<u32>::build(&links).to_links(), links);
+    }
+
+    /// A ring of `n` nodes: each lists its two ring neighbours on level 0,
+    /// and every 64th node also has a level-1 row naming the next such node.
+    fn ring(n: usize) -> Vec<Vec<Vec<u32>>> {
+        (0..n)
+            .map(|s| {
+                let l0 = vec![((s + 1) % n) as u32, ((s + n - 1) % n) as u32];
+                if s % 64 == 0 {
+                    vec![l0, vec![((s + 64) % n) as u32]]
+                } else {
+                    vec![l0]
+                }
+            })
+            .collect()
+    }
+
+    /// The width follows the slot count: 65 536 slots still compile to
+    /// `u16` ids (slot 65 535 is the largest id), one more slot to `u32`.
+    /// Both thaw back to the forest exactly, and the slabs are sized at
+    /// their id width plus the `u32` offset tables.
+    #[test]
+    fn the_link_width_follows_the_slot_count() {
+        for (n, narrow) in [(NARROW_SLOTS, true), (NARROW_SLOTS + 1, false)] {
+            let links = ring(n);
+            let g = CompiledGraph::build(&links);
+            assert_eq!(matches!(g, CompiledGraph::Narrow(_)), narrow, "{n} slots");
+            assert_eq!(g.to_links(), links, "{n} slots");
+            let (ids, rows) = g.link_counts();
+            assert_eq!((ids, rows), (2 * n + rows, n.div_ceil(64)));
+            assert_eq!(
+                g.memory_bytes(),
+                ids * id_bytes(n) + (2 * (n + 1) + rows + 1) * size_of::<u32>(),
+                "{n} slots"
+            );
+        }
+        assert_eq!((id_bytes(NARROW_SLOTS), id_bytes(NARROW_SLOTS + 1)), (2, 4));
     }
 
     #[test]
@@ -287,7 +406,7 @@ mod tests {
     #[test]
     fn empty_level0_lists_pack_and_thaw() {
         let links: Vec<Vec<Vec<u32>>> = vec![vec![vec![]], vec![vec![], vec![]]];
-        let pg = PackedGraph::build(&links);
+        let pg = PackedGraph::<u16>::build(&links);
         assert!(pg.row(0, 0).is_empty());
         assert!(pg.row(1, 1).is_empty());
         assert_eq!(pg.to_links(), links);

@@ -8,6 +8,7 @@
 //! no hop branches on it.
 
 use crate::index::{HnswIndex, VectorIndex};
+use crate::packed::with_width;
 use crate::planner::{self, PlanChoice, PlanInputs};
 use crate::quant::QuantQuery;
 use crate::select::Scored;
@@ -20,15 +21,20 @@ use tv_common::kernels::prefetch;
 use tv_common::{Neighbor, PlannerConfig, PreparedQuery};
 
 /// Read access to one adjacency representation. Implemented by the mutable
-/// forest (`[Vec<Vec<u32>>]`) and the compiled [`crate::packed::PackedGraph`].
+/// forest (`[Vec<Vec<u32>>]`) and the compiled [`crate::packed::PackedGraph`]
+/// at either id width.
 pub(crate) trait GraphView {
+    /// How a neighbor id is stored; the traversal widens it to a `u32`
+    /// slot where it copies the id anyway.
+    type Id: Copy + Into<u32>;
+
     /// Whether traversals over this view issue software prefetches for the
     /// rows they are about to score. Only the compiled form does: its rows
     /// are laid out so that the next candidates' addresses are known early.
     const PREFETCH: bool = false;
 
     /// The neighbor list of `slot` on `lvl`.
-    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32];
+    fn neighbors(&self, slot: u32, lvl: u8) -> &[Self::Id];
 
     /// Request the head of `slot`'s level-0 adjacency row ahead of the pop
     /// that reads it. Called only when [`Self::PREFETCH`] is set.
@@ -36,6 +42,8 @@ pub(crate) trait GraphView {
 }
 
 impl GraphView for [Vec<Vec<u32>>] {
+    type Id = u32;
+
     #[inline]
     fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
         &self[slot as usize][lvl as usize]
@@ -82,13 +90,14 @@ impl Visited {
     /// one and keeping the first visits would leave (an id repeated in the
     /// row is kept once). Every id is written to the next free place and
     /// the place advances only for a first visit, so no branch depends on
-    /// the marks.
+    /// the marks. Ids are widened to `u32` slots as they are written.
     #[inline]
-    fn collect_unvisited(&mut self, row: &[u32], batch: &mut Vec<u32>) {
+    fn collect_unvisited<T: Copy + Into<u32>>(&mut self, row: &[T], batch: &mut Vec<u32>) {
         batch.clear();
         batch.resize(row.len(), 0);
         let mut fresh = 0;
         for &id in row {
+            let id: u32 = id.into();
             let m = &mut self.marks[id as usize];
             batch[fresh] = id;
             fresh += usize::from(*m != self.epoch);
@@ -283,8 +292,8 @@ impl HnswIndex {
 
     /// Greedy walk from `start` down through layers `top..=floor`, moving
     /// to the locally-closest node on each (the ef=1 upper-layer descent of
-    /// the HNSW search). Each hop scores the node's whole neighbor list in
-    /// one gathered pass.
+    /// the HNSW search). Each hop widens the node's whole neighbor list into
+    /// scratch and scores it in one gathered pass.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn greedy_descent<G: GraphView + ?Sized>(
         &self,
@@ -301,7 +310,9 @@ impl HnswIndex {
             let mut cur_dist = self.score_slot(sc, cur);
             stats.distance_computations += 1;
             loop {
-                let nbs = graph.neighbors(cur, lvl);
+                let nbs = &mut scratch.batch;
+                nbs.clear();
+                nbs.extend(graph.neighbors(cur, lvl).iter().map(|&nb| nb.into()));
                 self.score_hop::<G>(sc, nbs, &mut scratch.dists);
                 stats.distance_computations += nbs.len() as u64;
                 stats.hops += nbs.len() as u64;
@@ -406,9 +417,10 @@ impl HnswIndex {
     }
 
     /// The graph stage of a query: descend from the entry point to layer 0
-    /// and run the beam there over whichever adjacency form is resident —
-    /// the only place a query asks which one that is. Returns up to `ef`
-    /// live, `filter`-passing candidates, nearest first.
+    /// and run the beam there over whichever adjacency form is resident, at
+    /// whichever id width it was compiled — the only place a query asks
+    /// which one that is. Returns up to `ef` live, `filter`-passing
+    /// candidates, nearest first.
     pub(crate) fn query_beam(
         &self,
         sc: &Scorer<'_>,
@@ -435,10 +447,12 @@ impl HnswIndex {
         };
         let mut scratch = self.scratch.take();
         let found = match &self.packed {
-            Some(p) => {
+            Some(compiled) => {
                 stats.packed_searches += 1;
-                let cur = self.greedy_descent(p, sc, entry, top, 1, stats, &mut scratch);
-                self.beam_search(p, sc, &[cur], ef, 0, admit, stats, &mut scratch)
+                with_width!(compiled, p => {
+                    let cur = self.greedy_descent(p, sc, entry, top, 1, stats, &mut scratch);
+                    self.beam_search(p, sc, &[cur], ef, 0, admit, stats, &mut scratch)
+                })
             }
             None => {
                 let g = self.links.as_slice();
@@ -894,18 +908,18 @@ mod tests {
         let mut v = Visited::default();
         let mut batch = Vec::new();
         v.begin(8);
-        v.collect_unvisited(&[3, 5, 3], &mut batch);
+        v.collect_unvisited(&[3u32, 5, 3], &mut batch);
         assert_eq!(batch, [3, 5]);
-        v.collect_unvisited(&[5, 3], &mut batch);
+        v.collect_unvisited(&[5u32, 3], &mut batch);
         assert!(batch.is_empty());
         // Force the wrap: the next begin() must zero the marks once and
         // restart epochs, so slots 3 and 5 read unvisited again.
         v.epoch = u32::MAX;
         v.begin(8);
         assert_eq!(v.epoch, 1);
-        v.collect_unvisited(&[5, 3, 5, 6], &mut batch);
+        v.collect_unvisited(&[5u32, 3, 5, 6], &mut batch);
         assert_eq!(batch, [5, 3, 6], "post-wrap visits must start clean");
-        v.collect_unvisited(&[3, 6, 5], &mut batch);
+        v.collect_unvisited(&[3u32, 6, 5], &mut batch);
         assert!(batch.is_empty());
         // A stale mark from the pre-wrap era can never alias the new epoch.
         assert!(v.marks.iter().all(|&m| m <= 1));
@@ -926,7 +940,7 @@ mod tests {
             vec![vec![3, 3]],
             vec![vec![]],
         ];
-        let packed = PackedGraph::build(&forest);
+        let packed = PackedGraph::<u16>::build(&forest);
         let sc = idx.scorer(&[0.0, 0.0]);
         fn from_slot_0<G: GraphView + ?Sized>(
             idx: &HnswIndex,
@@ -994,8 +1008,8 @@ mod tests {
     }
 
     /// One loop, two views: the beam and the greedy descent over the forest
-    /// and the compiled CSR of the same graph return the same candidates,
-    /// bit for bit, for the same work.
+    /// and the compiled CSR of the same graph, at both id widths, return the
+    /// same candidates, bit for bit, for the same work.
     #[test]
     fn beam_and_descent_agree_across_both_views() {
         let key = |i: u32| VertexId::new(SegmentId(0), LocalId(i));
@@ -1011,7 +1025,8 @@ mod tests {
         assert!(idx.entry.unwrap().1 >= 1, "the recipe needs an upper layer");
         let forest = idx.links.as_slice();
         // Built without the BFS renumbering, so slot ids line up.
-        let packed = PackedGraph::build(forest);
+        let narrow = PackedGraph::<u16>::build(forest);
+        let wide = PackedGraph::<u32>::build(forest);
         for q in 0..6 {
             let query: Vec<f32> = (0..8).map(|_| rng.next_f32() * 10.0).collect();
             let sc = idx.scorer(&query);
@@ -1022,20 +1037,22 @@ mod tests {
                         let want = beam(&idx, forest, &sc, shape);
                         assert!(!want.0.is_empty() && want.1.hops > 0);
                         assert_eq!(
-                            beam(&idx, &packed, &sc, shape),
+                            beam(&idx, &narrow, &sc, shape),
                             want,
-                            "packed {q} {shape:?}"
+                            "u16 links {q} {shape:?}"
+                        );
+                        assert_eq!(
+                            beam(&idx, &wide, &sc, shape),
+                            want,
+                            "u32 links {q} {shape:?}"
                         );
                     }
                 }
             }
             let want = descend(&idx, forest, &sc);
             assert!(want.1.distance_computations > 0);
-            assert_eq!(
-                descend(&idx, &packed, &sc),
-                want,
-                "compiled form, query {q}"
-            );
+            assert_eq!(descend(&idx, &narrow, &sc), want, "u16 links, query {q}");
+            assert_eq!(descend(&idx, &wide, &sc), want, "u32 links, query {q}");
         }
     }
 }

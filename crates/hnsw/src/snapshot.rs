@@ -25,9 +25,10 @@
 
 use crate::config::HnswConfig;
 use crate::index::HnswIndex;
-use crate::packed::PackedGraph;
+use crate::packed::with_width;
 use crate::quant::{Codec, QuantizedCodec};
 use crate::quant_state::{CodeStore, QuantState};
+use crate::search::GraphView;
 use tv_common::wire::{
     put_bytes, put_f32s, put_f64, put_layout, put_metric, put_quant_spec, put_u32, put_u64, Reader,
 };
@@ -40,25 +41,37 @@ const MAX_LEVEL_LISTS: usize = 64;
 /// Serialize an index into a byte buffer.
 #[must_use]
 pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_into(index, &mut buf);
+    buf
+}
+
+/// Append an index's snapshot to `buf` — the bytes [`to_bytes`] returns,
+/// written in place (a segment image embeds them without a second copy).
+pub fn write_into(index: &HnswIndex, buf: &mut Vec<u8>) {
     let quant = index.quant.as_ref();
-    // A compiled index keeps no pointer forest; materialize one for the
-    // stable on-disk shape (slot order is already the BFS order).
-    let thawed = index.packed.as_ref().map(PackedGraph::to_links);
-    let links = thawed.as_deref().unwrap_or(&index.links);
-    let mut buf = Vec::with_capacity(64 + index.vectors.len() * 4 + index.keys.len() * 16);
+    // Room for everything but the codec parameters: the per-node fields,
+    // the arena, the lists and the code slab.
+    let (n, (ids, rows)) = (index.keys.len(), index.stored_links());
+    let codes = quant.map_or(0, |q| q.main.codes.len() + 4 * q.main.recon_norms.len());
+    buf.reserve(96 + 10 * n + 4 * index.vectors.len() + 4 * (2 * n + rows + ids) + codes);
     buf.extend_from_slice(MAGIC);
-    put_layout(&mut buf, index.layout());
+    put_layout(buf, index.layout());
     buf.push(u8::from(quant.is_some()));
-    write_header(&mut buf, &index.cfg, index.keys.len());
+    write_header(buf, &index.cfg, index.keys.len());
     if quant.is_some() {
         // Whether the f32 arena follows (codes-only tiers drop it).
         buf.push(u8::from(!index.vectors.is_empty()));
     }
-    write_body(&mut buf, index, links);
-    if let Some(q) = quant {
-        write_quant(&mut buf, q);
+    // A compiled index writes its lists straight from the CSR rows (slot
+    // order is already the BFS order); nothing is thawed.
+    match &index.packed {
+        Some(compiled) => with_width!(compiled, p => write_body(buf, index, p)),
+        None => write_body(buf, index, index.links.as_slice()),
     }
-    buf
+    if let Some(q) = quant {
+        write_quant(buf, q);
+    }
 }
 
 fn write_header(buf: &mut Vec<u8>, cfg: &HnswConfig, n: usize) {
@@ -72,9 +85,9 @@ fn write_header(buf: &mut Vec<u8>, cfg: &HnswConfig, n: usize) {
     put_u64(buf, n as u64);
 }
 
-/// Everything after the header; `links` is the index's adjacency in forest
-/// form (thawed by the caller when the index is compiled).
-fn write_body(buf: &mut Vec<u8>, index: &HnswIndex, links: &[Vec<Vec<u32>>]) {
+/// Everything after the header; `graph` is the index's resident adjacency,
+/// of which node `s` owns `levels[s] + 1` lists in either form.
+fn write_body<G: GraphView + ?Sized>(buf: &mut Vec<u8>, index: &HnswIndex, graph: &G) {
     for k in &index.keys {
         put_u64(buf, k.0);
     }
@@ -83,12 +96,13 @@ fn write_body(buf: &mut Vec<u8>, index: &HnswIndex, links: &[Vec<Vec<u32>>]) {
     // Absent in codes-only quantized snapshots.
     put_f32s(buf, &index.vectors);
     // Links: per node, level count then per-level neighbor lists.
-    for per_node in links {
-        put_u32(buf, per_node.len() as u32);
-        for level_links in per_node {
-            put_u32(buf, level_links.len() as u32);
-            for &nb in level_links {
-                put_u32(buf, nb);
+    for (s, &top) in index.levels.iter().enumerate() {
+        put_u32(buf, u32::from(top) + 1);
+        for lvl in 0..=top {
+            let row = graph.neighbors(s as u32, lvl);
+            put_u32(buf, row.len() as u32);
+            for &nb in row {
+                put_u32(buf, nb.into());
             }
         }
     }
@@ -358,6 +372,32 @@ mod tests {
         let n = idx.len() + idx.tombstone_count();
         let (r, _) = idx.top_k(&q, 10, n.max(1), Filter::All);
         assert!(r.len() <= 10);
+    }
+
+    /// A compiled index is written from its CSR rows, at either id width,
+    /// to the bytes its thawed forest writes; only the layout tag differs.
+    #[test]
+    fn compiled_rows_write_the_bytes_of_the_thawed_forest() {
+        use crate::packed::{CompiledGraph, PackedGraph};
+        for (ctx, idx) in cases(150) {
+            if !idx.layout().is_packed() {
+                continue;
+            }
+            assert!(
+                matches!(idx.packed, Some(CompiledGraph::Narrow(_))),
+                "{ctx}"
+            );
+            let narrow = to_bytes(&idx);
+            let mut wide = idx.clone();
+            let links = wide.packed.take().unwrap().to_links();
+            wide.packed = Some(CompiledGraph::Wide(PackedGraph::build(&links)));
+            assert_eq!(to_bytes(&wide), narrow, "{ctx}");
+            let mut thawed = idx.clone();
+            thawed.ensure_mutable();
+            let forest = to_bytes(&thawed);
+            assert_eq!((forest[8], narrow[8]), (0, 2), "{ctx}: layout tags");
+            assert_eq!(forest[9..], narrow[9..], "{ctx}");
+        }
     }
 
     #[test]
