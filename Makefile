@@ -72,7 +72,7 @@ knobs-check:
 # caller outside its crate stays `pub(crate)`, and a new crate or a new
 # public function edits its number here in the same diff that adds it.
 SURFACE_CRATES = 9
-SURFACE_PUB_FN = 450
+SURFACE_PUB_FN = 452
 surface-check:
 	@crates=$$(ls crates/*/Cargo.toml | wc -l); \
 	pubfn=$$(grep -rE '\bpub (const |unsafe )?fn\b' crates/*/src | wc -l); \
@@ -94,9 +94,13 @@ SMOKE_BIN = mkdir -p target/smoke && cd target/smoke && cargo run --release -p t
 # the benchmark puts the committed file back when it exits, pass or fail.
 LEDGER_CARGO = mkdir -p target && cp benchmark/Cargo.lock target/benchmark-Cargo.lock && trap 'cp target/benchmark-Cargo.lock benchmark/Cargo.lock' EXIT && cargo
 
-# Small-footprint chaos run: asserts bit-identical recovery under injected
-# failures (the binary panics on any recall < 1.0 at replication 2).
+# The cluster's own suites in release (the runtime's unit tests, among them
+# the pause-scheduled hedging and deadline tests, `chaos_prop` and
+# `migration_chaos`), then a small-footprint chaos run that asserts
+# bit-identical recovery under injected failures (the binary panics on any
+# recall < 1.0 at replication 2).
 chaos-smoke:
+	cargo test --release -p tv-cluster -q
 	$(SMOKE_BIN) chaos_load -- --segments 4 --per-segment 50 --queries 40
 
 # Durability gate: the crash-point torture suite (crash at every registered

@@ -15,8 +15,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tv_bench::{print_table, save_json, BenchArgs};
-use tv_cluster::{ClusterRuntime, FaultKind, RuntimeConfig};
+use tv_cluster::{ClusterRuntime, RuntimeConfig};
 use tv_common::ids::{LocalId, VertexId};
+use tv_common::inject::{Action, Point};
 use tv_common::{DistanceMetric, RetryPolicy, SegmentId, SplitMix64, Tid};
 use tv_embedding::{EmbeddingSegment, EmbeddingTypeDef};
 use tv_hnsw::DeltaRecord;
@@ -109,15 +110,16 @@ fn run_level(
     let started = Instant::now();
     for (q, truth) in queries.iter().zip(healthy) {
         if rng.next_f64() < failure_rate {
-            let victim = rng.next_below(SERVERS as u64) as usize;
-            let kind = if rng.next_below(2) == 0 {
-                FaultKind::CrashOnRecv
+            let server = rng.next_below(SERVERS as u64) as usize;
+            // A swallowed request or a dropped reply.
+            let point = if rng.next_below(2) == 0 {
+                Point::WorkerRecv { server }
             } else {
-                FaultKind::DropReply
+                Point::WorkerReply { server }
             };
             // Some(4): survives the scatter and every retry wave, so an
             // unreplicated run really does lose the victim's segments.
-            runtime.inject_fault(victim, kind, Some(4));
+            runtime.injector().arm(point, Action::Fail, 1, Some(4));
         }
         let t0 = Instant::now();
         let r = runtime.top_k(q, K, 64, Tid::MAX, None).unwrap();
@@ -130,7 +132,7 @@ fn run_level(
         if !r.coverage.is_complete() {
             degraded_answers += 1;
         }
-        runtime.faults().clear_all();
+        runtime.injector().clear();
     }
     let elapsed = started.elapsed();
     latencies.sort_unstable();

@@ -183,7 +183,6 @@ fn main() {
         "built pointer-form index in {:.1}s",
         build_start.elapsed().as_secs_f64()
     );
-    set_storage_info(base.storage_tier(), base.memory_bytes());
 
     let sweep = [GraphLayout::Pointer, GraphLayout::PackedPrefetch];
     let mut runs: Vec<LayoutRun> = sweep
@@ -243,6 +242,8 @@ fn main() {
         .iter()
         .max_by(|a, b| a.qps().total_cmp(&b.qps()))
         .expect("non-empty sweep");
+    // `storage_info` and `layout_info` describe the same searched index.
+    set_storage_info(best.index.storage_tier(), best.index.memory_bytes());
     set_layout_info([&best.index]);
     save_json("layout_bench", &serde_json::Value::Array(json));
 

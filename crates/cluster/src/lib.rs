@@ -16,9 +16,9 @@
 //! it lives in `tv-bench`'s `baselines::cost` (DESIGN.md documents the
 //! substitution).
 //!
-//! The runtime is fault-tolerant rather than fault-oblivious: [`fault`]
-//! injects deterministic worker failures (crash-on-recv, reply-drop,
-//! fixed/seeded delay), the coordinator recovers via replica retry waves
+//! The runtime is fault-tolerant rather than fault-oblivious: its
+//! [`tv_common::inject::Injector`] fails, delays or pauses a worker at its
+//! receive or reply point, the coordinator recovers via replica retry waves
 //! and optional hedged requests ([`tv_common::RetryPolicy`]), and degraded
 //! mode returns partial results with an honest [`Coverage`] instead of
 //! discarding finished work. DESIGN.md ("Failure model") documents the
@@ -32,12 +32,10 @@
 //! delta-tail catch-up while the source keeps serving, and a gated atomic
 //! flip — with every phase crash-instrumented and abort/retry-safe.
 
-pub(crate) mod fault;
 pub(crate) mod migrate;
 pub(crate) mod placement;
 pub(crate) mod runtime;
 
-pub use fault::FaultKind;
 pub use migrate::{MigrationReport, Migrator};
 pub use placement::MigrationPlan;
 pub use runtime::{ClusterResponse, ClusterRuntime, RuntimeConfig};

@@ -24,7 +24,7 @@
 //! 5. **Release** — drop the source's copy (no longer a table holder) and
 //!    the staging file.
 //!
-//! Every phase is instrumented with a migration [`CrashPoint`]. A crash in
+//! Every phase is instrumented with a migration [`Point`]. A crash in
 //! phases 1–4 aborts cleanly: the placement table is untouched, the source
 //! still serves, and the orphaned destination state (store entry + staging
 //! file) is garbage-collected. A crash after the flip committed leaves the
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tv_common::crash::{crash_hook, CrashPlan, CrashPoint};
+use tv_common::inject::{Injector, Point};
 use tv_common::{durafile, MigrationConfig, SegmentId, Tid, TvError, TvResult};
 use tv_embedding::{EmbeddingSegment, SegmentImage};
 
@@ -99,7 +99,7 @@ pub struct MigrationReport {
 pub struct Migrator {
     runtime: Arc<ClusterRuntime>,
     staging: PathBuf,
-    crash: Option<Arc<CrashPlan>>,
+    injector: Injector,
     config: MigrationConfig,
 }
 
@@ -110,15 +110,15 @@ impl Migrator {
         Migrator {
             runtime,
             staging,
-            crash: None,
+            injector: Injector::default(),
             config: MigrationConfig::default(),
         }
     }
 
-    /// Arm deterministic crash injection (tests only).
+    /// Hit the migration points on `injector` (tests only).
     #[must_use]
-    pub fn with_crash_plan(mut self, plan: Arc<CrashPlan>) -> Self {
-        self.crash = Some(plan);
+    pub fn with_injector(mut self, injector: Injector) -> Self {
+        self.injector = injector;
         self
     }
 
@@ -194,7 +194,7 @@ impl Migrator {
     #[allow(clippy::too_many_lines)]
     fn execute(&self, plan: MigrationPlan, started: Instant) -> TvResult<MigrationReport> {
         let seg_id = plan.segment;
-        let crash = self.crash.as_deref();
+        let inject = &self.injector;
         let path = self.ship_path(plan);
 
         // --- Phase 1: Ship -------------------------------------------------
@@ -210,7 +210,7 @@ impl Migrator {
                     plan.from, seg_id.0
                 ))
             })?;
-        crash_hook(crash, CrashPoint::MigrateMidShip)?;
+        inject.hit(Point::MigrateMidShip)?;
         let snap = src.newest_snapshot();
         let snap_tid = snap.up_to;
         let mut payload = Vec::new();
@@ -219,7 +219,7 @@ impl Migrator {
         std::fs::create_dir_all(&self.staging)
             .map_err(|e| TvError::Storage(format!("staging dir: {e}")))?;
         durafile::write_atomic(&path, KIND_MIGRATE_SEG, FORMAT_VERSION, &payload)?;
-        if crash_hook(crash, CrashPoint::MigrateShipTruncate).is_err() {
+        if inject.hit(Point::MigrateShipTruncate).is_err() {
             // The injected "crash" models a transfer cut mid-stream: chop
             // the shipped container and carry on — the install phase's CRC
             // verification must catch it and abort the migration.
@@ -230,7 +230,7 @@ impl Migrator {
         let dest = durafile::read(&path, KIND_MIGRATE_SEG, FORMAT_VERSION)
             .and_then(|(read_back, _)| SegmentImage::decode(&read_back))
             .and_then(EmbeddingSegment::from_image)?;
-        crash_hook(crash, CrashPoint::MigrateMidInstall)?;
+        inject.hit(Point::MigrateMidInstall)?;
         let dest = Arc::new(dest);
         self.runtime
             .store(plan.to)
@@ -248,7 +248,7 @@ impl Migrator {
             {
                 break;
             }
-            crash_hook(crash, CrashPoint::MigrateMidCatchup)?;
+            inject.hit(Point::MigrateMidCatchup)?;
             let batch = &tail[..tail.len().min(self.config.catchup_batch)];
             dest.append_deltas(batch)?;
             cursor = batch.last().expect("non-empty batch").tid;
@@ -264,7 +264,7 @@ impl Migrator {
         let generation;
         {
             let _guard = gate.lock();
-            crash_hook(crash, CrashPoint::MigrateAtFlip)?;
+            inject.hit(Point::MigrateAtFlip)?;
             let tail = src.delta_tail(cursor, Tid::MAX);
             if !tail.is_empty() {
                 dest.append_deltas(&tail)?;
@@ -275,7 +275,7 @@ impl Migrator {
         let flip_pause = flip_started.elapsed();
 
         // --- Phase 5: Release ----------------------------------------------
-        crash_hook(crash, CrashPoint::MigratePostFlipPreRelease)?;
+        inject.hit(Point::MigratePostFlipPreRelease)?;
         self.release(plan);
 
         Ok(MigrationReport {

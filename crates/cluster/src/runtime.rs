@@ -13,10 +13,11 @@
 //! The paper's MPP design assumes every scatter reaches a live holder; this
 //! runtime does not. Three mechanisms make the scatter-gather robust:
 //!
-//! * **Fault injection** ([`FaultPlan`]) — workers consult a deterministic
-//!   per-server fault schedule (crash-on-recv, reply-drop, fixed/seeded
-//!   delay), so every recovery path below is exercised by tests rather
-//!   than only reasoned about.
+//! * **Fault injection** ([`Injector`]) — a worker hits
+//!   [`Point::WorkerRecv`] before it searches and [`Point::WorkerReply`]
+//!   before it answers; a test arms them to swallow the request, drop the
+//!   reply, delay or pause, so every recovery path below is exercised by
+//!   tests rather than only reasoned about.
 //! * **Retry + hedging** ([`RetryPolicy`]) — a server that does not reply
 //!   within `attempt_timeout` is declared a per-query suspect and its
 //!   segments are re-routed to live replica holders in bounded-backoff
@@ -29,7 +30,6 @@
 //!   query returns the partial global merge plus an honest [`Coverage`].
 //!   Strict mode (the default) keeps the original fail-hard behavior.
 
-use crate::fault::FaultPlan;
 use crate::migrate::MigrationErrors;
 use crate::placement::{Placement, PlacementTable};
 use parking_lot::{Mutex, RwLock};
@@ -38,6 +38,7 @@ use std::convert::Infallible;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tv_common::inject::{Injector, Point};
 use tv_common::{
     merge_topk, Deadline, Neighbor, PlannerConfig, RetryPolicy, SegmentId, Tid, TvError, TvResult,
     WorkerPool,
@@ -193,7 +194,14 @@ pub struct ClusterRuntime {
     /// injected fault delays cannot stall unrelated query fan-out.
     pool: Arc<WorkerPool>,
     down: RwLock<Vec<usize>>,
-    faults: Arc<FaultPlan>,
+    injector: Injector,
+}
+
+impl Drop for ClusterRuntime {
+    /// Resume any worker a test left paused: the pool joins its threads.
+    fn drop(&mut self) {
+        self.injector.clear();
+    }
 }
 
 impl ClusterRuntime {
@@ -204,7 +212,6 @@ impl ClusterRuntime {
         let stores = (0..config.servers)
             .map(|_| Arc::new(RwLock::new(HashMap::new())))
             .collect();
-        let faults = Arc::new(FaultPlan::new());
         let pool = Arc::new(WorkerPool::new(config.servers.max(1)));
         ClusterRuntime {
             table: RwLock::new(Arc::new(PlacementTable::new(config.servers))),
@@ -215,27 +222,22 @@ impl ClusterRuntime {
             migration_errors: Arc::new(MigrationErrors::default()),
             pool,
             down: RwLock::new(Vec::new()),
-            faults,
+            injector: Injector::for_servers(config.servers),
         }
     }
 
-    /// Dispatch one per-server request to the pool. The job applies the
-    /// server's fault schedule (crash-on-recv swallows the request,
-    /// delay sleeps, drop-reply does the work but loses the answer) and
-    /// pushes a [`WorkerReply`] into the response channel otherwise.
+    /// Dispatch one per-server request to the pool. The job pushes a
+    /// [`WorkerReply`] into the response channel unless a failing injection
+    /// point swallows the request or drops the reply; the coordinator's
+    /// attempt timeout detects either silence.
     fn dispatch(&self, req: Request) {
         let store = Arc::clone(&self.stores[req.server]);
-        let plan = Arc::clone(&self.faults);
+        let injector = self.injector.clone();
         let planner = self.config.planner;
         self.pool.spawn(move || {
-            let action = plan.on_receive(req.server);
-            if action.crash {
-                // Crash-on-recv: the request is swallowed; the
-                // coordinator's attempt timeout detects the silence.
+            let server = req.server;
+            if injector.hit(Point::WorkerRecv { server }).is_err() {
                 return;
-            }
-            if !action.delay.is_zero() {
-                std::thread::sleep(action.delay);
             }
             let started = Instant::now();
             let mut results: Vec<(SegmentId, Vec<Neighbor>)> = Vec::new();
@@ -260,14 +262,13 @@ impl ClusterRuntime {
                 }
             }
             drop(map);
-            if action.drop_reply {
-                // The work happened; the answer is lost on the wire.
+            if injector.hit(Point::WorkerReply { server }).is_err() {
                 return;
             }
             // Response pool: per-segment ids + distances back to the
             // coordinator.
             let _ = req.reply.send(WorkerReply {
-                server: req.server,
+                server,
                 results,
                 moved,
                 stats,
@@ -414,16 +415,11 @@ impl ClusterRuntime {
         Ok(generation)
     }
 
-    /// The fault-injection schedule workers consult on every request.
+    /// The injection plan every worker hits on each request: arm
+    /// [`Point::WorkerRecv`] / [`Point::WorkerReply`] of a server on it.
     #[must_use]
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Arm a fault on `server` for its next `times` requests (`None` =
-    /// until cleared). Convenience for [`ClusterRuntime::faults`].
-    pub fn inject_fault(&self, server: usize, kind: crate::fault::FaultKind, times: Option<u64>) {
-        self.faults.inject(server, kind, times);
+    pub fn injector(&self) -> &Injector {
+        &self.injector
     }
 
     /// Mark a server down (its segments shift to replicas).
@@ -811,8 +807,8 @@ impl ClusterRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
     use tv_common::ids::{LocalId, VertexId};
+    use tv_common::inject::Action;
     use tv_common::{DistanceMetric, SplitMix64};
     use tv_embedding::EmbeddingTypeDef;
     use tv_hnsw::DeltaRecord;
@@ -936,7 +932,9 @@ mod tests {
         let (runtime, all) = loaded_cluster(4, 2, 8, 30);
         let q = &all[21].1;
         let healthy = runtime.top_k(q, 10, 64, Tid::MAX, None).unwrap();
-        runtime.inject_fault(1, FaultKind::CrashOnRecv, Some(1));
+        runtime
+            .injector()
+            .arm(Point::WorkerRecv { server: 1 }, Action::Fail, 1, Some(1));
         let recovered = runtime.top_k(q, 10, 64, Tid::MAX, None).unwrap();
         assert_eq!(ids(&healthy), ids(&recovered));
         assert!(recovered.coverage.is_complete());
@@ -953,7 +951,9 @@ mod tests {
         let (runtime, all) = loaded_cluster(4, 2, 8, 30);
         let q = &all[77].1;
         let healthy = runtime.top_k(q, 5, 64, Tid::MAX, None).unwrap();
-        runtime.inject_fault(2, FaultKind::DropReply, Some(1));
+        runtime
+            .injector()
+            .arm(Point::WorkerReply { server: 2 }, Action::Fail, 1, Some(1));
         let recovered = runtime.top_k(q, 5, 64, Tid::MAX, None).unwrap();
         assert_eq!(ids(&healthy), ids(&recovered));
         assert!(recovered.coverage.is_complete());
@@ -964,7 +964,9 @@ mod tests {
     fn strict_mode_errors_when_retries_exhaust_holders() {
         let (runtime, all) = loaded_cluster(3, 1, 6, 20);
         // replication = 1: the crashed server's segments have no replica.
-        runtime.inject_fault(0, FaultKind::CrashOnRecv, Some(8));
+        runtime
+            .injector()
+            .arm(Point::WorkerRecv { server: 0 }, Action::Fail, 1, Some(8));
         let err = runtime.top_k(&all[0].1, 3, 32, Tid::MAX, None).unwrap_err();
         assert!(matches!(err, TvError::Cluster(_)), "got {err:?}");
     }
@@ -1021,12 +1023,14 @@ mod tests {
             25,
         );
         // Enough uses to swallow the initial scatter and the retry wave.
-        runtime.inject_fault(3, FaultKind::CrashOnRecv, Some(4));
+        runtime
+            .injector()
+            .arm(Point::WorkerRecv { server: 3 }, Action::Fail, 1, Some(4));
         let r = runtime.top_k(&all[0].1, 5, 64, Tid::MAX, None).unwrap();
         assert_eq!(r.coverage.segments_searched, 6);
         assert_eq!(r.coverage.servers_failed, 1);
         assert_eq!(r.unsearched, vec![SegmentId(3), SegmentId(7)]);
-        runtime.faults().clear_all();
+        runtime.injector().clear();
         let clean = runtime.top_k(&all[0].1, 5, 64, Tid::MAX, None).unwrap();
         assert!(clean.coverage.is_complete());
     }
@@ -1051,9 +1055,12 @@ mod tests {
         );
         let q = &all[40].1;
         let healthy = runtime.top_k(q, 10, 64, Tid::MAX, None).unwrap();
-        runtime.inject_fault(0, FaultKind::Delay(Duration::from_millis(300)), Some(1));
+        // The straggler stays paused until the hedged query has returned.
+        let straggler = Point::WorkerRecv { server: 0 };
+        runtime.injector().arm(straggler, Action::Pause, 1, Some(1));
         let started = Instant::now();
         let hedged = runtime.top_k(q, 10, 64, Tid::MAX, None).unwrap();
+        runtime.injector().release(straggler);
         assert_eq!(ids(&healthy), ids(&hedged));
         assert!(hedged.hedges >= 1, "hedge must have fired");
         assert!(hedged.coverage.is_complete());
@@ -1082,9 +1089,10 @@ mod tests {
             8,
             25,
         );
-        // One straggler sleeps far past the deadline; the other three
-        // workers' finished top-k lists must survive.
-        runtime.inject_fault(1, FaultKind::Delay(Duration::from_secs(2)), Some(1));
+        // One straggler stays paused until after the deadline answer; the
+        // other three workers' finished top-k lists must survive.
+        let straggler = Point::WorkerRecv { server: 1 };
+        runtime.injector().arm(straggler, Action::Pause, 1, Some(1));
         let r = runtime
             .top_k_deadline(
                 &all[0].1,
@@ -1095,6 +1103,7 @@ mod tests {
                 Deadline::after(Duration::from_millis(250)),
             )
             .unwrap();
+        runtime.injector().release(straggler);
         assert_eq!(r.coverage.segments_searched, 6);
         assert_eq!(r.unsearched, vec![SegmentId(1), SegmentId(5)]);
         assert!(!r.neighbors.is_empty());

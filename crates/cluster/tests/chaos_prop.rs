@@ -17,8 +17,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tv_cluster::{ClusterRuntime, FaultKind, RuntimeConfig};
+use tv_cluster::{ClusterRuntime, RuntimeConfig};
 use tv_common::ids::{LocalId, VertexId};
+use tv_common::inject::{Action, Point};
 use tv_common::{DistanceMetric, PlannerConfig, RetryPolicy, SegmentId, SplitMix64, Tid};
 use tv_embedding::{EmbeddingSegment, EmbeddingTypeDef};
 use tv_hnsw::DeltaRecord;
@@ -87,15 +88,20 @@ fn topk_is_bit_identical_under_random_single_server_faults() {
 
         let victim = rng.next_below(servers as u64) as usize;
         let kind = rng.next_below(4);
+        let (recv, reply) = (
+            Point::WorkerRecv { server: victim },
+            Point::WorkerReply { server: victim },
+        );
         match kind {
             0 => runtime.fail_server(victim),
-            1 => runtime.inject_fault(victim, FaultKind::CrashOnRecv, Some(1)),
-            2 => runtime.inject_fault(victim, FaultKind::DropReply, Some(1)),
+            1 => runtime.injector().arm(recv, Action::Fail, 1, Some(1)),
+            2 => runtime.injector().arm(reply, Action::Fail, 1, Some(1)),
             _ => {
                 // Half the delays exceed the attempt timeout (suspect →
                 // retry), half do not (the original answers, just late).
                 let ms = if rng.next_below(2) == 0 { 120 } else { 20 };
-                runtime.inject_fault(victim, FaultKind::Delay(Duration::from_millis(ms)), Some(1));
+                let delay = Action::Delay(Duration::from_millis(ms));
+                runtime.injector().arm(recv, delay, 1, Some(1));
             }
         }
 
@@ -110,7 +116,7 @@ fn topk_is_bit_identical_under_random_single_server_faults() {
         );
 
         runtime.recover_server(victim);
-        runtime.faults().clear_all();
+        runtime.injector().clear();
     }
 }
 
@@ -153,7 +159,8 @@ fn degraded_coverage_accounts_exactly_for_injected_faults() {
         let crashed = rng.next_below(2) == 0;
         if crashed {
             // Enough uses to swallow the scatter and every retry wave.
-            runtime.inject_fault(victim, FaultKind::CrashOnRecv, Some(4));
+            let recv = Point::WorkerRecv { server: victim };
+            runtime.injector().arm(recv, Action::Fail, 1, Some(4));
         } else {
             runtime.fail_server(victim);
         }
@@ -188,7 +195,7 @@ fn degraded_coverage_accounts_exactly_for_injected_faults() {
         assert_eq!(r.neighbors[0].id, live_best, "step {step}");
 
         runtime.recover_server(victim);
-        runtime.faults().clear_all();
+        runtime.injector().clear();
         let clean = runtime.top_k(&q, 10, 64, Tid::MAX, None).unwrap();
         assert!(
             clean.coverage.is_complete(),

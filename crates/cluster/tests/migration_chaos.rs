@@ -7,7 +7,7 @@
 //! a migration that loses, duplicates, or reorders a single delta record
 //! fails loudly.
 //!
-//! The main test walks every [`CrashPoint::MIGRATION`] point at several
+//! The main test walks every [`Point::MIGRATION`] point at several
 //! occurrence indices and requires one of exactly two outcomes:
 //!
 //! * **clean abort** — placement generation unchanged, source still
@@ -19,7 +19,7 @@
 //!   `already_complete` while finishing the release.
 //!
 //! Separate tests keep concurrent appends and queries flowing *during* a
-//! migration, drive the typed `Moved` redirect with a delayed worker, and
+//! migration, drive the typed `Moved` redirect with a paused worker, and
 //! pin down degraded-mode `Coverage` accounting around aborted and
 //! completed migrations.
 
@@ -27,13 +27,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tv_cluster::{
-    ClusterResponse, ClusterRuntime, FaultKind, MigrationPlan, Migrator, RuntimeConfig,
-};
+use tv_cluster::{ClusterResponse, ClusterRuntime, MigrationPlan, Migrator, RuntimeConfig};
 use tv_common::ids::{LocalId, VertexId};
+use tv_common::inject::{Action, Injector, Point};
 use tv_common::{
-    CrashPlan, CrashPoint, DistanceMetric, MigrationConfig, RetryPolicy, SegmentId, SplitMix64,
-    Tid, TvError,
+    DistanceMetric, MigrationConfig, RetryPolicy, SegmentId, SplitMix64, Tid, TvError,
 };
 use tv_embedding::{EmbeddingSegment, EmbeddingTypeDef};
 use tv_hnsw::DeltaRecord;
@@ -175,7 +173,7 @@ fn source_and_spare(runtime: &ClusterRuntime, seg: SegmentId) -> (usize, usize) 
 /// One armed crash case: run the scripted migration with `point` tripping
 /// on its `nth` occurrence and require a clean abort or an idempotent
 /// completion — never a third state.
-fn run_crash_case(point: CrashPoint, nth: u64, oracle: &Arc<ClusterRuntime>, final_tid: Tid) {
+fn run_crash_case(point: Point, nth: u64, oracle: &Arc<ClusterRuntime>, final_tid: Tid) {
     let label = format!("{point}@{nth}");
     let subject = start_cluster(false);
     assert_eq!(load(&subject), final_tid, "{label}: fixture drifted");
@@ -187,10 +185,10 @@ fn run_crash_case(point: CrashPoint, nth: u64, oracle: &Arc<ClusterRuntime>, fin
     };
     let dir = staging(&label.replace(['/', '@'], "-"));
     let _ = std::fs::remove_dir_all(&dir);
-    let crash = Arc::new(CrashPlan::new());
-    crash.arm(point, nth);
+    let crash = Injector::live();
+    crash.arm(point, Action::Fail, nth, Some(1));
     let migrator = Migrator::new(Arc::clone(&subject), dir.clone())
-        .with_crash_plan(Arc::clone(&crash))
+        .with_injector(crash)
         .with_config(test_config());
     let gen_before = subject.generation();
     let errors_before = subject.migration_errors().count();
@@ -289,14 +287,14 @@ fn run_crash_case(point: CrashPoint, nth: u64, oracle: &Arc<ClusterRuntime>, fin
 fn every_migration_crash_point_aborts_cleanly_or_completes_idempotently() {
     // Observation run: an unarmed plan counts how often each migration
     // crash point is reached by the scripted migration.
-    let observed = Arc::new(CrashPlan::new());
+    let observed = Injector::live();
     {
         let subject = start_cluster(false);
         load(&subject);
         let (from, to) = source_and_spare(&subject, MIGRATED);
         let dir = staging("observe");
         let migrator = Migrator::new(Arc::clone(&subject), dir.clone())
-            .with_crash_plan(Arc::clone(&observed))
+            .with_injector(observed.clone())
             .with_config(test_config());
         let report = migrator
             .run(MigrationPlan {
@@ -312,7 +310,7 @@ fn every_migration_crash_point_aborts_cleanly_or_completes_idempotently() {
         assert!(report.catchup_records >= u64::from(EXTRA));
         let _ = std::fs::remove_dir_all(&dir);
     }
-    for point in CrashPoint::MIGRATION {
+    for point in Point::MIGRATION {
         assert!(
             observed.hits(point) > 0,
             "{point} is unreachable in the scripted migration — the suite would prove nothing"
@@ -322,7 +320,7 @@ fn every_migration_crash_point_aborts_cleanly_or_completes_idempotently() {
     let oracle = start_cluster(false);
     let final_tid = load(&oracle);
 
-    for point in CrashPoint::MIGRATION {
+    for point in Point::MIGRATION {
         let hits = observed.hits(point);
         let mut nths = vec![1, 2, hits / 2, hits];
         nths.retain(|n| (1..=hits).contains(n));
@@ -445,7 +443,7 @@ fn live_migration_with_concurrent_appends_and_queries_is_bit_identical() {
 
 #[test]
 fn in_flight_queries_pinned_to_the_old_generation_redirect_instead_of_failing() {
-    // Long attempt timeout: the delayed worker must NOT be declared a
+    // Long attempt timeout: the paused worker must NOT be declared a
     // suspect — the point is to catch the *redirect* path, not the retry
     // path.
     let subject = start_cluster_with(false, retry_policy(Duration::from_secs(5)));
@@ -454,9 +452,10 @@ fn in_flight_queries_pinned_to_the_old_generation_redirect_instead_of_failing() 
     assert_eq!(load(&oracle), final_tid);
     let (from, to) = source_and_spare(&subject, MIGRATED);
 
-    // The source answers its next request only after a long nap — time
-    // enough for the migration to flip and release under the query.
-    subject.inject_fault(from, FaultKind::Delay(Duration::from_millis(400)), Some(1));
+    // The source's next request stays paused until the migration has
+    // flipped and released the segment under the query.
+    let source = Point::WorkerRecv { server: from };
+    subject.injector().arm(source, Action::Pause, 1, Some(1));
 
     let probe = queries()[0].clone();
     let want = {
@@ -470,8 +469,8 @@ fn in_flight_queries_pinned_to_the_old_generation_redirect_instead_of_failing() 
     };
 
     // Flip the segment away while the query's pinned-generation request
-    // sleeps on the old holder.
-    std::thread::sleep(Duration::from_millis(100));
+    // is parked on the old holder.
+    subject.injector().wait_parked(source);
     let dir = staging("redirect");
     let report = Migrator::new(Arc::clone(&subject), dir.clone())
         .with_config(test_config())
@@ -482,6 +481,7 @@ fn in_flight_queries_pinned_to_the_old_generation_redirect_instead_of_failing() 
         })
         .unwrap();
     assert!(!report.already_complete);
+    subject.injector().release(source);
 
     let response = query.join().unwrap();
     assert!(response.coverage.is_complete());
@@ -514,10 +514,10 @@ fn degraded_coverage_stays_honest_across_aborted_and_completed_migrations() {
         |r: &ClusterResponse| r.unsearched.iter().filter(|s| **s == MIGRATED).count();
 
     // Abort a migration mid-install, leaving a would-be orphan copy.
-    let crash = Arc::new(CrashPlan::new());
-    crash.arm(CrashPoint::MigrateMidInstall, 1);
+    let crash = Injector::live();
+    crash.arm(Point::MigrateMidInstall, Action::Fail, 1, Some(1));
     Migrator::new(Arc::clone(&subject), dir.clone())
-        .with_crash_plan(crash)
+        .with_injector(crash)
         .with_config(test_config())
         .run(plan)
         .unwrap_err();

@@ -11,13 +11,13 @@
 
 pub mod bitmap;
 pub(crate) mod config;
-pub mod crash;
 pub(crate) mod deadline;
 pub mod delta_log;
 pub mod durafile;
 pub(crate) mod error;
 pub(crate) mod histogram;
 pub mod ids;
+pub mod inject;
 pub mod kernels;
 pub mod metric;
 pub mod pool;
@@ -29,7 +29,6 @@ pub use bitmap::Bitmap;
 pub use config::{
     GraphLayout, MigrationConfig, PlannerConfig, QuantSpec, RetryPolicy, StorageTier,
 };
-pub use crash::{crash_hook, CrashPlan, CrashPoint};
 pub use deadline::Deadline;
 pub use delta_log::{DeltaLog, Logged};
 pub use durafile::crc32;

@@ -11,9 +11,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tv_common::ids::SegmentLayout;
+use tv_common::inject::{Injector, Point};
 use tv_common::{
-    crash_hook, Bitmap, CrashPlan, CrashPoint, Deadline, Neighbor, PlannerConfig, SegmentId,
-    TaskGauge, Tid, TvError, TvResult, VertexId, WorkerPool,
+    Bitmap, Deadline, Neighbor, PlannerConfig, SegmentId, TaskGauge, Tid, TvError, TvResult,
+    VertexId, WorkerPool,
 };
 use tv_hnsw::{DeltaRecord, SearchStats};
 
@@ -153,7 +154,7 @@ pub struct EmbeddingService {
     /// Compute time of one segment search, shared by every query path.
     search_gauge: TaskGauge,
     attrs: RwLock<Vec<Arc<EmbeddingAttr>>>,
-    crash_plan: RwLock<Option<Arc<CrashPlan>>>,
+    injector: Injector,
 }
 
 impl EmbeddingService {
@@ -165,7 +166,7 @@ impl EmbeddingService {
             pool: tv_common::pool::global(),
             search_gauge: TaskGauge::new(),
             attrs: RwLock::new(Vec::new()),
-            crash_plan: RwLock::new(None),
+            injector: Injector::default(),
         }
     }
 
@@ -177,10 +178,11 @@ impl EmbeddingService {
         self
     }
 
-    /// Arm deterministic crash injection for the vacuum pipeline (tests
-    /// only; hooks are no-ops without a plan).
-    pub fn set_crash_plan(&self, plan: Arc<CrashPlan>) {
-        *self.crash_plan.write() = Some(plan);
+    /// Hit the vacuum's injection point on `injector` (tests only).
+    #[must_use]
+    pub fn with_injector(mut self, injector: Injector) -> Self {
+        self.injector = injector;
+        self
     }
 
     /// The active configuration.
@@ -556,13 +558,13 @@ impl EmbeddingService {
     pub fn index_merge(&self, attr_id: u32, up_to: Tid, threads: usize) -> TvResult<usize> {
         let attr = self.attr(attr_id)?;
         let segments = attr.all_segments();
-        let plan = self.crash_plan.read().clone();
+        let injector = self.injector.clone();
         let merged: Vec<TvResult<Option<Tid>>> =
             self.pool.run(segments, threads.max(1), move |seg| {
                 // Crash point: a merge worker dies between per-segment merges —
                 // some segments carry the new snapshot, others don't. Recovery
                 // must work from that mixed state.
-                crash_hook(plan.as_deref(), CrashPoint::VacuumMidIndexMerge)?;
+                injector.hit(Point::VacuumMidIndexMerge)?;
                 seg.index_merge(up_to)
             });
         let mut count = 0;
@@ -662,6 +664,7 @@ fn merge_typed(
 mod tests {
     use super::*;
     use tv_common::ids::{LocalId, SegmentLayout};
+    use tv_common::inject::Action;
     use tv_common::{DistanceMetric, SplitMix64, VertexId};
     use tv_hnsw::DeltaRecord;
 
@@ -1218,15 +1221,14 @@ mod tests {
 
     #[test]
     fn armed_crash_plan_aborts_index_merge_then_allows_retry() {
-        let svc = service();
+        let injector = Injector::live();
+        let svc = service().with_injector(injector.clone());
         let a = svc
             .register(0, def("e"), SegmentLayout::with_capacity(16))
             .unwrap();
         let vecs = load(&svc, a, 48, 31); // 3 segments
         svc.delta_merge(a, Tid(48)).unwrap();
-        let plan = Arc::new(tv_common::CrashPlan::new());
-        plan.arm(tv_common::CrashPoint::VacuumMidIndexMerge, 2);
-        svc.set_crash_plan(Arc::clone(&plan));
+        injector.arm(Point::VacuumMidIndexMerge, Action::Fail, 2, Some(1));
         // Single-threaded merge: the second segment's merge trips the plan,
         // leaving a mixed old/new snapshot state across segments.
         let err = svc.index_merge(a, Tid(48), 1).unwrap_err();

@@ -24,19 +24,19 @@
 //! `tid > t`, so recovery is idempotent when a crash hit after the manifest
 //! rename but before the WAL truncation.
 //!
-//! Deterministic crash points ([`tv_common::CrashPoint`]) are compiled into
-//! both pipelines; they are no-ops unless a test arms a
-//! [`tv_common::CrashPlan`].
+//! Both pipelines hit injection points ([`tv_common::inject::Point`]); the
+//! hits are no-ops unless a test hands in a live
+//! [`tv_common::inject::Injector`].
 
 use crate::graph::Graph;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use tg_storage::checkpoint::{decode_segment_image, encode_segment_image};
 use tg_storage::{SegmentSnapshot, Wal};
 use tv_common::durafile;
+use tv_common::inject::{Injector, Point};
 use tv_common::wire::{put_bytes, put_u32, put_u64, Reader};
-use tv_common::{crash_hook, CrashPlan, CrashPoint, SegmentId, Tid, TvError, TvResult};
+use tv_common::{SegmentId, Tid, TvError, TvResult};
 use tv_embedding::SegmentImage;
 
 /// Durafile kind tag: a graph segment image.
@@ -84,7 +84,7 @@ pub(crate) struct CheckpointManager {
     dir: PathBuf,
     /// Verified checkpoints to retain (older ones are pruned).
     keep: usize,
-    crash_plan: Option<Arc<CrashPlan>>,
+    injector: Injector,
 }
 
 impl CheckpointManager {
@@ -94,14 +94,14 @@ impl CheckpointManager {
         CheckpointManager {
             dir: dir.to_path_buf(),
             keep: 2,
-            crash_plan: None,
+            injector: Injector::default(),
         }
     }
 
-    /// Arm deterministic crash injection (tests only).
+    /// Hit the checkpoint points on `injector` (tests only).
     #[must_use]
-    pub(crate) fn with_crash_plan(mut self, plan: Option<Arc<CrashPlan>>) -> Self {
-        self.crash_plan = plan;
+    pub(crate) fn with_injector(mut self, injector: Injector) -> Self {
+        self.injector = injector;
         self
     }
 
@@ -121,7 +121,7 @@ impl CheckpointManager {
             // Crash point: the process dies between data-file writes. The
             // directory holds a mix of old and new files but no (new)
             // manifest, so recovery never sees the partial checkpoint.
-            crash_hook(self.crash_plan.as_deref(), CrashPoint::CheckpointMidWrite)?;
+            self.injector.hit(Point::CheckpointMidWrite)?;
             let crc =
                 durafile::write_atomic(&ckpt_dir.join(&name), kind, FORMAT_VERSION, &payload)?;
             files.push((name, crc, payload.len() as u64));
@@ -180,10 +180,8 @@ impl CheckpointManager {
         // Crash point: the checkpoint is durable but the WAL still carries
         // the full history. Recovery must replay only the tail beyond the
         // checkpoint TID or it would double-apply.
-        crash_hook(
-            self.crash_plan.as_deref(),
-            CrashPoint::CheckpointPostManifestPreTruncate,
-        )?;
+        self.injector
+            .hit(Point::CheckpointPostManifestPreTruncate)?;
         // Rotate only past the *oldest retained* checkpoint, not the one
         // just written: if this checkpoint later fails verification,
         // recovery falls back to its predecessor and needs every record

@@ -9,7 +9,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta, GraphStore};
 use tv_common::ids::SegmentLayout;
-use tv_common::{CrashPlan, TaskGauge, Tid, TvError, TvResult, VertexId};
+use tv_common::inject::Injector;
+use tv_common::{TaskGauge, Tid, TvError, TvResult, VertexId};
 use tv_embedding::encode::{decode_vector_deltas, encode_vector_deltas};
 use tv_embedding::service::{SegmentFilters, TypedNeighbor};
 use tv_embedding::{EmbeddingService, EmbeddingSpace, EmbeddingTypeDef, ServiceConfig};
@@ -25,7 +26,7 @@ pub struct Graph {
     catalog: RwLock<Catalog>,
     default_layout: SegmentLayout,
     data_dir: Option<PathBuf>,
-    crash_plan: Option<Arc<CrashPlan>>,
+    injector: Injector,
     /// Compute time of one `vertex_action` segment scan.
     pub(crate) scan_gauge: TaskGauge,
 }
@@ -47,7 +48,7 @@ impl Graph {
             catalog: RwLock::new(Catalog::default()),
             default_layout: layout,
             data_dir: None,
-            crash_plan: None,
+            injector: Injector::default(),
             scan_gauge: TaskGauge::new(),
         }
     }
@@ -56,31 +57,28 @@ impl Graph {
     /// checkpoints under `<dir>/checkpoints/`. [`Graph::checkpoint`] and
     /// [`Graph::recover`] only work on graphs opened this way.
     pub fn durable(dir: &Path, layout: SegmentLayout, config: ServiceConfig) -> TvResult<Self> {
-        Graph::durable_with_plan(dir, layout, config, None)
+        Graph::durable_with_plan(dir, layout, config, Injector::default())
     }
 
-    /// [`Graph::durable`] with a deterministic crash-injection plan threaded
-    /// into the commit, checkpoint, and vacuum pipelines (testing only;
-    /// `None` makes every crash hook a no-op).
+    /// [`Graph::durable`] with the commit, checkpoint, and vacuum pipelines
+    /// hitting their injection points on `injector` (testing only; the
+    /// default injector makes every hit a no-op).
     pub fn durable_with_plan(
         dir: &Path,
         layout: SegmentLayout,
         config: ServiceConfig,
-        plan: Option<Arc<CrashPlan>>,
+        injector: Injector,
     ) -> TvResult<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| TvError::Storage(format!("create {}: {e}", dir.display())))?;
-        let embeddings = EmbeddingService::new(config);
-        if let Some(p) = &plan {
-            embeddings.set_crash_plan(Arc::clone(p));
-        }
+        let wal = dir.join(crate::durability::WAL_FILE);
         Ok(Graph {
-            store: GraphStore::with_wal_plan(&dir.join(crate::durability::WAL_FILE), plan.clone())?,
-            embeddings: Arc::new(embeddings),
+            store: GraphStore::with_wal_plan(&wal, injector.clone())?,
+            embeddings: Arc::new(EmbeddingService::new(config).with_injector(injector.clone())),
             catalog: RwLock::new(Catalog::default()),
             default_layout: layout,
             data_dir: Some(dir.to_path_buf()),
-            crash_plan: plan,
+            injector,
             scan_gauge: TaskGauge::new(),
         })
     }
@@ -92,7 +90,7 @@ impl Graph {
             TvError::InvalidArgument("checkpoint needs a graph opened with Graph::durable".into())
         })?;
         CheckpointManager::new(dir)
-            .with_crash_plan(self.crash_plan.clone())
+            .with_injector(self.injector.clone())
             .checkpoint(self)
     }
 

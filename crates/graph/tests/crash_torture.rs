@@ -13,14 +13,11 @@
 //! index was (re)built.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use tg_graph::Graph;
 use tg_storage::{AttrType, AttrValue};
 use tv_common::ids::SegmentLayout;
-use tv_common::{
-    CrashPlan, CrashPoint, DistanceMetric, QuantSpec, SplitMix64, StorageTier, Tid, TvError,
-    TvResult,
-};
+use tv_common::inject::{Action, Injector, Point};
+use tv_common::{DistanceMetric, QuantSpec, SplitMix64, StorageTier, Tid, TvError, TvResult};
 use tv_embedding::{EmbeddingTypeDef, ServiceConfig};
 
 const N_TXNS: u64 = 30;
@@ -55,7 +52,7 @@ fn test_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn open(dir: &Path, plan: Option<Arc<CrashPlan>>) -> Graph {
+fn open(dir: &Path, plan: Injector) -> Graph {
     let g = Graph::durable_with_plan(dir, layout(), config(), plan).unwrap();
     g.create_vertex_type("Doc", &[("title", AttrType::Str), ("score", AttrType::Int)])
         .unwrap();
@@ -167,7 +164,7 @@ fn fingerprint(g: &Graph) -> Vec<String> {
 /// The no-crash oracle: the script run start to finish in one process life.
 fn oracle() -> Vec<String> {
     let dir = test_dir("oracle");
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     run_from(&g, 1, N_TXNS).unwrap();
     let fp = fingerprint(&g);
     drop(g);
@@ -182,16 +179,16 @@ fn torture_every_crash_point_recovers_to_oracle() {
     let want = oracle();
 
     // Observation pass: count how often each crash point is reached.
-    let observe = Arc::new(CrashPlan::new());
+    let observe = Injector::live();
     {
         let dir = test_dir("observe");
-        let g = open(&dir, Some(Arc::clone(&observe)));
+        let g = open(&dir, observe.clone());
         run_from(&g, 1, N_TXNS).unwrap();
         drop(g);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    for point in CrashPoint::DURABILITY {
+    for point in Point::DURABILITY {
         let hits = observe.hits(point);
         assert!(hits > 0, "crash point {point} never reached by the script");
         // Sample crash positions: first, second, middle, last occurrence.
@@ -202,9 +199,9 @@ fn torture_every_crash_point_recovers_to_oracle() {
             let dir = test_dir(&format!("{}-{nth}", point.to_string().replace('/', "_")));
 
             // Run until the armed crash point trips; the Err is the "crash".
-            let plan = Arc::new(CrashPlan::new());
-            plan.arm(point, nth);
-            let g = open(&dir, Some(Arc::clone(&plan)));
+            let plan = Injector::live();
+            plan.arm(point, Action::Fail, nth, Some(1));
+            let g = open(&dir, plan.clone());
             g.recover().unwrap();
             let err = run_from(&g, 1, N_TXNS)
                 .expect_err("armed crash point must trip before the script ends");
@@ -215,7 +212,7 @@ fn torture_every_crash_point_recovers_to_oracle() {
             drop(g); // process death
 
             // Recover and resume from the first non-durable transaction.
-            let g = open(&dir, None);
+            let g = open(&dir, Injector::default());
             g.recover()
                 .unwrap_or_else(|e| panic!("recovery after {point}#{nth} failed: {e}"));
             let next = g.read_tid().0 + 1;
@@ -237,10 +234,10 @@ fn torture_every_crash_point_recovers_to_oracle() {
 fn recovery_after_rotation_replays_only_the_tail() {
     let dir = test_dir("rotation");
     {
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         run_from(&g, 1, N_TXNS).unwrap();
     }
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     let report = g.recover().unwrap();
     assert_eq!(report.checkpoint, Some(Tid(20)));
     assert_eq!(report.replayed, (N_TXNS - 20) as usize);
@@ -268,12 +265,12 @@ fn corrupt_checkpoint(dir: &Path, tid: u64) {
 fn corrupt_newest_checkpoint_falls_back_to_previous() {
     let dir = test_dir("fallback");
     {
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         run_from(&g, 1, N_TXNS).unwrap();
     }
     corrupt_checkpoint(&dir, 20);
 
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     let report = g.recover().unwrap();
     assert_eq!(report.checkpoint, Some(Tid(10)));
     assert_eq!(report.skipped_checkpoints, 1);
@@ -330,12 +327,12 @@ fn reseal_graph_file(dir: &Path) {
 fn swapped_file_falls_back_to_previous(label: &str, tamper: impl Fn(&Path)) {
     let dir = test_dir(label);
     {
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         run_from(&g, 1, N_TXNS).unwrap();
     }
     tamper(&dir);
 
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     let report = g.recover().unwrap();
     assert_eq!(report.skipped_checkpoints, 1);
     assert_eq!(report.checkpoint, Some(Tid(10)));
@@ -374,13 +371,13 @@ fn resealed_image_of_the_same_length_is_refused_by_the_manifest() {
 fn every_checkpoint_corrupt_is_an_error_not_a_hole_in_history() {
     let dir = test_dir("no-fallback");
     {
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         run_from(&g, 1, N_TXNS).unwrap();
     }
     corrupt_checkpoint(&dir, 10);
     corrupt_checkpoint(&dir, 20);
 
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     let err = g.recover().expect_err("ten transactions are unrecoverable");
     assert!(matches!(err, TvError::Storage(_)), "{err}");
     let msg = err.to_string();
@@ -396,15 +393,15 @@ fn mixed_txn_atomic_across_crash() {
     for (point, expect_present) in [
         // Crash mid-WAL-append: the record never became durable — neither
         // the vertex nor its vector may surface after recovery.
-        (CrashPoint::CommitMidWalAppend, false),
+        (Point::CommitMidWalAppend, false),
         // Crash after the WAL sync: the record is durable — both the vertex
         // and its vector must surface after recovery.
-        (CrashPoint::CommitPostWalPreApply, true),
+        (Point::CommitPostWalPreApply, true),
     ] {
         let dir = test_dir(&format!("atomic-{}", point.to_string().replace('/', "_")));
-        let plan = Arc::new(CrashPlan::new());
-        plan.arm(point, 1);
-        let g = open(&dir, Some(Arc::clone(&plan)));
+        let plan = Injector::live();
+        plan.arm(point, Action::Fail, 1, Some(1));
+        let g = open(&dir, plan.clone());
         let id = layout().vertex_id(0);
         let err = g
             .txn()
@@ -415,7 +412,7 @@ fn mixed_txn_atomic_across_crash() {
         assert!(matches!(err, TvError::Injected(_)));
         drop(g);
 
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         g.recover().unwrap();
         let tid = g.read_tid();
         let live = g.is_live(DOC, id, tid).unwrap();
@@ -436,7 +433,71 @@ fn mixed_txn_atomic_across_crash() {
     }
 }
 
-fn open_quant(dir: &Path, plan: Option<Arc<CrashPlan>>) -> Graph {
+/// Upsert vertex `v` with its title and vector in one transaction.
+fn write_doc(g: &Graph, v: u32) -> TvResult<Tid> {
+    let id = layout().vertex_id(v as usize);
+    g.txn()
+        .upsert_vertex(
+            DOC,
+            id,
+            vec![AttrValue::Str(format!("doc-{v}")), AttrValue::Int(v.into())],
+        )
+        .set_vector(EMB, id, vec_for(0, v))
+        .commit()
+}
+
+/// A process that keeps running after `point` failed its second commit:
+/// every later commit is refused with a typed storage error until the
+/// store is reopened. Had the third commit been acknowledged, it would have
+/// been appended after a torn frame (which makes the log unreadable at
+/// restart) or under the failed commit's TID (which makes replay apply a
+/// commit its caller was told had failed). After the reopen, every
+/// acknowledged commit is recovered, the log's TIDs strictly increase, and
+/// commits resume.
+fn commits_after_a_failed_commit_are_refused_until_reopen(point: Point) {
+    let dir = test_dir(&format!("poison-{}", point.to_string().replace('/', "_")));
+    let plan = Injector::live();
+    plan.arm(point, Action::Fail, 2, Some(1));
+    let g = open(&dir, plan);
+    let acked = write_doc(&g, 0).unwrap();
+    let err = write_doc(&g, 1).expect_err("armed commit failure");
+    assert!(matches!(err, TvError::Injected(_)), "{err}");
+    for v in 2..4 {
+        let later = write_doc(&g, v);
+        assert!(
+            matches!(later, Err(TvError::Storage(_))),
+            "commit after a failed one at {point} must be refused, got {later:?}"
+        );
+    }
+    drop(g);
+
+    let g = open(&dir, Injector::default());
+    g.recover()
+        .unwrap_or_else(|e| panic!("recovery after a failed commit at {point}: {e}"));
+    let tid = g.read_tid();
+    let id = layout().vertex_id(0);
+    assert!(tid >= acked);
+    assert!(g.is_live(DOC, id, tid).unwrap(), "acknowledged commit lost");
+    assert_eq!(g.embedding_of(EMB, id, tid).unwrap(), Some(vec_for(0, 0)));
+    let log = tg_storage::Wal::replay(&dir.join(tg_graph::durability::WAL_FILE)).unwrap();
+    let tids: Vec<u64> = log.iter().map(|r| r.tid.0).collect();
+    assert!(tids.windows(2).all(|w| w[0] < w[1]), "log TIDs {tids:?}");
+    assert_eq!(write_doc(&g, 2).unwrap(), Tid(tid.0 + 1));
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_wal_append_refuses_later_commits_until_reopen() {
+    commits_after_a_failed_commit_are_refused_until_reopen(Point::CommitMidWalAppend);
+}
+
+#[test]
+fn failure_after_the_wal_append_refuses_later_commits_until_reopen() {
+    commits_after_a_failed_commit_are_refused_until_reopen(Point::CommitPostWalPreApply);
+}
+
+fn open_quant(dir: &Path, plan: Injector) -> Graph {
     let g = Graph::durable_with_plan(dir, layout(), config(), plan).unwrap();
     g.create_vertex_type("Doc", &[("title", AttrType::Str), ("score", AttrType::Int)])
         .unwrap();
@@ -469,7 +530,7 @@ fn quant_snapshot_bytes(g: &Graph) -> Vec<Vec<u8>> {
 fn quantized_segment_checkpoint_recovery_is_byte_identical() {
     let dir = test_dir("quant");
     let (want, want_bytes) = {
-        let g = open_quant(&dir, None);
+        let g = open_quant(&dir, Injector::default());
         run_from(&g, 1, N_TXNS).unwrap();
         let attr = g.embeddings().attr(EMB).unwrap();
         assert!(
@@ -482,7 +543,7 @@ fn quantized_segment_checkpoint_recovery_is_byte_identical() {
     }; // process death
 
     // Recovery path 1: restore the checkpoint (TID 20) + replay the tail.
-    let g = open_quant(&dir, None);
+    let g = open_quant(&dir, Injector::default());
     g.recover().unwrap();
     assert_eq!(
         quant_snapshot_bytes(&g),
@@ -499,15 +560,15 @@ fn quantized_segment_checkpoint_recovery_is_byte_identical() {
     // script retrains the codec — which must be deterministic enough to
     // reproduce the same bytes and the same search results.
     let dir = test_dir("quant-midckpt");
-    let plan = Arc::new(CrashPlan::new());
-    plan.arm(CrashPoint::CheckpointMidWrite, 2);
-    let g = open_quant(&dir, Some(Arc::clone(&plan)));
+    let plan = Injector::live();
+    plan.arm(Point::CheckpointMidWrite, Action::Fail, 2, Some(1));
+    let g = open_quant(&dir, plan.clone());
     g.recover().unwrap();
     let err = run_from(&g, 1, N_TXNS).expect_err("armed mid-checkpoint crash must trip");
     assert!(matches!(err, TvError::Injected(_)));
     drop(g);
 
-    let g = open_quant(&dir, None);
+    let g = open_quant(&dir, Injector::default());
     g.recover().unwrap();
     run_from(&g, g.read_tid().0 + 1, N_TXNS).unwrap();
     assert_eq!(
@@ -547,7 +608,7 @@ fn compiled_snapshot_state(g: &Graph) -> Vec<(tv_common::GraphLayout, Vec<u8>)> 
 fn compiled_segment_checkpoint_recovery_is_byte_identical() {
     let dir = test_dir("layout");
     let (want, want_state) = {
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         run_from(&g, 1, N_TXNS).unwrap();
         let state = compiled_snapshot_state(&g);
         assert!(
@@ -558,7 +619,7 @@ fn compiled_segment_checkpoint_recovery_is_byte_identical() {
     }; // process death
 
     // Recovery path 1: restore the checkpoint (TID 20) + replay the tail.
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     g.recover().unwrap();
     assert_eq!(
         compiled_snapshot_state(&g),
@@ -575,15 +636,15 @@ fn compiled_segment_checkpoint_recovery_is_byte_identical() {
     // script re-runs the TID-15 index merge and recompiles — the BFS
     // reordering is deterministic, so it must reproduce the same bytes.
     let dir = test_dir("layout-midckpt");
-    let plan = Arc::new(CrashPlan::new());
-    plan.arm(CrashPoint::CheckpointMidWrite, 2);
-    let g = open(&dir, Some(Arc::clone(&plan)));
+    let plan = Injector::live();
+    plan.arm(Point::CheckpointMidWrite, Action::Fail, 2, Some(1));
+    let g = open(&dir, plan.clone());
     g.recover().unwrap();
     let err = run_from(&g, 1, N_TXNS).expect_err("armed mid-checkpoint crash must trip");
     assert!(matches!(err, TvError::Injected(_)));
     drop(g);
 
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     g.recover().unwrap();
     run_from(&g, g.read_tid().0 + 1, N_TXNS).unwrap();
     assert_eq!(
@@ -603,7 +664,7 @@ fn allocation_watermark_survives_recovery() {
     let dir = test_dir("alloc");
     let pre;
     {
-        let g = open(&dir, None);
+        let g = open(&dir, Injector::default());
         let ids = g.allocate_many(DOC, 5).unwrap();
         let mut txn = g.txn();
         for (i, &id) in ids.iter().enumerate() {
@@ -617,7 +678,7 @@ fn allocation_watermark_survives_recovery() {
         g.checkpoint().unwrap();
         pre = ids;
     }
-    let g = open(&dir, None);
+    let g = open(&dir, Injector::default());
     g.recover().unwrap();
     let fresh = g.allocate_many(DOC, 5).unwrap();
     for id in &fresh {

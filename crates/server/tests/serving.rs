@@ -7,8 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use tg_graph::{AccessControl, Graph, Role};
 use tg_storage::{AttrType, AttrValue};
-use tv_cluster::{ClusterRuntime, FaultKind, MigrationPlan, RuntimeConfig};
+use tv_cluster::{ClusterRuntime, MigrationPlan, RuntimeConfig};
 use tv_common::ids::{LocalId, SegmentLayout};
+use tv_common::inject::{Action, Point};
 use tv_common::{
     Deadline, DistanceMetric, RetryPolicy, SegmentId, SplitMix64, Tid, TvError, VertexId,
 };
@@ -278,7 +279,9 @@ fn cluster_topk_records_retries_and_coverage_in_tenant_metrics() {
 
     // One injected crash: the replica retry path answers bit-identically
     // and the tenant's counters record the recovery.
-    cluster.inject_fault(1, FaultKind::CrashOnRecv, Some(1));
+    cluster
+        .injector()
+        .arm(Point::WorkerRecv { server: 1 }, Action::Fail, 1, Some(1));
     let recovered = server
         .cluster_top_k(&session, &vecs[3], 5, 64, Tid::MAX)
         .unwrap();

@@ -9,9 +9,9 @@ use crate::wal::{Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use tv_common::crash::{crash_hook, CrashPlan, CrashPoint};
+use std::sync::{Arc, OnceLock};
 use tv_common::ids::SegmentLayout;
+use tv_common::inject::{Injector, Point};
 use tv_common::{SegmentId, Tid, TvError, TvResult, VertexId};
 
 /// All segments of one vertex type.
@@ -182,7 +182,11 @@ pub struct GraphStore {
     txn: Arc<TxnManager>,
     wal: Option<Mutex<Wal>>,
     types: RwLock<Vec<Arc<VertexTypeStore>>>,
-    crash_plan: Option<Arc<CrashPlan>>,
+    injector: Injector,
+    /// Set by the first commit that fails after its WAL append began: the
+    /// log may then hold a torn frame or a record under an unpublished TID,
+    /// so every later commit is refused until the store is reopened.
+    poisoned: OnceLock<String>,
 }
 
 impl GraphStore {
@@ -193,23 +197,25 @@ impl GraphStore {
             txn: TxnManager::new(),
             wal: None,
             types: RwLock::new(Vec::new()),
-            crash_plan: None,
+            injector: Injector::default(),
+            poisoned: OnceLock::new(),
         }
     }
 
     /// Durable store appending to the WAL at `path`. Existing WAL contents
     /// are NOT replayed automatically — create the vertex types first, then
-    /// call [`GraphStore::replay`] with [`Wal::replay`]'s records. `plan` is
-    /// a crash-point plan threaded into the commit pipeline and the WAL
-    /// (testing only; `None` in production makes every hook a no-op).
-    pub fn with_wal_plan(path: &Path, plan: Option<Arc<CrashPlan>>) -> TvResult<Self> {
+    /// call [`GraphStore::replay`] with [`Wal::replay`]'s records. The
+    /// commit pipeline and the WAL hit their injection points on `injector`
+    /// (testing only; the default injector makes every hit a no-op).
+    pub fn with_wal_plan(path: &Path, injector: Injector) -> TvResult<Self> {
         let mut wal = Wal::open(path)?;
-        wal.set_crash_plan(plan.clone());
+        wal.set_injector(injector.clone());
         Ok(GraphStore {
             txn: TxnManager::new(),
             wal: Some(Mutex::new(wal)),
             types: RwLock::new(Vec::new()),
-            crash_plan: plan,
+            injector,
+            poisoned: OnceLock::new(),
         })
     }
 
@@ -256,12 +262,23 @@ impl GraphStore {
     /// the commit critical section after the graph deltas apply — the
     /// embedding service installs its deltas there, so no reader can
     /// observe the graph state without the vector state.
+    ///
+    /// A durable store is poisoned by any error between the start of the
+    /// WAL append and the TID's publication (the append, the sync, the
+    /// apply, the hook): that commit returns its error, and every later one
+    /// fails with [`TvError::Storage`] until the store is reopened.
     pub fn commit_hooked(
         &self,
         deltas: Vec<(u32, GraphDelta)>,
         make_extra: impl FnOnce(Tid) -> Vec<u8>,
         hook: impl FnOnce(Tid) -> TvResult<()>,
     ) -> TvResult<Tid> {
+        if let Some(why) = self.poisoned.get() {
+            return Err(TvError::Storage(format!(
+                "commit refused: an earlier commit failed after its WAL append began ({why}); \
+                 reopen the store to recover"
+            )));
+        }
         // Validate routing up front so apply below cannot fail halfway.
         {
             let types = self.types.read();
@@ -274,29 +291,36 @@ impl GraphStore {
                 }
             }
         }
-        let (_, tid) = self.txn.commit_with(|tid| -> TvResult<()> {
-            let extra = make_extra(tid);
-            if let Some(wal) = &self.wal {
-                let mut w = wal.lock();
-                w.append(&WalRecord {
-                    tid,
-                    deltas: deltas.clone(),
-                    extra,
-                })?;
-                w.sync()?;
-            }
-            // The record is durable but not applied: a crash here must be
-            // recovered by replaying the WAL tail.
-            crash_hook(
-                self.crash_plan.as_deref(),
-                CrashPoint::CommitPostWalPreApply,
-            )?;
+        let apply = |tid: Tid| -> TvResult<()> {
             let types = self.types.read();
             for (type_id, delta) in &deltas {
                 types[*type_id as usize].apply(tid, delta.clone())?;
             }
             drop(types);
             hook(tid)
+        };
+        let (_, tid) = self.txn.commit_with(|tid| -> TvResult<()> {
+            let extra = make_extra(tid);
+            let Some(wal) = &self.wal else {
+                return apply(tid);
+            };
+            let logged = {
+                let mut w = wal.lock();
+                w.append(&WalRecord {
+                    tid,
+                    deltas: deltas.clone(),
+                    extra,
+                })
+                .and_then(|_| w.sync())
+            };
+            logged
+                // The record is durable but not applied: a crash here must
+                // be recovered by replaying the WAL tail.
+                .and_then(|()| self.injector.hit(Point::CommitPostWalPreApply))
+                .and_then(|()| apply(tid))
+                .inspect_err(|e| {
+                    let _ = self.poisoned.set(e.to_string());
+                })
         })?;
         Ok(tid)
     }
@@ -508,7 +532,7 @@ mod tests {
 
         let (id_a, id_b);
         {
-            let store = GraphStore::with_wal_plan(&path, None).unwrap();
+            let store = GraphStore::with_wal_plan(&path, Injector::default()).unwrap();
             let pt = store.create_vertex_type(person_schema(), SegmentLayout::with_capacity(4));
             let people = store.vertex_type(pt).unwrap();
             id_a = people.allocate_id();
@@ -550,7 +574,7 @@ mod tests {
         }
 
         // "Restart": new store, same catalog order, replay.
-        let store = GraphStore::with_wal_plan(&path, None).unwrap();
+        let store = GraphStore::with_wal_plan(&path, Injector::default()).unwrap();
         let pt = store.create_vertex_type(person_schema(), SegmentLayout::with_capacity(4));
         let records = Wal::replay(&path).unwrap();
         let extras = store.replay(records).unwrap();

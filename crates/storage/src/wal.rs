@@ -42,9 +42,8 @@ use crate::value::AttrValue;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use tv_common::crash::{crash_hook, CrashPlan, CrashPoint};
 use tv_common::durafile::crc32_update;
+use tv_common::inject::{Injector, Point};
 use tv_common::wire::{put_bytes, put_f64, put_i64, put_u32, put_u64, Reader};
 use tv_common::{Tid, TvError, TvResult, VertexId};
 
@@ -67,7 +66,7 @@ pub struct Wal {
     path: PathBuf,
     writer: BufWriter<File>,
     next_seq: u64,
-    crash_plan: Option<Arc<CrashPlan>>,
+    injector: Injector,
 }
 
 impl Wal {
@@ -112,20 +111,20 @@ impl Wal {
             path: path.to_path_buf(),
             writer: BufWriter::new(file),
             next_seq,
-            crash_plan: None,
+            injector: Injector::default(),
         })
     }
 
-    /// Install a crash-point plan (testing only; `None` in production).
-    pub(crate) fn set_crash_plan(&mut self, plan: Option<Arc<CrashPlan>>) {
-        self.crash_plan = plan;
+    /// Hit [`Point::CommitMidWalAppend`] on `injector` (testing only).
+    pub(crate) fn set_injector(&mut self, injector: Injector) {
+        self.injector = injector;
     }
 
     /// Append a record and flush it to the OS. Returns the encoded size.
     pub(crate) fn append(&mut self, record: &WalRecord) -> TvResult<usize> {
         let payload = encode_record(record);
         let frame = encode_frame(self.next_seq, &payload);
-        if let Err(e) = crash_hook(self.crash_plan.as_deref(), CrashPoint::CommitMidWalAppend) {
+        if let Err(e) = self.injector.hit(Point::CommitMidWalAppend) {
             // Model process death mid-write: persist only a prefix of the
             // frame, exactly the torn tail a real crash leaves behind.
             let _ = self.writer.write_all(&frame[..frame.len() / 2]);
@@ -431,6 +430,7 @@ pub(crate) fn decode_value(r: &mut Reader<'_>) -> TvResult<AttrValue> {
 mod tests {
     use super::*;
     use tv_common::ids::{LocalId, SegmentId};
+    use tv_common::inject::Action;
 
     fn vid(s: u32, l: u32) -> VertexId {
         VertexId::new(SegmentId(s), LocalId(l))
@@ -663,12 +663,12 @@ mod tests {
     fn injected_crash_mid_append_leaves_torn_tail() {
         let path = temp_wal("crashmid.wal");
         let records = sample_records();
-        let plan = Arc::new(CrashPlan::new());
+        let inject = Injector::live();
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.set_crash_plan(Some(Arc::clone(&plan)));
+            wal.set_injector(inject.clone());
             wal.append(&records[0]).unwrap();
-            plan.arm(CrashPoint::CommitMidWalAppend, 2);
+            inject.arm(Point::CommitMidWalAppend, Action::Fail, 1, Some(1));
             let err = wal.append(&records[1]).unwrap_err();
             assert!(matches!(err, TvError::Injected(_)));
         }

@@ -8,8 +8,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tigervector::baselines::{ClusterModel, QueryWork};
-use tigervector::cluster::{ClusterRuntime, FaultKind, RuntimeConfig};
+use tigervector::cluster::{ClusterRuntime, RuntimeConfig};
 use tigervector::common::ids::{LocalId, SegmentLayout};
+use tigervector::common::inject::{Action, Point};
 use tigervector::common::{DistanceMetric, RetryPolicy, SegmentId, Tid, VertexId};
 use tigervector::datagen::{DatasetShape, VectorDataset};
 use tigervector::embedding::{EmbeddingSegment, EmbeddingTypeDef};
@@ -111,7 +112,9 @@ fn main() {
     // Fault injection: a server swallows the next request; the coordinator
     // times the silence out and re-routes its segments to replicas.
     println!("\ninjecting crash-on-recv on server 1 — retry recovers...");
-    runtime.inject_fault(1, FaultKind::CrashOnRecv, Some(1));
+    runtime
+        .injector()
+        .arm(Point::WorkerRecv { server: 1 }, Action::Fail, 1, Some(1));
     let recovered = runtime.top_k(q, 5, 64, Tid::MAX, None).unwrap();
     assert_eq!(
         healthy_ids,
