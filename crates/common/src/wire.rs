@@ -104,8 +104,9 @@ impl<'a> Reader<'a> {
         self.fits(n, min_item_bytes)
     }
 
-    /// `n` little-endian `f32`s.
-    pub fn f32s(&mut self, n: usize) -> TvResult<Vec<f32>> {
+    /// `n` little-endian `f32`s, collected into one allocation of `C` (a
+    /// `Vec` or an `Arc<[f32]>`).
+    pub fn f32s<C: FromIterator<f32>>(&mut self, n: usize) -> TvResult<C> {
         let raw = self.take(self.fits(n, 4)? * 4)?;
         Ok(raw
             .chunks_exact(4)
@@ -261,7 +262,12 @@ mod tests {
         assert_eq!(r.i64().unwrap(), -5);
         assert_eq!(r.f64().unwrap(), -2.25);
         assert_eq!(r.str().unwrap(), "héllo");
-        let bits: Vec<u32> = r.f32s(2).unwrap().iter().map(|f| f.to_bits()).collect();
+        let bits: Vec<u32> = r
+            .f32s::<Vec<f32>>(2)
+            .unwrap()
+            .iter()
+            .map(|f| f.to_bits())
+            .collect();
         assert_eq!(bits, [0.5f32.to_bits(), (-0.0f32).to_bits()]);
         assert_eq!(r.metric().unwrap(), DistanceMetric::Cosine);
         assert_eq!(r.layout().unwrap(), GraphLayout::PackedPrefetch);
@@ -284,7 +290,9 @@ mod tests {
         let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0, 0];
         assert!(Reader::new(&huge, "probe").count(1).is_err());
         assert!(Reader::new(&huge, "probe").bytes().is_err());
-        assert!(Reader::new(&huge, "probe").f32s(usize::MAX).is_err());
+        assert!(Reader::new(&huge, "probe")
+            .f32s::<Vec<f32>>(usize::MAX)
+            .is_err());
         assert_eq!(Reader::new(&huge, "probe").fits(3, 2).unwrap(), 3);
     }
 }

@@ -293,7 +293,7 @@ fn run(quant: QuantSpec, seed: u64) {
                         } else {
                             DeltaRecord::upsert(vid(l), tid, random_vector(&mut rng))
                         };
-                        let v = (!record.vector.is_empty()).then(|| record.vector.clone());
+                        let v = (!record.vector.is_empty()).then(|| record.vector.to_vec());
                         next[l as usize] = Some((tid, v));
                         record
                     })

@@ -135,10 +135,16 @@ impl EmbeddingSegment {
         self.newest_snapshot().index.storage_tier()
     }
 
-    /// Resident bytes: every retained snapshot plus the delta log's records.
+    /// Resident bytes: every retained snapshot plus the delta log's records,
+    /// each with its vector buffer (the `Arc`'s two counts and the floats).
+    /// Once the commit that appended a record returns, the log holds the
+    /// only handle to its buffer, so this counts each buffer once.
     #[must_use]
     pub(crate) fn memory_bytes(&self) -> usize {
-        let record = |r: &DeltaRecord| std::mem::size_of::<DeltaRecord>() + r.vector.len() * 4;
+        use std::mem::size_of;
+        let record = |r: &DeltaRecord| {
+            size_of::<DeltaRecord>() + 2 * size_of::<usize>() + r.vector.len() * size_of::<f32>()
+        };
         let tail = self.tail.read();
         let records: usize = tail.log.range(Tid::ZERO, Tid::MAX).iter().map(record).sum();
         let snaps = self.snapshots.read();
@@ -295,7 +301,7 @@ impl EmbeddingSegment {
         let newest = tail.log.chain(id.local().0 as usize, read_tid).next();
         match newest {
             Some(r) if r.tid > snap.up_to => {
-                matches!(r.action, DeltaAction::Upsert).then(|| r.vector.clone())
+                matches!(r.action, DeltaAction::Upsert).then(|| r.vector.to_vec())
             }
             _ => snap.index.get_embedding(id),
         }
@@ -411,6 +417,10 @@ impl EmbeddingSegment {
     /// as a new snapshot. Slow — this is the 30-seconds-per-million-vectors
     /// step the paper decouples from the delta merge. Returns the new
     /// snapshot TID, or `None` if no flushed deltas qualified.
+    ///
+    /// The batch is taken under the tail's read lock and folded after it is
+    /// released, so writers and readers never wait on a merge; it shares the
+    /// tail's vectors, so the only new copy of a vector is its index row.
     pub fn index_merge(&self, up_to: Tid) -> TvResult<Option<Tid>> {
         let base = self.newest_snapshot();
         let records = {
@@ -844,6 +854,13 @@ mod tests {
             .collect();
         seg.append_deltas(&recs).unwrap();
         f32_seg.append_deltas(&recs).unwrap();
+        // A tail record costs itself, its vector buffer's two counts and its
+        // floats.
+        let record = std::mem::size_of::<DeltaRecord>()
+            + 2 * std::mem::size_of::<usize>()
+            + 8 * std::mem::size_of::<f32>();
+        let empty = EmbeddingSegment::new(SegmentId(0), &qdef, 512).memory_bytes();
+        assert_eq!(seg.memory_bytes(), empty + 300 * record);
 
         // Before any merge the (empty) snapshot is f32; deltas serve reads.
         assert_eq!(seg.storage_tier(), StorageTier::F32);
@@ -861,8 +878,10 @@ mod tests {
         // Quantized index search with exact overlay on top: a fresh upsert
         // (still f32 in the mem store) must win over its stale coded twin.
         let probe = vec![3.5; 8];
+        let merged = seg.memory_bytes();
         seg.append_deltas(&[DeltaRecord::upsert(vid(5), Tid(301), probe.clone())])
             .unwrap();
+        assert_eq!(seg.memory_bytes(), merged + record);
         let (r, _) = seg.search(&probe, 1, 64, None, Tid(301), &plan0());
         assert_eq!(r[0].id, vid(5));
         assert!(r[0].dist < 1e-6);

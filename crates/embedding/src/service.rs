@@ -257,7 +257,7 @@ impl EmbeddingService {
                 attr.def.check_query_vector(&r.vector)?;
             }
         }
-        // Group by segment, preserving order.
+        // Group by segment, preserving order (a record clone shares its vector).
         let mut by_segment: HashMap<SegmentId, Vec<DeltaRecord>> = HashMap::new();
         for r in records {
             by_segment

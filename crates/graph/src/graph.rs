@@ -5,6 +5,7 @@ use crate::durability::{CheckpointInfo, CheckpointManager, RecoveryManager, Reco
 use crate::schema::Catalog;
 use crate::vertex_set::VertexSet;
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tg_storage::{AttrSchema, AttrType, AttrValue, GraphDelta, GraphStore};
@@ -369,7 +370,7 @@ impl Default for Graph {
 
 /// Buffered vector mutation (TID assigned at commit).
 enum VecOp {
-    Upsert(u32, VertexId, Vec<f32>),
+    Upsert(u32, VertexId, Arc<[f32]>),
     Delete(u32, VertexId),
 }
 
@@ -424,9 +425,11 @@ impl TxnBuilder<'_> {
         self
     }
 
-    /// Set a vertex's vector under an embedding attribute.
+    /// Set a vertex's vector under an embedding attribute. `vector` moves
+    /// into the one buffer the WAL frame, the delta tail, the index merge,
+    /// checkpoints and migration all share (DESIGN §3j).
     pub fn set_vector(mut self, attr_id: u32, id: VertexId, vector: Vec<f32>) -> Self {
-        self.vec_ops.push(VecOp::Upsert(attr_id, id, vector));
+        self.vec_ops.push(VecOp::Upsert(attr_id, id, vector.into()));
         self
     }
 
@@ -448,38 +451,39 @@ impl TxnBuilder<'_> {
         }
         let vec_ops = self.vec_ops;
         let embeddings = Arc::clone(&graph.embeddings);
-        let make_records = |tid: Tid| -> Vec<(u32, DeltaRecord)> {
-            vec_ops
-                .iter()
-                .map(|op| match op {
-                    VecOp::Upsert(attr, id, v) => (
-                        *attr,
-                        DeltaRecord {
-                            action: DeltaAction::Upsert,
-                            id: *id,
-                            tid,
-                            vector: v.clone(),
-                        },
-                    ),
-                    VecOp::Delete(attr, id) => (*attr, DeltaRecord::delete(*id, tid)),
-                })
-                .collect()
-        };
+        // Built once the TID is known, by `make_extra` (which runs first),
+        // encoded from by reference, then handed to the hook.
+        let records: Cell<Vec<(u32, DeltaRecord)>> = Cell::default();
         graph.store.commit_hooked(
             self.deltas,
             |tid| {
-                let records = make_records(tid);
-                if records.is_empty() {
+                let built: Vec<(u32, DeltaRecord)> = vec_ops
+                    .into_iter()
+                    .map(|op| match op {
+                        VecOp::Upsert(attr, id, vector) => (
+                            attr,
+                            DeltaRecord {
+                                action: DeltaAction::Upsert,
+                                id,
+                                tid,
+                                vector,
+                            },
+                        ),
+                        VecOp::Delete(attr, id) => (attr, DeltaRecord::delete(id, tid)),
+                    })
+                    .collect();
+                let extra = if built.is_empty() {
                     Vec::new()
                 } else {
-                    encode_vector_deltas(&records)
-                }
+                    encode_vector_deltas(&built)
+                };
+                records.set(built);
+                extra
             },
-            move |tid| {
-                let records = make_records(tid);
+            |_| {
                 let mut by_attr: std::collections::HashMap<u32, Vec<DeltaRecord>> =
                     std::collections::HashMap::new();
-                for (attr, rec) in records {
+                for (attr, rec) in records.take() {
                     by_attr.entry(attr).or_default().push(rec);
                 }
                 for (attr, recs) in by_attr {
@@ -572,6 +576,14 @@ mod tests {
         );
         // Invisible before the commit tid.
         assert!(g.embedding_of(emb, id, Tid(0)).unwrap().is_none());
+        // The WAL frame and the hook shared the committed buffer and kept no
+        // handle: the tail's record and this read hold the only two.
+        let attr = g.embeddings().attr(emb).unwrap();
+        let tail = attr
+            .segment(id.segment())
+            .unwrap()
+            .delta_tail(Tid::ZERO, tid);
+        assert_eq!(Arc::strong_count(&tail[0].vector), 2);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::packed::{self, CompiledGraph};
 use crate::quant_state::QuantState;
 use crate::search::ScratchPool;
 use crate::stats::SearchStats;
+use std::sync::Arc;
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
 use tv_common::{
@@ -45,7 +46,9 @@ pub enum DeltaAction {
 }
 
 /// One vector delta record, as accumulated in the in-memory delta store and
-/// flushed to delta files by the delta-merge vacuum.
+/// flushed to delta files by the delta-merge vacuum. The vector is shared:
+/// cloning a record (into the delta log, a merge's batch, a checkpoint or a
+/// migration feed) clones the handle, never the floats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRecord {
     /// Upsert or delete.
@@ -55,18 +58,18 @@ pub struct DeltaRecord {
     /// Committing transaction.
     pub tid: Tid,
     /// New vector value (empty for deletes).
-    pub vector: Vec<f32>,
+    pub vector: Arc<[f32]>,
 }
 
 impl DeltaRecord {
-    /// An upsert record.
+    /// An upsert record; `vector` moves into the shared buffer.
     #[must_use]
     pub fn upsert(id: VertexId, tid: Tid, vector: Vec<f32>) -> Self {
         DeltaRecord {
             action: DeltaAction::Upsert,
             id,
             tid,
-            vector,
+            vector: vector.into(),
         }
     }
 
@@ -77,7 +80,7 @@ impl DeltaRecord {
             action: DeltaAction::Delete,
             id,
             tid,
-            vector: Vec::new(),
+            vector: Arc::default(),
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::index::{HnswIndex, NO_SLOT};
 use crate::packed::{self, CompiledGraph};
-use tv_common::GraphLayout;
+use tv_common::{Bitmap, GraphLayout};
 
 impl HnswIndex {
     /// The adjacency representation currently resident: `Pointer` until
@@ -78,33 +78,25 @@ impl HnswIndex {
         self.links = Vec::new();
     }
 
-    /// Reorder every slot-indexed structure by `perm[old_slot] = new_slot`.
-    /// Neighbor ids are remapped but list *order* is preserved, so
+    /// Reorder every slot-indexed structure by `perm[old_slot] = new_slot`,
+    /// in place: the arenas row by row along the permutation's cycles, the
+    /// per-node adjacency lists moved whole and their ids rewritten where
+    /// they lie. Neighbor ids are remapped but list *order* is preserved, so
     /// traversal visit order — and therefore results — are unchanged.
     fn apply_permutation(&mut self, perm: &[u32]) {
-        let n = self.keys.len();
-        debug_assert_eq!(perm.len(), n);
-        let d = self.cfg.dim;
+        debug_assert_eq!(perm.len(), self.keys.len());
+        let cycles = Cycles::of(perm);
         if !self.vectors.is_empty() {
-            let mut nv = vec![0.0f32; self.vectors.len()];
-            for (old, &p) in perm.iter().enumerate() {
-                let new = p as usize;
-                nv[new * d..(new + 1) * d].copy_from_slice(&self.vectors[old * d..(old + 1) * d]);
-            }
-            self.vectors = nv;
-            self.norms = permuted(&self.norms, perm);
+            cycles.apply(&mut self.vectors, self.cfg.dim);
+            cycles.apply(&mut self.norms, 1);
         }
-        self.keys = permuted(&self.keys, perm);
-        self.levels = permuted(&self.levels, perm);
-        self.deleted = permuted(&self.deleted, perm);
-        let mut new_links: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
-        for (old, per_node) in std::mem::take(&mut self.links).into_iter().enumerate() {
-            new_links[perm[old] as usize] = per_node
-                .into_iter()
-                .map(|l| l.into_iter().map(|nb| perm[nb as usize]).collect())
-                .collect();
+        cycles.apply(&mut self.keys, 1);
+        cycles.apply(&mut self.levels, 1);
+        cycles.apply(&mut self.deleted, 1);
+        cycles.apply(&mut self.links, 1);
+        for nb in self.links.iter_mut().flatten().flatten() {
+            *nb = perm[*nb as usize];
         }
-        self.links = new_links;
         for slot in &mut self.local_slot {
             if *slot != NO_SLOT {
                 *slot = perm[*slot as usize];
@@ -114,18 +106,217 @@ impl HnswIndex {
             self.entry = Some((perm[e as usize], top));
         }
         if let Some(q) = &mut self.quant {
-            q.apply_permutation(perm);
+            q.apply_permutation(&cycles);
         }
         // `live_mask` is keyed by local id, not slot — unaffected.
     }
 }
 
-/// Reorder a per-slot array by `perm[old] = new` (layout compilation).
-pub(crate) fn permuted<T: Clone>(src: &[T], perm: &[u32]) -> Vec<T> {
-    debug_assert_eq!(src.len(), perm.len());
-    let mut out = src.to_vec();
-    for (old, item) in src.iter().enumerate() {
-        out[perm[old] as usize] = item.clone();
+/// The cycles longer than one of a slot permutation (`perm[old] = new`),
+/// each named by its lowest slot: what reordering an array in place walks.
+pub(crate) struct Cycles<'p> {
+    perm: &'p [u32],
+    starts: Vec<u32>,
+}
+
+impl<'p> Cycles<'p> {
+    pub(crate) fn of(perm: &'p [u32]) -> Self {
+        let mut seen = Bitmap::new(perm.len());
+        let mut starts = Vec::new();
+        for s in 0..perm.len() {
+            if seen.get(s) || perm[s] as usize == s {
+                continue;
+            }
+            starts.push(s as u32);
+            let mut at = s;
+            while !seen.get(at) {
+                seen.set(at, true);
+                at = perm[at] as usize;
+            }
+        }
+        Cycles { perm, starts }
     }
-    out
+
+    /// Move row `old` of `rows` (`row_len` items each) to row `perm[old]`,
+    /// in place. Along a cycle `s → perm[s] → …`, row `s` is the one row of
+    /// scratch: each swap with the next slot's row puts the row it carries
+    /// home and picks up the one that was there, and the last swap leaves in
+    /// row `s` the row that belongs there.
+    pub(crate) fn apply<T>(&self, rows: &mut [T], row_len: usize) {
+        debug_assert_eq!(rows.len(), self.perm.len() * row_len);
+        for &s in &self.starts {
+            let s = s as usize;
+            let mut next = self.perm[s] as usize;
+            while next != s {
+                let (lo, hi) = (s.min(next) * row_len, s.max(next) * row_len);
+                let (head, tail) = rows.split_at_mut(hi);
+                head[lo..lo + row_len].swap_with_slice(&mut tail[..row_len]);
+                next = self.perm[next] as usize;
+            }
+        }
+    }
+}
+
+/// The in-place permutation against the copying one it replaced, kept here
+/// as the reference: every slot-indexed structure must come out equal, on
+/// the f32 tier and on SQ8 (codes only, cosine, so reconstruction norms
+/// move too), for the identity, one n-cycle, all 2-cycles and random
+/// permutations.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::quant::QuantizedCodec;
+    use crate::HnswConfig;
+    use tv_common::ids::{LocalId, SegmentId};
+    use tv_common::{DistanceMetric, QuantSpec, SplitMix64, VertexId};
+
+    impl HnswIndex {
+        /// The copying reorder compile ran before it permuted in place.
+        fn apply_permutation_copying(&mut self, perm: &[u32]) {
+            let n = self.keys.len();
+            let d = self.cfg.dim;
+            if !self.vectors.is_empty() {
+                let mut nv = vec![0.0f32; self.vectors.len()];
+                for (old, &p) in perm.iter().enumerate() {
+                    let new = p as usize;
+                    nv[new * d..(new + 1) * d]
+                        .copy_from_slice(&self.vectors[old * d..(old + 1) * d]);
+                }
+                self.vectors = nv;
+                self.norms = permuted(&self.norms, perm);
+            }
+            self.keys = permuted(&self.keys, perm);
+            self.levels = permuted(&self.levels, perm);
+            self.deleted = permuted(&self.deleted, perm);
+            let mut new_links: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
+            for (old, per_node) in std::mem::take(&mut self.links).into_iter().enumerate() {
+                new_links[perm[old] as usize] = per_node
+                    .into_iter()
+                    .map(|l| l.into_iter().map(|nb| perm[nb as usize]).collect())
+                    .collect();
+            }
+            self.links = new_links;
+            for slot in &mut self.local_slot {
+                if *slot != NO_SLOT {
+                    *slot = perm[*slot as usize];
+                }
+            }
+            if let Some((e, top)) = self.entry {
+                self.entry = Some((perm[e as usize], top));
+            }
+            if let Some(q) = &mut self.quant {
+                for store in std::iter::once(&mut q.main).chain(q.rerank.as_mut()) {
+                    store.codes = permute_code_rows(&store.codes, store.codec.code_len(), perm);
+                    if !store.recon_norms.is_empty() {
+                        store.recon_norms = permuted(&store.recon_norms, perm);
+                    }
+                }
+            }
+        }
+    }
+
+    fn permuted<T: Clone>(src: &[T], perm: &[u32]) -> Vec<T> {
+        let mut out = src.to_vec();
+        for (old, item) in src.iter().enumerate() {
+            out[perm[old] as usize] = item.clone();
+        }
+        out
+    }
+
+    fn permute_code_rows(codes: &[u8], row_len: usize, perm: &[u32]) -> Vec<u8> {
+        let mut out = vec![0u8; codes.len()];
+        for (old, &new) in perm.iter().enumerate() {
+            let new = new as usize;
+            out[new * row_len..(new + 1) * row_len]
+                .copy_from_slice(&codes[old * row_len..(old + 1) * row_len]);
+        }
+        out
+    }
+
+    const N: usize = 301;
+    const DIM: usize = 12;
+
+    /// `N` slots with some tombstones, in the pointer form.
+    fn index(metric: DistanceMetric, quant: Option<QuantSpec>) -> HnswIndex {
+        let mut rng = SplitMix64::new(0x9E_0000 + N as u64);
+        let mut idx = HnswIndex::new(HnswConfig::new(DIM, metric).with_m(6));
+        let key = |l: usize| VertexId::new(SegmentId(1), LocalId(2 * l as u32 + 1));
+        for l in 0..N {
+            let v: Vec<f32> = (0..DIM).map(|_| rng.next_f32() * 8.0 - 4.0).collect();
+            idx.insert(key(l), &v).unwrap();
+        }
+        for l in (0..N).step_by(7) {
+            assert!(idx.remove(key(l)));
+        }
+        if let Some(spec) = quant {
+            idx.quantize(spec).unwrap();
+        }
+        assert_eq!(idx.layout(), GraphLayout::Pointer);
+        idx
+    }
+
+    fn permutations() -> Vec<(&'static str, Vec<u32>)> {
+        let n = N as u32;
+        let mut out = vec![
+            ("identity", (0..n).collect()),
+            ("one n-cycle", (0..n).map(|i| (i + 1) % n).collect()),
+            // `N` is odd: the last slot stays put.
+            (
+                "all 2-cycles",
+                (0..n).map(|i| if i + 1 == n { i } else { i ^ 1 }).collect(),
+            ),
+        ];
+        let mut rng = SplitMix64::new(41);
+        for _ in 0..4 {
+            let mut p: Vec<u32> = (0..n).collect();
+            for i in (1..N).rev() {
+                p.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            out.push(("random", p));
+        }
+        out
+    }
+
+    fn assert_same(got: &HnswIndex, want: &HnswIndex, case: &str) {
+        assert_eq!(got.vectors, want.vectors, "{case}: arena");
+        assert_eq!(got.norms, want.norms, "{case}: norms");
+        assert_eq!(got.keys, want.keys, "{case}: keys");
+        assert_eq!(got.levels, want.levels, "{case}: levels");
+        assert_eq!(got.deleted, want.deleted, "{case}: tombstones");
+        assert_eq!(got.links, want.links, "{case}: forest");
+        assert_eq!(got.entry, want.entry, "{case}: entry");
+        assert_eq!(got.local_slot, want.local_slot, "{case}: local_slot");
+        let stores = |i: &HnswIndex| {
+            i.quant.as_ref().map(|q| {
+                std::iter::once(&q.main)
+                    .chain(q.rerank.as_ref())
+                    .map(|s| (s.codes.clone(), s.recon_norms.clone()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(stores(got), stores(want), "{case}: code rows");
+    }
+
+    #[test]
+    fn in_place_permutation_matches_the_copying_reference() {
+        let tiers = [
+            ("f32", index(DistanceMetric::L2, None)),
+            ("sq8", index(DistanceMetric::Cosine, Some(QuantSpec::sq8()))),
+        ];
+        for (tier, base) in &tiers {
+            assert_eq!(base.quant.is_some(), *tier == "sq8");
+            for (name, perm) in permutations() {
+                let case = format!("{tier}, {name}");
+                let (mut got, mut want) = (base.clone(), base.clone());
+                got.apply_permutation(&perm);
+                want.apply_permutation_copying(&perm);
+                assert_same(&got, &want, &case);
+                if name == "identity" {
+                    assert_same(&got, base, &case);
+                } else {
+                    assert_ne!(got.keys, base.keys, "{case}: nothing moved");
+                }
+            }
+        }
+    }
 }

@@ -31,5 +31,5 @@ mod pq;
 mod query;
 mod sq8;
 
-pub(crate) use codec::{permute_code_rows, Codec, QuantizedCodec};
+pub(crate) use codec::{Codec, QuantizedCodec};
 pub(crate) use query::QuantQuery;

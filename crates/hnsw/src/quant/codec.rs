@@ -147,22 +147,6 @@ impl QuantizedCodec for Codec {
     }
 }
 
-/// Reorder a slot-major code slab by a slot permutation (`perm[old] = new`):
-/// row `old` of `row_len` bytes moves to offset `perm[old] * row_len`. Used
-/// by the cache-conscious layout compiler in `tv-hnsw`, which renumbers
-/// slots by BFS order and must carry the code arena (and any rerank side
-/// store) along with the vectors.
-pub(crate) fn permute_code_rows(codes: &[u8], row_len: usize, perm: &[u32]) -> Vec<u8> {
-    debug_assert_eq!(codes.len(), perm.len() * row_len);
-    let mut out = vec![0u8; codes.len()];
-    for (old, &new) in perm.iter().enumerate() {
-        let new = new as usize;
-        out[new * row_len..(new + 1) * row_len]
-            .copy_from_slice(&codes[old * row_len..(old + 1) * row_len]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,8 @@
 //! arena the traversal scores against, and the optional rerank side store.
 
 use crate::index::HnswIndex;
-use crate::layout::permuted;
-use crate::quant::{permute_code_rows, Codec, QuantizedCodec};
+use crate::layout::Cycles;
+use crate::quant::{Codec, QuantizedCodec};
 use tv_common::kernels;
 use tv_common::{DistanceMetric, QuantSpec, StorageTier, TvError, TvResult};
 
@@ -90,10 +90,10 @@ impl CodeStore {
             && (self.recon_norms.is_empty() || self.recon_norms.len() == n)
     }
 
-    fn apply_permutation(&mut self, perm: &[u32]) {
-        self.codes = permute_code_rows(&self.codes, self.codec.code_len(), perm);
+    fn apply_permutation(&mut self, cycles: &Cycles<'_>) {
+        cycles.apply(&mut self.codes, self.codec.code_len());
         if !self.recon_norms.is_empty() {
-            self.recon_norms = permuted(&self.recon_norms, perm);
+            cycles.apply(&mut self.recon_norms, 1);
         }
     }
 
@@ -155,13 +155,14 @@ impl QuantState {
             .reconstruct_into(&self.main.codes[slot * cl..(slot + 1) * cl], out);
     }
 
-    /// Reorder every slot-indexed arena by `perm[old] = new` (layout
-    /// compilation; see [`crate::packed`]): codes, reconstruction norms,
-    /// and the rerank side store move together with the vectors.
-    pub(crate) fn apply_permutation(&mut self, perm: &[u32]) {
-        self.main.apply_permutation(perm);
+    /// Reorder every slot-indexed arena along a slot permutation's cycles,
+    /// in place (layout compilation; see [`crate::packed`]): codes,
+    /// reconstruction norms, and the rerank side store move together with
+    /// the vectors.
+    pub(crate) fn apply_permutation(&mut self, cycles: &Cycles<'_>) {
+        self.main.apply_permutation(cycles);
         if let Some(r) = &mut self.rerank {
-            r.apply_permutation(perm);
+            r.apply_permutation(cycles);
         }
     }
 
