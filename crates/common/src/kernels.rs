@@ -2,12 +2,13 @@
 //!
 //! Every distance in the engine funnels through this layer. At first use the
 //! process probes the CPU (`is_x86_feature_detected!`) and installs one
-//! kernel table — AVX2+FMA where available, SSE2 on any x86-64, NEON on
-//! aarch64, and the 4-lane scalar loops (the seed implementation, kept
-//! verbatim in [`scalar`]) as the always-correct fallback. The choice can be
+//! kernel table: AVX2+FMA where available, NEON on aarch64, and otherwise
+//! the scalar tier, the always-correct reference. The scalar tier is one
+//! 4-lane loop in the seed's accumulation order; the compiler vectorizes it
+//! to SSE on x86-64, which is why there is no SSE tier. The choice can be
 //! overridden with the `TV_KERNELS` environment variable
-//! (`scalar|sse|avx2|neon|auto`), which CI uses to keep the fallback path
-//! covered on AVX2 runners.
+//! (`scalar|avx2|avx2+fma|neon|auto`; any other value fails at first use),
+//! which CI uses to keep the fallback path covered on AVX2 runners.
 //!
 //! Beyond plain `dot`/`l2_sq`, the table exposes **fused** one-pass kernels
 //! (`dot_norm_sq` computes `<a,b>` and `|b|²` in a single sweep) and
@@ -25,15 +26,16 @@
 //!
 //! ## Tolerance contract
 //!
-//! Within one tier results are deterministic (bit-identical across calls and
-//! processes on the same tier). Across tiers, results may differ by at most
-//! `1e-5` **relative to the accumulated magnitude** of the reduction — FMA
-//! contracts the multiply-add rounding step and wider registers change the
-//! association order. The scalar tier reproduces the seed kernels
-//! bit-for-bit, including the fused cosine path: `dot_norm_sq` accumulates
-//! in exactly the seed's 4-lane order, so cached-norm cosine equals the
-//! seed's three-pass cosine on the scalar tier. Cross-tier agreement is
-//! enforced by `crates/common/tests/kernel_equivalence.rs`, not assumed.
+//! Within one tier results are deterministic (bit-identical across calls,
+//! processes and build profiles on the same tier). Across tiers, results may
+//! differ by at most `1e-5` **relative to the accumulated magnitude** of the
+//! reduction: FMA contracts the multiply-add rounding step and wider
+//! registers change the association order. The scalar tier reproduces the
+//! seed kernels bit for bit, including the fused cosine path: `dot_norm_sq`
+//! accumulates each sum in exactly `dot`'s 4-lane order, so cached-norm
+//! cosine equals the seed's three-pass cosine on the scalar tier. Cross-tier
+//! agreement is enforced by `crates/common/tests/kernel_equivalence.rs`, and
+//! each tier's own bits are pinned by `kernel_pins.rs`.
 
 use crate::metric::DistanceMetric;
 use std::sync::OnceLock;
@@ -41,10 +43,8 @@ use std::sync::OnceLock;
 /// One dispatchable implementation level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
-    /// Portable 4-lane unrolled loops (the seed implementation).
+    /// Portable 4-lane loops in the seed's order (the reference).
     Scalar,
-    /// 128-bit SSE2 (baseline on every x86-64).
-    Sse,
     /// 256-bit AVX2 with fused multiply-add.
     Avx2Fma,
     /// 128-bit NEON (baseline on aarch64).
@@ -57,18 +57,16 @@ impl KernelTier {
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
-            KernelTier::Sse => "sse",
             KernelTier::Avx2Fma => "avx2+fma",
             KernelTier::Neon => "neon",
         }
     }
 
-    /// Parse a tier name (`scalar`, `sse`, `avx2`, `avx2+fma`, `neon`).
+    /// Parse a tier name (`scalar`, `avx2`, `avx2+fma`, `neon`).
     #[must_use]
     pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelTier::Scalar),
-            "sse" | "sse2" => Some(KernelTier::Sse),
             "avx2" | "avx2+fma" | "avx2fma" => Some(KernelTier::Avx2Fma),
             "neon" => Some(KernelTier::Neon),
             _ => None,
@@ -83,7 +81,8 @@ impl std::fmt::Display for KernelTier {
 }
 
 /// A resolved table of distance kernels for one tier. All slices handed to
-/// pair kernels must be equal-length; batch kernels take a row-major slab of
+/// pair kernels must be equal-length (asserted: the SIMD tiers read every
+/// stream to the first one's length); batch kernels take a row-major slab of
 /// `out.len()` rows of `query.len()` floats.
 pub struct Kernels {
     tier: KernelTier,
@@ -107,14 +106,14 @@ impl Kernels {
     /// Inner product `<a, b>`.
     #[must_use]
     pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         (self.dot)(a, b)
     }
 
     /// Squared Euclidean distance `|a - b|²`.
     #[must_use]
     pub fn l2_sq(&self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         (self.l2_sq)(a, b)
     }
 
@@ -128,7 +127,7 @@ impl Kernels {
     /// norm is not cached.
     #[must_use]
     pub fn dot_norm_sq(&self, a: &[f32], b: &[f32]) -> (f32, f32) {
-        debug_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         (self.dot_norm_sq)(a, b)
     }
 
@@ -150,7 +149,7 @@ impl Kernels {
     /// asymmetric dot product (the constant half is `<q, min>`).
     #[must_use]
     pub fn dot_u8(&self, a: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(a.len(), codes.len());
+        assert_eq!(a.len(), codes.len());
         (self.dot_u8)(a, codes)
     }
 
@@ -160,8 +159,8 @@ impl Kernels {
     /// the SQ8 reconstruction, without materializing the reconstruction.
     #[must_use]
     pub fn l2_sq_u8(&self, a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(a.len(), scale.len());
-        debug_assert_eq!(a.len(), codes.len());
+        assert_eq!(a.len(), scale.len());
+        assert_eq!(a.len(), codes.len());
         (self.l2_sq_u8)(a, scale, codes)
     }
 
@@ -389,130 +388,87 @@ impl<'q> PreparedQuery<'q> {
     }
 }
 
-/// The seed 4-lane scalar kernels — the always-correct reference every other
-/// tier is tested against.
-pub(crate) mod scalar {
-    /// Inner product, 4-lane unrolled (auto-vectorizes on any target).
-    #[must_use]
-    pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 4];
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let base = i * 4;
+/// The one batch row loop: `out[i] = pair(q, slab row i)`. Each tier calls
+/// it from its own feature context with its pair kernel, so the kernel
+/// inlines into one loop per slab and the dispatch cost is paid once.
+#[inline(always)]
+fn rows(q: &[f32], slab: &[f32], out: &mut [f32], pair: impl Fn(&[f32], &[f32]) -> f32) {
+    let d = q.len();
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = pair(q, &slab[i * d..(i + 1) * d]);
+    }
+}
+
+/// The scalar tier — the always-correct reference every other tier is
+/// tested against. Every op is one per-element term on [`lanes`].
+mod scalar {
+    use std::hint::black_box;
+
+    /// The one scalar accumulation loop. It walks the equal-length streams
+    /// `a`, `b`, `c` (an op with two streams passes one twice) in
+    /// `chunks_exact(4)`, keeps `S` sums per lane, reduces each as
+    /// `((l0 + l1) + l2) + l3`, then adds the tail elements in order: the
+    /// seed's order, so every op returns the seed's bits. Walking chunks
+    /// leaves no bounds check in the loop, so the lanes vectorize.
+    #[inline(always)]
+    fn lanes<A: Copy, B: Copy, C: Copy, const S: usize>(
+        a: &[A],
+        b: &[B],
+        c: &[C],
+        term: impl Fn(A, B, C) -> [f32; S],
+    ) -> [f32; S] {
+        let (ca, cb, cc) = (a.chunks_exact(4), b.chunks_exact(4), c.chunks_exact(4));
+        let (ta, tb, tc) = (ca.remainder(), cb.remainder(), cc.remainder());
+        let mut acc = [[0.0f32; 4]; S];
+        for ((x, y), z) in ca.zip(cb).zip(cc) {
             for lane in 0..4 {
-                acc[lane] += a[base + lane] * b[base + lane];
+                for (acc, t) in acc.iter_mut().zip(term(x[lane], y[lane], z[lane])) {
+                    acc[lane] += t;
+                }
             }
         }
-        let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-        for i in chunks * 4..a.len() {
-            sum += a[i] * b[i];
+        // `black_box` changes no value. Without it LLVM pairs the `S` sums
+        // lane by lane into one vector and the loop shuffles (`dot_norm_sq`
+        // ran 3× slower); behind it each sum's four lanes are one vector.
+        let acc = if S > 1 { black_box(acc) } else { acc };
+        let mut sum = acc.map(|l| l[0] + l[1] + l[2] + l[3]);
+        for ((&x, &y), &z) in ta.iter().zip(tb).zip(tc) {
+            for (s, t) in sum.iter_mut().zip(term(x, y, z)) {
+                *s += t;
+            }
         }
         sum
     }
 
-    /// Squared L2 distance, 4-lane unrolled.
-    #[must_use]
-    pub(crate) fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 4];
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let base = i * 4;
-            for lane in 0..4 {
-                let d = a[base + lane] - b[base + lane];
-                acc[lane] += d * d;
-            }
-        }
-        let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-        for i in chunks * 4..a.len() {
-            let d = a[i] - b[i];
-            sum += d * d;
-        }
-        sum
+    /// Inner product.
+    #[inline]
+    pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
+        lanes(a, b, b, |x, y, _| [x * y])[0]
     }
 
-    /// Squared norm (`dot(a, a)` in the seed's accumulation order).
-    #[must_use]
-    pub(crate) fn norm_sq(a: &[f32]) -> f32 {
-        dot(a, a)
+    /// Squared L2 distance.
+    #[inline]
+    pub(super) fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+        lanes(a, b, b, |x, y, _| [(x - y) * (x - y)])[0]
     }
 
-    /// Fused `(<a, b>, |b|²)`. Each reduction accumulates in exactly the
-    /// same lane order as [`dot`], so the parts are bit-identical to the
-    /// seed's separate passes.
-    #[must_use]
-    pub(crate) fn dot_norm_sq(a: &[f32], b: &[f32]) -> (f32, f32) {
-        let mut ab = [0.0f32; 4];
-        let mut bb = [0.0f32; 4];
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let base = i * 4;
-            for lane in 0..4 {
-                ab[lane] += a[base + lane] * b[base + lane];
-                bb[lane] += b[base + lane] * b[base + lane];
-            }
-        }
-        let mut s_ab = ab[0] + ab[1] + ab[2] + ab[3];
-        let mut s_bb = bb[0] + bb[1] + bb[2] + bb[3];
-        for i in chunks * 4..a.len() {
-            s_ab += a[i] * b[i];
-            s_bb += b[i] * b[i];
-        }
-        (s_ab, s_bb)
+    /// Fused `(<a, b>, |b|²)`: two sums in [`dot`]'s order on one walk.
+    pub(super) fn dot_norm_sq(a: &[f32], b: &[f32]) -> (f32, f32) {
+        let [ab, bb] = lanes(a, b, b, |x, y, _| [x * y, y * y]);
+        (ab, bb)
     }
 
-    pub(super) fn dot_batch(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot(q, &slab[i * d..(i + 1) * d]);
-        }
+    /// Mixed-precision inner product `Σ a[i] * codes[i]`.
+    pub(super) fn dot_u8(a: &[f32], codes: &[u8]) -> f32 {
+        lanes(a, codes, codes, |x, c, _| [x * f32::from(c)])[0]
     }
 
-    pub(super) fn l2_sq_batch(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq(q, &slab[i * d..(i + 1) * d]);
-        }
-    }
-
-    /// Mixed-precision inner product `Σ a[i] * codes[i]`, 4-lane unrolled in
-    /// the same accumulation order as [`dot`] — the reference every SIMD
-    /// tier's u8 kernels are tested against.
-    #[must_use]
-    pub(crate) fn dot_u8(a: &[f32], codes: &[u8]) -> f32 {
-        let mut acc = [0.0f32; 4];
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let base = i * 4;
-            for lane in 0..4 {
-                acc[lane] += a[base + lane] * f32::from(codes[base + lane]);
-            }
-        }
-        let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-        for i in chunks * 4..a.len() {
-            sum += a[i] * f32::from(codes[i]);
-        }
-        sum
-    }
-
-    /// Mixed-precision squared L2 `Σ (a[i] - scale[i]*codes[i])²`, 4-lane
-    /// unrolled.
-    #[must_use]
-    pub(crate) fn l2_sq_u8(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        let mut acc = [0.0f32; 4];
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let base = i * 4;
-            for lane in 0..4 {
-                let d = a[base + lane] - scale[base + lane] * f32::from(codes[base + lane]);
-                acc[lane] += d * d;
-            }
-        }
-        let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-        for i in chunks * 4..a.len() {
-            let d = a[i] - scale[i] * f32::from(codes[i]);
-            sum += d * d;
-        }
-        sum
+    /// Mixed-precision squared L2 `Σ (a[i] - scale[i] * codes[i])²`.
+    pub(super) fn l2_sq_u8(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
+        lanes(a, scale, codes, |x, s, c| {
+            let d = x - s * f32::from(c);
+            [d * d]
+        })[0]
     }
 }
 
@@ -520,460 +476,200 @@ static SCALAR: Kernels = Kernels {
     tier: KernelTier::Scalar,
     dot: scalar::dot,
     l2_sq: scalar::l2_sq,
-    norm_sq: scalar::norm_sq,
+    norm_sq: |a| scalar::dot(a, a),
     dot_norm_sq: scalar::dot_norm_sq,
-    dot_batch: scalar::dot_batch,
-    l2_sq_batch: scalar::l2_sq_batch,
+    dot_batch: |q, slab, out| rows(q, slab, out, scalar::dot),
+    l2_sq_batch: |q, slab, out| rows(q, slab, out, scalar::l2_sq),
     dot_u8: scalar::dot_u8,
     l2_sq_u8: scalar::l2_sq_u8,
 };
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2 and AVX2+FMA kernels. Every `unsafe` block is justified by the
-    //! runtime feature check performed before the table is installed (SSE2
-    //! is part of the x86-64 baseline). Slab kernels (`dot_batch`,
-    //! `l2_sq_batch`) call the pair kernels from inside the same
-    //! `#[target_feature]` context so they inline into one vectorized loop
-    //! per row — the dispatch cost is paid once per slab. Gathered scoring
-    //! (`PreparedQuery::distance_slots`) still pays one table call per slot.
+    //! AVX2+FMA kernels: `#[target_feature]` functions the table calls
+    //! only where `avx2_available()` held. Every stream holds as many
+    //! elements as the first: `Kernels`' pair methods assert it, and a
+    //! batch row is cut to the query's length.
 
-    use super::{KernelTier, Kernels};
+    use super::{rows, KernelTier, Kernels};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
     #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn hsum128(v: __m128) -> f32 {
-        // (a b c d) -> (a+c, b+d, ..) -> (a+c+b+d, ..)
-        let hi = _mm_movehl_ps(v, v);
-        let sum2 = _mm_add_ps(v, hi);
-        let hi1 = _mm_shuffle_ps(sum2, sum2, 0b01);
-        _mm_cvtss_f32(_mm_add_ss(sum2, hi1))
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_sse_raw(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = _mm_loadu_ps(pa.add(i));
-            let vb = _mm_loadu_ps(pb.add(i));
-            acc = _mm_add_ps(acc, _mm_mul_ps(va, vb));
-            i += 4;
-        }
-        let mut sum = hsum128(acc);
-        while i < n {
-            sum += *pa.add(i) * *pb.add(i);
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn l2_sq_sse_raw(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm_sub_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i)));
-            acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-            i += 4;
-        }
-        let mut sum = hsum128(acc);
-        while i < n {
-            let d = *pa.add(i) - *pb.add(i);
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_norm_sq_sse_raw(a: &[f32], b: &[f32]) -> (f32, f32) {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc_ab = _mm_setzero_ps();
-        let mut acc_bb = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = _mm_loadu_ps(pa.add(i));
-            let vb = _mm_loadu_ps(pb.add(i));
-            acc_ab = _mm_add_ps(acc_ab, _mm_mul_ps(va, vb));
-            acc_bb = _mm_add_ps(acc_bb, _mm_mul_ps(vb, vb));
-            i += 4;
-        }
-        let (mut s_ab, mut s_bb) = (hsum128(acc_ab), hsum128(acc_bb));
-        while i < n {
-            let (x, y) = (*pa.add(i), *pb.add(i));
-            s_ab += x * y;
-            s_bb += y * y;
-            i += 1;
-        }
-        (s_ab, s_bb)
-    }
-
-    fn dot_sse(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { dot_sse_raw(a, b) }
-    }
-    fn l2_sq_sse(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { l2_sq_sse_raw(a, b) }
-    }
-    fn norm_sq_sse(a: &[f32]) -> f32 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { dot_sse_raw(a, a) }
-    }
-    fn dot_norm_sq_sse(a: &[f32], b: &[f32]) -> (f32, f32) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { dot_norm_sq_sse_raw(a, b) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_batch_sse_raw(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_sse_raw(q, &slab[i * d..(i + 1) * d]);
-        }
-    }
-    #[target_feature(enable = "sse2")]
-    unsafe fn l2_sq_batch_sse_raw(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq_sse_raw(q, &slab[i * d..(i + 1) * d]);
-        }
-    }
-    fn dot_batch_sse(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { dot_batch_sse_raw(q, slab, out) }
-    }
-    fn l2_sq_batch_sse(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { l2_sq_batch_sse_raw(q, slab, out) }
-    }
-
-    /// Widen 4 code bytes at `p` to a `f32` lane vector. SSE2 has no
-    /// `cvtepu8` (that's SSE4.1), so zero-extend via two unpacks.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn load4_u8_ps(p: *const u8) -> __m128 {
-        let raw = p.cast::<u32>().read_unaligned();
-        let v = _mm_cvtsi32_si128(raw as i32);
-        let zero = _mm_setzero_si128();
-        let w32 = _mm_unpacklo_epi16(_mm_unpacklo_epi8(v, zero), zero);
-        _mm_cvtepi32_ps(w32)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_u8_sse_raw(a: &[f32], codes: &[u8]) -> f32 {
-        let n = a.len();
-        let (pa, pc) = (a.as_ptr(), codes.as_ptr());
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 4 <= n {
-            acc = _mm_add_ps(
-                acc,
-                _mm_mul_ps(_mm_loadu_ps(pa.add(i)), load4_u8_ps(pc.add(i))),
-            );
-            i += 4;
-        }
-        let mut sum = hsum128(acc);
-        while i < n {
-            sum += *pa.add(i) * f32::from(*pc.add(i));
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn l2_sq_u8_sse_raw(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        let n = a.len();
-        let (pa, ps, pc) = (a.as_ptr(), scale.as_ptr(), codes.as_ptr());
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm_sub_ps(
-                _mm_loadu_ps(pa.add(i)),
-                _mm_mul_ps(_mm_loadu_ps(ps.add(i)), load4_u8_ps(pc.add(i))),
-            );
-            acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-            i += 4;
-        }
-        let mut sum = hsum128(acc);
-        while i < n {
-            let d = *pa.add(i) - *ps.add(i) * f32::from(*pc.add(i));
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    fn dot_u8_sse(a: &[f32], codes: &[u8]) -> f32 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { dot_u8_sse_raw(a, codes) }
-    }
-    fn l2_sq_u8_sse(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { l2_sq_u8_sse_raw(a, scale, codes) }
-    }
-
-    pub(super) static SSE: Kernels = Kernels {
-        tier: KernelTier::Sse,
-        dot: dot_sse,
-        l2_sq: l2_sq_sse,
-        norm_sq: norm_sq_sse,
-        dot_norm_sq: dot_norm_sq_sse,
-        dot_batch: dot_batch_sse,
-        l2_sq_batch: l2_sq_batch_sse,
-        dot_u8: dot_u8_sse,
-        l2_sq_u8: l2_sq_u8_sse,
-    };
-
-    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum256(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        hsum128(_mm_add_ps(lo, hi))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_avx2_raw(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        // Two accumulators hide the FMA latency chain at dims >= 16.
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                _mm256_loadu_ps(pb.add(i + 8)),
-                acc1,
-            );
-            i += 16;
-        }
-        if i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-            i += 8;
-        }
-        let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
-        while i < n {
-            sum += *pa.add(i) * *pb.add(i);
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn l2_sq_avx2_raw(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= n {
-            let d0 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            let d1 = _mm256_sub_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                _mm256_loadu_ps(pb.add(i + 8)),
-            );
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-            i += 16;
-        }
-        if i + 8 <= n {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            acc0 = _mm256_fmadd_ps(d, d, acc0);
-            i += 8;
-        }
-        let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
-        while i < n {
-            let d = *pa.add(i) - *pb.add(i);
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_norm_sq_avx2_raw(a: &[f32], b: &[f32]) -> (f32, f32) {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc_ab = _mm256_setzero_ps();
-        let mut acc_bb = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let va = _mm256_loadu_ps(pa.add(i));
-            let vb = _mm256_loadu_ps(pb.add(i));
-            acc_ab = _mm256_fmadd_ps(va, vb, acc_ab);
-            acc_bb = _mm256_fmadd_ps(vb, vb, acc_bb);
-            i += 8;
-        }
-        let (mut s_ab, mut s_bb) = (hsum256(acc_ab), hsum256(acc_bb));
-        while i < n {
-            let (x, y) = (*pa.add(i), *pb.add(i));
-            s_ab += x * y;
-            s_bb += y * y;
-            i += 1;
-        }
-        (s_ab, s_bb)
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_batch_avx2_raw(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_avx2_raw(q, &slab[i * d..(i + 1) * d]);
-        }
-    }
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn l2_sq_batch_avx2_raw(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq_avx2_raw(q, &slab[i * d..(i + 1) * d]);
-        }
-    }
-
-    pub(super) fn avx2_available() -> bool {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-
-    fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { dot_avx2_raw(a, b) }
-    }
-    fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { l2_sq_avx2_raw(a, b) }
-    }
-    fn norm_sq_avx2(a: &[f32]) -> f32 {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { dot_avx2_raw(a, a) }
-    }
-    fn dot_norm_sq_avx2(a: &[f32], b: &[f32]) -> (f32, f32) {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { dot_norm_sq_avx2_raw(a, b) }
-    }
-    fn dot_batch_avx2(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { dot_batch_avx2_raw(q, slab, out) }
-    }
-    fn l2_sq_batch_avx2(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { l2_sq_batch_avx2_raw(q, slab, out) }
+    fn hsum256(v: __m256) -> f32 {
+        // (a..h) -> (a+e, b+f, c+g, d+h) -> (a+e+c+g, b+f+d+h, ..) -> sum
+        let v = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+        let sum2 = _mm_add_ps(v, _mm_movehl_ps(v, v));
+        _mm_cvtss_f32(_mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 0b01)))
     }
 
     /// Widen 8 code bytes at `p` to a `f32` lane vector (`vpmovzxbd` +
-    /// convert). The caller guarantees at least 8 readable bytes.
+    /// convert).
+    ///
+    /// # Safety
+    ///
+    /// `p` must point to at least 8 readable bytes.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn load8_u8_ps(p: *const u8) -> __m256 {
         _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.cast())))
     }
 
+    /// The one AVX2 accumulation loop of `dot`, `l2_sq`, `dot_u8` and
+    /// `l2_sq_u8` over `n` lanes: two 8-lane FMA accumulators over 16-blocks
+    /// (they hide the FMA latency chain), one more 8-block into the first,
+    /// `hsum256` of their sum, then the sequential tail. An op supplies
+    /// `|i| factors`, the two `__m256` factors of lanes `i..i + 8` (run in
+    /// the loop's `unsafe` block, only where `i + 8 <= n`), and `|i| tail`,
+    /// the scalar term of lane `i`.
+    macro_rules! fma_loop {
+        ($n:expr, |$i:ident| $factors:expr, |$t:ident| $tail:expr) => {{
+            let n = $n;
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut i = 0;
+            // SAFETY: every stream holds `n` elements (module doc) and the
+            // factors read lanes `i..i + 8` with `i + 8 <= n`.
+            unsafe {
+                while i + 16 <= n {
+                    let (x0, y0) = {
+                        let $i = i;
+                        $factors
+                    };
+                    let (x1, y1) = {
+                        let $i = i + 8;
+                        $factors
+                    };
+                    acc0 = _mm256_fmadd_ps(x0, y0, acc0);
+                    acc1 = _mm256_fmadd_ps(x1, y1, acc1);
+                    i += 16;
+                }
+                if i + 8 <= n {
+                    let (x, y) = {
+                        let $i = i;
+                        $factors
+                    };
+                    acc0 = _mm256_fmadd_ps(x, y, acc0);
+                    i += 8;
+                }
+            }
+            let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
+            while i < n {
+                let $t = i;
+                sum += $tail;
+                i += 1;
+            }
+            sum
+        }};
+    }
+
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_u8_avx2_raw(a: &[f32], codes: &[u8]) -> f32 {
-        let n = a.len();
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        fma_loop!(
+            a.len(),
+            |i| (_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i))),
+            |i| a[i] * b[i]
+        )
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        fma_loop!(
+            a.len(),
+            |i| {
+                let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
+                (d, d)
+            },
+            |i| (a[i] - b[i]) * (a[i] - b[i])
+        )
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn dot_u8(a: &[f32], codes: &[u8]) -> f32 {
         let (pa, pc) = (a.as_ptr(), codes.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), load8_u8_ps(pc.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                load8_u8_ps(pc.add(i + 8)),
-                acc1,
-            );
-            i += 16;
-        }
-        if i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), load8_u8_ps(pc.add(i)), acc0);
-            i += 8;
-        }
-        let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
-        while i < n {
-            sum += *pa.add(i) * f32::from(*pc.add(i));
-            i += 1;
-        }
-        sum
+        fma_loop!(
+            a.len(),
+            |i| (_mm256_loadu_ps(pa.add(i)), load8_u8_ps(pc.add(i))),
+            |i| a[i] * f32::from(codes[i])
+        )
     }
 
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn l2_sq_u8_avx2_raw(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        let n = a.len();
+    fn l2_sq_u8(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
         let (pa, ps, pc) = (a.as_ptr(), scale.as_ptr(), codes.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
+        fma_loop!(
+            a.len(),
+            |i| {
+                let (va, vs) = (_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(ps.add(i)));
+                let d = _mm256_fnmadd_ps(vs, load8_u8_ps(pc.add(i)), va);
+                (d, d)
+            },
+            |i| {
+                let d = a[i] - scale[i] * f32::from(codes[i]);
+                d * d
+            }
+        )
+    }
+
+    /// `(<a, b>, |b|²)` on one 8-lane accumulator each: its own loop,
+    /// because its order is pinned apart from [`dot`]'s.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn dot_norm_sq(a: &[f32], b: &[f32]) -> (f32, f32) {
+        let n = a.len();
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let mut acc_ab = _mm256_setzero_ps();
+        let mut acc_bb = _mm256_setzero_ps();
         let mut i = 0;
-        while i + 16 <= n {
-            let d0 = _mm256_fnmadd_ps(
-                _mm256_loadu_ps(ps.add(i)),
-                load8_u8_ps(pc.add(i)),
-                _mm256_loadu_ps(pa.add(i)),
-            );
-            let d1 = _mm256_fnmadd_ps(
-                _mm256_loadu_ps(ps.add(i + 8)),
-                load8_u8_ps(pc.add(i + 8)),
-                _mm256_loadu_ps(pa.add(i + 8)),
-            );
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-            i += 16;
-        }
-        if i + 8 <= n {
-            let d = _mm256_fnmadd_ps(
-                _mm256_loadu_ps(ps.add(i)),
-                load8_u8_ps(pc.add(i)),
-                _mm256_loadu_ps(pa.add(i)),
-            );
-            acc0 = _mm256_fmadd_ps(d, d, acc0);
+        while i + 8 <= n {
+            // SAFETY: both streams hold `n` elements and `i + 8 <= n`.
+            let (va, vb) = unsafe { (_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i))) };
+            acc_ab = _mm256_fmadd_ps(va, vb, acc_ab);
+            acc_bb = _mm256_fmadd_ps(vb, vb, acc_bb);
             i += 8;
         }
-        let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
+        let (mut s_ab, mut s_bb) = (hsum256(acc_ab), hsum256(acc_bb));
         while i < n {
-            let d = *pa.add(i) - *ps.add(i) * f32::from(*pc.add(i));
-            sum += d * d;
+            s_ab += a[i] * b[i];
+            s_bb += b[i] * b[i];
             i += 1;
         }
-        sum
+        (s_ab, s_bb)
     }
 
-    fn dot_u8_avx2(a: &[f32], codes: &[u8]) -> f32 {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { dot_u8_avx2_raw(a, codes) }
-    }
-    fn l2_sq_u8_avx2(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        // SAFETY: table only installed when avx2_available() held.
-        unsafe { l2_sq_u8_avx2_raw(a, scale, codes) }
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn dot_batch(q: &[f32], slab: &[f32], out: &mut [f32]) {
+        rows(q, slab, out, |a, b| dot(a, b));
     }
 
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn l2_sq_batch(q: &[f32], slab: &[f32], out: &mut [f32]) {
+        rows(q, slab, out, |a, b| l2_sq(a, b));
+    }
+
+    pub(super) fn avx2_available() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    }
+
+    // SAFETY (every entry): the table is installed only where
+    // `avx2_available()` held.
     pub(super) static AVX2: Kernels = Kernels {
         tier: KernelTier::Avx2Fma,
-        dot: dot_avx2,
-        l2_sq: l2_sq_avx2,
-        norm_sq: norm_sq_avx2,
-        dot_norm_sq: dot_norm_sq_avx2,
-        dot_batch: dot_batch_avx2,
-        l2_sq_batch: l2_sq_batch_avx2,
-        dot_u8: dot_u8_avx2,
-        l2_sq_u8: l2_sq_u8_avx2,
+        dot: |a, b| unsafe { dot(a, b) },
+        l2_sq: |a, b| unsafe { l2_sq(a, b) },
+        norm_sq: |a| unsafe { dot(a, a) },
+        dot_norm_sq: |a, b| unsafe { dot_norm_sq(a, b) },
+        dot_batch: |q, slab, out| unsafe { dot_batch(q, slab, out) },
+        l2_sq_batch: |q, slab, out| unsafe { l2_sq_batch(q, slab, out) },
+        dot_u8: |a, codes| unsafe { dot_u8(a, codes) },
+        l2_sq_u8: |a, scale, codes| unsafe { l2_sq_u8(a, scale, codes) },
     };
 }
 
@@ -1160,8 +856,6 @@ pub fn for_tier(tier: KernelTier) -> Option<&'static Kernels> {
     match tier {
         KernelTier::Scalar => Some(&SCALAR),
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse => Some(&x86::SSE),
-        #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2Fma => x86::avx2_available().then_some(&x86::AVX2),
         #[cfg(target_arch = "aarch64")]
         KernelTier::Neon => Some(&arm::NEON),
@@ -1170,50 +864,56 @@ pub fn for_tier(tier: KernelTier) -> Option<&'static Kernels> {
     }
 }
 
-/// Every kernel table usable on this CPU, scalar first.
+/// Every kernel table usable on this CPU, from scalar up to the best.
 #[must_use]
 pub fn available() -> Vec<&'static Kernels> {
-    [
-        KernelTier::Scalar,
-        KernelTier::Sse,
-        KernelTier::Avx2Fma,
-        KernelTier::Neon,
-    ]
-    .into_iter()
-    .filter_map(for_tier)
-    .collect()
+    [KernelTier::Scalar, KernelTier::Avx2Fma, KernelTier::Neon]
+        .into_iter()
+        .filter_map(for_tier)
+        .collect()
 }
 
-/// The best tier this CPU supports (what `auto` dispatches to).
+/// The best tier this CPU supports (what `auto` dispatches to): the last
+/// of [`available`].
 #[must_use]
 pub fn detect_best() -> KernelTier {
-    for tier in [KernelTier::Avx2Fma, KernelTier::Neon, KernelTier::Sse] {
-        if for_tier(tier).is_some() {
-            return tier;
-        }
-    }
-    KernelTier::Scalar
+    available().last().map_or(KernelTier::Scalar, |k| k.tier())
 }
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// The table a `TV_KERNELS` value selects: a tier name pins that tier (one
 /// this CPU cannot run falls back to `Scalar`, never crashes); `auto`, an
-/// unknown name or no value picks [`detect_best`].
-fn resolve(selector: Option<&str>) -> &'static Kernels {
-    match selector.and_then(KernelTier::parse) {
-        Some(tier) => for_tier(tier).unwrap_or(&SCALAR),
-        None => for_tier(detect_best()).unwrap_or(&SCALAR),
-    }
+/// empty value or no value picks [`detect_best`]. Any other value is an
+/// error that lists the accepted ones: a misspelt selector must not run
+/// some other tier unnoticed.
+fn resolve(selector: Option<&str>) -> Result<&'static Kernels, String> {
+    let tier = match selector {
+        None | Some("") => detect_best(),
+        Some(s) if s.eq_ignore_ascii_case("auto") => detect_best(),
+        Some(s) => KernelTier::parse(s).ok_or_else(|| {
+            format!(
+                "TV_KERNELS={s:?} names no kernel tier; \
+                 accepted: scalar, avx2, avx2+fma, neon, auto (or unset)"
+            )
+        })?,
+    };
+    Ok(for_tier(tier).unwrap_or(&SCALAR))
 }
 
 /// The process-wide active kernel table, resolved once from `TV_KERNELS`
 /// (first use wins). It is immutable for the life of the process, because
 /// per-slot norm caches and snapshot-backed distances must all come from
 /// one tier.
+///
+/// # Panics
+///
+/// On first use, if `TV_KERNELS` holds a value that names no tier.
 #[must_use]
 pub fn active() -> &'static Kernels {
-    ACTIVE.get_or_init(|| resolve(std::env::var("TV_KERNELS").ok().as_deref()))
+    ACTIVE.get_or_init(|| {
+        resolve(std::env::var("TV_KERNELS").ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 #[cfg(test)]
@@ -1228,12 +928,7 @@ mod tests {
 
     #[test]
     fn tier_names_roundtrip() {
-        for t in [
-            KernelTier::Scalar,
-            KernelTier::Sse,
-            KernelTier::Avx2Fma,
-            KernelTier::Neon,
-        ] {
+        for t in [KernelTier::Scalar, KernelTier::Avx2Fma, KernelTier::Neon] {
             assert_eq!(KernelTier::parse(t.name()), Some(t));
         }
         assert_eq!(KernelTier::parse("avx2"), Some(KernelTier::Avx2Fma));
@@ -1242,15 +937,23 @@ mod tests {
 
     #[test]
     fn tv_kernels_values_resolve() {
+        let tier = |s: Option<&str>| resolve(s).map(Kernels::tier);
         let best = detect_best();
-        for auto in [None, Some("auto"), Some("bogus"), Some("")] {
-            assert_eq!(resolve(auto).tier(), best, "{auto:?}");
+        for auto in [None, Some("auto"), Some("AUTO"), Some("")] {
+            assert_eq!(tier(auto), Ok(best), "{auto:?}");
         }
-        assert_eq!(resolve(Some("scalar")).tier(), KernelTier::Scalar);
-        assert_eq!(resolve(Some("SCALAR")).tier(), KernelTier::Scalar);
-        for t in [KernelTier::Sse, KernelTier::Avx2Fma, KernelTier::Neon] {
+        assert_eq!(tier(Some("scalar")), Ok(KernelTier::Scalar));
+        assert_eq!(tier(Some("SCALAR")), Ok(KernelTier::Scalar));
+        for t in [KernelTier::Avx2Fma, KernelTier::Neon] {
             let want = for_tier(t).map_or(KernelTier::Scalar, Kernels::tier);
-            assert_eq!(resolve(Some(t.name())).tier(), want, "{t}");
+            assert_eq!(tier(Some(t.name())), Ok(want), "{t}");
+        }
+        // A misspelt or retired selector is refused, never run as `auto`.
+        for bad in ["scaler", "sse", "sse2", "bogus"] {
+            let err = resolve(Some(bad))
+                .err()
+                .unwrap_or_else(|| panic!("{bad} resolved"));
+            assert!(err.contains(bad) && err.contains("scalar, avx2"), "{err}");
         }
     }
 
@@ -1260,7 +963,7 @@ mod tests {
         let b: Vec<f32> = (0..67).map(|i| (i as f32).cos()).collect();
         let (ab, bb) = scalar::dot_norm_sq(&a, &b);
         assert_eq!(ab.to_bits(), scalar::dot(&a, &b).to_bits());
-        assert_eq!(bb.to_bits(), scalar::norm_sq(&b).to_bits());
+        assert_eq!(bb.to_bits(), scalar::dot(&b, &b).to_bits());
     }
 
     #[test]

@@ -265,6 +265,4 @@ fn this_machine_reports_its_tiers() {
     let tiers: Vec<KernelTier> = kernels::available().iter().map(|k| k.tier()).collect();
     assert!(tiers.contains(&KernelTier::Scalar));
     assert!(tiers.contains(&kernels::detect_best()));
-    #[cfg(target_arch = "x86_64")]
-    assert!(tiers.contains(&KernelTier::Sse), "SSE2 is x86-64 baseline");
 }

@@ -438,7 +438,9 @@ impl Server {
         })?;
         let migrator = Migrator::new(Arc::clone(runtime), staging.to_path_buf());
         let cluster = self.metrics.cluster();
-        let result = migrator.run(plan);
+        let result = self
+            .refuse_graph_owned(runtime, plan)
+            .and_then(|()| migrator.run(plan));
         cluster.set_migration_errors(runtime.migration_errors().count());
         match result {
             Ok(report) => {
@@ -449,6 +451,31 @@ impl Server {
                 cluster.record_aborted(format!("{plan}: {e}"));
                 Err(e)
             }
+        }
+    }
+
+    /// Refuse to move a segment the runtime serves as the graph's own
+    /// instance. A migration serves an independent copy after its flip, and
+    /// graph commits append only to the graph's instance
+    /// (`EmbeddingService::apply_deltas`), so cluster reads of the moved
+    /// segment would go stale. Runtime-only segments move as before.
+    fn refuse_graph_owned(&self, runtime: &ClusterRuntime, plan: MigrationPlan) -> TvResult<()> {
+        let Some(serving) = runtime.segment(plan.segment) else {
+            return Ok(());
+        };
+        let embeddings = self.graph.embeddings();
+        let owned = embeddings.attr_ids().into_iter().any(|id| {
+            embeddings
+                .attr(id)
+                .is_ok_and(|attr| attr.all_segments().iter().any(|s| Arc::ptr_eq(s, &serving)))
+        });
+        match owned {
+            false => Ok(()),
+            true => Err(TvError::InvalidArgument(format!(
+                "segment {} is the graph's own instance; graph commits would not reach \
+                 its copy after the move",
+                plan.segment.0
+            ))),
         }
     }
 }

@@ -985,6 +985,60 @@ fn migrate_segment_is_admin_triggered_and_lands_in_cluster_metrics() {
 }
 
 #[test]
+fn migrating_a_graph_owned_segment_is_refused_and_cluster_reads_stay_fresh() {
+    // Wired as the benchmark rig wires it: the runtime serves the graph's
+    // own segment instances. A moved copy would never see a graph commit.
+    let (graph, acl, ids, _vecs) = serving_fixture();
+    let cluster = Arc::new(ClusterRuntime::start(RuntimeConfig {
+        servers: 2,
+        ..RuntimeConfig::default()
+    }));
+    for seg in graph.embeddings().attr(0).unwrap().all_segments() {
+        cluster.add_segment(seg);
+    }
+    let server = Server::new(Arc::clone(&graph), acl, ServerConfig::default())
+        .with_cluster(Arc::clone(&cluster));
+    let session = server.open_session("acme", "u-acme");
+    let staging = std::env::temp_dir().join(format!("tv-migrate-owned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&staging);
+
+    let seg = SegmentId(0);
+    let from = cluster.placement().holders(seg)[0];
+    let plan = MigrationPlan {
+        segment: seg,
+        from,
+        to: 1 - from,
+    };
+    let err = server.migrate_segment(plan, &staging).unwrap_err();
+    assert!(matches!(err, TvError::InvalidArgument(_)), "{err}");
+    assert_eq!(cluster.generation(), 0, "nothing flipped");
+    assert!(!staging.exists(), "nothing shipped");
+    let snap = server.metrics_json();
+    let cm = snap.get("__cluster__").unwrap();
+    assert_eq!(cm.get("migrations_aborted").unwrap().as_u64(), Some(1));
+    assert_eq!(cm.get("migrations_completed").unwrap().as_u64(), Some(0));
+
+    // A commit after the refused move reaches both doors.
+    let target = vec![500.0f32; DIM];
+    graph
+        .txn()
+        .set_vector(0, ids[1], target.clone())
+        .commit()
+        .unwrap();
+    let direct = server
+        .vector_top_k(&session, &[0], target.clone(), 1)
+        .unwrap();
+    assert_eq!(direct[0].neighbor.id, ids[1]);
+    assert_eq!(direct[0].neighbor.dist, 0.0);
+    let scattered = server
+        .cluster_top_k(&session, &target, 1, 64, Tid::MAX)
+        .unwrap();
+    assert_eq!(scattered.neighbors[0].id, ids[1]);
+    assert_eq!(scattered.neighbors[0].dist, 0.0);
+    let _ = std::fs::remove_dir_all(&staging);
+}
+
+#[test]
 fn non_finite_query_vectors_are_refused_at_every_door() {
     let (graph, acl, _ids, vecs) = serving_fixture();
     let (cluster, _) = serving_cluster(false);
