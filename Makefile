@@ -72,7 +72,7 @@ knobs-check:
 # caller outside its crate stays `pub(crate)`, and a new crate or a new
 # public function edits its number here in the same diff that adds it.
 SURFACE_CRATES = 9
-SURFACE_PUB_FN = 452
+SURFACE_PUB_FN = 451
 surface-check:
 	@crates=$$(ls crates/*/Cargo.toml | wc -l); \
 	pubfn=$$(grep -rE '\bpub (const |unsafe )?fn\b' crates/*/src | wc -l); \
@@ -239,14 +239,16 @@ ledger-smoke:
 serve-smoke:
 	$(SMOKE_BIN) serve_load
 
-# Paper-driver gate: the binaries that regenerate Figs. 7–10 (fig7_throughput
+# Paper-driver gate: the binaries that regenerate Figs. 7–11 (fig7_throughput
 # writes Fig. 8 too), Table 2 and the segment ablation, each at a size of
 # seconds. Each run fails on a panic, among them the TigerVector adapter's
 # assertion that a build leaves every segment one snapshot in the compiled
-# layout and no delta tail.
+# layout and no delta tail. fig11_update is the one driver whose merges
+# upsert live keys, the in-place update path with neighborhood repair.
 paper-smoke:
 	$(SMOKE_BIN) fig7_throughput -- --n 2000 --q 10 --k 10
 	$(SMOKE_BIN) fig9_node_scalability -- --n 2000 --q 10 --k 10
 	$(SMOKE_BIN) fig10_data_scalability -- --n 1000 --factor 2 --q 10 --k 10
 	$(SMOKE_BIN) table2_build_time -- --n 2000
 	$(SMOKE_BIN) ablation_segments -- --n 2000 --q 10
+	$(SMOKE_BIN) fig11_update -- --n 2000

@@ -287,17 +287,18 @@ impl QuantSpec {
 }
 
 /// How the HNSW adjacency is laid out for search (the `layout` execution
-/// knob of an embedding attribute). `Pointer` is the mutable
-/// `Vec<Vec<Vec<u32>>>` forest the index is built in and every update runs
-/// on; `PackedPrefetch` compiles the frozen search form at
-/// `index_merge`/snapshot-load time — contiguous CSR neighbor slabs, BFS
-/// locality reordering, and software prefetch of upcoming candidates'
-/// vector and neighbor rows inside the traversal (on every kernel tier).
-/// Results are bit-identical across layouts modulo the slot
-/// permutation — the layout is purely an execution choice.
+/// knob of an embedding attribute). The index has one adjacency: compiled
+/// CSR rows plus a copy-on-write set of the rows written since the last
+/// fold. `Pointer` never folds, so every row stays a per-node `u32` edit;
+/// `PackedPrefetch` folds at `index_merge`/snapshot-load time into
+/// contiguous CSR neighbor slabs in BFS locality order, and a search with
+/// nothing pending prefetches upcoming candidates' vector and neighbor rows
+/// inside the traversal (on every kernel tier). Results are bit-identical
+/// across layouts modulo the slot permutation — the layout is purely an
+/// execution choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GraphLayout {
-    /// Mutable per-node `Vec` forest; no compilation step.
+    /// Every row an edit; no fold.
     Pointer,
     /// CSR + reordering + software prefetch in the traversal (default).
     #[default]

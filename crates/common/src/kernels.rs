@@ -400,75 +400,103 @@ fn rows(q: &[f32], slab: &[f32], out: &mut [f32], pair: impl Fn(&[f32], &[f32]) 
 }
 
 /// The scalar tier — the always-correct reference every other tier is
-/// tested against. Every op is one per-element term on [`lanes`].
+/// tested against. Every op is one per-element term on `lanes!`.
 mod scalar {
     use std::hint::black_box;
 
-    /// The one scalar accumulation loop. It walks the equal-length streams
-    /// `a`, `b`, `c` (an op with two streams passes one twice) in
-    /// `chunks_exact(4)`, keeps `S` sums per lane, reduces each as
+    /// The one scalar accumulation loop: `lanes!(a, b, .. => |i| [t, ..])`
+    /// cuts every stream to the first one's length `n` and to `4 * (n / 4)`
+    /// for the body, keeps one sum per term `t` (an expression of the
+    /// element index `i`) in each of 4 lanes, reduces each as
     /// `((l0 + l1) + l2) + l3`, then adds the tail elements in order: the
-    /// seed's order, so every op returns the seed's bits. Walking chunks
-    /// leaves no bounds check in the loop, so the lanes vectorize.
-    #[inline(always)]
-    fn lanes<A: Copy, B: Copy, C: Copy, const S: usize>(
-        a: &[A],
-        b: &[B],
-        c: &[C],
-        term: impl Fn(A, B, C) -> [f32; S],
-    ) -> [f32; S] {
-        let (ca, cb, cc) = (a.chunks_exact(4), b.chunks_exact(4), c.chunks_exact(4));
-        let (ta, tb, tc) = (ca.remainder(), cb.remainder(), cc.remainder());
-        let mut acc = [[0.0f32; 4]; S];
-        for ((x, y), z) in ca.zip(cb).zip(cc) {
-            for lane in 0..4 {
-                for (acc, t) in acc.iter_mut().zip(term(x[lane], y[lane], z[lane])) {
-                    acc[lane] += t;
+    /// seed's order, so every op returns the seed's bits. Indexing streams
+    /// cut to the chunk count leaves no bounds check in the loop, so the
+    /// lanes vectorize; and with the terms pasted in rather than called
+    /// through a closure, an unoptimized build runs plain indexed loops.
+    macro_rules! lanes {
+        ($($s:ident),+ => |$i:ident| [$($term:expr),+]) => {{
+            let n = lanes!(@first $($s),+).len();
+            let body = n / 4 * 4;
+            const S: usize = [$(lanes!(@unit $term)),+].len();
+            let mut acc = [[0.0f32; 4]; S];
+            {
+                $(let $s = &$s[..body];)+
+                let mut chunk = 0;
+                while chunk < body / 4 {
+                    let mut lane = 0;
+                    while lane < 4 {
+                        let $i = 4 * chunk + lane;
+                        let terms: [f32; S] = [$($term),+];
+                        let mut t = 0;
+                        while t < S {
+                            acc[t][lane] += terms[t];
+                            t += 1;
+                        }
+                        lane += 1;
+                    }
+                    chunk += 1;
                 }
             }
-        }
-        // `black_box` changes no value. Without it LLVM pairs the `S` sums
-        // lane by lane into one vector and the loop shuffles (`dot_norm_sq`
-        // ran 3× slower); behind it each sum's four lanes are one vector.
-        let acc = if S > 1 { black_box(acc) } else { acc };
-        let mut sum = acc.map(|l| l[0] + l[1] + l[2] + l[3]);
-        for ((&x, &y), &z) in ta.iter().zip(tb).zip(tc) {
-            for (s, t) in sum.iter_mut().zip(term(x, y, z)) {
-                *s += t;
+            // `black_box` changes no value. Without it LLVM pairs the `S`
+            // sums lane by lane into one vector and the loop shuffles
+            // (`dot_norm_sq` ran 3× slower); behind it each sum's four
+            // lanes are one vector.
+            let acc = if S > 1 { black_box(acc) } else { acc };
+            let mut sum = [0.0f32; S];
+            let mut t = 0;
+            while t < S {
+                sum[t] = acc[t][0] + acc[t][1] + acc[t][2] + acc[t][3];
+                t += 1;
             }
-        }
-        sum
+            $(let $s = &$s[..n];)+
+            let mut $i = body;
+            while $i < n {
+                let terms: [f32; S] = [$($term),+];
+                let mut t = 0;
+                while t < S {
+                    sum[t] += terms[t];
+                    t += 1;
+                }
+                $i += 1;
+            }
+            sum
+        }};
+        (@first $first:ident $(, $rest:ident)*) => {
+            $first
+        };
+        (@unit $term:expr) => {
+            ()
+        };
     }
 
     /// Inner product.
     #[inline]
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        lanes(a, b, b, |x, y, _| [x * y])[0]
+        lanes!(a, b => |i| [a[i] * b[i]])[0]
     }
 
     /// Squared L2 distance.
     #[inline]
     pub(super) fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-        lanes(a, b, b, |x, y, _| [(x - y) * (x - y)])[0]
+        lanes!(a, b => |i| [(a[i] - b[i]) * (a[i] - b[i])])[0]
     }
 
     /// Fused `(<a, b>, |b|²)`: two sums in [`dot`]'s order on one walk.
     pub(super) fn dot_norm_sq(a: &[f32], b: &[f32]) -> (f32, f32) {
-        let [ab, bb] = lanes(a, b, b, |x, y, _| [x * y, y * y]);
+        let [ab, bb] = lanes!(a, b => |i| [a[i] * b[i], b[i] * b[i]]);
         (ab, bb)
     }
 
     /// Mixed-precision inner product `Σ a[i] * codes[i]`.
     pub(super) fn dot_u8(a: &[f32], codes: &[u8]) -> f32 {
-        lanes(a, codes, codes, |x, c, _| [x * f32::from(c)])[0]
+        lanes!(a, codes => |i| [a[i] * f32::from(codes[i])])[0]
     }
 
     /// Mixed-precision squared L2 `Σ (a[i] - scale[i] * codes[i])²`.
     pub(super) fn l2_sq_u8(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        lanes(a, scale, codes, |x, s, c| {
-            let d = x - s * f32::from(c);
-            [d * d]
-        })[0]
+        lanes!(a, scale, codes => |i| [
+            (a[i] - scale[i] * f32::from(codes[i])) * (a[i] - scale[i] * f32::from(codes[i]))
+        ])[0]
     }
 }
 

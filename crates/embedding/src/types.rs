@@ -45,10 +45,10 @@ pub struct EmbeddingTypeDef {
     /// Storage tier for the attribute's segments (f32 / SQ8 / PQ) plus
     /// exact-rerank policy. Defaults to full-precision f32.
     pub quant: QuantSpec,
-    /// Search-time graph representation compiled at segment merge/rebuild:
-    /// the mutable pointer forest, or the frozen CSR layout with software
-    /// prefetch. Purely an execution knob — it never affects compatibility
-    /// or results.
+    /// Search-time graph layout at segment merge/rebuild: every row left a
+    /// per-node edit (`pointer`), or folded into CSR rows in BFS order and
+    /// searched with software prefetch. Purely an execution knob — it never
+    /// affects compatibility or results.
     pub layout: GraphLayout,
 }
 

@@ -130,6 +130,63 @@ fn index_merge_keeps_one_new_copy_of_the_tail() {
     );
 }
 
+/// Upserts of live keys merged into a compiled segment allocate adjacency in
+/// proportion to the rows they rewrite, not the segment: the clone of the
+/// base snapshot shares its compiled rows, an in-place update copies only
+/// the rows it writes into the edit set, and the fold streams old and
+/// rewritten rows into one new CSR. So 16 upserts into the compiled
+/// 2 000-node, dim-128 segment raise the high-water mark by at most one
+/// clone of the base (its arenas), one CSR and `PER_RECORD` bytes per
+/// record, which covers the ~600 rows the 16 in-place updates rewrite and
+/// the fold's slot table and permutation. It came to 1 373 504 B: a clone
+/// of 1 060 256 B, a CSR of 124 412 B and 188 836 B more. Thawing the
+/// whole graph into a pointer forest for the merge, and a clone that
+/// copies the CSR, reach 1 590 304 B: a clone of 1 181 010 B, the same CSR
+/// and 284 882 B more, over the bound.
+#[test]
+fn a_merge_allocates_adjacency_for_the_rows_it_rewrites() {
+    const UPSERTS: usize = 16;
+    const PER_RECORD: usize = 14 * 1024;
+    let _serial = serial();
+    let seg = EmbeddingSegment::new(SegmentId(0), &def(), N);
+    let recs = records(N);
+    seg.append_deltas(&recs).unwrap();
+    drop(recs);
+    seg.delta_merge(Tid::MAX);
+    seg.index_merge(Tid::MAX).unwrap();
+    let mut rng = SplitMix64::new(11);
+    let upserts: Vec<DeltaRecord> = (0..UPSERTS)
+        .map(|i| {
+            let v = (0..DIM).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            DeltaRecord::upsert(vid(i * 97), Tid((N + i) as u64 + 1), v)
+        })
+        .collect();
+    seg.append_deltas(&upserts).unwrap();
+    drop(upserts);
+    assert_eq!(seg.delta_merge(Tid::MAX), Some(UPSERTS));
+
+    let live = || LIVE.load(Ordering::SeqCst);
+    let before = live();
+    let clone = seg.newest_snapshot().index.clone();
+    let clone_bytes = live() - before;
+    drop(clone);
+    let before = live();
+    PEAK.store(before, Ordering::SeqCst);
+    seg.index_merge(Tid::MAX).unwrap();
+    let added = PEAK.load(Ordering::SeqCst) - before;
+    let snap = seg.newest_snapshot();
+    assert_eq!(snap.index.layout(), GraphLayout::PackedPrefetch);
+    let (_, csr_bytes) = snap.index.link_memory_bytes();
+    let bound = clone_bytes + csr_bytes + UPSERTS * PER_RECORD;
+    println!(
+        "merge of {UPSERTS} upserts: high-water {added} B; clone {clone_bytes} B, CSR {csr_bytes} B, bound {bound} B"
+    );
+    assert!(
+        added <= bound,
+        "the merge raised the high-water mark by {added} B, over {bound} B"
+    );
+}
+
 /// The vector a caller hands to a commit is the buffer the tail keeps, and
 /// the only one: the caller's records are gone once the commit returns, and
 /// a checkpoint's or a migration feed's records share it.

@@ -1,8 +1,9 @@
-//! Exact brute-force index.
+//! Exact brute-force index, compiled for tests only.
 //!
 //! The second implementor of [`VectorIndex`] (§4.4: other index types sit
 //! behind the same four functions) and the reference the seeded model check
-//! in `tests/brute_oracle.rs` holds [`crate::HnswIndex`] against. The
+//! in `brute_oracle` and the scan check in `brute_identity` hold
+//! [`crate::HnswIndex`] against. The
 //! engine's own exact paths are elsewhere: the planner's brute-force
 //! fallback is `HnswIndex::brute_force_top_k`, and the scan over unmerged
 //! vector deltas is `EmbeddingSegment::overlay_pass` in `tv-embedding`.
@@ -22,7 +23,7 @@ use tv_common::{
 };
 
 /// A flat, exact vector index: linear scan for every query.
-pub struct BruteForceIndex {
+pub(crate) struct BruteForceIndex {
     dim: usize,
     metric: DistanceMetric,
     keys: Vec<VertexId>,
@@ -40,7 +41,7 @@ pub struct BruteForceIndex {
 impl BruteForceIndex {
     /// New empty index.
     #[must_use]
-    pub fn new(dim: usize, metric: DistanceMetric) -> Self {
+    pub(crate) fn new(dim: usize, metric: DistanceMetric) -> Self {
         assert!(dim > 0, "dimension must be non-zero");
         BruteForceIndex {
             dim,

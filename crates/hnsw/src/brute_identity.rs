@@ -8,15 +8,17 @@
 //! Each case builds an index through inserts at scattered local ids,
 //! deletes, re-inserts of deleted keys (a new slot) and in-place upserts,
 //! on the f32, SQ8 (codes only, and with the f32 arena kept for rerank) and
-//! PQ tiers, and checks it in four forms: the pointer forest, compiled
-//! (slots permuted), compiled then thawed, and after a snapshot round trip.
+//! PQ tiers, and checks it in four forms: never compiled, compiled (slots
+//! permuted), compiled with every row copied into the edit set, and after a
+//! snapshot round trip.
 //! The filters are `Filter::All`, an empty bitmap, and random bitmaps
 //! shorter than, as long as, and longer than the live mask, with bits on
 //! deleted and never-inserted locals; `k` is 0, 1, 10, the valid count and
 //! more. Failures name the seed.
 
+use crate::brute::BruteForceIndex;
 use crate::index::{HnswIndex, VectorIndex};
-use crate::{snapshot, BruteForceIndex, HnswConfig, SearchStats};
+use crate::{snapshot, HnswConfig, SearchStats};
 use tv_common::bitmap::Filter;
 use tv_common::ids::{LocalId, SegmentId};
 use tv_common::{
@@ -99,18 +101,22 @@ fn build(seed: u64, tier: Option<QuantSpec>) -> (HnswIndex, Option<BruteForceInd
     (idx, mirror)
 }
 
-/// The four forms of one index: pointer, compiled, compiled then thawed,
-/// and a snapshot round trip of the compiled form.
+/// The four forms of one index: never compiled, compiled, compiled with
+/// every slot's rows copied into the edit set, and a snapshot round trip of
+/// the compiled form.
 fn forms(idx: &HnswIndex) -> Vec<(&'static str, HnswIndex)> {
     let mut compiled = idx.clone();
     assert!(compiled.compile_layout(GraphLayout::PackedPrefetch));
-    let mut thawed = compiled.clone();
-    thawed.compile_layout(GraphLayout::Pointer);
+    let mut edited = compiled.clone();
+    for s in 0..edited.slot_count() as u32 {
+        edited.adj.row_mut(s, 0);
+    }
+    assert_eq!(edited.layout(), GraphLayout::Pointer);
     let restored = snapshot::from_bytes(&snapshot::to_bytes(&compiled)).unwrap();
     vec![
         ("pointer", idx.clone()),
         ("compiled", compiled),
-        ("thawed", thawed),
+        ("edited", edited),
         ("restored", restored),
     ]
 }

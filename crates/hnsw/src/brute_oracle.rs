@@ -6,9 +6,10 @@
 //! result bits are pinned elsewhere (`core_identity`); this suite is about
 //! *what is stored*. Failures print the seed; rerun with it to replay.
 
+use crate::brute::BruteForceIndex;
+use crate::{snapshot, DeltaRecord, HnswConfig, HnswIndex, VectorIndex};
 use tv_common::ids::{LocalId, SegmentId};
 use tv_common::{DistanceMetric, SplitMix64, Tid, VertexId};
-use tv_hnsw::{snapshot, BruteForceIndex, DeltaRecord, HnswConfig, HnswIndex, VectorIndex};
 
 const CASES: u64 = 48;
 const DIM: usize = 4;

@@ -1,7 +1,9 @@
 //! Graph construction and repair: inserts, in-place updates with
 //! neighborhood repair, and soft deletes. Every path links a node with the
-//! same [`HnswIndex::link_node`] over the forest and prunes lists with the
-//! same [`HnswIndex::select_from`]. A segment's graph is built by one
+//! same [`HnswIndex::link_node`] and prunes lists with the same
+//! [`HnswIndex::select_from`]; every list it writes goes through
+//! `Adjacency::row_mut`, which copies a compiled node's rows into the edit
+//! set on its first write. A segment's graph is built by one
 //! thread, one insert at a time; build parallelism is whole segments side
 //! by side on the worker pool (DESIGN §3g).
 
@@ -62,8 +64,8 @@ impl HnswIndex {
     }
 
     /// Append one unlinked slot for `key` — arena, norms, codes, keys,
-    /// level, tombstone flag, empty per-level lists, local→slot table, live
-    /// mask — and return it.
+    /// level, tombstone flag, empty per-level lists in the edit set,
+    /// local→slot table, live mask — and return it.
     fn append_slot(&mut self, key: VertexId, vector: &[f32]) -> u32 {
         let slot = self.keys.len() as u32;
         let level = self.level_for_key(key);
@@ -80,8 +82,7 @@ impl HnswIndex {
         self.keys.push(key);
         self.levels.push(level);
         self.deleted.push(false);
-        self.links
-            .push((0..=level).map(|_| Vec::new()).collect::<Vec<_>>());
+        self.adj.push_slot(slot, level);
         self.set_live_slot(key.local().0 as usize, slot);
         slot
     }
@@ -97,10 +98,6 @@ impl HnswIndex {
                 first.segment()
             )));
         }
-        // Writes run against the mutable forest; a compiled index thaws
-        // here (the BFS renumbering is kept — only the storage form
-        // reverts, so search results are unchanged).
-        self.ensure_mutable();
         // Upsert of a live key: in-place update with neighborhood repair
         // (hnswlib's updatePoint) — the expensive path whose cost Fig. 11
         // compares against a full rebuild.
@@ -122,7 +119,7 @@ impl HnswIndex {
         Ok(())
     }
 
-    /// Link `slot`, whose stored vector is `vector`, into the forest from
+    /// Link `slot`, whose stored vector is `vector`, into the graph from
     /// the current entry point.
     fn relink(&mut self, slot: u32, vector: &[f32]) {
         let Some(entry) = self.entry else {
@@ -139,21 +136,17 @@ impl HnswIndex {
             )),
         };
         let mut scratch = self.scratch.take();
-        // Linking reads the index while it rewrites the lists, so the
-        // forest steps out of `self` for the duration.
-        let mut links = std::mem::take(&mut self.links);
-        self.link_node(links.as_mut_slice(), slot, &sc, entry, &mut scratch);
-        self.links = links;
+        self.link_node(slot, &sc, entry, &mut scratch);
         self.scratch.put(scratch);
     }
 
-    /// Link one appended node into `graph`, starting from `entry`: greedy
+    /// Link one appended or moved node, starting from `entry`: greedy
     /// descent above its level, then per layer a beam search, diversity
     /// selection, the node's own list written, and back-links added (and
-    /// pruned) on each chosen neighbor.
+    /// pruned) on each chosen neighbor. `sc` borrows nothing of `self`, so
+    /// each write lands between the reads that decide it.
     fn link_node(
-        &self,
-        graph: &mut [Vec<Vec<u32>>],
+        &mut self,
         slot: u32,
         sc: &Scorer<'_>,
         (start, top): (u32, u8),
@@ -163,33 +156,38 @@ impl HnswIndex {
         let ef = self.cfg.ef_construction;
         // Build-time work counters are not reported anywhere.
         let mut stats = SearchStats::default();
-        let cur = self.greedy_descent(&*graph, sc, start, top, level + 1, &mut stats, scratch);
+        let cur = self.greedy_descent(sc, start, top, level + 1, &mut stats, scratch);
         let mut entry_points = vec![cur];
         for lvl in (0..=level.min(top)).rev() {
-            let mut found = self.beam_search(
-                &*graph,
-                sc,
-                &entry_points,
-                ef,
-                lvl,
-                |_, _| true,
-                &mut stats,
-                scratch,
-            );
+            let mut found =
+                self.beam_search(sc, &entry_points, ef, lvl, |_, _| true, &mut stats, scratch);
             // A moved node still has in-links; never link a node to itself.
             found.retain(|&(_, s)| s != slot);
             let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
             let chosen =
                 select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            graph[slot as usize][lvl as usize].clone_from(&chosen);
+            self.adj.row_mut(slot, lvl).clone_from(&chosen);
             for &nb in &chosen {
-                let list = &mut graph[nb as usize][lvl as usize];
-                if !list.contains(&slot) {
-                    list.push(slot);
-                    if list.len() > max_deg {
-                        *list = self.select_from(nb, list, max_deg, scratch);
-                    }
+                let list = self.adj.row(nb, lvl);
+                if list.contains(slot) {
+                    continue;
                 }
+                if list.len() < max_deg {
+                    self.adj.row_mut(nb, lvl).push(slot);
+                    continue;
+                }
+                // A full list: re-select it from its ids and `slot`. The
+                // row is rewritten where it lies, so it keeps the capacity
+                // it was copied at.
+                let mut candidates = std::mem::take(&mut scratch.pool);
+                candidates.clear();
+                list.extend_into(&mut candidates);
+                candidates.push(slot);
+                let kept = self.select_from(nb, &candidates, max_deg, scratch);
+                scratch.pool = candidates;
+                let list = self.adj.row_mut(nb, lvl);
+                list.clear();
+                list.extend_from_slice(&kept);
             }
             entry_points = found.iter().map(|&(_, s)| s).collect();
             if entry_points.is_empty() {
@@ -251,7 +249,7 @@ impl HnswIndex {
         let mut pool: Vec<u32> = std::mem::take(&mut scratch.pool);
         for lvl in 0..=level.min(top) {
             old_neighbors.clear();
-            old_neighbors.extend_from_slice(&self.links[slot as usize][lvl as usize]);
+            self.adj.row(slot, lvl).extend_into(&mut old_neighbors);
             if old_neighbors.is_empty() {
                 continue;
             }
@@ -260,13 +258,15 @@ impl HnswIndex {
                 // Candidate pool for this neighbor: its own links plus the
                 // moved node's old neighborhood (hnswlib's repair set).
                 pool.clear();
-                pool.extend_from_slice(&self.links[nb as usize][lvl as usize]);
+                self.adj.row(nb, lvl).extend_into(&mut pool);
                 pool.extend_from_slice(&old_neighbors);
                 pool.sort_unstable();
                 pool.dedup();
                 pool.retain(|&c| c != nb);
-                self.links[nb as usize][lvl as usize] =
-                    self.select_from(nb, &pool, max_deg, &mut scratch);
+                let kept = self.select_from(nb, &pool, max_deg, &mut scratch);
+                let list = self.adj.row_mut(nb, lvl);
+                list.clear();
+                list.extend_from_slice(&kept);
             }
         }
         scratch.nbrs = old_neighbors;

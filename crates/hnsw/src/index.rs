@@ -1,8 +1,9 @@
 //! Core HNSW index: the [`HnswIndex`] struct, its accessors, and the
 //! [`VectorIndex`] interface it implements. The index's jobs live beside
 //! it: traversal and query routing in [`crate::search`], graph construction
-//! and repair in [`crate::build`], the compiled layout in [`crate::layout`],
-//! the quantized tier in [`crate::quant_state`].
+//! and repair in [`crate::build`], the adjacency in [`crate::packed`] and
+//! its fold in [`crate::layout`], the quantized tier in
+//! [`crate::quant_state`].
 //!
 //! Layout: node `slot` (a dense `u32`) owns a vector (`dim` floats in a
 //! slot-major arena), an external key ([`VertexId`]), a top level, a deleted
@@ -20,7 +21,7 @@
 //! rebuild path compacts them away.
 
 use crate::config::HnswConfig;
-use crate::packed::{self, CompiledGraph};
+use crate::packed::{self, Adjacency};
 use crate::quant_state::QuantState;
 use crate::search::ScratchPool;
 use crate::stats::SearchStats;
@@ -96,8 +97,8 @@ impl Logged for DeltaRecord {
 }
 
 /// The interface TigerVector requires of any vector index (§4.4). Implemented
-/// by [`HnswIndex`] and [`crate::BruteForceIndex`]; quantization-based
-/// indexes would slot in behind the same four functions.
+/// by [`HnswIndex`] (and, in tests, by the exact brute-force reference);
+/// another index kind would slot in behind the same four functions.
 pub trait VectorIndex: Send + Sync {
     /// Declared dimensionality.
     fn dim(&self) -> usize;
@@ -165,8 +166,9 @@ pub struct HnswIndex {
     /// Local id → its live slot, [`NO_SLOT`] where no live slot carries that
     /// local id. Set entries are exactly the set bits of `live_mask`.
     pub(crate) local_slot: Vec<u32>,
-    /// Per-slot, per-level adjacency.
-    pub(crate) links: Vec<Vec<Vec<u32>>>,
+    /// Per-slot, per-level adjacency: compiled rows plus the rows written
+    /// since the last fold (see [`crate::packed`]).
+    pub(crate) adj: Adjacency,
     /// Top level per slot.
     pub(crate) levels: Vec<u8>,
     /// Tombstones.
@@ -184,12 +186,6 @@ pub struct HnswIndex {
     /// When `spec.keep_f32` is false, `vectors` and `norms` are empty and
     /// all scoring runs against codes.
     pub(crate) quant: Option<QuantState>,
-    /// Compiled cache-conscious adjacency (see [`crate::packed`]). When
-    /// present, `links` is empty and searches read the CSR slabs, at the
-    /// id width the slot count allowed when it was compiled; mutation
-    /// paths thaw back to the forest first. Slots are renumbered in BFS
-    /// order at compile time, so the two forms are never mixed.
-    pub(crate) packed: Option<CompiledGraph>,
     /// Pooled search scratch (visited epochs + batch-scoring buffers).
     pub(crate) scratch: ScratchPool,
 }
@@ -207,14 +203,13 @@ impl HnswIndex {
             norms: Vec::new(),
             keys: Vec::new(),
             local_slot: Vec::new(),
-            links: Vec::new(),
+            adj: Adjacency::default(),
             levels: Vec::new(),
             deleted: Vec::new(),
             deleted_count: 0,
             live_mask: Bitmap::new(0),
             entry: None,
             quant: None,
-            packed: None,
             scratch: ScratchPool::default(),
         }
     }
@@ -268,9 +263,9 @@ impl HnswIndex {
 
     /// Approximate resident bytes across **all** resident structures:
     /// vector payload (f32 arena + norm cache and/or quantized codes, norm
-    /// caches, and codec parameters), adjacency (the resident form from
-    /// [`Self::link_memory_bytes`]), keys, levels, tombstone flags, the
-    /// local→slot table and the live mask.
+    /// caches, and codec parameters), adjacency (compiled rows and edit
+    /// set), keys, levels, tombstone flags, the local→slot table and the
+    /// live mask.
     #[must_use]
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -278,12 +273,7 @@ impl HnswIndex {
         let key_bytes = self.keys.len() * size_of::<VertexId>();
         let level_bytes = self.levels.len() * size_of::<u8>();
         let deleted_bytes = self.deleted.len() * size_of::<bool>();
-        let (pointer_links, packed_links) = self.link_memory_bytes();
-        let link_bytes = if self.packed.is_some() {
-            packed_links
-        } else {
-            pointer_links
-        };
+        let link_bytes = self.adj.compiled_bytes() + self.adj.edit_bytes();
         let table_bytes = self.local_slot.len() * size_of::<u32>();
         let live_mask_bytes = self.live_mask.len().div_ceil(64) * size_of::<u64>();
         vec_bytes
@@ -295,56 +285,32 @@ impl HnswIndex {
             + live_mask_bytes
     }
 
-    /// Adjacency footprint in both representations, as
-    /// `(pointer_form_bytes, packed_form_bytes)`. The resident form is
-    /// exact: **capacity**-based for the pointer forest — the old len-based
-    /// accounting missed both the growth slack of every per-level list and
-    /// the slack of the per-node header arrays, which for push-grown `Vec`s
-    /// is nearly half the heap footprint — and slab-sized for the CSR
-    /// (built once at final size). The non-resident form is the len-based
-    /// cost the index *would* pay after converting: neighbor payload plus
-    /// per-node and per-level `Vec` headers for the forest; neighbor slabs
-    /// at the id width compiling would choose, plus the `u32` prefix tables,
-    /// for the CSR — equal to what compiling then reports.
+    /// Adjacency footprint as `(edit_set_bytes, compiled_bytes)`. The edit
+    /// set's is resident and capacity-based: its slot table and every
+    /// edited node's lists. The compiled rows' is resident when nothing is
+    /// pending (slabs are allocated at their final size); while rows are
+    /// pending it is what a fold would hold: neighbor slabs at the id width
+    /// the slot count allows, plus the `u32` prefix tables.
     #[must_use]
     pub fn link_memory_bytes(&self) -> (usize, usize) {
         use std::mem::size_of;
+        if !self.adj.has_edits() {
+            return (0, self.adj.compiled_bytes());
+        }
         let n = self.keys.len();
         let (nbrs, rows) = self.stored_links();
-        match &self.packed {
-            Some(p) => {
-                let pointer = n * size_of::<Vec<Vec<u32>>>()
-                    + (n + rows) * size_of::<Vec<u32>>()
-                    + nbrs * size_of::<u32>();
-                (pointer, p.memory_bytes())
-            }
-            None => {
-                let mut pointer = self.links.capacity() * size_of::<Vec<Vec<u32>>>();
-                for per_node in &self.links {
-                    pointer += per_node.capacity() * size_of::<Vec<u32>>();
-                    pointer += per_node.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>();
-                }
-                // CSR cost: l0_off (n+1) + upper_base (n+1) + upper_row_off
-                // (rows+1), then both neighbor slabs.
-                let packed =
-                    (2 * (n + 1) + rows + 1) * size_of::<u32>() + nbrs * packed::id_bytes(n);
-                (pointer, packed)
-            }
-        }
+        // l0_off (n+1) + upper_base (n+1) + upper_row_off (rows+1), then
+        // both neighbor slabs.
+        let compiled = (2 * (n + 1) + rows + 1) * size_of::<u32>() + nbrs * packed::id_bytes(n);
+        (self.adj.edit_bytes(), compiled)
     }
 
-    /// `(neighbor ids, upper-level rows)` the adjacency stores, in whichever
-    /// form is resident: every node's level lists summed, and the lists
-    /// above level 0 (Σ `levels[s]`).
+    /// `(neighbor ids, upper-level rows)` the adjacency stores: every
+    /// node's level lists summed, and the lists above level 0 (Σ
+    /// `levels[s]`).
     #[must_use]
     pub fn stored_links(&self) -> (usize, usize) {
-        match &self.packed {
-            Some(p) => p.link_counts(),
-            None => self.links.iter().fold((0, 0), |(ids, rows), per_node| {
-                let node_ids: usize = per_node.iter().map(Vec::len).sum();
-                (ids + node_ids, rows + per_node.len().saturating_sub(1))
-            }),
-        }
+        self.adj.link_counts(&self.levels)
     }
 
     /// Bytes of the vector *payload* only (f32 arena + norm cache, plus
@@ -508,7 +474,7 @@ impl HnswIndex {
         cfg: HnswConfig,
         vectors: Vec<f32>,
         keys: Vec<VertexId>,
-        links: Vec<Vec<Vec<u32>>>,
+        adj: Adjacency,
         levels: Vec<u8>,
         deleted: Vec<bool>,
         entry: Option<(u32, u8)>,
@@ -518,7 +484,7 @@ impl HnswIndex {
         // A codes-only quantized snapshot legitimately carries no f32 arena.
         let codes_only = vectors.is_empty() && quant.as_ref().is_some_and(|q| !q.spec.keep_f32);
         if (vectors.len() != n * cfg.dim && !codes_only)
-            || links.len() != n
+            || adj.len() != n
             || levels.len() != n
             || deleted.len() != n
         {
@@ -553,13 +519,12 @@ impl HnswIndex {
             norms,
             keys,
             local_slot: Vec::new(),
-            links,
+            adj,
             levels,
             deleted,
             deleted_count: 0,
             live_mask: Bitmap::new(0),
             entry,
-            packed: None,
             scratch: ScratchPool::default(),
             quant,
         };
@@ -889,16 +854,8 @@ mod tests {
         // Lower bound from first principles: arena + norm cache + keys +
         // levels + tombstones + link payloads + the local→slot table. If any of
         // these stops being counted, this assertion breaks.
-        let link_payload: usize = idx
-            .links
-            .iter()
-            .map(|per_node| {
-                per_node
-                    .iter()
-                    .map(|l| l.len() * size_of::<u32>())
-                    .sum::<usize>()
-            })
-            .sum();
+        // A never-folded index holds every row as a `u32` edit.
+        let link_payload = idx.stored_links().0 * size_of::<u32>();
         let floor = idx.vectors.len() * size_of::<f32>()
             + idx.norms.len() * size_of::<f32>()
             + idx.keys.len() * size_of::<VertexId>()
@@ -1144,7 +1101,7 @@ mod tests {
 
     /// The local→slot table against a model of the live keys, after every
     /// step of a seeded sequence of inserts, upserts, removes, re-inserts,
-    /// compiles, thaws and snapshot round trips: each live key's entry
+    /// folds and snapshot round trips: each live key's entry
     /// names a live slot carrying that key, the set entries are exactly the
     /// live mask's set bits, and a removed key or another segment's id with
     /// a live local id is not found.

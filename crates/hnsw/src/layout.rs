@@ -1,88 +1,59 @@
-//! The two adjacency forms of an index and the moves between them: the
-//! mutable pointer forest every build and update runs on, and the one
-//! compiled form ([`crate::packed::PackedGraph`]: CSR slabs, BFS-renumbered
-//! slots, prefetching traversal, neighbor ids as narrow as the slot count
-//! allows) queries are served from.
+//! Folding the adjacency ([`crate::packed`]) into compiled rows in BFS
+//! slot order, and the in-place slot permutation that carries every other
+//! slot-indexed structure along.
 
 use crate::index::{HnswIndex, NO_SLOT};
-use crate::packed::{self, CompiledGraph};
 use tv_common::{Bitmap, GraphLayout};
 
 impl HnswIndex {
-    /// The adjacency representation currently resident: `Pointer` until
-    /// [`Self::compile_layout`] freezes the graph, then `PackedPrefetch`
-    /// until the next mutation thaws it.
+    /// `PackedPrefetch` iff the index holds a node and no row was written
+    /// since the last fold ([`Self::compile_layout`]), so every search reads
+    /// compiled rows; `Pointer` otherwise.
     #[must_use]
     pub fn layout(&self) -> GraphLayout {
-        match &self.packed {
-            None => GraphLayout::Pointer,
-            Some(_) => GraphLayout::PackedPrefetch,
+        if self.keys.is_empty() || self.adj.has_edits() {
+            GraphLayout::Pointer
+        } else {
+            GraphLayout::PackedPrefetch
         }
     }
 
-    /// Compile the frozen, cache-conscious search layout: renumber slots in
-    /// BFS order from the entry point (applied to every slot-indexed
-    /// structure — vectors, norms, keys, levels, tombstones, links, entry,
-    /// quantized code slabs, the local→slot table's entries; the live mask
-    /// is keyed by local id and is unaffected), then freeze the adjacency
-    /// into CSR slabs ([`crate::packed`]) whose neighbor ids are `u16` when
-    /// the index holds at most 65 536 slots and `u32` otherwise. `Pointer`
-    /// thaws instead. Returns true iff the index is compiled afterwards;
+    /// Fold the adjacency into compiled rows: renumber slots in BFS order
+    /// from the entry point (applied to every slot-indexed structure —
+    /// vectors, norms, keys, levels, tombstones, entry, quantized code
+    /// slabs, the local→slot table's entries; the live mask is keyed by
+    /// local id and is unaffected) and stream every row, edited or
+    /// compiled, into CSR slabs whose neighbor ids are `u16` when the index
+    /// holds at most 65 536 slots and `u32` otherwise. The edit set is
+    /// empty afterwards. Returns true iff the index is compiled afterwards;
     /// empty indexes stay uncompiled.
+    ///
+    /// `Pointer` folds nothing in an index that was never folded; an index
+    /// that was folded once folds whatever layout is asked for, as it does
+    /// when its compiled rows are shared with another index (a clone), so
+    /// two retained snapshots never share rows.
     ///
     /// Search results are bit-identical across layouts (modulo the slot
     /// renumbering, which is invisible through the key-based API).
-    /// Mutations transparently thaw back to the pointer form; the
-    /// vacuum/index-merge policy recompiles, so correctness never depends
-    /// on layout freshness.
     pub fn compile_layout(&mut self, layout: GraphLayout) -> bool {
-        if !layout.is_packed() {
-            self.ensure_mutable();
-            return false;
-        }
-        if self.packed.is_some() {
-            // Already frozen — mutations thaw, so the graph cannot have
-            // changed since compilation.
-            return true;
-        }
         let Some((entry, _)) = self.entry else {
             return false;
         };
-        let perm = packed::bfs_order(&self.links, entry);
-        if !packed::is_identity(&perm) {
-            self.apply_permutation(&perm);
+        if !layout.is_packed() && self.adj.never_folded() {
+            return false;
         }
-        self.compile_from_stored();
+        if !self.adj.has_edits() && !self.adj.shares_rows() {
+            return true;
+        }
+        let perm = self.adj.bfs_order(self.keys.len(), entry);
+        self.adj = self.adj.folded(&self.levels, &perm);
+        self.apply_permutation(&perm);
         true
     }
 
-    /// Thaw the compiled layout back into the mutable forest. Called at
-    /// the top of every mutation path. The BFS slot renumbering is kept
-    /// (it is just as valid for a mutable graph); only the storage form
-    /// reverts, so results do not change.
-    pub(crate) fn ensure_mutable(&mut self) {
-        if let Some(p) = self.packed.take() {
-            self.links = p.to_links();
-        }
-    }
-
-    /// Freeze the CSR directly from already-BFS-ordered links (snapshot
-    /// load). The stored slot order *is* the compiled order, so no
-    /// re-permutation runs — which keeps `to_bytes(from_bytes(b)) == b`
-    /// for compiled snapshots.
-    pub(crate) fn compile_from_stored(&mut self) {
-        if self.keys.is_empty() {
-            return;
-        }
-        self.packed = Some(CompiledGraph::build(&self.links));
-        self.links = Vec::new();
-    }
-
-    /// Reorder every slot-indexed structure by `perm[old_slot] = new_slot`,
-    /// in place: the arenas row by row along the permutation's cycles, the
-    /// per-node adjacency lists moved whole and their ids rewritten where
-    /// they lie. Neighbor ids are remapped but list *order* is preserved, so
-    /// traversal visit order — and therefore results — are unchanged.
+    /// Reorder every slot-indexed structure but the adjacency (which the
+    /// fold renumbers) by `perm[old_slot] = new_slot`, in place: the arenas
+    /// row by row along the permutation's cycles.
     fn apply_permutation(&mut self, perm: &[u32]) {
         debug_assert_eq!(perm.len(), self.keys.len());
         let cycles = Cycles::of(perm);
@@ -93,10 +64,6 @@ impl HnswIndex {
         cycles.apply(&mut self.keys, 1);
         cycles.apply(&mut self.levels, 1);
         cycles.apply(&mut self.deleted, 1);
-        cycles.apply(&mut self.links, 1);
-        for nb in self.links.iter_mut().flatten().flatten() {
-            *nb = perm[*nb as usize];
-        }
         for slot in &mut self.local_slot {
             if *slot != NO_SLOT {
                 *slot = perm[*slot as usize];
@@ -173,7 +140,6 @@ mod tests {
     impl HnswIndex {
         /// The copying reorder compile ran before it permuted in place.
         fn apply_permutation_copying(&mut self, perm: &[u32]) {
-            let n = self.keys.len();
             let d = self.cfg.dim;
             if !self.vectors.is_empty() {
                 let mut nv = vec![0.0f32; self.vectors.len()];
@@ -188,14 +154,6 @@ mod tests {
             self.keys = permuted(&self.keys, perm);
             self.levels = permuted(&self.levels, perm);
             self.deleted = permuted(&self.deleted, perm);
-            let mut new_links: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
-            for (old, per_node) in std::mem::take(&mut self.links).into_iter().enumerate() {
-                new_links[perm[old] as usize] = per_node
-                    .into_iter()
-                    .map(|l| l.into_iter().map(|nb| perm[nb as usize]).collect())
-                    .collect();
-            }
-            self.links = new_links;
             for slot in &mut self.local_slot {
                 if *slot != NO_SLOT {
                     *slot = perm[*slot as usize];
@@ -283,7 +241,6 @@ mod tests {
         assert_eq!(got.keys, want.keys, "{case}: keys");
         assert_eq!(got.levels, want.levels, "{case}: levels");
         assert_eq!(got.deleted, want.deleted, "{case}: tombstones");
-        assert_eq!(got.links, want.links, "{case}: forest");
         assert_eq!(got.entry, want.entry, "{case}: entry");
         assert_eq!(got.local_slot, want.local_slot, "{case}: local_slot");
         let stores = |i: &HnswIndex| {

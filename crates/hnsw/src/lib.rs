@@ -1,10 +1,9 @@
 //! # tv-hnsw
 //!
 //! A from-scratch HNSW (Hierarchical Navigable Small World, Malkov &
-//! Yashunin 2020) approximate-nearest-neighbor index, plus a brute-force
-//! exact index — the second implementation that shows §4.4's "other indexes
-//! behind the same trait" — implementing the four generic functions
-//! TigerVector requires of a vector index (§4.4 of the paper):
+//! Yashunin 2020) approximate-nearest-neighbor index implementing, through
+//! the [`VectorIndex`] trait, the four generic functions TigerVector
+//! requires of a vector index (§4.4 of the paper):
 //!
 //! * **GetEmbedding** — fetch the stored vector for an id,
 //! * **TopKSearch** — ef-controlled top-k search with an optional validity
@@ -23,16 +22,20 @@
 //! segments side by side).
 //!
 //! The index is one struct ([`index`]) with its jobs in sibling modules:
-//! [`search`] holds the single beam search and greedy descent, generic over
-//! a `GraphView` (mutable forest, compiled CSR) and every query path built
-//! on them; [`build`] links and repairs the graph;
-//! [`layout`] moves between the mutable forest and the one compiled form
-//! ([`packed`]); [`quant_state`] is the quantized storage tier, over the
-//! SQ8 / PQ codecs of [`quant`].
+//! [`packed`] is its one adjacency (compiled CSR rows plus the rows written
+//! since the last fold); [`search`] holds the single beam search and greedy
+//! descent over it and every query path built on them; [`build`] links and
+//! repairs the graph; [`layout`] folds the adjacency in BFS slot order;
+//! [`quant_state`] is the quantized storage tier, over the SQ8 / PQ codecs
+//! of [`quant`]. An exact brute-force index, the test oracles' reference,
+//! is compiled for tests only.
 
-pub(crate) mod brute;
+#[cfg(test)]
+mod brute;
 #[cfg(test)]
 mod brute_identity;
+#[cfg(test)]
+mod brute_oracle;
 pub(crate) mod build;
 pub(crate) mod config;
 pub mod index;
@@ -46,7 +49,6 @@ pub(crate) mod select;
 pub mod snapshot;
 pub(crate) mod stats;
 
-pub use brute::BruteForceIndex;
 pub use config::HnswConfig;
 pub use index::{DeltaRecord, HnswIndex, VectorIndex};
 pub use stats::SearchStats;

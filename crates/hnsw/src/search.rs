@@ -1,14 +1,15 @@
-//! The search core: one beam search and one greedy descent, statically
-//! dispatched over a [`GraphView`], plus every query path built on them
+//! The search core: one beam search and one greedy descent over the index's
+//! one adjacency ([`crate::packed`]), plus every query path built on them
 //! (top-k, post-filter, brute force, the planner's routing, range search).
 //!
-//! The same traversal serves the build (over the mutable forest, admitting
-//! every node) and queries (over whichever form is resident, admitting only
-//! live, filter-passing nodes). The representation is a type parameter, so
-//! no hop branches on it.
+//! The same traversal serves the build (admitting every node) and queries
+//! (admitting only live, filter-passing nodes). A row comes at its stored
+//! width ([`Row`]); the traversal matches it once per row, where it widens
+//! the ids into scratch anyway. Software prefetch runs while nothing is
+//! pending, when every row is compiled.
 
 use crate::index::{HnswIndex, VectorIndex};
-use crate::packed::with_width;
+use crate::packed::Row;
 use crate::planner::{self, PlanChoice, PlanInputs};
 use crate::quant::QuantQuery;
 use crate::select::Scored;
@@ -19,36 +20,6 @@ use std::sync::{Mutex, PoisonError};
 use tv_common::bitmap::Filter;
 use tv_common::kernels::prefetch;
 use tv_common::{Neighbor, PlannerConfig, PreparedQuery};
-
-/// Read access to one adjacency representation. Implemented by the mutable
-/// forest (`[Vec<Vec<u32>>]`) and the compiled [`crate::packed::PackedGraph`]
-/// at either id width.
-pub(crate) trait GraphView {
-    /// How a neighbor id is stored; the traversal widens it to a `u32`
-    /// slot where it copies the id anyway.
-    type Id: Copy + Into<u32>;
-
-    /// Whether traversals over this view issue software prefetches for the
-    /// rows they are about to score. Only the compiled form does: its rows
-    /// are laid out so that the next candidates' addresses are known early.
-    const PREFETCH: bool = false;
-
-    /// The neighbor list of `slot` on `lvl`.
-    fn neighbors(&self, slot: u32, lvl: u8) -> &[Self::Id];
-
-    /// Request the head of `slot`'s level-0 adjacency row ahead of the pop
-    /// that reads it. Called only when [`Self::PREFETCH`] is set.
-    fn prefetch_l0_row(&self, _slot: u32) {}
-}
-
-impl GraphView for [Vec<Vec<u32>>] {
-    type Id = u32;
-
-    #[inline]
-    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
-        &self[slot as usize][lvl as usize]
-    }
-}
 
 /// Either scoring backend, so one traversal implementation serves both
 /// storage tiers. The `F32` arm borrows the query slice; the `Quant` arm
@@ -92,7 +63,15 @@ impl Visited {
     /// the place advances only for a first visit, so no branch depends on
     /// the marks. Ids are widened to `u32` slots as they are written.
     #[inline]
-    fn collect_unvisited<T: Copy + Into<u32>>(&mut self, row: &[T], batch: &mut Vec<u32>) {
+    fn collect_unvisited(&mut self, row: Row<'_>, batch: &mut Vec<u32>) {
+        match row {
+            Row::U16(r) => self.collect_unvisited_of(r, batch),
+            Row::U32(r) => self.collect_unvisited_of(r, batch),
+        }
+    }
+
+    #[inline]
+    fn collect_unvisited_of<T: Copy + Into<u32>>(&mut self, row: &[T], batch: &mut Vec<u32>) {
         batch.clear();
         batch.resize(row.len(), 0);
         let mut fresh = 0;
@@ -266,19 +245,18 @@ impl HnswIndex {
         }
     }
 
-    /// [`Self::score_slots`] for one hop of a traversal over `G`. A
-    /// prefetching view requests each scoring row once: f32 rows on the
-    /// scorer's own schedule (`PreparedQuery::distance_slots_prefetch`),
-    /// and — since the code scorer has none — every code row's head line
-    /// before scoring starts. The admission logic sees identical distances
-    /// either way.
+    /// [`Self::score_slots`] for one hop of a traversal. With
+    /// `prefetch_rows` set it requests each scoring row once: f32 rows on the scorer's own
+    /// schedule (`PreparedQuery::distance_slots_prefetch`), and — since the
+    /// code scorer has none — every code row's head line before scoring
+    /// starts. The admission logic sees identical distances either way.
     #[inline]
-    fn score_hop<G: GraphView + ?Sized>(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
+    fn score_hop(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>, prefetch_rows: bool) {
         match sc {
-            Scorer::F32(pq) if G::PREFETCH => {
+            Scorer::F32(pq) if prefetch_rows => {
                 pq.distance_slots_prefetch(&self.vectors, self.cfg.dim, &self.norms, slots, out);
             }
-            Scorer::Quant(qq) if G::PREFETCH => {
+            Scorer::Quant(qq) if prefetch_rows => {
                 let q = self.quant.as_ref().expect("quant scorer without codes");
                 let cl = qq.code_len();
                 for &s in slots {
@@ -294,10 +272,8 @@ impl HnswIndex {
     /// to the locally-closest node on each (the ef=1 upper-layer descent of
     /// the HNSW search). Each hop widens the node's whole neighbor list into
     /// scratch and scores it in one gathered pass.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn greedy_descent<G: GraphView + ?Sized>(
+    pub(crate) fn greedy_descent(
         &self,
-        graph: &G,
         sc: &Scorer<'_>,
         start: u32,
         top: u8,
@@ -305,6 +281,7 @@ impl HnswIndex {
         stats: &mut SearchStats,
         scratch: &mut SearchScratch,
     ) -> u32 {
+        let prefetch_rows = !self.adj.has_edits();
         let mut cur = start;
         for lvl in (floor..=top).rev() {
             let mut cur_dist = self.score_slot(sc, cur);
@@ -312,8 +289,8 @@ impl HnswIndex {
             loop {
                 let nbs = &mut scratch.batch;
                 nbs.clear();
-                nbs.extend(graph.neighbors(cur, lvl).iter().map(|&nb| nb.into()));
-                self.score_hop::<G>(sc, nbs, &mut scratch.dists);
+                self.adj.row(cur, lvl).extend_into(nbs);
+                self.score_hop(sc, nbs, &mut scratch.dists, prefetch_rows);
                 stats.distance_computations += nbs.len() as u64;
                 stats.hops += nbs.len() as u64;
                 let mut improved = false;
@@ -332,8 +309,8 @@ impl HnswIndex {
         cur
     }
 
-    /// Beam search on one layer of `graph` — the one traversal every build
-    /// and query path runs. Returns up to `ef` admitted candidates sorted by
+    /// Beam search on one layer — the one traversal every build and query
+    /// path runs. Returns up to `ef` admitted candidates sorted by
     /// ascending distance.
     ///
     /// Every reached node is navigated through; `admit` decides which ones
@@ -343,9 +320,8 @@ impl HnswIndex {
     /// semantics the paper passes to the index so "a single call to the
     /// vector index returns the valid top-k" (§5.1).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn beam_search<G, A>(
+    pub(crate) fn beam_search<A>(
         &self,
-        graph: &G,
         sc: &Scorer<'_>,
         entries: &[u32],
         ef: usize,
@@ -355,9 +331,11 @@ impl HnswIndex {
         scratch: &mut SearchScratch,
     ) -> Vec<Scored>
     where
-        G: GraphView + ?Sized,
         A: Fn(u32, &mut SearchStats) -> bool,
     {
+        // Every row is compiled while nothing is pending: the addresses a
+        // hop will touch are known while the previous hop is scored.
+        let prefetch_rows = !self.adj.has_edits();
         // Pooled visited set: one epoch bump instead of an O(n) alloc +
         // memset per call.
         scratch.visited.begin(self.keys.len());
@@ -375,8 +353,8 @@ impl HnswIndex {
         // a one-at-a-time loop exactly.
         scratch
             .visited
-            .collect_unvisited(entries, &mut scratch.batch);
-        self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
+            .collect_unvisited(Row::U32(entries), &mut scratch.batch);
+        self.score_hop(sc, &scratch.batch, &mut scratch.dists, prefetch_rows);
         stats.distance_computations += scratch.batch.len() as u64;
         for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
             let key = heap_key(de, e);
@@ -391,9 +369,9 @@ impl HnswIndex {
             if key_dist(key) > bound && best.len() >= ef {
                 break;
             }
-            let row = graph.neighbors(key_slot(key), lvl);
+            let row = self.adj.row(key_slot(key), lvl);
             scratch.visited.collect_unvisited(row, &mut scratch.batch);
-            self.score_hop::<G>(sc, &scratch.batch, &mut scratch.dists);
+            self.score_hop(sc, &scratch.batch, &mut scratch.dists, prefetch_rows);
             stats.hops += scratch.batch.len() as u64;
             stats.distance_computations += scratch.batch.len() as u64;
             for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
@@ -402,8 +380,8 @@ impl HnswIndex {
                     frontier.push(Reverse(key));
                     // Only a frontier member's adjacency row can be read
                     // later, so that is when the row is requested.
-                    if G::PREFETCH && lvl == 0 {
-                        graph.prefetch_l0_row(nb);
+                    if prefetch_rows && lvl == 0 {
+                        self.adj.prefetch_l0_row(nb);
                     }
                     if admit(nb, stats) {
                         keep_smallest(&mut best, ef, key);
@@ -417,9 +395,7 @@ impl HnswIndex {
     }
 
     /// The graph stage of a query: descend from the entry point to layer 0
-    /// and run the beam there over whichever adjacency form is resident, at
-    /// whichever id width it was compiled — the only place a query asks
-    /// which one that is. Returns up to `ef` live, `filter`-passing
+    /// and run the beam there. Returns up to `ef` live, `filter`-passing
     /// candidates, nearest first.
     pub(crate) fn query_beam(
         &self,
@@ -445,21 +421,10 @@ impl HnswIndex {
             }
             true
         };
+        stats.packed_searches += u64::from(!self.adj.has_edits());
         let mut scratch = self.scratch.take();
-        let found = match &self.packed {
-            Some(compiled) => {
-                stats.packed_searches += 1;
-                with_width!(compiled, p => {
-                    let cur = self.greedy_descent(p, sc, entry, top, 1, stats, &mut scratch);
-                    self.beam_search(p, sc, &[cur], ef, 0, admit, stats, &mut scratch)
-                })
-            }
-            None => {
-                let g = self.links.as_slice();
-                let cur = self.greedy_descent(g, sc, entry, top, 1, stats, &mut scratch);
-                self.beam_search(g, sc, &[cur], ef, 0, admit, stats, &mut scratch)
-            }
-        };
+        let cur = self.greedy_descent(sc, entry, top, 1, stats, &mut scratch);
+        let found = self.beam_search(sc, &[cur], ef, 0, admit, stats, &mut scratch);
         self.scratch.put(scratch);
         found
     }
@@ -800,7 +765,7 @@ impl HnswIndex {
 mod tests {
     use super::*;
     use crate::config::HnswConfig;
-    use crate::packed::PackedGraph;
+    use crate::packed::{Adjacency, Ids};
     use tv_common::ids::{LocalId, SegmentId};
     use tv_common::{DistanceMetric, SplitMix64, VertexId};
 
@@ -882,7 +847,7 @@ mod tests {
             ("one id, repeated", &[9, 9, 9], &[9]),
         ];
         for (what, row, want) in named {
-            v.collect_unvisited(row, &mut batch);
+            v.collect_unvisited(Row::U32(row), &mut batch);
             assert_eq!(batch, want, "{what}");
             assert_eq!(first_visits(&mut seen, row), want, "{what}: reference");
         }
@@ -894,7 +859,7 @@ mod tests {
             }
             let len = (rng.next_u64() % 40) as usize;
             let row: Vec<u32> = (0..len).map(|_| (rng.next_u64() % 64) as u32).collect();
-            v.collect_unvisited(&row, &mut batch);
+            v.collect_unvisited(Row::U32(&row), &mut batch);
             assert_eq!(
                 batch,
                 first_visits(&mut seen, &row),
@@ -908,25 +873,25 @@ mod tests {
         let mut v = Visited::default();
         let mut batch = Vec::new();
         v.begin(8);
-        v.collect_unvisited(&[3u32, 5, 3], &mut batch);
+        v.collect_unvisited(Row::U32(&[3u32, 5, 3]), &mut batch);
         assert_eq!(batch, [3, 5]);
-        v.collect_unvisited(&[5u32, 3], &mut batch);
+        v.collect_unvisited(Row::U32(&[5u32, 3]), &mut batch);
         assert!(batch.is_empty());
         // Force the wrap: the next begin() must zero the marks once and
         // restart epochs, so slots 3 and 5 read unvisited again.
         v.epoch = u32::MAX;
         v.begin(8);
         assert_eq!(v.epoch, 1);
-        v.collect_unvisited(&[5u32, 3, 5, 6], &mut batch);
+        v.collect_unvisited(Row::U32(&[5u32, 3, 5, 6]), &mut batch);
         assert_eq!(batch, [5, 3, 6], "post-wrap visits must start clean");
-        v.collect_unvisited(&[3u32, 6, 5], &mut batch);
+        v.collect_unvisited(Row::U32(&[3u32, 6, 5]), &mut batch);
         assert!(batch.is_empty());
         // A stale mark from the pre-wrap era can never alias the new epoch.
         assert!(v.marks.iter().all(|&m| m <= 1));
     }
 
-    /// A neighbour listed twice in one row is scored once, on both views,
-    /// and counts once in the work counters.
+    /// A neighbour listed twice in one row is scored once, from an edited
+    /// row and from a compiled one, and counts once in the work counters.
     #[test]
     fn a_repeated_neighbour_is_scored_once() {
         let key = |i: u32| VertexId::new(SegmentId(0), LocalId(i));
@@ -934,38 +899,31 @@ mod tests {
         for i in 0..4 {
             idx.insert(key(i), &[i as f32, 0.0]).unwrap();
         }
-        let forest: Vec<Vec<Vec<u32>>> = vec![
-            vec![vec![1, 2, 1, 3, 2]],
-            vec![vec![0, 2, 0]],
-            vec![vec![3, 3]],
-            vec![vec![]],
-        ];
-        let packed = PackedGraph::<u16>::build(&forest);
+        let rows: [&[u32]; 4] = [&[1, 2, 1, 3, 2], &[0, 2, 0], &[3, 3], &[]];
+        for (s, row) in rows.iter().enumerate() {
+            *idx.adj.row_mut(s as u32, 0) = row.to_vec();
+        }
         let sc = idx.scorer(&[0.0, 0.0]);
-        fn from_slot_0<G: GraphView + ?Sized>(
-            idx: &HnswIndex,
-            graph: &G,
-            sc: &Scorer<'_>,
-        ) -> (Vec<u32>, u64, u64) {
+        let from_slot_0 = |idx: &HnswIndex| {
             let mut stats = SearchStats::default();
             let mut scratch = SearchScratch::default();
             let admit_all = |_: u32, _: &mut SearchStats| true;
-            let found =
-                idx.beam_search(graph, sc, &[0], 10, 0, admit_all, &mut stats, &mut scratch);
-            let slots = found.iter().map(|&(_, s)| s).collect();
+            let found = idx.beam_search(&sc, &[0], 10, 0, admit_all, &mut stats, &mut scratch);
+            let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
             (slots, stats.distance_computations, stats.hops)
-        }
-        let on_forest = from_slot_0(&idx, forest.as_slice(), &sc);
-        assert_eq!(on_forest, (vec![0, 1, 2, 3], 4, 3));
-        let on_packed = from_slot_0(&idx, &packed, &sc);
-        assert_eq!(on_packed, on_forest);
+        };
+        let on_edits = from_slot_0(&idx);
+        assert_eq!(on_edits, (vec![0, 1, 2, 3], 4, 3));
+        let mut compiled = idx.clone();
+        compiled.adj = idx.adj.folded(&idx.levels, &[0, 1, 2, 3]);
+        assert!(!compiled.adj.has_edits());
+        assert_eq!(from_slot_0(&compiled), on_edits);
     }
 
-    /// One beam over `graph` from `entry`; `live_only` swaps the build's
+    /// One beam over `idx` from its entry; `live_only` swaps the build's
     /// admit-everything rule for a tombstone check.
-    fn beam<G: GraphView + ?Sized>(
+    fn beam(
         idx: &HnswIndex,
-        graph: &G,
         sc: &Scorer<'_>,
         (lvl, ef, live_only): (u8, usize, bool),
     ) -> (Vec<(u32, u32)>, SearchStats) {
@@ -977,16 +935,7 @@ mod tests {
         };
         let mut stats = SearchStats::default();
         let mut scratch = idx.scratch.take();
-        let found = idx.beam_search(
-            graph,
-            sc,
-            &[entry],
-            ef,
-            lvl,
-            admit,
-            &mut stats,
-            &mut scratch,
-        );
+        let found = idx.beam_search(sc, &[entry], ef, lvl, admit, &mut stats, &mut scratch);
         idx.scratch.put(scratch);
         (
             found.iter().map(|&(d, s)| (d.to_bits(), s)).collect(),
@@ -994,24 +943,21 @@ mod tests {
         )
     }
 
-    fn descend<G: GraphView + ?Sized>(
-        idx: &HnswIndex,
-        graph: &G,
-        sc: &Scorer<'_>,
-    ) -> (u32, SearchStats) {
+    fn descend(idx: &HnswIndex, sc: &Scorer<'_>) -> (u32, SearchStats) {
         let (entry, top) = idx.entry.unwrap();
         let mut stats = SearchStats::default();
         let mut scratch = idx.scratch.take();
-        let at = idx.greedy_descent(graph, sc, entry, top, 1, &mut stats, &mut scratch);
+        let at = idx.greedy_descent(sc, entry, top, 1, &mut stats, &mut scratch);
         idx.scratch.put(scratch);
         (at, stats)
     }
 
-    /// One loop, two views: the beam and the greedy descent over the forest
-    /// and the compiled CSR of the same graph, at both id widths, return the
-    /// same candidates, bit for bit, for the same work.
+    /// One loop, every row form: the beam and the greedy descent over the
+    /// edited rows of a build, over the same graph folded into compiled rows
+    /// at both id widths, and over compiled rows with a few slots rewritten
+    /// as edits, return the same candidates, bit for bit, for the same work.
     #[test]
-    fn beam_and_descent_agree_across_both_views() {
+    fn beam_and_descent_agree_across_row_forms() {
         let key = |i: u32| VertexId::new(SegmentId(0), LocalId(i));
         let mut rng = SplitMix64::new(0x3E3);
         let mut idx = HnswIndex::new(HnswConfig::new(8, DistanceMetric::L2).with_m(6));
@@ -1023,10 +969,25 @@ mod tests {
             .step_by(4)
             .for_each(|i| assert!(idx.remove(key(i))));
         assert!(idx.entry.unwrap().1 >= 1, "the recipe needs an upper layer");
-        let forest = idx.links.as_slice();
-        // Built without the BFS renumbering, so slot ids line up.
-        let narrow = PackedGraph::<u16>::build(forest);
-        let wide = PackedGraph::<u32>::build(forest);
+        // Folded without the BFS renumbering, so slot ids line up.
+        let with_adj = |adj: Adjacency| {
+            let mut form = idx.clone();
+            form.adj = adj;
+            form
+        };
+        let identity: Vec<u32> = (0..700).collect();
+        let narrow = with_adj(idx.adj.folded(&idx.levels, &identity));
+        let wide = with_adj(idx.adj.folded_as(&idx.levels, &identity, Ids::U32));
+        let mut mixed = narrow.clone();
+        for s in (0..700).step_by(9) {
+            let row = mixed.adj.row(s, 0).to_vec();
+            *mixed.adj.row_mut(s, 0) = row;
+        }
+        let forms = [
+            ("u16 rows", &narrow),
+            ("u32 rows", &wide),
+            ("mixed", &mixed),
+        ];
         for q in 0..6 {
             let query: Vec<f32> = (0..8).map(|_| rng.next_f32() * 10.0).collect();
             let sc = idx.scorer(&query);
@@ -1034,25 +995,19 @@ mod tests {
                 for ef in [1usize, 8, 64] {
                     for live_only in [false, true] {
                         let shape = (lvl, ef, live_only);
-                        let want = beam(&idx, forest, &sc, shape);
+                        let want = beam(&idx, &sc, shape);
                         assert!(!want.0.is_empty() && want.1.hops > 0);
-                        assert_eq!(
-                            beam(&idx, &narrow, &sc, shape),
-                            want,
-                            "u16 links {q} {shape:?}"
-                        );
-                        assert_eq!(
-                            beam(&idx, &wide, &sc, shape),
-                            want,
-                            "u32 links {q} {shape:?}"
-                        );
+                        for (name, form) in forms {
+                            assert_eq!(beam(form, &sc, shape), want, "{name} {q} {shape:?}");
+                        }
                     }
                 }
             }
-            let want = descend(&idx, forest, &sc);
+            let want = descend(&idx, &sc);
             assert!(want.1.distance_computations > 0);
-            assert_eq!(descend(&idx, &narrow, &sc), want, "u16 links, query {q}");
-            assert_eq!(descend(&idx, &wide, &sc), want, "u32 links, query {q}");
+            for (name, form) in forms {
+                assert_eq!(descend(form, &sc), want, "{name}, query {q}");
+            }
         }
     }
 }

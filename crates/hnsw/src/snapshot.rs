@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic   8B  b"TVHNSW03"
-//! layout  u8  0 pointer forest | 2 compiled (CSR, BFS slot order)
+//! layout  u8  0 pointer (never folded, or rows pending) | 2 compiled (BFS slot order)
 //! quant   u8  1 when a quantized-storage block follows the entry point
 //! config  dim:u64 metric:u8 m:u64 m0:u64 ef_construction:u64 ml:f64 seed:u64
 //! n       u64 node count
@@ -18,17 +18,17 @@
 //! quant block (spec, codec image, codes, norms, optional rerank store)
 //! ```
 //!
-//! A compiled image stores its slots in the compiled order, so loading
-//! rebuilds the CSR without re-permuting and re-serialization reproduces
-//! the image byte for byte. Any other magic, including the two this format
-//! replaced, is refused by name; so is the retired layout tag 1.
+//! The reader loads every list into the adjacency's edit set; a compiled
+//! image, whose slots are stored in the compiled order, is then folded in
+//! that order, so re-serialization reproduces the image byte for byte. Any
+//! other magic, including the two this format replaced, is refused by name;
+//! so is the retired layout tag 1.
 
 use crate::config::HnswConfig;
 use crate::index::HnswIndex;
-use crate::packed::with_width;
+use crate::packed::{Adjacency, Row};
 use crate::quant::{Codec, QuantizedCodec};
 use crate::quant_state::{CodeStore, QuantState};
-use crate::search::GraphView;
 use tv_common::wire::{
     put_bytes, put_f32s, put_f64, put_layout, put_metric, put_quant_spec, put_u32, put_u64, Reader,
 };
@@ -63,12 +63,7 @@ pub fn write_into(index: &HnswIndex, buf: &mut Vec<u8>) {
         // Whether the f32 arena follows (codes-only tiers drop it).
         buf.push(u8::from(!index.vectors.is_empty()));
     }
-    // A compiled index writes its lists straight from the CSR rows (slot
-    // order is already the BFS order); nothing is thawed.
-    match &index.packed {
-        Some(compiled) => with_width!(compiled, p => write_body(buf, index, p)),
-        None => write_body(buf, index, index.links.as_slice()),
-    }
+    write_body(buf, index);
     if let Some(q) = quant {
         write_quant(buf, q);
     }
@@ -85,9 +80,9 @@ fn write_header(buf: &mut Vec<u8>, cfg: &HnswConfig, n: usize) {
     put_u64(buf, n as u64);
 }
 
-/// Everything after the header; `graph` is the index's resident adjacency,
-/// of which node `s` owns `levels[s] + 1` lists in either form.
-fn write_body<G: GraphView + ?Sized>(buf: &mut Vec<u8>, index: &HnswIndex, graph: &G) {
+/// Everything after the header. Node `s` owns `levels[s] + 1` lists, read
+/// from its edited or compiled rows alike.
+fn write_body(buf: &mut Vec<u8>, index: &HnswIndex) {
     for k in &index.keys {
         put_u64(buf, k.0);
     }
@@ -99,10 +94,11 @@ fn write_body<G: GraphView + ?Sized>(buf: &mut Vec<u8>, index: &HnswIndex, graph
     for (s, &top) in index.levels.iter().enumerate() {
         put_u32(buf, u32::from(top) + 1);
         for lvl in 0..=top {
-            let row = graph.neighbors(s as u32, lvl);
+            let row = index.adj.row(s as u32, lvl);
             put_u32(buf, row.len() as u32);
-            for &nb in row {
-                put_u32(buf, nb.into());
+            match row {
+                Row::U16(r) => r.iter().for_each(|&nb| put_u32(buf, u32::from(nb))),
+                Row::U32(r) => r.iter().for_each(|&nb| put_u32(buf, nb)),
             }
         }
     }
@@ -192,7 +188,7 @@ pub fn from_bytes(data: &[u8]) -> TvResult<HnswIndex> {
     } else {
         Vec::new()
     };
-    let links = read_links(&mut r, &levels)?;
+    let adj = read_links(&mut r, &levels)?;
     let entry = match r.u8()? {
         0 => None,
         1 => {
@@ -214,19 +210,21 @@ pub fn from_bytes(data: &[u8]) -> TvResult<HnswIndex> {
         None
     };
     r.finish()?;
-    let mut index =
-        HnswIndex::from_parts(cfg, vectors, keys, links, levels, deleted, entry, quant)?;
-    if layout == GraphLayout::PackedPrefetch {
-        index.compile_from_stored();
+    let mut index = HnswIndex::from_parts(cfg, vectors, keys, adj, levels, deleted, entry, quant)?;
+    if layout == GraphLayout::PackedPrefetch && !index.keys.is_empty() {
+        // The stored slot order is the compiled order: fold without
+        // renumbering.
+        let identity: Vec<u32> = (0..index.keys.len() as u32).collect();
+        index.adj = index.adj.folded(&index.levels, &identity);
     }
     Ok(index)
 }
 
-/// The adjacency forest, checked against the two invariants every
-/// `GraphView` indexes by without looking: node `s` owns exactly
+/// The adjacency, every list an edit, checked against the two invariants a
+/// traversal indexes by without looking: node `s` owns exactly
 /// `levels[s] + 1` lists, and a neighbor named on level `l` owns a
 /// level-`l` list of its own (a hop lands on it and reads that list next).
-fn read_links(r: &mut Reader<'_>, levels: &[u8]) -> TvResult<Vec<Vec<Vec<u32>>>> {
+fn read_links(r: &mut Reader<'_>, levels: &[u8]) -> TvResult<Adjacency> {
     let n = levels.len();
     let mut links = Vec::with_capacity(n);
     for &level in levels {
@@ -255,9 +253,9 @@ fn read_links(r: &mut Reader<'_>, levels: &[u8]) -> TvResult<Vec<Vec<Vec<u32>>>>
             }
             per_node.push(list);
         }
-        links.push(per_node);
+        links.push(per_node.into_boxed_slice());
     }
-    Ok(links)
+    Ok(Adjacency::unfolded(links))
 }
 
 fn read_quant(
@@ -374,29 +372,30 @@ mod tests {
         assert!(r.len() <= 10);
     }
 
-    /// A compiled index is written from its CSR rows, at either id width,
-    /// to the bytes its thawed forest writes; only the layout tag differs.
+    /// A compiled index is written from its compiled rows, at either id
+    /// width, to the bytes the same rows write as edits; only the layout tag
+    /// differs.
     #[test]
-    fn compiled_rows_write_the_bytes_of_the_thawed_forest() {
-        use crate::packed::{CompiledGraph, PackedGraph};
+    fn compiled_rows_write_the_bytes_of_their_edits() {
+        use crate::packed::Ids;
         for (ctx, idx) in cases(150) {
             if !idx.layout().is_packed() {
                 continue;
             }
-            assert!(
-                matches!(idx.packed, Some(CompiledGraph::Narrow(_))),
-                "{ctx}"
-            );
             let narrow = to_bytes(&idx);
             let mut wide = idx.clone();
-            let links = wide.packed.take().unwrap().to_links();
-            wide.packed = Some(CompiledGraph::Wide(PackedGraph::build(&links)));
+            let identity: Vec<u32> = (0..idx.slot_count() as u32).collect();
+            wide.adj = idx.adj.folded_as(&idx.levels, &identity, Ids::U32);
             assert_eq!(to_bytes(&wide), narrow, "{ctx}");
-            let mut thawed = idx.clone();
-            thawed.ensure_mutable();
-            let forest = to_bytes(&thawed);
-            assert_eq!((forest[8], narrow[8]), (0, 2), "{ctx}: layout tags");
-            assert_eq!(forest[9..], narrow[9..], "{ctx}");
+            // Every slot's rows copied into the edit set, unchanged.
+            let mut edited = idx.clone();
+            for s in 0..edited.slot_count() as u32 {
+                edited.adj.row_mut(s, 0);
+            }
+            assert_eq!(edited.layout(), GraphLayout::Pointer, "{ctx}");
+            let rows = to_bytes(&edited);
+            assert_eq!((rows[8], narrow[8]), (0, 2), "{ctx}: layout tags");
+            assert_eq!(rows[9..], narrow[9..], "{ctx}");
         }
     }
 
@@ -425,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn restored_index_accepts_updates_and_a_compiled_one_thaws() {
+    fn restored_index_accepts_updates_and_pending_rows_write_the_pointer_tag() {
         for (ctx, idx) in cases(60) {
             let mut restored = from_bytes(&to_bytes(&idx)).unwrap();
             restored.insert(key(1000), &[0.9; 8]).unwrap();
@@ -433,7 +432,7 @@ mod tests {
             assert_eq!(restored.len(), idx.len() + 1, "{ctx}");
             let (r, _) = restored.top_k(&[0.9; 8], 1, 32, Filter::All);
             assert_eq!(r[0].id, key(1000), "{ctx}");
-            // A thawed index serializes under the pointer tag.
+            // An index with rows pending serializes under the pointer tag.
             assert_eq!(to_bytes(&restored)[8], 0, "{ctx}");
         }
     }
@@ -483,7 +482,7 @@ mod tests {
     }
 
     /// A hand-assembled f32 pointer image over dim-2 vectors: one key,
-    /// level and vector per entry of `levels`, the given adjacency forest.
+    /// level and vector per entry of `levels`, the given adjacency lists.
     fn raw_image(levels: &[u8], links: &[Vec<Vec<u32>>], entry: (u32, u8), n: u64) -> Vec<u8> {
         let mut b = MAGIC.to_vec();
         b.extend_from_slice(&[0, 0]); // pointer layout, no quant block

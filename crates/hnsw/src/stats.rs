@@ -40,8 +40,8 @@ pub struct SearchStats {
     /// Starvation escalations that exhausted `max_ef` and fell back to an
     /// exact scan.
     pub brute_fallbacks: u64,
-    /// Graph searches served from the compiled (CSR-packed, BFS-reordered)
-    /// layout rather than the mutable pointer forest. Lets benchmarks and
+    /// Graph searches served from compiled (CSR-packed, BFS-reordered) rows
+    /// alone, with no row pending in the edit set. Lets benchmarks and
     /// the planner's telemetry attribute throughput to layout freshness.
     pub packed_searches: u64,
 }

@@ -192,9 +192,19 @@ fn compile_thaw_recompile_is_stable() {
         assert_eq!(&got, want);
     }
 
-    // Pointer layout request thaws without changing results.
-    twice.compile_layout(GraphLayout::Pointer);
-    assert_eq!(twice.layout(), GraphLayout::Pointer);
+    // A `Pointer` request leaves a never-compiled index as it is, and a
+    // compiled one compiled; neither changes results.
+    let mut never = idx.clone();
+    assert!(!never.compile_layout(GraphLayout::Pointer));
+    assert_eq!(never.layout(), GraphLayout::Pointer);
+    assert!(twice.compile_layout(GraphLayout::Pointer));
+    for q in &qs {
+        assert_eq!(
+            fingerprint(&twice.top_k(q, 10, 64, Filter::All).0),
+            fingerprint(&never.top_k(q, 10, 64, Filter::All).0),
+            "compiled graph == never-compiled graph"
+        );
+    }
 }
 
 #[test]
