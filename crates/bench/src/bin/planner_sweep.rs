@@ -12,8 +12,8 @@
 //! * **post-filter** — unfiltered beam with planner-enlarged `ef`, filtered
 //!   afterwards,
 //!
-//! — then the planner itself (`search_planned`), and the legacy
-//! static-threshold router this PR replaces. Two gates make the sweep a CI
+//! — then the planner itself (`search_planned`), and the §5.1
+//! static-threshold router it replaced. Two gates make the sweep a CI
 //! check rather than a chart generator (exit 1 on violation):
 //!
 //! 1. **cost**: the planner's distance computations per query must stay
@@ -70,20 +70,23 @@ fn measure(
     }
 }
 
-/// The legacy §5.1 router this PR replaces: a static valid-count threshold,
-/// with the pre-fix overestimating cardinality bug modeled away (the
-/// comparison is against the *correct* static router, which is the stronger
-/// baseline).
+/// The §5.1 static router the planner replaced: brute force below a fixed
+/// valid-count threshold, else the filtered beam, with no escalation. It
+/// reads the true valid-live count (the pre-planner router overestimated
+/// it), which makes it the stronger baseline.
 fn legacy(
     idx: &HnswIndex,
     qv: &[f32],
     k: usize,
     ef: usize,
-    bm: &Bitmap,
+    filter: Filter<'_>,
     threshold: usize,
 ) -> (Vec<tv_common::Neighbor>, SearchStats) {
-    let cfg = PlannerConfig::static_threshold(threshold);
-    idx.search_planned(qv, k, ef, Filter::Valid(bm), &cfg)
+    if idx.valid_live_count(filter) < threshold {
+        idx.brute_force_top_k(qv, k, filter)
+    } else {
+        idx.top_k(qv, k, ef, filter)
+    }
 }
 
 fn main() {
@@ -127,7 +130,7 @@ fn main() {
         let s = valid as f64 / idx.len().max(1) as f64;
         let fetch_ef = ((ef as f64 / s).ceil() as usize)
             .max(ef)
-            .min(planner_cfg.max_ef);
+            .min(tv_hnsw::planner::MAX_EF);
 
         let brute = measure(&ds.queries, &oracle, k, |qv| {
             idx.brute_force_top_k(qv, k, filter)
@@ -140,7 +143,7 @@ fn main() {
             idx.search_planned(qv, k, ef, filter, &planner_cfg)
         });
         let legacy_c = measure(&ds.queries, &oracle, k, |qv| {
-            legacy(&idx, qv, k, ef, &bm, 64)
+            legacy(&idx, qv, k, ef, filter, 64)
         });
 
         // Gate 1: cost vs the best exact-capable strategy. A strategy

@@ -191,12 +191,12 @@ pub fn set_planner_info(cfg: &tv_common::PlannerConfig) {
 }
 
 fn planner_json(cfg: &tv_common::PlannerConfig) -> serde_json::Value {
+    use tv_hnsw::planner::{GRAPH_COST_FACTOR, MAX_EF, POST_FILTER_MIN_SELECTIVITY};
     serde_json::json!({
-        "enabled": cfg.enabled,
         "brute_force_threshold": cfg.brute_force_threshold,
-        "graph_cost_factor": cfg.graph_cost_factor,
-        "post_filter_min_selectivity": cfg.post_filter_min_selectivity,
-        "max_ef": cfg.max_ef,
+        "graph_cost_factor": GRAPH_COST_FACTOR,
+        "post_filter_min_selectivity": POST_FILTER_MIN_SELECTIVITY,
+        "max_ef": MAX_EF,
     })
 }
 

@@ -9,91 +9,40 @@
 
 use std::time::Duration;
 
-/// Per-query cost-based routing knobs for filtered vector search.
+/// Routing knobs for filtered vector search.
 ///
 /// TigerVector (§5.1) routes filtered search by a single static valid-count
 /// threshold; NaviX shows the winning strategy actually depends on predicate
 /// selectivity, so a static rule hits a worst-case cliff on selective
-/// filters. The planner estimates the true valid-live cardinality per query
-/// (filter bitmap ∩ live occupancy) and chooses among brute force over the
-/// filtered set, in-traversal bitmap filtering, and post-filtering an
-/// unfiltered beam with adaptive `ef` enlargement — with a starvation
-/// fallback that escalates (`ef` doubling, then brute force) whenever a
-/// filtered search surfaces fewer than `k` results while valid points
-/// remain.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// filters. The planner (`tv_hnsw::planner`) estimates the true valid-live
+/// cardinality per query (filter bitmap ∩ live occupancy) and chooses among
+/// brute force over the filtered set, in-traversal bitmap filtering, and
+/// post-filtering an unfiltered beam with adaptive `ef` enlargement — with a
+/// starvation fallback that escalates (`ef` doubling, then brute force)
+/// whenever a filtered search surfaces fewer than `k` results while valid
+/// points remain. The paper's threshold is the one knob; the cost model's
+/// other constants live beside it in `tv_hnsw::planner`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
-    /// `false` reproduces the legacy static-threshold routing (brute force
-    /// iff the valid count is below [`Self::brute_force_threshold`], no
-    /// starvation escalation). Kept for A/B benchmarking.
-    pub enabled: bool,
-    /// Valid-point count below which brute force always wins — scanning a
-    /// handful of rows is cheaper than any graph entry descent (§5.1).
+    /// Valid-point count at or below which brute force always wins —
+    /// scanning a handful of rows is cheaper than any graph entry descent
+    /// (§5.1).
     pub brute_force_threshold: usize,
-    /// Estimated distance computations per *admitted* beam slot of a graph
-    /// traversal, relative to one brute-force candidate scan. The graph
-    /// cost model is `graph_cost_factor × ef / selectivity`: with few valid
-    /// points the beam must wade through that many invalid candidates to
-    /// admit `ef` survivors.
-    pub graph_cost_factor: f64,
-    /// Selectivity (valid-live / live) at or above which the planner skips
-    /// per-candidate bitmap checks during traversal and instead post-filters
-    /// an unfiltered beam widened to `ef / selectivity`.
-    pub post_filter_min_selectivity: f64,
-    /// Hard cap on escalated `ef` before the starvation fallback gives up on
-    /// the graph and scans the filtered set exactly.
-    pub max_ef: usize,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            enabled: true,
             brute_force_threshold: 64,
-            graph_cost_factor: 8.0,
-            post_filter_min_selectivity: 0.5,
-            max_ef: 4096,
         }
     }
 }
 
 impl PlannerConfig {
-    /// Legacy routing: static threshold comparison, no cost model, no
-    /// starvation escalation. `static_threshold(0)` never brute-forces.
-    #[must_use]
-    pub fn static_threshold(threshold: usize) -> Self {
-        PlannerConfig {
-            enabled: false,
-            brute_force_threshold: threshold,
-            ..PlannerConfig::default()
-        }
-    }
-
     /// Override the always-brute valid-count floor.
     #[must_use]
     pub fn with_brute_threshold(mut self, threshold: usize) -> Self {
         self.brute_force_threshold = threshold;
-        self
-    }
-
-    /// Override the graph cost factor.
-    #[must_use]
-    pub fn with_graph_cost_factor(mut self, f: f64) -> Self {
-        self.graph_cost_factor = f;
-        self
-    }
-
-    /// Override the post-filter selectivity floor.
-    #[must_use]
-    pub fn with_post_filter_min_selectivity(mut self, s: f64) -> Self {
-        self.post_filter_min_selectivity = s;
-        self
-    }
-
-    /// Override the escalation `ef` cap.
-    #[must_use]
-    pub fn with_max_ef(mut self, max_ef: usize) -> Self {
-        self.max_ef = max_ef;
         self
     }
 }
@@ -335,22 +284,9 @@ mod tests {
 
     #[test]
     fn planner_config_builders() {
-        let d = PlannerConfig::default();
-        assert!(d.enabled);
-        assert_eq!(d.brute_force_threshold, 64);
-        let legacy = PlannerConfig::static_threshold(7);
-        assert!(!legacy.enabled);
-        assert_eq!(legacy.brute_force_threshold, 7);
-        let p = PlannerConfig::default()
-            .with_brute_threshold(10)
-            .with_graph_cost_factor(2.0)
-            .with_post_filter_min_selectivity(0.9)
-            .with_max_ef(256);
-        assert!(p.enabled);
+        assert_eq!(PlannerConfig::default().brute_force_threshold, 64);
+        let p = PlannerConfig::default().with_brute_threshold(10);
         assert_eq!(p.brute_force_threshold, 10);
-        assert_eq!(p.graph_cost_factor, 2.0);
-        assert_eq!(p.post_filter_min_selectivity, 0.9);
-        assert_eq!(p.max_ef, 256);
     }
 
     #[test]

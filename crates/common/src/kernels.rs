@@ -2,13 +2,14 @@
 //!
 //! Every distance in the engine funnels through this layer. At first use the
 //! process probes the CPU (`is_x86_feature_detected!`) and installs one
-//! kernel table: AVX2+FMA where available, NEON on aarch64, and otherwise
-//! the scalar tier, the always-correct reference. The scalar tier is one
-//! 4-lane loop in the seed's accumulation order; the compiler vectorizes it
-//! to SSE on x86-64, which is why there is no SSE tier. The choice can be
-//! overridden with the `TV_KERNELS` environment variable
-//! (`scalar|avx2|avx2+fma|neon|auto`; any other value fails at first use),
-//! which CI uses to keep the fallback path covered on AVX2 runners.
+//! kernel table: AVX2+FMA where available, and otherwise the scalar tier,
+//! the always-correct reference. The scalar tier is one 4-lane loop in the
+//! seed's accumulation order; the compiler vectorizes it to SSE on x86-64,
+//! which is why there is no SSE tier, and it is what every other target
+//! (aarch64 included) runs. The choice can be overridden with the
+//! `TV_KERNELS` environment variable (`scalar|avx2|avx2+fma|auto`; any other
+//! value fails at first use), which CI uses to keep the fallback path
+//! covered on AVX2 runners.
 //!
 //! Beyond plain `dot`/`l2_sq`, the table exposes **fused** one-pass kernels
 //! (`dot_norm_sq` computes `<a,b>` and `|b|²` in a single sweep) and
@@ -47,8 +48,6 @@ pub enum KernelTier {
     Scalar,
     /// 256-bit AVX2 with fused multiply-add.
     Avx2Fma,
-    /// 128-bit NEON (baseline on aarch64).
-    Neon,
 }
 
 impl KernelTier {
@@ -58,17 +57,15 @@ impl KernelTier {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Avx2Fma => "avx2+fma",
-            KernelTier::Neon => "neon",
         }
     }
 
-    /// Parse a tier name (`scalar`, `avx2`, `avx2+fma`, `neon`).
+    /// Parse a tier name (`scalar`, `avx2`, `avx2+fma`).
     #[must_use]
     pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelTier::Scalar),
             "avx2" | "avx2+fma" | "avx2fma" => Some(KernelTier::Avx2Fma),
-            "neon" => Some(KernelTier::Neon),
             _ => None,
         }
     }
@@ -83,7 +80,7 @@ impl std::fmt::Display for KernelTier {
 /// A resolved table of distance kernels for one tier. All slices handed to
 /// pair kernels must be equal-length (asserted: the SIMD tiers read every
 /// stream to the first one's length); batch kernels take a row-major slab of
-/// `out.len()` rows of `query.len()` floats.
+/// exactly `out.len()` rows of `query.len()` floats (asserted too).
 pub struct Kernels {
     tier: KernelTier,
     dot: fn(&[f32], &[f32]) -> f32,
@@ -133,13 +130,13 @@ impl Kernels {
 
     /// Batched inner product: `out[i] = <q, slab[i*d..][..d]>`.
     pub fn dot_batch(&self, q: &[f32], slab: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(slab.len(), q.len() * out.len());
+        assert_eq!(slab.len(), q.len() * out.len());
         (self.dot_batch)(q, slab, out);
     }
 
     /// Batched squared L2: `out[i] = |q - slab[i*d..][..d]|²`.
     pub fn l2_sq_batch(&self, q: &[f32], slab: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(slab.len(), q.len() * out.len());
+        assert_eq!(slab.len(), q.len() * out.len());
         (self.l2_sq_batch)(q, slab, out);
     }
 
@@ -370,7 +367,7 @@ impl<'q> PreparedQuery<'q> {
                 let d = self.query.len();
                 match norms {
                     Some(ns) => {
-                        debug_assert_eq!(ns.len(), out.len());
+                        assert_eq!(ns.len(), out.len());
                         for (o, &n) in out.iter_mut().zip(ns) {
                             *o = cosine_from_parts(*o, self.query_norm * n);
                         }
@@ -701,182 +698,6 @@ mod x86 {
     };
 }
 
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    //! NEON kernels (baseline on aarch64, no runtime probe required).
-
-    use super::{KernelTier, Kernels};
-    #[allow(clippy::wildcard_imports)]
-    use std::arch::aarch64::*;
-
-    #[inline]
-    unsafe fn dot_neon_raw(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            acc = vfmaq_f32(acc, vld1q_f32(pa.add(i)), vld1q_f32(pb.add(i)));
-            i += 4;
-        }
-        let mut sum = vaddvq_f32(acc);
-        while i < n {
-            sum += *pa.add(i) * *pb.add(i);
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    unsafe fn l2_sq_neon_raw(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = vsubq_f32(vld1q_f32(pa.add(i)), vld1q_f32(pb.add(i)));
-            acc = vfmaq_f32(acc, d, d);
-            i += 4;
-        }
-        let mut sum = vaddvq_f32(acc);
-        while i < n {
-            let d = *pa.add(i) - *pb.add(i);
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    unsafe fn dot_norm_sq_neon_raw(a: &[f32], b: &[f32]) -> (f32, f32) {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc_ab = vdupq_n_f32(0.0);
-        let mut acc_bb = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = vld1q_f32(pa.add(i));
-            let vb = vld1q_f32(pb.add(i));
-            acc_ab = vfmaq_f32(acc_ab, va, vb);
-            acc_bb = vfmaq_f32(acc_bb, vb, vb);
-            i += 4;
-        }
-        let (mut s_ab, mut s_bb) = (vaddvq_f32(acc_ab), vaddvq_f32(acc_bb));
-        while i < n {
-            let (x, y) = (*pa.add(i), *pb.add(i));
-            s_ab += x * y;
-            s_bb += y * y;
-            i += 1;
-        }
-        (s_ab, s_bb)
-    }
-
-    fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: NEON is part of the aarch64 baseline.
-        unsafe { dot_neon_raw(a, b) }
-    }
-    fn l2_sq_neon(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: NEON is part of the aarch64 baseline.
-        unsafe { l2_sq_neon_raw(a, b) }
-    }
-    fn norm_sq_neon(a: &[f32]) -> f32 {
-        // SAFETY: NEON is part of the aarch64 baseline.
-        unsafe { dot_neon_raw(a, a) }
-    }
-    fn dot_norm_sq_neon(a: &[f32], b: &[f32]) -> (f32, f32) {
-        // SAFETY: NEON is part of the aarch64 baseline.
-        unsafe { dot_norm_sq_neon_raw(a, b) }
-    }
-    fn dot_batch_neon(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            // SAFETY: NEON is part of the aarch64 baseline.
-            *o = unsafe { dot_neon_raw(q, &slab[i * d..(i + 1) * d]) };
-        }
-    }
-    fn l2_sq_batch_neon(q: &[f32], slab: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            // SAFETY: NEON is part of the aarch64 baseline.
-            *o = unsafe { l2_sq_neon_raw(q, &slab[i * d..(i + 1) * d]) };
-        }
-    }
-
-    /// Widen 8 code bytes at `p` into two `f32x4` lane vectors.
-    #[inline]
-    unsafe fn load8_u8_f32(p: *const u8) -> (float32x4_t, float32x4_t) {
-        let w = vmovl_u8(vld1_u8(p));
-        (
-            vcvtq_f32_u32(vmovl_u16(vget_low_u16(w))),
-            vcvtq_f32_u32(vmovl_u16(vget_high_u16(w))),
-        )
-    }
-
-    #[inline]
-    unsafe fn dot_u8_neon_raw(a: &[f32], codes: &[u8]) -> f32 {
-        let n = a.len();
-        let (pa, pc) = (a.as_ptr(), codes.as_ptr());
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 8 <= n {
-            let (lo, hi) = load8_u8_f32(pc.add(i));
-            acc = vfmaq_f32(acc, vld1q_f32(pa.add(i)), lo);
-            acc = vfmaq_f32(acc, vld1q_f32(pa.add(i + 4)), hi);
-            i += 8;
-        }
-        let mut sum = vaddvq_f32(acc);
-        while i < n {
-            sum += *pa.add(i) * f32::from(*pc.add(i));
-            i += 1;
-        }
-        sum
-    }
-
-    #[inline]
-    unsafe fn l2_sq_u8_neon_raw(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        let n = a.len();
-        let (pa, ps, pc) = (a.as_ptr(), scale.as_ptr(), codes.as_ptr());
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 8 <= n {
-            let (lo, hi) = load8_u8_f32(pc.add(i));
-            let d0 = vfmsq_f32(vld1q_f32(pa.add(i)), vld1q_f32(ps.add(i)), lo);
-            let d1 = vfmsq_f32(vld1q_f32(pa.add(i + 4)), vld1q_f32(ps.add(i + 4)), hi);
-            acc = vfmaq_f32(acc, d0, d0);
-            acc = vfmaq_f32(acc, d1, d1);
-            i += 8;
-        }
-        let mut sum = vaddvq_f32(acc);
-        while i < n {
-            let d = *pa.add(i) - *ps.add(i) * f32::from(*pc.add(i));
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    fn dot_u8_neon(a: &[f32], codes: &[u8]) -> f32 {
-        // SAFETY: NEON is part of the aarch64 baseline.
-        unsafe { dot_u8_neon_raw(a, codes) }
-    }
-    fn l2_sq_u8_neon(a: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        // SAFETY: NEON is part of the aarch64 baseline.
-        unsafe { l2_sq_u8_neon_raw(a, scale, codes) }
-    }
-
-    pub(super) static NEON: Kernels = Kernels {
-        tier: KernelTier::Neon,
-        dot: dot_neon,
-        l2_sq: l2_sq_neon,
-        norm_sq: norm_sq_neon,
-        dot_norm_sq: dot_norm_sq_neon,
-        dot_batch: dot_batch_neon,
-        l2_sq_batch: l2_sq_batch_neon,
-        dot_u8: dot_u8_neon,
-        l2_sq_u8: l2_sq_u8_neon,
-    };
-}
-
 /// The kernel table for `tier`, if that tier is usable on this CPU.
 /// `Scalar` always resolves.
 #[must_use]
@@ -885,17 +706,15 @@ pub fn for_tier(tier: KernelTier) -> Option<&'static Kernels> {
         KernelTier::Scalar => Some(&SCALAR),
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2Fma => x86::avx2_available().then_some(&x86::AVX2),
-        #[cfg(target_arch = "aarch64")]
-        KernelTier::Neon => Some(&arm::NEON),
-        #[allow(unreachable_patterns)]
-        _ => None,
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2Fma => None,
     }
 }
 
 /// Every kernel table usable on this CPU, from scalar up to the best.
 #[must_use]
 pub fn available() -> Vec<&'static Kernels> {
-    [KernelTier::Scalar, KernelTier::Avx2Fma, KernelTier::Neon]
+    [KernelTier::Scalar, KernelTier::Avx2Fma]
         .into_iter()
         .filter_map(for_tier)
         .collect()
@@ -922,7 +741,7 @@ fn resolve(selector: Option<&str>) -> Result<&'static Kernels, String> {
         Some(s) => KernelTier::parse(s).ok_or_else(|| {
             format!(
                 "TV_KERNELS={s:?} names no kernel tier; \
-                 accepted: scalar, avx2, avx2+fma, neon, auto (or unset)"
+                 accepted: scalar, avx2, avx2+fma, auto (or unset)"
             )
         })?,
     };
@@ -956,7 +775,7 @@ mod tests {
 
     #[test]
     fn tier_names_roundtrip() {
-        for t in [KernelTier::Scalar, KernelTier::Avx2Fma, KernelTier::Neon] {
+        for t in [KernelTier::Scalar, KernelTier::Avx2Fma] {
             assert_eq!(KernelTier::parse(t.name()), Some(t));
         }
         assert_eq!(KernelTier::parse("avx2"), Some(KernelTier::Avx2Fma));
@@ -972,12 +791,10 @@ mod tests {
         }
         assert_eq!(tier(Some("scalar")), Ok(KernelTier::Scalar));
         assert_eq!(tier(Some("SCALAR")), Ok(KernelTier::Scalar));
-        for t in [KernelTier::Avx2Fma, KernelTier::Neon] {
-            let want = for_tier(t).map_or(KernelTier::Scalar, Kernels::tier);
-            assert_eq!(tier(Some(t.name())), Ok(want), "{t}");
-        }
+        let want = for_tier(KernelTier::Avx2Fma).map_or(KernelTier::Scalar, Kernels::tier);
+        assert_eq!(tier(Some("avx2+fma")), Ok(want));
         // A misspelt or retired selector is refused, never run as `auto`.
-        for bad in ["scaler", "sse", "sse2", "bogus"] {
+        for bad in ["scaler", "sse", "sse2", "neon", "bogus"] {
             let err = resolve(Some(bad))
                 .err()
                 .unwrap_or_else(|| panic!("{bad} resolved"));
@@ -1027,6 +844,28 @@ mod tests {
                 assert_eq!(o.to_bits(), want.to_bits(), "tier {}", k.tier());
             }
         }
+    }
+
+    /// Too few cosine norms would leave raw dot products in the tail of
+    /// `out`; the length check holds in release builds too.
+    #[test]
+    #[should_panic(expected = "assertion `left == right` failed")]
+    fn distance_batch_refuses_short_cosine_norms() {
+        let q = [1.0f32, 0.0];
+        let slab = [1.0f32, 0.0, 0.0, 1.0];
+        let mut out = [0.0f32; 2];
+        PreparedQuery::on(&SCALAR, DistanceMetric::Cosine, &q).distance_batch(
+            &slab,
+            Some(&[1.0]),
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "assertion `left == right` failed")]
+    fn batch_kernels_refuse_a_short_slab() {
+        let mut out = [0.0f32; 2];
+        SCALAR.l2_sq_batch(&[1.0, 0.0], &[1.0, 0.0, 0.0], &mut out);
     }
 
     #[test]

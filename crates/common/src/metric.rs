@@ -6,8 +6,9 @@
 //! smaller is more similar, so a single top-k min-heap works for every metric.
 //!
 //! The free functions here delegate to the process-wide kernel table in
-//! [`crate::kernels`] — runtime-dispatched SIMD (AVX2+FMA / NEON) with the
-//! seed's 4-lane scalar order as the always-correct fallback. Cosine
+//! [`crate::kernels`] — runtime-dispatched AVX2+FMA on x86-64, with the
+//! seed's 4-lane scalar order as the always-correct fallback (and the only
+//! tier on every other target). Cosine
 //! uses the fused `dot_norm_sq` kernel, so a cold pair costs two passes
 //! instead of three; search loops with cached norms (see
 //! [`crate::kernels::PreparedQuery`]) pay only one.

@@ -6,8 +6,9 @@
 //! values; one that changes it (a new lane order, a new tier) moves them on
 //! purpose and edits them here.
 //!
-//! `scalar` and `avx2+fma` are bound; a tier this host lacks is skipped.
-//! Other tiers (NEON) are printed, not bound: `-- --nocapture` shows them.
+//! Both tiers, `scalar` and `avx2+fma`, are bound; a tier this host lacks
+//! is skipped. A tier without pins is printed, not bound: `-- --nocapture`
+//! shows every tier's values.
 
 use tv_common::durafile::crc32_update;
 use tv_common::kernels::{self, Kernels};

@@ -40,9 +40,10 @@ fn fresh_segment(quant: QuantSpec) -> EmbeddingSegment {
     EmbeddingSegment::new(SegmentId(0), &def, CAPACITY)
 }
 
-/// The planner forced to an exact scan of every segment.
+/// The planner forced to an exact scan of every segment: a segment holds at
+/// most `CAPACITY` valid points, all at or below the brute floor.
 fn brute() -> PlannerConfig {
-    PlannerConfig::static_threshold(CAPACITY + 1)
+    PlannerConfig::default().with_brute_threshold(CAPACITY)
 }
 
 fn live(state: &State, l: usize) -> Option<&Vec<f32>> {
@@ -183,8 +184,13 @@ fn check_at(
 
         let k = 1 + rng.next_below(5) as usize;
         probe::take();
-        let (got, _) = seg.search(&query, k, 32, filter.as_ref(), t, &brute());
+        let (got, stats) = seg.search(&query, k, 32, filter.as_ref(), t, &brute());
         let reads = probe::take();
+        assert_eq!(
+            stats.plans_in_traversal + stats.plans_post_filter,
+            0,
+            "{at}: a graph beam served the exact check"
+        );
         assert_eq!(
             bits(&got),
             bits(&want[..k.min(want.len())]),

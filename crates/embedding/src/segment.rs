@@ -542,10 +542,31 @@ mod tests {
         VertexId::new(SegmentId(0), LocalId(l))
     }
 
-    /// Legacy routing with threshold 0: always the in-traversal index path,
-    /// as the pre-planner tests assumed.
-    fn plan0() -> PlannerConfig {
-        PlannerConfig::static_threshold(0)
+    /// No brute floor: the cost model alone routes the snapshot search, and
+    /// it takes a graph beam unless the snapshot's valid set is smaller than
+    /// the beam would score (a masked snapshot of a few dozen rows).
+    fn graph_plan() -> PlannerConfig {
+        PlannerConfig::default().with_brute_threshold(0)
+    }
+
+    /// `seg.search` under [`graph_plan`], asserting the snapshot side took
+    /// the index path: these tests are about the graph and its overlay, and
+    /// an exact scan would pass them without searching the graph at all.
+    fn graph_search(
+        seg: &EmbeddingSegment,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        filter: Option<&Bitmap>,
+        read_tid: Tid,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let (r, stats) = seg.search(query, k, ef, filter, read_tid, &graph_plan());
+        assert_eq!(
+            (stats.plans_brute, stats.brute_fallbacks),
+            (0, 0),
+            "an exact scan served the snapshot: {stats:?}"
+        );
+        (r, stats)
     }
 
     fn rand_vec(rng: &mut SplitMix64) -> Vec<f32> {
@@ -586,7 +607,7 @@ mod tests {
         let (seg, vecs) = seeded_segment(50);
         // Nothing merged yet: snapshot is empty, everything lives in mem.
         assert_eq!(seg.mem_delta_count(), 50);
-        let (r, _) = seg.search(&vecs[7], 1, 32, None, Tid(50), &plan0());
+        let (r, _) = graph_search(&seg, &vecs[7], 1, 32, None, Tid(50));
         assert_eq!(r[0].id, vid(7));
         assert_eq!(seg.live_count(Tid(50)), 50);
         // At an earlier TID only a prefix is visible.
@@ -602,9 +623,9 @@ mod tests {
         assert_eq!(merged, Some(Tid(40)));
         assert_eq!(seg.snapshot_count(), 2);
         // Reader at 60 combines snapshot(40) + 20 mem deltas.
-        let (r, _) = seg.search(&vecs[55], 1, 32, None, Tid(60), &plan0());
+        let (r, _) = graph_search(&seg, &vecs[55], 1, 32, None, Tid(60));
         assert_eq!(r[0].id, vid(55));
-        let (r, _) = seg.search(&vecs[10], 1, 32, None, Tid(60), &plan0());
+        let (r, _) = graph_search(&seg, &vecs[10], 1, 32, None, Tid(60));
         assert_eq!(r[0].id, vid(10));
         // Reader at 40 must not see tid 41+.
         assert_eq!(seg.live_count(Tid(40)), 40);
@@ -624,34 +645,36 @@ mod tests {
 
     #[test]
     fn delete_masks_index_results() {
-        let (seg, vecs) = seeded_segment(40);
-        seg.delta_merge(Tid(40));
-        seg.index_merge(Tid(40)).unwrap();
-        // Delete vertex 3 at tid 41 (still in mem store).
-        seg.append_deltas(&[DeltaRecord::delete(vid(3), Tid(41))])
+        // 300 rows: a masked snapshot this size still routes to the graph.
+        let (seg, vecs) = seeded_segment(300);
+        seg.delta_merge(Tid(300));
+        seg.index_merge(Tid(300)).unwrap();
+        // Delete vertex 3 at tid 301 (still in mem store).
+        seg.append_deltas(&[DeltaRecord::delete(vid(3), Tid(301))])
             .unwrap();
-        let (r, _) = seg.search(&vecs[3], 1, 32, None, Tid(41), &plan0());
+        let (r, _) = graph_search(&seg, &vecs[3], 1, 32, None, Tid(301));
         assert_ne!(r[0].id, vid(3));
-        // But a reader at tid 40 still sees it.
-        let (r, _) = seg.search(&vecs[3], 1, 32, None, Tid(40), &plan0());
+        // But a reader at tid 300 still sees it.
+        let (r, _) = graph_search(&seg, &vecs[3], 1, 32, None, Tid(300));
         assert_eq!(r[0].id, vid(3));
-        assert!(seg.get_embedding(vid(3), Tid(41)).is_none());
-        assert!(seg.get_embedding(vid(3), Tid(40)).is_some());
+        assert!(seg.get_embedding(vid(3), Tid(301)).is_none());
+        assert!(seg.get_embedding(vid(3), Tid(300)).is_some());
     }
 
     #[test]
     fn upsert_overrides_index_version() {
-        let (seg, _vecs) = seeded_segment(20);
-        seg.delta_merge(Tid(20));
-        seg.index_merge(Tid(20)).unwrap();
+        // 300 rows: a masked snapshot this size still routes to the graph.
+        let (seg, _vecs) = seeded_segment(300);
+        seg.delta_merge(Tid(300));
+        seg.index_merge(Tid(300)).unwrap();
         let newv = vec![50.0; 8];
-        seg.append_deltas(&[DeltaRecord::upsert(vid(4), Tid(21), newv.clone())])
+        seg.append_deltas(&[DeltaRecord::upsert(vid(4), Tid(301), newv.clone())])
             .unwrap();
-        let (r, _) = seg.search(&newv, 1, 32, None, Tid(21), &plan0());
+        let (r, _) = graph_search(&seg, &newv, 1, 32, None, Tid(301));
         assert_eq!(r[0].id, vid(4));
         assert!((r[0].dist) < 1e-6);
-        assert_eq!(seg.get_embedding(vid(4), Tid(21)).unwrap(), newv);
-        assert_eq!(seg.live_count(Tid(21)), 20);
+        assert_eq!(seg.get_embedding(vid(4), Tid(301)).unwrap(), newv);
+        assert_eq!(seg.live_count(Tid(301)), 300);
     }
 
     #[test]
@@ -661,7 +684,7 @@ mod tests {
         seg.index_merge(Tid(15)).unwrap();
         // Valid: only local ids 20..30 (all still in mem deltas).
         let bm = Bitmap::from_indices(1024, 20..30);
-        let (r, _) = seg.search(&vecs[0], 5, 64, Some(&bm), Tid(30), &plan0());
+        let (r, _) = graph_search(&seg, &vecs[0], 5, 64, Some(&bm), Tid(30));
         assert!(r.iter().all(|n| (20..30).contains(&n.id.local().0)));
         assert_eq!(r.len(), 5);
     }
@@ -673,18 +696,17 @@ mod tests {
         seg.index_merge(Tid(50)).unwrap();
         let bm = Bitmap::from_indices(1024, [5usize, 6, 7]);
         // Threshold higher than valid count → brute force.
-        let (_, stats) = seg.search(
-            &vecs[0],
-            2,
-            32,
-            Some(&bm),
-            Tid(50),
-            &PlannerConfig::static_threshold(10),
-        );
+        let floor = |t| PlannerConfig::default().with_brute_threshold(t);
+        let (_, stats) = seg.search(&vecs[0], 2, 32, Some(&bm), Tid(50), &floor(10));
         assert!(stats.brute_force);
-        // Threshold of zero → index path.
-        let (_, stats) = seg.search(&vecs[0], 2, 32, None, Tid(50), &plan0());
+        assert_eq!(stats.plans_brute, 1);
+        // Unfiltered, the threshold alone decides: all 50 rows at a floor
+        // of 50 are scanned, at a floor of zero they take the index path.
+        let (_, stats) = seg.search(&vecs[0], 2, 32, None, Tid(50), &floor(50));
+        assert_eq!(stats.plans_brute, 1);
+        let (_, stats) = graph_search(&seg, &vecs[0], 2, 32, None, Tid(50));
         assert!(!stats.brute_force);
+        assert_eq!(stats.plans_post_filter, 1);
     }
 
     #[test]
@@ -696,7 +718,7 @@ mod tests {
         let probe = vec![2.0; 8];
         seg.append_deltas(&[DeltaRecord::upsert(vid(100), Tid(31), probe.clone())])
             .unwrap();
-        let (r, _) = seg.range_search(&probe, 0.5, 64, None, Tid(31), &plan0());
+        let (r, _) = seg.range_search(&probe, 0.5, 64, None, Tid(31), &graph_plan());
         assert!(r.iter().any(|n| n.id == vid(100)));
         assert!(r.iter().all(|n| n.dist <= 0.5));
     }
@@ -733,9 +755,9 @@ mod tests {
         assert_eq!(newest.index.len(), 40);
         assert_eq!(newest.index.tombstone_count(), 0);
         // Updated vector wins; untouched vector intact.
-        let (r, _) = seg.search(&updates[0].vector, 1, 64, None, Tid(70), &plan0());
+        let (r, _) = graph_search(&seg, &updates[0].vector, 1, 64, None, Tid(70));
         assert_eq!(r[0].id, vid(0));
-        let (r, _) = seg.search(&vecs[35], 1, 64, None, Tid(70), &plan0());
+        let (r, _) = graph_search(&seg, &vecs[35], 1, 64, None, Tid(70));
         assert_eq!(r[0].id, vid(35));
     }
 
@@ -761,7 +783,7 @@ mod tests {
         seg.index_merge(Tid(50)).unwrap();
         assert_eq!(seg.layout(), GraphLayout::default());
         assert_eq!(seg.newest_snapshot().index.layout(), GraphLayout::default());
-        let (r, stats) = seg.search(&vecs[7], 1, 32, None, Tid(50), &plan0());
+        let (r, stats) = graph_search(&seg, &vecs[7], 1, 32, None, Tid(50));
         assert_eq!(r[0].id, vid(7));
         assert_eq!(stats.packed_searches, 1, "served from the packed form");
 
@@ -821,8 +843,8 @@ mod tests {
 
             assert_eq!(restored.live_count(ckpt), seg.live_count(ckpt));
             for probe in [0usize, 7, 19] {
-                let (want, _) = seg.search(&vecs[probe], 3, 64, None, ckpt, &plan0());
-                let (got, _) = restored.search(&vecs[probe], 3, 64, None, ckpt, &plan0());
+                let (want, _) = graph_search(&seg, &vecs[probe], 3, 64, None, ckpt);
+                let (got, _) = graph_search(&restored, &vecs[probe], 3, 64, None, ckpt);
                 assert_eq!(
                     got.iter().map(|n| n.id).collect::<Vec<_>>(),
                     want.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -882,7 +904,8 @@ mod tests {
         seg.append_deltas(&[DeltaRecord::upsert(vid(5), Tid(301), probe.clone())])
             .unwrap();
         assert_eq!(seg.memory_bytes(), merged + record);
-        let (r, _) = seg.search(&probe, 1, 64, None, Tid(301), &plan0());
+        // ef 32: the beam over the 299 unmasked rows costs less than a scan.
+        let (r, _) = graph_search(&seg, &probe, 1, 32, None, Tid(301));
         assert_eq!(r[0].id, vid(5));
         assert!(r[0].dist < 1e-6);
 
@@ -890,13 +913,13 @@ mod tests {
         seg.delta_merge(Tid(301));
         seg.index_merge(Tid(301)).unwrap();
         assert_eq!(seg.storage_tier(), StorageTier::Sq8);
-        let (r, _) = seg.search(&probe, 1, 64, None, Tid(301), &plan0());
+        let (r, _) = graph_search(&seg, &probe, 1, 64, None, Tid(301));
         assert_eq!(r[0].id, vid(5));
 
         // Search quality: most exact-match probes come back first.
         let hits = (0..50)
             .filter(|&i| {
-                let (r, _) = seg.search(&vecs[i], 1, 64, None, Tid(300), &plan0());
+                let (r, _) = graph_search(&seg, &vecs[i], 1, 64, None, Tid(300));
                 r[0].id == vid(i as u32)
             })
             .count();
@@ -936,7 +959,7 @@ mod tests {
                 .map(|(i, v)| (tv_common::metric::l2_sq(q, v), i as u32))
                 .collect();
             exact.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (got, _) = seg.search(q, k, 128, None, Tid(n as u64), &plan0());
+            let (got, _) = graph_search(&seg, q, k, 128, None, Tid(n as u64));
             hits += exact[..k]
                 .iter()
                 .filter(|(_, i)| got.iter().any(|g| g.id == vid(*i)))
@@ -1011,8 +1034,8 @@ mod tests {
                 .unwrap();
             assert_eq!(restored.storage_tier(), spec.tier);
             for probe in [0usize, 13, 42, 77] {
-                let (want, _) = seg.search(&vecs[probe], 3, 64, None, Tid(80), &plan0());
-                let (got, _) = restored.search(&vecs[probe], 3, 64, None, Tid(80), &plan0());
+                let (want, _) = graph_search(&seg, &vecs[probe], 3, 64, None, Tid(80));
+                let (got, _) = graph_search(&restored, &vecs[probe], 3, 64, None, Tid(80));
                 assert_eq!(
                     got.iter().map(|n| n.id).collect::<Vec<_>>(),
                     want.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -1052,11 +1075,11 @@ mod tests {
             // once per probe on never-reused scratch buffers.
             let (cold, _) = seeded_segment(80);
             for &p in &probes {
-                let (want, _) = cold.search(&vecs[p], 5, 64, None, Tid(80), &plan0());
+                let (want, _) = graph_search(&cold, &vecs[p], 5, 64, None, Tid(80));
                 // Warm path: search the long-lived segment twice so the
                 // second run reuses the pooled scratch (bumped epoch).
-                seg.search(&vecs[p], 5, 64, None, Tid(80), &plan0());
-                let (got, _) = seg.search(&vecs[p], 5, 64, None, Tid(80), &plan0());
+                graph_search(&seg, &vecs[p], 5, 64, None, Tid(80));
+                let (got, _) = graph_search(&seg, &vecs[p], 5, 64, None, Tid(80));
                 assert_eq!(got.len(), want.len(), "{stage}: probe {p} length");
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.id, w.id, "{stage}: probe {p} id");

@@ -47,7 +47,7 @@ fn acknowledged_deltas_stay_visible_while_index_merge_and_prune_run() {
     let pinned = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     // Exact search: a miss is a lost record, never an approximate beam.
-    let planner = PlannerConfig::static_threshold(2 * KEYS as usize);
+    let planner = PlannerConfig::default().with_brute_threshold(KEYS as usize);
 
     let (iterations, misses) = std::thread::scope(|s| {
         s.spawn(|| {
@@ -76,7 +76,8 @@ fn acknowledged_deltas_stay_visible_while_index_merge_and_prune_run() {
                 break;
             }
             iterations += 1;
-            let (r, _) = seg.search(&vector(t), 1, 16, None, Tid(t), &planner);
+            let (r, stats) = seg.search(&vector(t), 1, 16, None, Tid(t), &planner);
+            assert_eq!(stats.plans_in_traversal + stats.plans_post_filter, 0);
             if r.first().map(|n| (n.id, n.dist)) != Some((vid(t), 0.0)) {
                 misses.push(format!(
                     "iteration {iterations}: search at {t} returned {r:?}"

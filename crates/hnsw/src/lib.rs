@@ -41,7 +41,7 @@ pub(crate) mod config;
 pub mod index;
 pub(crate) mod layout;
 pub(crate) mod packed;
-pub(crate) mod planner;
+pub mod planner;
 pub(crate) mod quant;
 pub(crate) mod quant_state;
 pub(crate) mod search;

@@ -14,8 +14,28 @@
 //! (filter bitmap ∩ live occupancy, see `HnswIndex::valid_live_count`) —
 //! feeding it raw bitmap cardinality was exactly the misrouting bug this
 //! module replaces.
+//!
+//! The one tunable input is [`PlannerConfig::brute_force_threshold`], the
+//! paper's valid-count floor; the cost model's other terms are the
+//! constants below.
 
 use tv_common::PlannerConfig;
+
+/// Estimated distance computations per *admitted* beam slot of a graph
+/// traversal, relative to one brute-force candidate scan. The graph cost
+/// model is `GRAPH_COST_FACTOR × ef / selectivity`: with few valid points
+/// the beam must wade through that many invalid candidates to admit `ef`
+/// survivors.
+pub const GRAPH_COST_FACTOR: f64 = 8.0;
+
+/// Selectivity (valid-live / live) at or above which the planner skips
+/// per-candidate bitmap checks during traversal and instead post-filters an
+/// unfiltered beam widened to `ef / selectivity`.
+pub const POST_FILTER_MIN_SELECTIVITY: f64 = 0.5;
+
+/// Hard cap on an enlarged or escalated `ef`: past it the starvation
+/// fallback gives up on the graph and scans the filtered set exactly.
+pub const MAX_EF: usize = 4096;
 
 /// The strategy chosen for one filtered search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +52,7 @@ pub(crate) enum PlanChoice {
     },
     /// Unfiltered HNSW beam widened to `fetch_ef`, filtered afterwards.
     PostFilter {
-        /// Enlarged beam width (`ef / selectivity`, capped at `max_ef`).
+        /// Enlarged beam width (`ef / selectivity`, capped at [`MAX_EF`]).
         fetch_ef: usize,
     },
 }
@@ -54,13 +74,15 @@ pub(crate) struct PlanInputs {
 ///
 /// Cost model (unit: one distance computation):
 /// * brute force costs `valid_live`;
-/// * a filtered traversal costs about `graph_cost_factor × ef / s` where
+/// * at or below `cfg.brute_force_threshold` valid points brute force is
+///   chosen outright;
+/// * a filtered traversal costs about `GRAPH_COST_FACTOR × ef / s` where
 ///   `s = valid_live / live_total` — the beam admits one valid point per
 ///   `1/s` candidates scored — capped at `live_total` (a traversal can never
 ///   score more points than exist);
-/// * post-filtering costs about `graph_cost_factor × ef / s` too, but skips
+/// * post-filtering costs about `GRAPH_COST_FACTOR × ef / s` too, but skips
 ///   the per-candidate bitmap probe, so it is preferred once `s` is high
-///   enough (`post_filter_min_selectivity`) that the enlarged beam stays
+///   enough ([`POST_FILTER_MIN_SELECTIVITY`]) that the enlarged beam stays
 ///   small.
 #[must_use]
 pub(crate) fn choose(cfg: &PlannerConfig, inputs: PlanInputs) -> PlanChoice {
@@ -73,27 +95,19 @@ pub(crate) fn choose(cfg: &PlannerConfig, inputs: PlanInputs) -> PlanChoice {
     if valid_live == 0 || k == 0 {
         return PlanChoice::Empty;
     }
-    if !cfg.enabled {
-        // Legacy static routing, preserved for A/B comparison.
-        return if valid_live < cfg.brute_force_threshold {
-            PlanChoice::BruteForce
-        } else {
-            PlanChoice::InTraversal { ef }
-        };
-    }
     if valid_live <= cfg.brute_force_threshold {
         return PlanChoice::BruteForce;
     }
     let s = valid_live as f64 / live_total.max(1) as f64;
-    let graph_cost = (cfg.graph_cost_factor * ef.max(k).max(1) as f64 / s.max(f64::MIN_POSITIVE))
+    let graph_cost = (GRAPH_COST_FACTOR * ef.max(k).max(1) as f64 / s.max(f64::MIN_POSITIVE))
         .min(live_total as f64);
     if (valid_live as f64) < graph_cost {
         return PlanChoice::BruteForce;
     }
-    if s >= cfg.post_filter_min_selectivity {
+    if s >= POST_FILTER_MIN_SELECTIVITY {
         let fetch_ef = ((ef.max(1) as f64 / s).ceil() as usize)
             .max(ef)
-            .min(cfg.max_ef.max(ef));
+            .min(MAX_EF.max(ef));
         return PlanChoice::PostFilter { fetch_ef };
     }
     PlanChoice::InTraversal { ef }
@@ -117,7 +131,7 @@ mod tests {
         let cfg = PlannerConfig::default();
         assert_eq!(choose(&cfg, inputs(0, 10_000)), PlanChoice::Empty);
         assert_eq!(
-            choose(&PlannerConfig::static_threshold(5), inputs(0, 10_000)),
+            choose(&cfg.with_brute_threshold(0), inputs(0, 10_000)),
             PlanChoice::Empty
         );
         let mut z = inputs(100, 10_000);
@@ -168,28 +182,35 @@ mod tests {
 
     #[test]
     fn post_filter_fetch_ef_respects_max_ef() {
-        let cfg = PlannerConfig::default().with_max_ef(100);
-        // s = 0.5 wants fetch_ef = 128; the cap clamps it to 100.
-        match choose(&cfg, inputs(50_000, 100_000)) {
-            PlanChoice::PostFilter { fetch_ef } => assert_eq!(fetch_ef, 100),
-            other => panic!("expected capped post-filter, got {other:?}"),
-        }
+        let cfg = PlannerConfig::default();
+        // ef 3000 at s = 0.5 wants fetch_ef = 6000; the cap clamps it.
+        let mut wide = inputs(50_000, 100_000);
+        wide.ef = 3000;
+        assert_eq!(
+            choose(&cfg, wide),
+            PlanChoice::PostFilter { fetch_ef: MAX_EF }
+        );
+        // A caller's ef above the cap is kept, never cut.
+        let mut wider = inputs(500_000, 1_000_000);
+        wider.ef = 5000;
+        assert_eq!(
+            choose(&cfg, wider),
+            PlanChoice::PostFilter { fetch_ef: 5000 }
+        );
     }
 
     #[test]
-    fn disabled_planner_reproduces_static_threshold() {
-        let cfg = PlannerConfig::static_threshold(64);
-        assert_eq!(choose(&cfg, inputs(63, 1_000_000)), PlanChoice::BruteForce);
-        // The cliff the planner fixes: 64 valid of 1M still routes to the
-        // graph under the static rule.
+    fn brute_threshold_is_the_static_floor() {
+        // At or below the floor the scan wins whatever the cost model says;
+        // a zero floor leaves small valid sets to the cost model.
+        let cfg = PlannerConfig::default().with_brute_threshold(0);
         assert_eq!(
-            choose(&cfg, inputs(64, 1_000_000)),
-            PlanChoice::InTraversal { ef: 64 }
+            choose(&cfg, inputs(64, 64)),
+            PlanChoice::PostFilter { fetch_ef: 64 }
         );
-        // static_threshold(0) never brute-forces.
         assert_eq!(
-            choose(&PlannerConfig::static_threshold(0), inputs(1, 2)),
-            PlanChoice::InTraversal { ef: 64 }
+            choose(&cfg.with_brute_threshold(64), inputs(64, 64)),
+            PlanChoice::BruteForce
         );
     }
 }

@@ -641,7 +641,7 @@ impl HnswIndex {
     ///    enlarged `ef`;
     /// 3. if a graph strategy returns fewer than `min(k, valid_live)`
     ///    results (a starved beam, *not* set exhaustion), escalate: double
-    ///    `ef` up to `cfg.max_ef`, then fall back to an exact scan.
+    ///    `ef` up to [`planner::MAX_EF`], then fall back to an exact scan.
     ///
     /// The starvation fallback makes the result count exact: the search
     /// returns `min(k, valid_live)` results whenever any exist, so a short
@@ -690,14 +690,14 @@ impl HnswIndex {
             }
         };
         let target = k.min(valid_live);
-        if results.len() >= target || !cfg.enabled {
+        if results.len() >= target {
             return (results, stats);
         }
         // Starved beam: valid points exist that the graph search did not
         // surface. Escalate with a widening in-traversal beam, then give up
         // on the graph entirely (disconnected or unreachable valid points).
-        while used_ef < cfg.max_ef {
-            used_ef = used_ef.saturating_mul(2).min(cfg.max_ef);
+        while used_ef < planner::MAX_EF {
+            used_ef = used_ef.saturating_mul(2).min(planner::MAX_EF);
             stats.ef_escalations += 1;
             let (r, s) = self.top_k(query, k, used_ef, filter);
             stats.merge(&s);

@@ -37,8 +37,8 @@ pub struct SearchStats {
     /// results while valid points remained, so `ef` was doubled and the
     /// search retried.
     pub ef_escalations: u64,
-    /// Starvation escalations that exhausted `max_ef` and fell back to an
-    /// exact scan.
+    /// Starvation escalations that reached `planner::MAX_EF` and fell back
+    /// to an exact scan.
     pub brute_fallbacks: u64,
     /// Graph searches served from compiled (CSR-packed, BFS-reordered) rows
     /// alone, with no row pending in the edit set. Lets benchmarks and

@@ -12,7 +12,7 @@
 use tv_common::bitmap::Filter;
 use tv_common::ids::{LocalId, SegmentId, VertexId};
 use tv_common::{Bitmap, DistanceMetric, PlannerConfig, SplitMix64};
-use tv_hnsw::{HnswConfig, HnswIndex};
+use tv_hnsw::{HnswConfig, HnswIndex, VectorIndex};
 
 const DIM: usize = 12;
 const N: usize = 600;
@@ -227,13 +227,12 @@ fn planner_routes_all_three_strategies() {
     let (_, stats) = index.search_planned(&q, 3, 32, Filter::Valid(&full), &cfg);
     assert_eq!(stats.plans_post_filter, 1);
 
-    // Mid selectivity (~20% of live, above the brute crossover) with a
-    // planner tuned so the graph path wins → in-traversal.
-    let bm = random_filter(&mut rng, 0.2);
-    let tuned = PlannerConfig::default()
-        .with_graph_cost_factor(0.5)
-        .with_post_filter_min_selectivity(0.95);
-    let (_, stats) = index.search_planned(&q, 3, 32, Filter::Valid(&bm), &tuned);
+    // Mid selectivity (every third id: 171 of 514 live, s = 1/3 < 0.5) with
+    // a beam narrow enough that the graph beats a scan (8 × 4 / s = 96
+    // scored < 171) → in-traversal.
+    let bm = Bitmap::from_indices(N, (0..N).step_by(3));
+    assert_eq!(index.valid_live_count(Filter::Valid(&bm)), 171);
+    let (_, stats) = index.search_planned(&q, 3, 4, Filter::Valid(&bm), &cfg);
     assert_eq!(stats.plans_in_traversal, 1);
 }
 
@@ -244,8 +243,7 @@ fn stats_separate_deleted_from_filtered() {
     let full = Bitmap::full(N);
     // In-traversal over the full set: tombstones are skipped as deleted,
     // and nothing is a filter rejection (every live id is valid).
-    let legacy = PlannerConfig::static_threshold(0);
-    let (_, stats) = index.search_planned(&vecs[1], 5, 64, Filter::Valid(&full), &legacy);
+    let (_, stats) = index.top_k(&vecs[1], 5, 64, Filter::Valid(&full));
     assert!(
         stats.deleted_skipped > 0,
         "tombstones must be visible: {stats:?}"
@@ -260,7 +258,7 @@ fn stats_separate_deleted_from_filtered() {
     for i in 0..N / 2 {
         half.set(i, true);
     }
-    let (_, stats) = index.search_planned(&vecs[1], 5, 64, Filter::Valid(&half), &legacy);
+    let (_, stats) = index.top_k(&vecs[1], 5, 64, Filter::Valid(&half));
     assert!(
         stats.filtered_out > 0,
         "expected filter rejections: {stats:?}"

@@ -59,7 +59,8 @@ pub struct RateLimitConfig {
 /// Admission-control tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// Maximum concurrently executing requests (the executor pool size).
+    /// Maximum concurrently executing requests (the executor pool size;
+    /// 0 is taken as 1).
     pub executor_permits: usize,
     /// Maximum requests waiting behind the executing ones.
     pub queue_capacity: usize,
@@ -259,11 +260,15 @@ impl BatchRun<'_> {
 
 impl AdmissionController {
     /// New controller; a queued batch holds at most `max_batch` waiting
-    /// top-ks.
+    /// top-ks. Both `max_batch` and the permit count are clamped to at
+    /// least 1: with no permit nothing could ever run.
     #[must_use]
     pub(crate) fn new(config: AdmissionConfig, max_batch: usize) -> Self {
         AdmissionController {
-            config,
+            config: AdmissionConfig {
+                executor_permits: config.executor_permits.max(1),
+                ..config
+            },
             max_batch: max_batch.max(1),
             inner: Mutex::new(Inner {
                 active: 0,

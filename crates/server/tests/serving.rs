@@ -378,6 +378,37 @@ fn solo_top_k(graph: &Graph, qv: &[f32]) -> (Vec<TypedNeighbor>, tv_hnsw::Search
         .unwrap()
 }
 
+/// `executor_permits: 0` is taken as one permit: a request with no
+/// deadline used to wait for a permit that could never exist.
+#[test]
+fn zero_permit_server_still_answers() {
+    let (graph, acl, _ids, vecs) = serving_fixture();
+    let server = Arc::new(Server::new(
+        Arc::clone(&graph),
+        acl,
+        ServerConfig {
+            admission: AdmissionConfig {
+                executor_permits: 0,
+                queue_capacity: 4,
+                rate_limit: None,
+            },
+            ..ServerConfig::default()
+        },
+    ));
+    let session = server.open_session("acme", "u-acme");
+    let handle = spawn_top_k(&server, session, vecs[0].clone());
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while !handle.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a 0-permit server never answered"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let got = handle.join().unwrap().unwrap();
+    assert_eq!(got, solo_top_k(&graph, &vecs[0]).0);
+}
+
 #[test]
 fn batched_vector_topk_is_bit_identical_to_solo() {
     let (graph, acl, _ids, vecs) = serving_fixture();
